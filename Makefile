@@ -7,7 +7,7 @@ GO ?= go
 # module.
 RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/analysis/... ./cmd/mscfpq-lint
 
-.PHONY: check all build vet test race race-quick cover bench bench-quick bench-batch bench-smoke experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
+.PHONY: check all build vet test race race-quick cover bench bench-quick bench-batch bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
 
 # Default: what CI runs on every change.
 check: build vet lint test race diff-test chaos chaos-repl bench-smoke
@@ -86,11 +86,25 @@ bench-quick:
 # acceptance gate (warm hit >= 10x faster than cold) fails the run.
 # The batch smoke measures query coalescing into BENCH_batch.json; its
 # acceptance gates (>= 2x aggregate qps with 8 concurrent same-grammar
-# clients, <= 1ms added lone-client p50) fail the run.
+# clients, <= 1ms added lone-client p50) fail the run. The reply
+# benchmarks print what one query reply costs to encode and to decode
+# (10 and 6000 rows, ns and allocations; DESIGN.md §15) — their gate is
+# the allocation guard TestReplyAllocs in `make test`.
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
+	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
+
+# The wire-level benchmark (benchmark/README.md), one workload end to
+# end, exactly as BENCHMARK.json's command runs it:
+#   make bench-e2e WORKLOAD=dense-scan [SEED=7] [TRACE=1]
+# TESTING.md has the -repeat/-compare recipe for comparing two commits.
+WORKLOAD ?= dense-scan
+SEED ?= 1
+TRACE ?= 0
+bench-e2e:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)
 
 # The coalescing experiment alone, at quick scale (DESIGN.md Â§14).
 bench-batch:

@@ -57,6 +57,10 @@ var (
 	RespConnsRefused = Default.Counter("resp.conns.refused")
 	RespBusyShed     = Default.Counter("resp.busy_shed")
 	RespCommands     = Default.Counter("resp.commands")
+	// What replies put on the wire: a slow command with a large share
+	// of these was a long read-out, not a slow fixpoint.
+	RespReplyBytes = Default.Counter("resp.reply.bytes")
+	RespReplyRows  = Default.Counter("resp.reply.rows")
 
 	// Multi-source query coalescing (internal/batch, DESIGN.md §14):
 	// concurrent CFPQ queries over the same (snapshot, grammar,

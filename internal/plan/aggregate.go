@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -20,8 +21,9 @@ type Aggregate struct {
 	child Operation
 	cols  []OutCol
 
-	out []Record
-	pos int
+	rows    []int64 // one row of len(cols) cells per group, back to back
+	drained bool
+	pos     int // offset in rows of the next group to emit
 }
 
 // NewAggregate builds the aggregation operation.
@@ -30,69 +32,57 @@ func NewAggregate(child Operation, cols []OutCol) *Aggregate {
 }
 
 func (a *Aggregate) Open() error {
-	a.out, a.pos = nil, 0
+	a.rows, a.drained, a.pos = nil, false, 0
 	return a.child.Open()
 }
 
 func (a *Aggregate) Next() (Record, error) {
-	if a.out == nil {
+	if !a.drained {
 		if err := a.drain(); err != nil {
 			return nil, err
 		}
+		a.drained = true
 	}
-	if a.pos >= len(a.out) {
+	if a.pos >= len(a.rows) {
 		return nil, nil
 	}
-	rec := a.out[a.pos]
-	a.pos++
+	rec := Record(a.rows[a.pos : a.pos+len(a.cols)])
+	a.pos += len(a.cols)
 	return rec, nil
 }
 
 func (a *Aggregate) drain() error {
-	groups := map[string]int{} // key -> index in a.out
-	counts := []int64{}
+	groups := map[string]int{} // key -> offset of the group's row in a.rows
+	var key []byte
 	for {
 		rec, err := a.child.Next()
-		if err != nil {
+		if err != nil || rec == nil {
 			return err
 		}
-		if rec == nil {
-			break
-		}
-		var key strings.Builder
+		key = key[:0]
 		for _, c := range a.cols {
 			if !c.Count {
-				fmt.Fprintf(&key, "%d|", rec[c.Slot])
+				key = append(strconv.AppendInt(key, rec[c.Slot], 10), '|')
 			}
 		}
-		idx, ok := groups[key.String()]
+		off, ok := groups[string(key)]
 		if !ok {
-			idx = len(a.out)
-			groups[key.String()] = idx
-			row := make(Record, len(a.cols))
-			for i, c := range a.cols {
+			off = len(a.rows)
+			groups[string(key)] = off
+			for _, c := range a.cols {
 				if c.Count {
-					row[i] = 0
+					a.rows = append(a.rows, 0)
 				} else {
-					row[i] = rec[c.Slot]
+					a.rows = append(a.rows, rec[c.Slot])
 				}
 			}
-			a.out = append(a.out, row)
-			counts = append(counts, 0)
 		}
-		counts[idx]++
-	}
-	for idx, row := range a.out {
 		for i, c := range a.cols {
 			if c.Count {
-				row[i] = counts[idx]
+				a.rows[off+i]++
 			}
 		}
 	}
-	if a.out == nil {
-		a.out = []Record{} // distinguish "drained, empty" from "not drained"
-	}
-	return nil
 }
 
 func (a *Aggregate) Explain() string {
@@ -111,8 +101,9 @@ type Sort struct {
 	child Operation
 	keys  []sortKey
 
-	out []Record
-	pos int
+	out    [][]int64
+	sorted bool
+	pos    int
 }
 
 type sortKey struct {
@@ -126,21 +117,15 @@ func NewSort(child Operation, keys []sortKey) *Sort {
 }
 
 func (s *Sort) Open() error {
-	s.out, s.pos = nil, 0
+	s.out, s.sorted, s.pos = nil, false, 0
 	return s.child.Open()
 }
 
 func (s *Sort) Next() (Record, error) {
-	if s.out == nil {
-		for {
-			rec, err := s.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if rec == nil {
-				break
-			}
-			s.out = append(s.out, rec)
+	if !s.sorted {
+		var err error
+		if s.out, err = drainRows(s.child, nil); err != nil {
+			return nil, err
 		}
 		sort.SliceStable(s.out, func(i, j int) bool {
 			for _, k := range s.keys {
@@ -155,16 +140,13 @@ func (s *Sort) Next() (Record, error) {
 			}
 			return false
 		})
-		if s.out == nil {
-			s.out = []Record{}
-		}
+		s.sorted = true
 	}
 	if s.pos >= len(s.out) {
 		return nil, nil
 	}
-	rec := s.out[s.pos]
 	s.pos++
-	return rec, nil
+	return s.out[s.pos-1], nil
 }
 
 func (s *Sort) Explain() string {

@@ -302,7 +302,7 @@ func reverseChain(chain []QGEdge) []QGEdge {
 // Execute runs the plan to completion, ungoverned.
 func (p *Plan) Execute() (*ResultSet, error) { return p.ExecuteWith() }
 
-// executeCheckRecords is how many records the pull loop emits between
+// executeCheckRecords is how many records drainRows pulls between
 // governor checks (operator-internal work is governed separately
 // through the environment's Run).
 const executeCheckRecords = 256
@@ -323,21 +323,42 @@ func (p *Plan) ExecuteWith(opts ...exec.Option) (*ResultSet, error) {
 	if err := p.root.Open(); err != nil {
 		return nil, err
 	}
-	rs := &ResultSet{Columns: p.Columns}
+	rows, err := drainRows(p.root, run)
+	if err != nil {
+		return nil, err
+	}
+	return &ResultSet{Columns: p.Columns, Rows: rows}, nil
+}
+
+// drainRows pulls op dry and returns its records as rows (nil for
+// none). A record is valid only until the next pull, so the cells are
+// collected back to back, then the rows cut from one array of exactly
+// their size that nothing else refers to: whoever keeps them (the query
+// cache) pins the bytes it accounts for and no buffer of the execution.
+func drainRows(op Operation, run *exec.Run) ([][]int64, error) {
+	var cells []int64
 	for pulled := 0; ; pulled++ {
 		if pulled%executeCheckRecords == 0 {
 			if err := run.Err(); err != nil {
 				return nil, err
 			}
 		}
-		rec, err := p.root.Next()
-		if err != nil {
+		rec, err := op.Next()
+		if err != nil || (rec == nil && pulled == 0) {
 			return nil, err
 		}
 		if rec == nil {
-			return rs, nil
+			data := append(make([]int64, 0, len(cells)), cells...)
+			rows, width := make([][]int64, pulled), len(cells)/pulled
+			for i := range rows {
+				rows[i] = data[i*width : (i+1)*width : (i+1)*width]
+			}
+			return rows, nil
 		}
-		rs.Rows = append(rs.Rows, []int64(rec))
+		if len(cells)+len(rec) > cap(cells) {
+			cells = append(make([]int64, 0, max(512, 2*cap(cells))), cells...)
+		}
+		cells = append(cells, rec...)
 	}
 }
 

@@ -12,15 +12,16 @@ import (
 // Record binds pattern variables (by slot) to vertex ids; -1 = unbound.
 type Record []int64
 
-func (r Record) clone() Record { return append(Record(nil), r...) }
-
 // Operation is one node of the execution plan tree. Operations pull
 // records from their child (paper Figure 13), process them and produce
 // records for their parent.
 type Operation interface {
 	// Open prepares the operation (and its subtree) for execution.
 	Open() error
-	// Next returns the next record, or nil when exhausted.
+	// Next returns the next record, or nil when exhausted. The record
+	// is read-only and valid only until the next call to Next (the
+	// operation reuses its buffer, so a row costs no allocation); a
+	// caller that keeps records copies them (Traverse, drainRows).
 	Next() (Record, error)
 	// Explain renders the operation for plan display.
 	Explain() string
@@ -40,7 +41,8 @@ type NodeScan struct {
 	slot   int
 	label  string // "" = all vertices
 	child  Operation
-	cur    Record
+	cur    Record // the child's record being extended
+	out    Record // cur with slot bound, rewritten per vertex
 	verts  []int
 	pos    int
 	opened bool
@@ -67,6 +69,7 @@ func (s *NodeScan) Open() error {
 		s.verts = s.env.G.VertexSet(s.label).Ints()
 	}
 	s.cur = nil
+	s.out = make(Record, s.slots)
 	s.pos = 0
 	s.opened = true
 	return nil
@@ -116,10 +119,10 @@ func (s *NodeScan) Next() (Record, error) {
 			}
 			continue
 		}
-		rec := s.cur.clone()
-		rec[s.slot] = int64(s.verts[s.pos])
+		copy(s.out, s.cur)
+		s.out[s.slot] = int64(s.verts[s.pos])
 		s.pos++
-		return rec, nil
+		return s.out, nil
 	}
 }
 
@@ -151,7 +154,9 @@ type Traverse struct {
 	expr     algebra.Expr
 	isPath   bool
 
-	buf     []Record
+	buf     []int64      // the batch: copies of the child's records, width cells each
+	width   int          // cells per record
+	out     Record       // the buffered record being expanded, with toSlot bound
 	rows    *matrix.Bool // evaluation result for the current batch
 	bufIdx  int          // record being expanded
 	rowPos  int          // position within that record's row
@@ -174,7 +179,7 @@ func NewCFPQTraverse(env *Env, child Operation, fromSlot, toSlot int, expr algeb
 }
 
 func (t *Traverse) Open() error {
-	t.buf, t.rows, t.done = nil, nil, false
+	t.buf, t.width, t.rows, t.done = nil, 0, nil, false
 	t.bufIdx, t.rowPos = 0, 0
 	t.covered = false
 	return t.child.Open()
@@ -183,8 +188,8 @@ func (t *Traverse) Open() error {
 func (t *Traverse) Next() (Record, error) {
 	for {
 		// Emit from the current batch.
-		for t.rows != nil && t.bufIdx < len(t.buf) {
-			rec := t.buf[t.bufIdx]
+		for t.rows != nil && t.bufIdx*t.width < len(t.buf) {
+			rec := Record(t.buf[t.bufIdx*t.width : (t.bufIdx+1)*t.width])
 			src := rec[t.fromSlot]
 			row := t.rows.Row(int(src))
 			if t.rowPos < len(row) {
@@ -194,11 +199,11 @@ func (t *Traverse) Next() (Record, error) {
 					if bound != dst {
 						continue
 					}
-					return rec.clone(), nil
+					return rec, nil
 				}
-				out := rec.clone()
-				out[t.toSlot] = dst
-				return out, nil
+				copy(t.out, rec)
+				t.out[t.toSlot] = dst
+				return t.out, nil
 			}
 			t.bufIdx++
 			t.rowPos = 0
@@ -220,7 +225,7 @@ func (t *Traverse) fillBatch() error {
 	t.bufIdx, t.rowPos = 0, 0
 	t.rows = nil
 	srcs := matrix.NewVector(t.env.G.NumVertices())
-	for len(t.buf) < traverseBatchSize {
+	for n := 0; n < traverseBatchSize; n++ {
 		rec, err := t.child.Next()
 		if err != nil {
 			return err
@@ -234,7 +239,11 @@ func (t *Traverse) fillBatch() error {
 			return fmt.Errorf("plan: %s consumed a record with unbound source slot %d", t.name, t.fromSlot)
 		}
 		srcs.Set(int(src))
-		t.buf = append(t.buf, rec)
+		if t.width == 0 {
+			t.width = len(rec)
+			t.out = make(Record, t.width)
+		}
+		t.buf = append(t.buf, rec...)
 	}
 	if len(t.buf) == 0 {
 		return nil
@@ -433,11 +442,12 @@ type Project struct {
 	child   Operation
 	columns []string
 	slots   []int
+	out     Record
 }
 
 // NewProject builds the projection.
 func NewProject(child Operation, columns []string, slots []int) *Project {
-	return &Project{child: child, columns: columns, slots: slots}
+	return &Project{child: child, columns: columns, slots: slots, out: make(Record, len(slots))}
 }
 
 func (p *Project) Open() error { return p.child.Open() }
@@ -447,11 +457,10 @@ func (p *Project) Next() (Record, error) {
 	if err != nil || rec == nil {
 		return nil, err
 	}
-	out := make(Record, len(p.slots))
 	for i, s := range p.slots {
-		out[i] = rec[s]
+		p.out[i] = rec[s]
 	}
-	return out, nil
+	return p.out, nil
 }
 
 func (p *Project) Explain() string {

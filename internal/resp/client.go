@@ -105,12 +105,9 @@ func (c *Client) redial() error {
 // Do sends a command and returns the raw reply. An error reply becomes
 // a Go error.
 func (c *Client) Do(args ...string) (Value, error) {
-	req := Value{Kind: Array, Array: make([]Value, len(args))}
-	for i, a := range args {
-		req.Array[i] = Bulk(a)
-	}
-	if err := Write(c.w, req); err != nil {
-		return Value{}, err
+	writeInt(c.w, Array, int64(len(args)))
+	for _, a := range args {
+		writeBulk(c.w, a)
 	}
 	if err := c.w.Flush(); err != nil {
 		return Value{}, err

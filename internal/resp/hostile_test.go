@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -94,6 +95,59 @@ func TestReadBoundedLineBoundsMemory(t *testing.T) {
 	}
 	if limit := maxInlineLen + 64<<10; src.read > limit {
 		t.Fatalf("bounded line read consumed %d bytes from the stream, want <= %d", src.read, limit)
+	}
+}
+
+// TestReadBoundedLinesOfProtocol is the same guarantee for the protocol
+// proper: a length, integer, simple-string or error line that never
+// ends is refused after at most one bounded line's worth of input,
+// wherever in a command it starts.
+func TestReadBoundedLinesOfProtocol(t *testing.T) {
+	for _, prefix := range []string{"*1\r\n$", "*2\r\n$4\r\nPING\r\n:", "*", "$", ":", "+", "-"} {
+		src := &infiniteReader{b: '7'}
+		_, err := Read(bufio.NewReader(io.MultiReader(strings.NewReader(prefix), src)))
+		if err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("Read(%q + endless digits) = %v, want too-large error", prefix, err)
+		}
+		if limit := maxInlineLen + 64<<10; src.read > limit {
+			t.Errorf("Read(%q + endless digits) consumed %d bytes, want <= %d", prefix, src.read, limit)
+		}
+	}
+}
+
+// TestHostileUnterminatedLengthLine sends the server a bulk length that
+// never ends: it must answer with a protocol error and hang up, not
+// buffer the digits.
+func TestHostileUnterminatedLengthLine(t *testing.T) {
+	_, addr := startServerWith(t, nil)
+	conn := dialRaw(t, addr)
+	// The server may close mid-write; the write error is part of the scenario.
+	_, _ = conn.Write(append([]byte("*1\r\n$"), bytes.Repeat([]byte{'9'}, 256<<10)...))
+	reply, _ := io.ReadAll(conn)
+	if len(reply) > 0 && !strings.Contains(string(reply), "protocol error") {
+		t.Fatalf("reply to an endless bulk length = %q, want protocol error", reply)
+	}
+	mustServeHealthy(t, addr)
+}
+
+// TestHostileCRLFInErrorReply: an error message that echoes a client's
+// argument must not let that argument end the line. Before Write
+// replaced CR and LF with spaces, the bytes after the smuggled CRLF
+// were read as the next command's reply.
+func TestHostileCRLFInErrorReply(t *testing.T) {
+	_, addr := startServerWith(t, nil)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Do("SLOWLOG", "x'\r\n+FAKE\r\n")
+	var se *ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "x'  +FAKE") {
+		t.Fatalf("SLOWLOG with CRLF in its argument = %v, want one error naming the argument with spaces for CR and LF", err)
+	}
+	if v, err := c.Do("ECHO", "in sync"); err != nil || v.Str != "in sync" {
+		t.Fatalf("next reply on the connection = %+v, %v; the stream lost sync", v, err)
 	}
 }
 

@@ -74,6 +74,7 @@ func TestServerInfoSlowlog(t *testing.T) {
 		"uptime_seconds:", "graphs:1",
 		"gdb.queries:", "gdb.slow_queries:",
 		"kernel.mul.ops:", "resp.commands:", "governor.completed:",
+		"resp.reply.bytes:", "resp.reply.rows:",
 		"batch.groups:", "batch.solo:",
 	} {
 		if !strings.Contains(info.Str, want) {

@@ -6,6 +6,7 @@ package resp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -57,46 +58,76 @@ func Arr(vs ...Value) Value { return Value{Kind: Array, Array: vs} }
 // NullBulk is the null bulk string.
 func NullBulk() Value { return Value{Kind: BulkString, Null: true} }
 
-// Write encodes a value onto w.
+// Write encodes a value onto w. It and the helpers under it do not
+// check each write: a bufio.Writer keeps its first write error and
+// returns it from every later write — the empty one that ends Write,
+// and the connection's Flush.
 func Write(w *bufio.Writer, v Value) error {
-	switch v.Kind {
-	case SimpleString:
-		_, err := fmt.Fprintf(w, "+%s\r\n", v.Str)
-		return err
-	case ErrorString:
-		msg := v.Str
-		if !hasErrorCode(msg) {
-			msg = "ERR " + msg
-		}
-		_, err := fmt.Fprintf(w, "-%s\r\n", msg)
-		return err
-	case Integer:
-		_, err := fmt.Fprintf(w, ":%d\r\n", v.Int)
-		return err
-	case BulkString:
-		if v.Null {
-			_, err := w.WriteString("$-1\r\n")
-			return err
-		}
-		_, err := fmt.Fprintf(w, "$%d\r\n%s\r\n", len(v.Str), v.Str)
-		return err
-	case Array:
-		if v.Null {
-			_, err := w.WriteString("*-1\r\n")
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "*%d\r\n", len(v.Array)); err != nil {
-			return err
-		}
+	switch {
+	case v.Kind == SimpleString:
+		writeLine(w, "+", v.Str)
+	case v.Kind == ErrorString && hasErrorCode(v.Str):
+		writeLine(w, "-", v.Str)
+	case v.Kind == ErrorString:
+		writeLine(w, "-ERR ", v.Str)
+	case v.Kind == Integer:
+		writeInt(w, Integer, v.Int)
+	case v.Kind == BulkString && v.Null:
+		w.WriteString("$-1\r\n")
+	case v.Kind == BulkString:
+		writeBulk(w, v.Str)
+	case v.Kind == Array && v.Null:
+		w.WriteString("*-1\r\n")
+	case v.Kind == Array:
+		writeInt(w, Array, int64(len(v.Array)))
 		for _, e := range v.Array {
 			if err := Write(w, e); err != nil {
 				return err
 			}
 		}
-		return nil
 	default:
 		return fmt.Errorf("resp: unknown kind %q", v.Kind)
 	}
+	_, err := w.Write(nil)
+	return err
+}
+
+// maxIntLine is the longest "<kind><int64>\r\n" line.
+const maxIntLine = 1 + len("-9223372036854775808") + 2
+
+// appendInt appends the line "<kind><n>\r\n": an integer or a length.
+func appendInt(b []byte, kind Kind, n int64) []byte {
+	return append(strconv.AppendInt(append(b, byte(kind)), n, 10), '\r', '\n')
+}
+
+// room returns w's free buffer space to append to and then w.Write: at
+// least n bytes (n <= w.Size()), so that the append stays in place.
+func room(w *bufio.Writer, n int) []byte {
+	if w.Available() < n {
+		w.Flush()
+	}
+	return w.AvailableBuffer()
+}
+
+func writeInt(w *bufio.Writer, kind Kind, n int64) {
+	w.Write(appendInt(room(w, maxIntLine), kind, n))
+}
+
+func writeBulk(w *bufio.Writer, s string) {
+	writeInt(w, BulkString, int64(len(s)))
+	w.WriteString(s)
+	w.WriteString("\r\n")
+}
+
+// crlfToSpace makes a message safe for a simple-string or error line,
+// as Redis does: a CR or LF in it (an error echoing a client's argument,
+// say) would leave the rest to be read as the next reply.
+var crlfToSpace = strings.NewReplacer("\r", " ", "\n", " ")
+
+func writeLine(w *bufio.Writer, prefix, msg string) {
+	w.WriteString(prefix)
+	w.WriteString(crlfToSpace.Replace(msg))
+	w.WriteString("\r\n")
 }
 
 // hasErrorCode reports whether an error message already starts with a
@@ -132,82 +163,148 @@ const maxArrayLen = 1 << 20
 
 // Read decodes one value from r.
 func Read(r *bufio.Reader) (Value, error) {
-	t, err := r.ReadByte()
-	if err != nil {
-		return Value{}, err
+	d := decoder{r: r}
+	var v Value
+	err := d.read(&v)
+	return v, err
+}
+
+// decoder reads one top-level value. Its small arrays (the rows of a
+// query reply) are cut from shared chunks, and every element is decoded
+// in its place in its array: a Value is 64 bytes.
+type decoder struct {
+	r     *bufio.Reader
+	chunk []Value // unused rest of the current chunk, all zero
+	next  int     // size of the chunk to allocate when this one is used up
+}
+
+// Arrays of up to slabArrayMax elements share chunks, which double from
+// slabChunkMin up to slabChunkMax values (1 to 32 KiB): a command or a
+// short reply takes little, a long reply a chunk per few hundred rows.
+const (
+	slabArrayMax = 16
+	slabChunkMin = 16
+	slabChunkMax = 512
+)
+
+// array returns space for n elements: all of it when small, otherwise
+// to grow as they arrive, so a hostile length commits no memory.
+func (d *decoder) array(n int) []Value {
+	if n == 0 || n > slabArrayMax {
+		return make([]Value, 0, min(n, 1024))
 	}
-	switch Kind(t) {
-	case SimpleString:
-		s, err := readLine(r)
-		return Value{Kind: SimpleString, Str: s}, err
-	case ErrorString:
-		s, err := readLine(r)
-		return Value{Kind: ErrorString, Str: s}, err
+	if n > len(d.chunk) {
+		d.next = min(max(2*d.next, slabChunkMin), slabChunkMax)
+		d.chunk = make([]Value, d.next)
+	}
+	a := d.chunk[:0:n]
+	d.chunk = d.chunk[n:]
+	return a
+}
+
+// read decodes the next value into *v, which is zero.
+func (d *decoder) read(v *Value) error {
+	t, err := d.r.ReadByte()
+	if err != nil {
+		return err
+	}
+	v.Kind = Kind(t)
+	switch v.Kind {
+	case SimpleString, ErrorString:
+		s, err := readBoundedLine(d.r, maxInlineLen)
+		if err != nil {
+			return err
+		}
+		if len(s) < 2 || s[len(s)-2] != '\r' {
+			return errors.New("resp: line missing CRLF")
+		}
+		v.Str = s[:len(s)-2]
+		return nil
 	case Integer:
-		s, err := readLine(r)
-		if err != nil {
-			return Value{}, err
-		}
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("resp: bad integer %q", s)
-		}
-		return Value{Kind: Integer, Int: n}, nil
+		v.Int, err = d.readInt()
+		return err
 	case BulkString:
-		s, err := readLine(r)
+		n, err := d.readLen("bulk", maxBulkLen)
 		if err != nil {
-			return Value{}, err
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil || n < -1 || n > maxBulkLen {
-			return Value{}, fmt.Errorf("resp: bad bulk length %q", s)
+			return err
 		}
 		if n == -1 {
-			return Value{Kind: BulkString, Null: true}, nil
+			v.Null = true
+			return nil
 		}
 		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return Value{}, err
+		if _, err := io.ReadFull(d.r, buf); err != nil {
+			return err
 		}
 		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Value{}, fmt.Errorf("resp: bulk string missing CRLF")
+			return fmt.Errorf("resp: bulk string missing CRLF")
 		}
-		return Value{Kind: BulkString, Str: string(buf[:n])}, nil
+		v.Str = string(buf[:n])
+		return nil
 	case Array:
-		s, err := readLine(r)
+		n, err := d.readLen("array", maxArrayLen)
 		if err != nil {
-			return Value{}, err
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil || n < -1 || n > maxArrayLen {
-			return Value{}, fmt.Errorf("resp: bad array length %q", s)
+			return err
 		}
 		if n == -1 {
-			return Value{Kind: Array, Null: true}, nil
+			v.Null = true
+			return nil
 		}
-		out := Value{Kind: Array, Array: make([]Value, 0, min(n, 1024))}
-		for i := 0; i < n; i++ {
-			e, err := Read(r)
-			if err != nil {
-				return Value{}, err
+		a := d.array(n)
+		for len(a) < n {
+			if len(a) == cap(a) {
+				// Double: append's 1.25x copies 6000 rows five times over.
+				a = append(make([]Value, 0, min(int(n), 2*cap(a))), a...)
 			}
-			out.Array = append(out.Array, e)
+			a = a[:len(a)+1]
+			if err := d.read(&a[len(a)-1]); err != nil {
+				return err
+			}
 		}
-		return out, nil
+		v.Array = a
+		return nil
 	default:
-		return Value{}, fmt.Errorf("resp: unexpected type byte %q", t)
+		return fmt.Errorf("resp: unexpected type byte %q", t)
 	}
 }
 
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
+// readLen reads a bulk or array length: -1 for null, at most limit.
+func (d *decoder) readLen(what string, limit int) (int, error) {
+	n, err := d.readInt()
+	if err == nil && (n < -1 || n > int64(limit)) {
+		err = fmt.Errorf("resp: bad %s length %d", what, n)
+	}
+	return int(n), err
+}
+
+// readInt parses the rest of an integer or length line where it lies in
+// the reader's buffer; a line that does not fit there is refused.
+func (d *decoder) readInt() (int64, error) {
+	line, err := d.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return 0, fmt.Errorf("resp: integer line too large (> %d bytes)", d.r.Size())
+	}
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return "", fmt.Errorf("resp: line missing CRLF")
+		return 0, errors.New("resp: line missing CRLF")
 	}
-	return line[:len(line)-2], nil
+	line = line[:len(line)-2]
+	// Up to 18 digits cannot overflow; anything else (a sign, 19 digits,
+	// garbage) takes strconv's word for it.
+	var n int64
+	plain := len(line) > 0 && len(line) <= 18
+	for _, c := range line {
+		plain = plain && c >= '0' && c <= '9'
+		n = n*10 + int64(c-'0')
+	}
+	if !plain {
+		if n, err = strconv.ParseInt(string(line), 10, 64); err != nil {
+			return 0, fmt.Errorf("resp: bad integer %q", line)
+		}
+	}
+	return n, nil
 }
 
 // Strings extracts a command's words from a client array.

@@ -27,9 +27,9 @@ const FPDispatch = "resp.dispatch"
 
 var _ = fault.Declare(FPDispatch)
 
-// maxInlineLen bounds one inline command line (64 KiB, Redis's
-// PROTO_INLINE_MAX_SIZE): a client streaming bytes without a newline
-// is refused instead of growing the server's buffer without bound.
+// maxInlineLen bounds one inline command line and one simple-string or
+// error line (64 KiB, Redis's PROTO_INLINE_MAX_SIZE): a peer streaming
+// bytes without a newline is refused instead of buffered without bound.
 const maxInlineLen = 64 << 10
 
 // Server serves the graph database over RESP.
@@ -233,7 +233,8 @@ func (s *Server) handle(conn net.Conn) {
 		obs.RespConnsOpen.Add(-1)
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	sent := &obs.CountingWriter{W: conn} // for resp.reply.bytes
+	w := bufio.NewWriter(sent)
 	for {
 		if s.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
@@ -287,11 +288,13 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.inflight.Add(1)
 		s.mu.Unlock()
-		reply, quit := s.dispatch(args)
-		werr := Write(w, reply)
+		rep, quit := s.dispatch(args)
+		before := sent.N
+		werr := rep.encode(w)
 		if werr == nil {
 			werr = w.Flush()
 		}
+		obs.RespReplyBytes.Add(sent.N - before)
 		s.inflight.Done()
 		if werr != nil || quit {
 			return
@@ -335,7 +338,7 @@ func readBoundedLine(r *bufio.Reader, limit int) (string, error) {
 	for {
 		chunk, err := r.ReadSlice('\n')
 		if len(buf)+len(chunk) > limit {
-			return "", fmt.Errorf("inline request too large (> %d bytes)", limit)
+			return "", fmt.Errorf("protocol line too large (> %d bytes)", limit)
 		}
 		buf = append(buf, chunk...)
 		switch err {
@@ -355,11 +358,11 @@ func readBoundedLine(r *bufio.Reader, limit int) (string, error) {
 // work are shed with a BUSY error once gdb.Policy.MaxConcurrent of
 // them are already running — bounded degradation instead of unbounded
 // queueing.
-func (s *Server) dispatch(args []string) (reply Value, quit bool) {
+func (s *Server) dispatch(args []string) (rep reply, quit bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("resp: panic in %s handler: %v\n%s", strings.ToUpper(args[0]), r, debug.Stack())
-			reply, quit = Errorf("internal error: command %s failed: %v", strings.ToUpper(args[0]), r), false
+			rep, quit = Errorf("internal error: command %s failed: %v", strings.ToUpper(args[0]), r), false
 		}
 	}()
 	if err := fault.Inject(FPDispatch); err != nil {
@@ -412,7 +415,7 @@ func lightCommand(cmd string) bool {
 }
 
 // execute runs one command.
-func (s *Server) execute(args []string) (reply Value, quit bool) {
+func (s *Server) execute(args []string) (rep reply, quit bool) {
 	cmd := strings.ToUpper(args[0])
 	switch cmd {
 	case "PING":
@@ -456,7 +459,7 @@ func (s *Server) execute(args []string) (reply Value, quit bool) {
 		if err != nil {
 			return Errorf("%v", err), false
 		}
-		return encodeResult(res), false
+		return queryReply{res}, false
 	case "GRAPH.EXPLAIN":
 		if len(args) != 3 {
 			return Errorf("usage: GRAPH.EXPLAIN <graph> <query>"), false
@@ -465,11 +468,7 @@ func (s *Server) execute(args []string) (reply Value, quit bool) {
 		if err != nil {
 			return Errorf("%v", err), false
 		}
-		var lines []Value
-		for _, l := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-			lines = append(lines, Bulk(l))
-		}
-		return Arr(lines...), false
+		return bulks(strings.Split(strings.TrimRight(text, "\n"), "\n")), false
 	case "GRAPH.STATS":
 		if len(args) != 2 {
 			return Errorf("usage: GRAPH.STATS <graph>"), false
@@ -478,11 +477,7 @@ func (s *Server) execute(args []string) (reply Value, quit bool) {
 		if err != nil {
 			return Errorf("%v", err), false
 		}
-		var vals []Value
-		for _, l := range lines {
-			vals = append(vals, Bulk(l))
-		}
-		return Arr(vals...), false
+		return bulks(lines), false
 	case "GRAPH.DUMP":
 		if len(args) != 2 {
 			return Errorf("usage: GRAPH.DUMP <graph>"), false
@@ -508,11 +503,7 @@ func (s *Server) execute(args []string) (reply Value, quit bool) {
 		if err != nil {
 			return Errorf("%v", err), false
 		}
-		var vals []Value
-		for _, l := range lines {
-			vals = append(vals, Bulk(l))
-		}
-		return Arr(vals...), false
+		return bulks(lines), false
 	case "GRAPH.SAVE":
 		if len(args) != 1 {
 			return Errorf("usage: GRAPH.SAVE"), false
@@ -534,14 +525,19 @@ func (s *Server) execute(args []string) (reply Value, quit bool) {
 		}
 		return OK(), false
 	case "GRAPH.LIST":
-		var names []Value
-		for _, n := range s.DB.List() {
-			names = append(names, Bulk(n))
-		}
-		return Arr(names...), false
+		return bulks(s.DB.List()), false
 	default:
 		return Errorf("unknown command '%s'", args[0]), false
 	}
+}
+
+// bulks is the reply of one bulk string per line.
+func bulks(lines []string) Value {
+	vals := make([]Value, len(lines))
+	for i, l := range lines {
+		vals[i] = Bulk(l)
+	}
+	return Arr(vals...)
 }
 
 // infoSectionNames lists the INFO sections in reply order.
@@ -651,30 +647,44 @@ func (s *Server) slowlog(args []string) Value {
 	return Errorf("unknown SLOWLOG subcommand '%s'", args[1])
 }
 
-// encodeResult renders a query result the way RedisGraph does: a
-// three-element array of header, rows, and statistics.
-func encodeResult(res *gdb.QueryResult) Value {
-	header := make([]Value, len(res.Columns))
-	for i, c := range res.Columns {
-		header[i] = Bulk(c)
+// reply is a command's answer, ready to encode itself onto the
+// connection: a Value tree, or a query result that never becomes one.
+type reply interface {
+	encode(w *bufio.Writer) error
+}
+
+func (v Value) encode(w *bufio.Writer) error { return Write(w, v) }
+
+// queryReply renders a query result the way RedisGraph does: a
+// three-element array of header, rows, and statistics. Cells go into
+// the connection's buffer as digits, unallocated (DESIGN.md §15).
+type queryReply struct{ res *gdb.QueryResult }
+
+func (q queryReply) encode(w *bufio.Writer) error {
+	res := q.res
+	obs.RespReplyRows.Add(int64(len(res.Rows)))
+	writeInt(w, Array, 3)
+	writeInt(w, Array, int64(len(res.Columns)))
+	for _, c := range res.Columns {
+		writeBulk(w, c)
 	}
-	rows := make([]Value, len(res.Rows))
-	for i, row := range res.Rows {
-		cells := make([]Value, len(row))
-		for j, v := range row {
-			cells[j] = Int(v)
+	writeInt(w, Array, int64(len(res.Rows)))
+	for _, row := range res.Rows {
+		b := appendInt(room(w, (1+len(row))*maxIntLine), Array, int64(len(row)))
+		for _, v := range row {
+			b = appendInt(b, Integer, v)
 		}
-		rows[i] = Arr(cells...)
-	}
-	stats := []Value{
-		Bulk(fmt.Sprintf("Nodes created: %d", res.NodesCreated)),
-		Bulk(fmt.Sprintf("Relationships created: %d", res.EdgesCreated)),
-		Bulk(fmt.Sprintf("Rows returned: %d", len(res.Rows))),
+		w.Write(b)
 	}
 	// A PROFILE'd query carries its span tree; it rides in the stats
 	// section so the reply keeps the three-element RedisGraph shape.
+	writeInt(w, Array, int64(3+len(res.Profile)))
+	writeBulk(w, "Nodes created: "+strconv.Itoa(res.NodesCreated))
+	writeBulk(w, "Relationships created: "+strconv.Itoa(res.EdgesCreated))
+	writeBulk(w, "Rows returned: "+strconv.Itoa(len(res.Rows)))
 	for _, l := range res.Profile {
-		stats = append(stats, Bulk(l))
+		writeBulk(w, l)
 	}
-	return Arr(Arr(header...), Arr(rows...), Arr(stats...))
+	_, err := w.Write(nil) // the first write error, if any: see Write
+	return err
 }
