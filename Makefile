@@ -89,12 +89,17 @@ bench-quick:
 # clients, <= 1ms added lone-client p50) fail the run. The reply
 # benchmarks print what one query reply costs to encode and to decode
 # (10 and 6000 rows, ns and allocations; DESIGN.md §15) — their gate is
-# the allocation guard TestReplyAllocs in `make test`.
+# the allocation guard TestReplyAllocs in `make test`. The kernel
+# benchmarks print what one multiple-source query costs under the
+# fixpoint driver (DESIGN.md §16): from scratch, against a saturated
+# index, and as one chunk-10 step of a pathways/G1 sweep — the per-query
+# fixed cost of the wire benchmark's sparse-sweep, in seconds.
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep)$$' -benchmem .
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

@@ -165,6 +165,43 @@ func BenchmarkKernelSmartWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSmartSweep is the kernel under the wire benchmark's
+// sparse-sweep workload: disjoint chunk-10 queries over pathways/G1
+// against one index, a fresh index whenever a sweep has covered the
+// graph. ns/op and B/op are per query, so they read as the per-query
+// fixed cost of Algorithm 3 (small fixpoints over a 6238-row graph).
+func BenchmarkKernelSmartSweep(b *testing.B) {
+	g, err := GenerateDataset("pathways", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := ToWCNF(G1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumVertices()
+	var idx *cfpq.Index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, lo := 0, 0; i < b.N; i, lo = i+1, lo+10 {
+		if idx == nil || lo+10 > n {
+			b.StopTimer()
+			if idx, err = cfpq.NewIndex(g, w); err != nil {
+				b.Fatal(err)
+			}
+			lo = 0
+			b.StartTimer()
+		}
+		src := matrix.NewVector(n)
+		for v := lo; v < lo+10; v++ {
+			src.Set(v)
+		}
+		if _, err := idx.MultiSourceSmart(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkKernelWorklistMS(b *testing.B) {
 	g, w, src := benchInput(b)
 	b.ReportAllocs()

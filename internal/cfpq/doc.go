@@ -2,10 +2,10 @@
 // algorithms in terms of sparse Boolean linear algebra:
 //
 //   - AllPairs: Azimov's matrix-based all-pairs algorithm (Algorithm 1),
-//     the baseline the paper modifies;
+//     the baseline the paper modifies, kept verbatim as the reference;
 //   - MultiSource: the multiple-source algorithm (Algorithm 2), which
 //     restricts computation to paths starting from a given vertex set by
-//     threading source matrices TSrc^A through the fixpoint;
+//     threading source sets TSrc^A through the fixpoint;
 //   - Index.MultiSourceSmart: the optimized multiple-source algorithm
 //     (Algorithm 3), which caches previously computed sources across
 //     queries so each vertex is processed at most once;
@@ -16,6 +16,11 @@
 //   - Worklist: a classic non-linear-algebra CFL-reachability solver used
 //     as the comparison baseline the paper's future-work section calls
 //     for.
+//
+// Every matrix evaluator but AllPairs is set-up, one call of the
+// delta-driven fixpoint driver (fixpoint.go, DESIGN.md §16) and result
+// packing; the driver holds source sets as vectors and varies in one
+// step, the product (plain or witness-recording).
 //
 // All algorithms accept grammars in weak Chomsky normal form
 // (grammar.WCNF) and graphs as Boolean label-matrix decompositions

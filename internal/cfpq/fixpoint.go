@@ -1,0 +1,225 @@
+package cfpq
+
+import (
+	"fmt"
+
+	"mscfpq/internal/exec"
+	"mscfpq/internal/grammar"
+	"mscfpq/internal/graph"
+	"mscfpq/internal/matrix"
+	"mscfpq/internal/obs"
+)
+
+// product is the driver's one varying step: the governed product a*b for
+// binary rule ri, plus an optional callback told every entry of it that
+// is new to the rule's head (where single-path records provenance).
+type product func(run *exec.Run, ri int, a, b *matrix.Bool) (*matrix.Bool, func(i, j int) bool, error)
+
+func boolProduct(run *exec.Run, _ int, a, b *matrix.Bool) (*matrix.Bool, func(i, j int) bool, error) {
+	m, err := run.Mul(a, b)
+	return m, nil, err
+}
+
+// fixpoint is the one delta-driven loop behind AllPairsSemiNaive,
+// MultiSourceFrom, Index.MultiSourceSmartFrom, SinglePath and
+// MultiSourceSinglePath (DESIGN.md §16): they seed T and the source
+// vectors, call solve, and pack the state into their result.
+//
+// Each round applies every rule A -> B C to what the previous round
+// added. With M = rows(T^B, active A-sources), Algorithm 2's
+// TSrc^A * T^B, the part of M that is new this round is
+//
+//	ΔM = rows(T^B, fresh A-sources) ∪ rows(ΔT^B, active A-sources)
+//
+// and A gains ΔM * T^C ∪ M * ΔT^C, less T^A. Sources move as in
+// Algorithms 2 and 3: B ∪= fresh A-sources, C ∪= getDst(ΔM), less what
+// is active or (Algorithm 3) processed. An unrestricted run has every
+// row active: ΔM = ΔT^B and M = T^B, with no row extraction.
+//
+// T grows in place, within a round too: a product may read entries an
+// earlier rule of the same round added, which only finds facts sooner.
+// Each entry is also in the next round's ΔT, so every pair of an M entry
+// and a T^C entry still meets, in the round the later of the two appears.
+type fixpoint struct {
+	w   *grammar.WCNF
+	run *exec.Run
+	mul product
+
+	T     []*matrix.Bool // relations per nonterminal, grown in place
+	delta []*matrix.Bool // ΔT: the entries T gained in the previous round; nil = none
+
+	// The source restriction; active == nil runs unrestricted.
+	active []*matrix.Vector // sources whose rows this run computes
+	fresh  []*matrix.Vector // the part of active that the previous round activated
+	done   []*matrix.Vector // sources never to activate (Algorithm 3's index.TSrc); nil = none
+
+	rounds int
+}
+
+// evaluate is the set-up the four index-free callers share: check the
+// inputs, start the governor, seed fresh relations (with provenance when
+// witness is set), run the driver (unrestricted when srcByNT is nil) and
+// stamp the statistics. It also returns the sources the run activated.
+func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, witness bool, opts []Option) (*SinglePathResult, []*matrix.Vector, error) {
+	if err := checkInputs(g, w); err != nil {
+		return nil, nil, err
+	}
+	run, cancel := exec.Build(opts).Start()
+	defer cancel()
+	n := g.NumVertices()
+	r := &SinglePathResult{Result: newResult(w, n)}
+	f := &fixpoint{w: w, run: run, mul: boolProduct, T: r.T}
+	if srcByNT == nil {
+		f.delta = r.T // the first ΔT is the seeded T itself: ΔT is only read, so it is shared
+	} else if err := f.restrict(srcByNT, n); err != nil {
+		return nil, nil, err
+	}
+	if witness {
+		f.mul = r.witnessProduct
+		if err := r.seedProv(run, g); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		initSimpleRules(r.Result, g)
+		initEpsRules(r.Result, n)
+	}
+	if err := f.solve(); err != nil {
+		return nil, nil, err
+	}
+	r.Rounds, r.Work = f.rounds, run.Spent()
+	return r, f.active, nil
+}
+
+// restrict installs the requested source sets, less the processed ones,
+// as the first round's fresh and active sources, with an empty first ΔT.
+func (f *fixpoint) restrict(srcByNT map[int]*matrix.Vector, n int) error {
+	f.delta = make([]*matrix.Bool, len(f.T))
+	f.active = make([]*matrix.Vector, len(f.T))
+	f.fresh = make([]*matrix.Vector, len(f.T))
+	for a := range f.T {
+		f.active[a] = matrix.NewVector(n)
+		f.fresh[a] = matrix.NewVector(n)
+	}
+	for a, src := range srcByNT {
+		if a < 0 || a >= len(f.T) {
+			return fmt.Errorf("cfpq: source nonterminal id %d out of range", a)
+		}
+		if src == nil || src.Size() != n {
+			return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
+		}
+		f.activate(a, src.Clone(), f.fresh)
+		f.active[a] = f.fresh[a].Clone()
+	}
+	return nil
+}
+
+// activate adds to into[a] the candidates that are neither active nor
+// processed for nonterminal a; it consumes cand.
+func (f *fixpoint) activate(a int, cand *matrix.Vector, into []*matrix.Vector) {
+	cand.DiffInPlace(f.active[a])
+	if f.done != nil {
+		cand.DiffInPlace(f.done[a])
+	}
+	into[a].UnionInPlace(cand)
+}
+
+// solve runs rounds until one adds neither an entry nor a source. On an
+// error (cancellation, timeout, budget) T keeps what was derived so far;
+// every such entry is a true fact, but no row is known to be complete.
+func (f *fixpoint) solve() error {
+	for progress := true; progress; {
+		// Poll once per round: with no binary rules the round is empty,
+		// and the governor must still be able to abort.
+		if err := f.run.Err(); err != nil {
+			return err
+		}
+		f.rounds++
+		span := f.run.StartSpan(obs.SpanRound(f.rounds))
+		var err error
+		progress, err = f.round()
+		span.End()
+		if err != nil {
+			return err
+		}
+	}
+	obs.CFPQRounds.Observe(int64(f.rounds))
+	return nil
+}
+
+// round applies every binary rule once, installs what that added as the
+// next round's ΔT and fresh sources, and reports whether it added any.
+func (f *fixpoint) round() (progress bool, err error) {
+	next := make([]*matrix.Bool, len(f.T)) // nil where a relation gains nothing
+	var nextFresh []*matrix.Vector
+	if f.active != nil {
+		nextFresh = make([]*matrix.Vector, len(f.T))
+		for a := range nextFresh {
+			nextFresh[a] = matrix.NewVector(f.active[a].Size())
+		}
+	}
+	for ri, rule := range f.w.BinRules {
+		dm, m := f.delta[rule.B], f.T[rule.B]
+		if f.active != nil {
+			act, fresh := f.active[rule.A], f.fresh[rule.A]
+			f.run.ObserveFrontier(act.NVals())
+			if act.Empty() {
+				continue
+			}
+			dm = matrix.ExtractRows(m, fresh)
+			if !empty(f.delta[rule.B]) {
+				matrix.AddInPlace(dm, matrix.ExtractRows(f.delta[rule.B], act))
+			}
+			f.activate(rule.B, fresh.Clone(), nextFresh)
+			f.activate(rule.C, matrix.ReduceCols(dm), nextFresh)
+			if !empty(f.delta[rule.C]) {
+				m = matrix.ExtractRows(m, act)
+			}
+		}
+		if err := f.derive(ri, dm, f.T[rule.C], next); err != nil {
+			return false, err
+		}
+		if err := f.derive(ri, m, f.delta[rule.C], next); err != nil {
+			return false, err
+		}
+	}
+	f.delta, f.fresh = next, nextFresh
+	for a := range next {
+		progress = progress || next[a] != nil
+	}
+	for a := range nextFresh {
+		if f.active[a].UnionInPlace(nextFresh[a]) {
+			progress = true
+		}
+	}
+	return progress, nil
+}
+
+// empty reports whether a ΔT slot holds no entry (nil stands for none).
+func empty(m *matrix.Bool) bool { return m == nil || m.Empty() }
+
+// derive folds (a*b) \ T^A into T^A and into the next ΔT^A, A being
+// the head of rule ri.
+func (f *fixpoint) derive(ri int, a, b *matrix.Bool, next []*matrix.Bool) error {
+	if empty(a) || empty(b) {
+		return nil
+	}
+	head := f.w.BinRules[ri].A
+	prod, note, err := f.mul(f.run, ri, a, b)
+	if err != nil {
+		return err
+	}
+	matrix.SubInPlace(prod, f.T[head])
+	if prod.Empty() {
+		return nil
+	}
+	if note != nil {
+		prod.Iterate(note)
+	}
+	f.run.Add(f.T[head], prod)
+	if next[head] == nil {
+		next[head] = prod
+	} else {
+		matrix.AddInPlace(next[head], prod)
+	}
+	return nil
+}

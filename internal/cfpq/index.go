@@ -8,13 +8,12 @@ import (
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/obs"
 )
 
 // Index is the persistent cache of the optimized multiple-source
 // algorithm (Algorithm 3): it pins a graph and a grammar and accumulates
-// the relation matrices T and the already-processed source matrices
-// TSrc across queries, so repeated or overlapping source sets reuse all
+// the relation matrices T and the already-processed source sets TSrc
+// across queries, so repeated or overlapping source sets reuse all
 // previously computed facts instead of recomputing them from scratch.
 //
 // An Index is bound to an immutable snapshot of the graph: mutating the
@@ -22,18 +21,20 @@ import (
 // static graph, repeated queries). Queries against one Index may run
 // from multiple goroutines; they are serialized internally.
 //
-// Cancellation safety: each query runs its fixpoint on private clones
-// of the cached matrices and folds them back only after the fixpoint
-// completes. A query aborted by its context, timeout, or budget leaves
-// the cache exactly as it found it — the index never publishes a
-// half-grown (T, TSrc) pair.
+// Cancellation safety: a query grows T in place and claims its sources
+// as processed only once its fixpoint has completed. A query aborted by
+// its context, timeout, or budget leaves behind the facts it derived —
+// each is true on this graph whether or not the query finished (the
+// monotonicity argument above NewIndexWarm) — in rows no TSrc claims, so
+// a later query that needs those rows computes them to completion and
+// every answer stays exact.
 type Index struct {
 	G *graph.Graph
 	W *grammar.WCNF
 
 	mu   sync.Mutex
-	T    []*matrix.Bool // guarded by mu: cached relation matrices, grown monotonically
-	TSrc []*matrix.Bool // guarded by mu: sources already fully processed, per nonterminal
+	T    []*matrix.Bool   // guarded by mu: cached relation matrices, grown monotonically
+	TSrc []*matrix.Vector // guarded by mu: sources already fully processed, per nonterminal
 
 	opts    exec.Options
 	queries int // guarded by mu
@@ -53,9 +54,9 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
 	initSimpleRules(r, g)
 	initEpsRules(r, n)
 	idx.T = r.T
-	idx.TSrc = make([]*matrix.Bool, w.NumNonterms())
+	idx.TSrc = make([]*matrix.Vector, w.NumNonterms())
 	for a := range idx.TSrc {
-		idx.TSrc[a] = matrix.NewBool(n, n)
+		idx.TSrc[a] = matrix.NewVector(n)
 	}
 	return idx, nil
 }
@@ -66,7 +67,7 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
 // vertex ADDITIONS only (the gdb write path never deletes), every fact
 // the old index derived remains derivable, because CFPQ facts are
 // monotone under edge addition. Seeding T with them can therefore only
-// skip work, never change answers. The processed-source matrices start
+// skip work, never change answers. The processed-source sets start
 // EMPTY: a source fully processed against the old graph may reach new
 // facts through the added edges, so its claim must not carry over —
 // the first query touching it reprocesses it against the new graph.
@@ -99,9 +100,12 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option)
 		if prior.T[a].NVals() == 0 {
 			continue
 		}
+		// One copy per relation: the prior's rows, grown to the new
+		// shape, take the new graph's seeds and replace them.
 		warm := prior.T[a].Clone()
 		warm.Resize(n, n)
-		matrix.AddInPlace(idx.T[a], warm)
+		matrix.AddInPlace(warm, idx.T[a])
+		idx.T[a] = warm
 	}
 	return idx, nil
 }
@@ -115,11 +119,7 @@ func (idx *Index) Queries() int {
 
 // CachedSources returns the set of vertices whose start-nonterminal
 // paths are already fully computed.
-func (idx *Index) CachedSources() *matrix.Vector {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	return matrix.DiagVector(idx.TSrc[idx.W.Start])
-}
+func (idx *Index) CachedSources() *matrix.Vector { return idx.ProcessedSources(idx.W.Start) }
 
 // MultiSourceSmart evaluates a multiple-source query against the cache
 // (Algorithm 3). Vertices of src already present in the index are
@@ -139,8 +139,8 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 // nonterminals (the named path patterns an operation depends on), and
 // the cache is shared across all of them.
 //
-// The returned result holds a private snapshot of the relations as of
-// this query's commit, safe to read while later queries grow the cache.
+// The result's Answer is a private copy; its T is the index's own (see
+// Relation) and its Src the sources this query processed.
 func (idx *Index) MultiSourceSmartFrom(srcByNT map[int]*matrix.Vector, opts ...Option) (*MSResult, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -148,89 +148,26 @@ func (idx *Index) MultiSourceSmartFrom(srcByNT map[int]*matrix.Vector, opts ...O
 	defer cancel()
 	n := idx.G.NumVertices()
 	w := idx.W
-	nnt := w.NumNonterms()
 
-	newSrc := make([]*matrix.Bool, nnt)
-	for a := range newSrc {
-		newSrc[a] = matrix.NewBool(n, n)
-	}
-	requested := matrix.NewVector(n)
 	// Line 3: only sources not yet in the cache enter the computation.
-	for a, src := range srcByNT {
-		if a < 0 || a >= nnt {
-			return nil, fmt.Errorf("cfpq: source nonterminal id %d out of range", a)
-		}
-		if src == nil || src.Size() != n {
-			return nil, fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
-		}
-		fresh := src.Clone()
-		fresh.DiffInPlace(matrix.DiagVector(idx.TSrc[a]))
-		matrix.AddInPlace(newSrc[a], fresh.Diag())
-		if a == w.Start {
-			requested = src.Clone()
-		}
+	f := &fixpoint{w: w, run: run, mul: boolProduct, T: idx.T, done: idx.TSrc}
+	if err := f.restrict(srcByNT, n); err != nil {
+		return nil, err
 	}
 	idx.queries++
-
-	// The fixpoint mutates private clones of the cached relations; the
-	// cache itself is only touched by the commit below, so an abort
-	// (cancellation, timeout, budget) rolls back for free.
-	work := make([]*matrix.Bool, nnt)
-	for a := range work {
-		work[a] = idx.T[a].Clone()
+	if err := f.solve(); err != nil {
+		return nil, err
 	}
-
-	rounds := 0
-	for changed := true; changed; {
-		if err := run.Err(); err != nil {
-			return nil, err
-		}
-		changed = false
-		rounds++
-		span := run.StartSpan(obs.SpanRound(rounds))
-		for _, rule := range w.BinRules {
-			run.ObserveFrontier(newSrc[rule.A].NVals())
-			m, err := run.Mul(newSrc[rule.A], work[rule.B])
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			prod, err := run.Mul(m, work[rule.C])
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			if run.Add(work[rule.A], prod) {
-				changed = true
-			}
-			// TNewSrc^B += TNewSrc^A \ index.TSrc^B (line 9).
-			deltaB := matrix.Sub(newSrc[rule.A], idx.TSrc[rule.B])
-			if run.Add(newSrc[rule.B], deltaB) {
-				changed = true
-			}
-			// TNewSrc^C += getDst(M) \ index.TSrc^C (line 10).
-			deltaC := matrix.Sub(matrix.GetDst(m), idx.TSrc[rule.C])
-			if run.Add(newSrc[rule.C], deltaC) {
-				changed = true
-			}
-		}
-		span.End()
+	// Commit: the rows of this run's sources are now complete.
+	for a := range idx.TSrc {
+		idx.TSrc[a].UnionInPlace(f.active[a])
 	}
-	obs.CFPQRounds.Observe(int64(rounds))
-
-	// Commit: fold the fully-computed facts and processed sources into
-	// the cache. AddInPlace (rather than pointer replacement) keeps the
-	// matrices previously handed out by Relation growing monotonically.
-	srcSnap := make([]*matrix.Bool, nnt)
-	for a := range work {
-		matrix.AddInPlace(idx.T[a], work[a])
-		matrix.AddInPlace(idx.TSrc[a], newSrc[a])
-		srcSnap[a] = idx.TSrc[a].Clone()
-	}
+	sources := requested(srcByNT, w.Start, n)
 	return &MSResult{
-		Result:  &Result{W: w, T: work, Rounds: rounds, Work: run.Spent()},
-		Src:     srcSnap,
-		Sources: requested,
+		Result:  &Result{W: w, T: idx.T, Rounds: f.rounds, Work: run.Spent()},
+		Src:     f.active,
+		Sources: sources,
+		answer:  matrix.ExtractRows(idx.T[w.Start], sources),
 	}, nil
 }
 
@@ -242,10 +179,10 @@ func (idx *Index) Relation(a int) *matrix.Bool {
 	return idx.T[a]
 }
 
-// ProcessedSources returns the vertices already fully processed for a
-// nonterminal id — the diagonal of the cached TSrc matrix.
+// ProcessedSources returns a copy of the vertices already fully
+// processed for a nonterminal id — the cached TSrc set.
 func (idx *Index) ProcessedSources(a int) *matrix.Vector {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	return matrix.DiagVector(idx.TSrc[a])
+	return idx.TSrc[a].Clone()
 }

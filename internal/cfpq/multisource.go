@@ -3,22 +3,23 @@ package cfpq
 import (
 	"fmt"
 
-	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/obs"
 )
 
-// MSResult extends Result with the source matrices accumulated by the
-// multiple-source algorithm: Src[A] is the diagonal matrix of vertices
-// for which paths deriving from A were requested (directly or through
-// the propagation of Algorithm 2 lines 13-14).
+// MSResult extends Result with the source sets accumulated by the
+// multiple-source algorithm: Src[A] holds the vertices for which paths
+// deriving from A were requested (directly or through the propagation
+// of Algorithm 2 lines 13-14) — the paper's diagonal TSrc^A as a vector.
 type MSResult struct {
 	*Result
-	Src []*matrix.Bool // per nonterminal: TSrc^A
+	Src []*matrix.Vector // per nonterminal: TSrc^A
 	// Sources is the original query source set.
 	Sources *matrix.Vector
+
+	// answer is set by Index queries, whose T is the index's own.
+	answer *matrix.Bool
 }
 
 // Answer returns the start-relation pairs restricted to the queried
@@ -26,20 +27,25 @@ type MSResult struct {
 // contains the simple-rule seeds for all vertices (Algorithm 2 lines
 // 6-8), so restriction is required for a sound answer.
 func (r *MSResult) Answer() *matrix.Bool {
+	if r.answer != nil {
+		return r.answer
+	}
 	return matrix.ExtractRows(r.Start(), r.Sources)
 }
 
 // MultiSource evaluates the context-free path query for paths starting
 // at the vertices of src, using the paper's Algorithm 2. Compared to
 // AllPairs, every binary-rule step first filters the left operand by the
-// current source matrix:
+// current source set:
 //
 //	M     = TSrc^A * T^B
 //	T^A  += M * T^C
 //	TSrc^B += TSrc^A
 //	TSrc^C += getDst(M)
 //
-// so only rows relevant to the requested sources are ever computed.
+// so only rows relevant to the requested sources are ever computed. The
+// fixpoint driver runs these steps on each round's new entries and new
+// sources only.
 func MultiSource(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...Option) (*MSResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("cfpq: nil source vector")
@@ -53,69 +59,21 @@ func MultiSource(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...Op
 // the start symbol. The returned Sources field is the start
 // nonterminal's requested set (empty if none was given).
 func MultiSourceFrom(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, opts ...Option) (*MSResult, error) {
-	if err := checkInputs(g, w); err != nil {
+	if srcByNT == nil {
+		srcByNT = map[int]*matrix.Vector{}
+	}
+	r, active, err := evaluate(g, w, srcByNT, false, opts)
+	if err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	run, cancel := exec.Build(opts).Start()
-	defer cancel()
+	return &MSResult{Result: r.Result, Src: active, Sources: requested(srcByNT, w.Start, g.NumVertices())}, nil
+}
 
-	r := &MSResult{Result: newResult(w, n), Sources: matrix.NewVector(n)}
-	r.Src = make([]*matrix.Bool, w.NumNonterms())
-	for a := range r.Src {
-		r.Src[a] = matrix.NewBool(n, n)
+// requested returns a private copy of the source set asked for
+// nonterminal a (empty if none was).
+func requested(srcByNT map[int]*matrix.Vector, a, n int) *matrix.Vector {
+	if src, ok := srcByNT[a]; ok {
+		return src.Clone()
 	}
-	// Input matrix initialization (lines 4-5), generalized to requests
-	// for any nonterminal.
-	for a, src := range srcByNT {
-		if a < 0 || a >= w.NumNonterms() {
-			return nil, fmt.Errorf("cfpq: source nonterminal id %d out of range", a)
-		}
-		if src == nil || src.Size() != n {
-			return nil, fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
-		}
-		matrix.AddInPlace(r.Src[a], src.Diag())
-	}
-	if src, ok := srcByNT[w.Start]; ok {
-		r.Sources = src.Clone()
-	}
-	// Simple rules initialization (lines 6-8) plus eps diagonals for the
-	// weak normal form.
-	initSimpleRules(r.Result, g)
-	initEpsRules(r.Result, n)
-
-	for changed := true; changed; {
-		if err := run.Err(); err != nil {
-			return nil, err
-		}
-		changed = false
-		r.Rounds++
-		span := run.StartSpan(obs.SpanRound(r.Rounds))
-		for _, rule := range w.BinRules {
-			run.ObserveFrontier(r.Src[rule.A].NVals())
-			m, err := run.Mul(r.Src[rule.A], r.T[rule.B])
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			prod, err := run.Mul(m, r.T[rule.C])
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			if run.Add(r.T[rule.A], prod) {
-				changed = true
-			}
-			if run.Add(r.Src[rule.B], r.Src[rule.A]) {
-				changed = true
-			}
-			if run.Add(r.Src[rule.C], matrix.GetDst(m)) {
-				changed = true
-			}
-		}
-		span.End()
-	}
-	obs.CFPQRounds.Observe(int64(r.Rounds))
-	r.Work = run.Spent()
-	return r, nil
+	return matrix.NewVector(n)
 }

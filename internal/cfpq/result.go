@@ -101,8 +101,8 @@ func initSimpleRules(r *Result, g *graph.Graph) {
 		if em := g.EdgeMatrix(name); em.NVals() > 0 {
 			matrix.AddInPlace(r.T[rule.A], em)
 		}
-		if vs := g.VertexSet(name); vs.NVals() > 0 {
-			matrix.AddInPlace(r.T[rule.A], vs.Diag())
+		if g.VertexSet(name).NVals() > 0 {
+			matrix.AddInPlace(r.T[rule.A], g.VertexMatrix(name))
 		}
 	}
 }

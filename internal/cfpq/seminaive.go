@@ -1,11 +1,8 @@
 package cfpq
 
 import (
-	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
-	"mscfpq/internal/matrix"
-	"mscfpq/internal/obs"
 )
 
 // AllPairsSemiNaive evaluates the all-pairs query with semi-naive
@@ -16,74 +13,13 @@ import (
 //	new(A) = Δ(B) * T(C)  +  T(B) * Δ(C)
 //
 // which is the standard Datalog semi-naive rewrite lifted to Boolean
-// matrices. The result is identical to AllPairs; the work saved grows
-// with the number of fixpoint rounds (deep hierarchies).
+// matrices — the fixpoint driver run without a source restriction. The
+// result is identical to AllPairs; the work saved grows with the number
+// of fixpoint rounds (deep hierarchies).
 func AllPairsSemiNaive(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Result, error) {
-	if err := checkInputs(g, w); err != nil {
+	r, _, err := evaluate(g, w, nil, false, opts)
+	if err != nil {
 		return nil, err
 	}
-	run, cancel := exec.Build(opts).Start()
-	defer cancel()
-	n := g.NumVertices()
-	r := newResult(w, n)
-	initSimpleRules(r, g)
-	initEpsRules(r, n)
-
-	nnt := w.NumNonterms()
-	// The first deltas are the full initial relations.
-	delta := make([]*matrix.Bool, nnt)
-	for a := 0; a < nnt; a++ {
-		delta[a] = r.T[a].Clone()
-	}
-	for {
-		if err := run.Err(); err != nil {
-			return nil, err
-		}
-		r.Rounds++
-		span := run.StartSpan(obs.SpanRound(r.Rounds))
-		next := make([]*matrix.Bool, nnt)
-		for a := 0; a < nnt; a++ {
-			next[a] = matrix.NewBool(n, n)
-		}
-		progress := false
-		for _, rule := range w.BinRules {
-			if delta[rule.B].NVals() > 0 {
-				prod, err := run.Mul(delta[rule.B], r.T[rule.C])
-				if err != nil {
-					span.End()
-					return nil, err
-				}
-				fresh := matrix.Sub(prod, r.T[rule.A])
-				if fresh.NVals() > 0 {
-					run.Add(next[rule.A], fresh)
-				}
-			}
-			if delta[rule.C].NVals() > 0 {
-				prod, err := run.Mul(r.T[rule.B], delta[rule.C])
-				if err != nil {
-					span.End()
-					return nil, err
-				}
-				fresh := matrix.Sub(prod, r.T[rule.A])
-				if fresh.NVals() > 0 {
-					run.Add(next[rule.A], fresh)
-				}
-			}
-		}
-		for a := 0; a < nnt; a++ {
-			// Entries may have landed in T[a] through another rule of
-			// the same round; keep only genuinely new ones as the delta.
-			matrix.SubInPlace(next[a], r.T[a])
-			if run.Add(r.T[a], next[a]) {
-				progress = true
-			}
-			delta[a] = next[a]
-		}
-		span.End()
-		if !progress {
-			obs.CFPQRounds.Observe(int64(r.Rounds))
-			r.Work = run.Spent()
-			return r, nil
-		}
-	}
+	return r.Result, nil
 }

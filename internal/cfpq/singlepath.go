@@ -7,7 +7,6 @@ import (
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/obs"
 )
 
 // provKind tags how a relation entry was first derived.
@@ -53,41 +52,73 @@ type SinglePathResult struct {
 // (a witness mid vertex and rule for binary steps). The extra bookkeeping
 // is the measured cost of single-path semantics over plain reachability.
 func SinglePath(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*SinglePathResult, error) {
-	if err := checkInputs(g, w); err != nil {
+	r, _, err := evaluate(g, w, nil, true, opts)
+	return r, err
+}
+
+// MSSinglePathResult is a multiple-source result with single-path
+// semantics: the relation matrices are restricted the way Algorithm 2
+// restricts them, and every derived fact carries enough provenance to
+// reconstruct one witness path.
+type MSSinglePathResult struct {
+	*SinglePathResult
+	// Src holds the accumulated TSrc source sets, as in MSResult.
+	Src []*matrix.Vector
+	// Sources is the original query source set.
+	Sources *matrix.Vector
+}
+
+// Answer returns the start-relation pairs restricted to the queried
+// sources (see MSResult.Answer).
+func (r *MSSinglePathResult) Answer() *matrix.Bool {
+	return matrix.ExtractRows(r.Start(), r.Sources)
+}
+
+// MultiSourceSinglePath combines Algorithm 2 with single-path
+// semantics: it evaluates the query only for paths starting at src
+// while recording, for every derived fact, the first derivation that
+// produced it. Combining the two is the natural extension of the
+// paper's Figure 2 experiment (single-path extraction) to the
+// multiple-source setting the paper advocates.
+func MultiSourceSinglePath(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...Option) (*MSSinglePathResult, error) {
+	if src == nil {
+		return nil, fmt.Errorf("cfpq: nil source vector")
+	}
+	r, active, err := evaluate(g, w, map[int]*matrix.Vector{w.Start: src}, true, opts)
+	if err != nil {
 		return nil, err
 	}
-	run, cancel := exec.Build(opts).Start()
-	defer cancel()
-	n := g.NumVertices()
-	r := &SinglePathResult{Result: newResult(w, n), prov: make([]map[uint64]provEntry, w.NumNonterms())}
+	return &MSSinglePathResult{SinglePathResult: r, Src: active, Sources: src.Clone()}, nil
+}
+
+// seedProv seeds the relations from the simple and eps rules,
+// recording terminal provenance. Edge beats vertex label if both
+// somehow apply; entries record their first deriver. Seeding is
+// O(edges) per rule, so it polls the governor like the fixpoint: a
+// terminal-only grammar must still abort.
+func (r *SinglePathResult) seedProv(run *exec.Run, g *graph.Graph) error {
+	w := r.W
+	r.prov = make([]map[uint64]provEntry, w.NumNonterms())
 	for a := range r.prov {
 		r.prov[a] = map[uint64]provEntry{}
 	}
-
-	// Simple rules, recording terminal provenance. Edge beats vertex
-	// label if both somehow apply; entries record their first deriver.
-	// Seeding is O(edges) per rule, so it polls the governor like the
-	// fixpoint below: a terminal-only grammar must still abort.
+	seed := func(a, i, j int, p provEntry) {
+		if !r.T[a].Get(i, j) {
+			r.prov[a][matrix.Key(i, j)] = p
+			r.T[a].Set(i, j)
+		}
+	}
 	for _, rule := range w.TermRules {
 		if err := run.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		name := w.Terms[rule.Term]
-		em := g.EdgeMatrix(name)
-		em.Iterate(func(i, j int) bool {
-			key := matrix.Key(i, j)
-			if _, seen := r.prov[rule.A][key]; !seen && !r.T[rule.A].Get(i, j) {
-				r.prov[rule.A][key] = provEntry{kind: provEdge, rule: int32(rule.Term)}
-				r.T[rule.A].Set(i, j)
-			}
+		g.EdgeMatrix(name).Iterate(func(i, j int) bool {
+			seed(rule.A, i, j, provEntry{kind: provEdge, rule: int32(rule.Term)})
 			return true
 		})
 		for _, v := range g.VertexSet(name).Ints() {
-			key := matrix.Key(v, v)
-			if !r.T[rule.A].Get(v, v) {
-				r.prov[rule.A][key] = provEntry{kind: provVertex, rule: int32(rule.Term)}
-				r.T[rule.A].Set(v, v)
-			}
+			seed(rule.A, v, v, provEntry{kind: provVertex, rule: int32(rule.Term)})
 		}
 	}
 	for a, nullable := range w.Nullable {
@@ -95,50 +126,36 @@ func SinglePath(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*SinglePathRes
 			continue
 		}
 		if err := run.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		for i := 0; i < n; i++ {
-			if !r.T[a].Get(i, i) {
-				r.prov[a][matrix.Key(i, i)] = provEntry{kind: provEps}
-				r.T[a].Set(i, i)
-			}
+		for i := 0; i < g.NumVertices(); i++ {
+			seed(a, i, i, provEntry{kind: provEps})
 		}
 	}
+	return nil
+}
 
-	for changed := true; changed; {
-		changed = false
-		r.Rounds++
-		span := run.StartSpan(obs.SpanRound(r.Rounds))
-		for ri, rule := range w.BinRules {
-			// MulWitness has no row-block cancellation; checking between
-			// rule applications still bounds the latency of a cancel to
-			// one multiplication.
-			if err := run.Err(); err != nil {
-				span.End()
-				return nil, err
-			}
-			prod, wit := matrix.MulWitness(r.T[rule.B], r.T[rule.C])
-			if err := run.Charge(prod.NVals()); err != nil {
-				span.End()
-				return nil, err
-			}
-			fresh := matrix.Sub(prod, r.T[rule.A])
-			if fresh.NVals() == 0 {
-				continue
-			}
-			fresh.Iterate(func(i, j int) bool {
-				key := matrix.Key(i, j)
-				r.prov[rule.A][key] = provEntry{kind: provBin, mid: wit[key], rule: int32(ri)}
-				return true
-			})
-			run.Add(r.T[rule.A], fresh)
-			changed = true
-		}
-		span.End()
+// witnessProduct is the single-path product step of the fixpoint driver:
+// the entries new to the head of rule ri get the rule and the witness
+// mid vertex as provenance. Both factors of a witness are entries T
+// already holds (the driver's left operands are rows of T^B), so
+// provenance stays acyclic in discovery order.
+func (r *SinglePathResult) witnessProduct(run *exec.Run, ri int, a, b *matrix.Bool) (*matrix.Bool, func(i, j int) bool, error) {
+	// MulWitness has no row-block cancellation; checking before each
+	// product still bounds the latency of a cancel to one multiplication.
+	if err := run.Err(); err != nil {
+		return nil, nil, err
 	}
-	obs.CFPQRounds.Observe(int64(r.Rounds))
-	r.Work = run.Spent()
-	return r, nil
+	prod, wit := matrix.MulWitness(a, b)
+	if err := run.Charge(prod.NVals()); err != nil {
+		return nil, nil, err
+	}
+	prov := r.prov[r.W.BinRules[ri].A]
+	return prod, func(i, j int) bool {
+		key := matrix.Key(i, j)
+		prov[key] = provEntry{kind: provBin, mid: wit[key], rule: int32(ri)}
+		return true
+	}, nil
 }
 
 // Path reconstructs one path witnessing (src, dst) in the start

@@ -541,9 +541,8 @@ func replay(g *graph.Graph, src, dst int, steps []cfpq.PathStep) error {
 
 // CheckGoverned asserts abort soundness: a budgeted or cancelled query
 // either fails with the governance error or returns the exact answer —
-// never a silently wrong partial result. It also verifies that an
-// aborted index query rolls back, leaving the cache able to answer
-// correctly afterwards.
+// never a silently wrong partial result. It also verifies the index's
+// abort rule at every budget up to the work of the whole run.
 func CheckGoverned(inst gen.Instance, budget int64) error {
 	ref := oracle.CFPQ(inst.G, inst.W)
 	src := srcVector(inst.G, inst.Sources)
@@ -605,22 +604,71 @@ func CheckGoverned(inst gen.Instance, budget int64) error {
 		}
 	}
 
-	// Index rollback: an aborted smart query must leave the cache sound.
-	idx, err := cfpq.NewIndex(inst.G, inst.W)
+	// Index abort rule: a smart query aborted at any point keeps the
+	// facts it derived (all true) but claims no source, so the cache
+	// still answers exactly. The index is primed with half the sources
+	// so the aborted run also starts from committed claims.
+	ap, err := cfpq.AllPairs(inst.G, inst.W)
 	if err != nil {
 		return err
 	}
-	if _, err := idx.MultiSourceSmart(src, cfpq.WithBudget(budget)); err != nil && !allowed(err) {
-		return fmt.Errorf("index with budget %d: unexpected error %v", budget, err)
+	half := matrix.NewVectorFromIndices(src.Size(), src.Ints()[:src.NVals()/2])
+	primed := func() (*cfpq.Index, error) {
+		idx, err := cfpq.NewIndex(inst.G, inst.W)
+		if err != nil {
+			return nil, err
+		}
+		_, err = idx.MultiSourceSmart(half)
+		return idx, err
 	}
-	r, err := idx.MultiSourceSmart(src)
+	abortAt := func(what string, opt cfpq.Option) error {
+		idx, err := primed()
+		if err != nil {
+			return err
+		}
+		claimed := make([]*matrix.Vector, inst.W.NumNonterms())
+		for a := range claimed {
+			claimed[a] = idx.ProcessedSources(a)
+		}
+		if _, err := idx.MultiSourceSmart(src, opt); err == nil {
+			return nil // ran to completion; the ordinary checks cover it
+		} else if !allowed(err) {
+			return fmt.Errorf("index %s: unexpected error %v", what, err)
+		}
+		for a := range claimed {
+			if !idx.ProcessedSources(a).Equal(claimed[a]) {
+				return fmt.Errorf("index aborted %s claimed sources for %s: %v, had %v", what,
+					inst.W.Nonterms[a], idx.ProcessedSources(a).Ints(), claimed[a].Ints())
+			}
+			if extra := matrix.Sub(idx.Relation(a), ap.T[a]); !extra.Empty() {
+				return fmt.Errorf("index aborted %s kept false facts for %s: %v", what, inst.W.Nonterms[a], extra.Pairs())
+			}
+		}
+		r, err := idx.MultiSourceSmart(src)
+		if err != nil {
+			return fmt.Errorf("index after abort %s: %v", what, err)
+		}
+		if got := r.Answer().Pairs(); !pairsEqual(got, wantMS) {
+			return pairsErr("index after query aborted "+what, got, wantMS)
+		}
+		return nil
+	}
+	idx, err := primed()
 	if err != nil {
-		return fmt.Errorf("index after abort: %v", err)
+		return err
 	}
-	if got := r.Answer().Pairs(); !pairsEqual(got, wantMS) {
-		return pairsErr("index after aborted query", got, wantMS)
+	whole, err := idx.MultiSourceSmart(src)
+	if err != nil {
+		return err
 	}
-	return nil
+	for b := int64(1); b <= whole.Work; b++ {
+		if err := abortAt(fmt.Sprintf("with budget %d", b), cfpq.WithBudget(b)); err != nil {
+			return err
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return abortAt("with cancelled context", cfpq.WithContext(ctx))
 }
 
 // batchMembers derives the member source sets a batch check coalesces:

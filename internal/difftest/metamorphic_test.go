@@ -14,7 +14,8 @@ import (
 //  2. index reuse: the smart index is order-independent and idempotent;
 //  3. path replay: extracted single paths replay to valid derivations;
 //  4. governed-abort soundness: budgeted/cancelled runs never return a
-//     wrong partial answer, and aborted index queries roll back.
+//     wrong partial answer, and an index query aborted at any budget
+//     claims no source and keeps only true facts.
 //
 // Each invariant runs over its own seeded instance stream so adding or
 // resizing one stream never perturbs the others.

@@ -129,7 +129,6 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { NewVector(3).Set(3) },
 		func() { Mul(NewBool(2, 3), NewBool(2, 3)) },
 		func() { Add(NewBool(2, 3), NewBool(3, 2)) },
-		func() { GetDst(NewBool(2, 3)) },
 		func() { NewBool(2, 2).Resize(1, 2) },
 	}
 	for i, fn := range cases {

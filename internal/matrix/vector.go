@@ -132,22 +132,6 @@ func (v *Vector) Diag() *Bool {
 	return m
 }
 
-// DiagVector extracts the diagonal of a square matrix as a vector.
-func DiagVector(m *Bool) *Vector {
-	if m.nrows != m.ncols {
-		panic(fmt.Sprintf("matrix: DiagVector of non-square %dx%d", m.nrows, m.ncols))
-	}
-	v := NewVector(m.nrows)
-	for i, row := range m.rows {
-		c := uint32(i)
-		k := sort.Search(len(row), func(x int) bool { return row[x] >= c })
-		if k < len(row) && row[k] == c {
-			v.idx = append(v.idx, c)
-		}
-	}
-	return v
-}
-
 // ReduceCols collapses m to the vector of columns that contain at least
 // one true entry. This is the linear-algebra form of the paper's getDst:
 // the destination vertices of all pairs represented by m (implemented via
@@ -177,15 +161,6 @@ func ReduceRows(m *Bool) *Vector {
 		}
 	}
 	return v
-}
-
-// GetDst returns getDst(m) from the paper (Algorithm 2, lines 17-21): the
-// diagonal matrix marking every destination vertex of m.
-func GetDst(m *Bool) *Bool {
-	if m.nrows != m.ncols {
-		panic(fmt.Sprintf("matrix: GetDst of non-square %dx%d", m.nrows, m.ncols))
-	}
-	return ReduceCols(m).Diag()
 }
 
 // VecMul returns the vector-matrix product v * m: the set of columns of m

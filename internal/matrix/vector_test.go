@@ -64,19 +64,21 @@ func TestDiagRoundTrip(t *testing.T) {
 	if d.NVals() != 3 || !d.Get(3, 3) || d.Get(3, 0) {
 		t.Fatalf("Diag wrong:\n%v", d)
 	}
-	if !DiagVector(d).Equal(v) {
-		t.Fatal("DiagVector(Diag(v)) != v")
+	if !ReduceCols(d).Equal(v) || !ReduceRows(d).Equal(v) {
+		t.Fatal("Diag(v) must hold exactly v's rows and columns")
 	}
 }
 
+// ReduceCols is the paper's getDst (Algorithm 2, lines 17-21) as a
+// vector.
 func TestReduceColsMatchesGetDst(t *testing.T) {
 	m := NewBoolFromPairs(5, 5, [][2]int{{0, 2}, {1, 2}, {3, 4}})
 	want := NewVectorFromIndices(5, []int{2, 4})
 	if got := ReduceCols(m); !got.Equal(want) {
 		t.Fatalf("ReduceCols = %v, want %v", got, want)
 	}
-	if got := GetDst(m); !got.Equal(want.Diag()) {
-		t.Fatalf("GetDst = %v", got)
+	if got := ReduceCols(NewBool(5, 5)); !got.Empty() || got.Size() != 5 {
+		t.Fatalf("ReduceCols of an empty matrix = %v", got)
 	}
 }
 
@@ -98,8 +100,8 @@ func TestVecMul(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): GetDst(M) has exactly the columns of M on its
-// diagonal, for arbitrary generated matrices.
+// Property (testing/quick): getDst(M), as the vector ReduceCols(M), holds
+// exactly the columns of M, for arbitrary generated matrices.
 func TestGetDstPropertyQuick(t *testing.T) {
 	f := func(pairs [][2]uint8) bool {
 		const n = 24
@@ -107,15 +109,15 @@ func TestGetDstPropertyQuick(t *testing.T) {
 		for _, p := range pairs {
 			m.Set(int(p[0])%n, int(p[1])%n)
 		}
-		d := GetDst(m)
-		// Every column of m appears on d's diagonal and nothing else.
+		d := ReduceCols(m)
+		// Every column of m is set in d and nothing else.
 		cols := map[int]bool{}
 		m.Iterate(func(i, j int) bool { cols[j] = true; return true })
 		if d.NVals() != len(cols) {
 			return false
 		}
 		for j := range cols {
-			if !d.Get(j, j) {
+			if !d.Get(j) {
 				return false
 			}
 		}

@@ -165,7 +165,7 @@ func (ctx *PathCtx) resolvePending(run *exec.Run) (bool, error) {
 			byNT[id] = fresh
 		}
 	}
-	ctx.pending = map[string]*matrix.Vector{}
+	clear(ctx.pending)
 	if len(byNT) == 0 {
 		return false, nil
 	}
@@ -182,6 +182,10 @@ func (ctx *PathCtx) resolvePending(run *exec.Run) (bool, error) {
 func (ctx *PathCtx) EvalResolved(expr algebra.Expr, env algebra.Env) (*matrix.Bool, error) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
+	// The context outlives this query (gdb shares one per graph
+	// version): sources noted by an evaluation that then aborts must not
+	// be resolved under the next query's timeout and budget.
+	defer clear(ctx.pending)
 	// The environment's governor (if any) also drives the nested
 	// multiple-source resolutions, so one per-query context and budget
 	// covers expression evaluation and index growth alike.

@@ -274,7 +274,7 @@ func AllPairs(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
 //
 // Deprecated: use EvalCFPQ with WithAlgorithm(AlgMultiSource);
 // MultiSource remains for callers that need the concrete MSResult with
-// its source matrices.
+// its source sets.
 func MultiSource(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*MSResult, error) {
 	return cfpq.MultiSource(g, w, src, opts...)
 }
