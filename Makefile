@@ -93,13 +93,15 @@ bench-quick:
 # benchmarks print what one multiple-source query costs under the
 # fixpoint driver (DESIGN.md §16): from scratch, against a saturated
 # index, and as one chunk-10 step of a pathways/G1 sweep — the per-query
-# fixed cost of the wire benchmark's sparse-sweep, in seconds.
+# fixed cost of the wire benchmark's sparse-sweep, in seconds. The RPQ
+# benchmark prints what one regular query costs through that same
+# driver (rpq.Eval, experiment E11), checked against the oracle.
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep)$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep)$$|BenchmarkRPQUnification$$' -benchmem .
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

@@ -82,7 +82,8 @@ func BenchmarkFullStackQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkRPQUnification compares the RPQ engines (E11, future work).
+// BenchmarkRPQUnification times one regular query through the CFPQ
+// driver, checked against the BFS-product oracle (E11, future work).
 func BenchmarkRPQUnification(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()

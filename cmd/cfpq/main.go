@@ -7,8 +7,8 @@
 // Algorithms: allpairs (Algorithm 1), seminaive (delta iteration), ms
 // (Algorithm 2, default), smart (Algorithm 3), worklist
 // (CFL-reachability baseline), singlepath / mspath (witness
-// extraction), tensor (Kronecker RSM). All but smart and tensor go
-// through the unified cfpq.Eval entry point.
+// extraction). All but smart go through the unified cfpq.Eval entry
+// point.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/rsm"
 )
 
 func main() {
@@ -35,8 +34,7 @@ func main() {
 }
 
 // algorithms maps the -algo flag to Eval's algorithm options; smart
-// and tensor stay on their own entry points (the index and the RSM
-// machine have no Eval equivalent).
+// stays on its own entry point (the index has no Eval equivalent).
 var algorithms = map[string]exec.Algorithm{
 	"allpairs":   exec.AlgMatrix,
 	"seminaive":  exec.AlgSemiNaive,
@@ -51,13 +49,12 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		graphPath   = fs.String("graph", "", "graph file (edge-list format)")
 		grammarPath = fs.String("grammar", "", "grammar file")
-		algo        = fs.String("algo", "ms", "allpairs | seminaive | ms | smart | worklist | singlepath | mspath | tensor")
+		algo        = fs.String("algo", "ms", "allpairs | seminaive | ms | smart | worklist | singlepath | mspath")
 		srcSpec     = fs.String("src", "", "comma-separated source vertices (ms/smart/worklist)")
 		limit       = fs.Int("limit", 50, "maximum pairs to print (0 = all)")
 		showPaths   = fs.Bool("paths", false, "print a witness path per pair (singlepath/mspath)")
 		timeout     = fs.Duration("timeout", 0, "abort the query after this duration (0 = none)")
 		budget      = fs.Int64("budget", 0, "abort after producing this many relation entries (0 = unlimited)")
-		workers     = fs.Int("workers", 0, "parallel multiplication workers (0 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,9 +89,6 @@ func run(args []string, stdout io.Writer) error {
 	if *budget > 0 {
 		opts = append(opts, exec.WithBudget(*budget))
 	}
-	if *workers > 0 {
-		opts = append(opts, exec.WithWorkers(*workers))
-	}
 
 	if alg, ok := algorithms[*algo]; ok {
 		res, err := cfpq.Eval(g, w, src, append(opts, exec.WithAlgorithm(alg))...)
@@ -113,35 +107,21 @@ func run(args []string, stdout io.Writer) error {
 		return printPairs(stdout, res.Pairs(), *limit)
 	}
 
-	var answer *matrix.Bool
-	switch *algo {
-	case "smart":
-		if src == nil {
-			return fmt.Errorf("-algo smart needs -src")
-		}
-		idx, err := cfpq.NewIndex(g, w, opts...)
-		if err != nil {
-			return err
-		}
-		r, err := idx.MultiSourceSmart(src)
-		if err != nil {
-			return err
-		}
-		answer = r.Answer()
-	case "tensor":
-		machine, err := rsm.FromGrammar(cf)
-		if err != nil {
-			return err
-		}
-		rel, err := machine.Eval(g, opts...)
-		if err != nil {
-			return err
-		}
-		answer = rel
-	default:
+	if *algo != "smart" {
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
-	return printPairs(stdout, matrixPairs(answer), *limit)
+	if src == nil {
+		return fmt.Errorf("-algo smart needs -src")
+	}
+	idx, err := cfpq.NewIndex(g, w, opts...)
+	if err != nil {
+		return err
+	}
+	r, err := idx.MultiSourceSmart(src)
+	if err != nil {
+		return err
+	}
+	return printPairs(stdout, r.Answer().Pairs(), *limit)
 }
 
 func parseSources(spec string, n int) (*matrix.Vector, error) {
@@ -157,15 +137,6 @@ func parseSources(spec string, n int) (*matrix.Vector, error) {
 		v.Set(id)
 	}
 	return v, nil
-}
-
-func matrixPairs(m *matrix.Bool) [][2]int {
-	var pairs [][2]int
-	m.Iterate(func(i, j int) bool {
-		pairs = append(pairs, [2]int{i, j})
-		return true
-	})
-	return pairs
 }
 
 func printPairs(stdout io.Writer, pairs [][2]int, limit int) error {

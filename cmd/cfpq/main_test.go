@@ -34,7 +34,7 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 func TestCLIAlgorithmsAgree(t *testing.T) {
 	g, q := writeFixtures(t)
 	var results []string
-	for _, algo := range []string{"allpairs", "worklist", "singlepath", "tensor"} {
+	for _, algo := range []string{"allpairs", "seminaive", "worklist", "singlepath"} {
 		out, err := runCLI(t, "-graph", g, "-grammar", q, "-algo", algo)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)

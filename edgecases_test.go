@@ -2,6 +2,8 @@ package mscfpq
 
 import (
 	"testing"
+
+	"mscfpq/internal/cfpq"
 )
 
 // Regression tests for the degenerate inputs the differential harness
@@ -35,7 +37,7 @@ func TestMultiSourceEmptySourceSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiSource(g, w, NewVertexSet(3))
+	res, err := cfpq.MultiSource(g, w, NewVertexSet(3))
 	if err != nil {
 		t.Fatalf("empty source set: %v", err)
 	}
@@ -66,7 +68,7 @@ func TestMultiSourceSingleVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiSource(g, w, NewVertexSet(1, 0, 0))
+	res, err := cfpq.MultiSource(g, w, NewVertexSet(1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestMultiSourceSingleVertexGraph(t *testing.T) {
 	if !res.Answer().Get(0, 0) {
 		t.Fatal("single-vertex self-loop answer missing (0,0)")
 	}
-	ap, err := AllPairs(g, w)
+	ap, err := cfpq.AllPairs(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestMultiSourceSingleVertexGraph(t *testing.T) {
 		t.Fatalf("single-vertex: multi-source %v != all-pairs %v",
 			res.Answer().Pairs(), ap.Start().Pairs())
 	}
-	sp, err := MultiSourceSinglePath(g, w, NewVertexSet(1, 0))
+	sp, err := cfpq.MultiSourceSinglePath(g, w, NewVertexSet(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +103,10 @@ func TestQueriesOnZeroVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap, err := AllPairs(g, w); err != nil || ap.Start().NVals() != 0 {
+	if ap, err := cfpq.AllPairs(g, w); err != nil || ap.Start().NVals() != 0 {
 		t.Fatalf("AllPairs on empty graph: %v, %v", ap, err)
 	}
-	res, err := MultiSource(g, w, NewVertexSet(0))
+	res, err := cfpq.MultiSource(g, w, NewVertexSet(0))
 	if err != nil {
 		t.Fatalf("MultiSource on empty graph: %v", err)
 	}
@@ -127,10 +129,10 @@ func TestMultiSourceSizeMismatchStillErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MultiSource(g, w, NewVertexSet(2, 0)); err == nil {
+	if _, err := cfpq.MultiSource(g, w, NewVertexSet(2, 0)); err == nil {
 		t.Fatal("size-mismatched source vector must error")
 	}
-	if _, err := MultiSource(g, w, nil); err == nil {
+	if _, err := cfpq.MultiSource(g, w, nil); err == nil {
 		t.Fatal("nil source vector must error")
 	}
 }

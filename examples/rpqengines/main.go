@@ -1,13 +1,12 @@
-// RPQ engines: regular queries as a partial case of CFPQ.
+// RPQ: regular queries as a partial case of CFPQ.
 //
 // The paper's conclusion demonstrates that the CFPQ machinery evaluates
-// regular path queries too, and asks how the approaches compare. This
-// example answers the same regular query through the unified EvalRPQ
-// entry point with each of the four engines — Thompson NFA product,
-// minimized DFA product, CFPQ over the regex-derived grammar, and the
-// tensor (Kronecker) RSM engine — verifying they agree and printing
-// their timings. It also shows query governance: the last run is given
-// a deliberately tiny work budget and aborts with ErrBudget.
+// regular path queries too. EvalRPQ is that claim as the library's one
+// RPQ path: it reduces the regex to a right-linear grammar and answers
+// it with the multiple-source CFPQ algorithm, the same fixpoint driver
+// every context-free query runs on. The example also shows query
+// governance: a second run is given a deliberately tiny work budget and
+// aborts with ErrBudget.
 //
 // Run with: go run ./examples/rpqengines
 package main
@@ -31,36 +30,16 @@ func main() {
 
 	src := mscfpq.NewVertexSet(g.NumVertices(), 10, 20, 30, 40, 50)
 
-	engines := []struct {
-		name   string
-		engine mscfpq.Engine
-	}{
-		{"NFA product", mscfpq.EngineNFA},
-		{"minimized DFA", mscfpq.EngineDFA},
-		{"CFPQ (Alg. 2)", mscfpq.EngineCFPQ},
-		{"tensor RSM", mscfpq.EngineTensor},
+	start := time.Now()
+	reach, err := mscfpq.EvalRPQ(g, regex, src)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var first *mscfpq.BoolMatrix
-	for _, e := range engines {
-		start := time.Now()
-		reach, err := mscfpq.EvalRPQ(g, regex, src, mscfpq.WithEngine(e.engine))
-		if err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if first == nil {
-			first = reach
-		} else if !first.Equal(reach) {
-			log.Fatalf("engine %s disagrees with %s", e.name, engines[0].name)
-		}
-		fmt.Printf("  %-15s %6d pairs in %v\n", e.name+":", reach.NVals(), elapsed.Round(time.Microsecond))
-	}
-	fmt.Println("multiple-source answers verified identical across all four engines")
+	fmt.Printf("  %d pairs via the CFPQ driver in %v\n", reach.NVals(), time.Since(start).Round(time.Microsecond))
 
 	// Governed execution: the same query with a work budget far below
 	// what the fixpoint needs aborts deterministically with ErrBudget.
-	_, err = mscfpq.EvalRPQ(g, regex, src,
-		mscfpq.WithEngine(mscfpq.EngineCFPQ), mscfpq.WithBudget(10))
+	_, err = mscfpq.EvalRPQ(g, regex, src, mscfpq.WithBudget(10))
 	if errors.Is(err, mscfpq.ErrBudget) {
 		fmt.Println("budget of 10 relation entries: query aborted with ErrBudget as expected")
 	} else {

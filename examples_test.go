@@ -74,5 +74,5 @@ func TestExampleFullstack(t *testing.T) {
 }
 
 func TestExampleRPQEngines(t *testing.T) {
-	runExample(t, "rpqengines", "verified identical")
+	runExample(t, "rpqengines", "pairs via the CFPQ driver", "aborted with ErrBudget")
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mscfpq/internal/cfpq"
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/oracle"
 )
@@ -153,35 +154,35 @@ func TestGoldenReachablePairs(t *testing.T) {
 				run  func() ([][2]int, error)
 			}{
 				{"AllPairs", func() ([][2]int, error) {
-					r, err := AllPairs(g, w)
+					r, err := cfpq.AllPairs(g, w)
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"AllPairsSemiNaive", func() ([][2]int, error) {
-					r, err := AllPairsSemiNaive(g, w)
+					r, err := cfpq.AllPairsSemiNaive(g, w)
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"Worklist", func() ([][2]int, error) {
-					r, err := Worklist(g, w)
+					r, err := cfpq.Worklist(g, w)
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"SinglePath", func() ([][2]int, error) {
-					r, err := SinglePath(g, w)
+					r, err := cfpq.SinglePath(g, w)
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"MultiSource(all)", func() ([][2]int, error) {
-					r, err := MultiSource(g, w, all)
+					r, err := cfpq.MultiSource(g, w, all)
 					if err != nil {
 						return nil, err
 					}

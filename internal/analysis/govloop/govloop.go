@@ -2,8 +2,8 @@
 // governor they have in scope.
 //
 // PR 1 made every long-running algorithm loop — CFPQ fixpoint rounds,
-// RPQ automaton products, Kronecker closures, the row blocks of big
-// matrix multiplications — poll an exec.Run (or a context) so queries
+// transitive-closure squarings, the row blocks of big matrix
+// multiplications — poll an exec.Run (or a context) so queries
 // stay cancellable and budget-bounded. That discipline is easy to lose:
 // a new kernel that receives a governor but never consults it compiles
 // and passes tests, yet runs unbounded. govloop turns the convention
@@ -45,7 +45,6 @@ var Analyzer = &analysis.Analyzer{
 		"internal/cfpq",
 		"internal/rpq",
 		"internal/plan",
-		"internal/rsm",
 	},
 	IgnoreTestFiles: true,
 	Run:             run,

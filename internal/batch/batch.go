@@ -57,9 +57,6 @@ type Request struct {
 	// proportionally to its source count.
 	Timeout time.Duration
 	Budget  int64
-	// Workers and Hybrid select multiplication kernels (part of the key).
-	Workers int
-	Hybrid  bool
 	// Trace, when non-nil, receives batch.wait / batch.run spans for
 	// this member. Never shared across members.
 	Trace *obs.Trace
@@ -221,8 +218,8 @@ func keyFor(req Request, alg exec.Algorithm) string {
 	if h == "" {
 		h = store.GrammarHash(req.WCNF)
 	}
-	return fmt.Sprintf("%d|%d|%s|%d|%d|%d|%d|%t",
-		req.StoreID, req.Version, h, alg, req.Timeout, req.Budget, req.Workers, req.Hybrid)
+	return fmt.Sprintf("%d|%d|%s|%d|%d|%d",
+		req.StoreID, req.Version, h, alg, req.Timeout, req.Budget)
 }
 
 // Eval answers one multiple-source CFPQ request, coalescing it with
@@ -453,12 +450,6 @@ func (c *Coalescer) flush(g *group, key string) {
 	if first.Budget > 0 {
 		opts = append(opts, cfpq.WithBudget(first.Budget*int64(n)))
 	}
-	if first.Workers > 0 {
-		opts = append(opts, cfpq.WithWorkers(first.Workers))
-	}
-	if first.Hybrid {
-		opts = append(opts, cfpq.WithHybridKernels())
-	}
 	start := time.Now()
 	res, err := cfpq.Eval(first.Graph, first.WCNF, g.union, opts...)
 	g.runDur = time.Since(start)
@@ -496,12 +487,6 @@ func (c *Coalescer) evalSolo(ctx context.Context, req Request, alg exec.Algorith
 	}
 	if req.Budget > 0 {
 		opts = append(opts, cfpq.WithBudget(req.Budget))
-	}
-	if req.Workers > 0 {
-		opts = append(opts, cfpq.WithWorkers(req.Workers))
-	}
-	if req.Hybrid {
-		opts = append(opts, cfpq.WithHybridKernels())
 	}
 	if req.Trace != nil {
 		opts = append(opts, cfpq.WithTrace(req.Trace))

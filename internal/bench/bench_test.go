@@ -94,7 +94,7 @@ func TestRPQUnification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 4 { // NFA, DFA, CFPQ, tensor
+	if len(rep.Rows) != 2 { // rpq.Eval, oracle
 		t.Fatalf("rows = %v", rep.Rows)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mscfpq/internal/cfpq"
@@ -10,8 +11,8 @@ import (
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
+	"mscfpq/internal/oracle"
 	"mscfpq/internal/rpq"
-	"mscfpq/internal/rsm"
 )
 
 // queryFor returns the paper's query for a graph (Geo for geospecies,
@@ -341,11 +342,7 @@ func FullStack(cfg Config) (*Report, error) {
 			}},
 		{graph: "core", label: "RPQ subClassOf+", query: regCypher, srcSize: 50,
 			raw: func(g *graph.Graph, src *matrix.Vector) (int, error) {
-				nfa, err := rpq.CompileRegex("subClassOf+")
-				if err != nil {
-					return 0, err
-				}
-				m, err := rpq.EvalPairs(g, nfa, src)
+				m, err := rpq.Eval(g, "subClassOf+", src)
 				if err != nil {
 					return 0, err
 				}
@@ -423,9 +420,11 @@ func FullStack(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// RPQUnification compares the three engines on one regular query
-// (experiment E11): NFA product evaluation, CFPQ over the regex-derived
-// grammar, and the Kronecker/tensor RSM algorithm.
+// RPQUnification answers one regular query through the library's one
+// RPQ path (experiment E11): the regex is reduced to a right-linear
+// grammar and evaluated by the multiple-source CFPQ driver (rpq.Eval).
+// The answer is checked against the BFS-product oracle, timed beside it
+// for scale.
 func RPQUnification(cfg Config, graphName, regex string, srcSize int) (*Report, error) {
 	g, spec, err := cfg.Generate(graphName)
 	if err != nil {
@@ -437,81 +436,31 @@ func RPQUnification(cfg Config, graphName, regex string, srcSize int) (*Report, 
 	}
 	src := cfg.chunks(g.NumVertices(), srcSize)[0]
 
-	var direct, viaDFA, viaCFPQ *matrix.Bool
-	directTime, err := timeIt(func() error {
-		var e error
-		direct, e = rpq.EvalPairs(g, nfa, src)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	dfa := rpq.Determinize(nfa).Minimize()
-	dfaTime, err := timeIt(func() error {
-		var e error
-		viaDFA, e = rpq.EvalPairsDFA(g, dfa, src)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	cf := rpq.ToGrammar(nfa)
-	w, err := grammar.ToWCNF(cf)
-	if err != nil {
-		return nil, err
-	}
+	var viaCFPQ *matrix.Bool
 	cfpqTime, err := timeIt(func() error {
-		r, e := cfpq.MultiSource(g, w, src)
-		if e == nil {
-			viaCFPQ = r.Answer()
-		}
+		var e error
+		viaCFPQ, e = rpq.Eval(g, regex, src)
 		return e
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !direct.Equal(viaCFPQ) || !direct.Equal(viaDFA) {
-		return nil, fmt.Errorf("bench: RPQ engines disagree on %s", graphName)
-	}
-	// The tensor engine is all-pairs; restrict afterwards. It is O((QV)^2)
-	// so it runs on a reduced graph when the input is large.
-	tg := g
-	tname := spec.Name
-	if g.NumVertices() > 1500 {
-		reduced, rspec, err := Config{Scales: map[string]float64{graphName: cfg.scaleFor(graphName) * 0.1}}.Generate(graphName)
-		if err != nil {
-			return nil, err
-		}
-		tg = reduced
-		tname = rspec.Name
-	}
-	machine, err := rsm.FromGrammar(cf)
-	if err != nil {
-		return nil, err
-	}
-	var tensorPairs int
-	tensorTime, err := timeIt(func() error {
-		rel, e := machine.Eval(tg)
-		if e == nil {
-			tensorPairs = rel.NVals()
-		}
-		return e
-	})
-	if err != nil {
-		return nil, err
+	start := time.Now()
+	want := oracle.RPQ(g, nfa, src.Ints())
+	oracleTime := time.Since(start)
+	got := viaCFPQ.Pairs()
+	if !slices.Equal(got, want) {
+		return nil, fmt.Errorf("bench: RPQ via CFPQ (%d pairs) disagrees with the oracle (%d pairs) on %s", len(got), len(want), graphName)
 	}
 
-	rep := &Report{
+	return &Report{
 		ID:      "RPQ",
 		Title:   fmt.Sprintf("Regular query %q on %s (|Src|=%d)", regex, spec.Name, src.NVals()),
 		Columns: []string{"Engine", "Scope", "Pairs", "Time ms"},
 		Rows: [][]string{
-			{"NFA product (direct RPQ)", spec.Name, fmt.Sprintf("%d", direct.NVals()), ms(directTime)},
-			{"Minimized DFA product", spec.Name, fmt.Sprintf("%d", viaDFA.NVals()), ms(dfaTime)},
-			{"CFPQ over regex grammar", spec.Name, fmt.Sprintf("%d", viaCFPQ.NVals()), ms(cfpqTime)},
-			{"Tensor/Kronecker RSM (all pairs)", tname, fmt.Sprintf("%d", tensorPairs), ms(tensorTime)},
+			{"CFPQ over regex grammar (rpq.Eval)", spec.Name, fmt.Sprintf("%d", len(got)), ms(cfpqTime)},
+			{"BFS product oracle (reference)", spec.Name, fmt.Sprintf("%d", len(want)), ms(oracleTime)},
 		},
-		Notes: []string{"NFA, DFA and CFPQ answers verified equal; tensor engine solves all pairs"},
-	}
-	return rep, nil
+		Notes: []string{"answer verified equal to the BFS-product oracle"},
+	}, nil
 }

@@ -323,23 +323,6 @@ func TestWorklistMultiSourceProperty(t *testing.T) {
 	}
 }
 
-func TestParallelWorkersMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 40, 160, []string{"a", "b"})
-	w := grammar.MustWCNF(grammar.AnBn("a", "b"))
-	serial, err := AllPairs(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := AllPairs(g, w, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Start().Equal(par.Start()) {
-		t.Fatal("parallel result differs from serial")
-	}
-}
-
 // Property: semi-naive evaluation computes exactly the Algorithm 1
 // relations on random inputs.
 func TestSemiNaiveEqualsAllPairsProperty(t *testing.T) {
@@ -380,35 +363,6 @@ func TestSemiNaivePaperExample(t *testing.T) {
 	}
 	if _, err := AllPairsSemiNaive(nil, nil); err == nil {
 		t.Fatal("expected error for nil inputs")
-	}
-}
-
-func TestHybridKernelsMatchDefault(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := randomGraph(rng, 60, 600, []string{"a", "b"}) // dense enough to trigger the bitset path
-	w := grammar.MustWCNF(grammar.AnBn("a", "b"))
-	plain, err := AllPairs(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid, err := AllPairs(g, w, WithHybridKernels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Start().Equal(hybrid.Start()) {
-		t.Fatal("hybrid kernels changed the all-pairs result")
-	}
-	src := matrix.NewVectorFromIndices(60, []int{0, 1, 2, 3, 4})
-	ms, err := MultiSource(g, w, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msh, err := MultiSource(g, w, src, WithHybridKernels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ms.Answer().Equal(msh.Answer()) {
-		t.Fatal("hybrid kernels changed the multi-source answer")
 	}
 }
 

@@ -66,11 +66,10 @@ func (r *pathEvalResult) Path(src, dst int) ([]PathStep, error) { return r.path(
 // picks by query shape: multiple-source when src is non-nil, all-pairs
 // otherwise). A non-nil src restricts the answer pairs to those
 // sources for every algorithm, so the algorithm options are
-// interchangeable. All exec options (timeout, budget, workers, trace)
-// apply.
+// interchangeable. All exec options (timeout, budget, trace) apply.
 //
-// The legacy per-algorithm constructors (AllPairs, MultiSource, ...)
-// remain for callers that need their richer concrete results.
+// The per-algorithm constructors (AllPairs, MultiSource, ...) remain for
+// callers that need their richer concrete results.
 func Eval(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...Option) (EvalResult, error) {
 	alg := exec.Build(opts).Algorithm
 	if alg == exec.AlgAuto {

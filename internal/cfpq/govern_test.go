@@ -126,7 +126,7 @@ func TestGovernedResultsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := MultiSource(in.g, in.w, in.src,
-		WithTimeout(time.Minute), WithBudget(1<<40), WithWorkers(4), WithHybridKernels())
+		WithTimeout(time.Minute), WithBudget(1<<40))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // Option tunes algorithm execution. It is an alias of exec.Option, so
-// the same options (context, timeout, budget, workers, kernels) work
-// uniformly across the CFPQ, RPQ, and tensor engines.
+// the same options (context, timeout, budget, trace) work uniformly
+// across the CFPQ and RPQ entry points.
 type Option = exec.Option
 
 // WithContext attaches a cancellation context to the query.
@@ -23,12 +23,6 @@ var WithTimeout = exec.WithTimeout
 // WithBudget bounds the query's total work (relation entries produced
 // across fixpoint iterations).
 var WithBudget = exec.WithBudget
-
-// WithWorkers sets the multiplication parallelism.
-var WithWorkers = exec.WithWorkers
-
-// WithHybridKernels enables density-based kernel switching.
-var WithHybridKernels = exec.WithHybridKernels
 
 // WithRun shares an existing execution governor across layers of one
 // query.

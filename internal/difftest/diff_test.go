@@ -84,8 +84,9 @@ func TestDifferentialEvalCached(t *testing.T) {
 	}
 }
 
-// TestDifferentialRPQ drives the four RPQ engines (NFA, minimized DFA,
-// CFPQ reduction, Kronecker tensor) against the BFS-product oracle on
+// TestDifferentialRPQ drives the RPQ path (the regex reduced to a
+// grammar and run by the multiple-source driver, then by an Algorithm 3
+// index over two source chunks) against the BFS-product oracle on
 // seeded random (graph, regex, source-set) cases.
 func TestDifferentialRPQ(t *testing.T) {
 	failures := 0

@@ -1,6 +1,6 @@
 // Package difftest is the differential correctness harness of the
-// module (see TESTING.md): it drives every CFPQ evaluator and every RPQ
-// engine against the independent reference oracles of internal/oracle
+// module (see TESTING.md): it drives every CFPQ evaluator and the RPQ
+// path against the independent reference oracles of internal/oracle
 // on instances produced by internal/gen, and checks the metamorphic
 // invariants the paper's algorithms promise. The checks are plain
 // functions returning errors so the same harness serves the standing
@@ -21,6 +21,7 @@ import (
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/gen"
+	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
 	"mscfpq/internal/obs"
@@ -329,8 +330,12 @@ func CheckEvalCached(inst gen.Instance) error {
 	return nil
 }
 
-// CheckRPQ runs the four RPQ engines for the query and compares each
-// against the BFS-product oracle.
+// CheckRPQ compares the one RPQ path (rpq.Eval: the regex reduced to a
+// right-linear grammar and run by the multiple-source CFPQ driver)
+// against the BFS-product oracle. It then asks an Algorithm 3 index on
+// the reduced grammar for the sources in two disjoint chunks, so the
+// second query starts from the first one's processed sources, and
+// checks each chunk's answer against the oracle too.
 func CheckRPQ(g *graph.Graph, query string, sources []int) error {
 	nfa, err := rpq.CompileRegex(query)
 	if err != nil {
@@ -338,13 +343,30 @@ func CheckRPQ(g *graph.Graph, query string, sources []int) error {
 	}
 	want := oracle.RPQ(g, nfa, sources)
 	src := srcVector(g, sources)
-	for _, engine := range []exec.Engine{exec.EngineNFA, exec.EngineDFA, exec.EngineCFPQ, exec.EngineTensor} {
-		m, err := rpq.Eval(g, query, src, exec.WithEngine(engine))
+	m, err := rpq.Eval(g, query, src)
+	if err != nil {
+		return fmt.Errorf("rpq.Eval on %q: %v", query, err)
+	}
+	if got := m.Pairs(); !pairsEqual(got, want) {
+		return pairsErr(fmt.Sprintf("rpq.Eval on %q", query), got, want)
+	}
+
+	w, err := grammar.ToWCNF(rpq.ToGrammar(nfa))
+	if err != nil {
+		return fmt.Errorf("reduce %q: %v", query, err)
+	}
+	idx, err := cfpq.NewIndex(g, w)
+	if err != nil {
+		return err
+	}
+	ids := src.Ints()
+	for c, chunk := range [][]int{ids[:len(ids)/2], ids[len(ids)/2:]} {
+		r, err := idx.MultiSourceSmart(srcVector(g, chunk))
 		if err != nil {
-			return fmt.Errorf("engine %v on %q: %v", engine, query, err)
+			return fmt.Errorf("index chunk %d on %q: %v", c, query, err)
 		}
-		if got := m.Pairs(); !pairsEqual(got, want) {
-			return pairsErr(fmt.Sprintf("engine %v on %q", engine, query), got, want)
+		if got, want := r.Answer().Pairs(), oracle.RPQ(g, nfa, chunk); !pairsEqual(got, want) {
+			return pairsErr(fmt.Sprintf("index chunk %d on %q", c, query), got, want)
 		}
 	}
 	return nil

@@ -1,14 +1,14 @@
 // Package exec holds the execution-governance layer shared by every
 // query engine in the repository: a functional-options type configuring
-// how a query runs (context, timeout, work budget, kernel selection)
-// and a Run governor the algorithms consult between units of work.
+// how a query runs (context, timeout, work budget, algorithm) and a Run
+// governor the algorithms consult between units of work.
 //
 // The paper's algorithms are batch fixpoints; embedded in a database
 // serving concurrent traffic they must instead be bounded and
-// interruptible. All long-running loops — CFPQ fixpoint rounds, RPQ
-// automaton products, Kronecker closures, plan operator pulls, and the
-// row blocks of large matrix multiplications — check the governor and
-// abort with context.Canceled, context.DeadlineExceeded or ErrBudget.
+// interruptible. All long-running loops — CFPQ fixpoint rounds,
+// transitive-closure squarings, plan operator pulls, and the row blocks
+// of large matrix multiplications — check the governor and abort with
+// context.Canceled, context.DeadlineExceeded or ErrBudget.
 package exec
 
 import (
@@ -27,44 +27,8 @@ import (
 // iterations).
 var ErrBudget = errors.New("query work budget exceeded")
 
-// Engine selects the evaluation engine for regular path queries (the
-// four engines of the RPQ unification experiment).
-type Engine int
-
-const (
-	// EngineAuto picks the default engine (the minimized-DFA product,
-	// the fastest RPQ evaluator in the library).
-	EngineAuto Engine = iota
-	// EngineNFA evaluates through the Thompson NFA product.
-	EngineNFA
-	// EngineDFA evaluates through the minimized-DFA product.
-	EngineDFA
-	// EngineCFPQ reduces the regex to a context-free grammar and runs
-	// the multiple-source CFPQ algorithm (Algorithm 2).
-	EngineCFPQ
-	// EngineTensor evaluates through the Kronecker-product RSM engine.
-	EngineTensor
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineNFA:
-		return "nfa"
-	case EngineDFA:
-		return "dfa"
-	case EngineCFPQ:
-		return "cfpq"
-	case EngineTensor:
-		return "tensor"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
 // Algorithm selects the CFPQ evaluation algorithm for the unified
-// EvalCFPQ entry point, mirroring Engine for RPQ.
+// EvalCFPQ entry point.
 type Algorithm int
 
 const (
@@ -109,7 +73,7 @@ func (a Algorithm) String() string {
 }
 
 // Options tunes query execution. The zero value means: background
-// context, no timeout, unlimited budget, serial CSR kernels.
+// context, no timeout, unlimited budget, algorithm by query shape.
 type Options struct {
 	// Ctx cancels the query when done; nil means context.Background().
 	Ctx context.Context
@@ -120,15 +84,6 @@ type Options struct {
 	// relation entries produced across fixpoint iterations
 	// (iterations × nnz); 0 means unlimited.
 	Budget int64
-	// Workers is the number of goroutines used for large matrix
-	// multiplications; 0 or 1 means serial.
-	Workers int
-	// Hybrid switches multiplication kernels by operand density
-	// (matrix.MulHybrid), which pays off when relations densify during
-	// the fixpoint (deep hierarchies like go-hierarchy).
-	Hybrid bool
-	// Engine selects the RPQ evaluation engine (rpq.Eval).
-	Engine Engine
 	// Algorithm selects the CFPQ evaluation algorithm (cfpq.Eval).
 	Algorithm Algorithm
 	// Trace, when non-nil, receives the query's span tree and kernel
@@ -155,15 +110,6 @@ func WithTimeout(d time.Duration) Option { return func(o *Options) { o.Timeout =
 // across fixpoint iterations). Exceeding it aborts with ErrBudget.
 func WithBudget(n int64) Option { return func(o *Options) { o.Budget = n } }
 
-// WithWorkers sets the multiplication parallelism.
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
-// WithHybridKernels enables density-based kernel switching.
-func WithHybridKernels() Option { return func(o *Options) { o.Hybrid = true } }
-
-// WithEngine selects the RPQ evaluation engine.
-func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
-
 // WithAlgorithm selects the CFPQ evaluation algorithm.
 func WithAlgorithm(a Algorithm) Option { return func(o *Options) { o.Algorithm = a } }
 
@@ -173,8 +119,7 @@ func WithAlgorithm(a Algorithm) Option { return func(o *Options) { o.Algorithm =
 func WithTrace(t *obs.Trace) Option { return func(o *Options) { o.Trace = t } }
 
 // WithRun shares an existing governor: the query joins r's context and
-// budget accounting instead of starting its own. Kernel settings
-// (workers, hybrid) are inherited from r as well.
+// budget accounting instead of starting its own.
 func WithRun(r *Run) Option { return func(o *Options) { o.run = r } }
 
 // Build folds a list of options into an Options value.
@@ -214,22 +159,20 @@ func (o Options) Start() (*Run, context.CancelFunc) {
 	if o.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 	}
-	r := &Run{ctx: ctx, workers: o.Workers, hybrid: o.Hybrid, budget: o.Budget, trace: o.Trace}
+	r := &Run{ctx: ctx, budget: o.Budget, trace: o.Trace}
 	return r, cancel
 }
 
-// Run is the per-query governor: it carries the cancellation context,
-// tracks the work spent against the budget, and selects multiplication
-// kernels. A Run may be shared across the layers of one query (plan
-// operators, CFPQ resolution, matrix kernels); the spent counter is
-// atomic so parallel kernels can charge it.
+// Run is the per-query governor: it carries the cancellation context
+// and tracks the work spent against the budget. A Run may be shared
+// across the layers of one query (plan operators, CFPQ resolution,
+// matrix kernels); the spent counter is atomic so concurrent layers can
+// charge it.
 type Run struct {
-	ctx     context.Context
-	workers int
-	hybrid  bool
-	budget  int64 // 0 = unlimited
-	spent   atomic.Int64
-	trace   *obs.Trace // nil = untraced
+	ctx    context.Context
+	budget int64 // 0 = unlimited
+	spent  atomic.Int64
+	trace  *obs.Trace // nil = untraced
 }
 
 // NewRun builds a governor directly from a context (no timeout, no
@@ -324,46 +267,33 @@ func RecordOutcome(err error) {
 	}
 }
 
-// Closure is the governed transitive closure: cancellation is checked
-// between the row blocks of every squaring round, and the closure's
-// entry count is charged against the budget.
+// Closure is the governed transitive closure of a square matrix
+// (without the reflexive diagonal unless already present): it squares
+// M += M*M until a round adds nothing. Every round is one governed Mul,
+// so cancellation is polled between its row blocks and its product is
+// charged against the budget as the closure grows. Nil runs compute the
+// same closure ungoverned.
 func (r *Run) Closure(a *matrix.Bool) (*matrix.Bool, error) {
-	if r == nil {
-		return matrix.TransitiveClosure(a), nil
+	m := a.Clone()
+	for {
+		prod, err := r.Mul(m, m)
+		if err != nil {
+			return nil, err
+		}
+		if !r.Add(m, prod) {
+			return m, nil
+		}
 	}
-	m, err := matrix.TransitiveClosureCtx(r.Ctx(), a)
-	if err != nil {
-		return nil, err
-	}
-	obs.KernelMulOps.Inc()
-	obs.KernelMulNNZ.Add(int64(m.NVals()))
-	r.trace.Add(obs.KeyMulOps, 1)
-	r.trace.Add(obs.KeyMulNNZ, int64(m.NVals()))
-	if err := r.Charge(m.NVals()); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
-// Mul is the governed Boolean matrix multiplication: it selects the
-// kernel from the run's settings, checks cancellation between row
-// blocks, and charges the product's entry count against the budget.
+// Mul is the governed Boolean matrix multiplication: it checks
+// cancellation between row blocks and charges the product's entry count
+// against the budget.
 func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 	if r == nil {
 		return matrix.Mul(a, b), nil
 	}
-	var (
-		m   *matrix.Bool
-		err error
-	)
-	switch {
-	case r.hybrid:
-		m, err = matrix.MulHybridCtx(r.ctx, a, b)
-	case r.workers > 1:
-		m, err = matrix.MulParCtx(r.ctx, a, b, r.workers)
-	default:
-		m, err = matrix.MulCtx(r.ctx, a, b)
-	}
+	m, err := matrix.MulCtx(r.ctx, a, b)
 	if err != nil {
 		return nil, err
 	}

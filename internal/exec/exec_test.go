@@ -39,13 +39,13 @@ func TestNilRunIsUngoverned(t *testing.T) {
 }
 
 func TestBuildApplyOptions(t *testing.T) {
-	o := Build([]Option{WithWorkers(3), WithBudget(42), WithHybridKernels(), WithEngine(EngineTensor)})
-	if o.Workers != 3 || o.Budget != 42 || !o.Hybrid || o.Engine != EngineTensor {
+	o := Build([]Option{WithTimeout(time.Second), WithBudget(42), WithAlgorithm(AlgSemiNaive)})
+	if o.Timeout != time.Second || o.Budget != 42 || o.Algorithm != AlgSemiNaive {
 		t.Fatalf("Build = %+v", o)
 	}
 	// Apply layers per-query options over stored defaults.
 	o2 := o.Apply([]Option{WithBudget(7)})
-	if o2.Budget != 7 || o2.Workers != 3 {
+	if o2.Budget != 7 || o2.Algorithm != AlgSemiNaive {
 		t.Fatalf("Apply = %+v", o2)
 	}
 	if o.Budget != 42 {
@@ -120,14 +120,16 @@ func TestWithRunShares(t *testing.T) {
 	}
 }
 
-func TestEngineString(t *testing.T) {
-	cases := map[Engine]string{
-		EngineAuto: "auto", EngineNFA: "nfa", EngineDFA: "dfa",
-		EngineCFPQ: "cfpq", EngineTensor: "tensor",
+func TestAlgorithmString(t *testing.T) {
+	cases := map[Algorithm]string{
+		AlgAuto: "auto", AlgMatrix: "matrix", AlgSemiNaive: "seminaive",
+		AlgWorklist: "worklist", AlgMultiSource: "multisource",
+		AlgSinglePath: "singlepath", AlgMSSinglePath: "ms-singlepath",
+		Algorithm(99): "algorithm(99)",
 	}
-	for e, want := range cases {
-		if e.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", e, e.String(), want)
+	for a, want := range cases {
+		if a.String() != want {
+			t.Fatalf("%d.String() = %q, want %q", int(a), a.String(), want)
 		}
 	}
 }
@@ -142,9 +144,8 @@ func TestMulMatchesUngoverned(t *testing.T) {
 	want := matrix.Mul(a, b)
 	for _, opts := range []Options{
 		{},
-		{Workers: 4},
-		{Hybrid: true},
-		{Workers: 2, Hybrid: true},
+		{Budget: 1 << 40},
+		{Timeout: time.Minute},
 	} {
 		run, cancel := opts.Start()
 		got, err := run.Mul(a, b)
@@ -155,5 +156,47 @@ func TestMulMatchesUngoverned(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("%+v: product differs", opts)
 		}
+	}
+}
+
+func TestClosure(t *testing.T) {
+	for _, run := range []*Run{nil, NewRun(context.Background())} {
+		// Chain 0 -> 1 -> 2 -> 3.
+		tc, err := run.Closure(matrix.NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := matrix.NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
+		if !tc.Equal(want) {
+			t.Fatalf("closure:\n%v\nwant:\n%v", tc, want)
+		}
+		// Cycle 0 -> 1 -> 0 closes to all four pairs.
+		cyc, err := run.Closure(matrix.NewBoolFromPairs(2, 2, [][2]int{{0, 1}, {1, 0}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cyc.NVals() != 4 {
+			t.Fatalf("cycle closure nvals = %d, want 4", cyc.NVals())
+		}
+	}
+}
+
+// TestClosureBudgetStopsEarly pins that the budget bounds the closure
+// while it grows: each squaring round is charged, so a tiny budget
+// aborts after the first round instead of after the whole n(n-1)/2
+// closure of a chain has been built.
+func TestClosureBudgetStopsEarly(t *testing.T) {
+	const n = 1500
+	chain := matrix.NewBool(n, n)
+	for i := 0; i+1 < n; i++ {
+		chain.Set(i, i+1)
+	}
+	run, cancel := Options{Budget: 1}.Start()
+	defer cancel()
+	if _, err := run.Closure(chain); !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if full := int64(n * (n - 1) / 2); run.Spent() >= full/100 {
+		t.Fatalf("Spent = %d before aborting; the full closure has %d entries", run.Spent(), full)
 	}
 }

@@ -18,10 +18,10 @@ type accumulator struct {
 }
 
 // accPool recycles accumulators across multiplications. A fixpoint
-// round allocates one accumulator per kernel call (and one per worker
-// for the parallel kernels); the backing bitsets are by far the largest
-// per-round allocation, so reusing them keeps the steady-state fixpoint
-// loop allocation-free apart from the result rows themselves.
+// round allocates one accumulator per kernel call; the backing bitsets
+// are by far the largest per-round allocation, so reusing them keeps the
+// steady-state fixpoint loop allocation-free apart from the result rows
+// themselves.
 var accPool = sync.Pool{New: func() any { return &accumulator{} }}
 
 // getAccumulator returns an accumulator sized for ncols columns, reusing

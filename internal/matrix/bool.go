@@ -17,8 +17,8 @@ type Bool struct {
 
 	// shared marks rows whose backing arrays may be aliased by a
 	// copy-on-write sibling (CloneCOW). A shared row must be copied
-	// before any in-place mutation; rows replaced wholesale (SetRow,
-	// AddInPlace, ...) shed the mark with the old pointer. nil when the
+	// before any in-place mutation; rows replaced wholesale (AddInPlace,
+	// SubInPlace) shed the mark with the old pointer. nil when the
 	// matrix never took part in a COW clone.
 	shared []bool
 }
@@ -142,20 +142,6 @@ func (m *Bool) Set(i, j int) {
 	m.nvals++
 }
 
-// Unset makes entry (i, j) false.
-func (m *Bool) Unset(i, j int) {
-	m.checkIndex(i, j)
-	m.ensureOwned(i)
-	row := m.rows[i]
-	c := uint32(j)
-	k := sort.Search(len(row), func(x int) bool { return row[x] >= c })
-	if k >= len(row) || row[k] != c {
-		return
-	}
-	m.rows[i] = append(row[:k], row[k+1:]...)
-	m.nvals--
-}
-
 // Get reports whether entry (i, j) is true.
 func (m *Bool) Get(i, j int) bool {
 	m.checkIndex(i, j)
@@ -172,25 +158,6 @@ func (m *Bool) Row(i int) []uint32 {
 		panic(fmt.Sprintf("matrix: row %d out of range %d", i, m.nrows))
 	}
 	return m.rows[i]
-}
-
-// SetRow replaces row i with the given sorted, duplicate-free column
-// indices. The slice is taken over by the matrix.
-func (m *Bool) SetRow(i int, cols []uint32) {
-	if i < 0 || i >= m.nrows {
-		panic(fmt.Sprintf("matrix: row %d out of range %d", i, m.nrows))
-	}
-	for k := 0; k < len(cols); k++ {
-		if int(cols[k]) >= m.ncols {
-			panic(fmt.Sprintf("matrix: column %d out of range %d", cols[k], m.ncols))
-		}
-		if k > 0 && cols[k-1] >= cols[k] {
-			panic("matrix: SetRow requires sorted duplicate-free columns")
-		}
-	}
-	m.nvals += len(cols) - len(m.rows[i])
-	m.rows[i] = cols
-	m.markOwned(i)
 }
 
 // Clone returns a deep copy of the matrix.
@@ -246,15 +213,6 @@ func (m *Bool) Iterate(fn func(i, j int) bool) {
 			}
 		}
 	}
-}
-
-// Clear removes all entries, keeping the shape.
-func (m *Bool) Clear() {
-	for i := range m.rows {
-		m.rows[i] = nil
-		m.markOwned(i)
-	}
-	m.nvals = 0
 }
 
 // Resize grows the matrix to at least nrows x ncols, keeping entries.

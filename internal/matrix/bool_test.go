@@ -82,7 +82,7 @@ func mustValidate(t *testing.T, m *Bool) {
 	}
 }
 
-func TestSetGetUnset(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	m := NewBool(4, 5)
 	if m.Get(1, 2) {
 		t.Fatal("fresh matrix should be empty")
@@ -96,11 +96,6 @@ func TestSetGetUnset(t *testing.T) {
 	}
 	if m.NVals() != 3 {
 		t.Fatalf("NVals = %d, want 3", m.NVals())
-	}
-	m.Unset(1, 2)
-	m.Unset(1, 2) // idempotent
-	if m.Get(1, 2) || m.NVals() != 2 {
-		t.Fatalf("after Unset: Get=%v NVals=%d", m.Get(1, 2), m.NVals())
 	}
 	mustValidate(t, m)
 }
@@ -150,8 +145,8 @@ func TestCloneIsDeep(t *testing.T) {
 	if m.Get(0, 0) {
 		t.Fatal("Clone shares storage with original")
 	}
-	m.Unset(0, 1)
-	if !c.Get(0, 1) {
+	m.Set(1, 1)
+	if c.Get(1, 1) {
 		t.Fatal("Clone affected by original mutation")
 	}
 }
@@ -188,34 +183,14 @@ func TestIterateEarlyStop(t *testing.T) {
 	}
 }
 
-func TestClearAndResize(t *testing.T) {
-	m := NewBoolFromPairs(3, 3, [][2]int{{0, 1}, {2, 2}})
-	m.Clear()
-	if m.NVals() != 0 || m.Get(0, 1) {
-		t.Fatal("Clear left entries behind")
-	}
-	m.Set(2, 2)
+func TestResize(t *testing.T) {
+	m := NewBoolFromPairs(3, 3, [][2]int{{2, 2}})
 	m.Resize(5, 6)
 	if m.NRows() != 5 || m.NCols() != 6 || !m.Get(2, 2) {
 		t.Fatal("Resize lost entries or shape")
 	}
 	m.Set(4, 5)
 	mustValidate(t, m)
-}
-
-func TestSetRow(t *testing.T) {
-	m := NewBool(3, 10)
-	m.Set(1, 1)
-	m.SetRow(1, []uint32{2, 4, 8})
-	if m.NVals() != 3 || !m.Get(1, 4) || m.Get(1, 1) {
-		t.Fatal("SetRow did not replace row")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsorted SetRow should panic")
-		}
-	}()
-	m.SetRow(0, []uint32{4, 2})
 }
 
 func TestStringSmallAndLarge(t *testing.T) {

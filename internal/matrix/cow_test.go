@@ -51,9 +51,6 @@ func TestCloneCOWChildMutationDoesNotAliasParent(t *testing.T) {
 	}{
 		{"Set-new-entry", func(c *Bool) { c.Set(0, 2) }},
 		{"Set-shifting-entry", func(c *Bool) { c.Set(5, 0); c.Set(5, 3) }},
-		{"Unset", func(c *Bool) { c.Unset(0, 3) }},
-		{"SetRow", func(c *Bool) { c.SetRow(2, []uint32{1, 6}) }},
-		{"Clear", func(c *Bool) { c.Clear() }},
 		{"AddInPlace", func(c *Bool) {
 			AddInPlace(c, NewBoolFromPairs(6, 8, [][2]int{{0, 0}, {0, 4}, {3, 3}}))
 		}},
@@ -86,7 +83,7 @@ func TestCloneCOWParentMutationDoesNotAliasChild(t *testing.T) {
 	want := snapshotRows(child)
 	parent.Set(0, 0)
 	parent.Set(3, 1)
-	parent.Unset(1, 2)
+	SubInPlace(parent, NewBoolFromPairs(4, 4, [][2]int{{1, 2}}))
 	AddInPlace(parent, Identity(4))
 	rowsEqual(t, child, want, "child after parent mutation")
 	if err := child.validate(); err != nil {
@@ -115,7 +112,7 @@ func TestCloneCOWChain(t *testing.T) {
 			next.Set(rng.Intn(10), rng.Intn(10))
 		}
 		if v%3 == 0 {
-			next.Unset(rng.Intn(10), rng.Intn(10))
+			SubInPlace(next, NewBoolFromPairs(10, 10, [][2]int{{rng.Intn(10), rng.Intn(10)}}))
 		}
 		cur = next
 	}
@@ -177,8 +174,8 @@ func TestCloneFrozenLeavesSourceUntouched(t *testing.T) {
 	// unchanged (the aliased rows are copied on first write).
 	c.Set(0, 2)
 	c.Set(3, 0)
-	c.Unset(2, 2)
-	c.SetRow(1, []uint32{0, 5})
+	SubInPlace(c, NewBoolFromPairs(4, 6, [][2]int{{2, 2}}))
+	c.Set(1, 5)
 	rowsEqual(t, m, want, "frozen source after clone mutations")
 	if !c.Get(0, 2) || !c.Get(3, 0) || c.Get(2, 2) || !c.Get(1, 5) {
 		t.Fatal("clone lost its own mutations")

@@ -37,140 +37,3 @@ func MulCtx(ctx context.Context, a, b *Bool) (*Bool, error) {
 	}
 	return out, nil
 }
-
-// MulParCtx is MulPar with cancellation: every worker checks ctx
-// between row blocks; the first error wins and the partial product is
-// discarded.
-func MulParCtx(ctx context.Context, a, b *Bool, workers int) (*Bool, error) {
-	if a.ncols != b.nrows {
-		panic(fmt.Sprintf("matrix: MulParCtx dimension mismatch %dx%d * %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
-	}
-	if workers <= 1 || a.nrows < 2*workers {
-		return MulCtx(ctx, a, b)
-	}
-	out := NewBool(a.nrows, b.ncols)
-	if a.nvals == 0 || b.nvals == 0 {
-		return out, ctx.Err()
-	}
-	type result struct {
-		n   int
-		err error
-	}
-	done := make(chan result, workers)
-	step := (a.nrows + workers - 1) / workers
-	nblocks := 0
-	for lo := 0; lo < a.nrows; lo += step {
-		hi := lo + step
-		if hi > a.nrows {
-			hi = a.nrows
-		}
-		nblocks++
-		go func(lo, hi int) {
-			acc := getAccumulator(b.ncols)
-			defer putAccumulator(acc)
-			n := 0
-			for blo := lo; blo < hi; blo += ctxCheckRows {
-				if err := ctx.Err(); err != nil {
-					done <- result{err: err}
-					return
-				}
-				bhi := blo + ctxCheckRows
-				if bhi > hi {
-					bhi = hi
-				}
-				for i := blo; i < bhi; i++ {
-					ra := a.rows[i]
-					if len(ra) == 0 {
-						continue
-					}
-					acc.reset()
-					for _, k := range ra {
-						acc.orRow(b.rows[k])
-					}
-					row := acc.extract(make([]uint32, 0, acc.count()))
-					if len(row) > 0 {
-						out.rows[i] = row // disjoint row ranges: no locking needed
-						n += len(row)
-					}
-				}
-			}
-			done <- result{n: n}
-		}(lo, hi)
-	}
-	total := 0
-	var firstErr error
-	for i := 0; i < nblocks; i++ {
-		r := <-done
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		total += r.n
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out.nvals = total
-	return out, nil
-}
-
-// MulHybridCtx is MulHybrid with cancellation: both the CSR and the
-// bitset path poll ctx between row blocks.
-func MulHybridCtx(ctx context.Context, a, b *Bool) (*Bool, error) {
-	if b.Density() >= hybridDensityThreshold {
-		d, err := mulBoolDenseCtx(ctx, a, FromBool(b))
-		if err != nil {
-			return nil, err
-		}
-		return d.ToBool(), nil
-	}
-	return MulCtx(ctx, a, b)
-}
-
-// mulBoolDenseCtx is MulBoolDense polling ctx between row blocks.
-func mulBoolDenseCtx(ctx context.Context, a *Bool, b *Dense) (*Dense, error) {
-	if a.ncols != b.nrows {
-		panic(fmt.Sprintf("matrix: MulBoolDense dimension mismatch %dx%d * %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
-	}
-	out := NewDense(a.nrows, b.ncols)
-	for lo := 0; lo < a.nrows; lo += ctxCheckRows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := lo + ctxCheckRows
-		if hi > a.nrows {
-			hi = a.nrows
-		}
-		for i := lo; i < hi; i++ {
-			row := a.rows[i]
-			if len(row) == 0 {
-				continue
-			}
-			dst := out.words[i*out.wpr : (i+1)*out.wpr]
-			for _, k := range row {
-				src := b.words[int(k)*b.wpr : (int(k)+1)*b.wpr]
-				for w := range dst {
-					dst[w] |= src[w]
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// TransitiveClosureCtx is TransitiveClosure with cancellation between
-// (and inside) the squaring rounds.
-func TransitiveClosureCtx(ctx context.Context, a *Bool) (*Bool, error) {
-	if a.nrows != a.ncols {
-		panic(fmt.Sprintf("matrix: TransitiveClosureCtx of non-square %dx%d", a.nrows, a.ncols))
-	}
-	m := a.Clone()
-	for {
-		prod, err := MulCtx(ctx, m, m)
-		if err != nil {
-			return nil, err
-		}
-		if !AddInPlace(m, prod) {
-			return m, nil
-		}
-	}
-}

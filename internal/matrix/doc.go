@@ -4,8 +4,8 @@
 // It is a small, dependency-free stand-in for the slice of the GraphBLAS
 // API (SuiteSparse:GraphBLAS) used by the paper: Boolean matrix
 // multiplication, element-wise addition (logical OR), set difference,
-// transposition, Kronecker product, and the column reduction that backs
-// the paper's getDst function (reduce_vector in pygraphblas).
+// transposition, and the column reduction that backs the paper's getDst
+// function (reduce_vector in pygraphblas).
 //
 // # Representation
 //
@@ -25,5 +25,5 @@
 // error, mirroring the behaviour of GraphBLAS bindings and gonum.
 //
 // Matrices are not safe for concurrent mutation. Read-only sharing is
-// safe; MulPar exploits this to multiply row blocks in parallel.
+// safe.
 package matrix

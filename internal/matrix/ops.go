@@ -43,59 +43,6 @@ func mulRowsInto(a, b, out *Bool, lo, hi int, acc *accumulator) {
 	}
 }
 
-// MulPar returns a * b, splitting row blocks across workers goroutines.
-// workers <= 1 falls back to the serial Mul.
-func MulPar(a, b *Bool, workers int) *Bool {
-	if a.ncols != b.nrows {
-		panic(fmt.Sprintf("matrix: MulPar dimension mismatch %dx%d * %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
-	}
-	if workers <= 1 || a.nrows < 2*workers {
-		return Mul(a, b)
-	}
-	out := NewBool(a.nrows, b.ncols)
-	if a.nvals == 0 || b.nvals == 0 {
-		return out
-	}
-	type block struct{ lo, hi int }
-	done := make(chan int, workers)
-	step := (a.nrows + workers - 1) / workers
-	nblocks := 0
-	for lo := 0; lo < a.nrows; lo += step {
-		hi := lo + step
-		if hi > a.nrows {
-			hi = a.nrows
-		}
-		nblocks++
-		go func(blk block) {
-			acc := getAccumulator(b.ncols)
-			n := 0
-			for i := blk.lo; i < blk.hi; i++ {
-				ra := a.rows[i]
-				if len(ra) == 0 {
-					continue
-				}
-				acc.reset()
-				for _, k := range ra {
-					acc.orRow(b.rows[k])
-				}
-				row := acc.extract(make([]uint32, 0, acc.count()))
-				if len(row) > 0 {
-					out.rows[i] = row // disjoint row ranges: no locking needed
-					n += len(row)
-				}
-			}
-			putAccumulator(acc)
-			done <- n
-		}(block{lo, hi})
-	}
-	total := 0
-	for i := 0; i < nblocks; i++ {
-		total += <-done
-	}
-	out.nvals = total
-	return out
-}
-
 // Add returns the element-wise OR a + b.
 func Add(a, b *Bool) *Bool {
 	checkSameShape("Add", a, b)
@@ -169,18 +116,6 @@ func SubInPlace(a, b *Bool) bool {
 	return changed
 }
 
-// Intersect returns the element-wise AND of a and b.
-func Intersect(a, b *Bool) *Bool {
-	checkSameShape("Intersect", a, b)
-	out := NewBool(a.nrows, a.ncols)
-	for i := range a.rows {
-		row := intersectRows(a.rows[i], b.rows[i])
-		out.rows[i] = row
-		out.nvals += len(row)
-	}
-	return out
-}
-
 // Transpose returns the transposed matrix.
 func Transpose(a *Bool) *Bool {
 	out := NewBool(a.ncols, a.nrows)
@@ -202,53 +137,6 @@ func Transpose(a *Bool) *Bool {
 	}
 	out.nvals = a.nvals
 	return out
-}
-
-// Kron returns the Kronecker product a ⊗ b: a (ra x ca), b (rb x cb)
-// yield an (ra*rb) x (ca*cb) matrix with blocks b wherever a is true.
-func Kron(a, b *Bool) *Bool {
-	ra, ca := a.nrows, a.ncols
-	rb, cb := b.nrows, b.ncols
-	out := NewBool(ra*rb, ca*cb)
-	if a.nvals == 0 || b.nvals == 0 {
-		return out
-	}
-	for i1, rowA := range a.rows {
-		if len(rowA) == 0 {
-			continue
-		}
-		for i2 := 0; i2 < rb; i2++ {
-			rowB := b.rows[i2]
-			if len(rowB) == 0 {
-				continue
-			}
-			dst := make([]uint32, 0, len(rowA)*len(rowB))
-			for _, j1 := range rowA {
-				base := j1 * uint32(cb)
-				for _, j2 := range rowB {
-					dst = append(dst, base+j2)
-				}
-			}
-			out.rows[i1*rb+i2] = dst
-			out.nvals += len(dst)
-		}
-	}
-	return out
-}
-
-// TransitiveClosure returns the transitive closure of a square matrix
-// (without the reflexive diagonal unless already present), iterating
-// M += M*M until fixpoint.
-func TransitiveClosure(a *Bool) *Bool {
-	if a.nrows != a.ncols {
-		panic(fmt.Sprintf("matrix: TransitiveClosure of non-square %dx%d", a.nrows, a.ncols))
-	}
-	m := a.Clone()
-	for {
-		if !AddInPlace(m, Mul(m, m)) {
-			return m
-		}
-	}
 }
 
 // ExtractRows returns a copy of a containing only the rows listed in set;
@@ -327,31 +215,6 @@ func diffRows(a, b []uint32) []uint32 {
 		}
 	}
 	out = append(out, a[i:]...)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// intersectRows returns a ∩ b for sorted duplicate-free slices.
-func intersectRows(a, b []uint32) []uint32 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]uint32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
 	if len(out) == 0 {
 		return nil
 	}

@@ -17,20 +17,6 @@ func TestMulAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulParMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a, _ := randomMatrix(rng, 120, 90, 0.05)
-	b, _ := randomMatrix(rng, 90, 150, 0.05)
-	want := Mul(a, b)
-	for _, w := range []int{1, 2, 3, 8} {
-		got := MulPar(a, b, w)
-		mustValidate(t, got)
-		if !got.Equal(want) {
-			t.Fatalf("MulPar(workers=%d) differs from Mul", w)
-		}
-	}
-}
-
 func TestMulEmptyOperands(t *testing.T) {
 	a := NewBool(3, 4)
 	b := NewBool(4, 5)
@@ -52,8 +38,6 @@ func TestAddAndSub(t *testing.T) {
 		mustValidate(t, sum)
 		diff := Sub(a, b)
 		mustValidate(t, diff)
-		inter := Intersect(a, b)
-		mustValidate(t, inter)
 		for i := 0; i < 12; i++ {
 			for j := 0; j < 9; j++ {
 				if sum.Get(i, j) != (da.get(i, j) || db.get(i, j)) {
@@ -61,9 +45,6 @@ func TestAddAndSub(t *testing.T) {
 				}
 				if diff.Get(i, j) != (da.get(i, j) && !db.get(i, j)) {
 					t.Fatalf("Sub mismatch at (%d,%d)", i, j)
-				}
-				if inter.Get(i, j) != (da.get(i, j) && db.get(i, j)) {
-					t.Fatalf("Intersect mismatch at (%d,%d)", i, j)
 				}
 			}
 		}
@@ -179,57 +160,6 @@ func TestMulDistributesOverAdd(t *testing.T) {
 	}
 }
 
-func TestKron(t *testing.T) {
-	a := NewBoolFromPairs(2, 2, [][2]int{{0, 1}, {1, 0}})
-	b := NewBoolFromPairs(2, 3, [][2]int{{0, 0}, {1, 2}})
-	k := Kron(a, b)
-	mustValidate(t, k)
-	if k.NRows() != 4 || k.NCols() != 6 {
-		t.Fatalf("Kron shape %dx%d", k.NRows(), k.NCols())
-	}
-	if k.NVals() != a.NVals()*b.NVals() {
-		t.Fatalf("Kron nvals %d, want %d", k.NVals(), a.NVals()*b.NVals())
-	}
-	// Spot-check block structure: a[0,1] places b at rows 0..1, cols 3..5.
-	if !k.Get(0, 3) || !k.Get(1, 5) || k.Get(0, 0) {
-		t.Fatal("Kron block placement wrong")
-	}
-}
-
-func TestKronAgainstDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(50))
-	a, da := randomMatrix(rng, 4, 5, 0.3)
-	b, db := randomMatrix(rng, 3, 2, 0.4)
-	k := Kron(a, b)
-	for i1 := 0; i1 < 4; i1++ {
-		for j1 := 0; j1 < 5; j1++ {
-			for i2 := 0; i2 < 3; i2++ {
-				for j2 := 0; j2 < 2; j2++ {
-					want := da.get(i1, j1) && db.get(i2, j2)
-					if k.Get(i1*3+i2, j1*2+j2) != want {
-						t.Fatalf("Kron mismatch at (%d,%d)x(%d,%d)", i1, j1, i2, j2)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestTransitiveClosure(t *testing.T) {
-	// Chain 0 -> 1 -> 2 -> 3.
-	m := NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	tc := TransitiveClosure(m)
-	want := NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if !tc.Equal(want) {
-		t.Fatalf("closure:\n%v\nwant:\n%v", tc, want)
-	}
-	// Cycle 0 -> 1 -> 0 closes to all four pairs.
-	cyc := TransitiveClosure(NewBoolFromPairs(2, 2, [][2]int{{0, 1}, {1, 0}}))
-	if cyc.NVals() != 4 {
-		t.Fatalf("cycle closure nvals = %d, want 4", cyc.NVals())
-	}
-}
-
 func TestExtractRows(t *testing.T) {
 	m := NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	set := NewVectorFromIndices(4, []int{1, 3})
@@ -271,5 +201,51 @@ func TestAccumulatorEpochWrap(t *testing.T) {
 		if len(got) != 3 || got[0] != 1 || got[1] != 64 || got[2] != 127 {
 			t.Fatalf("round %d: extract = %v", round, got)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Kernel benchmarks.
+
+func benchPair(density float64) (*Bool, *Bool) {
+	rng := rand.New(rand.NewSource(99))
+	a, _ := randomMatrix(rng, 400, 400, 0.01)
+	b, _ := randomMatrix(rng, 400, 400, density)
+	return a, b
+}
+
+func BenchmarkMulSparseRHS(b *testing.B) {
+	x, y := benchPair(0.005)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Mul(x, y)
+	}
+}
+
+func BenchmarkMulDenseRHS(b *testing.B) {
+	x, y := benchPair(0.2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Mul(x, y)
+	}
+}
+
+func BenchmarkTranspose(b *testing.B) {
+	x, _ := benchPair(0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Transpose(x)
+	}
+}
+
+func BenchmarkAddInPlace(b *testing.B) {
+	x, y := benchPair(0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddInPlace(x.Clone(), y)
 	}
 }

@@ -151,18 +151,6 @@ func ReduceCols(m *Bool) *Vector {
 	return v
 }
 
-// ReduceRows collapses m to the vector of rows that contain at least one
-// true entry.
-func ReduceRows(m *Bool) *Vector {
-	v := NewVector(m.nrows)
-	for i, row := range m.rows {
-		if len(row) > 0 {
-			v.idx = append(v.idx, uint32(i))
-		}
-	}
-	return v
-}
-
 // VecMul returns the vector-matrix product v * m: the set of columns of m
 // reachable from rows in v.
 func VecMul(v *Vector, m *Bool) *Vector {

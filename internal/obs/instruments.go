@@ -19,9 +19,9 @@ var (
 	KernelTransposeOps = Default.Counter("kernel.transpose.ops")
 	KernelFrontierNNZ  = Default.Histogram("kernel.frontier.nnz", SizeBuckets)
 
-	// Fixpoint shape: rounds until convergence, per algorithm family.
+	// Fixpoint shape: rounds until convergence (RPQ runs on the CFPQ
+	// driver, so its rounds land here too).
 	CFPQRounds = Default.Histogram("kernel.cfpq.rounds", RoundBuckets)
-	RPQRounds  = Default.Histogram("kernel.rpq.rounds", RoundBuckets)
 
 	// Execution governor outcomes (one per top-level query).
 	GovCompleted = Default.Counter("governor.completed")

@@ -3,101 +3,52 @@ package rpq
 import (
 	"fmt"
 
+	"mscfpq/internal/cfpq"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/obs"
 )
 
-// EvalPairs answers a multiple-source regular path query with pair
-// semantics: the result matrix has (s, v) set when some path from source
-// s to v spells a word of the regex's language.
-//
-// The evaluation is expressed in linear algebra, mirroring how the
-// database layer chains relation matrices: one |V| x |V| reachability
-// matrix R_q per NFA state, seeded with diag(src) at the start state and
-// grown by R_q' += R_q * G^l for every transition q -l-> q' until
-// fixpoint. The answer is R_accept restricted to src rows.
-func EvalPairs(g *graph.Graph, n *NFA, src *matrix.Vector, opts ...exec.Option) (*matrix.Bool, error) {
-	if g == nil || n == nil {
-		return nil, fmt.Errorf("rpq: nil graph or NFA")
+// Eval answers a multiple-source regular path query with pair
+// semantics: the result has (s, v) set when some path from a source s
+// to v spells a word of the regex's language. A regular query is a
+// partial case of CFPQ, so Eval compiles the regex, reduces its NFA to a
+// right-linear grammar (ToGrammar) and runs the multiple-source CFPQ
+// algorithm (Algorithm 2) through cfpq.Eval — the same fixpoint driver
+// every context-free query uses, which also validates src. Context,
+// timeout, budget and trace options apply, and the query's governor
+// outcome is recorded.
+func Eval(g *graph.Graph, query string, src *matrix.Vector, opts ...exec.Option) (*matrix.Bool, error) {
+	if g == nil {
+		return nil, fmt.Errorf("rpq: nil graph")
 	}
-	run, cancel := exec.Build(opts).Start()
-	defer cancel()
-	nv := g.NumVertices()
-	if src == nil || src.Size() != nv {
-		return nil, fmt.Errorf("rpq: source vector size mismatch (graph has %d vertices)", nv)
-	}
-	r := make([]*matrix.Bool, n.NumStates)
-	for q := range r {
-		r[q] = matrix.NewBool(nv, nv)
-	}
-	matrix.AddInPlace(r[n.Start], src.Diag())
-
-	// Resolve each label to its graph matrix once.
-	labelM := map[string]*matrix.Bool{}
-	for _, l := range n.Labels() {
-		m := g.EdgeMatrix(l)
-		if vs := g.VertexSet(l); vs.NVals() > 0 {
-			m = matrix.Add(m, vs.Diag())
-		}
-		labelM[l] = m
-	}
-
-	rounds := 0
-	for changed := true; changed; {
-		changed = false
-		rounds++
-		span := run.StartSpan(obs.SpanRound(rounds))
-		for _, e := range n.Eps {
-			if run.Add(r[e[1]], r[e[0]]) {
-				changed = true
-			}
-		}
-		for l, trans := range n.Trans {
-			gm := labelM[l]
-			if gm.NVals() == 0 {
-				continue
-			}
-			for _, tr := range trans {
-				if r[tr[0]].NVals() == 0 {
-					continue
-				}
-				prod, err := run.Mul(r[tr[0]], gm)
-				if err != nil {
-					span.End()
-					return nil, err
-				}
-				if run.Add(r[tr[1]], prod) {
-					changed = true
-				}
-			}
-		}
-		span.End()
-	}
-	obs.RPQRounds.Observe(int64(rounds))
-	return matrix.ExtractRows(r[n.Accept], src), nil
-}
-
-// EvalReachable answers the query with set semantics: the vertices
-// reachable from any source by a path in the language.
-func EvalReachable(g *graph.Graph, n *NFA, src *matrix.Vector, opts ...exec.Option) (*matrix.Vector, error) {
-	pairs, err := EvalPairs(g, n, src, opts...)
+	n, err := CompileRegex(query)
 	if err != nil {
 		return nil, err
 	}
-	return matrix.ReduceCols(pairs), nil
+	w, err := grammar.ToWCNF(ToGrammar(n))
+	if err != nil {
+		return nil, err
+	}
+	res, err := cfpq.Eval(g, w, src, append(opts[:len(opts):len(opts)], exec.WithAlgorithm(exec.AlgMultiSource))...)
+	if err != nil {
+		return nil, err
+	}
+	nv := g.NumVertices()
+	return matrix.NewBoolFromPairs(nv, nv, res.Pairs()), nil
 }
 
 // ToGrammar reduces the NFA to a right-linear context-free grammar whose
 // language equals the automaton's: one nonterminal per state, a
 // production Q_from -> l Q_to per transition, unit productions for eps
 // transitions, and Q_accept -> eps. Running the CFPQ engine on this
-// grammar answers the regular query, demonstrating the paper's claim
-// that regular queries are a partial case of CFPQ.
+// grammar answers the regular query (Eval), the paper's claim that
+// regular queries are a partial case of CFPQ.
 func ToGrammar(n *NFA) *grammar.Grammar {
-	name := func(q int) string { return fmt.Sprintf("Q%d", q) }
+	// '#' never occurs in a regex label, so no state name can collide
+	// with a terminal.
+	name := func(q int) string { return fmt.Sprintf("Q#%d", q) }
 	var prods []grammar.Production
 	// Iterate labels in sorted order: grammar nonterminal ids are
 	// assigned in production order, so ranging the Trans map directly

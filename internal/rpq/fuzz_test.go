@@ -1,9 +1,14 @@
 package rpq
 
-import "testing"
+import (
+	"testing"
 
-// FuzzRegex asserts the regex pipeline (parse, NFA, DFA) never panics
-// and that NFA and minimized DFA agree on a short probe word.
+	"mscfpq/internal/grammar"
+)
+
+// FuzzRegex asserts the regex pipeline (parse, NFA, grammar reduction,
+// WCNF) never panics and that the NFA and the WCNF of its reduced
+// grammar — the form rpq.Eval runs — agree on a short probe word.
 func FuzzRegex(f *testing.F) {
 	seeds := []string{
 		"a", "a b", "a | b", "a*", "(a b)+ c?", "a_r* b",
@@ -20,12 +25,17 @@ func FuzzRegex(f *testing.F) {
 		f.Add(s, "a b")
 	}
 	f.Add("subClassOf_r* subClassOf", "subClassOf")
+	// Labels spelled like the reduction's state nonterminals.
+	f.Add("Q0 Q1* | Q2", "a")
 	f.Fuzz(func(t *testing.T, src, wordSrc string) {
 		n, err := CompileRegex(src)
 		if err != nil {
 			return
 		}
-		d := Determinize(n).Minimize()
+		w, err := grammar.ToWCNF(ToGrammar(n))
+		if err != nil {
+			t.Fatalf("regex %q: reduced grammar has no WCNF: %v", src, err)
+		}
 		var word []string
 		for _, c := range wordSrc {
 			switch c {
@@ -38,8 +48,8 @@ func FuzzRegex(f *testing.F) {
 				break
 			}
 		}
-		if n.AcceptsWord(word) != d.AcceptsWord(word) {
-			t.Fatalf("regex %q word %v: NFA and DFA disagree", src, word)
+		if n.AcceptsWord(word) != w.Accepts(word) {
+			t.Fatalf("regex %q word %v: NFA and reduced grammar disagree", src, word)
 		}
 	})
 }

@@ -1,11 +1,12 @@
 // Package rpq implements regular path querying: parsing of path regular
-// expressions, Thompson NFA construction, a matrix-based multiple-source
-// evaluator, and a reduction of regexes to context-free grammars.
+// expressions, Thompson NFA construction, and the reduction of a regex
+// to a right-linear context-free grammar.
 //
 // The paper's conclusion demonstrates that regular queries are a partial
-// case of CFPQ; this package provides both the direct automaton
-// evaluation and the regex -> grammar reduction so the two can be
-// compared (experiment E11).
+// case of CFPQ, so there is no separate automaton evaluator: Eval runs
+// the reduced grammar through the multiple-source CFPQ driver
+// (experiment E11), and internal/oracle's BFS over the NFA product is
+// the independent reference it is tested against.
 //
 // Regex syntax over graph labels:
 //

@@ -1,13 +1,17 @@
 package rpq
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"mscfpq/internal/cfpq"
+	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
+	"mscfpq/internal/obs"
 )
 
 func TestParseRegex(t *testing.T) {
@@ -75,12 +79,8 @@ func chainGraph(labels ...string) *graph.Graph {
 
 func TestEvalPairsChain(t *testing.T) {
 	g := chainGraph("a", "b", "b", "c")
-	n, err := CompileRegex("a b* c?")
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := matrix.NewVectorFromIndices(5, []int{0})
-	got, err := EvalPairs(g, n, src)
+	got, err := Eval(g, "a b* c?", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +89,12 @@ func TestEvalPairsChain(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("pairs = %v, want %v", got.Pairs(), want.Pairs())
 	}
-	reach, err := EvalReachable(g, n, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reach.Equal(matrix.NewVectorFromIndices(5, []int{1, 2, 3, 4})) {
-		t.Fatalf("reachable = %v", reach)
-	}
 }
 
 func TestEvalPairsInverseLabels(t *testing.T) {
 	g := chainGraph("a", "a")
-	n, err := CompileRegex("a_r")
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := matrix.NewVectorFromIndices(3, []int{1, 2})
-	got, err := EvalPairs(g, n, src)
+	got, err := Eval(g, "a_r", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +105,111 @@ func TestEvalPairsInverseLabels(t *testing.T) {
 }
 
 func TestEvalErrors(t *testing.T) {
-	n, _ := CompileRegex("a")
-	if _, err := EvalPairs(nil, n, nil); err == nil {
+	if _, err := Eval(nil, "a", nil); err == nil {
 		t.Fatal("expected nil graph error")
 	}
 	g := chainGraph("a")
-	if _, err := EvalPairs(g, n, matrix.NewVector(99)); err == nil {
+	if _, err := Eval(g, "a", matrix.NewVector(99)); err == nil {
 		t.Fatal("expected size mismatch error")
+	}
+}
+
+// TestEvalLabelsNamedLikeStates pins that the reduction's nonterminals
+// cannot collide with a label: a query over labels spelled like NFA
+// state names must answer, not panic building the grammar.
+func TestEvalLabelsNamedLikeStates(t *testing.T) {
+	g := chainGraph("Q0", "Q1")
+	got, err := Eval(g, "Q0 Q1", matrix.NewVectorFromIndices(3, []int{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := matrix.NewBoolFromPairs(3, 3, [][2]int{{0, 2}}); !got.Equal(want) {
+		t.Fatalf("pairs = %v, want %v", got.Pairs(), want.Pairs())
+	}
+}
+
+func engineGraph() *graph.Graph {
+	g := graph.New(8)
+	for i := 0; i < 7; i++ {
+		g.AddEdge(i, "a", i+1)
+	}
+	g.AddEdge(7, "b", 0)
+	g.AddEdge(3, "b", 5)
+	return g
+}
+
+// TestEvalEnginesAgree checks the one RPQ path (the multiple-source
+// driver) against the two reference CFPQ engines, Algorithm 1 and the
+// worklist baseline, run on the same reduced grammar.
+func TestEvalEnginesAgree(t *testing.T) {
+	g := engineGraph()
+	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0, 3})
+	for _, query := range []string{"a+", "a* b", "a a b?"} {
+		got, err := Eval(g, query, src)
+		if err != nil {
+			t.Fatalf("%q: %v", query, err)
+		}
+		n, err := CompileRegex(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := grammar.MustWCNF(ToGrammar(n))
+		for _, alg := range []exec.Algorithm{exec.AlgMatrix, exec.AlgWorklist} {
+			ref, err := cfpq.Eval(g, w, src, exec.WithAlgorithm(alg))
+			if err != nil {
+				t.Fatalf("%q %v: %v", query, alg, err)
+			}
+			if want := matrix.NewBoolFromPairs(g.NumVertices(), g.NumVertices(), ref.Pairs()); !got.Equal(want) {
+				t.Fatalf("%q: Eval = %v, %v = %v", query, got.Pairs(), alg, want.Pairs())
+			}
+		}
+	}
+}
+
+func TestEvalValidatesInputs(t *testing.T) {
+	g := engineGraph()
+	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0})
+	if _, err := Eval(nil, "a", src); err == nil {
+		t.Fatal("nil graph accepted")
+	}
+	if _, err := Eval(g, "a", nil); err == nil {
+		t.Fatal("nil sources accepted")
+	}
+	if _, err := Eval(g, "a (", src); err == nil {
+		t.Fatal("bad regex accepted")
+	}
+}
+
+func TestEvalCancelledContext(t *testing.T) {
+	g := engineGraph()
+	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Eval(g, "a+ b", src, exec.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestEvalRecordsOutcome pins that every RPQ query is a governor query
+// boundary: the governor outcome counters move by exactly one per call.
+func TestEvalRecordsOutcome(t *testing.T) {
+	g := engineGraph()
+	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0, 3})
+	completed, budget := obs.GovCompleted.Value(), obs.GovBudget.Value()
+	if _, err := Eval(g, "a+ b", src); err != nil {
+		t.Fatal(err)
+	}
+	if d := obs.GovCompleted.Value() - completed; d != 1 {
+		t.Fatalf("governor.completed moved by %d, want 1", d)
+	}
+	if _, err := Eval(g, "a+ b", src, exec.WithBudget(10)); !errors.Is(err, exec.ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if d := obs.GovBudget.Value() - budget; d != 1 {
+		t.Fatalf("governor.budget_exceeded moved by %d, want 1", d)
+	}
+	if d := obs.GovCompleted.Value() - completed; d != 1 {
+		t.Fatalf("governor.completed moved by %d after the aborted query, want 1", d)
 	}
 }
 
@@ -145,49 +232,6 @@ func TestToGrammarLanguageEquivalence(t *testing.T) {
 			}
 			if got, want := w.Accepts(word), n.AcceptsWord(word); got != want {
 				t.Fatalf("regex %q word %v: grammar=%v nfa=%v", src, word, got, want)
-			}
-		}
-	}
-}
-
-// Property (experiment E11's correctness leg): direct RPQ evaluation
-// equals CFPQ over the regex-derived grammar on random graphs.
-func TestRPQViaCFPQProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	regexes := []string{"a b", "a+ b", "(a | b)*", "a_r* b"}
-	for _, srcRe := range regexes {
-		n, err := CompileRegex(srcRe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := grammar.MustWCNF(ToGrammar(n))
-		for trial := 0; trial < 8; trial++ {
-			nv := 3 + rng.Intn(10)
-			g := graph.New(nv)
-			for e := 0; e < 2+rng.Intn(3*nv); e++ {
-				label := "a"
-				if rng.Intn(2) == 0 {
-					label = "b"
-				}
-				g.AddEdge(rng.Intn(nv), label, rng.Intn(nv))
-			}
-			src := matrix.NewVector(nv)
-			for v := 0; v < nv; v++ {
-				if rng.Intn(3) == 0 {
-					src.Set(v)
-				}
-			}
-			direct, err := EvalPairs(g, n, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms, err := cfpq.MultiSource(g, w, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !direct.Equal(ms.Answer()) {
-				t.Fatalf("regex %q trial %d: direct=%v cfpq=%v",
-					srcRe, trial, direct.Pairs(), ms.Answer().Pairs())
 			}
 		}
 	}

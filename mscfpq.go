@@ -18,8 +18,8 @@
 //	gr, _ := mscfpq.ParseGrammar("S -> a S b | a b")
 //	w, _ := mscfpq.ToWCNF(gr)
 //	src := mscfpq.NewVertexSet(g.NumVertices(), 0)
-//	res, _ := mscfpq.MultiSource(g, w, src)
-//	fmt.Println(res.Answer().Pairs())
+//	res, _ := mscfpq.EvalCFPQ(g, w, src)
+//	fmt.Println(res.Pairs())
 package mscfpq
 
 import (
@@ -33,15 +33,14 @@ import (
 	"mscfpq/internal/obs"
 	"mscfpq/internal/resp"
 	"mscfpq/internal/rpq"
-	"mscfpq/internal/rsm"
 )
 
 // Execution governance. Every query entry point accepts functional
-// options controlling cancellation, resource budgets and kernel choice:
+// options controlling cancellation, resource budgets and the algorithm:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
-//	res, err := mscfpq.MultiSource(g, w, src,
+//	res, err := mscfpq.EvalCFPQ(g, w, src,
 //		mscfpq.WithContext(ctx),
 //		mscfpq.WithBudget(1_000_000))
 //
@@ -51,8 +50,6 @@ import (
 type (
 	// Option configures one query execution.
 	Option = exec.Option
-	// Engine selects the evaluation strategy of EvalRPQ.
-	Engine = exec.Engine
 	// Algorithm selects the evaluation strategy of EvalCFPQ.
 	Algorithm = exec.Algorithm
 	// Trace records a per-query span tree with kernel counter deltas;
@@ -69,12 +66,6 @@ var (
 	WithTimeout = exec.WithTimeout
 	// WithBudget bounds the query's work (relation entries produced).
 	WithBudget = exec.WithBudget
-	// WithWorkers sets the matrix-kernel parallelism (0 = sequential).
-	WithWorkers = exec.WithWorkers
-	// WithHybridKernels enables density-adaptive multiplication kernels.
-	WithHybridKernels = exec.WithHybridKernels
-	// WithEngine selects the RPQ evaluation engine (see EvalRPQ).
-	WithEngine = exec.WithEngine
 	// WithAlgorithm selects the CFPQ evaluation algorithm (see EvalCFPQ).
 	WithAlgorithm = exec.WithAlgorithm
 	// WithTrace attaches a per-query trace recording stage spans and
@@ -108,21 +99,6 @@ const (
 	AlgMSSinglePath = exec.AlgMSSinglePath
 )
 
-// RPQ engines for WithEngine.
-const (
-	// EngineAuto picks the default engine (minimized DFA).
-	EngineAuto = exec.EngineAuto
-	// EngineNFA simulates the compiled NFA directly.
-	EngineNFA = exec.EngineNFA
-	// EngineDFA determinizes and minimizes first (usually fastest).
-	EngineDFA = exec.EngineDFA
-	// EngineCFPQ reduces the regex to a context-free grammar and runs
-	// the multiple-source CFPQ algorithm.
-	EngineCFPQ = exec.EngineCFPQ
-	// EngineTensor runs the Kronecker-product RSM algorithm.
-	EngineTensor = exec.EngineTensor
-)
-
 // Core data model.
 type (
 	// Graph is an edge- and vertex-labeled directed graph stored as
@@ -149,11 +125,6 @@ type (
 	// Index is the cross-query cache of the optimized multiple-source
 	// algorithm (Algorithm 3).
 	Index = cfpq.Index
-	// SinglePathResult additionally reconstructs witness paths.
-	SinglePathResult = cfpq.SinglePathResult
-	// MSSinglePathResult is a multiple-source result with single-path
-	// semantics (MultiSourceSinglePath).
-	MSSinglePathResult = cfpq.MSSinglePathResult
 	// PathStep is one edge (or vertex-label step) of an extracted path.
 	PathStep = cfpq.PathStep
 	// CFPQResult is the unified result of EvalCFPQ: answer pairs plus
@@ -183,15 +154,8 @@ type (
 	QueryReply = resp.QueryReply
 )
 
-// Regular path querying.
-type (
-	// NFA is a compiled regular path query.
-	NFA = rpq.NFA
-	// DFA is a determinized (optionally minimized) regular path query.
-	DFA = rpq.DFA
-	// RSM is a recursive state machine for the tensor CFPQ algorithm.
-	RSM = rsm.RSM
-)
+// NFA is a compiled regular path query.
+type NFA = rpq.NFA
 
 // DatasetSpec describes one synthetic analog of the paper's graphs.
 type DatasetSpec = dataset.Spec
@@ -255,28 +219,9 @@ func NewVertexSet(n int, ids ...int) *VertexSet {
 //		mscfpq.WithAlgorithm(mscfpq.AlgSemiNaive))                      // all-pairs, delta iteration
 //
 // Results from AlgSinglePath and AlgMSSinglePath additionally satisfy
-// PathCFPQResult. All exec options (timeout, budget, workers, trace)
-// apply.
+// PathCFPQResult. All exec options (timeout, budget, trace) apply.
 func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (CFPQResult, error) {
 	return cfpq.Eval(g, w, src, opts...)
-}
-
-// AllPairs runs Azimov's all-pairs CFPQ algorithm (Algorithm 1).
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgMatrix); AllPairs
-// remains for callers that need the concrete Result with its
-// per-nonterminal relation matrices.
-func AllPairs(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
-	return cfpq.AllPairs(g, w, opts...)
-}
-
-// MultiSource runs the paper's multiple-source algorithm (Algorithm 2).
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgMultiSource);
-// MultiSource remains for callers that need the concrete MSResult with
-// its source sets.
-func MultiSource(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*MSResult, error) {
-	return cfpq.MultiSource(g, w, src, opts...)
 }
 
 // NewIndex builds the cross-query cache for the optimized
@@ -287,84 +232,26 @@ func NewIndex(g *Graph, w *WCNF, opts ...Option) (*Index, error) {
 	return cfpq.NewIndex(g, w, opts...)
 }
 
-// SinglePath runs all-pairs CFPQ with single-path semantics; the result
-// reconstructs one witness path per reachability fact.
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgSinglePath); the
-// result satisfies PathCFPQResult. SinglePath remains for callers that
-// need the concrete SinglePathResult.
-func SinglePath(g *Graph, w *WCNF, opts ...Option) (*SinglePathResult, error) {
-	return cfpq.SinglePath(g, w, opts...)
-}
-
-// MultiSourceSinglePath combines the multiple-source restriction of
-// Algorithm 2 with single-path semantics: only paths from src are
-// computed, and each answer pair can be expanded into a witness path.
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgMSSinglePath); the
-// result satisfies PathCFPQResult. MultiSourceSinglePath remains for
-// callers that need the concrete MSSinglePathResult.
-func MultiSourceSinglePath(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*MSSinglePathResult, error) {
-	return cfpq.MultiSourceSinglePath(g, w, src, opts...)
-}
-
 // Word returns the label word of an extracted path.
 func Word(steps []PathStep) []string { return cfpq.Word(steps) }
-
-// AllPairsSemiNaive is AllPairs with semi-naive (delta) iteration; it
-// wins when the fixpoint runs many rounds (dense, deep hierarchies).
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgSemiNaive).
-func AllPairsSemiNaive(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
-	return cfpq.AllPairsSemiNaive(g, w, opts...)
-}
-
-// Worklist runs the non-linear-algebra CFL-reachability baseline.
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgWorklist).
-func Worklist(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
-	return cfpq.Worklist(g, w, opts...)
-}
 
 // CompileRegex compiles a regular path query ("subClassOf+ type?").
 func CompileRegex(src string) (*NFA, error) { return rpq.CompileRegex(src) }
 
-// EvalRPQ answers a multiple-source regular path query, compiling the
-// query string and dispatching to the engine selected by WithEngine
-// (minimized DFA by default). It is the one entry point behind the
-// library's four RPQ engines:
+// EvalRPQ answers a multiple-source regular path query with pair
+// semantics. Regular queries are a partial case of CFPQ: the regex is
+// reduced to a grammar (RegexToGrammar) and evaluated by the
+// multiple-source algorithm, so the same options apply as to EvalCFPQ:
 //
-//	reach, err := mscfpq.EvalRPQ(g, "subClassOf+", src)                     // minimized DFA
-//	reach, err := mscfpq.EvalRPQ(g, "subClassOf+", src,
-//		mscfpq.WithEngine(mscfpq.EngineTensor))                             // Kronecker RSM
+//	reach, err := mscfpq.EvalRPQ(g, "subClassOf+ type_r?", src,
+//		mscfpq.WithBudget(1_000_000))
 func EvalRPQ(g *Graph, query string, src *VertexSet, opts ...Option) (*BoolMatrix, error) {
 	return rpq.Eval(g, query, src, opts...)
-}
-
-// EvalRegex answers a multiple-source regular path query with pair
-// semantics through the compiled NFA (see EvalRPQ for the unified
-// engine-selecting entry point).
-func EvalRegex(g *Graph, n *NFA, src *VertexSet, opts ...Option) (*BoolMatrix, error) {
-	return rpq.EvalPairs(g, n, src, opts...)
 }
 
 // RegexToGrammar reduces a regular query to a context-free grammar so
 // the CFPQ engine can evaluate it.
 func RegexToGrammar(n *NFA) *Grammar { return rpq.ToGrammar(n) }
-
-// Determinize builds the minimized DFA of a regular path query; answer
-// it with EvalRegexDFA (the fastest RPQ engine in the library).
-func Determinize(n *NFA) *DFA { return rpq.Determinize(n).Minimize() }
-
-// EvalRegexDFA answers a multiple-source regular path query through a
-// deterministic automaton.
-func EvalRegexDFA(g *Graph, d *DFA, src *VertexSet, opts ...Option) (*BoolMatrix, error) {
-	return rpq.EvalPairsDFA(g, d, src, opts...)
-}
-
-// NewRSM builds the recursive state machine of a grammar for the
-// tensor (Kronecker product) CFPQ algorithm.
-func NewRSM(g *Grammar) (*RSM, error) { return rsm.FromGrammar(g) }
 
 // NewDB creates an empty graph database.
 func NewDB() *DB { return gdb.New() }
