@@ -30,8 +30,9 @@ race-quick:
 	$(GO) test -race $(RACE_PKGS)
 
 # Differential suite: every CFPQ/RPQ evaluator against the independent
-# oracle plus the metamorphic invariants (see TESTING.md). The short
-# pass runs under -race; diff-test-slow is the deep seeded sweep.
+# oracle, the metamorphic invariants, and generated Cypher path queries
+# through the database against the pattern oracle (see TESTING.md). The
+# short pass runs under -race; diff-test-slow is the deep seeded sweep.
 diff-test:
 	$(GO) test -race -count=1 ./internal/difftest ./internal/oracle ./internal/gen
 
@@ -117,7 +118,8 @@ bench-e2e:
 bench-batch:
 	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
 
-# Short fuzzing sessions over every parser.
+# Short fuzzing sessions over every parser, plus generated Cypher path
+# queries checked end to end against the pattern oracle (FuzzQuery).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/cypher/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/grammar/
@@ -127,6 +129,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=30s ./internal/gdb/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverSnapshot -fuzztime=30s ./internal/gdb/
 	$(GO) test -run=NONE -fuzz=FuzzCacheKey -fuzztime=30s ./internal/store/
+	$(GO) test -run=NONE -fuzz=FuzzQuery -fuzztime=30s ./internal/difftest/
 
 # Ten-second fuzz pass per target: enough to catch shallow regressions
 # on every CI run without holding the pipeline hostage.
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=10s ./internal/gdb/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverSnapshot -fuzztime=10s ./internal/gdb/
 	$(GO) test -run=NONE -fuzz=FuzzCacheKey -fuzztime=10s ./internal/store/
+	$(GO) test -run=NONE -fuzz=FuzzQuery -fuzztime=10s ./internal/difftest/
 
 # Static analysis gate: formatting, the repository's own analyzers
 # (cmd/mscfpq-lint — see DESIGN.md §12) under both tag configurations

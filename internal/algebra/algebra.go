@@ -1,19 +1,15 @@
 // Package algebra implements the algebraic expressions the database
-// layer translates patterns into (paper Figure 11):
+// layer translates relationship patterns into (paper Figure 11):
 //
 //	AlgExpr = AlgExpr + AlgExpr | AlgExpr * AlgExpr |
-//	          Transpose(AlgExpr) | Matrix | Ref(ref)
-//
-// extended with the Kleene operators (Star/Plus/Opt) needed to express
-// the CIP path-pattern quantifiers directly in linear algebra.
+//	          Transpose(AlgExpr) | Matrix
 //
 // Label operands stay symbolic (edge or vertex label names) and are
 // resolved against an Env at evaluation time, so one expression can be
-// evaluated against different graphs or filter contexts. Evaluation of a
-// multiplication whose right operand is a reference reports the left
-// operand's destination vertices through Env.NoteRefSources — this is
-// exactly the paper's Algorithm 8 extension of EvalMul, which feeds the
-// multiple-source CFPQ run that resolves named path patterns.
+// evaluated against different graphs or filter contexts. Path patterns
+// do not come here: they are compiled into the PATH PATTERN grammar and
+// answered by the multiple-source CFPQ driver, which plays the paper's
+// Algorithm 8 (internal/plan).
 package algebra
 
 import (
@@ -24,10 +20,10 @@ import (
 )
 
 // Governed is an optional Env extension: environments that also
-// implement it have their multiplications and closures routed through
-// the returned execution governor, giving expression evaluation the
-// same cancellation, timeout, and budget behavior as the CFPQ engines.
-// A nil governor (or an Env without the method) evaluates ungoverned.
+// implement it have their multiplications routed through the returned
+// execution governor, giving expression evaluation the same
+// cancellation, timeout, and budget behavior as the CFPQ engines. A nil
+// governor (or an Env without the method) evaluates ungoverned.
 type Governed interface {
 	ExecRun() *exec.Run
 }
@@ -42,20 +38,12 @@ func envRun(env Env) *exec.Run {
 
 // Env resolves symbolic operands during evaluation.
 type Env interface {
-	// Vertices returns the dimension of the evaluation space.
-	Vertices() int
 	// EdgeMatrix resolves an edge label ("x" or inverse "x_r").
 	EdgeMatrix(label string) *matrix.Bool
 	// VertexMatrix resolves a vertex label to its diagonal matrix.
 	VertexMatrix(label string) *matrix.Bool
 	// AnyEdgeMatrix returns the union of all edge label matrices.
 	AnyEdgeMatrix() *matrix.Bool
-	// RefMatrix returns the current relation matrix of a named path
-	// pattern (empty if not yet resolved).
-	RefMatrix(name string) (*matrix.Bool, error)
-	// NoteRefSources records that the named pattern must be solved for
-	// the given source vertices (Algorithm 8, line 4).
-	NoteRefSources(name string, src *matrix.Vector)
 }
 
 // Expr is an algebraic expression node.
@@ -84,9 +72,6 @@ type VertexLabel struct{ Label string }
 // AnyEdge is the union of all adjacency matrices (a bare --> pattern).
 type AnyEdge struct{}
 
-// Ref is a reference to a named path pattern.
-type Ref struct{ Name string }
-
 // Fixed wraps a concrete matrix (e.g. the record-buffer filter diagonal
 // the traverse operations prepend).
 type Fixed struct {
@@ -94,38 +79,20 @@ type Fixed struct {
 	M    *matrix.Bool
 }
 
-// Ident is the identity matrix (an empty node check, a trivial path).
-type Ident struct{}
-
-// Star is the reflexive-transitive closure (e*).
-type Star struct{ Sub Expr }
-
-// Plus is the transitive closure (e+).
-type Plus struct{ Sub Expr }
-
-// Opt adds the identity (e?).
-type Opt struct{ Sub Expr }
-
 func (e Add) String() string         { return "(" + e.L.String() + " + " + e.R.String() + ")" }
 func (e Mul) String() string         { return "(" + e.L.String() + " * " + e.R.String() + ")" }
 func (e Transpose) String() string   { return "Transpose(" + e.Sub.String() + ")" }
 func (e EdgeLabel) String() string   { return "E^" + e.Label }
 func (e VertexLabel) String() string { return "V^" + e.Label }
 func (e AnyEdge) String() string     { return "E^*" }
-func (e Ref) String() string         { return "Ref(" + e.Name + ")" }
 func (e Fixed) String() string {
 	if e.Name != "" {
 		return e.Name
 	}
 	return "Fixed"
 }
-func (e Ident) String() string { return "I" }
-func (e Star) String() string  { return "Star(" + e.Sub.String() + ")" }
-func (e Plus) String() string  { return "Plus(" + e.Sub.String() + ")" }
-func (e Opt) String() string   { return "Opt(" + e.Sub.String() + ")" }
 
-// Eval evaluates the expression under env, applying the Algorithm 8
-// source-propagation rule at every multiplication.
+// Eval evaluates the expression under env.
 func Eval(e Expr, env Env) (*matrix.Bool, error) {
 	if e == nil {
 		return nil, fmt.Errorf("algebra: nil expression")
@@ -150,11 +117,6 @@ func (e Mul) eval(env Env) (*matrix.Bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Algorithm 8: a reference on the right receives the left operand's
-	// destinations as new sources before being read.
-	if ref, ok := e.R.(Ref); ok {
-		env.NoteRefSources(ref.Name, matrix.ReduceCols(l))
-	}
 	r, err := e.R.eval(env)
 	if err != nil {
 		return nil, err
@@ -174,79 +136,9 @@ func (e EdgeLabel) eval(env Env) (*matrix.Bool, error)   { return env.EdgeMatrix
 func (e VertexLabel) eval(env Env) (*matrix.Bool, error) { return env.VertexMatrix(e.Label), nil }
 func (e AnyEdge) eval(env Env) (*matrix.Bool, error)     { return env.AnyEdgeMatrix(), nil }
 
-func (e Ref) eval(env Env) (*matrix.Bool, error) { return env.RefMatrix(e.Name) }
-
 func (e Fixed) eval(Env) (*matrix.Bool, error) {
 	if e.M == nil {
 		return nil, fmt.Errorf("algebra: Fixed operand %q has no matrix", e.Name)
 	}
 	return e.M, nil
 }
-
-func (e Ident) eval(env Env) (*matrix.Bool, error) {
-	return matrix.Identity(env.Vertices()), nil
-}
-
-func (e Star) eval(env Env) (*matrix.Bool, error) {
-	m, err := e.Sub.eval(env)
-	if err != nil {
-		return nil, err
-	}
-	c, err := envRun(env).Closure(m)
-	if err != nil {
-		return nil, err
-	}
-	return matrix.Add(c, matrix.Identity(env.Vertices())), nil
-}
-
-func (e Plus) eval(env Env) (*matrix.Bool, error) {
-	m, err := e.Sub.eval(env)
-	if err != nil {
-		return nil, err
-	}
-	return envRun(env).Closure(m)
-}
-
-func (e Opt) eval(env Env) (*matrix.Bool, error) {
-	m, err := e.Sub.eval(env)
-	if err != nil {
-		return nil, err
-	}
-	return matrix.Add(m, matrix.Identity(env.Vertices())), nil
-}
-
-// Refs returns the distinct reference names in the expression, in
-// first-occurrence order.
-func Refs(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case Add:
-			walk(v.L)
-			walk(v.R)
-		case Mul:
-			walk(v.L)
-			walk(v.R)
-		case Transpose:
-			walk(v.Sub)
-		case Star:
-			walk(v.Sub)
-		case Plus:
-			walk(v.Sub)
-		case Opt:
-			walk(v.Sub)
-		case Ref:
-			if !seen[v.Name] {
-				seen[v.Name] = true
-				out = append(out, v.Name)
-			}
-		}
-	}
-	walk(e)
-	return out
-}
-
-// HasRefs reports whether the expression references named path patterns.
-func HasRefs(e Expr) bool { return len(Refs(e)) > 0 }

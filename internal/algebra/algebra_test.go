@@ -1,8 +1,6 @@
 package algebra
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"mscfpq/internal/matrix"
@@ -13,8 +11,6 @@ type stubEnv struct {
 	n     int
 	edges map[string]*matrix.Bool
 	verts map[string]*matrix.Bool
-	refs  map[string]*matrix.Bool
-	noted map[string][]int
 }
 
 func newStubEnv(n int) *stubEnv {
@@ -22,12 +18,9 @@ func newStubEnv(n int) *stubEnv {
 		n:     n,
 		edges: map[string]*matrix.Bool{},
 		verts: map[string]*matrix.Bool{},
-		refs:  map[string]*matrix.Bool{},
-		noted: map[string][]int{},
 	}
 }
 
-func (e *stubEnv) Vertices() int { return e.n }
 func (e *stubEnv) EdgeMatrix(l string) *matrix.Bool {
 	if m := e.edges[l]; m != nil {
 		return m
@@ -47,22 +40,12 @@ func (e *stubEnv) AnyEdgeMatrix() *matrix.Bool {
 	}
 	return u
 }
-func (e *stubEnv) RefMatrix(name string) (*matrix.Bool, error) {
-	if m := e.refs[name]; m != nil {
-		return m, nil
-	}
-	return nil, fmt.Errorf("no ref %q", name)
-}
-func (e *stubEnv) NoteRefSources(name string, src *matrix.Vector) {
-	e.noted[name] = append(e.noted[name], src.Ints()...)
-}
 
 func env3() *stubEnv {
 	e := newStubEnv(3)
 	e.edges["a"] = matrix.NewBoolFromPairs(3, 3, [][2]int{{0, 1}, {1, 2}})
 	e.edges["b"] = matrix.NewBoolFromPairs(3, 3, [][2]int{{2, 0}})
 	e.verts["x"] = matrix.NewBoolFromPairs(3, 3, [][2]int{{1, 1}})
-	e.refs["S"] = matrix.NewBoolFromPairs(3, 3, [][2]int{{1, 1}, {2, 2}})
 	return e
 }
 
@@ -75,7 +58,6 @@ func TestEvalBasicOperands(t *testing.T) {
 		{EdgeLabel{Label: "a"}, e.edges["a"]},
 		{VertexLabel{Label: "x"}, e.verts["x"]},
 		{EdgeLabel{Label: "nope"}, matrix.NewBool(3, 3)},
-		{Ident{}, matrix.Identity(3)},
 		{AnyEdge{}, matrix.NewBoolFromPairs(3, 3, [][2]int{{0, 1}, {1, 2}, {2, 0}})},
 	}
 	for i, c := range cases {
@@ -106,34 +88,12 @@ func TestEvalCompound(t *testing.T) {
 	if !got.Get(1, 0) || !got.Get(2, 1) || got.NVals() != 2 {
 		t.Fatalf("a^T = %v", got)
 	}
-	// Star(a) includes identity and closure.
-	got, _ = Eval(Star{Sub: EdgeLabel{Label: "a"}}, e)
-	for _, p := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}, {1, 2}, {0, 2}} {
-		if !got.Get(p[0], p[1]) {
-			t.Fatalf("Star(a) missing %v", p)
-		}
-	}
-	// Plus(a) excludes identity.
-	got, _ = Eval(Plus{Sub: EdgeLabel{Label: "a"}}, e)
-	if got.Get(0, 0) || !got.Get(0, 2) {
-		t.Fatalf("Plus(a) = %v", got)
-	}
-	// Opt(a) = a + I.
-	got, _ = Eval(Opt{Sub: EdgeLabel{Label: "a"}}, e)
-	if !got.Get(0, 0) || !got.Get(0, 1) || got.Get(0, 2) {
-		t.Fatalf("Opt(a) = %v", got)
-	}
-}
-
-func TestAlgorithm8NotesSources(t *testing.T) {
-	e := env3()
-	// a * Ref(S): the destinations of a (vertices 1, 2) become sources of S.
-	_, err := Eval(Mul{L: EdgeLabel{Label: "a"}, R: Ref{Name: "S"}}, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e.noted["S"], []int{1, 2}) {
-		t.Fatalf("noted = %v", e.noted["S"])
+	// Filter * a * V^x keeps the a-edges of the filtered sources that
+	// land on x vertices.
+	filter := Fixed{Name: "Filter", M: matrix.NewBoolFromPairs(3, 3, [][2]int{{0, 0}, {1, 1}})}
+	got, _ = Eval(Mul{L: Mul{L: filter, R: EdgeLabel{Label: "a"}}, R: VertexLabel{Label: "x"}}, e)
+	if !got.Equal(matrix.NewBoolFromPairs(3, 3, [][2]int{{0, 1}})) {
+		t.Fatalf("Filter*a*V^x = %v", got)
 	}
 }
 
@@ -142,38 +102,18 @@ func TestEvalErrors(t *testing.T) {
 	if _, err := Eval(nil, e); err == nil {
 		t.Fatal("expected error for nil expr")
 	}
-	if _, err := Eval(Ref{Name: "missing"}, e); err == nil {
-		t.Fatal("expected error for unknown ref")
-	}
 	if _, err := Eval(Fixed{Name: "f"}, e); err == nil {
 		t.Fatal("expected error for Fixed without matrix")
 	}
 }
 
-func TestRefsCollection(t *testing.T) {
-	expr := Add{
-		L: Mul{L: EdgeLabel{Label: "a"}, R: Ref{Name: "S"}},
-		R: Transpose{Sub: Mul{L: Ref{Name: "T"}, R: Ref{Name: "S"}}},
-	}
-	if got := Refs(expr); !reflect.DeepEqual(got, []string{"S", "T"}) {
-		t.Fatalf("Refs = %v", got)
-	}
-	if !HasRefs(expr) || HasRefs(EdgeLabel{Label: "a"}) {
-		t.Fatal("HasRefs wrong")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	cases := map[Expr]string{
-		Mul{L: Fixed{Name: "Filter"}, R: Add{L: EdgeLabel{Label: "a"}, R: Ref{Name: "S"}}}: "(Filter * (E^a + Ref(S)))",
-		Transpose{Sub: EdgeLabel{Label: "a"}}:                                              "Transpose(E^a)",
-		VertexLabel{Label: "x"}:                                                            "V^x",
-		AnyEdge{}:                                                                          "E^*",
-		Ident{}:                                                                            "I",
-		Star{Sub: EdgeLabel{Label: "a"}}:                                                   "Star(E^a)",
-		Plus{Sub: EdgeLabel{Label: "a"}}:                                                   "Plus(E^a)",
-		Opt{Sub: EdgeLabel{Label: "a"}}:                                                    "Opt(E^a)",
-		Fixed{M: nil}:                                                                      "Fixed",
+		Mul{L: Fixed{Name: "Filter"}, R: Add{L: EdgeLabel{Label: "a"}, R: EdgeLabel{Label: "b"}}}: "(Filter * (E^a + E^b))",
+		Transpose{Sub: EdgeLabel{Label: "a"}}:                                                     "Transpose(E^a)",
+		VertexLabel{Label: "x"}:                                                                   "V^x",
+		AnyEdge{}:                                                                                 "E^*",
+		Fixed{M: nil}:                                                                             "Fixed",
 	}
 	for expr, want := range cases {
 		if got := expr.String(); got != want {
@@ -185,16 +125,15 @@ func TestStringRendering(t *testing.T) {
 // Errors inside operands must propagate through every compound node.
 func TestEvalErrorPropagation(t *testing.T) {
 	e := env3()
-	bad := Ref{Name: "missing"}
+	bad := Fixed{Name: "missing"}
+	a := EdgeLabel{Label: "a"}
 	exprs := []Expr{
-		Add{L: bad, R: Ident{}},
-		Add{L: Ident{}, R: bad},
-		Mul{L: bad, R: Ident{}},
-		Mul{L: EdgeLabel{Label: "a"}, R: Transpose{Sub: bad}},
+		Add{L: bad, R: a},
+		Add{L: a, R: bad},
+		Mul{L: bad, R: a},
+		Mul{L: a, R: bad},
+		Mul{L: a, R: Transpose{Sub: bad}},
 		Transpose{Sub: bad},
-		Star{Sub: bad},
-		Plus{Sub: bad},
-		Opt{Sub: bad},
 	}
 	for i, expr := range exprs {
 		if _, err := Eval(expr, e); err == nil {

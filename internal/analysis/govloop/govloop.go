@@ -2,8 +2,8 @@
 // governor they have in scope.
 //
 // PR 1 made every long-running algorithm loop — CFPQ fixpoint rounds,
-// transitive-closure squarings, the row blocks of big matrix
-// multiplications — poll an exec.Run (or a context) so queries
+// worklist pops, the row blocks of big matrix multiplications — poll an
+// exec.Run (or a context) so queries
 // stay cancellable and budget-bounded. That discipline is easy to lose:
 // a new kernel that receives a governor but never consults it compiles
 // and passes tests, yet runs unbounded. govloop turns the convention
@@ -20,9 +20,9 @@
 //     any loop containing a nested loop (≥ quadratic in the operand);
 //     flat constant-trip or single-level index loops are accepted;
 //   - no governor checkpoint is reachable in its body: no method call
-//     on a context or run value (run.Err, run.Charge, governed run.Mul
-//     / run.Closure, ctx.Err, <-ctx.Done()), and no call that passes
-//     the governor along to a governed callee.
+//     on a context or run value (run.Err, run.Charge, the governed
+//     run.Mul, ctx.Err, <-ctx.Done()), and no call that passes the
+//     governor along to a governed callee.
 //
 // Ungoverned helpers (e.g. the deliberately plain matrix.Mul serial
 // kernel) are out of scope: with no governor in sight there is nothing
@@ -94,7 +94,7 @@ func checkLoops(pass *analysis.Pass, body ast.Node) {
 		switch n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 			if kernelSized(pass, n) && !hasCheckpoint(pass, n) {
-				pass.Reportf(n.Pos(), "kernel-sized loop without a governor checkpoint: poll run.Err()/run.Charge (or the context) inside the loop, use a governed kernel (run.Mul, run.Closure), or pass the governor to the callee")
+				pass.Reportf(n.Pos(), "kernel-sized loop without a governor checkpoint: poll run.Err()/run.Charge (or the context) inside the loop, use a governed kernel (run.Mul), or pass the governor to the callee")
 			}
 			// The discipline is one poll per outermost kernel loop;
 			// inner row/column loops are deliberately unchecked.

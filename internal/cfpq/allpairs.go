@@ -23,8 +23,7 @@ func AllPairs(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Result, error) 
 	defer cancel()
 	n := g.NumVertices()
 	r := newResult(w, n)
-	initSimpleRules(r, g)
-	initEpsRules(r, n)
+	seed(r.T, w, g, 0)
 
 	for changed := true; changed; {
 		// Poll once per round: with no binary rules the body below is

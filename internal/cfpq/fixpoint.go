@@ -21,9 +21,9 @@ func boolProduct(run *exec.Run, _ int, a, b *matrix.Bool) (*matrix.Bool, func(i,
 }
 
 // fixpoint is the one delta-driven loop behind AllPairsSemiNaive,
-// MultiSourceFrom, Index.MultiSourceSmartFrom, SinglePath and
-// MultiSourceSinglePath (DESIGN.md §16): they seed T and the source
-// vectors, call solve, and pack the state into their result.
+// MultiSourceFrom, the Index (MultiSourceSmart and Extension.Rows),
+// SinglePath and MultiSourceSinglePath (DESIGN.md §16): they seed T and
+// the source vectors, call solve, and pack the state into their result.
 //
 // Each round applies every rule A -> B C to what the previous round
 // added. With M = rows(T^B, active A-sources), Algorithm 2's
@@ -80,8 +80,7 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, w
 			return nil, nil, err
 		}
 	} else {
-		initSimpleRules(r.Result, g)
-		initEpsRules(r.Result, n)
+		seed(r.T, w, g, 0)
 	}
 	if err := f.solve(); err != nil {
 		return nil, nil, err

@@ -45,8 +45,7 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 				T, mul = sp.T, sp.witnessProduct
 			} else {
 				r := newResult(w, n)
-				initSimpleRules(r, g)
-				initEpsRules(r, n)
+				seed(r.T, w, g, 0)
 				T = r.T
 			}
 

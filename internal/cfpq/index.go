@@ -2,6 +2,7 @@ package cfpq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mscfpq/internal/exec"
@@ -43,17 +44,16 @@ type Index struct {
 // NewIndex creates an empty cache for (g, w), seeding T from the simple
 // and eps rules once; subsequent queries share the seeded matrices. The
 // options become per-index defaults; per-query options layered on top
-// via MultiSourceSmart override them.
+// via MultiSourceSmart override them. w may have no nonterminals: such
+// an index serves only Extensions.
 func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
-	if err := checkInputs(g, w); err != nil {
-		return nil, err
+	if g == nil || w == nil {
+		return nil, fmt.Errorf("cfpq: nil graph or grammar")
 	}
 	n := g.NumVertices()
 	idx := &Index{G: g, W: w, opts: exec.Build(opts)}
-	r := newResult(w, n)
-	initSimpleRules(r, g)
-	initEpsRules(r, n)
-	idx.T = r.T
+	idx.T = newResult(w, n).T
+	seed(idx.T, w, g, 0)
 	idx.TSrc = make([]*matrix.Vector, w.NumNonterms())
 	for a := range idx.TSrc {
 		idx.TSrc[a] = matrix.NewVector(n)
@@ -127,48 +127,119 @@ func (idx *Index) CachedSources() *matrix.Vector { return idx.ProcessedSources(i
 // sources are filtered against the cached TSrc (lines 9-10) so each
 // vertex is processed at most once per nonterminal across the lifetime
 // of the index.
+//
+// The result's Answer is a private copy; its T is the index's own (see
+// Relation) and its Src the sources this query processed.
 func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("cfpq: nil source vector")
 	}
-	return idx.MultiSourceSmartFrom(map[int]*matrix.Vector{idx.W.Start: src}, opts...)
-}
-
-// MultiSourceSmartFrom is the generalization of Algorithm 3 the database
-// layer uses (Section 4.3.2): source sets may be requested for arbitrary
-// nonterminals (the named path patterns an operation depends on), and
-// the cache is shared across all of them.
-//
-// The result's Answer is a private copy; its T is the index's own (see
-// Relation) and its Src the sources this query processed.
-func (idx *Index) MultiSourceSmartFrom(srcByNT map[int]*matrix.Vector, opts ...Option) (*MSResult, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
+	w := idx.W
+	f, work, err := idx.solveLocked(w, idx.T, idx.TSrc, w.Start, src, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &MSResult{
+		Result:  &Result{W: w, T: idx.T, Rounds: f.rounds, Work: work},
+		Src:     f.active,
+		Sources: src.Clone(),
+		answer:  matrix.ExtractRows(idx.T[w.Start], src),
+	}, nil
+}
+
+// solveLocked is Algorithm 3 for the sources src of nonterminal a over
+// w, which is idx.W or extends it (grammar.Extend), with relations T and
+// processed sets done: the index's own, followed by an Extension's. Only
+// sources not in done enter the computation; once the fixpoint completes
+// the ones it processed join done (the abort rule, DESIGN.md §16). The
+// caller holds idx.mu.
+func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.Vector, a int, src *matrix.Vector, opts []Option) (*fixpoint, int64, error) {
 	run, cancel := idx.opts.Apply(opts).Start()
 	defer cancel()
-	n := idx.G.NumVertices()
-	w := idx.W
-
-	// Line 3: only sources not yet in the cache enter the computation.
-	f := &fixpoint{w: w, run: run, mul: boolProduct, T: idx.T, done: idx.TSrc}
-	if err := f.restrict(srcByNT, n); err != nil {
-		return nil, err
+	f := &fixpoint{w: w, run: run, mul: boolProduct, T: T, done: done}
+	if err := f.restrict(map[int]*matrix.Vector{a: src}, idx.G.NumVertices()); err != nil {
+		return nil, 0, err
 	}
 	idx.queries++
 	if err := f.solve(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Commit: the rows of this run's sources are now complete.
-	for a := range idx.TSrc {
-		idx.TSrc[a].UnionInPlace(f.active[a])
+	for b := range done {
+		done[b].UnionInPlace(f.active[b])
 	}
-	sources := requested(srcByNT, w.Start, n)
-	return &MSResult{
-		Result:  &Result{W: w, T: idx.T, Rounds: f.rounds, Work: run.Spent()},
-		Src:     f.active,
-		Sources: sources,
-		answer:  matrix.ExtractRows(idx.T[w.Start], sources),
-	}, nil
+	return f, run.Spent(), nil
+}
+
+// Extension is one query's grammar on top of the index: a MATCH path
+// pattern compiled into the declared grammar. Its WCNF extends idx.W, so
+// the declared nonterminals keep their ids and use the index's own
+// relations and processed sources — what the query derives for them
+// stays for later queries — while the nonterminals it adds get their own,
+// seeded once and grown across the query's calls to Rows. An Extension
+// serves one query at a time.
+type Extension struct {
+	idx *Index
+	w   *grammar.WCNF
+
+	// Per nonterminal of w: the index's T and TSrc for its own
+	// nonterminals, then the added ones'; read and grown under idx.mu.
+	t    []*matrix.Bool
+	tsrc []*matrix.Vector
+}
+
+// Extend seeds the nonterminals w adds to the index's grammar; w must
+// extend idx.W (grammar.Extend).
+func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
+	base := idx.W.NumNonterms()
+	if w.NumNonterms() < base || !slices.Equal(w.Nonterms[:base], idx.W.Nonterms) {
+		return nil, fmt.Errorf("cfpq: grammar does not extend the index's")
+	}
+	n := idx.G.NumVertices()
+	x := &Extension{
+		idx:  idx,
+		w:    w,
+		t:    make([]*matrix.Bool, w.NumNonterms()),
+		tsrc: make([]*matrix.Vector, w.NumNonterms()),
+	}
+	for a := base; a < len(x.t); a++ {
+		x.t[a] = matrix.NewBool(n, n)
+		x.tsrc[a] = matrix.NewVector(n)
+	}
+	seed(x.t, w, idx.G, base)
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	copy(x.t, idx.T)
+	copy(x.tsrc, idx.TSrc)
+	return x, nil
+}
+
+// Rows returns a private copy of the rows of nonterminal a for the
+// sources in src, first solving the ones a has not processed: Algorithm
+// 3 over the extended grammar, in which the sources requested for an
+// added nonterminal reach the declared ones through the rules that use
+// them — the paper's Algorithm 8, where a reference receives the
+// destinations of its left operand as sources. When every source is
+// processed already, no round runs.
+func (x *Extension) Rows(a int, src *matrix.Vector, opts ...Option) (*matrix.Bool, error) {
+	if a < 0 || a >= len(x.t) {
+		return nil, fmt.Errorf("cfpq: nonterminal id %d out of range", a)
+	}
+	idx := x.idx
+	if src == nil || src.Size() != idx.G.NumVertices() {
+		return nil, fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", idx.G.NumVertices())
+	}
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	fresh := src.Clone()
+	fresh.DiffInPlace(x.tsrc[a])
+	if !fresh.Empty() {
+		if _, _, err := idx.solveLocked(x.w, x.t, x.tsrc, a, src, opts); err != nil {
+			return nil, err
+		}
+	}
+	return matrix.ExtractRows(x.t[a], src), nil
 }
 
 // Relation returns the cached relation matrix for a nonterminal id. The

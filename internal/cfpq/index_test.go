@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mscfpq/internal/grammar"
 	"mscfpq/internal/matrix"
 )
 
@@ -149,5 +150,59 @@ func TestIndexErrors(t *testing.T) {
 	}
 	if _, err := idx.MultiSourceSmart(nil); err == nil {
 		t.Fatal("expected nil source error")
+	}
+}
+
+// TestExtensionRows: a query's rules over the index's grammar answer
+// from the index's relations, push their sources on to the declared
+// nonterminals they use (Algorithm 8's rule), keep the facts about those
+// in the index, and run no round when every source is processed.
+func TestExtensionRows(t *testing.T) {
+	g := paperGraph()
+	idx, err := NewIndex(g, cndGrammar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := grammar.Extend(idx.W, &grammar.Grammar{Start: "Q", Prods: []grammar.Production{
+		{LHS: "Q", RHS: []grammar.Symbol{grammar.T("d"), grammar.N("S")}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := idx.Extend(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := matrix.NewVectorFromIndices(6, []int{2, 4, 5})
+	rows, err := x.Rows(w.Start, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := AllPairs(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := matrix.ExtractRows(ref.Start(), src); !rows.Equal(want) {
+		t.Fatalf("rows = %v, want %v", rows.Pairs(), want.Pairs())
+	}
+	// d leads from {2, 4, 5} to {4, 5}: S is solved as if asked for
+	// exactly those.
+	direct, err := NewIndex(g, cndGrammar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := direct.MultiSourceSmart(matrix.NewVectorFromIndices(6, []int{4, 5})); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := idx.ProcessedSources(idx.W.Start), direct.ProcessedSources(idx.W.Start); !got.Equal(want) {
+		t.Fatalf("S processed for %v, want %v", got.Ints(), want.Ints())
+	}
+	queries := idx.Queries()
+	again, err := x.Rows(w.Start, src)
+	if err != nil || !again.Equal(rows) || idx.Queries() != queries {
+		t.Fatalf("repeat: %v, rows equal %v, %d solves after %d", err, again.Equal(rows), idx.Queries(), queries)
+	}
+	if _, err := idx.Extend(grammar.MustWCNF(grammar.MustParse("Q -> a"))); err == nil {
+		t.Fatal("Extend accepted a grammar that does not extend the index's")
 	}
 }

@@ -85,28 +85,29 @@ func newResult(w *grammar.WCNF, n int) *Result {
 	return r
 }
 
-// initSimpleRules seeds the relation matrices from the simple rules
-// (Algorithm 1 line 3 / Algorithm 2 lines 6-8): for A -> t, T^A gains
-// the adjacency matrix of edge label t (transpose for inverse labels)
-// and the diagonal vertex matrix of vertex label t.
-func initSimpleRules(r *Result, g *graph.Graph) {
-	for _, rule := range r.W.TermRules {
-		name := r.W.Terms[rule.Term]
-		if em := g.EdgeMatrix(name); em.NVals() > 0 {
-			matrix.AddInPlace(r.T[rule.A], em)
+// seed adds to T the facts of the simple and eps rules of the
+// nonterminals from on (Algorithm 1 lines 3 and 5-6 / Algorithm 2 lines
+// 6-8). For A -> t, T^A gains the adjacency matrix of edge label t
+// (transpose for inverse labels) and the diagonal vertex matrix of
+// vertex label t — only the first for a grammar.EdgeStep, only the
+// second for a grammar.NodeCheck. A -> eps relates every vertex to
+// itself.
+func seed(T []*matrix.Bool, w *grammar.WCNF, g *graph.Graph, from int) {
+	for _, rule := range w.TermRules {
+		if rule.A < from {
+			continue
 		}
-		if g.VertexSet(name).NVals() > 0 {
-			matrix.AddInPlace(r.T[rule.A], g.VertexMatrix(name))
+		edge, vertex := grammar.TermLabels(w.Terms[rule.Term])
+		if em := g.EdgeMatrix(edge); em.NVals() > 0 {
+			matrix.AddInPlace(T[rule.A], em)
+		}
+		if g.VertexSet(vertex).NVals() > 0 {
+			matrix.AddInPlace(T[rule.A], g.VertexMatrix(vertex))
 		}
 	}
-}
-
-// initEpsRules seeds diagonals for nullable nonterminals (Algorithm 1
-// lines 5-6): A -> eps relates every vertex to itself.
-func initEpsRules(r *Result, n int) {
-	for a, nullable := range r.W.Nullable {
-		if nullable {
-			matrix.AddInPlace(r.T[a], matrix.Identity(n))
+	for a := from; a < len(w.Nullable); a++ {
+		if w.Nullable[a] {
+			matrix.AddInPlace(T[a], matrix.Identity(g.NumVertices()))
 		}
 	}
 }

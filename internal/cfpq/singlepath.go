@@ -112,12 +112,12 @@ func (r *SinglePathResult) seedProv(run *exec.Run, g *graph.Graph) error {
 		if err := run.Err(); err != nil {
 			return err
 		}
-		name := w.Terms[rule.Term]
-		g.EdgeMatrix(name).Iterate(func(i, j int) bool {
+		edge, vertex := grammar.TermLabels(w.Terms[rule.Term])
+		g.EdgeMatrix(edge).Iterate(func(i, j int) bool {
 			seed(rule.A, i, j, provEntry{kind: provEdge, rule: int32(rule.Term)})
 			return true
 		})
-		for _, v := range g.VertexSet(name).Ints() {
+		for _, v := range g.VertexSet(vertex).Ints() {
 			seed(rule.A, v, v, provEntry{kind: provVertex, rule: int32(rule.Term)})
 		}
 	}

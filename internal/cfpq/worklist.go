@@ -87,14 +87,14 @@ func worklistOn(g *graph.Graph, w *grammar.WCNF, keep *matrix.Vector, run *exec.
 		if err := run.Err(); err != nil {
 			return nil, err
 		}
-		name := w.Terms[rule.Term]
-		g.EdgeMatrix(name).Iterate(func(i, j int) bool {
+		edge, vertex := grammar.TermLabels(w.Terms[rule.Term])
+		g.EdgeMatrix(edge).Iterate(func(i, j int) bool {
 			if inKeep(i) && inKeep(j) {
 				add(rule.A, i, j)
 			}
 			return true
 		})
-		for _, v := range g.VertexSet(name).Ints() {
+		for _, v := range g.VertexSet(vertex).Ints() {
 			if inKeep(v) {
 				add(rule.A, v, v)
 			}

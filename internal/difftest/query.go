@@ -1,0 +1,266 @@
+package difftest
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"sync"
+
+	"mscfpq/internal/cypher"
+	"mscfpq/internal/gdb"
+	"mscfpq/internal/gen"
+	"mscfpq/internal/graph"
+	"mscfpq/internal/oracle"
+)
+
+// CheckQuery sends every statement of the case through the whole query
+// path — parse, plan, PATH PATTERN compilation, the path-pattern index,
+// the traverse batches — and compares each reply with the oracle:
+// projected rows as sets, count values exactly. All statements go to one
+// database store, so the ones that declare the same patterns share its
+// path-pattern context and index, as they do on a server.
+func CheckQuery(pq gen.PathQuery) error {
+	db := gdb.New()
+	db.AddGraph("g", pq.G)
+	for i := range pq.Queries {
+		if err := checkStatement(db, pq, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckQueryConcurrent is CheckQuery with every statement sent from its
+// own goroutine, reps times, to the one store: concurrent statements
+// then share its path-pattern index while each grows its own rules.
+func CheckQueryConcurrent(pq gen.PathQuery, reps int) error {
+	db := gdb.New()
+	db.AddGraph("g", pq.G)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(pq.Queries))
+	for i := range pq.Queries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < reps; r++ {
+				if err := checkStatement(db, pq, i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
+// checkStatement sends statement i of the case to db and compares the
+// reply with the oracle's.
+func checkStatement(db *gdb.DB, pq gen.PathQuery, i int) error {
+	q, text := pq.Queries[i], pq.Texts[i]
+	res, err := db.Query("g", text)
+	if err != nil {
+		return fmt.Errorf("%s: %v", text, err)
+	}
+	want, err := matchRows(pq.G, q)
+	if err != nil {
+		return fmt.Errorf("%s: oracle: %v", text, err)
+	}
+	got := res.Rows
+	if !q.Return.Items[0].Count {
+		got = canonicalRows(got)
+	}
+	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+		return fmt.Errorf("%s:\n got  %v\n want %v", text, got, want)
+	}
+	return nil
+}
+
+// matchRows is the reply the oracle expects: every binding of the
+// pattern's nodes that the connections' relations, the node labels and
+// the WHERE clause admit (one vertex per node position; a repeated
+// variable binds one vertex), projected on the RETURN variables as a
+// sorted set, or counted. It covers one linear pattern whose RETURN items
+// are either all variables or all counts.
+func matchRows(g *graph.Graph, q *cypher.Query) ([][]int64, error) {
+	if len(q.Match.Patterns) != 1 {
+		return nil, fmt.Errorf("%d patterns, want 1", len(q.Match.Patterns))
+	}
+	pat := q.Match.Patterns[0]
+	succ := make([][][]int, len(pat.Connections))
+	for k, c := range pat.Connections {
+		pairs, err := connectionPairs(g, q.PathPatterns, c)
+		if err != nil {
+			return nil, err
+		}
+		succ[k] = make([][]int, g.NumVertices())
+		for _, p := range pairs {
+			succ[k][p[0]] = append(succ[k][p[0]], p[1])
+		}
+	}
+	pos := map[string]int{} // variable -> its first node position
+	for k, n := range pat.Nodes {
+		if _, ok := pos[n.Var]; !ok && n.Var != "" {
+			pos[n.Var] = k
+		}
+	}
+	where := func(b []int) (bool, error) { return true, nil }
+	if q.Where != nil {
+		where = func(b []int) (bool, error) { return wherePred(q.Where, pos, b) }
+	}
+
+	var bindings [][]int
+	b := make([]int, len(pat.Nodes))
+	var extend func(k, u int) error
+	extend = func(k, u int) error {
+		n := pat.Nodes[k]
+		for _, l := range n.Labels {
+			if !g.HasVertexLabel(u, l) {
+				return nil
+			}
+		}
+		if first, ok := pos[n.Var]; ok && first < k && b[first] != u {
+			return nil
+		}
+		b[k] = u
+		if k+1 == len(pat.Nodes) {
+			ok, err := where(b)
+			if ok {
+				bindings = append(bindings, append([]int(nil), b...))
+			}
+			return err
+		}
+		for _, next := range succ[k][u] {
+			if err := extend(k+1, next); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for u := 0; u < g.NumVertices(); u++ {
+		if err := extend(0, u); err != nil {
+			return nil, err
+		}
+	}
+
+	items := q.Return.Items
+	if items[0].Count {
+		for _, it := range items {
+			if !it.Count {
+				return nil, fmt.Errorf("RETURN mixes counts and variables")
+			}
+		}
+		if len(bindings) == 0 {
+			return nil, nil
+		}
+		row := make([]int64, len(items))
+		for i := range row {
+			row[i] = int64(len(bindings))
+		}
+		return [][]int64{row}, nil
+	}
+	rows := make([][]int64, len(bindings))
+	for i, bind := range bindings {
+		for _, it := range items {
+			k, ok := pos[it.Var]
+			if !ok || it.Count {
+				return nil, fmt.Errorf("RETURN item %+v", it)
+			}
+			rows[i] = append(rows[i], int64(bind[k]))
+		}
+	}
+	return canonicalRows(rows), nil
+}
+
+// connectionPairs is the relation a connection walks: labeled edges (any
+// label when untyped) or the oracle's path-pattern relation, reversed
+// for a right-to-left connection.
+func connectionPairs(g *graph.Graph, decls []cypher.NamedPathPattern, c cypher.Connection) ([][2]int, error) {
+	var pairs [][2]int
+	inverse := false
+	switch v := c.(type) {
+	case cypher.RelPattern:
+		types := map[string]bool{}
+		for _, t := range v.Types {
+			types[t] = true
+		}
+		seen := map[[2]int]bool{}
+		g.Edges(func(src int, label string, dst int) bool {
+			if p := [2]int{src, dst}; (len(types) == 0 || types[label]) && !seen[p] {
+				seen[p] = true
+				pairs = append(pairs, p)
+			}
+			return true
+		})
+		inverse = v.Inverse
+	case cypher.PathApply:
+		var err error
+		if pairs, err = oracle.Pattern(g, decls, v.Expr); err != nil {
+			return nil, err
+		}
+		inverse = v.Inverse
+	default:
+		return nil, fmt.Errorf("unsupported connection %T", c)
+	}
+	if inverse {
+		for i, p := range pairs {
+			pairs[i] = [2]int{p[1], p[0]}
+		}
+	}
+	oracle.SortPairs(pairs)
+	return pairs, nil
+}
+
+// wherePred evaluates the id predicates of a WHERE clause on a binding.
+func wherePred(e cypher.Expr, pos map[string]int, b []int) (bool, error) {
+	id := func(v string) (int64, error) {
+		k, ok := pos[v]
+		if !ok {
+			return 0, fmt.Errorf("WHERE on unknown variable %q", v)
+		}
+		return int64(b[k]), nil
+	}
+	switch v := e.(type) {
+	case cypher.AndExpr:
+		l, err := wherePred(v.Left, pos, b)
+		if err != nil || !l {
+			return false, err
+		}
+		return wherePred(v.Right, pos, b)
+	case cypher.IDCompare:
+		got, err := id(v.Var)
+		return got == v.ID, err
+	case cypher.IDIn:
+		got, err := id(v.Var)
+		for _, want := range v.IDs {
+			if got == want {
+				return true, err
+			}
+		}
+		return false, err
+	default:
+		return false, fmt.Errorf("unsupported predicate %T", e)
+	}
+}
+
+// canonicalRows sorts rows and drops duplicates: the set a projection
+// denotes.
+func canonicalRows(rows [][]int64) [][]int64 {
+	out := append([][]int64(nil), rows...)
+	sort.Slice(out, func(i, j int) bool {
+		for k := range out[i] {
+			if out[i][k] != out[j][k] {
+				return out[i][k] < out[j][k]
+			}
+		}
+		return false
+	})
+	uniq := out[:0]
+	for _, r := range out {
+		if len(uniq) == 0 || !reflect.DeepEqual(r, uniq[len(uniq)-1]) {
+			uniq = append(uniq, r)
+		}
+	}
+	return uniq
+}

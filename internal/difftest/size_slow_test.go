@@ -9,6 +9,7 @@ const (
 	cfpqInstances      = 3000
 	rpqInstances       = 1500
 	metamorphicCases   = 500
+	queryCases         = 2000
 	maxGraphVertices   = 40
 	governedBudgetSpan = 400
 )

@@ -5,10 +5,10 @@
 //
 // The paper's algorithms are batch fixpoints; embedded in a database
 // serving concurrent traffic they must instead be bounded and
-// interruptible. All long-running loops — CFPQ fixpoint rounds,
-// transitive-closure squarings, plan operator pulls, and the row blocks
-// of large matrix multiplications — check the governor and abort with
-// context.Canceled, context.DeadlineExceeded or ErrBudget.
+// interruptible. All long-running loops — CFPQ fixpoint rounds, plan
+// operator pulls, and the row blocks of large matrix multiplications —
+// check the governor and abort with context.Canceled,
+// context.DeadlineExceeded or ErrBudget.
 package exec
 
 import (
@@ -264,25 +264,6 @@ func RecordOutcome(err error) {
 		obs.GovCancelled.Inc()
 	default:
 		obs.GovFailed.Inc()
-	}
-}
-
-// Closure is the governed transitive closure of a square matrix
-// (without the reflexive diagonal unless already present): it squares
-// M += M*M until a round adds nothing. Every round is one governed Mul,
-// so cancellation is polled between its row blocks and its product is
-// charged against the budget as the closure grows. Nil runs compute the
-// same closure ungoverned.
-func (r *Run) Closure(a *matrix.Bool) (*matrix.Bool, error) {
-	m := a.Clone()
-	for {
-		prod, err := r.Mul(m, m)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Add(m, prod) {
-			return m, nil
-		}
 	}
 }
 

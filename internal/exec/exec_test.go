@@ -158,45 +158,3 @@ func TestMulMatchesUngoverned(t *testing.T) {
 		}
 	}
 }
-
-func TestClosure(t *testing.T) {
-	for _, run := range []*Run{nil, NewRun(context.Background())} {
-		// Chain 0 -> 1 -> 2 -> 3.
-		tc, err := run.Closure(matrix.NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := matrix.NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-		if !tc.Equal(want) {
-			t.Fatalf("closure:\n%v\nwant:\n%v", tc, want)
-		}
-		// Cycle 0 -> 1 -> 0 closes to all four pairs.
-		cyc, err := run.Closure(matrix.NewBoolFromPairs(2, 2, [][2]int{{0, 1}, {1, 0}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cyc.NVals() != 4 {
-			t.Fatalf("cycle closure nvals = %d, want 4", cyc.NVals())
-		}
-	}
-}
-
-// TestClosureBudgetStopsEarly pins that the budget bounds the closure
-// while it grows: each squaring round is charged, so a tiny budget
-// aborts after the first round instead of after the whole n(n-1)/2
-// closure of a chain has been built.
-func TestClosureBudgetStopsEarly(t *testing.T) {
-	const n = 1500
-	chain := matrix.NewBool(n, n)
-	for i := 0; i+1 < n; i++ {
-		chain.Set(i, i+1)
-	}
-	run, cancel := Options{Budget: 1}.Start()
-	defer cancel()
-	if _, err := run.Closure(chain); !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if full := int64(n * (n - 1) / 2); run.Spent() >= full/100 {
-		t.Fatalf("Spent = %d before aborting; the full closure has %d entries", run.Spent(), full)
-	}
-}

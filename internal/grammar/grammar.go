@@ -116,7 +116,11 @@ func (g *Grammar) Terminals() []string {
 
 // Validate checks structural well-formedness: a start symbol that is a
 // nonterminal, no empty names, and symbol kinds consistent with LHS use.
-func (g *Grammar) Validate() error {
+func (g *Grammar) Validate() error { return g.validate(&WCNF{}) }
+
+// validate is Validate for productions added to base (see Extend): a
+// nonterminal of base has its productions there and gains no more.
+func (g *Grammar) validate(base *WCNF) error {
 	if g.Start == "" {
 		return fmt.Errorf("grammar: empty start symbol")
 	}
@@ -127,6 +131,9 @@ func (g *Grammar) Validate() error {
 	for _, p := range g.Prods {
 		if p.LHS == "" {
 			return fmt.Errorf("grammar: production with empty LHS")
+		}
+		if base.NontermID(p.LHS) >= 0 {
+			return fmt.Errorf("grammar: %s adds to a nonterminal of the base grammar", p)
 		}
 		nts[p.LHS] = true
 	}
@@ -141,7 +148,7 @@ func (g *Grammar) Validate() error {
 			if s.Term && nts[s.Name] {
 				return fmt.Errorf("grammar: symbol %q marked terminal but has productions", s.Name)
 			}
-			if !s.Term && !nts[s.Name] {
+			if !s.Term && !nts[s.Name] && base.NontermID(s.Name) < 0 {
 				return fmt.Errorf("grammar: nonterminal %q has no productions (in %s)", s.Name, p)
 			}
 		}
@@ -186,3 +193,27 @@ func InverseLabel(l string) string {
 
 // IsInverseLabel reports whether l names an inverse relation.
 func IsInverseLabel(l string) bool { return strings.HasSuffix(l, "_r") }
+
+// EdgeStep names the terminal of a relationship step :l of a compiled
+// path pattern. It matches l's edges only (reversed for an inverse label
+// "x_r"), where a plain terminal l also matches the vertices labeled l.
+func EdgeStep(l string) string { return ":" + l }
+
+// NodeCheck names the terminal of a node check (:l) of a compiled path
+// pattern. It matches the vertices labeled l only.
+func NodeCheck(l string) string { return "(:" + l + ")" }
+
+// TermLabels returns the edge label and the vertex label a terminal
+// matches, "" standing for none: both are the terminal itself for a
+// plain terminal, and one of them for an EdgeStep or a NodeCheck.
+func TermLabels(term string) (edge, vertex string) {
+	if l, ok := strings.CutPrefix(term, ":"); ok {
+		return l, ""
+	}
+	if l, ok := strings.CutPrefix(term, "(:"); ok {
+		if l, ok := strings.CutSuffix(l, ")"); ok {
+			return "", l
+		}
+	}
+	return term, term
+}

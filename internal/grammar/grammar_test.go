@@ -198,6 +198,51 @@ func TestWCNFUnitRules(t *testing.T) {
 	}
 }
 
+// TestExtendKeepsBasePrefix: productions added over a normalized grammar
+// keep its ids and rules as a prefix, reach its nonterminals (through a
+// unit rule as well), and may not add to them.
+func TestExtendKeepsBasePrefix(t *testing.T) {
+	base := MustWCNF(MustParse("S -> a S b | a b\nA -> c | eps"))
+	ext, err := Extend(base, &Grammar{Start: "Q", Prods: []Production{
+		{LHS: "Q", RHS: []Symbol{T("c"), N("S"), N("A")}},
+		{LHS: "Q", RHS: []Symbol{N("S")}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Nonterms[ext.Start] != "Q" {
+		t.Fatalf("start = %q", ext.Nonterms[ext.Start])
+	}
+	if !reflect.DeepEqual(ext.Nonterms[:base.NumNonterms()], base.Nonterms) ||
+		!reflect.DeepEqual(ext.Terms[:base.NumTerms()], base.Terms) ||
+		!reflect.DeepEqual(ext.TermRules[:len(base.TermRules)], base.TermRules) ||
+		!reflect.DeepEqual(ext.BinRules[:len(base.BinRules)], base.BinRules) ||
+		!reflect.DeepEqual(ext.Nullable[:base.NumNonterms()], base.Nullable) {
+		t.Fatalf("base is not a prefix of the extension:\n%s\nvs\n%s", base, ext)
+	}
+	for _, r := range ext.BinRules[len(base.BinRules):] {
+		if r.A < base.NumNonterms() {
+			t.Fatalf("added rule %v heads a base nonterminal", r)
+		}
+	}
+	for _, ok := range [][]string{{"a", "b"}, {"a", "a", "b", "b"}, {"c", "a", "b"}, {"c", "a", "b", "c"}} {
+		if !ext.Accepts(ok) {
+			t.Fatalf("extension rejects %v", ok)
+		}
+	}
+	for _, bad := range [][]string{{"c"}, {"a", "b", "c"}, {"c", "c", "a", "b"}} {
+		if ext.Accepts(bad) {
+			t.Fatalf("extension accepts %v", bad)
+		}
+	}
+	if _, err := Extend(base, MustNew("S", []Production{{LHS: "S", RHS: []Symbol{T("c")}}})); err == nil {
+		t.Fatal("Extend added a production to a base nonterminal")
+	}
+	if _, err := Extend(base, &Grammar{Start: "Q", Prods: []Production{{LHS: "Q", RHS: []Symbol{N("B")}}}}); err == nil {
+		t.Fatal("Extend accepted a nonterminal with no productions anywhere")
+	}
+}
+
 func TestWCNFLongRuleBinarization(t *testing.T) {
 	g := MustNew("S", []Production{
 		{LHS: "S", RHS: []Symbol{T("a"), T("b"), T("c"), T("d"), T("e")}},

@@ -94,11 +94,40 @@ func (w *WCNF) String() string {
 //
 // The language is preserved; property tests verify membership agreement
 // with the original grammar on sampled words.
-func ToWCNF(g *Grammar) (*WCNF, error) {
-	if err := g.Validate(); err != nil {
+func ToWCNF(g *Grammar) (*WCNF, error) { return Extend(nil, g) }
+
+// Extend normalizes the productions of g on top of base, a grammar
+// already in WCNF (nil for none), by the same steps as ToWCNF. g's
+// productions head only nonterminals base does not have, and their
+// right-hand sides may use base's nonterminals. base's nonterminal and
+// terminal ids and its rules are a prefix of the result, so relations
+// indexed by base's ids stay valid in it; the start symbol is g's.
+func Extend(base *WCNF, g *Grammar) (*WCNF, error) {
+	if base == nil {
+		base = &WCNF{}
+	}
+	if err := g.validate(base); err != nil {
 		return nil, err
 	}
-	w := &WCNF{ntID: map[string]int{}, termID: map[string]int{}, byTerm: map[int][]int{}}
+	w := &WCNF{
+		Nonterms:  append([]string(nil), base.Nonterms...),
+		Terms:     append([]string(nil), base.Terms...),
+		TermRules: append([]TermRule(nil), base.TermRules...),
+		BinRules:  append([]BinRule(nil), base.BinRules...),
+		ntID:      map[string]int{},
+		termID:    map[string]int{},
+		byTerm:    map[int][]int{},
+	}
+	for name, id := range base.ntID {
+		w.ntID[name] = id
+	}
+	for name, id := range base.termID {
+		w.termID[name] = id
+	}
+	for t, as := range base.byTerm {
+		w.byTerm[t] = append([]int(nil), as...)
+	}
+	nBase := len(w.Nonterms)
 
 	nt := func(name string) int {
 		if id, ok := w.ntID[name]; ok {
@@ -203,6 +232,17 @@ func ToWCNF(g *Grammar) (*WCNF, error) {
 	for t, a := range termNT {
 		termSet[a][t] = true
 	}
+	// base's rules are already unit-closed: a new unit rule onto one of
+	// its nonterminals copies them as they are.
+	for _, r := range w.TermRules {
+		termSet[r.A][r.Term] = true
+	}
+	for _, r := range w.BinRules {
+		binSet[r.A][[2]int{r.B, r.C}] = true
+	}
+	for a := 0; a < nBase; a++ {
+		epsSet[a] = base.Nullable[a]
+	}
 	for _, r := range short {
 		switch len(r.rhs) {
 		case 0:
@@ -223,7 +263,7 @@ func ToWCNF(g *Grammar) (*WCNF, error) {
 
 	// Step 3: eliminate unit rules via unit closure.
 	closure := make([]map[int]bool, n)
-	for a := 0; a < n; a++ {
+	for a := nBase; a < n; a++ {
 		closure[a] = map[int]bool{a: true}
 		stack := []int{a}
 		for len(stack) > 0 {
@@ -238,7 +278,7 @@ func ToWCNF(g *Grammar) (*WCNF, error) {
 			}
 		}
 	}
-	for a := 0; a < n; a++ {
+	for a := nBase; a < n; a++ {
 		for b := range closure[a] {
 			if b == a {
 				continue
@@ -255,9 +295,9 @@ func ToWCNF(g *Grammar) (*WCNF, error) {
 		}
 	}
 
-	// Emit deterministically ordered rule lists.
+	// Emit deterministically ordered rule lists after base's.
 	w.Nullable = epsSet
-	for a := 0; a < n; a++ {
+	for a := nBase; a < n; a++ {
 		terms := make([]int, 0, len(termSet[a]))
 		for t := range termSet[a] {
 			terms = append(terms, t)

@@ -101,9 +101,11 @@ func CFPQ(g *graph.Graph, w *grammar.WCNF) *Relation {
 	}
 
 	// Simple rules A -> t: edges labeled t (reversed base edges for an
-	// inverse label t = "x_r"), and self pairs for vertices labeled t.
+	// inverse label t = "x_r"), and self pairs for vertices labeled t —
+	// only the edges for a relationship step ":t" of a compiled path
+	// pattern, only the vertices for a node check "(:t)".
 	for _, rule := range w.TermRules {
-		name := w.Terms[rule.Term]
+		name, vertex := grammar.TermLabels(w.Terms[rule.Term])
 		base, inverse := name, false
 		if grammar.IsInverseLabel(name) {
 			base, inverse = grammar.InverseLabel(name), true
@@ -118,7 +120,7 @@ func CFPQ(g *graph.Graph, w *grammar.WCNF) *Relation {
 			}
 			return true
 		})
-		for _, v := range g.VertexSet(name).Ints() {
+		for _, v := range g.VertexSet(vertex).Ints() {
 			add(rule.A, v, v)
 		}
 	}

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"mscfpq/internal/exec"
@@ -24,10 +25,11 @@ func (c flipCtx) Err() error {
 }
 
 // TestAbortedQueryLeavesNothingPending: a PathCtx is shared by every
-// query on one graph version, so a query that aborts after Algorithm 8
-// noted its sources must not leave them for the next query to resolve
-// under its own timeout and budget. The graph is two disjoint a^n b^n
-// components, so the second query's sources cannot reach the first's.
+// query on one graph version, so a query aborted at any governor poll
+// must leave it as the abort rule promises — no source claimed for any
+// nonterminal — and a later query on it must be exact and must not
+// process the aborted query's sources. The graph is two disjoint a^n b^n
+// components, so the later query's sources cannot reach the first's.
 func TestAbortedQueryLeavesNothingPending(t *testing.T) {
 	g := graph.New(8)
 	for _, base := range []int{0, 4} {
@@ -37,9 +39,13 @@ func TestAbortedQueryLeavesNothingPending(t *testing.T) {
 		g.AddEdge(base+2, "b", base+3)
 		g.AddEdge(base+3, "b", base)
 	}
-	const decl = `PATH PATTERN S = ()-/ [:a ~S :b] | [:a :b] /->() MATCH (v)-/ ~S /->(to) `
+	const decl = `PATH PATTERN S = ()-/ [:a ~S :b] | [:a :b] /->() MATCH (v)-/ :a ~S /->(to) `
 	doomed := mustParseQuery(t, decl+`WHERE id(v) = 0 RETURN v, to`)
 	later := mustParseQuery(t, decl+`WHERE id(v) = 4 RETURN v, to`)
+	want := runQuery(t, g, decl+`WHERE id(v) = 4 RETURN v, to`)
+	if len(want.Rows) == 0 {
+		t.Fatal("the later query has no answer to lose")
+	}
 
 	aborts := 0
 	for polls := 0; ; polls++ {
@@ -63,14 +69,10 @@ func TestAbortedQueryLeavesNothingPending(t *testing.T) {
 			t.Fatalf("abort at poll %d: %v", polls, err)
 		}
 		aborts++
-		if len(ctx.pending) != 0 {
-			t.Fatalf("abort at poll %d left pending sources %v", polls, ctx.pending)
-		}
-		// The abort may have come after a resolution committed; only what
-		// the later query adds is held against it.
-		before := make([]int, ctx.wcnf.NumNonterms())
-		for a := range before {
-			before[a] = lowSources(ctx, a)
+		for a := 0; a < ctx.idx.W.NumNonterms(); a++ {
+			if claimed := ctx.idx.ProcessedSources(a); !claimed.Empty() {
+				t.Fatalf("abort at poll %d claimed sources %v for %s", polls, claimed.Ints(), ctx.idx.W.Nonterms[a])
+			}
 		}
 		p, err = BuildWithCtx(later, NewEnv(g, nil, nil), ctx)
 		if err != nil {
@@ -80,29 +82,19 @@ func TestAbortedQueryLeavesNothingPending(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rs.Rows) == 0 {
-			t.Fatalf("abort at poll %d: the later query lost its answer", polls)
+		if !reflect.DeepEqual(sortedRows(rs), sortedRows(want)) {
+			t.Fatalf("abort at poll %d: the later query answered %v, want %v", polls, sortedRows(rs), sortedRows(want))
 		}
-		for a, had := range before {
-			if low := lowSources(ctx, a); low != had {
-				t.Fatalf("abort at poll %d: the later query processed %d of the aborted query's sources for %s",
-					polls, low-had, ctx.wcnf.Nonterms[a])
+		for a := 0; a < ctx.idx.W.NumNonterms(); a++ {
+			for _, v := range ctx.idx.ProcessedSources(a).Ints() {
+				if v < 4 {
+					t.Fatalf("abort at poll %d: the later query processed the aborted query's source %d for %s",
+						polls, v, ctx.idx.W.Nonterms[a])
+				}
 			}
 		}
 	}
 	if aborts < 3 {
 		t.Fatalf("only %d polls aborted the query; the sweep covers nothing", aborts)
 	}
-}
-
-// lowSources counts the processed sources of nonterminal a that lie in
-// the first component (vertices 0-3).
-func lowSources(ctx *PathCtx, a int) int {
-	low := 0
-	for _, v := range ctx.idx.ProcessedSources(a).Ints() {
-		if v < 4 {
-			low++
-		}
-	}
-	return low
 }

@@ -165,25 +165,24 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 		bindNode(chain[0].From)
 		covered[chain[0].From] = true
 		for _, e := range chain {
-			expr, isPath, err := TranslateConnection(e.Conn)
-			if err != nil {
-				return nil, err
-			}
-			for _, ref := range algebra.Refs(expr) {
-				if _, ok := ctx.Expr(ref); !ok {
-					return nil, fmt.Errorf("plan: reference to undeclared path pattern %q", ref)
-				}
-			}
-			// Fold destination node labels into the expression so the
-			// traverse lands only on correctly labeled vertices.
+			// Destination node labels are folded into the traverse, so it
+			// lands only on correctly labeled vertices.
 			dst := qg.Nodes[e.To]
-			for _, l := range dst.Labels {
-				expr = mulVertexLabel(expr, l)
-			}
-			if isPath {
-				root = NewCFPQTraverse(env, root, e.From, e.To, expr)
-			} else {
+			switch c := e.Conn.(type) {
+			case cypher.RelPattern:
+				expr := translateRel(c)
+				for _, l := range dst.Labels {
+					expr = algebra.Mul{L: expr, R: algebra.VertexLabel{Label: l}}
+				}
 				root = NewCondTraverse(env, root, e.From, e.To, expr)
+			case cypher.PathApply:
+				path, err := ctx.compilePath(c, dst.Labels)
+				if err != nil {
+					return nil, err
+				}
+				root = newCFPQTraverse(env, root, e.From, e.To, path)
+			default:
+				return nil, fmt.Errorf("plan: unsupported connection %T", e.Conn)
 			}
 			bound[e.To] = true
 			covered[e.To] = true
@@ -270,10 +269,6 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 	}
 
 	return &Plan{root: root, Columns: names, ctx: ctx, env: env, slots: slots}, nil
-}
-
-func mulVertexLabel(e algebra.Expr, label string) algebra.Expr {
-	return algebra.Mul{L: e, R: algebra.VertexLabel{Label: label}}
 }
 
 // reverseChain flips a traversal chain end to end: edges run in
@@ -372,11 +367,12 @@ func (p *Plan) Explain() string {
 		b.WriteByte('\n')
 		depth++
 	}
-	if p.ctx != nil && len(p.ctx.Names()) > 0 {
+	if p.ctx != nil && p.ctx.cf != nil {
 		b.WriteString("Path pattern context:\n")
-		for _, name := range p.ctx.Names() {
-			e, _ := p.ctx.Expr(name)
-			fmt.Fprintf(&b, "    %s -> %s\n", name, e.String())
+		for _, rule := range strings.SplitAfter(p.ctx.cf.String(), "\n") {
+			if rule != "" {
+				b.WriteString("    " + rule)
+			}
 		}
 	}
 	return b.String()

@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"mscfpq/internal/algebra"
+	"mscfpq/internal/cfpq"
 	"mscfpq/internal/cypher"
+	"mscfpq/internal/exec"
 	"mscfpq/internal/matrix"
 )
 
@@ -139,29 +141,30 @@ func (s *NodeScan) Child() Operation { return s.child }
 // Traverse: CondTraverse / CFPQTraverse (paper Figure 12).
 
 // traverseBatchSize bounds the record buffer a traverse accumulates
-// before one algebraic evaluation (the paper's record buffer).
+// before one evaluation (the paper's record buffer).
 const traverseBatchSize = 1024
 
-// Traverse consumes records, buffers them, builds the filter matrix of
-// their bound source vertices, evaluates filter * expr (resolving
-// references for CFPQTraverse) and emits one record per resulting pair.
+// Traverse consumes records, buffers them, computes the rows of their
+// bound source vertices — CondTraverse as filter * expr, CFPQTraverse by
+// the path pattern context's index — and emits one record per resulting
+// pair.
 type Traverse struct {
 	name     string // CondTraverse or CFPQTraverse
 	env      *Env
 	child    Operation
 	fromSlot int
 	toSlot   int
-	expr     algebra.Expr
-	isPath   bool
+	expr     algebra.Expr    // CondTraverse: the relationship's relation
+	path     *pathQuery      // CFPQTraverse: the compiled path pattern
+	ext      *cfpq.Extension // CFPQTraverse: path's grammar over the index, for one execution
 
-	buf     []int64      // the batch: copies of the child's records, width cells each
-	width   int          // cells per record
-	out     Record       // the buffered record being expanded, with toSlot bound
-	rows    *matrix.Bool // evaluation result for the current batch
-	bufIdx  int          // record being expanded
-	rowPos  int          // position within that record's row
-	done    bool
-	covered bool
+	buf    []int64      // the batch: copies of the child's records, width cells each
+	width  int          // cells per record
+	out    Record       // the buffered record being expanded, with toSlot bound
+	rows   *matrix.Bool // evaluation result for the current batch
+	bufIdx int          // record being expanded
+	rowPos int          // position within that record's row
+	done   bool
 }
 
 // NewCondTraverse builds the traverse operation for a relationship
@@ -171,17 +174,25 @@ func NewCondTraverse(env *Env, child Operation, fromSlot, toSlot int, expr algeb
 		fromSlot: fromSlot, toSlot: toSlot, expr: expr}
 }
 
-// NewCFPQTraverse builds the traverse operation for a path pattern; its
-// expression may reference named path patterns.
-func NewCFPQTraverse(env *Env, child Operation, fromSlot, toSlot int, expr algebra.Expr) *Traverse {
+// newCFPQTraverse builds the traverse operation for a path pattern
+// compiled against env's path pattern context.
+func newCFPQTraverse(env *Env, child Operation, fromSlot, toSlot int, path *pathQuery) *Traverse {
 	return &Traverse{name: "CFPQTraverse", env: env, child: child,
-		fromSlot: fromSlot, toSlot: toSlot, expr: expr, isPath: true}
+		fromSlot: fromSlot, toSlot: toSlot, path: path}
 }
 
 func (t *Traverse) Open() error {
 	t.buf, t.width, t.rows, t.done = nil, 0, nil, false
 	t.bufIdx, t.rowPos = 0, 0
-	t.covered = false
+	if t.path != nil {
+		// The path's own nonterminals start from their seeds once per
+		// execution and keep what they derive across its batches.
+		ext, err := t.env.Ctx.idx.Extend(t.path.w)
+		if err != nil {
+			return err
+		}
+		t.ext = ext
+	}
 	return t.child.Open()
 }
 
@@ -248,86 +259,22 @@ func (t *Traverse) fillBatch() error {
 	if len(t.buf) == 0 {
 		return nil
 	}
-	// Build the filter matrix from the buffered source vertices and
-	// embed it on the left of the algebraic expression (Section 4.3.2).
-	filtered := prependFilter(algebra.Fixed{Name: "Filter", M: srcs.Diag()}, t.expr)
-	var (
-		m   *matrix.Bool
-		err error
-	)
-	if t.isPath && t.env.Ctx != nil {
-		if !t.covered {
-			// References that Algorithm 8 cannot see (e.g. under a
-			// transpose) are solved for all vertices once.
-			t.requestUncovered()
-			t.covered = true
-		}
-		m, err = t.env.Ctx.EvalResolved(filtered, t.env)
+	var err error
+	if t.path != nil {
+		t.rows, err = t.ext.Rows(t.path.start, srcs, exec.WithRun(t.env.Run))
 	} else {
-		m, err = algebra.Eval(filtered, t.env)
+		// The filter matrix of the buffered source vertices, on the left
+		// of the algebraic expression (Section 4.3.2).
+		t.rows, err = algebra.Eval(algebra.Mul{L: algebra.Fixed{Name: "Filter", M: srcs.Diag()}, R: t.expr}, t.env)
 	}
-	if err != nil {
-		return err
-	}
-	t.rows = m
-	return nil
-}
-
-// requestUncovered notes full source sets for references the
-// multiplication rule will not reach (anything but a direct right
-// operand of a multiplication).
-func (t *Traverse) requestUncovered() {
-	n := t.env.G.NumVertices()
-	full := matrix.NewVector(n)
-	for i := 0; i < n; i++ {
-		full.Set(i)
-	}
-	var walk func(e algebra.Expr, covered bool)
-	walk = func(e algebra.Expr, covered bool) {
-		switch v := e.(type) {
-		case algebra.Mul:
-			walk(v.L, covered)
-			if _, isRef := v.R.(algebra.Ref); isRef {
-				return // reached by Algorithm 8
-			}
-			walk(v.R, false)
-		case algebra.Add:
-			walk(v.L, covered)
-			walk(v.R, covered)
-		case algebra.Transpose:
-			walk(v.Sub, false)
-		case algebra.Star:
-			walk(v.Sub, false)
-		case algebra.Plus:
-			walk(v.Sub, false)
-		case algebra.Opt:
-			walk(v.Sub, false)
-		case algebra.Ref:
-			t.env.NoteRefSources(v.Name, full)
-		}
-	}
-	// The filter is prepended as the leftmost factor, so top-level
-	// right-of-mul refs are covered; walk the raw expression the same
-	// way prependFilter associates it.
-	walk(prependFilter(algebra.Fixed{Name: "Filter", M: matrix.NewBool(n, n)}, t.expr), false)
-}
-
-// prependFilter multiplies the filter onto the leftmost factor,
-// distributing over alternation so Algorithm 8 sees every reference
-// chain with its proper source set.
-func prependFilter(filter algebra.Expr, e algebra.Expr) algebra.Expr {
-	switch v := e.(type) {
-	case algebra.Mul:
-		return algebra.Mul{L: prependFilter(filter, v.L), R: v.R}
-	case algebra.Add:
-		return algebra.Add{L: prependFilter(filter, v.L), R: prependFilter(filter, v.R)}
-	default:
-		return algebra.Mul{L: filter, R: e}
-	}
+	return err
 }
 
 func (t *Traverse) Explain() string {
-	return fmt.Sprintf("%s(from=%d, to=%d, expr=%s)", t.name, t.fromSlot, t.toSlot, t.expr.String())
+	if t.path != nil {
+		return fmt.Sprintf("%s(from=%d, to=%d, %s)", t.name, t.fromSlot, t.toSlot, t.path)
+	}
+	return fmt.Sprintf("%s(from=%d, to=%d, expr=%s)", t.name, t.fromSlot, t.toSlot, t.expr)
 }
 
 func (t *Traverse) Child() Operation { return t.child }

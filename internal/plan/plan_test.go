@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mscfpq/internal/cypher"
+	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 )
 
@@ -309,7 +310,8 @@ func TestExplainShowsOperationsAndContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := p.Explain()
-	for _, want := range []string{"Project", "CFPQTraverse", "CondTraverse", "LabelScan", "Ref(S)", "Path pattern context"} {
+	for _, want := range []string{"Project", "CFPQTraverse", "CondTraverse", "LabelScan",
+		"Q -> :b S", "Path pattern context", "S -> :c S :d | :c (:y) :d"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %q:\n%s", want, out)
 		}
@@ -348,22 +350,37 @@ func TestPropertyPredicateWithoutStoreFails(t *testing.T) {
 	}
 }
 
+// TestTranslateConnectionShapes pins how a MATCH path connection is
+// compiled into the declared grammar: steps and node checks in order,
+// a nested alternation as a helper, destination labels as trailing node
+// checks, an inverse application reversed onto S#r, and a bare
+// reference as the declared pattern itself.
 func TestTranslateConnectionShapes(t *testing.T) {
-	q, err := cypher.Parse(`MATCH (v)-/ <:a [:b | :c] (:x) ~S /->(u) RETURN v`)
+	q := mustParseQuery(t, `PATH PATTERN S = ()-/ :c [~S]? :d /->()
+		MATCH (v)-/ <:a [:b | :c] (:x) ~S /->(u) RETURN v`)
+	ctx, err := NewPathCtx(paperGraph(), q.PathPatterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := q.Match.Patterns[0].Connections[0]
-	expr, isPath, err := TranslateConnection(conn)
-	if err != nil || !isPath {
-		t.Fatalf("translate: %v isPath=%v", err, isPath)
-	}
-	s := expr.String()
-	// Inverse relationship steps resolve to the "_r" label (the graph
-	// layer serves its transpose).
-	for _, want := range []string{"E^a_r", "E^b", "E^c", "V^x", "Ref(S)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("expr %q missing %q", s, want)
+	conn := q.Match.Patterns[0].Connections[0].(cypher.PathApply)
+	for _, c := range []struct {
+		conn   cypher.PathApply
+		labels []string
+		want   string
+	}{
+		{conn, nil, "Q#q1 -> :b | :c; Q -> :a_r Q#q1 (:x) S"},
+		{conn, []string{"y"}, "Q#q1 -> :b | :c; Q -> :a_r Q#q1 (:x) S (:y)"},
+		{cypher.PathApply{Expr: conn.Expr, Inverse: true}, nil,
+			"S#r#q1 -> eps | S#r; S#r -> :d_r S#r#q1 :c_r; Q#q2 -> :b_r | :c_r; Q -> S#r (:x) Q#q2 :a"},
+		{cypher.PathApply{Expr: cypher.PERef{Name: "S"}}, nil, "S"},
+		{cypher.PathApply{Expr: cypher.PERef{Name: "S"}, Inverse: true}, nil, "S#r#q1 -> eps | S#r; S#r -> :d_r S#r#q1 :c_r"},
+	} {
+		path, err := ctx.compilePath(c.conn, c.labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := path.String(); got != c.want {
+			t.Errorf("compiled %s with labels %v:\n got  %s\n want %s", c.conn.Expr, c.labels, got, c.want)
 		}
 	}
 }
@@ -383,7 +400,8 @@ func TestPatternsToGrammarQuantifiers(t *testing.T) {
 	if cf.Start != "P" {
 		t.Fatalf("start = %q", cf.Start)
 	}
-	// The grammar must accept a+, a+b and nothing else short.
+	// The grammar must accept a+, a+b and nothing else short; its
+	// terminals are relationship steps.
 	wcnfize := func() interface{ Accepts([]string) bool } {
 		w, err := wcnfFor(cf)
 		if err != nil {
@@ -392,21 +410,48 @@ func TestPatternsToGrammarQuantifiers(t *testing.T) {
 		return w
 	}
 	w := wcnfize()
-	for _, ok := range [][]string{{"a"}, {"a", "a"}, {"a", "b"}, {"a", "a", "b"}} {
+	a, b := grammar.EdgeStep("a"), grammar.EdgeStep("b")
+	for _, ok := range [][]string{{a}, {a, a}, {a, b}, {a, a, b}} {
 		if !w.Accepts(ok) {
 			t.Fatalf("grammar rejects %v", ok)
 		}
 	}
-	for _, bad := range [][]string{{}, {"b"}, {"a", "b", "b"}, {"b", "a"}} {
+	for _, bad := range [][]string{{}, {b}, {a, b, b}, {b, a}} {
 		if w.Accepts(bad) {
 			t.Fatalf("grammar accepts %v", bad)
 		}
 	}
 }
 
+// TestStepsAndChecksKeepTheirKind: inside a PATH PATTERN a node check
+// (:y) matches vertices labeled y, never a y edge, and a relationship
+// step :y matches y edges, never a vertex labeled y — declared or
+// written in the MATCH clause.
+func TestStepsAndChecksKeepTheirKind(t *testing.T) {
+	g := graph.New(7)
+	g.AddEdge(0, "c", 1)
+	g.AddEdge(1, "d", 3)
+	g.AddVertexLabel(1, "y")
+	g.AddEdge(0, "c", 4)
+	g.AddEdge(4, "y", 5)
+	g.AddEdge(5, "d", 6)
+	const decl = `PATH PATTERN S = ()-/ :c (:y) :d /->() PATH PATTERN T = ()-/ :c :y /->() `
+	for _, c := range []struct {
+		query string
+		want  [][]int64
+	}{
+		{decl + `MATCH (v)-/ ~S /->(to) RETURN v, to`, [][]int64{{0, 3}}},
+		{`MATCH (v)-/ :c (:y) :d /->(to) RETURN v, to`, [][]int64{{0, 3}}},
+		{decl + `MATCH (v)-/ ~T /->(to) RETURN v, to`, [][]int64{{0, 5}}},
+		{`MATCH (v)-/ :c :y /->(to) RETURN v, to`, [][]int64{{0, 5}}},
+	} {
+		expectRows(t, runQuery(t, g, c.query), c.want)
+	}
+}
+
 func TestTransposedRefStillResolves(t *testing.T) {
-	// A reference under a transpose escapes Algorithm 8's source rule;
-	// the traverse must fall back to full-source resolution.
+	// A reference applied right to left is solved as S#r, the reversal
+	// of S's declaration, from the bound sources.
 	rs := runQuery(t, paperGraph(), `
 		PATH PATTERN S = ()-/ [:c ~S :d] | [:c (:y) :d] /->()
 		MATCH (v)<-/ ~S /-(to)

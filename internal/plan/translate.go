@@ -1,266 +1,283 @@
 // Package plan builds and evaluates execution plans for the database
 // layer, reproducing the paper's Section 4.3: MATCH patterns become a
-// query graph, the query graph is split into linear paths, each path is
-// translated into an algebraic expression over label matrices, and the
-// expressions drive streaming plan operations — LabelScan, CondTraverse
-// for relationship patterns, and the new CFPQTraverse for path patterns,
-// whose named-pattern references are resolved by the multiple-source
-// CFPQ algorithm through the path pattern context.
+// query graph, the query graph is split into linear paths, and each
+// connection of a path drives a streaming plan operation. A
+// relationship pattern becomes an algebraic expression over label
+// matrices, evaluated by CondTraverse; a path pattern is compiled into
+// the context-free grammar of the PATH PATTERN declarations and answered
+// by CFPQTraverse through the multiple-source CFPQ index of the path
+// pattern context.
 package plan
 
 import (
 	"fmt"
+	"strings"
 
 	"mscfpq/internal/algebra"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/grammar"
 )
 
-// TranslatePathExpr converts a parsed path-pattern expression into an
-// algebraic expression (paper examples: node pattern (:x) -> V^x,
-// relationship :a -> E^a, path pattern :b ~S -> E^b * Ref(S)).
-func TranslatePathExpr(e cypher.PathExpr) (algebra.Expr, error) {
+// translateRel converts a relationship pattern into the algebraic
+// expression of the CondTraverse that executes it.
+func translateRel(r cypher.RelPattern) algebra.Expr {
+	var e algebra.Expr = algebra.AnyEdge{}
+	if len(r.Types) > 0 {
+		e = algebra.EdgeLabel{Label: r.Types[0]}
+		for _, t := range r.Types[1:] {
+			e = algebra.Add{L: e, R: algebra.EdgeLabel{Label: t}}
+		}
+	}
+	if r.Inverse {
+		e = algebra.Transpose{Sub: e}
+	}
+	return e
+}
+
+// PatternsToGrammar compiles the PATH PATTERN declarations into a
+// context-free grammar whose nonterminals are the pattern names:
+// relationship steps become grammar.EdgeStep terminals, node checks
+// grammar.NodeCheck terminals, references become nonterminals, and
+// quantifiers introduce auxiliary nonterminals. The grammar feeds the
+// multiple-source CFPQ index that answers the MATCH clause's path
+// patterns, which compilePath adds to it.
+func PatternsToGrammar(pats []cypher.NamedPathPattern) (*grammar.Grammar, error) {
+	if len(pats) == 0 {
+		return nil, fmt.Errorf("plan: no named path patterns")
+	}
+	c, err := newCompiler(pats)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pats {
+		if err := c.addAlternatives(p.Name, p.Expr); err != nil {
+			return nil, err
+		}
+	}
+	return grammar.New(pats[0].Name, c.prods)
+}
+
+// reversed is the suffix of the pattern X#r that matches the reversed
+// paths of a declared X; '#' cannot occur in a declared name.
+const reversed = "#r"
+
+// compiler flattens path-pattern expressions into productions.
+type compiler struct {
+	decls map[string]cypher.PathExpr // referable patterns: the declared ones and the reversals compiled so far
+	prods []grammar.Production
+	fresh int
+}
+
+func newCompiler(pats []cypher.NamedPathPattern) (*compiler, error) {
+	c := &compiler{decls: map[string]cypher.PathExpr{}}
+	for _, p := range pats {
+		if _, dup := c.decls[p.Name]; dup {
+			return nil, fmt.Errorf("plan: duplicate path pattern %q", p.Name)
+		}
+		c.decls[p.Name] = p.Expr
+	}
+	return c, nil
+}
+
+func (c *compiler) freshNT(owner string) string {
+	c.fresh++
+	return fmt.Sprintf("%s#q%d", owner, c.fresh)
+}
+
+// addAlternatives adds the productions owner -> e, one per top-level
+// alternative.
+func (c *compiler) addAlternatives(owner string, e cypher.PathExpr) error {
+	alts := []cypher.PathExpr{e}
+	if alt, ok := e.(cypher.PEAlt); ok {
+		alts = alt.Alts
+	}
+	for _, a := range alts {
+		syms, err := c.toSymbols(owner, a)
+		if err != nil {
+			return err
+		}
+		c.prods = append(c.prods, grammar.Production{LHS: owner, RHS: syms})
+	}
+	return nil
+}
+
+// toSymbols flattens an expression into one right-hand side, introducing
+// helper nonterminals for nested alternation and quantifiers.
+func (c *compiler) toSymbols(owner string, e cypher.PathExpr) ([]grammar.Symbol, error) {
 	switch v := e.(type) {
 	case cypher.PESeq:
-		var out algebra.Expr
+		var out []grammar.Symbol
 		for _, part := range v.Parts {
-			sub, err := TranslatePathExpr(part)
+			syms, err := c.toSymbols(owner, part)
 			if err != nil {
 				return nil, err
 			}
-			if _, isIdent := sub.(algebra.Ident); isIdent {
-				continue
-			}
-			if out == nil {
-				out = sub
-			} else {
-				out = algebra.Mul{L: out, R: sub}
-			}
-		}
-		if out == nil {
-			return algebra.Ident{}, nil
+			out = append(out, syms...)
 		}
 		return out, nil
 	case cypher.PEAlt:
-		var out algebra.Expr
-		for _, alt := range v.Alts {
-			sub, err := TranslatePathExpr(alt)
-			if err != nil {
-				return nil, err
-			}
-			if out == nil {
-				out = sub
-			} else {
-				out = algebra.Add{L: out, R: sub}
-			}
+		nt := c.freshNT(owner)
+		if err := c.addAlternatives(nt, v); err != nil {
+			return nil, err
 		}
-		return out, nil
+		return []grammar.Symbol{grammar.N(nt)}, nil
 	case cypher.PERel:
 		label := v.Type
 		if v.Inverse {
 			label = grammar.InverseLabel(label)
 		}
-		return algebra.EdgeLabel{Label: label}, nil
+		return []grammar.Symbol{grammar.T(grammar.EdgeStep(label))}, nil
 	case cypher.PENode:
-		var out algebra.Expr
+		var out []grammar.Symbol
 		for _, l := range v.Labels {
-			sub := algebra.Expr(algebra.VertexLabel{Label: l})
-			if out == nil {
-				out = sub
-			} else {
-				out = algebra.Mul{L: out, R: sub}
-			}
-		}
-		if out == nil {
-			return algebra.Ident{}, nil
+			out = append(out, grammar.T(grammar.NodeCheck(l)))
 		}
 		return out, nil
 	case cypher.PERef:
-		return algebra.Ref{Name: v.Name}, nil
+		if err := c.declare(v.Name); err != nil {
+			return nil, err
+		}
+		return []grammar.Symbol{grammar.N(v.Name)}, nil
 	case cypher.PEStar:
-		sub, err := TranslatePathExpr(v.Sub)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Star{Sub: sub}, nil
+		return c.quantify(owner, v.Sub, true, true)
 	case cypher.PEPlus:
-		sub, err := TranslatePathExpr(v.Sub)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Plus{Sub: sub}, nil
+		return c.quantify(owner, v.Sub, false, true)
 	case cypher.PEOpt:
-		sub, err := TranslatePathExpr(v.Sub)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Opt{Sub: sub}, nil
+		return c.quantify(owner, v.Sub, true, false)
 	default:
 		return nil, fmt.Errorf("plan: unsupported path expression %T", e)
 	}
 }
 
-// TranslateConnection converts a pattern connection into the algebraic
-// expression of the traverse operation that will execute it.
-func TranslateConnection(c cypher.Connection) (expr algebra.Expr, isPath bool, err error) {
-	switch v := c.(type) {
-	case cypher.RelPattern:
-		var e algebra.Expr
-		if len(v.Types) == 0 {
-			e = algebra.AnyEdge{}
-		} else {
-			for _, t := range v.Types {
-				sub := algebra.Expr(algebra.EdgeLabel{Label: t})
-				if e == nil {
-					e = sub
-				} else {
-					e = algebra.Add{L: e, R: sub}
-				}
-			}
+// quantify introduces the helper nonterminal nt of a quantifier over
+// sub: nt -> eps where the empty path matches (e*, e?), nt -> inner where
+// it does not (e+), and nt -> nt inner where sub repeats (e*, e+), else
+// nt -> inner (e?). Recursing on the left, the helper is solved for the
+// sources bound to it, and sub only for the vertices they reach.
+func (c *compiler) quantify(owner string, sub cypher.PathExpr, empty, repeat bool) ([]grammar.Symbol, error) {
+	nt := c.freshNT(owner)
+	inner, err := c.toSymbols(nt, sub)
+	if err != nil {
+		return nil, err
+	}
+	first, second := inner, inner
+	if empty {
+		first = nil
+	}
+	if repeat {
+		second = append([]grammar.Symbol{grammar.N(nt)}, inner...)
+	}
+	c.prods = append(c.prods, grammar.Production{LHS: nt, RHS: first}, grammar.Production{LHS: nt, RHS: second})
+	return []grammar.Symbol{grammar.N(nt)}, nil
+}
+
+// declare checks that a referenced pattern exists. The first reference
+// to X#r compiles the reversal of X's declaration under that name.
+func (c *compiler) declare(name string) error {
+	if _, ok := c.decls[name]; ok {
+		return nil
+	}
+	base, isRev := strings.CutSuffix(name, reversed)
+	d, ok := c.decls[base]
+	if !isRev || !ok {
+		return fmt.Errorf("plan: reference to undeclared path pattern %q", name)
+	}
+	rev := reversePath(d)
+	c.decls[name] = rev
+	return c.addAlternatives(name, rev)
+}
+
+// reversePath returns the expression whose paths are e's, walked
+// backwards: sequences run in the opposite order, relationship steps
+// flip direction, node checks and quantifiers stay, and a reference ~X
+// becomes ~X#r, whose declaration is X's reversed.
+func reversePath(e cypher.PathExpr) cypher.PathExpr {
+	switch v := e.(type) {
+	case cypher.PESeq:
+		parts := make([]cypher.PathExpr, len(v.Parts))
+		for i, p := range v.Parts {
+			parts[len(parts)-1-i] = reversePath(p)
 		}
-		if v.Inverse {
-			e = algebra.Transpose{Sub: e}
+		return cypher.PESeq{Parts: parts}
+	case cypher.PEAlt:
+		alts := make([]cypher.PathExpr, len(v.Alts))
+		for i, a := range v.Alts {
+			alts[i] = reversePath(a)
 		}
-		return e, false, nil
-	case cypher.PathApply:
-		e, err := TranslatePathExpr(v.Expr)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.Inverse {
-			e = algebra.Transpose{Sub: e}
-		}
-		return e, true, nil
-	default:
-		return nil, false, fmt.Errorf("plan: unsupported connection %T", c)
+		return cypher.PEAlt{Alts: alts}
+	case cypher.PERel:
+		v.Inverse = !v.Inverse
+		return v
+	case cypher.PERef:
+		return cypher.PERef{Name: v.Name + reversed}
+	case cypher.PEStar:
+		return cypher.PEStar{Sub: reversePath(v.Sub)}
+	case cypher.PEPlus:
+		return cypher.PEPlus{Sub: reversePath(v.Sub)}
+	case cypher.PEOpt:
+		return cypher.PEOpt{Sub: reversePath(v.Sub)}
+	default: // node checks read the same both ways
+		return e
 	}
 }
 
-// PatternsToGrammar compiles the PATH PATTERN declarations into a
-// context-free grammar whose nonterminals are the pattern names:
-// relationship steps become terminals, node checks become vertex-label
-// terminals, references become nonterminals, and quantifiers introduce
-// auxiliary nonterminals. The grammar feeds the multiple-source CFPQ
-// engine that resolves references during plan evaluation.
-func PatternsToGrammar(pats []cypher.NamedPathPattern) (*grammar.Grammar, error) {
-	if len(pats) == 0 {
-		return nil, fmt.Errorf("plan: no named path patterns")
-	}
-	declared := map[string]bool{}
-	for _, p := range pats {
-		if declared[p.Name] {
-			return nil, fmt.Errorf("plan: duplicate path pattern %q", p.Name)
-		}
-		declared[p.Name] = true
-	}
-	var prods []grammar.Production
-	fresh := 0
-	freshNT := func(base string) string {
-		fresh++
-		return fmt.Sprintf("%s#q%d", base, fresh)
-	}
+// pathQuery is a MATCH path connection compiled into the declared
+// grammar: the CFPQTraverse that executes it reads the rows of start.
+type pathQuery struct {
+	rules *grammar.Grammar // the productions the connection adds; none for a bare reference
+	w     *grammar.WCNF    // the declared WCNF, extended by rules
+	start int
+}
 
-	// toSymbols flattens an expression into one RHS, introducing helper
-	// nonterminals for nested alternation and quantifiers.
-	var toSymbols func(owner string, e cypher.PathExpr) ([]grammar.Symbol, error)
-	var addAlternatives func(owner string, e cypher.PathExpr) error
-
-	toSymbols = func(owner string, e cypher.PathExpr) ([]grammar.Symbol, error) {
-		switch v := e.(type) {
-		case cypher.PESeq:
-			var out []grammar.Symbol
-			for _, part := range v.Parts {
-				syms, err := toSymbols(owner, part)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, syms...)
-			}
-			return out, nil
-		case cypher.PEAlt:
-			nt := freshNT(owner)
-			if err := addAlternatives(nt, v); err != nil {
-				return nil, err
-			}
-			return []grammar.Symbol{grammar.N(nt)}, nil
-		case cypher.PERel:
-			label := v.Type
-			if v.Inverse {
-				label = grammar.InverseLabel(label)
-			}
-			return []grammar.Symbol{grammar.T(label)}, nil
-		case cypher.PENode:
-			var out []grammar.Symbol
-			for _, l := range v.Labels {
-				out = append(out, grammar.T(l))
-			}
-			return out, nil
-		case cypher.PERef:
-			if !declared[v.Name] {
-				return nil, fmt.Errorf("plan: reference to undeclared path pattern %q", v.Name)
-			}
-			return []grammar.Symbol{grammar.N(v.Name)}, nil
-		case cypher.PEStar:
-			nt := freshNT(owner)
-			inner, err := toSymbols(nt, v.Sub)
-			if err != nil {
-				return nil, err
-			}
-			prods = append(prods,
-				grammar.Production{LHS: nt},
-				grammar.Production{LHS: nt, RHS: append(inner, grammar.N(nt))},
-			)
-			return []grammar.Symbol{grammar.N(nt)}, nil
-		case cypher.PEPlus:
-			nt := freshNT(owner)
-			inner, err := toSymbols(nt, v.Sub)
-			if err != nil {
-				return nil, err
-			}
-			prods = append(prods,
-				grammar.Production{LHS: nt, RHS: inner},
-				grammar.Production{LHS: nt, RHS: append(append([]grammar.Symbol{}, inner...), grammar.N(nt))},
-			)
-			return []grammar.Symbol{grammar.N(nt)}, nil
-		case cypher.PEOpt:
-			nt := freshNT(owner)
-			inner, err := toSymbols(nt, v.Sub)
-			if err != nil {
-				return nil, err
-			}
-			prods = append(prods,
-				grammar.Production{LHS: nt},
-				grammar.Production{LHS: nt, RHS: inner},
-			)
-			return []grammar.Symbol{grammar.N(nt)}, nil
-		default:
-			return nil, fmt.Errorf("plan: unsupported path expression %T", e)
-		}
+// String renders what the traverse solves: the added rules, or the
+// referenced pattern.
+func (p *pathQuery) String() string {
+	if len(p.rules.Prods) == 0 {
+		return p.rules.Start
 	}
+	return strings.ReplaceAll(strings.TrimSuffix(p.rules.String(), "\n"), "\n", "; ")
+}
 
-	addAlternatives = func(owner string, e cypher.PathExpr) error {
-		if alt, ok := e.(cypher.PEAlt); ok {
-			for _, a := range alt.Alts {
-				syms, err := toSymbols(owner, a)
-				if err != nil {
-					return err
-				}
-				prods = append(prods, grammar.Production{LHS: owner, RHS: syms})
-			}
-			return nil
-		}
-		syms, err := toSymbols(owner, e)
-		if err != nil {
-			return err
-		}
-		prods = append(prods, grammar.Production{LHS: owner, RHS: syms})
-		return nil
+// compilePath compiles a MATCH path connection, with the labels of its
+// destination node, into the context's declared grammar. A connection
+// applied right to left is reversed first (reversePath), and the labels
+// become node checks at its end. A bare reference to a declared pattern
+// adds nothing: the traverse reads that pattern's rows of the index.
+// Anything else becomes the start nonterminal Q of productions that
+// extend the declared WCNF (grammar.Extend), so the driver that solves Q
+// passes its sources on to the patterns Q references.
+func (ctx *PathCtx) compilePath(p cypher.PathApply, labels []string) (*pathQuery, error) {
+	e := p.Expr
+	if p.Inverse {
+		e = reversePath(e)
 	}
-
-	for _, p := range pats {
-		if err := addAlternatives(p.Name, p.Expr); err != nil {
+	if len(labels) > 0 {
+		e = cypher.PESeq{Parts: []cypher.PathExpr{e, cypher.PENode{Labels: labels}}}
+	}
+	c, err := newCompiler(ctx.pats)
+	if err != nil {
+		return nil, err
+	}
+	var start string
+	if ref, ok := e.(cypher.PERef); ok {
+		start = ref.Name
+		err = c.declare(start)
+	} else {
+		start = "Q"
+		for c.decls[start] != nil {
+			start += "'"
+		}
+		err = c.addAlternatives(start, e)
+	}
+	if err != nil {
+		return nil, err
+	}
+	q := &pathQuery{rules: &grammar.Grammar{Start: start, Prods: c.prods}, w: ctx.idx.W}
+	if len(c.prods) > 0 {
+		if q.w, err = grammar.Extend(q.w, q.rules); err != nil {
 			return nil, err
 		}
 	}
-	return grammar.New(pats[0].Name, prods)
+	q.start = q.w.NontermID(start)
+	return q, nil
 }

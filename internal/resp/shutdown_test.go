@@ -193,7 +193,9 @@ func TestServerShutdownDrainTimeout(t *testing.T) {
 // TestServerRefusesDuringDrain checks that commands arriving on an
 // existing connection after a drain started get an explicit refusal.
 func TestServerRefusesDuringDrain(t *testing.T) {
-	srv, addr := startServerWith(t, map[string]*graph.Graph{"g": twoCycle(100)})
+	// The busy connection's query must still run after the 150 ms of
+	// sleeps below; a^n b^n over two 150-vertex cycles leaves a wide margin.
+	srv, addr := startServerWith(t, map[string]*graph.Graph{"g": twoCycle(150)})
 	busy, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
