@@ -7,7 +7,7 @@ GO ?= go
 # module.
 RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/analysis/... ./cmd/mscfpq-lint
 
-.PHONY: check all build vet test race race-quick cover bench bench-quick bench-batch bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
+.PHONY: check all build vet test race race-quick cover bench bench-quick bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
 
 # Default: what CI runs on every change.
 check: build vet lint test race diff-test chaos chaos-repl bench-smoke
@@ -85,9 +85,7 @@ bench-quick:
 # governed-kernel overhead <= 3%. The cache smoke measures cold-vs-warm
 # latency and concurrent-reader throughput into BENCH_cache.json; its
 # acceptance gate (warm hit >= 10x faster than cold) fails the run.
-# The batch smoke measures query coalescing into BENCH_batch.json; its
-# acceptance gates (>= 2x aggregate qps with 8 concurrent same-grammar
-# clients, <= 1ms added lone-client p50) fail the run. The reply
+# The reply
 # benchmarks print what one query reply costs to encode and to decode
 # (10 and 6000 rows, ns and allocations; DESIGN.md §15) — their gate is
 # the allocation guard TestReplyAllocs in `make test`. The kernel
@@ -100,7 +98,6 @@ bench-quick:
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
-	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep)$$|BenchmarkRPQUnification$$' -benchmem .
 
@@ -113,10 +110,6 @@ SEED ?= 1
 TRACE ?= 0
 bench-e2e:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)
-
-# The coalescing experiment alone, at quick scale (DESIGN.md Â§14).
-bench-batch:
-	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
 
 # Short fuzzing sessions over every parser, plus generated Cypher path
 # queries checked end to end against the pattern oracle (FuzzQuery).
@@ -171,4 +164,4 @@ lint-tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 clean:
-	rm -f test_output.txt bench_output.txt BENCH_obs.json BENCH_cache.json BENCH_batch.json
+	rm -f test_output.txt bench_output.txt BENCH_obs.json BENCH_cache.json

@@ -31,6 +31,27 @@ func sanitize(s string) string {
 	}, s)
 }
 
+// writeJSON writes one experiment's measurements to path through enc;
+// an empty path writes nothing.
+func writeJSON(path string, enc func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := enc(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
@@ -41,14 +62,14 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "table1 | fig2 | figures | ablation | fullstack | rpq | obs | cache | batch | all")
+		exp      = fs.String("exp", "all", "table1 | fig2 | figures | ablation | fullstack | rpq | obs | cache | all")
 		quick    = fs.Bool("quick", false, "use the reduced smoke-test scales")
 		graphs   = fs.String("graphs", "", "comma-separated graph subset")
 		chunks   = fs.String("chunks", "", "comma-separated chunk sizes for the sweep")
 		seed     = fs.Int64("seed", 2021, "chunk sampling seed")
 		csvPath  = fs.String("csv", "", "also write the figures sweep as CSV to this path")
 		svgDir   = fs.String("svg", "", "also render one SVG chart per figures series into this directory")
-		jsonPath = fs.String("json", "", "also write the obs experiment's measurements as JSON to this path")
+		jsonPath = fs.String("json", "", "also write the obs or cache experiment's measurements as JSON to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,19 +177,8 @@ func run(args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				if err := bench.WriteObsJSON(f, measurements); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
+			if err := writeJSON(*jsonPath, func(w io.Writer) error { return bench.WriteObsJSON(w, measurements) }); err != nil {
+				return err
 			}
 			return rep.Render(stdout)
 		case "cache":
@@ -176,39 +186,8 @@ func run(args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				if err := bench.WriteCacheJSON(f, measurements); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-			}
-			return rep.Render(stdout)
-		case "batch":
-			rep, measurements, err := bench.BatchBench(cfg)
-			if err != nil {
+			if err := writeJSON(*jsonPath, func(w io.Writer) error { return bench.WriteCacheJSON(w, measurements) }); err != nil {
 				return err
-			}
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				if err := bench.WriteBatchJSON(f, measurements); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 			}
 			return rep.Render(stdout)
 		default:
@@ -217,7 +196,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig2", "figures", "ablation", "fullstack", "rpq", "obs", "cache", "batch"} {
+		for _, name := range []string{"table1", "fig2", "figures", "ablation", "fullstack", "rpq", "obs", "cache"} {
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

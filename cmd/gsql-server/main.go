@@ -33,6 +33,11 @@ import (
 	"mscfpq/internal/resp"
 )
 
+// -batch-window is accepted and ignored, like gdb.Policy.BatchWindow.
+//
+// Deprecated: ignored; set by benchmark/ until ROADMAP item 1 drops it.
+var _ = flag.Duration("batch-window", 0, "ignored; set by benchmark/ until ROADMAP item 1 drops it")
+
 type listFlag []string
 
 func (l *listFlag) String() string     { return strings.Join(*l, ",") }
@@ -57,8 +62,6 @@ func run() error {
 		maxConcurrent = flag.Int("max-concurrent", 0, "commands allowed to execute at once before BUSY shedding (0 = unlimited)")
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "byte budget of the versioned query-result cache (0 = disabled)")
 		cacheTTL      = flag.Duration("cache-ttl", 0, "expire cached query results after this age (0 = until evicted/invalidated)")
-		batchWindow   = flag.Duration("batch-window", 0, "admission window for coalescing concurrent same-grammar CFPQ queries into one shared fixpoint (0 = disabled; a lone query never waits)")
-		batchMaxSrc   = flag.Int("batch-max-sources", 0, "flush a coalesced batch early once its deduplicated source union reaches this size (0 = uncapped)")
 		maxConns      = flag.Int("max-conns", 0, "simultaneous client connections (0 = unlimited)")
 		idleTimeout   = flag.Duration("idle-timeout", 0, "close connections idle for this long (0 = never)")
 		metricsAddr   = flag.String("metrics-addr", "", "HTTP address serving the metrics snapshot as JSON (empty = disabled)")
@@ -88,16 +91,14 @@ func run() error {
 		db.SetReplicaSource(*replicaOf)
 	}
 	db.SetPolicy(gdb.Policy{
-		DefaultTimeout:  *queryTimeout,
-		MaxWork:         *maxWork,
-		SlowQuery:       *slowQuery,
-		MaxConcurrent:   *maxConcurrent,
-		SaveInterval:    *saveInterval,
-		CacheMaxBytes:   *cacheBytes,
-		CacheTTL:        *cacheTTL,
-		BatchWindow:     *batchWindow,
-		BatchMaxSources: *batchMaxSrc,
-		Log:             log.Default(),
+		DefaultTimeout: *queryTimeout,
+		MaxWork:        *maxWork,
+		SlowQuery:      *slowQuery,
+		MaxConcurrent:  *maxConcurrent,
+		SaveInterval:   *saveInterval,
+		CacheMaxBytes:  *cacheBytes,
+		CacheTTL:       *cacheTTL,
+		Log:            log.Default(),
 	})
 	srv := resp.NewServer(db)
 	srv.Logger = log.Default()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"log"
 	"os"
@@ -88,5 +89,17 @@ func TestListFlag(t *testing.T) {
 	}
 	if l.String() != "a,b" || len(l) != 2 {
 		t.Fatalf("listFlag = %v", l)
+	}
+}
+
+// TestIgnoredWindowFlagStillParses keeps the command line the wire
+// benchmark starts the server with valid: -batch-window does nothing,
+// but rejecting it would fail every benchmark run.
+func TestIgnoredWindowFlagStillParses(t *testing.T) {
+	if err := flag.CommandLine.Parse([]string{"-batch-window", "500us"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := flag.Lookup("batch-window").Value.String(); got != "500µs" {
+		t.Fatalf("-batch-window = %s, want 500µs", got)
 	}
 }

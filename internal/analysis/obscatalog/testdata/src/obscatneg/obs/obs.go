@@ -16,17 +16,17 @@ var Default = &Registry{}
 
 const (
 	LayerKernel = "kernel"
-	LayerBatch  = "batch"
+	LayerCache  = "cache"
 )
 
 var (
-	KernelOps   = Default.Counter("kernel.mul.ops")
-	BatchGroups = Default.Counter("batch.groups")
+	KernelOps = Default.Counter("kernel.mul.ops")
+	CacheHits = Default.Counter("cache.hits")
 )
 
 const (
-	SpanQuery     = "query"
-	SpanBatchWait = "batch.wait"
+	SpanQuery    = "query"
+	SpanCacheHit = "cache.hit"
 )
 
 // SpanRound derives a per-round span name inside the catalog package.

@@ -11,12 +11,12 @@ func startSpan(t *obs.Trace, name string) {
 }
 
 func Good(t *obs.Trace) {
-	t.Start(obs.SpanQuery)     // catalog constant
-	t.Start(obs.SpanRound(3))  // obs-derived dynamic name
-	t.Start("query")           // literal matching a registered name
-	t.Start(obs.SpanBatchWait) // batch-layer span constant
+	t.Start(obs.SpanQuery)    // catalog constant
+	t.Start(obs.SpanRound(3)) // obs-derived dynamic name
+	t.Start("query")          // literal matching a registered name
+	t.Start(obs.SpanCacheHit) // second-layer span constant
 	startSpan(t, obs.SpanQuery)
 	obs.KernelOps.Inc()
-	obs.BatchGroups.Inc()
+	obs.CacheHits.Inc()
 	obs.NewTrace(obs.SpanQuery)
 }

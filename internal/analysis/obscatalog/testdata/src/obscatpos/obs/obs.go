@@ -14,21 +14,21 @@ var Default = &Registry{}
 
 const (
 	LayerKernel = "kernel"
-	LayerBatch  = "batch"
+	LayerCache  = "cache"
 )
 
 var (
-	KernelOps   = Default.Counter("kernel.mul.ops")
-	BatchGroups = Default.Counter("batch.groups")
-	BatchDead   = Default.Counter("batch.dead.count") // want `catalog entry "batch\.dead\.count" is never referenced`
-	DeadMetric  = Default.Counter("kernel.dead.ops")  // want `catalog entry "kernel\.dead\.ops" is never referenced`
-	BadLayer    = Default.Counter("bogus.mul.ops")    // want `instrument "bogus\.mul\.ops" has no declared layer`
+	KernelOps  = Default.Counter("kernel.mul.ops")
+	CacheHits  = Default.Counter("cache.hits")
+	CacheDead  = Default.Counter("cache.dead.count") // want `catalog entry "cache\.dead\.count" is never referenced`
+	DeadMetric = Default.Counter("kernel.dead.ops")  // want `catalog entry "kernel\.dead\.ops" is never referenced`
+	BadLayer   = Default.Counter("bogus.mul.ops")    // want `instrument "bogus\.mul\.ops" has no declared layer`
 )
 
 const (
-	SpanQuery     = "query"
-	SpanBatchWait = "batch.wait"
-	SpanDead      = "dead" // want `catalog entry "dead" is never referenced`
+	SpanQuery    = "query"
+	SpanCacheHit = "cache.hit"
+	SpanDead     = "dead" // want `catalog entry "dead" is never referenced`
 )
 
 type Trace struct{}

@@ -17,8 +17,8 @@ func Dyn(t *obs.Trace, name string) {
 func Touch() {
 	t := obs.NewTrace(obs.SpanQuery)
 	t.Start(obs.SpanQuery)
-	t.Start(obs.SpanBatchWait)
+	t.Start(obs.SpanCacheHit)
 	obs.KernelOps.Inc()
-	obs.BatchGroups.Inc()
+	obs.CacheHits.Inc()
 	obs.BadLayer.Inc()
 }

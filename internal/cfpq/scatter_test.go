@@ -10,8 +10,8 @@ import (
 )
 
 // scatter row-filters union-run pairs down to one member's source set.
-// It mirrors the batch coalescer's scatter step: Pairs() is row-major
-// sorted, so filtering preserves the solo run's exact ordering.
+// Pairs() is row-major sorted, so filtering preserves the solo run's
+// exact ordering.
 func scatter(pairs [][2]int, src *matrix.Vector) [][2]int {
 	out := make([][2]int, 0, len(pairs))
 	for _, p := range pairs {
@@ -24,9 +24,10 @@ func scatter(pairs [][2]int, src *matrix.Vector) [][2]int {
 
 // Property (testing/quick): running MultiSource once over the union of
 // several source sets and scattering the answer per member is
-// byte-identical to running each member solo — the correctness core of
-// batch coalescing (DESIGN.md §14). Member sets are built to overlap,
-// one member duplicates another exactly, and one member is empty.
+// byte-identical to running each member solo: a source-restricted
+// answer depends only on its own sources, whatever else the run
+// processed. Member sets are built to overlap, one member duplicates
+// another exactly, and one member is empty.
 func TestMultiSourceScatterQuick(t *testing.T) {
 	w := grammar.MustWCNF(grammar.AnBn("a", "b"))
 	f := func(edges []uint16, seeds []uint8) bool {
@@ -85,7 +86,7 @@ func TestMultiSourceScatterQuick(t *testing.T) {
 }
 
 // The scatter property holds for every source-restricted engine, not
-// just the default one: a batch may run any of them.
+// just the default one.
 func TestScatterAcrossEngines(t *testing.T) {
 	w := grammar.MustWCNF(grammar.Dyck1("a", "b"))
 	g := quickGraph(16, []uint16{

@@ -14,10 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"time"
 
-	"mscfpq/internal/batch"
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/gen"
@@ -691,182 +688,6 @@ func CheckGoverned(inst gen.Instance, budget int64) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	return abortAt("with cancelled context", cfpq.WithContext(ctx))
-}
-
-// batchMembers derives the member source sets a batch check coalesces:
-// the instance's own set, a strict subset, an exact duplicate, an
-// overlapping shifted set, and an empty set — the shapes the scatter
-// step must keep byte-identical to solo runs.
-func batchMembers(inst gen.Instance) []*matrix.Vector {
-	n := inst.G.NumVertices()
-	full := srcVector(inst.G, inst.Sources)
-	ids := full.Ints()
-	sub := matrix.NewVector(n)
-	shift := matrix.NewVector(n)
-	for i, v := range ids {
-		if i%2 == 0 {
-			sub.Set(v)
-		}
-		if n > 0 {
-			shift.Set((v + 1) % n)
-		}
-	}
-	if len(ids) > 0 {
-		shift.Set(ids[0]) // guarantee overlap with the full set
-	}
-	dup := matrix.NewVectorFromIndices(n, ids)
-	return []*matrix.Vector{full, sub, dup, shift, matrix.NewVector(n)}
-}
-
-// CheckBatch runs every algorithm through the batch coalescer's forced
-// group and compares each member's scattered answer against its own
-// solo cfpq.Eval: byte equality, for overlapping, duplicate and empty
-// member source sets alike. It also asserts the shared fixpoint seeded
-// the version-keyed cache with exactly the per-member and per-source
-// answers it scattered.
-func CheckBatch(inst gen.Instance) error {
-	members := batchMembers(inst)
-	cache := store.NewCache(1<<24, 0)
-	c := batch.NewCoalescer(cache)
-	const storeID, version = 3, 11
-
-	for _, alg := range evalAlgorithms {
-		reqs := make([]batch.Request, len(members))
-		want := make([][][2]int, len(members))
-		for i, m := range members {
-			res, err := cfpq.Eval(inst.G, inst.W, m, cfpq.WithAlgorithm(alg))
-			if err != nil {
-				return fmt.Errorf("solo Eval %v member %d: %v", alg, i, err)
-			}
-			want[i] = res.Pairs()
-			reqs[i] = batch.Request{
-				StoreID: storeID, Version: version,
-				Graph: inst.G, WCNF: inst.W, Sources: m, Algorithm: alg,
-			}
-		}
-		got, stats, err := c.RunBatch(context.Background(), reqs)
-		if err != nil {
-			return fmt.Errorf("RunBatch %v: %v", alg, err)
-		}
-		for i := range members {
-			if !pairsEqual(got[i], want[i]) {
-				return pairsErr(fmt.Sprintf("RunBatch %v member %d", alg, i), got[i], want[i])
-			}
-			if !stats[i].Batched || stats[i].Members != len(members) {
-				return fmt.Errorf("RunBatch %v member %d: stats %+v, want batched group of %d",
-					alg, i, stats[i], len(members))
-			}
-		}
-		// The flush seeds the cache under each member's own eval key …
-		for i, m := range members {
-			k := store.EvalKey(storeID, version, inst.W, m, alg)
-			v, ok := cache.Get(k)
-			if !ok {
-				return fmt.Errorf("RunBatch %v member %d: cache not seeded", alg, i)
-			}
-			if !pairsEqual(v.([][2]int), want[i]) {
-				return pairsErr(fmt.Sprintf("RunBatch %v member %d cache seed", alg, i), v.([][2]int), want[i])
-			}
-		}
-		// … and under per-source singleton keys: each must hold exactly
-		// that source's row slice of the full member's answer.
-		for _, s := range members[0].Ints() {
-			var row [][2]int
-			for _, p := range want[0] {
-				if p[0] == s {
-					row = append(row, p)
-				}
-			}
-			k := store.EvalKey(storeID, version, inst.W,
-				matrix.NewVectorFromIndices(inst.G.NumVertices(), []int{s}), alg)
-			v, ok := cache.Get(k)
-			if !ok {
-				return fmt.Errorf("RunBatch %v: singleton source %d not seeded", alg, s)
-			}
-			if !pairsEqual(v.([][2]int), row) {
-				return pairsErr(fmt.Sprintf("RunBatch %v singleton source %d", alg, s), v.([][2]int), row)
-			}
-		}
-	}
-	return nil
-}
-
-// CheckBatchVersioned stresses the coalescer's version pinning: readers
-// pin MVCC snapshots and submit adaptively-coalesced evaluations while
-// a writer keeps publishing new versions. Because the caller pins the
-// snapshot, every answer must be byte-identical to a solo evaluation of
-// that exact pinned graph — any cross-version mixing inside a batch
-// (the writer only adds edges, so mixing strictly grows answers) breaks
-// the equality.
-func CheckBatchVersioned(inst gen.Instance) error {
-	st := store.New(inst.G)
-	c := batch.NewCoalescer(nil)
-	c.Configure(200*time.Microsecond, 0)
-
-	// Pick a storable label the grammar consumes, so writes change
-	// answers (inverse "x_r" terminals cannot be added as edges).
-	label := "a"
-	for _, term := range inst.W.Terms {
-		if !strings.HasSuffix(term, "_r") {
-			label = term
-			break
-		}
-	}
-	n := inst.G.NumVertices()
-	stop := make(chan struct{})
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_, _ = st.Update(func(tx *store.Tx) error {
-				tx.Graph().AddEdge(i%n, label, (i*7+1)%n)
-				return nil
-			})
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	defer func() { close(stop); writerWG.Wait() }()
-
-	var readerWG sync.WaitGroup
-	errs := make(chan error, 16)
-	for r := 0; r < 4; r++ {
-		readerWG.Add(1)
-		go func(r int) {
-			defer readerWG.Done()
-			for iter := 0; iter < 8; iter++ {
-				src := matrix.NewVectorFromIndices(n, []int{(r + iter) % n, r % n})
-				snap := st.Pin()
-				req := batch.Request{
-					StoreID: snap.StoreID(), Version: snap.Version(),
-					Graph: snap.Graph(), WCNF: inst.W, Sources: src,
-					Algorithm: exec.AlgMultiSource,
-				}
-				got, _, err := c.Eval(context.Background(), req)
-				if err != nil {
-					errs <- fmt.Errorf("reader %d iter %d: %v", r, iter, err)
-					return
-				}
-				res, err := cfpq.Eval(snap.Graph(), inst.W, src, cfpq.WithAlgorithm(exec.AlgMultiSource))
-				if err != nil {
-					errs <- fmt.Errorf("reader %d iter %d solo: %v", r, iter, err)
-					return
-				}
-				if want := res.Pairs(); !pairsEqual(got, want) {
-					errs <- pairsErr(fmt.Sprintf("reader %d iter %d version %d", r, iter, snap.Version()), got, want)
-					return
-				}
-			}
-		}(r)
-	}
-	readerWG.Wait()
-	close(errs)
-	return <-errs
 }
 
 // WriteRepro dumps the instance to a fresh temp directory (graph,

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mscfpq/internal/batch"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/graph"
@@ -42,12 +41,6 @@ type DB struct {
 	// synchronized).
 	slowLog *obs.SlowLog
 
-	// batcher coalesces concurrent same-key EvalCFPQ queries into shared
-	// fixpoints (DESIGN.md §14); set once by New, immutable afterwards
-	// (internally synchronized). Disabled until a policy sets
-	// BatchWindow.
-	batcher *batch.Coalescer
-
 	// dur is the crash-safety layer, nil for in-memory databases (New);
 	// set once by Open before the DB is shared, immutable afterwards.
 	dur *durability
@@ -64,13 +57,11 @@ const slowLogCapacity = 128
 
 // New returns an empty database.
 func New() *DB {
-	db := &DB{
+	return &DB{
 		graphs:  map[string]*GraphStore{},
 		cache:   store.NewCache(0, 0),
 		slowLog: obs.NewSlowLog(slowLogCapacity),
 	}
-	db.batcher = batch.NewCoalescer(db.cache)
-	return db
 }
 
 // SlowLog exposes the slow-query ring (never nil).
@@ -339,8 +330,11 @@ func (db *DB) Stats(name string) ([]string, error) {
 }
 
 // Profile parses, plans and executes a MATCH statement with
-// per-operation instrumentation, returning the profile lines.
-func (db *DB) Profile(name, src string) ([]string, error) {
+// per-operation instrumentation, returning the profile lines. It runs
+// what QueryContext runs — one pinned snapshot, the shared path-pattern
+// context, the caller's context and the policy's limits, the same query
+// accounting — but never reads or fills the result cache.
+func (db *DB) Profile(ctx context.Context, name, src string) ([]string, error) {
 	q, err := cypher.Parse(src)
 	if err != nil {
 		return nil, err
@@ -353,21 +347,31 @@ func (db *DB) Profile(name, src string) ([]string, error) {
 		return nil, err
 	}
 	snap := s.Snapshot()
-	env := plan.NewEnv(snap.Graph(), nil, snap)
-	p, err := plan.Build(q, env)
-	if err != nil {
-		return nil, err
-	}
-	_, entries, err := p.ExecuteProfiled()
+	var entries []plan.ProfileEntry
+	err = db.serve(ctx, name, src, q, nil, func(run *exec.Run) error {
+		p, err := s.prepare(snap, q, run)
+		if err != nil {
+			return err
+		}
+		_, entries, err = p.ExecuteProfiled(exec.WithRun(run))
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return plan.RenderProfile(entries), nil
 }
 
-// runMatch pins the current version and evaluates against it.
-func (s *GraphStore) runMatch(q *cypher.Query, run *exec.Run) (*QueryResult, error) {
-	return s.runMatchSnap(s.st.Pin(), q, run)
+// prepare plans a MATCH query against a pinned snapshot, sharing the
+// cached path-pattern context of its declarations.
+func (s *GraphStore) prepare(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*plan.Plan, error) {
+	planSpan := run.StartSpan(obs.SpanPlan)
+	defer planSpan.End()
+	ctx, err := s.pathCtxFor(snap, q)
+	if err != nil {
+		return nil, err
+	}
+	return plan.BuildWithCtx(q, plan.NewEnv(snap.Graph(), nil, snap), ctx)
 }
 
 // runMatchSnap evaluates a MATCH query against a pinned snapshot. No
@@ -375,15 +379,7 @@ func (s *GraphStore) runMatch(q *cypher.Query, run *exec.Run) (*QueryResult, err
 // affecting this evaluation, and the result is exactly the answer for
 // the snapshot's version.
 func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*QueryResult, error) {
-	planSpan := run.StartSpan(obs.SpanPlan)
-	ctx, err := s.pathCtxFor(snap, q)
-	if err != nil {
-		planSpan.End()
-		return nil, err
-	}
-	env := plan.NewEnv(snap.Graph(), nil, snap)
-	p, err := plan.BuildWithCtx(q, env, ctx)
-	planSpan.End()
+	p, err := s.prepare(snap, q, run)
 	if err != nil {
 		return nil, err
 	}

@@ -44,15 +44,12 @@ type Policy struct {
 	// CacheTTL additionally expires cached results by age; 0 keeps
 	// entries until evicted or invalidated.
 	CacheTTL time.Duration
-	// BatchWindow enables multi-source query coalescing (DESIGN.md §14)
-	// for EvalCFPQ: when a same-key evaluation (snapshot version +
-	// incarnation, grammar, algorithm, limits) is already in flight,
-	// later arrivals wait up to this long to be merged into one shared
-	// fixpoint. 0 disables coalescing. A lone query never waits.
+	// BatchWindow is ignored; set by benchmark/ until ROADMAP item 1
+	// drops it. Concurrent same-grammar queries share work through the
+	// per-grammar index (DESIGN.md §14), so there is nothing to window.
+	//
+	// Deprecated: ignored.
 	BatchWindow time.Duration
-	// BatchMaxSources flushes an open batch early once its deduplicated
-	// source union reaches this size; 0 leaves the union uncapped.
-	BatchMaxSources int
 	// Log receives structured slow-query and aborted-query lines; nil
 	// disables logging.
 	Log *log.Logger
@@ -64,7 +61,6 @@ func (db *DB) SetPolicy(p Policy) {
 	db.policy = p
 	db.polMu.Unlock()
 	db.cache.Configure(p.CacheMaxBytes, p.CacheTTL)
-	db.batcher.Configure(p.BatchWindow, p.BatchMaxSources)
 	db.kickAutoSaver()
 }
 
@@ -88,7 +84,6 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 	if err != nil {
 		return nil, err
 	}
-	pol := db.Policy()
 	if q.Create != nil {
 		if q.Profile {
 			return nil, fmt.Errorf("gdb: PROFILE requires a MATCH query")
@@ -114,10 +109,6 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 	s, err := db.Get(name)
 	if err != nil {
 		return nil, err
-	}
-	timeout := pol.DefaultTimeout
-	if q.TimeoutMS > 0 {
-		timeout = time.Duration(q.TimeoutMS) * time.Millisecond
 	}
 	var trace *obs.Trace
 	if q.Profile {
@@ -155,20 +146,44 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 		}
 	}
 
-	run, cancel := exec.Options{Ctx: ctx, Timeout: timeout, Budget: pol.MaxWork, Trace: trace}.Start()
-	defer cancel()
-
-	start := time.Now()
-	res, err := s.runMatchSnap(snap, q, run)
-	elapsed := time.Since(start)
-	trace.Close()
-
-	if err == nil && rkey != "" {
+	var res *QueryResult
+	err = db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
+		res, err = s.runMatchSnap(snap, q, run)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rkey != "" {
 		// Cache a trimmed copy (columns and rows only — never the
 		// profile) so later hits share immutable data.
 		entry := &QueryResult{Columns: res.Columns, Rows: res.Rows}
 		db.cache.Put(rkey, entry, resultBytes(entry, rkey), snap.StoreID(), snap.Version())
 	}
+	if trace != nil {
+		res.Profile = trace.Render()
+	}
+	return res, nil
+}
+
+// serve runs one MATCH evaluation under the caller's context, the
+// statement's timeout (its TIMEOUT clause, else the policy default) and
+// the policy's work budget, then accounts for it: gdb.queries, the
+// governor outcome, and the slow-query log when it was slow or aborted.
+// trace, if non-nil, records the evaluation's spans and is closed.
+func (db *DB) serve(ctx context.Context, name, src string, q *cypher.Query, trace *obs.Trace, eval func(*exec.Run) error) error {
+	pol := db.Policy()
+	timeout := pol.DefaultTimeout
+	if q.TimeoutMS > 0 {
+		timeout = time.Duration(q.TimeoutMS) * time.Millisecond
+	}
+	run, cancel := exec.Options{Ctx: ctx, Timeout: timeout, Budget: pol.MaxWork, Trace: trace}.Start()
+	defer cancel()
+
+	start := time.Now()
+	err := eval(run)
+	elapsed := time.Since(start)
+	trace.Close()
 
 	obs.GdbQueries.Inc()
 	obs.GdbQueryLatencyUS.Observe(elapsed.Microseconds())
@@ -195,13 +210,7 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 				status, name, elapsed.Round(time.Microsecond), timeout, run.Spent(), pol.MaxWork, err, src)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if trace != nil {
-		res.Profile = trace.Render()
-	}
-	return res, nil
+	return err
 }
 
 // resultBytes estimates a cached result's memory footprint for the

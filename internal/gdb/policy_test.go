@@ -138,3 +138,42 @@ func TestPolicyRoundTrip(t *testing.T) {
 		t.Fatalf("Policy() = %+v, want %+v", got, p)
 	}
 }
+
+// TestProfileIsGoverned: GRAPH.PROFILE runs what GRAPH.QUERY runs, so
+// the work budget and the caller's context bound it, and it is counted
+// and slow-logged like a query. On a 400-vertex a-chain the closure
+// below has 79 800 answers; a budget of 10 must stop it.
+func TestProfileIsGoverned(t *testing.T) {
+	g := graph.New(400)
+	for i := 0; i+1 < 400; i++ {
+		g.AddEdge(i, "a", i+1)
+	}
+	db := New()
+	db.AddGraph("g", g)
+	db.SetPolicy(Policy{MaxWork: 10})
+	const q = `MATCH (v)-/ [:a]+ /->(to) RETURN count(to)`
+	if _, err := db.Query("g", q); !errors.Is(err, exec.ErrBudget) {
+		t.Fatalf("query err = %v, want exec.ErrBudget", err)
+	}
+	logged := db.SlowLog().Len()
+	if _, err := db.Profile(context.Background(), "g", q); !errors.Is(err, exec.ErrBudget) {
+		t.Fatalf("profile err = %v, want exec.ErrBudget", err)
+	}
+	if got := db.SlowLog().Len(); got != logged+1 {
+		t.Fatalf("slow log holds %d entries after an aborted profile, want %d", got, logged+1)
+	}
+
+	db.SetPolicy(Policy{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.Profile(ctx, "g", q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("profile under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	lines, err := db.Profile(context.Background(), "g", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) == 0 || !strings.Contains(strings.Join(lines, "\n"), "CFPQTraverse") {
+		t.Fatalf("profile lines = %q", lines)
+	}
+}

@@ -1,13 +1,16 @@
 package gdb
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
+	"mscfpq/internal/graph"
 	"mscfpq/internal/oracle"
 	"mscfpq/internal/store"
 )
@@ -97,6 +100,16 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 	db.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
 	w := stressGrammar(t)
 	s := stressSeed(t, db, "g")
+	// Reserve the store writers' vertex range (100–158) before any
+	// writer runs, so CREATE never allocates a vertex inside it: a CREATE
+	// edge that a store writer then adds again would not count as new,
+	// and the edge accounting below would report a torn read.
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		tx.Graph().AddVertexLabel(199, "Reserved")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	baseEdges := s.Snapshot().Graph().NumEdges()
 	baseVersion := s.Version()
 
@@ -283,5 +296,106 @@ func TestStressCacheCoherenceAcrossVersions(t *testing.T) {
 	st := db.Cache().Stats()
 	if st.Hits == 0 || st.Invalidations == 0 {
 		t.Fatalf("coherence run exercised no hits or no invalidations: %+v", st)
+	}
+}
+
+// TestStressSourceRestrictedReadsUnderWrites serves source-restricted
+// path queries from concurrent readers while a writer adds edges. The
+// readers share one per-grammar index, so this combines partially
+// processed source sets, the index's warm start into each new version
+// and its lock. The writer only adds edges, so every answer lies
+// between the oracle's answers at the versions pinned just before and
+// just after the call, and every row starts at a requested source.
+func TestStressSourceRestrictedReadsUnderWrites(t *testing.T) {
+	// Six disjoint aⁿbⁿ gadgets: solving one source processes only its
+	// own gadget, so a request often mixes processed and unprocessed
+	// sources.
+	const n = 24
+	g := graph.New(n)
+	for b := 0; b < n; b += 4 {
+		g.AddEdge(b, "a", b+1)
+		g.AddEdge(b+1, "a", b+2)
+		g.AddEdge(b+2, "b", b+3)
+		g.AddEdge(b+3, "b", b)
+	}
+	db := New()
+	s := db.AddGraph("g", g)
+	w := stressGrammar(t)
+
+	stop := make(chan struct{})
+	var writerWG sync.WaitGroup
+	writerWG.Add(1)
+	go func() {
+		defer writerWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, _ = s.st.Update(func(tx *store.Tx) error {
+				tx.Graph().AddEdge(i%n, "a", (i+2)%n)
+				return nil
+			})
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+
+	var readerWG sync.WaitGroup
+	errs := make(chan error, 6)
+	for k := 0; k < 6; k++ {
+		readerWG.Add(1)
+		go func(k int) {
+			defer readerWG.Done()
+			for iter := 0; iter < 25; iter++ {
+				src := []int{(4*k + iter) % n, (4*k + 3*iter + 1) % n}
+				q := fmt.Sprintf(`PATH PATTERN S = ()-/ [:a ~S :b] | [:a :b] /->()
+					MATCH (v)-/ ~S /->(to) WHERE id(v) IN [%d, %d] RETURN v, to`, src[0], src[1])
+				before := s.Snapshot()
+				res, err := db.QueryContext(context.Background(), "g", q)
+				after := s.Snapshot()
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := map[[2]int]bool{}
+				for _, p := range pairsFromRows(res.Rows) {
+					if p[0] != src[0] && p[0] != src[1] {
+						errs <- fmt.Errorf("reader %d: row %v outside the sources %v", k, p, src)
+						return
+					}
+					got[p] = true
+				}
+				for _, p := range oracle.CFPQ(before.Graph(), w).StartPairsFrom(src) {
+					if !got[p] {
+						errs <- fmt.Errorf("reader %d: answer lost pair %v present at the pre-call version %d", k, p, before.Version())
+						return
+					}
+				}
+				hi := map[[2]int]bool{}
+				for _, p := range oracle.CFPQ(after.Graph(), w).StartPairsFrom(src) {
+					hi[p] = true
+				}
+				for p := range got {
+					if !hi[p] {
+						errs <- fmt.Errorf("reader %d: answer invented pair %v absent at the post-call version %d", k, p, after.Version())
+						return
+					}
+				}
+			}
+		}(k)
+	}
+	done := make(chan struct{})
+	go func() { readerWG.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("stress run wedged")
+	}
+	close(stop)
+	writerWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -62,18 +62,6 @@ var (
 	RespReplyBytes = Default.Counter("resp.reply.bytes")
 	RespReplyRows  = Default.Counter("resp.reply.rows")
 
-	// Multi-source query coalescing (internal/batch, DESIGN.md §14):
-	// concurrent CFPQ queries over the same (snapshot, grammar,
-	// algorithm, limits) key merged into one shared fixpoint.
-	BatchGroups          = Default.Counter("batch.groups")
-	BatchMembers         = Default.Counter("batch.members")
-	BatchMembersPerGroup = Default.Histogram("batch.members.per_group", SizeBuckets)
-	BatchSolo            = Default.Counter("batch.solo")
-	BatchSourcesDeduped  = Default.Counter("batch.sources.deduped")
-	BatchWorkShared      = Default.Counter("batch.work.shared")
-	BatchWorkAmortized   = Default.Counter("batch.work.amortized")
-	BatchAborted         = Default.Counter("batch.aborted")
-
 	// Replication (internal/repl): the leader side counts what it ships,
 	// the follower side counts what it applies and how often the stream
 	// had to be rebuilt.
@@ -115,7 +103,6 @@ const (
 	LayerCache    = "cache"
 	LayerResp     = "resp"
 	LayerRepl     = "repl"
-	LayerBatch    = "batch"
 )
 
 // Span names of the query trace tree (DESIGN.md §10). Free-string span
@@ -128,9 +115,7 @@ const (
 	SpanExecute   = "execute"   // fixpoint evaluation
 	SpanCacheHit  = "cache.hit" // result served from the version-keyed cache
 	SpanCacheMiss = "cache.miss"
-	SpanDiffTest  = "difftest"   // root span of a differential-harness run
-	SpanBatchWait = "batch.wait" // time a member spent waiting for its group
-	SpanBatchRun  = "batch.run"  // the shared fixpoint a member's answer came from
+	SpanDiffTest  = "difftest" // root span of a differential-harness run
 )
 
 // SpanRound names the n-th fixpoint round's span; evaluators must use

@@ -260,7 +260,6 @@ func TestInstrumentLayerDiscipline(t *testing.T) {
 		LayerGdb:      true,
 		LayerDur:      true,
 		LayerCache:    true,
-		LayerBatch:    true,
 		LayerResp:     true,
 		LayerRepl:     true,
 	}

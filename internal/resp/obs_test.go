@@ -70,12 +70,11 @@ func TestServerInfoSlowlog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"# server", "# gdb", "# batch", "# kernels", "# durability",
+		"# server", "# gdb", "# cache", "# kernels", "# durability",
 		"uptime_seconds:", "graphs:1",
 		"gdb.queries:", "gdb.slow_queries:",
 		"kernel.mul.ops:", "resp.commands:", "governor.completed:",
 		"resp.reply.bytes:", "resp.reply.rows:",
-		"batch.groups:", "batch.solo:",
 	} {
 		if !strings.Contains(info.Str, want) {
 			t.Errorf("INFO missing %q:\n%s", want, info.Str)
@@ -160,5 +159,25 @@ func TestServerProfileSpanTree(t *testing.T) {
 	}
 	if len(plain.Rows) != len(reply.Rows) {
 		t.Fatalf("PROFILE changed answers: %d rows vs %d", len(reply.Rows), len(plain.Rows))
+	}
+}
+
+// TestServerProfileHonorsMaxWork: GRAPH.PROFILE is governed like
+// GRAPH.QUERY, so a work budget the query cannot meet comes back as an
+// error reply instead of a full profiled run.
+func TestServerProfileHonorsMaxWork(t *testing.T) {
+	srv, addr := startTestServer(t)
+	srv.DB.SetPolicy(gdb.Policy{MaxWork: 3})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.GraphProfile("cycles", anbnQuery); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("GRAPH.PROFILE under MaxWork 3: err = %v, want a budget error", err)
+	}
+	srv.DB.SetPolicy(gdb.Policy{})
+	if lines, err := c.GraphProfile("cycles", anbnQuery); err != nil || len(lines) == 0 {
+		t.Fatalf("GRAPH.PROFILE without a budget = %q, %v", lines, err)
 	}
 }

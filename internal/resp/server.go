@@ -499,7 +499,7 @@ func (s *Server) execute(args []string) (rep reply, quit bool) {
 		if len(args) != 3 {
 			return Errorf("usage: GRAPH.PROFILE <graph> <query>"), false
 		}
-		lines, err := s.DB.Profile(args[1], args[2])
+		lines, err := s.DB.Profile(s.baseCtx, args[1], args[2])
 		if err != nil {
 			return Errorf("%v", err), false
 		}
@@ -541,7 +541,7 @@ func bulks(lines []string) Value {
 }
 
 // infoSectionNames lists the INFO sections in reply order.
-var infoSectionNames = []string{"server", "gdb", "batch", "cache", "kernels", "durability", "replication"}
+var infoSectionNames = []string{"server", "gdb", "cache", "kernels", "durability", "replication"}
 
 // infoSection maps an instrument name to its INFO section by the first
 // dotted component. Anything outside the known layers (resp.*,
@@ -553,8 +553,6 @@ func infoSection(key string) string {
 		return "kernels"
 	case obs.LayerGdb:
 		return "gdb"
-	case obs.LayerBatch:
-		return "batch"
 	case obs.LayerCache:
 		return "cache"
 	case obs.LayerDur:
