@@ -94,12 +94,16 @@ bench-quick:
 # index, and as one chunk-10 step of a pathways/G1 sweep — the per-query
 # fixed cost of the wire benchmark's sparse-sweep, in seconds. The RPQ
 # benchmark prints what one regular query costs through that same
-# driver (rpq.Eval, experiment E11), checked against the oracle.
+# driver (rpq.Eval, experiment E11), checked against the oracle. The
+# traverse benchmark prints what one relationship or one-step path hop
+# from one bound source costs on 20 000 vertices (ns and allocations;
+# its gate is TestTraverseAllocsAreSizeIndependent in `make test`).
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep)$$|BenchmarkRPQUnification$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$' -benchmem ./internal/plan
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

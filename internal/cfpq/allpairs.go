@@ -23,7 +23,9 @@ func AllPairs(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Result, error) 
 	defer cancel()
 	n := g.NumVertices()
 	r := newResult(w, n)
-	seed(r.T, w, g, 0)
+	if err := newSeeder(g, w).all(run, r.T, n); err != nil {
+		return nil, err
+	}
 
 	for changed := true; changed; {
 		// Poll once per round: with no binary rules the body below is

@@ -28,5 +28,6 @@
 // (including the "x_r" inverse convention) and vertex labels: a rule
 // A -> y where y labels vertices contributes the diagonal vertex matrix
 // V^y, matching Definition 2.14's interleaving of vertex labels into
-// path words.
+// path words. A source-restricted run copies these seed facts only into
+// the rows it activates.
 package cfpq

@@ -22,7 +22,7 @@ func boolProduct(run *exec.Run, _ int, a, b *matrix.Bool) (*matrix.Bool, func(i,
 
 // fixpoint is the one delta-driven loop behind AllPairsSemiNaive,
 // MultiSourceFrom, the Index (MultiSourceSmart and Extension.Rows),
-// SinglePath and MultiSourceSinglePath (DESIGN.md §16): they seed T and
+// SinglePath and MultiSourceSinglePath (DESIGN.md §16): they set up T and
 // the source vectors, call solve, and pack the state into their result.
 //
 // Each round applies every rule A -> B C to what the previous round
@@ -36,14 +36,22 @@ func boolProduct(run *exec.Run, _ int, a, b *matrix.Bool) (*matrix.Bool, func(i,
 // is active or (Algorithm 3) processed. An unrestricted run has every
 // row active: ΔM = ΔT^B and M = T^B, with no row extraction.
 //
+// A restricted run seeds on activation: a source i that becomes active
+// for X brings row i of T^X its seed facts (seeder), so row i holds them
+// whenever i is active or processed for X. B ∪= fresh A-sources runs
+// before rows(T^B, fresh A-sources) is read, and a mid vertex is seeded
+// for C before ΔM * T^C, so every seed meets the operand it pairs with;
+// no seed needs to be in ΔT.
+//
 // T grows in place, within a round too: a product may read entries an
 // earlier rule of the same round added, which only finds facts sooner.
 // Each entry is also in the next round's ΔT, so every pair of an M entry
 // and a T^C entry still meets, in the round the later of the two appears.
 type fixpoint struct {
-	w   *grammar.WCNF
-	run *exec.Run
-	mul product
+	w     *grammar.WCNF
+	run   *exec.Run
+	mul   product
+	seeds *seeder
 
 	T     []*matrix.Bool // relations per nonterminal, grown in place
 	delta []*matrix.Bool // ΔT: the entries T gained in the previous round; nil = none
@@ -57,9 +65,11 @@ type fixpoint struct {
 }
 
 // evaluate is the set-up the four index-free callers share: check the
-// inputs, start the governor, seed fresh relations (with provenance when
-// witness is set), run the driver (unrestricted when srcByNT is nil) and
-// stamp the statistics. It also returns the sources the run activated.
+// inputs, start the governor, seed fresh relations (every row, with
+// provenance when witness is set; otherwise a restricted run seeds the
+// rows it activates), run the driver (unrestricted when srcByNT is nil)
+// and stamp the statistics. It also returns the sources the run
+// activated.
 func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, witness bool, opts []Option) (*SinglePathResult, []*matrix.Vector, error) {
 	if err := checkInputs(g, w); err != nil {
 		return nil, nil, err
@@ -68,19 +78,22 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, w
 	defer cancel()
 	n := g.NumVertices()
 	r := &SinglePathResult{Result: newResult(w, n)}
-	f := &fixpoint{w: w, run: run, mul: boolProduct, T: r.T}
+	f := &fixpoint{w: w, run: run, mul: boolProduct, seeds: newSeeder(g, w), T: r.T}
+	var err error
+	switch {
+	case witness:
+		f.mul = r.witnessProduct
+		err = r.seedProv(run, g)
+	case srcByNT == nil:
+		err = f.seeds.all(run, r.T, n)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	if srcByNT == nil {
 		f.delta = r.T // the first ΔT is the seeded T itself: ΔT is only read, so it is shared
 	} else if err := f.restrict(srcByNT, n); err != nil {
 		return nil, nil, err
-	}
-	if witness {
-		f.mul = r.witnessProduct
-		if err := r.seedProv(run, g); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		seed(r.T, w, g, 0)
 	}
 	if err := f.solve(); err != nil {
 		return nil, nil, err
@@ -106,20 +119,24 @@ func (f *fixpoint) restrict(srcByNT map[int]*matrix.Vector, n int) error {
 		if src == nil || src.Size() != n {
 			return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
 		}
-		f.activate(a, src.Clone(), f.fresh)
+		if err := f.activate(a, src.Clone(), f.fresh); err != nil {
+			return err
+		}
 		f.active[a] = f.fresh[a].Clone()
 	}
 	return nil
 }
 
 // activate adds to into[a] the candidates that are neither active nor
-// processed for nonterminal a; it consumes cand.
-func (f *fixpoint) activate(a int, cand *matrix.Vector, into []*matrix.Vector) {
+// processed for nonterminal a, and seeds their rows of T^a; it consumes
+// cand.
+func (f *fixpoint) activate(a int, cand *matrix.Vector, into []*matrix.Vector) error {
 	cand.DiffInPlace(f.active[a])
 	if f.done != nil {
 		cand.DiffInPlace(f.done[a])
 	}
 	into[a].UnionInPlace(cand)
+	return f.seeds.rows(f.run, f.T[a], a, cand)
 }
 
 // solve runs rounds until one adds neither an entry nor a source. On an
@@ -164,12 +181,16 @@ func (f *fixpoint) round() (progress bool, err error) {
 			if act.Empty() {
 				continue
 			}
+			if err := f.activate(rule.B, fresh.Clone(), nextFresh); err != nil {
+				return false, err
+			}
 			dm = matrix.ExtractRows(m, fresh)
 			if !empty(f.delta[rule.B]) {
-				matrix.AddInPlace(dm, matrix.ExtractRows(f.delta[rule.B], act))
+				matrix.AddRowsInPlace(dm, f.delta[rule.B], act)
 			}
-			f.activate(rule.B, fresh.Clone(), nextFresh)
-			f.activate(rule.C, matrix.ReduceCols(dm), nextFresh)
+			if err := f.activate(rule.C, matrix.ReduceCols(dm), nextFresh); err != nil {
+				return false, err
+			}
 			if !empty(f.delta[rule.C]) {
 				m = matrix.ExtractRows(m, act)
 			}

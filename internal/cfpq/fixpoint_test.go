@@ -34,19 +34,21 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			tr := obs.NewTrace("driver")
 			run, _ := exec.Build([]Option{WithTrace(tr)}).Start() // no timeout: nothing to cancel
 
+			// A restricted Boolean run seeds on activation; the others
+			// start from every row seeded.
 			var sp *SinglePathResult
-			mul := product(boolProduct)
-			var T []*matrix.Bool
+			mul, seeds := product(boolProduct), newSeeder(g, w)
+			T := newResult(w, n).T
 			if witness {
 				sp = &SinglePathResult{Result: newResult(w, n)}
 				if err := sp.seedProv(run, g); err != nil {
 					t.Fatal(err)
 				}
 				T, mul = sp.T, sp.witnessProduct
-			} else {
-				r := newResult(w, n)
-				seed(r.T, w, g, 0)
-				T = r.T
+			} else if restriction == "none" {
+				if err := seeds.all(run, T, n); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			// solve runs one fixpoint over T and returns its rounds and
@@ -66,12 +68,12 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			var rows []*matrix.Vector // nil: every row is claimed
 			switch restriction {
 			case "none":
-				rounds, _ = solve(&fixpoint{w: w, run: run, mul: mul, T: T}, nil)
+				rounds, _ = solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T}, nil)
 			case "sources":
-				rounds, rows = solve(&fixpoint{w: w, run: run, mul: mul, T: T}, src)
+				rounds, rows = solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T}, src)
 			default:
-				first, done := solve(&fixpoint{w: w, run: run, mul: mul, T: T}, half)
-				second, active := solve(&fixpoint{w: w, run: run, mul: mul, T: T, done: done}, src)
+				first, done := solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T}, half)
+				second, active := solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T, done: done}, src)
 				rounds, rows = first+second, done
 				for a := range rows {
 					if again := active[a].Clone(); again.DiffInPlace(done[a]) {

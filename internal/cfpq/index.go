@@ -16,6 +16,8 @@ import (
 // the relation matrices T and the already-processed source sets TSrc
 // across queries, so repeated or overlapping source sets reuse all
 // previously computed facts instead of recomputing them from scratch.
+// T holds the rows queries have activated, seeds included: row i of T^A
+// holds its seed facts whenever i is processed for A.
 //
 // An Index is bound to an immutable snapshot of the graph: mutating the
 // graph after NewIndex invalidates the cache (the paper's setting —
@@ -41,8 +43,9 @@ type Index struct {
 	queries int // guarded by mu
 }
 
-// NewIndex creates an empty cache for (g, w), seeding T from the simple
-// and eps rules once; subsequent queries share the seeded matrices. The
+// NewIndex creates an empty cache for (g, w): T and TSrc start empty,
+// and a query seeds the rows of T it activates (DESIGN.md §16), so a
+// row's seeds are copied once, by the first query that needs it. The
 // options become per-index defaults; per-query options layered on top
 // via MultiSourceSmart override them. w may have no nonterminals: such
 // an index serves only Extensions.
@@ -53,7 +56,6 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
 	n := g.NumVertices()
 	idx := &Index{G: g, W: w, opts: exec.Build(opts)}
 	idx.T = newResult(w, n).T
-	seed(idx.T, w, g, 0)
 	idx.TSrc = make([]*matrix.Vector, w.NumNonterms())
 	for a := range idx.TSrc {
 		idx.TSrc[a] = matrix.NewVector(n)
@@ -70,7 +72,8 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
 // skip work, never change answers. The processed-source sets start
 // EMPTY: a source fully processed against the old graph may reach new
 // facts through the added edges, so its claim must not carry over —
-// the first query touching it reprocesses it against the new graph.
+// the first query touching it reprocesses it against the new graph,
+// which also seeds its rows from the new graph's edges.
 //
 // The caller is responsible for the supergraph relationship (in the
 // store layer it follows from version lineage); w must be the prior
@@ -100,12 +103,9 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option)
 		if prior.T[a].NVals() == 0 {
 			continue
 		}
-		// One copy per relation: the prior's rows, grown to the new
-		// shape, take the new graph's seeds and replace them.
-		warm := prior.T[a].Clone()
-		warm.Resize(n, n)
-		matrix.AddInPlace(warm, idx.T[a])
-		idx.T[a] = warm
+		// One copy per relation: the prior's rows, grown to the new shape.
+		idx.T[a] = prior.T[a].Clone()
+		idx.T[a].Resize(n, n)
 	}
 	return idx, nil
 }
@@ -158,7 +158,7 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.Vector, a int, src *matrix.Vector, opts []Option) (*fixpoint, int64, error) {
 	run, cancel := idx.opts.Apply(opts).Start()
 	defer cancel()
-	f := &fixpoint{w: w, run: run, mul: boolProduct, T: T, done: done}
+	f := &fixpoint{w: w, run: run, mul: boolProduct, seeds: newSeeder(idx.G, w), T: T, done: done}
 	if err := f.restrict(map[int]*matrix.Vector{a: src}, idx.G.NumVertices()); err != nil {
 		return nil, 0, err
 	}
@@ -172,13 +172,13 @@ func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.
 	return f, run.Spent(), nil
 }
 
-// Extension is one query's grammar on top of the index: a MATCH path
-// pattern compiled into the declared grammar. Its WCNF extends idx.W, so
-// the declared nonterminals keep their ids and use the index's own
-// relations and processed sources — what the query derives for them
-// stays for later queries — while the nonterminals it adds get their own,
-// seeded once and grown across the query's calls to Rows. An Extension
-// serves one query at a time.
+// Extension is one query's grammar on top of the index: a MATCH path or
+// relationship pattern compiled into the declared grammar. Its WCNF
+// extends idx.W, so the declared nonterminals keep their ids and use the
+// index's own relations and processed sources — what the query derives
+// for them stays for later queries — while the nonterminals it adds get
+// their own, which start empty and grow across the query's calls to
+// Rows. An Extension serves one query at a time.
 type Extension struct {
 	idx *Index
 	w   *grammar.WCNF
@@ -189,8 +189,9 @@ type Extension struct {
 	tsrc []*matrix.Vector
 }
 
-// Extend seeds the nonterminals w adds to the index's grammar; w must
-// extend idx.W (grammar.Extend).
+// Extend gives the nonterminals w adds to the index's grammar empty
+// relations and processed sets; the rows a call to Rows activates are
+// seeded as it solves. w must extend idx.W (grammar.Extend).
 func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 	base := idx.W.NumNonterms()
 	if w.NumNonterms() < base || !slices.Equal(w.Nonterms[:base], idx.W.Nonterms) {
@@ -207,7 +208,6 @@ func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 		x.t[a] = matrix.NewBool(n, n)
 		x.tsrc[a] = matrix.NewVector(n)
 	}
-	seed(x.t, w, idx.G, base)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	copy(x.t, idx.T)

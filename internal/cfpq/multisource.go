@@ -24,8 +24,9 @@ type MSResult struct {
 
 // Answer returns the start-relation pairs restricted to the queried
 // sources — the multiple-source CFPQ answer. The raw T^S matrix also
-// contains the simple-rule seeds for all vertices (Algorithm 2 lines
-// 6-8), so restriction is required for a sound answer.
+// holds the rows of every vertex the run activated for S (and, for the
+// witness-recording run, the simple-rule seeds of all vertices), so
+// restriction is required for a sound answer.
 func (r *MSResult) Answer() *matrix.Bool {
 	if r.answer != nil {
 		return r.answer

@@ -85,31 +85,80 @@ func newResult(w *grammar.WCNF, n int) *Result {
 	return r
 }
 
-// seed adds to T the facts of the simple and eps rules of the
-// nonterminals from on (Algorithm 1 lines 3 and 5-6 / Algorithm 2 lines
-// 6-8). For A -> t, T^A gains the adjacency matrix of edge label t
-// (transpose for inverse labels) and the diagonal vertex matrix of
-// vertex label t — only the first for a grammar.EdgeStep, only the
-// second for a grammar.NodeCheck. A -> eps relates every vertex to
-// itself.
-func seed(T []*matrix.Bool, w *grammar.WCNF, g *graph.Graph, from int) {
-	for _, rule := range w.TermRules {
-		if rule.A < from {
+// seeder holds what the terminals of a grammar match in a graph, so
+// that a run seeds the rows it activates (Algorithm 1 lines 3 and 5-6 /
+// Algorithm 2 lines 6-8, one row at a time). For A -> t, row i of T^A
+// gains row i of the adjacency matrix of edge label t (the graph's
+// cached transpose for an inverse label) and (i, i) if i carries vertex
+// label t — only the first for a grammar.EdgeStep, only the second for
+// a grammar.NodeCheck. A -> eps gives (i, i).
+type seeder struct {
+	w     *grammar.WCNF
+	edges []*matrix.Bool   // per terminal: the edges it matches; nil for none
+	verts []*matrix.Vector // per terminal: the vertices it matches; nil for none
+}
+
+func newSeeder(g *graph.Graph, w *grammar.WCNF) *seeder {
+	s := &seeder{w: w, edges: make([]*matrix.Bool, len(w.Terms)), verts: make([]*matrix.Vector, len(w.Terms))}
+	for t, term := range w.Terms {
+		edge, vertex := grammar.TermLabels(term)
+		if edge != "" {
+			if m := g.EdgeMatrix(edge); !m.Empty() {
+				s.edges[t] = m
+			}
+		}
+		if v := g.VertexSet(vertex); !v.Empty() {
+			s.verts[t] = v
+		}
+	}
+	return s
+}
+
+// rows adds the seed facts of the rows in set to t, the relation of
+// nonterminal a, and charges the entries it adds to run as relation
+// entries produced.
+func (s *seeder) rows(run *exec.Run, t *matrix.Bool, a int, set *matrix.Vector) error {
+	if set.Empty() {
+		return nil
+	}
+	diag := func(keep *matrix.Vector) {
+		for _, i := range set.Indices() {
+			if keep == nil || keep.Get(int(i)) {
+				t.Set(int(i), int(i))
+			}
+		}
+	}
+	before := t.NVals()
+	for _, rule := range s.w.TermRules {
+		if rule.A != a {
 			continue
 		}
-		edge, vertex := grammar.TermLabels(w.Terms[rule.Term])
-		if em := g.EdgeMatrix(edge); em.NVals() > 0 {
-			matrix.AddInPlace(T[rule.A], em)
+		if m := s.edges[rule.Term]; m != nil {
+			matrix.AddRowsInPlace(t, m, set)
 		}
-		if g.VertexSet(vertex).NVals() > 0 {
-			matrix.AddInPlace(T[rule.A], g.VertexMatrix(vertex))
-		}
-	}
-	for a := from; a < len(w.Nullable); a++ {
-		if w.Nullable[a] {
-			matrix.AddInPlace(T[a], matrix.Identity(g.NumVertices()))
+		if v := s.verts[rule.Term]; v != nil {
+			diag(v)
 		}
 	}
+	if s.w.Nullable[a] {
+		diag(nil)
+	}
+	return run.Charge(t.NVals() - before)
+}
+
+// all seeds every row of every relation: the set-up of a run without a
+// source restriction.
+func (s *seeder) all(run *exec.Run, T []*matrix.Bool, n int) error {
+	every := matrix.NewVector(n)
+	for v := range n {
+		every.Set(v)
+	}
+	for a := range T {
+		if err := s.rows(run, T[a], a, every); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func checkInputs(g *graph.Graph, w *grammar.WCNF) error {

@@ -173,39 +173,35 @@ func matchRows(g *graph.Graph, q *cypher.Query) ([][]int64, error) {
 	return canonicalRows(rows), nil
 }
 
-// connectionPairs is the relation a connection walks: labeled edges (any
-// label when untyped) or the oracle's path-pattern relation, reversed
-// for a right-to-left connection.
+// connectionPairs is the relation a connection walks, by the oracle's
+// path-pattern reading, reversed for a right-to-left connection. A
+// relationship is the one-step path that alternates its types, or every
+// edge label of g when untyped, so :l_r reads as l backwards there too.
 func connectionPairs(g *graph.Graph, decls []cypher.NamedPathPattern, c cypher.Connection) ([][2]int, error) {
-	var pairs [][2]int
-	inverse := false
+	var p cypher.PathApply
 	switch v := c.(type) {
 	case cypher.RelPattern:
-		types := map[string]bool{}
-		for _, t := range v.Types {
-			types[t] = true
+		types := v.Types
+		if len(types) == 0 {
+			types = g.EdgeLabels()
 		}
-		seen := map[[2]int]bool{}
-		g.Edges(func(src int, label string, dst int) bool {
-			if p := [2]int{src, dst}; (len(types) == 0 || types[label]) && !seen[p] {
-				seen[p] = true
-				pairs = append(pairs, p)
-			}
-			return true
-		})
-		inverse = v.Inverse
+		steps := make([]cypher.PathExpr, len(types))
+		for i, t := range types {
+			steps[i] = cypher.PERel{Type: t}
+		}
+		p, decls = cypher.PathApply{Expr: cypher.PEAlt{Alts: steps}, Inverse: v.Inverse}, nil
 	case cypher.PathApply:
-		var err error
-		if pairs, err = oracle.Pattern(g, decls, v.Expr); err != nil {
-			return nil, err
-		}
-		inverse = v.Inverse
+		p = v
 	default:
 		return nil, fmt.Errorf("unsupported connection %T", c)
 	}
-	if inverse {
-		for i, p := range pairs {
-			pairs[i] = [2]int{p[1], p[0]}
+	pairs, err := oracle.Pattern(g, decls, p.Expr)
+	if err != nil {
+		return nil, err
+	}
+	if p.Inverse {
+		for i, q := range pairs {
+			pairs[i] = [2]int{q[1], q[0]}
 		}
 	}
 	oracle.SortPairs(pairs)

@@ -64,6 +64,7 @@ func TestDifferentialQueryBatchBoundary(t *testing.T) {
 		`(v)-/ :a [~S | :b] /->(to) RETURN count(to)`,
 		`(v)<-/ ~S /-(to) RETURN v, to`,
 		`(v)-[:a]->(m)-/ [(:a) | ~S]? /->(to:x) RETURN count(to)`,
+		`(v)<-[:a|b_r]-(m:x)-->(to) RETURN count(to)`,
 	} {
 		q, err := cypher.Parse(decl + stmt)
 		if err != nil {

@@ -306,17 +306,6 @@ func (r *Run) Add(a, b *matrix.Bool) bool {
 	return changed
 }
 
-// Transpose is the governed transpose (counted, not budget-charged —
-// it produces no new relation entries).
-func (r *Run) Transpose(a *matrix.Bool) *matrix.Bool {
-	m := matrix.Transpose(a)
-	if r != nil {
-		obs.KernelTransposeOps.Inc()
-		r.trace.Add(obs.KeyTransposeOps, 1)
-	}
-	return m
-}
-
 // ObserveFrontier records a multiple-source frontier size (the nnz of
 // the src extraction the algorithm is about to multiply).
 func (r *Run) ObserveFrontier(nnz int) {

@@ -96,6 +96,28 @@ func TestPolicyMaxWork(t *testing.T) {
 	}
 }
 
+// TestRelationshipHopIsGoverned: the work budget bounds a relationship
+// pattern too. Every a-edge of a 400-vertex chain is a row the hop seeds
+// and charges, so a budget of 10 stops it; without one it counts them.
+func TestRelationshipHopIsGoverned(t *testing.T) {
+	g := graph.New(400)
+	for i := 0; i+1 < 400; i++ {
+		g.AddEdge(i, "a", i+1)
+	}
+	db := New()
+	db.AddGraph("g", g)
+	db.SetPolicy(Policy{MaxWork: 10})
+	const q = `MATCH (v)-[:a]->(u) RETURN count(u)`
+	if _, err := db.Query("g", q); !errors.Is(err, exec.ErrBudget) {
+		t.Fatalf("err = %v, want exec.ErrBudget", err)
+	}
+	db.SetPolicy(Policy{})
+	res, err := db.Query("g", q)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != 399 {
+		t.Fatalf("ungoverned count = %v, %v; want 399", res, err)
+	}
+}
+
 func TestSlowQueryLog(t *testing.T) {
 	db := heavyDB(t, 60)
 	var buf bytes.Buffer

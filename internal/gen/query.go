@@ -32,8 +32,9 @@ var patternNames = []string{"S", "A", "B"}
 // mutually recursive declarations over sequences, alternation, forward
 // and inverse steps, node checks, the quantifiers *, + and ?, and
 // references. The statements chain a relationship with a path, apply it
-// forward or inverse, leave the destination free or bind it, and take
-// their id(v) IN sets from Sources.
+// forward or inverse, or match relationships alone, leave the
+// destination free or bind it, and take their id(v) IN sets from
+// Sources.
 func NewPathQuery(seed int64, maxN int) PathQuery {
 	rng := rand.New(rand.NewSource(seed))
 	g := Graph(rng, GraphKind(rng.Intn(int(numKinds))), 2+rng.Intn(maxN-1), DefaultLabels)
@@ -115,7 +116,8 @@ func pathAtom(rng *rand.Rand, names []string) cypher.PathExpr {
 
 // randomMatch draws one MATCH statement: (v)-/ e /->(to), applied
 // forward or inverse, optionally chained after or before a relationship
-// through (m); to may carry a label, be v itself, or be pinned by id.
+// through (m); or a relationship alone, or two through a labeled (m). to
+// may carry a label, be v itself, or be pinned by id.
 func randomMatch(rng *rand.Rand, names []string, n int) *cypher.Query {
 	var e cypher.PathExpr = cypher.PERef{Name: names[rng.Intn(len(names))]}
 	switch rng.Intn(5) {
@@ -140,13 +142,19 @@ func randomMatch(rng *rand.Rand, names []string, n int) *cypher.Query {
 		q.Where = cypher.IDCompare{Var: "to", ID: int64(rng.Intn(n))}
 	}
 	pat := cypher.Pattern{Nodes: []cypher.NodePattern{v, to}, Connections: []cypher.Connection{path}}
-	switch rng.Intn(4) {
+	switch rng.Intn(6) {
 	case 0:
 		pat.Nodes = []cypher.NodePattern{v, {Var: "m"}, to}
 		pat.Connections = []cypher.Connection{randomRel(rng), path}
 	case 1:
 		pat.Nodes = []cypher.NodePattern{v, {Var: "m"}, to}
 		pat.Connections = []cypher.Connection{path, randomRel(rng)}
+	case 2: // relationships only
+		pat.Connections = []cypher.Connection{randomRel(rng)}
+	case 3: // two relationships through a labeled middle node
+		m := cypher.NodePattern{Var: "m", Labels: []string{DefaultLabels[rng.Intn(2)]}}
+		pat.Nodes = []cypher.NodePattern{v, m, to}
+		pat.Connections = []cypher.Connection{randomRel(rng), randomRel(rng)}
 	}
 	q.Match = &cypher.MatchClause{Patterns: []cypher.Pattern{pat}}
 	if src := Sources(rng, n); len(src) > 0 {
@@ -168,11 +176,17 @@ func randomMatch(rng *rand.Rand, names []string, n int) *cypher.Query {
 	return q
 }
 
-// randomRel draws a relationship pattern: typed, inverse, or any label.
+// randomRel draws a relationship pattern: untyped (any label), one type
+// or an alternation of two, each type possibly spelled inverse (:l_r),
+// pointing either way.
 func randomRel(rng *rand.Rand) cypher.RelPattern {
 	var r cypher.RelPattern
-	if rng.Intn(4) != 0 {
-		r.Types = []string{DefaultLabels[rng.Intn(len(DefaultLabels))]}
+	for range rng.Intn(3) {
+		l := DefaultLabels[rng.Intn(len(DefaultLabels))]
+		if rng.Intn(4) == 0 {
+			l += "_r"
+		}
+		r.Types = append(r.Types, l)
 	}
 	r.Inverse = rng.Intn(3) == 0
 	return r

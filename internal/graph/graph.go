@@ -226,12 +226,6 @@ func (g *Graph) VertexSet(label string) *matrix.Vector {
 	return matrix.NewVector(g.n)
 }
 
-// VertexMatrix returns the diagonal vertex matrix of the label (V^l as
-// a matrix, Definition 2.7).
-func (g *Graph) VertexMatrix(label string) *matrix.Bool {
-	return g.VertexSet(label).Diag()
-}
-
 // EdgeLabels returns the sorted set of stored (non-inverse) edge labels.
 func (g *Graph) EdgeLabels() []string {
 	out := make([]string, 0, len(g.edges))

@@ -68,9 +68,8 @@ func TestVertexLabels(t *testing.T) {
 	if got := g.VertexLabels(); !reflect.DeepEqual(got, []string{"x", "y"}) {
 		t.Fatalf("vertex labels = %v", got)
 	}
-	vm := g.VertexMatrix("y")
-	if vm.NVals() != 2 || !vm.Get(2, 2) || !vm.Get(5, 5) {
-		t.Fatalf("vertex matrix wrong:\n%v", vm)
+	if vs := g.VertexSet("y"); !reflect.DeepEqual(vs.Ints(), []int{2, 5}) {
+		t.Fatalf("vertex set wrong: %v", vs)
 	}
 	if g.VertexSet("none").NVals() != 0 {
 		t.Fatal("unknown vertex label must be empty")

@@ -41,16 +41,6 @@ func NewBoolFromPairs(nrows, ncols int, pairs [][2]int) *Bool {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Bool {
-	m := NewBool(n, n)
-	for i := 0; i < n; i++ {
-		m.rows[i] = []uint32{uint32(i)}
-	}
-	m.nvals = n
-	return m
-}
-
 // NRows returns the number of rows.
 func (m *Bool) NRows() int { return m.nrows }
 

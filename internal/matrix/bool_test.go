@@ -123,7 +123,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { NewBool(2, 2).Row(5) },
 		func() { NewVector(3).Set(3) },
 		func() { Mul(NewBool(2, 3), NewBool(2, 3)) },
-		func() { Add(NewBool(2, 3), NewBool(3, 2)) },
+		func() { AddInPlace(NewBool(2, 3), NewBool(3, 2)) },
 		func() { NewBool(2, 2).Resize(1, 2) },
 	}
 	for i, fn := range cases {
@@ -148,17 +148,6 @@ func TestCloneIsDeep(t *testing.T) {
 	m.Set(1, 1)
 	if c.Get(1, 1) {
 		t.Fatal("Clone affected by original mutation")
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	id := Identity(4)
-	if id.NVals() != 4 {
-		t.Fatalf("NVals = %d", id.NVals())
-	}
-	m, _ := randomMatrix(rand.New(rand.NewSource(1)), 4, 4, 0.4)
-	if !Mul(id, m).Equal(m) || !Mul(m, id).Equal(m) {
-		t.Fatal("identity is not multiplicative identity")
 	}
 }
 

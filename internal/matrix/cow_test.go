@@ -84,7 +84,7 @@ func TestCloneCOWParentMutationDoesNotAliasChild(t *testing.T) {
 	parent.Set(0, 0)
 	parent.Set(3, 1)
 	SubInPlace(parent, NewBoolFromPairs(4, 4, [][2]int{{1, 2}}))
-	AddInPlace(parent, Identity(4))
+	AddInPlace(parent, NewBoolFromPairs(4, 4, [][2]int{{0, 0}, {1, 1}, {2, 2}, {3, 3}}))
 	rowsEqual(t, child, want, "child after parent mutation")
 	if err := child.validate(); err != nil {
 		t.Fatalf("child invariants: %v", err)

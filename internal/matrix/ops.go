@@ -43,45 +43,43 @@ func mulRowsInto(a, b, out *Bool, lo, hi int, acc *accumulator) {
 	}
 }
 
-// Add returns the element-wise OR a + b.
-func Add(a, b *Bool) *Bool {
-	checkSameShape("Add", a, b)
-	out := NewBool(a.nrows, a.ncols)
-	for i := range a.rows {
-		row := unionRows(a.rows[i], b.rows[i])
-		out.rows[i] = row
-		out.nvals += len(row)
-	}
-	return out
-}
-
 // AddInPlace ORs b into a and reports whether a changed.
 func AddInPlace(a, b *Bool) bool {
 	checkSameShape("AddInPlace", a, b)
 	changed := false
 	for i := range a.rows {
-		rb := b.rows[i]
-		if len(rb) == 0 {
-			continue
-		}
-		ra := a.rows[i]
-		if len(ra) == 0 {
-			a.rows[i] = append([]uint32(nil), rb...)
-			a.markOwned(i)
-			a.nvals += len(rb)
-			changed = true
-			continue
-		}
-		if containsAll(ra, rb) {
-			continue
-		}
-		row := unionRows(ra, rb)
-		a.nvals += len(row) - len(ra)
-		a.rows[i] = row
-		a.markOwned(i)
-		changed = true
+		changed = a.orRow(i, b.rows[i]) || changed
 	}
 	return changed
+}
+
+// AddRowsInPlace ORs the rows of b listed in set into a, a ∪= rows(b,
+// set), and reports whether a changed. It costs the listed rows and
+// their entries, not a walk of a's row table.
+func AddRowsInPlace(a, b *Bool, set *Vector) bool {
+	checkSameShape("AddRowsInPlace", a, b)
+	if set.n != a.nrows {
+		panic(fmt.Sprintf("matrix: AddRowsInPlace vector size %d does not match rows %d", set.n, a.nrows))
+	}
+	changed := false
+	for _, i := range set.idx {
+		changed = a.orRow(int(i), b.rows[i]) || changed
+	}
+	return changed
+}
+
+// orRow ORs the sorted row rb into row i of m and reports whether it
+// changed.
+func (m *Bool) orRow(i int, rb []uint32) bool {
+	ra := m.rows[i]
+	if len(rb) == 0 || containsAll(ra, rb) {
+		return false
+	}
+	row := unionRows(ra, rb)
+	m.nvals += len(row) - len(ra)
+	m.rows[i] = row
+	m.markOwned(i)
+	return true
 }
 
 // Sub returns the set difference a \ b: entries of a not present in b.

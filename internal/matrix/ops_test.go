@@ -29,12 +29,20 @@ func TestMulEmptyOperands(t *testing.T) {
 	}
 }
 
+// or returns the element-wise OR a + b, leaving both operands as they
+// were.
+func or(a, b *Bool) *Bool {
+	sum := a.Clone()
+	AddInPlace(sum, b)
+	return sum
+}
+
 func TestAddAndSub(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 30; trial++ {
 		a, da := randomMatrix(rng, 12, 9, 0.3)
 		b, db := randomMatrix(rng, 12, 9, 0.3)
-		sum := Add(a, b)
+		sum := or(a, b)
 		mustValidate(t, sum)
 		diff := Sub(a, b)
 		mustValidate(t, diff)
@@ -133,13 +141,13 @@ func TestAddAlgebraProperties(t *testing.T) {
 		a, _ := randomMatrix(rng, 10, 10, 0.3)
 		b, _ := randomMatrix(rng, 10, 10, 0.3)
 		c, _ := randomMatrix(rng, 10, 10, 0.3)
-		if !Add(a, a).Equal(a) {
+		if !or(a, a).Equal(a) {
 			t.Fatal("A+A != A")
 		}
-		if !Add(a, b).Equal(Add(b, a)) {
+		if !or(a, b).Equal(or(b, a)) {
 			t.Fatal("A+B != B+A")
 		}
-		if !Add(Add(a, b), c).Equal(Add(a, Add(b, c))) {
+		if !or(or(a, b), c).Equal(or(a, or(b, c))) {
 			t.Fatal("(A+B)+C != A+(B+C)")
 		}
 	}
@@ -152,8 +160,8 @@ func TestMulDistributesOverAdd(t *testing.T) {
 		a, _ := randomMatrix(rng, 9, 7, 0.25)
 		b, _ := randomMatrix(rng, 7, 11, 0.25)
 		c, _ := randomMatrix(rng, 7, 11, 0.25)
-		lhs := Mul(a, Add(b, c))
-		rhs := Add(Mul(a, b), Mul(a, c))
+		lhs := Mul(a, or(b, c))
+		rhs := or(Mul(a, b), Mul(a, c))
 		if !lhs.Equal(rhs) {
 			t.Fatalf("trial %d: A(B+C) != AB+AC", trial)
 		}
@@ -167,6 +175,23 @@ func TestExtractRows(t *testing.T) {
 	mustValidate(t, got)
 	if got.NVals() != 2 || !got.Get(1, 2) || !got.Get(3, 0) || got.Get(0, 1) {
 		t.Fatalf("ExtractRows wrong: %v", got)
+	}
+}
+
+// Property: AddRowsInPlace(a, b, set) is a ∪= ExtractRows(b, set), and
+// it reports a change exactly when a grew.
+func TestAddRowsInPlaceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 25; trial++ {
+		a, _ := randomMatrix(rng, 10, 10, 0.2)
+		b, _ := randomMatrix(rng, 10, 10, 0.3)
+		set := NewVectorFromIndices(10, rng.Perm(10)[:rng.Intn(11)])
+		want := or(a, ExtractRows(b, set))
+		grew := want.NVals() > a.NVals()
+		if changed := AddRowsInPlace(a, b, set); changed != grew || !a.Equal(want) {
+			t.Fatalf("trial %d: changed=%v, want %v; a=%v\nwant %v", trial, changed, grew, a, want)
+		}
+		mustValidate(t, a)
 	}
 }
 

@@ -12,12 +12,11 @@ import "strconv"
 // snapshot delta.
 var (
 	// Matrix kernels (charged by the execution governor, exec.Run).
-	KernelMulOps       = Default.Counter("kernel.mul.ops")
-	KernelMulNNZ       = Default.Counter("kernel.mul.nnz")
-	KernelAddOps       = Default.Counter("kernel.add.ops")
-	KernelAddNNZ       = Default.Counter("kernel.add.nnz")
-	KernelTransposeOps = Default.Counter("kernel.transpose.ops")
-	KernelFrontierNNZ  = Default.Histogram("kernel.frontier.nnz", SizeBuckets)
+	KernelMulOps      = Default.Counter("kernel.mul.ops")
+	KernelMulNNZ      = Default.Counter("kernel.mul.nnz")
+	KernelAddOps      = Default.Counter("kernel.add.ops")
+	KernelAddNNZ      = Default.Counter("kernel.add.nnz")
+	KernelFrontierNNZ = Default.Histogram("kernel.frontier.nnz", SizeBuckets)
 
 	// Fixpoint shape: rounds until convergence (RPQ runs on the CFPQ
 	// driver, so its rounds land here too).
@@ -85,11 +84,10 @@ func RespCmdLatency(name string) *Histogram {
 // Trace counter keys for the kernel instruments (shared between
 // Run hooks and tests asserting span-tree/registry agreement).
 const (
-	KeyMulOps       = "kernel.mul.ops"
-	KeyMulNNZ       = "kernel.mul.nnz"
-	KeyAddOps       = "kernel.add.ops"
-	KeyAddNNZ       = "kernel.add.nnz"
-	KeyTransposeOps = "kernel.transpose.ops"
+	KeyMulOps = "kernel.mul.ops"
+	KeyMulNNZ = "kernel.mul.nnz"
+	KeyAddOps = "kernel.add.ops"
+	KeyAddNNZ = "kernel.add.nnz"
 )
 
 // Layer prefixes: the first dotted component of every instrument name

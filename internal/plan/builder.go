@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mscfpq/internal/algebra"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 )
@@ -152,8 +151,8 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 		return score
 	}
 
-	// Stage 2: linearize the query graph into chains and translate each
-	// chain edge into an algebraic expression driving a traverse.
+	// Stage 2: linearize the query graph into chains and compile each
+	// chain edge into the grammar of the traverse that drives it.
 	covered := map[int]bool{}
 	for _, chain := range qg.Chains() {
 		// Orient the chain so the scan starts at the more selective
@@ -168,22 +167,19 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 			// Destination node labels are folded into the traverse, so it
 			// lands only on correctly labeled vertices.
 			dst := qg.Nodes[e.To]
-			switch c := e.Conn.(type) {
-			case cypher.RelPattern:
-				expr := translateRel(c)
-				for _, l := range dst.Labels {
-					expr = algebra.Mul{L: expr, R: algebra.VertexLabel{Label: l}}
-				}
-				root = NewCondTraverse(env, root, e.From, e.To, expr)
-			case cypher.PathApply:
-				path, err := ctx.compilePath(c, dst.Labels)
-				if err != nil {
-					return nil, err
-				}
-				root = newCFPQTraverse(env, root, e.From, e.To, path)
-			default:
+			name, conn := "CFPQTraverse", e.Conn
+			if r, ok := conn.(cypher.RelPattern); ok {
+				name, conn = "CondTraverse", relPath(r, env.G)
+			}
+			c, ok := conn.(cypher.PathApply)
+			if !ok {
 				return nil, fmt.Errorf("plan: unsupported connection %T", e.Conn)
 			}
+			path, err := ctx.compilePath(c, dst.Labels)
+			if err != nil {
+				return nil, err
+			}
+			root = &Traverse{name: name, env: env, child: root, fromSlot: e.From, toSlot: e.To, path: path}
 			bound[e.To] = true
 			covered[e.To] = true
 			for _, p := range dst.Props {

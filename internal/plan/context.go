@@ -8,16 +8,16 @@ import (
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
-	"mscfpq/internal/matrix"
 )
 
 // PathCtx is the paper's path pattern context (Section 4.3.1): the
-// storage shared by the CFPQTraverse operations of a plan — and across
+// storage shared by the traverse operations of a plan — and across
 // plans, when the context is reused — that answers named path patterns.
 // It holds the PATH PATTERN declarations compiled into a grammar and a
 // cfpq.Index over that grammar, so the optimized multiple-source
 // algorithm (Algorithm 3) caches its work across queries; each traverse
-// adds its own path pattern to the grammar (compilePath).
+// adds its own path or relationship pattern to the grammar
+// (compilePath).
 type PathCtx struct {
 	pats []cypher.NamedPathPattern
 	cf   *grammar.Grammar // the declarations compiled, for EXPLAIN; nil without declarations
@@ -74,9 +74,9 @@ func CtxKey(pats []cypher.NamedPathPattern) string {
 	return strings.Join(parts, ";")
 }
 
-// Env is what plan operations evaluate against: the graph, which it
-// adapts to algebra.Env for relationship patterns, the path pattern
-// context CFPQTraverse reads, and the property access plan filters need.
+// Env is what plan operations evaluate against: the graph, the path
+// pattern context every traverse reads, and the property access plan
+// filters need.
 type Env struct {
 	G     *graph.Graph
 	Ctx   *PathCtx
@@ -86,8 +86,6 @@ type Env struct {
 	// ungoverned. Plan.ExecuteWith installs it for the duration of one
 	// execution.
 	Run *exec.Run
-
-	anyEdge *matrix.Bool // cached union adjacency
 }
 
 // PropStore gives filters access to node properties and is implemented
@@ -100,21 +98,4 @@ type PropStore interface {
 // NewEnv builds an evaluation environment.
 func NewEnv(g *graph.Graph, ctx *PathCtx, props PropStore) *Env {
 	return &Env{G: g, Ctx: ctx, Props: props}
-}
-
-// ExecRun implements algebra.Governed.
-func (e *Env) ExecRun() *exec.Run { return e.Run }
-
-// EdgeMatrix implements algebra.Env.
-func (e *Env) EdgeMatrix(label string) *matrix.Bool { return e.G.EdgeMatrix(label) }
-
-// VertexMatrix implements algebra.Env.
-func (e *Env) VertexMatrix(label string) *matrix.Bool { return e.G.VertexMatrix(label) }
-
-// AnyEdgeMatrix implements algebra.Env.
-func (e *Env) AnyEdgeMatrix() *matrix.Bool {
-	if e.anyEdge == nil {
-		e.anyEdge = e.G.AdjacencyUnion(false)
-	}
-	return e.anyEdge
 }

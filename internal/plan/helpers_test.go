@@ -7,7 +7,7 @@ import (
 	"mscfpq/internal/cypher"
 )
 
-func mustParseQuery(t *testing.T, src string) *cypher.Query {
+func mustParseQuery(t testing.TB, src string) *cypher.Query {
 	t.Helper()
 	q, err := cypher.Parse(src)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mscfpq/internal/algebra"
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
@@ -144,19 +143,18 @@ func (s *NodeScan) Child() Operation { return s.child }
 // before one evaluation (the paper's record buffer).
 const traverseBatchSize = 1024
 
-// Traverse consumes records, buffers them, computes the rows of their
-// bound source vertices — CondTraverse as filter * expr, CFPQTraverse by
-// the path pattern context's index — and emits one record per resulting
-// pair.
+// Traverse consumes records, buffers them, reads the rows of their bound
+// source vertices from the path pattern context's index — the rows of
+// the compiled connection's start nonterminal — and emits one record per
+// resulting pair.
 type Traverse struct {
-	name     string // CondTraverse or CFPQTraverse
+	name     string // CondTraverse (a relationship) or CFPQTraverse (a path pattern)
 	env      *Env
 	child    Operation
 	fromSlot int
 	toSlot   int
-	expr     algebra.Expr    // CondTraverse: the relationship's relation
-	path     *pathQuery      // CFPQTraverse: the compiled path pattern
-	ext      *cfpq.Extension // CFPQTraverse: path's grammar over the index, for one execution
+	path     *pathQuery      // the compiled connection
+	ext      *cfpq.Extension // path's grammar over the index, for one execution
 
 	buf    []int64      // the batch: copies of the child's records, width cells each
 	width  int          // cells per record
@@ -167,32 +165,17 @@ type Traverse struct {
 	done   bool
 }
 
-// NewCondTraverse builds the traverse operation for a relationship
-// pattern.
-func NewCondTraverse(env *Env, child Operation, fromSlot, toSlot int, expr algebra.Expr) *Traverse {
-	return &Traverse{name: "CondTraverse", env: env, child: child,
-		fromSlot: fromSlot, toSlot: toSlot, expr: expr}
-}
-
-// newCFPQTraverse builds the traverse operation for a path pattern
-// compiled against env's path pattern context.
-func newCFPQTraverse(env *Env, child Operation, fromSlot, toSlot int, path *pathQuery) *Traverse {
-	return &Traverse{name: "CFPQTraverse", env: env, child: child,
-		fromSlot: fromSlot, toSlot: toSlot, path: path}
-}
-
 func (t *Traverse) Open() error {
-	t.buf, t.width, t.rows, t.done = nil, 0, nil, false
+	// A connection that matches no path emits nothing.
+	t.buf, t.width, t.rows, t.done = nil, 0, nil, t.path.start < 0
 	t.bufIdx, t.rowPos = 0, 0
-	if t.path != nil {
-		// The path's own nonterminals start from their seeds once per
-		// execution and keep what they derive across its batches.
-		ext, err := t.env.Ctx.idx.Extend(t.path.w)
-		if err != nil {
-			return err
-		}
-		t.ext = ext
+	// The connection's own nonterminals start empty once per execution
+	// and keep what they derive across its batches.
+	ext, err := t.env.Ctx.idx.Extend(t.path.w)
+	if err != nil {
+		return err
 	}
+	t.ext = ext
 	return t.child.Open()
 }
 
@@ -259,22 +242,15 @@ func (t *Traverse) fillBatch() error {
 	if len(t.buf) == 0 {
 		return nil
 	}
+	// The buffered source vertices are the sources of one multiple-source
+	// query (Section 4.3.2).
 	var err error
-	if t.path != nil {
-		t.rows, err = t.ext.Rows(t.path.start, srcs, exec.WithRun(t.env.Run))
-	} else {
-		// The filter matrix of the buffered source vertices, on the left
-		// of the algebraic expression (Section 4.3.2).
-		t.rows, err = algebra.Eval(algebra.Mul{L: algebra.Fixed{Name: "Filter", M: srcs.Diag()}, R: t.expr}, t.env)
-	}
+	t.rows, err = t.ext.Rows(t.path.start, srcs, exec.WithRun(t.env.Run))
 	return err
 }
 
 func (t *Traverse) Explain() string {
-	if t.path != nil {
-		return fmt.Sprintf("%s(from=%d, to=%d, %s)", t.name, t.fromSlot, t.toSlot, t.path)
-	}
-	return fmt.Sprintf("%s(from=%d, to=%d, expr=%s)", t.name, t.fromSlot, t.toSlot, t.expr)
+	return fmt.Sprintf("%s(from=%d, to=%d, %s)", t.name, t.fromSlot, t.toSlot, t.path)
 }
 
 func (t *Traverse) Child() Operation { return t.child }

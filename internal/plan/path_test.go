@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"mscfpq/internal/exec"
@@ -24,7 +25,8 @@ func runGoverned(t *testing.T, g *graph.Graph, src string, opts exec.Options) (*
 }
 
 // chains is k disjoint 50-vertex a-chains, each with b shortcuts from
-// its second vertex to its fourth and from its third to its sixth.
+// its second vertex to its fourth and from its third to its sixth, and
+// its third vertex labeled x.
 func chains(k int) *graph.Graph {
 	g := graph.New(50 * k)
 	for c := 0; c < 50*k; c += 50 {
@@ -33,8 +35,87 @@ func chains(k int) *graph.Graph {
 		}
 		g.AddEdge(c+1, "b", c+3)
 		g.AddEdge(c+2, "b", c+5)
+		g.AddVertexLabel(c+2, "x")
 	}
 	return g
+}
+
+// hopShapes are the one-step connections out of vertex 1 of chains, with
+// the rows they return: relationship patterns typed, alternated,
+// inverse, untyped and with a labeled destination, and a one-step path
+// pattern.
+var hopShapes = []struct {
+	conn string
+	rows [][]int64
+}{
+	{`-[:a]->(u)`, [][]int64{{1, 2}}},
+	{`-[:a|b]->(u)`, [][]int64{{1, 2}, {1, 3}}},
+	{`<-[:a]-(u)`, [][]int64{{1, 0}}},
+	{`-->(u)`, [][]int64{{1, 2}, {1, 3}}},
+	{`-/ :a /->(u)`, [][]int64{{1, 2}}},
+	{`-[:a]->(u:x)`, [][]int64{{1, 2}}},
+}
+
+func hopQuery(conn string) string { return `MATCH (v)` + conn + ` WHERE id(v) = 1 RETURN v, u` }
+
+// TestTraverseAllocsAreSizeIndependent: a one-step connection bound to
+// one source allocates as many objects, and does as much work, on 20 000
+// vertices as on 5 000. Nothing builds a whole-graph matrix per batch or
+// per execution; only the n-slot row tables grow with the graph. The
+// collector is off while allocations are counted, so it cannot empty
+// the multiply accumulator pool more often on the larger graph.
+func TestTraverseAllocsAreSizeIndependent(t *testing.T) {
+	for _, h := range hopShapes {
+		var allocs []float64
+		var spent []int64
+		for _, k := range []int{100, 400} {
+			g := chains(k)
+			rs, run, err := runGoverned(t, g, hopQuery(h.conn), exec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedRows(rs); !reflect.DeepEqual(got, h.rows) {
+				t.Fatalf("%s on %d vertices: rows %v, want %v", h.conn, 50*k, got, h.rows)
+			}
+			p, err := Build(mustParseQuery(t, hopQuery(h.conn)), NewEnv(g, nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc := debug.SetGCPercent(-1)
+			allocs = append(allocs, testing.AllocsPerRun(10, func() {
+				if _, err := p.Execute(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			debug.SetGCPercent(gc)
+			spent = append(spent, run.Spent())
+		}
+		if allocs[0] != allocs[1] || spent[0] != spent[1] {
+			t.Errorf("%s: %.0f allocs and %d work on 5000 vertices, %.0f and %d on 20000",
+				h.conn, allocs[0], spent[0], allocs[1], spent[1])
+		}
+	}
+}
+
+// BenchmarkTraverseHop times each one-step shape bound to one source on
+// 20 000 chain vertices.
+func BenchmarkTraverseHop(b *testing.B) {
+	g := chains(400)
+	for _, h := range hopShapes {
+		b.Run(h.conn, func(b *testing.B) {
+			p, err := Build(mustParseQuery(b, hopQuery(h.conn)), NewEnv(g, nil, nil))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rs, err := p.Execute(); err != nil || len(rs.Rows) != len(h.rows) {
+					b.Fatal(rs, err)
+				}
+			}
+		})
+	}
 }
 
 // TestPathWorkIsSizeIndependent: a path pattern bound to one source

@@ -259,7 +259,7 @@ func TestChainOrientationBySelectivity(t *testing.T) {
 	if !strings.Contains(explain, "AllNodeScan(slot=1)") {
 		t.Fatalf("scan not reoriented:\n%s", explain)
 	}
-	if !strings.Contains(explain, "Transpose(E^a)") {
+	if !strings.Contains(explain, "CondTraverse(from=1, to=0, Q -> :a_r)") {
 		t.Fatalf("traverse not inverted:\n%s", explain)
 	}
 	rs, err := p.Execute()

@@ -10,8 +10,8 @@ import (
 // QueryGraph is the intermediate representation the paper's Section
 // 4.3.1 describes (Figure 10): pattern nodes become query-graph nodes
 // and connections — relationship or path patterns — become its edges.
-// The planner linearizes it into chains before translating each chain
-// into algebraic expressions.
+// The planner linearizes it into chains before compiling each chain
+// edge into the grammar of its traverse.
 type QueryGraph struct {
 	Nodes []QGNode
 	Edges []QGEdge

@@ -1,37 +1,43 @@
 // Package plan builds and evaluates execution plans for the database
 // layer, reproducing the paper's Section 4.3: MATCH patterns become a
 // query graph, the query graph is split into linear paths, and each
-// connection of a path drives a streaming plan operation. A
-// relationship pattern becomes an algebraic expression over label
-// matrices, evaluated by CondTraverse; a path pattern is compiled into
-// the context-free grammar of the PATH PATTERN declarations and answered
-// by CFPQTraverse through the multiple-source CFPQ index of the path
-// pattern context.
+// connection of a path drives a streaming plan operation. Every
+// connection is compiled into the context-free grammar of the PATH
+// PATTERN declarations and answered through the multiple-source CFPQ
+// index of the path pattern context: a relationship pattern as the
+// one-step path that Figure 11's algebraic expression denotes, under the
+// paper's name CondTraverse, and a path pattern as itself, under
+// CFPQTraverse.
 package plan
 
 import (
 	"fmt"
 	"strings"
 
-	"mscfpq/internal/algebra"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/grammar"
+	"mscfpq/internal/graph"
 )
 
-// translateRel converts a relationship pattern into the algebraic
-// expression of the CondTraverse that executes it.
-func translateRel(r cypher.RelPattern) algebra.Expr {
-	var e algebra.Expr = algebra.AnyEdge{}
-	if len(r.Types) > 0 {
-		e = algebra.EdgeLabel{Label: r.Types[0]}
-		for _, t := range r.Types[1:] {
-			e = algebra.Add{L: e, R: algebra.EdgeLabel{Label: t}}
-		}
+// relPath is the one-step path a relationship pattern walks: a step
+// along its type, or an alternation of steps along its types (Figure
+// 11's E^a + E^b) or, untyped, along every edge label of g. Right to
+// left it is applied inversely (Transpose(E^a)), and the labels of its
+// destination become a trailing node check (· V^l) in compilePath.
+func relPath(r cypher.RelPattern, g *graph.Graph) cypher.PathApply {
+	types := r.Types
+	if len(types) == 0 {
+		types = g.EdgeLabels()
 	}
-	if r.Inverse {
-		e = algebra.Transpose{Sub: e}
+	steps := make([]cypher.PathExpr, len(types))
+	for i, t := range types {
+		steps[i] = cypher.PERel{Type: t}
 	}
-	return e
+	var e cypher.PathExpr = cypher.PEAlt{Alts: steps}
+	if len(steps) == 1 {
+		e = steps[0]
+	}
+	return cypher.PathApply{Expr: e, Inverse: r.Inverse}
 }
 
 // PatternsToGrammar compiles the PATH PATTERN declarations into a
@@ -39,8 +45,8 @@ func translateRel(r cypher.RelPattern) algebra.Expr {
 // relationship steps become grammar.EdgeStep terminals, node checks
 // grammar.NodeCheck terminals, references become nonterminals, and
 // quantifiers introduce auxiliary nonterminals. The grammar feeds the
-// multiple-source CFPQ index that answers the MATCH clause's path
-// patterns, which compilePath adds to it.
+// multiple-source CFPQ index that answers the MATCH clause's
+// connections, which compilePath adds to it.
 func PatternsToGrammar(pats []cypher.NamedPathPattern) (*grammar.Grammar, error) {
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("plan: no named path patterns")
@@ -221,8 +227,9 @@ func reversePath(e cypher.PathExpr) cypher.PathExpr {
 	}
 }
 
-// pathQuery is a MATCH path connection compiled into the declared
-// grammar: the CFPQTraverse that executes it reads the rows of start.
+// pathQuery is a MATCH connection compiled into the declared grammar:
+// the traverse that executes it reads the rows of start, and has none
+// to read when start is -1.
 type pathQuery struct {
 	rules *grammar.Grammar // the productions the connection adds; none for a bare reference
 	w     *grammar.WCNF    // the declared WCNF, extended by rules
@@ -232,21 +239,29 @@ type pathQuery struct {
 // String renders what the traverse solves: the added rules, or the
 // referenced pattern.
 func (p *pathQuery) String() string {
-	if len(p.rules.Prods) == 0 {
+	switch {
+	case p.start < 0:
+		return "no path"
+	case len(p.rules.Prods) == 0:
 		return p.rules.Start
 	}
 	return strings.ReplaceAll(strings.TrimSuffix(p.rules.String(), "\n"), "\n", "; ")
 }
 
-// compilePath compiles a MATCH path connection, with the labels of its
+// compilePath compiles a MATCH connection, with the labels of its
 // destination node, into the context's declared grammar. A connection
 // applied right to left is reversed first (reversePath), and the labels
 // become node checks at its end. A bare reference to a declared pattern
-// adds nothing: the traverse reads that pattern's rows of the index.
-// Anything else becomes the start nonterminal Q of productions that
-// extend the declared WCNF (grammar.Extend), so the driver that solves Q
-// passes its sources on to the patterns Q references.
+// adds nothing: the traverse reads that pattern's rows of the index. An
+// alternation of nothing (an untyped relationship on a graph without
+// edges) matches no path. Anything else becomes the start nonterminal Q
+// of productions that extend the declared WCNF (grammar.Extend), so the
+// driver that solves Q passes its sources on to the patterns Q
+// references.
 func (ctx *PathCtx) compilePath(p cypher.PathApply, labels []string) (*pathQuery, error) {
+	if alt, ok := p.Expr.(cypher.PEAlt); ok && len(alt.Alts) == 0 {
+		return &pathQuery{w: ctx.idx.W, start: -1}, nil
+	}
 	e := p.Expr
 	if p.Inverse {
 		e = reversePath(e)
