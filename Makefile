@@ -91,8 +91,10 @@ bench-quick:
 # the allocation guard TestReplyAllocs in `make test`. The kernel
 # benchmarks print what one multiple-source query costs under the
 # fixpoint driver (DESIGN.md §16): from scratch, against a saturated
-# index, and as one chunk-10 step of a pathways/G1 sweep — the per-query
-# fixed cost of the wire benchmark's sparse-sweep, in seconds. The RPQ
+# index, and as one chunk-10 step of a pathways/G1 sweep cut from a
+# seeded permutation — the per-query fixed cost of the wire benchmark's
+# sparse-sweep, in seconds and bytes (its size guard is
+# TestSweepQueryBytesAreSizeIndependent in `make test`). The RPQ
 # benchmark prints what one regular query costs through that same
 # driver (rpq.Eval, experiment E11), checked against the oracle. The
 # traverse benchmark prints what one relationship or one-step path hop

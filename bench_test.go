@@ -7,6 +7,7 @@ package mscfpq
 // writes the tables EXPERIMENTS.md records.
 
 import (
+	"math/rand"
 	"testing"
 
 	"mscfpq/internal/bench"
@@ -168,9 +169,11 @@ func BenchmarkKernelSmartWarm(b *testing.B) {
 
 // BenchmarkKernelSmartSweep is the kernel under the wire benchmark's
 // sparse-sweep workload: disjoint chunk-10 queries over pathways/G1
-// against one index, a fresh index whenever a sweep has covered the
-// graph. ns/op and B/op are per query, so they read as the per-query
-// fixed cost of Algorithm 3 (small fixpoints over a 6238-row graph).
+// against one index, cut from a seeded permutation of the vertices as
+// the wire workload cuts them, with a fresh index and permutation
+// whenever a sweep has covered the graph. ns/op and B/op are per query,
+// so they read as the per-query fixed cost of Algorithm 3 (small
+// fixpoints over a 6238-row graph).
 func BenchmarkKernelSmartSweep(b *testing.B) {
 	g, err := GenerateDataset("pathways", 1)
 	if err != nil {
@@ -181,7 +184,9 @@ func BenchmarkKernelSmartSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(1))
 	var idx *cfpq.Index
+	var perm []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, lo := 0, 0; i < b.N; i, lo = i+1, lo+10 {
@@ -190,13 +195,10 @@ func BenchmarkKernelSmartSweep(b *testing.B) {
 			if idx, err = cfpq.NewIndex(g, w); err != nil {
 				b.Fatal(err)
 			}
-			lo = 0
+			perm, lo = rng.Perm(n), 0
 			b.StartTimer()
 		}
-		src := matrix.NewVector(n)
-		for v := lo; v < lo+10; v++ {
-			src.Set(v)
-		}
+		src := matrix.NewVectorFromIndices(n, perm[lo:lo+10])
 		if _, err := idx.MultiSourceSmart(src); err != nil {
 			b.Fatal(err)
 		}

@@ -13,10 +13,10 @@ import (
 // product is the driver's one varying step: the governed product a*b for
 // binary rule ri, plus an optional callback told every entry of it that
 // is new to the rule's head (where single-path records provenance).
-type product func(run *exec.Run, ri int, a, b *matrix.Bool) (*matrix.Bool, func(i, j int) bool, error)
+type product func(run *exec.Run, ri int, a, b matrix.Operand) (*matrix.RowList, func(i, j int) bool, error)
 
-func boolProduct(run *exec.Run, _ int, a, b *matrix.Bool) (*matrix.Bool, func(i, j int) bool, error) {
-	m, err := run.Mul(a, b)
+func boolProduct(run *exec.Run, _ int, a, b matrix.Operand) (*matrix.RowList, func(i, j int) bool, error) {
+	m, err := run.MulRows(a, b)
 	return m, nil, err
 }
 
@@ -36,6 +36,13 @@ func boolProduct(run *exec.Run, _ int, a, b *matrix.Bool) (*matrix.Bool, func(i,
 // is active or (Algorithm 3) processed. An unrestricted run has every
 // row active: ΔM = ΔT^B and M = T^B, with no row extraction.
 //
+// T stays matrix.Bool, so a product finds a row of T^C by index. ΔT, ΔM,
+// M and every product are matrix.RowLists, which hold only their live
+// rows: a run restricted to a few sources costs the rows it touches and
+// the products they form, never a walk of the n-slot row tables. rows(T,
+// ·) are copies (matrix.SelectRows), because seeding grows rows of T in
+// place (Bool.Set).
+//
 // A restricted run seeds on activation: a source i that becomes active
 // for X brings row i of T^X its seed facts (seeder), so row i holds them
 // whenever i is active or processed for X. B ∪= fresh A-sources runs
@@ -53,8 +60,8 @@ type fixpoint struct {
 	mul   product
 	seeds *seeder
 
-	T     []*matrix.Bool // relations per nonterminal, grown in place
-	delta []*matrix.Bool // ΔT: the entries T gained in the previous round; nil = none
+	T     []*matrix.Bool    // relations per nonterminal, grown in place
+	delta []*matrix.RowList // ΔT: the entries T gained in the previous round; nil = none
 
 	// The source restriction; active == nil runs unrestricted.
 	active []*matrix.Vector // sources whose rows this run computes
@@ -91,7 +98,7 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, w
 		return nil, nil, err
 	}
 	if srcByNT == nil {
-		f.delta = r.T // the first ΔT is the seeded T itself: ΔT is only read, so it is shared
+		f.listAll()
 	} else if err := f.restrict(srcByNT, n); err != nil {
 		return nil, nil, err
 	}
@@ -102,10 +109,19 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, w
 	return r, f.active, nil
 }
 
+// listAll sets up an unrestricted run: its first ΔT is every row of the
+// seeded T, listed once.
+func (f *fixpoint) listAll() {
+	f.delta = make([]*matrix.RowList, len(f.T))
+	for a, t := range f.T {
+		f.delta[a] = matrix.ListRows(t)
+	}
+}
+
 // restrict installs the requested source sets, less the processed ones,
 // as the first round's fresh and active sources, with an empty first ΔT.
 func (f *fixpoint) restrict(srcByNT map[int]*matrix.Vector, n int) error {
-	f.delta = make([]*matrix.Bool, len(f.T))
+	f.delta = make([]*matrix.RowList, len(f.T))
 	f.active = make([]*matrix.Vector, len(f.T))
 	f.fresh = make([]*matrix.Vector, len(f.T))
 	for a := range f.T {
@@ -165,7 +181,7 @@ func (f *fixpoint) solve() error {
 // round applies every binary rule once, installs what that added as the
 // next round's ΔT and fresh sources, and reports whether it added any.
 func (f *fixpoint) round() (progress bool, err error) {
-	next := make([]*matrix.Bool, len(f.T)) // nil where a relation gains nothing
+	next := make([]*matrix.RowList, len(f.T)) // nil where a relation gains nothing
 	var nextFresh []*matrix.Vector
 	if f.active != nil {
 		nextFresh = make([]*matrix.Vector, len(f.T))
@@ -174,7 +190,7 @@ func (f *fixpoint) round() (progress bool, err error) {
 		}
 	}
 	for ri, rule := range f.w.BinRules {
-		dm, m := f.delta[rule.B], f.T[rule.B]
+		var dm, m matrix.Operand = f.delta[rule.B], f.T[rule.B]
 		if f.active != nil {
 			act, fresh := f.active[rule.A], f.fresh[rule.A]
 			f.run.ObserveFrontier(act.NVals())
@@ -184,15 +200,16 @@ func (f *fixpoint) round() (progress bool, err error) {
 			if err := f.activate(rule.B, fresh.Clone(), nextFresh); err != nil {
 				return false, err
 			}
-			dm = matrix.ExtractRows(m, fresh)
-			if !empty(f.delta[rule.B]) {
-				matrix.AddRowsInPlace(dm, f.delta[rule.B], act)
+			d := matrix.SelectRows(f.T[rule.B], fresh)
+			if !f.delta[rule.B].Empty() {
+				d = matrix.Union(d, f.delta[rule.B].Restrict(act))
 			}
-			if err := f.activate(rule.C, matrix.ReduceCols(dm), nextFresh); err != nil {
+			if err := f.activate(rule.C, d.Cols(), nextFresh); err != nil {
 				return false, err
 			}
-			if !empty(f.delta[rule.C]) {
-				m = matrix.ExtractRows(m, act)
+			dm = d
+			if !f.delta[rule.C].Empty() {
+				m = matrix.SelectRows(f.T[rule.B], act)
 			}
 		}
 		if err := f.derive(ri, dm, f.T[rule.C], next); err != nil {
@@ -214,13 +231,10 @@ func (f *fixpoint) round() (progress bool, err error) {
 	return progress, nil
 }
 
-// empty reports whether a ΔT slot holds no entry (nil stands for none).
-func empty(m *matrix.Bool) bool { return m == nil || m.Empty() }
-
 // derive folds (a*b) \ T^A into T^A and into the next ΔT^A, A being
 // the head of rule ri.
-func (f *fixpoint) derive(ri int, a, b *matrix.Bool, next []*matrix.Bool) error {
-	if empty(a) || empty(b) {
+func (f *fixpoint) derive(ri int, a, b matrix.Operand, next []*matrix.RowList) error {
+	if a.NVals() == 0 || b.NVals() == 0 {
 		return nil
 	}
 	head := f.w.BinRules[ri].A
@@ -228,18 +242,18 @@ func (f *fixpoint) derive(ri int, a, b *matrix.Bool, next []*matrix.Bool) error 
 	if err != nil {
 		return err
 	}
-	matrix.SubInPlace(prod, f.T[head])
+	prod.DiffInPlace(f.T[head])
 	if prod.Empty() {
 		return nil
 	}
 	if note != nil {
 		prod.Iterate(note)
 	}
-	f.run.Add(f.T[head], prod)
+	f.run.AddRows(f.T[head], prod)
 	if next[head] == nil {
 		next[head] = prod
 	} else {
-		matrix.AddInPlace(next[head], prod)
+		next[head] = matrix.Union(next[head], prod)
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			// the sources it activated.
 			solve := func(f *fixpoint, req *matrix.Vector) (int, []*matrix.Vector) {
 				if req == nil {
-					f.delta = f.T
+					f.listAll()
 				} else if err := f.restrict(map[int]*matrix.Vector{w.Start: req}, n); err != nil {
 					t.Fatal(err)
 				}

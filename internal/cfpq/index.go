@@ -221,8 +221,9 @@ func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 // added nonterminal reach the declared ones through the rules that use
 // them — the paper's Algorithm 8, where a reference receives the
 // destinations of its left operand as sources. When every source is
-// processed already, no round runs.
-func (x *Extension) Rows(a int, src *matrix.Vector, opts ...Option) (*matrix.Bool, error) {
+// processed already, no round runs. The copy is a row list, so it costs
+// the rows returned, not the graph's size.
+func (x *Extension) Rows(a int, src *matrix.Vector, opts ...Option) (*matrix.RowList, error) {
 	if a < 0 || a >= len(x.t) {
 		return nil, fmt.Errorf("cfpq: nonterminal id %d out of range", a)
 	}
@@ -239,7 +240,7 @@ func (x *Extension) Rows(a int, src *matrix.Vector, opts ...Option) (*matrix.Boo
 			return nil, err
 		}
 	}
-	return matrix.ExtractRows(x.t[a], src), nil
+	return matrix.SelectRows(x.t[a], src), nil
 }
 
 // Relation returns the cached relation matrix for a nonterminal id. The

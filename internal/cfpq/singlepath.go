@@ -140,13 +140,12 @@ func (r *SinglePathResult) seedProv(run *exec.Run, g *graph.Graph) error {
 // mid vertex as provenance. Both factors of a witness are entries T
 // already holds (the driver's left operands are rows of T^B), so
 // provenance stays acyclic in discovery order.
-func (r *SinglePathResult) witnessProduct(run *exec.Run, ri int, a, b *matrix.Bool) (*matrix.Bool, func(i, j int) bool, error) {
-	// MulWitness has no row-block cancellation; checking before each
-	// product still bounds the latency of a cancel to one multiplication.
-	if err := run.Err(); err != nil {
+func (r *SinglePathResult) witnessProduct(run *exec.Run, ri int, a, b matrix.Operand) (*matrix.RowList, func(i, j int) bool, error) {
+	wit := map[uint64]uint32{}
+	prod, err := matrix.MulRows(run.Ctx(), a, b, wit)
+	if err != nil {
 		return nil, nil, err
 	}
-	prod, wit := matrix.MulWitness(a, b)
 	if err := run.Charge(prod.NVals()); err != nil {
 		return nil, nil, err
 	}

@@ -192,8 +192,8 @@ func (e PEStar) String() string { return "[" + e.Sub.String() + "]*" }
 func (e PEPlus) String() string { return "[" + e.Sub.String() + "]+" }
 func (e PEOpt) String() string  { return "[" + e.Sub.String() + "]?" }
 
-// Expr is a WHERE expression.
-type Expr interface{ exprString() string }
+// Expr is a WHERE expression; String renders it as Cypher text.
+type Expr interface{ String() string }
 
 // AndExpr is a conjunction.
 type AndExpr struct{ Left, Right Expr }
@@ -223,18 +223,18 @@ type HasLabel struct {
 	Label string
 }
 
-func (e AndExpr) exprString() string { return e.Left.exprString() + " AND " + e.Right.exprString() }
-func (e IDCompare) exprString() string {
+func (e AndExpr) String() string { return e.Left.String() + " AND " + e.Right.String() }
+func (e IDCompare) String() string {
 	return fmt.Sprintf("id(%s) = %d", e.Var, e.ID)
 }
-func (e IDIn) exprString() string {
+func (e IDIn) String() string {
 	parts := make([]string, len(e.IDs))
 	for i, id := range e.IDs {
 		parts[i] = fmt.Sprintf("%d", id)
 	}
 	return fmt.Sprintf("id(%s) IN [%s]", e.Var, strings.Join(parts, ", "))
 }
-func (e PropCompare) exprString() string {
+func (e PropCompare) String() string {
 	return fmt.Sprintf("%s.%s = %s", e.Var, e.Key, e.Val)
 }
-func (e HasLabel) exprString() string { return e.Var + ":" + e.Label }
+func (e HasLabel) String() string { return e.Var + ":" + e.Label }

@@ -136,7 +136,7 @@ func TestParseWhere(t *testing.T) {
 	if q.Where == nil {
 		t.Fatal("missing where")
 	}
-	s := q.Where.exprString()
+	s := q.Where.String()
 	for _, want := range []string{"id(v) IN [1, 2, 3]", "u.name = 'x'", "v:Label", "id(u) = 7"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("where %q missing %q", s, want)

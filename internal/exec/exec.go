@@ -278,14 +278,27 @@ func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs.KernelMulOps.Inc()
-	obs.KernelMulNNZ.Add(int64(m.NVals()))
-	r.trace.Add(obs.KeyMulOps, 1)
-	r.trace.Add(obs.KeyMulNNZ, int64(m.NVals()))
-	if err := r.Charge(m.NVals()); err != nil {
-		return nil, err
+	return m, r.countMul(m.NVals())
+}
+
+// MulRows is the governed row-list product a × b (matrix.MulRows): it
+// polls cancellation every few rows of a and charges and counts the
+// product's entries as Mul does. The fixpoint driver's one product.
+func (r *Run) MulRows(a, b matrix.Operand) (*matrix.RowList, error) {
+	m, err := matrix.MulRows(r.Ctx(), a, b, nil)
+	if err != nil || r == nil {
+		return m, err
 	}
-	return m, nil
+	return m, r.countMul(m.NVals())
+}
+
+// countMul records one product of nnz entries and charges them.
+func (r *Run) countMul(nnz int) error {
+	obs.KernelMulOps.Inc()
+	obs.KernelMulNNZ.Add(int64(nnz))
+	r.trace.Add(obs.KeyMulOps, 1)
+	r.trace.Add(obs.KeyMulNNZ, int64(nnz))
+	return r.Charge(nnz)
 }
 
 // Add is the governed element-wise OR: it folds b into a in place,
@@ -293,11 +306,23 @@ func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 // into the metrics registry and the run's trace. Safe on nil runs
 // (plain matrix.AddInPlace, uncounted).
 func (r *Run) Add(a, b *matrix.Bool) bool {
+	return r.countAdd(a, func() bool { return matrix.AddInPlace(a, b) })
+}
+
+// AddRows is Add for a row-list b (matrix.AddListInPlace): it costs
+// b's rows, not a's row table, and is counted the same way.
+func (r *Run) AddRows(a *matrix.Bool, b *matrix.RowList) bool {
+	return r.countAdd(a, func() bool { return matrix.AddListInPlace(a, b) })
+}
+
+// countAdd runs add, which grows a, and records the op and the entries
+// it added.
+func (r *Run) countAdd(a *matrix.Bool, add func() bool) bool {
 	if r == nil {
-		return matrix.AddInPlace(a, b)
+		return add()
 	}
 	before := a.NVals()
-	changed := matrix.AddInPlace(a, b)
+	changed := add()
 	delta := int64(a.NVals() - before)
 	obs.KernelAddOps.Inc()
 	obs.KernelAddNNZ.Add(delta)

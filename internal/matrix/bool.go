@@ -18,7 +18,7 @@ type Bool struct {
 	// shared marks rows whose backing arrays may be aliased by a
 	// copy-on-write sibling (CloneCOW). A shared row must be copied
 	// before any in-place mutation; rows replaced wholesale (AddInPlace,
-	// SubInPlace) shed the mark with the old pointer. nil when the
+	// AddListInPlace) shed the mark with the old pointer. nil when the
 	// matrix never took part in a COW clone.
 	shared []bool
 }

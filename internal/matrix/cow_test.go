@@ -54,8 +54,8 @@ func TestCloneCOWChildMutationDoesNotAliasParent(t *testing.T) {
 		{"AddInPlace", func(c *Bool) {
 			AddInPlace(c, NewBoolFromPairs(6, 8, [][2]int{{0, 0}, {0, 4}, {3, 3}}))
 		}},
-		{"SubInPlace", func(c *Bool) {
-			SubInPlace(c, NewBoolFromPairs(6, 8, [][2]int{{0, 3}, {5, 1}}))
+		{"AddListInPlace", func(c *Bool) {
+			AddListInPlace(c, ListRows(NewBoolFromPairs(6, 8, [][2]int{{0, 2}, {5, 7}})))
 		}},
 		{"Resize-then-Set", func(c *Bool) { c.Resize(8, 8); c.Set(7, 7); c.Set(0, 0) }},
 	}
@@ -83,7 +83,7 @@ func TestCloneCOWParentMutationDoesNotAliasChild(t *testing.T) {
 	want := snapshotRows(child)
 	parent.Set(0, 0)
 	parent.Set(3, 1)
-	SubInPlace(parent, NewBoolFromPairs(4, 4, [][2]int{{1, 2}}))
+	AddListInPlace(parent, ListRows(NewBoolFromPairs(4, 4, [][2]int{{1, 0}, {2, 3}})))
 	AddInPlace(parent, NewBoolFromPairs(4, 4, [][2]int{{0, 0}, {1, 1}, {2, 2}, {3, 3}}))
 	rowsEqual(t, child, want, "child after parent mutation")
 	if err := child.validate(); err != nil {
@@ -112,7 +112,7 @@ func TestCloneCOWChain(t *testing.T) {
 			next.Set(rng.Intn(10), rng.Intn(10))
 		}
 		if v%3 == 0 {
-			SubInPlace(next, NewBoolFromPairs(10, 10, [][2]int{{rng.Intn(10), rng.Intn(10)}}))
+			AddListInPlace(next, ListRows(NewBoolFromPairs(10, 10, [][2]int{{rng.Intn(10), rng.Intn(10)}})))
 		}
 		cur = next
 	}
@@ -174,10 +174,10 @@ func TestCloneFrozenLeavesSourceUntouched(t *testing.T) {
 	// unchanged (the aliased rows are copied on first write).
 	c.Set(0, 2)
 	c.Set(3, 0)
-	SubInPlace(c, NewBoolFromPairs(4, 6, [][2]int{{2, 2}}))
+	AddListInPlace(c, ListRows(NewBoolFromPairs(4, 6, [][2]int{{2, 4}})))
 	c.Set(1, 5)
 	rowsEqual(t, m, want, "frozen source after clone mutations")
-	if !c.Get(0, 2) || !c.Get(3, 0) || c.Get(2, 2) || !c.Get(1, 5) {
+	if !c.Get(0, 2) || !c.Get(3, 0) || !c.Get(2, 4) || !c.Get(1, 5) {
 		t.Fatal("clone lost its own mutations")
 	}
 	if err := c.validate(); err != nil {

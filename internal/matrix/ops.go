@@ -1,6 +1,9 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Mul returns the Boolean product a * b over the (OR, AND) semiring.
 func Mul(a, b *Bool) *Bool {
@@ -86,32 +89,13 @@ func (m *Bool) orRow(i int, rb []uint32) bool {
 func Sub(a, b *Bool) *Bool {
 	checkSameShape("Sub", a, b)
 	out := NewBool(a.nrows, a.ncols)
-	for i := range a.rows {
-		row := diffRows(a.rows[i], b.rows[i])
-		out.rows[i] = row
-		out.nvals += len(row)
+	for i, row := range a.rows {
+		if row = diffInPlace(slices.Clone(row), b.rows[i]); len(row) > 0 {
+			out.rows[i] = row
+			out.nvals += len(row)
+		}
 	}
 	return out
-}
-
-// SubInPlace removes the entries of b from a and reports whether a changed.
-func SubInPlace(a, b *Bool) bool {
-	checkSameShape("SubInPlace", a, b)
-	changed := false
-	for i := range a.rows {
-		ra, rb := a.rows[i], b.rows[i]
-		if len(ra) == 0 || len(rb) == 0 {
-			continue
-		}
-		row := diffRows(ra, rb)
-		if len(row) != len(ra) {
-			a.nvals += len(row) - len(ra)
-			a.rows[i] = row
-			a.markOwned(i)
-			changed = true
-		}
-	}
-	return changed
 }
 
 // Transpose returns the transposed matrix.
@@ -190,31 +174,25 @@ func unionRows(a, b []uint32) []uint32 {
 	return out
 }
 
-// diffRows returns a \ b for sorted duplicate-free slices.
-func diffRows(a, b []uint32) []uint32 {
-	if len(a) == 0 {
-		return nil
-	}
-	if len(b) == 0 {
-		return append([]uint32(nil), a...)
-	}
-	out := make([]uint32, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
+// diffInPlace removes the elements of b from a, both sorted and
+// duplicate-free, compacting a within its own array, and returns the
+// result. It steps through b like a merge and gallops once a step is not
+// enough, so it costs a merge when the two are alike and a's length
+// when b is much longer.
+func diffInPlace(a, b []uint32) []uint32 {
+	out, at := a[:0], 0
+	for x, c := range a {
+		if at < len(b) && b[at] < c {
+			if at++; at < len(b) && b[at] < c {
+				at = gallop(b, at, c)
+			}
 		}
-	}
-	out = append(out, a[i:]...)
-	if len(out) == 0 {
-		return nil
+		if at == len(b) {
+			return append(out, a[x:]...)
+		}
+		if b[at] != c {
+			out = append(out, c)
+		}
 	}
 	return out
 }

@@ -75,21 +75,6 @@ func TestAddInPlaceChangeDetection(t *testing.T) {
 	mustValidate(t, a)
 }
 
-func TestSubInPlaceChangeDetection(t *testing.T) {
-	a := NewBoolFromPairs(2, 2, [][2]int{{0, 0}, {0, 1}})
-	if SubInPlace(a, NewBool(2, 2)) {
-		t.Fatal("subtracting empty must report no change")
-	}
-	b := NewBoolFromPairs(2, 2, [][2]int{{0, 1}, {1, 1}})
-	if !SubInPlace(a, b) {
-		t.Fatal("removing an entry must report change")
-	}
-	if a.Get(0, 1) || !a.Get(0, 0) || a.NVals() != 1 {
-		t.Fatal("SubInPlace result wrong")
-	}
-	mustValidate(t, a)
-}
-
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	a, da := randomMatrix(rng, 8, 14, 0.25)
@@ -192,27 +177,6 @@ func TestAddRowsInPlaceProperty(t *testing.T) {
 			t.Fatalf("trial %d: changed=%v, want %v; a=%v\nwant %v", trial, changed, grew, a, want)
 		}
 		mustValidate(t, a)
-	}
-}
-
-func TestMulWitness(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 20; trial++ {
-		a, _ := randomMatrix(rng, 10, 8, 0.2)
-		b, _ := randomMatrix(rng, 8, 12, 0.2)
-		prod, wit := MulWitness(a, b)
-		if !prod.Equal(Mul(a, b)) {
-			t.Fatal("MulWitness product differs from Mul")
-		}
-		if len(wit) != prod.NVals() {
-			t.Fatalf("witness count %d != nvals %d", len(wit), prod.NVals())
-		}
-		for key, k := range wit {
-			i, j := UnKey(key)
-			if !a.Get(i, int(k)) || !b.Get(int(k), j) {
-				t.Fatalf("witness (%d,%d) via %d is not a valid decomposition", i, j, k)
-			}
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -96,28 +97,54 @@ func (v *Vector) Equal(o *Vector) bool {
 	return true
 }
 
-// UnionInPlace ORs o into v and reports whether v changed.
+// UnionInPlace ORs o into v and reports whether v changed. It merges
+// from the back into v's own array, grown with append's amortized
+// capacity, so a small o costs its searches in v plus one move of the
+// part of v above o's first new index, and no allocation once v has
+// room. No other Vector shares v's array (Clone and every constructor
+// copy), so the spare capacity it writes is v's alone.
 func (v *Vector) UnionInPlace(o *Vector) bool {
 	if v.n != o.n {
 		panic(fmt.Sprintf("matrix: vector union size mismatch %d vs %d", v.n, o.n))
 	}
-	if len(o.idx) == 0 {
+	added, at := 0, 0
+	for _, c := range o.idx {
+		if at = gallop(v.idx, at, c); at == len(v.idx) || v.idx[at] != c {
+			added++
+		}
+	}
+	if added == 0 {
 		return false
 	}
-	if containsAll(v.idx, o.idx) {
-		return false
+	old := len(v.idx)
+	v.idx = slices.Grow(v.idx, added)[:old+added]
+	// end is where v's elements not yet moved stop; dst is one past the
+	// next slot to fill from the back.
+	end, dst := old, old+added
+	for j := len(o.idx) - 1; j >= 0; j-- {
+		c := o.idx[j]
+		p, found := slices.BinarySearch(v.idx[:end], c)
+		if found {
+			continue
+		}
+		dst -= end - p
+		copy(v.idx[dst:], v.idx[p:end])
+		dst--
+		v.idx[dst] = c
+		end = p
 	}
-	v.idx = unionRows(v.idx, o.idx)
 	return true
 }
 
 // DiffInPlace removes o's indices from v and reports whether v changed.
+// It compacts v in place and gallops through o, so it costs v's length
+// when o is much larger.
 func (v *Vector) DiffInPlace(o *Vector) bool {
 	if v.n != o.n {
 		panic(fmt.Sprintf("matrix: vector diff size mismatch %d vs %d", v.n, o.n))
 	}
 	before := len(v.idx)
-	v.idx = diffRows(v.idx, o.idx)
+	v.idx = diffInPlace(v.idx, o.idx)
 	return len(v.idx) != before
 }
 
@@ -136,14 +163,18 @@ func (v *Vector) Diag() *Bool {
 // one true entry. This is the linear-algebra form of the paper's getDst:
 // the destination vertices of all pairs represented by m (implemented via
 // reduce_vector in the paper's pygraphblas version).
-func ReduceCols(m *Bool) *Vector {
-	v := NewVector(m.ncols)
-	if m.nvals == 0 {
+func ReduceCols(m *Bool) *Vector { return reduceCols(m) }
+
+// reduceCols returns the vector of the columns that hold an entry of m.
+func reduceCols(m Operand) *Vector {
+	v := NewVector(m.NCols())
+	if m.NVals() == 0 {
 		return v
 	}
-	acc := getAccumulator(m.ncols)
+	acc := getAccumulator(m.NCols())
 	acc.reset()
-	for _, row := range m.rows {
+	_, rows := m.table()
+	for _, row := range rows {
 		acc.orRow(row)
 	}
 	v.idx = acc.extract(make([]uint32, 0, acc.count()))

@@ -1,45 +1,8 @@
 package matrix
 
-import "fmt"
-
-// Key packs a matrix coordinate into a map key.
+// Key packs a matrix coordinate into a map key; MulRows files witnesses
+// under it.
 func Key(i, j int) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
 
 // UnKey unpacks a coordinate produced by Key.
 func UnKey(k uint64) (i, j int) { return int(k >> 32), int(uint32(k)) }
-
-// MulWitness returns the Boolean product a * b together with, for every
-// true entry (i, j) of the product, one witness index k such that
-// a[i,k] and b[k,j] are both true. Single-path CFPQ uses the witness to
-// reconstruct a concrete path for each derived reachability fact.
-func MulWitness(a, b *Bool) (*Bool, map[uint64]uint32) {
-	if a.ncols != b.nrows {
-		panic(fmt.Sprintf("matrix: MulWitness dimension mismatch %dx%d * %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
-	}
-	out := NewBool(a.nrows, b.ncols)
-	wit := make(map[uint64]uint32)
-	if a.nvals == 0 || b.nvals == 0 {
-		return out, wit
-	}
-	acc := getAccumulator(b.ncols)
-	defer putAccumulator(acc)
-	for i := 0; i < a.nrows; i++ {
-		ra := a.rows[i]
-		if len(ra) == 0 {
-			continue
-		}
-		acc.reset()
-		for _, k := range ra {
-			for _, j := range b.rows[k] {
-				if !acc.contains(j) {
-					wit[Key(i, int(j))] = k
-				}
-			}
-			acc.orRow(b.rows[k])
-		}
-		row := acc.extract(make([]uint32, 0, acc.count()))
-		out.rows[i] = row
-		out.nvals += len(row)
-	}
-	return out, wit
-}

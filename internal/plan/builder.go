@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mscfpq/internal/cypher"
@@ -93,15 +94,25 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 		}
 	}
 	// bindNode scans (or re-checks) a query-graph node: the first label
-	// drives the scan, extra merged labels and property constraints
-	// become filters.
+	// drives the scan, an id predicate on an unbound node turns it into
+	// a seek, extra merged labels and property constraints become
+	// filters.
 	bindNode := func(idx int) {
 		n := qg.Nodes[idx]
 		label := ""
 		if len(n.Labels) > 0 {
 			label = n.Labels[0]
 		}
-		root = NewNodeScan(env, root, width, idx, label)
+		var ids []int64
+		seek := false
+		if !bound[idx] {
+			ids, seek = takeIDs(&pending, n.Name)
+		}
+		if seek {
+			root = newNodeSeek(env, root, width, idx, label, ids)
+		} else {
+			root = NewNodeScan(env, root, width, idx, label)
+		}
 		bound[idx] = true
 		for _, l := range n.Labels[min(1, len(n.Labels)):] {
 			root = NewFilter(env, root, cypher.HasLabel{Var: n.Name, Label: l}, slots)
@@ -197,7 +208,7 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 	if len(pending) > 0 {
 		attachFilters()
 		if len(pending) > 0 {
-			return nil, fmt.Errorf("plan: WHERE references unbound variables: %s", predString(pending[0]))
+			return nil, fmt.Errorf("plan: WHERE references unbound variables: %s", pending[0])
 		}
 	}
 
@@ -391,6 +402,29 @@ func splitConjunction(e cypher.Expr) ([]cypher.Expr, error) {
 		return append(l, r...), nil
 	}
 	return []cypher.Expr{e}, nil
+}
+
+// takeIDs removes from pending the first id predicate on variable name,
+// id(name) = k or id(name) IN [...], and returns the ids it allows.
+func takeIDs(pending *[]cypher.Expr, name string) ([]int64, bool) {
+	for i, pred := range *pending {
+		var ids []int64
+		switch p := pred.(type) {
+		case cypher.IDCompare:
+			if p.Var == name {
+				ids = []int64{p.ID}
+			}
+		case cypher.IDIn:
+			if p.Var == name {
+				ids = p.IDs
+			}
+		}
+		if ids != nil {
+			*pending = slices.Delete(*pending, i, i+1)
+			return ids, true
+		}
+	}
+	return nil, false
 }
 
 // predVars lists the variables a predicate reads.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mscfpq/internal/cfpq"
@@ -31,16 +32,18 @@ type Operation interface {
 }
 
 // ---------------------------------------------------------------------
-// NodeScan: AllNodeScan / LabelScan (paper Figure 13).
+// NodeScan: AllNodeScan / LabelScan (paper Figure 13) / NodeByIdSeek.
 
 // NodeScan binds a variable to every vertex (optionally restricted to a
-// label). With a child, it extends or filters the child's records; at
-// the leaf it generates records from the graph.
+// label), or, as an id seek, to the vertices an id predicate lists. With
+// a child, it extends or filters the child's records; at the leaf it
+// generates records from the graph.
 type NodeScan struct {
 	env    *Env
 	slots  int
 	slot   int
 	label  string // "" = all vertices
+	seek   bool   // verts holds the ids of a consumed id predicate
 	child  Operation
 	cur    Record // the child's record being extended
 	out    Record // cur with slot bound, rewritten per vertex
@@ -54,19 +57,40 @@ func NewNodeScan(env *Env, child Operation, slots, slot int, label string) *Node
 	return &NodeScan{env: env, child: child, slots: slots, slot: slot, label: label}
 }
 
+// newNodeSeek builds a scan that binds slot to the listed ids only: the
+// plan of id(v) = k or id(v) IN [...] on an unbound variable, which then
+// costs the ids, not the graph's vertices. The ids are sorted and
+// deduplicated, and those out of range or, for a labeled node, without
+// the label are dropped, so the seek yields what the scan plus a filter
+// would.
+func newNodeSeek(env *Env, child Operation, slots, slot int, label string, ids []int64) *NodeScan {
+	s := NewNodeScan(env, child, slots, slot, label)
+	s.seek, s.verts = true, []int{}
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
+		if id >= 0 && id < int64(env.G.NumVertices()) && (label == "" || env.G.HasVertexLabel(int(id), label)) {
+			s.verts = append(s.verts, int(id))
+		}
+	}
+	return s
+}
+
 func (s *NodeScan) Open() error {
 	if s.child != nil {
 		if err := s.child.Open(); err != nil {
 			return err
 		}
 	}
-	if s.label == "" {
+	switch {
+	case s.seek:
+	case s.label == "":
 		n := s.env.G.NumVertices()
 		s.verts = make([]int, n)
 		for i := range s.verts {
 			s.verts[i] = i
 		}
-	} else {
+	default:
 		s.verts = s.env.G.VertexSet(s.label).Ints()
 	}
 	s.cur = nil
@@ -128,6 +152,12 @@ func (s *NodeScan) Next() (Record, error) {
 }
 
 func (s *NodeScan) Explain() string {
+	if s.seek {
+		if s.label != "" {
+			return fmt.Sprintf("NodeByIdSeek(slot=%d, ids=%d, label=%s)", s.slot, len(s.verts), s.label)
+		}
+		return fmt.Sprintf("NodeByIdSeek(slot=%d, ids=%d)", s.slot, len(s.verts))
+	}
 	if s.label == "" {
 		return fmt.Sprintf("AllNodeScan(slot=%d)", s.slot)
 	}
@@ -156,12 +186,13 @@ type Traverse struct {
 	path     *pathQuery      // the compiled connection
 	ext      *cfpq.Extension // path's grammar over the index, for one execution
 
-	buf    []int64      // the batch: copies of the child's records, width cells each
-	width  int          // cells per record
-	out    Record       // the buffered record being expanded, with toSlot bound
-	rows   *matrix.Bool // evaluation result for the current batch
-	bufIdx int          // record being expanded
-	rowPos int          // position within that record's row
+	buf    []int64         // the batch: copies of the child's records, width cells each
+	width  int             // cells per record
+	out    Record          // the buffered record being expanded, with toSlot bound
+	rows   *matrix.RowList // evaluation result for the current batch
+	row    []uint32        // the row of the record being expanded
+	bufIdx int             // record being expanded
+	rowPos int             // position within that row
 	done   bool
 }
 
@@ -184,10 +215,11 @@ func (t *Traverse) Next() (Record, error) {
 		// Emit from the current batch.
 		for t.rows != nil && t.bufIdx*t.width < len(t.buf) {
 			rec := Record(t.buf[t.bufIdx*t.width : (t.bufIdx+1)*t.width])
-			src := rec[t.fromSlot]
-			row := t.rows.Row(int(src))
-			if t.rowPos < len(row) {
-				dst := int64(row[t.rowPos])
+			if t.rowPos == 0 {
+				t.row = t.rows.Row(int(rec[t.fromSlot]))
+			}
+			if t.rowPos < len(t.row) {
+				dst := int64(t.row[t.rowPos])
 				t.rowPos++
 				if bound := rec[t.toSlot]; bound >= 0 {
 					if bound != dst {
@@ -346,16 +378,8 @@ func (f *Filter) bound(v string, rec Record) (int64, error) {
 	return id, nil
 }
 
-func (f *Filter) Explain() string  { return "Filter(" + predString(f.pred) + ")" }
+func (f *Filter) Explain() string  { return "Filter(" + f.pred.String() + ")" }
 func (f *Filter) Child() Operation { return f.child }
-
-func predString(e cypher.Expr) string {
-	type es interface{ exprString() string }
-	if v, ok := e.(es); ok {
-		return v.exprString()
-	}
-	return fmt.Sprintf("%T", e)
-}
 
 // ---------------------------------------------------------------------
 // Project.

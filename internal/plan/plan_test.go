@@ -255,8 +255,8 @@ func TestChainOrientationBySelectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	explain := p.Explain()
-	// u has slot 1; the scan must bind it, and the traverse must invert.
-	if !strings.Contains(explain, "AllNodeScan(slot=1)") {
+	// u has slot 1; the scan must seek it, and the traverse must invert.
+	if !strings.Contains(explain, "NodeByIdSeek(slot=1, ids=1)") || strings.Contains(explain, "Filter") {
 		t.Fatalf("scan not reoriented:\n%s", explain)
 	}
 	if !strings.Contains(explain, "CondTraverse(from=1, to=0, Q -> :a_r)") {
@@ -275,7 +275,7 @@ func TestChainOrientationKeepsForwardWhenSourceSelective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(p.Explain(), "AllNodeScan(slot=0)") {
+	if !strings.Contains(p.Explain(), "NodeByIdSeek(slot=0, ids=1)") {
 		t.Fatalf("forward chain reoriented:\n%s", p.Explain())
 	}
 	rs, err := p.Execute()
@@ -283,6 +283,51 @@ func TestChainOrientationKeepsForwardWhenSourceSelective(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectRows(t, &ResultSet{Rows: rs.Rows}, [][]int64{{0, 1}})
+}
+
+// TestIDSeek: an id predicate on an unbound node becomes the node's scan,
+// which visits the listed ids only — sorted, deduplicated, in range and
+// carrying the node's label — and the predicate leaves the plan.
+func TestIDSeek(t *testing.T) {
+	for _, c := range []struct {
+		query, explain string
+		want           [][]int64
+	}{
+		{`MATCH (v) WHERE id(v) IN [5, 2, 2, 99, -1] RETURN v`, "NodeByIdSeek(slot=0, ids=2)", [][]int64{{2}, {5}}},
+		{`MATCH (v:x) WHERE id(v) IN [5, 2, 0] RETURN v`, "NodeByIdSeek(slot=0, ids=2, label=x)", [][]int64{{0}, {2}}},
+		{`MATCH (v:x), (u) WHERE id(u) = 5 RETURN v, u`, "NodeByIdSeek(slot=1, ids=1)", [][]int64{{0, 5}, {2, 5}}},
+		{`MATCH (v) WHERE id(v) = 6 RETURN v`, "NodeByIdSeek(slot=0, ids=0)", nil},
+	} {
+		p, err := Build(mustParseQuery(t, c.query), NewEnv(paperGraph(), nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Explain(); !strings.Contains(got, c.explain) || strings.Contains(got, "Filter") {
+			t.Errorf("%s: plan\n%s\nwant %s and no filter", c.query, got, c.explain)
+		}
+		rs, err := p.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectRows(t, rs, c.want)
+	}
+}
+
+// TestExplainPrintsPredicates: EXPLAIN and the planner's errors render a
+// WHERE predicate as the Cypher text it was written as.
+func TestExplainPrintsPredicates(t *testing.T) {
+	p, err := Build(mustParseQuery(t, `MATCH (u)-[:a]->(v) WHERE id(u) = 0 AND id(v) IN [1, 2, 3] RETURN u, v`),
+		NewEnv(paperGraph(), nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Explain(); !strings.Contains(got, "Filter(id(v) IN [1, 2, 3])") {
+		t.Fatalf("explain does not print the predicate:\n%s", got)
+	}
+	_, err = Build(mustParseQuery(t, `MATCH (v)-[:a]->(u) WHERE id(zz) = 1 RETURN v`), NewEnv(paperGraph(), nil, nil))
+	if want := "plan: WHERE references unbound variables: id(zz) = 1"; err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
+	}
 }
 
 func TestChainOrientationPathPattern(t *testing.T) {

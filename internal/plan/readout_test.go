@@ -54,8 +54,8 @@ func readoutPlan(tb testing.TB, ret string) *Plan {
 func TestExecuteAllocsPerRow(t *testing.T) {
 	p := readoutPlan(t, "v, to")
 	if got := strings.Join(strings.Fields(p.Explain()), " "); !strings.HasPrefix(got, "Project(v, to) CFPQTraverse(") ||
-		!strings.Contains(got, " Filter(") || !strings.Contains(got, " AllNodeScan(") {
-		t.Fatalf("fixture no longer plans as NodeScan -> Filter -> CFPQTraverse -> Project:\n%s", p.Explain())
+		!strings.Contains(got, " NodeByIdSeek(slot=0, ids=10) ") {
+		t.Fatalf("fixture no longer plans as NodeByIdSeek -> CFPQTraverse -> Project:\n%s", p.Explain())
 	}
 	rs, err := p.Execute() // also saturates the path-pattern index
 	if err != nil {
