@@ -94,7 +94,10 @@ bench-quick:
 # index, and as one chunk-10 step of a pathways/G1 sweep cut from a
 # seeded permutation — the per-query fixed cost of the wire benchmark's
 # sparse-sweep, in seconds and bytes (its size guard is
-# TestSweepQueryBytesAreSizeIndependent in `make test`). The RPQ
+# TestSweepQueryBytesAreSizeIndependent in `make test`) — and as the
+# first chunk-100 query of go-hierarchy@0.02/G2 on a fresh index, the
+# wire benchmark's dense-cold, with its rounds, work and answer size per
+# query (their guard is TestFixpointWorkPinned). The RPQ
 # benchmark prints what one regular query costs through that same
 # driver (rpq.Eval, experiment E11), checked against the oracle. The
 # traverse benchmark prints what one relationship or one-step path hop
@@ -104,7 +107,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep)$$|BenchmarkRPQUnification$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep|DenseCold)$$|BenchmarkRPQUnification$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$' -benchmem ./internal/plan
 
 # The wire-level benchmark (benchmark/README.md), one workload end to

@@ -205,6 +205,46 @@ func BenchmarkKernelSmartSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelDenseCold is the kernel under the wire benchmark's
+// dense-cold workload: the first chunk-100 query against a fresh index
+// over go-hierarchy@0.02/G2, its sources a seeded permutation's first
+// hundred, almost all of it fixpoint rounds over rows two-thirds full.
+// Besides ns/op and B/op it reports the rounds, the governor charge and
+// the answer size per query, which a kernel change must leave as they
+// are; compare two commits with the same -benchtime Nx.
+func BenchmarkKernelDenseCold(b *testing.B) {
+	g, err := GenerateDataset("go-hierarchy", 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := ToWCNF(G2())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(1))
+	var rounds, work, answer int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := matrix.NewVectorFromIndices(n, rng.Perm(n)[:100])
+		idx, err := cfpq.NewIndex(g, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := idx.MultiSourceSmart(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += int64(r.Rounds)
+		work += r.Work
+		answer += int64(r.Answer().NVals())
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(work)/float64(b.N), "work/op")
+	b.ReportMetric(float64(answer)/float64(b.N), "answer/op")
+}
+
 func BenchmarkKernelWorklistMS(b *testing.B) {
 	g, w, src := benchInput(b)
 	b.ReportAllocs()

@@ -10,16 +10,6 @@ import (
 	"mscfpq/internal/obs"
 )
 
-// product is the driver's one varying step: the governed product a*b for
-// binary rule ri, plus an optional callback told every entry of it that
-// is new to the rule's head (where single-path records provenance).
-type product func(run *exec.Run, ri int, a, b matrix.Operand) (*matrix.RowList, func(i, j int) bool, error)
-
-func boolProduct(run *exec.Run, _ int, a, b matrix.Operand) (*matrix.RowList, func(i, j int) bool, error) {
-	m, err := run.MulRows(a, b)
-	return m, nil, err
-}
-
 // fixpoint is the one delta-driven loop behind AllPairsSemiNaive,
 // MultiSourceFrom, the Index (MultiSourceSmart and Extension.Rows),
 // SinglePath and MultiSourceSinglePath (DESIGN.md §16): they set up T and
@@ -36,12 +26,14 @@ func boolProduct(run *exec.Run, _ int, a, b matrix.Operand) (*matrix.RowList, fu
 // is active or (Algorithm 3) processed. An unrestricted run has every
 // row active: ΔM = ΔT^B and M = T^B, with no row extraction.
 //
-// T stays matrix.Bool, so a product finds a row of T^C by index. ΔT, ΔM,
-// M and every product are matrix.RowLists, which hold only their live
-// rows: a run restricted to a few sources costs the rows it touches and
-// the products they form, never a walk of the n-slot row tables. rows(T,
-// ·) are copies (matrix.SelectRows), because seeding grows rows of T in
-// place (Bool.Set).
+// T stays matrix.Bool, so a product finds a row of T^C by index, and a
+// row of T two-thirds full is a bitmap a product ORs a word at a time.
+// ΔT, ΔM and M are matrix.RowLists, which hold only their live rows: a
+// run restricted to a few sources costs the rows it touches and the
+// products they form, never a walk of the n-slot row tables. rows(T, ·)
+// are copies (matrix.SelectRows), because seeding grows rows of T in
+// place (Bool.Set). Every product is one masked multiply-accumulate,
+// T^A<¬T^A> ∪= a×b (run.MulAddRows), which returns what T^A gained.
 //
 // A restricted run seeds on activation: a source i that becomes active
 // for X brings row i of T^X its seed facts (seeder), so row i holds them
@@ -57,8 +49,10 @@ func boolProduct(run *exec.Run, _ int, a, b matrix.Operand) (*matrix.RowList, fu
 type fixpoint struct {
 	w     *grammar.WCNF
 	run   *exec.Run
-	mul   product
 	seeds *seeder
+	// witness, when set, records a provenance for every entry the run
+	// derives (single-path semantics); nil for a Boolean run.
+	witness *SinglePathResult
 
 	T     []*matrix.Bool    // relations per nonterminal, grown in place
 	delta []*matrix.RowList // ΔT: the entries T gained in the previous round; nil = none
@@ -85,11 +79,11 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, w
 	defer cancel()
 	n := g.NumVertices()
 	r := &SinglePathResult{Result: newResult(w, n)}
-	f := &fixpoint{w: w, run: run, mul: boolProduct, seeds: newSeeder(g, w), T: r.T}
+	f := &fixpoint{w: w, run: run, seeds: newSeeder(g, w), T: r.T}
 	var err error
 	switch {
 	case witness:
-		f.mul = r.witnessProduct
+		f.witness = r
 		err = r.seedProv(run, g)
 	case srcByNT == nil:
 		err = f.seeds.all(run, r.T, n)
@@ -232,28 +226,28 @@ func (f *fixpoint) round() (progress bool, err error) {
 }
 
 // derive folds (a*b) \ T^A into T^A and into the next ΔT^A, A being
-// the head of rule ri.
+// the head of rule ri. A witness run files the provenance of what T^A
+// gained before it looks at the error, since T^A keeps those entries.
 func (f *fixpoint) derive(ri int, a, b matrix.Operand, next []*matrix.RowList) error {
 	if a.NVals() == 0 || b.NVals() == 0 {
 		return nil
 	}
 	head := f.w.BinRules[ri].A
-	prod, note, err := f.mul(f.run, ri, a, b)
-	if err != nil {
+	var wit map[uint64]uint32
+	if f.witness != nil {
+		wit = map[uint64]uint32{}
+	}
+	added, err := f.run.MulAddRows(f.T[head], a, b, wit)
+	if wit != nil {
+		f.witness.noteBin(ri, added, wit)
+	}
+	if err != nil || added.Empty() {
 		return err
 	}
-	prod.DiffInPlace(f.T[head])
-	if prod.Empty() {
-		return nil
-	}
-	if note != nil {
-		prod.Iterate(note)
-	}
-	f.run.AddRows(f.T[head], prod)
 	if next[head] == nil {
-		next[head] = prod
+		next[head] = added
 	} else {
-		next[head] = matrix.Union(next[head], prod)
+		next[head] = matrix.Union(next[head], added)
 	}
 	return nil
 }

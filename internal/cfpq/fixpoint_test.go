@@ -1,6 +1,7 @@
 package cfpq
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -37,14 +38,14 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			// A restricted Boolean run seeds on activation; the others
 			// start from every row seeded.
 			var sp *SinglePathResult
-			mul, seeds := product(boolProduct), newSeeder(g, w)
+			seeds := newSeeder(g, w)
 			T := newResult(w, n).T
 			if witness {
 				sp = &SinglePathResult{Result: newResult(w, n)}
 				if err := sp.seedProv(run, g); err != nil {
 					t.Fatal(err)
 				}
-				T, mul = sp.T, sp.witnessProduct
+				T = sp.T
 			} else if restriction == "none" {
 				if err := seeds.all(run, T, n); err != nil {
 					t.Fatal(err)
@@ -68,12 +69,12 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			var rows []*matrix.Vector // nil: every row is claimed
 			switch restriction {
 			case "none":
-				rounds, _ = solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T}, nil)
+				rounds, _ = solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T}, nil)
 			case "sources":
-				rounds, rows = solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T}, src)
+				rounds, rows = solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T}, src)
 			default:
-				first, done := solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T}, half)
-				second, active := solve(&fixpoint{w: w, run: run, mul: mul, seeds: seeds, T: T, done: done}, src)
+				first, done := solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T}, half)
+				second, active := solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T, done: done}, src)
 				rounds, rows = first+second, done
 				for a := range rows {
 					if again := active[a].Clone(); again.DiffInPlace(done[a]) {
@@ -144,5 +145,36 @@ func TestDriverGridQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWitnessProvenanceSurvivesAbort: a witness run cut off by its
+// budget keeps in T what the cut product added, so every entry of T,
+// those included, must still have a provenance to extract a path from.
+func TestWitnessProvenanceSurvivesAbort(t *testing.T) {
+	in := govInput(20)
+	n := in.g.NumVertices()
+	full, err := SinglePath(in.g, in.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{1, full.Work / 4, full.Work / 2, full.Work - 1} {
+		run, _ := exec.Build([]Option{WithBudget(budget)}).Start() // no timeout: nothing to cancel
+		sp := &SinglePathResult{Result: newResult(in.w, n)}
+		if err := sp.seedProv(run, in.g); err != nil {
+			t.Fatal(err)
+		}
+		f := &fixpoint{w: in.w, run: run, seeds: newSeeder(in.g, in.w), witness: sp, T: sp.T}
+		f.listAll()
+		if err := f.solve(); !errors.Is(err, exec.ErrBudget) {
+			t.Fatalf("budget %d: err = %v, want ErrBudget", budget, err)
+		}
+		for a, m := range sp.T {
+			for _, p := range m.Pairs() {
+				if _, err := sp.PathFor(in.w.Nonterms[a], p[0], p[1]); err != nil {
+					t.Fatalf("budget %d: %v", budget, err)
+				}
+			}
+		}
 	}
 }

@@ -158,7 +158,7 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.Vector, a int, src *matrix.Vector, opts []Option) (*fixpoint, int64, error) {
 	run, cancel := idx.opts.Apply(opts).Start()
 	defer cancel()
-	f := &fixpoint{w: w, run: run, mul: boolProduct, seeds: newSeeder(idx.G, w), T: T, done: done}
+	f := &fixpoint{w: w, run: run, seeds: newSeeder(idx.G, w), T: T, done: done}
 	if err := f.restrict(map[int]*matrix.Vector{a: src}, idx.G.NumVertices()); err != nil {
 		return nil, 0, err
 	}

@@ -135,26 +135,18 @@ func (r *SinglePathResult) seedProv(run *exec.Run, g *graph.Graph) error {
 	return nil
 }
 
-// witnessProduct is the single-path product step of the fixpoint driver:
-// the entries new to the head of rule ri get the rule and the witness
-// mid vertex as provenance. Both factors of a witness are entries T
-// already holds (the driver's left operands are rows of T^B), so
+// noteBin files rule ri and its witness mid vertex as the provenance of
+// every entry the driver added to the rule's head. Both factors of a
+// witness are entries T already held (the driver's left operands are
+// rows of T^B, and MulAddRows folds its product in after taking it), so
 // provenance stays acyclic in discovery order.
-func (r *SinglePathResult) witnessProduct(run *exec.Run, ri int, a, b matrix.Operand) (*matrix.RowList, func(i, j int) bool, error) {
-	wit := map[uint64]uint32{}
-	prod, err := matrix.MulRows(run.Ctx(), a, b, wit)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := run.Charge(prod.NVals()); err != nil {
-		return nil, nil, err
-	}
+func (r *SinglePathResult) noteBin(ri int, added *matrix.RowList, wit map[uint64]uint32) {
 	prov := r.prov[r.W.BinRules[ri].A]
-	return prod, func(i, j int) bool {
+	added.Iterate(func(i, j int) bool {
 		key := matrix.Key(i, j)
 		prov[key] = provEntry{kind: provBin, mid: wit[key], rule: int32(ri)}
 		return true
-	}, nil
+	})
 }
 
 // Path reconstructs one path witnessing (src, dst) in the start

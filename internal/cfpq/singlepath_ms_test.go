@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mscfpq/internal/matrix"
+	"mscfpq/internal/obs"
 )
 
 func TestMultiSourceSinglePathMatchesMultiSource(t *testing.T) {
@@ -82,6 +83,35 @@ func TestMultiSourceSinglePathPaperExample(t *testing.T) {
 	word := Word(steps)
 	if len(word) != 3 || word[0] != "c" || word[1] != "y" || word[2] != "d" {
 		t.Fatalf("witness = %v", word)
+	}
+}
+
+// TestSinglePathProductsCounted: a witness product is the driver's one
+// kernel like any other, so a single-path trace counts its products, and
+// since witness seeding charges nothing, the products are the whole
+// charge.
+func TestSinglePathProductsCounted(t *testing.T) {
+	g, w := paperGraph(), cndGrammar()
+	for name, solve := range map[string]func(tr *obs.Trace) (*Result, error){
+		"MultiSourceSinglePath": func(tr *obs.Trace) (*Result, error) {
+			r, err := MultiSourceSinglePath(g, w, matrix.NewVectorFromIndices(6, []int{3, 4}), WithTrace(tr))
+			if err != nil {
+				return nil, err
+			}
+			return r.Result, nil
+		},
+		"SinglePath": func(tr *obs.Trace) (*Result, error) {
+			r, err := SinglePath(g, w, WithTrace(tr))
+			if err != nil {
+				return nil, err
+			}
+			return r.Result, nil
+		},
+	} {
+		got := traced(t, solve)
+		if got.mulOps == 0 || got.mulNNZ != got.work || got.addOps == 0 {
+			t.Errorf("%s: traced %+v; want products counted and mul_nnz equal to the charge", name, got)
+		}
 	}
 }
 

@@ -281,15 +281,25 @@ func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 	return m, r.countMul(m.NVals())
 }
 
-// MulRows is the governed row-list product a × b (matrix.MulRows): it
-// polls cancellation every few rows of a and charges and counts the
-// product's entries as Mul does. The fixpoint driver's one product.
-func (r *Run) MulRows(a, b matrix.Operand) (*matrix.RowList, error) {
-	m, err := matrix.MulRows(r.Ctx(), a, b, nil)
-	if err != nil || r == nil {
-		return m, err
+// MulAddRows is the governed masked multiply-accumulate t<¬t> ∪= a × b
+// (matrix.MulAddRows), the fixpoint driver's one kernel: it polls
+// cancellation every few rows of a and returns the entries t gained.
+// It counts and charges the product's entries before the mask, as Mul
+// does, and counts one add of the entries t gained when there are any,
+// as Add does. On an error the entries already added stay in t and are
+// returned with it.
+func (r *Run) MulAddRows(t *matrix.Bool, a, b matrix.Operand, wit map[uint64]uint32) (*matrix.RowList, error) {
+	added, nnz, err := matrix.MulAddRows(r.Ctx(), t, a, b, wit)
+	if r == nil {
+		return added, err
 	}
-	return m, r.countMul(m.NVals())
+	if !added.Empty() {
+		r.countAdded(int64(added.NVals()))
+	}
+	if cerr := r.countMul(nnz); err == nil {
+		err = cerr
+	}
+	return added, err
 }
 
 // countMul records one product of nnz entries and charges them.
@@ -306,29 +316,21 @@ func (r *Run) countMul(nnz int) error {
 // into the metrics registry and the run's trace. Safe on nil runs
 // (plain matrix.AddInPlace, uncounted).
 func (r *Run) Add(a, b *matrix.Bool) bool {
-	return r.countAdd(a, func() bool { return matrix.AddInPlace(a, b) })
-}
-
-// AddRows is Add for a row-list b (matrix.AddListInPlace): it costs
-// b's rows, not a's row table, and is counted the same way.
-func (r *Run) AddRows(a *matrix.Bool, b *matrix.RowList) bool {
-	return r.countAdd(a, func() bool { return matrix.AddListInPlace(a, b) })
-}
-
-// countAdd runs add, which grows a, and records the op and the entries
-// it added.
-func (r *Run) countAdd(a *matrix.Bool, add func() bool) bool {
 	if r == nil {
-		return add()
+		return matrix.AddInPlace(a, b)
 	}
 	before := a.NVals()
-	changed := add()
-	delta := int64(a.NVals() - before)
+	changed := matrix.AddInPlace(a, b)
+	r.countAdded(int64(a.NVals() - before))
+	return changed
+}
+
+// countAdded records one add that grew a relation by delta entries.
+func (r *Run) countAdded(delta int64) {
 	obs.KernelAddOps.Inc()
 	obs.KernelAddNNZ.Add(delta)
 	r.trace.Add(obs.KeyAddOps, 1)
 	r.trace.Add(obs.KeyAddNNZ, delta)
-	return changed
 }
 
 // ObserveFrontier records a multiple-source frontier size (the nnz of

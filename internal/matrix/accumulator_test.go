@@ -5,8 +5,8 @@ import (
 )
 
 // TestAccumulatorPoolResize exercises the pool across widths: an
-// accumulator shrunk and regrown within capacity must never resurrect
-// stale bits from a wider earlier use.
+// accumulator put back dirty, shrunk and regrown within capacity must
+// never resurrect stale bits from a wider earlier use.
 func TestAccumulatorPoolResize(t *testing.T) {
 	a := getAccumulator(1024)
 	a.reset()
@@ -38,26 +38,8 @@ func TestAccumulatorPoolResize(t *testing.T) {
 	putAccumulator(c)
 }
 
-// TestAccumulatorPoolEpochWrap forces an epoch wrap on a pooled
-// accumulator and checks the explicit mark clear still holds after a
-// shrink/regrow cycle around the wrap.
-func TestAccumulatorPoolEpochWrap(t *testing.T) {
-	a := getAccumulator(256)
-	a.reset()
-	a.orRow([]uint32{200})
-	a.resize(64) // shrink: word of column 200 hidden, stamped with current epoch
-	a.epoch = ^uint32(0)
-	a.reset() // wraps: clears visible marks only
-	a.resize(256)
-	a.reset()
-	if a.contains(200) {
-		t.Fatal("stale mark matched after epoch wrap + regrow")
-	}
-	putAccumulator(a)
-}
-
 // mulAllocsFixture builds a multiplication whose accumulator bitset
-// (width 1<<14 columns -> 2KB words + 1KB marks) dominates allocations
+// (width 1<<14 columns -> 2KB of words) dominates allocations
 // unless pooled.
 func mulAllocsFixture() (*Bool, *Bool) {
 	const n = 1 << 14
@@ -77,8 +59,8 @@ func mulAllocsFixture() (*Bool, *Bool) {
 // TestMulAllocsPooled guards the accumulator pool: the steady-state
 // allocation count of Mul must stay at the result rows plus small
 // constants, not the O(ncols/64) accumulator arrays. Without the pool
-// this fixture measures ~3 extra allocations (accumulator struct, words,
-// marks) per call.
+// this fixture measures ~2 extra allocations (accumulator struct and
+// words) per call.
 func TestMulAllocsPooled(t *testing.T) {
 	a, b := mulAllocsFixture()
 	Mul(a, b) // warm the pool
@@ -86,7 +68,7 @@ func TestMulAllocsPooled(t *testing.T) {
 		Mul(a, b)
 	})
 	// 4 output rows + output struct/slice bookkeeping. The bound leaves
-	// one alloc of headroom but excludes the 3 accumulator allocations.
+	// one alloc of headroom but excludes the 2 accumulator allocations.
 	if allocs > 8 {
 		t.Fatalf("Mul allocates %.1f objects/op; accumulator pool regressed (want <= 8)", allocs)
 	}

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -22,27 +23,17 @@ func Mul(a, b *Bool) *Bool {
 
 // mulRowsInto computes rows [lo, hi) of a*b into out using acc.
 func mulRowsInto(a, b, out *Bool, lo, hi int, acc *accumulator) {
+	var buf []uint32
 	for i := lo; i < hi; i++ {
-		ra := a.rows[i]
+		ra := a.cols(i, &buf)
 		if len(ra) == 0 {
 			continue
 		}
 		acc.reset()
-		nonEmpty := false
 		for _, k := range ra {
-			rb := b.rows[k]
-			if len(rb) == 0 {
-				continue
-			}
-			acc.orRow(rb)
-			nonEmpty = true
+			acc.orBoolRow(b, int(k))
 		}
-		if !nonEmpty {
-			continue
-		}
-		row := acc.extract(make([]uint32, 0, acc.count()))
-		out.rows[i] = row
-		out.nvals += len(row)
+		acc.install(out, i)
 	}
 }
 
@@ -51,7 +42,7 @@ func AddInPlace(a, b *Bool) bool {
 	checkSameShape("AddInPlace", a, b)
 	changed := false
 	for i := range a.rows {
-		changed = a.orRow(i, b.rows[i]) || changed
+		changed = a.orRow(i, b) || changed
 	}
 	return changed
 }
@@ -66,34 +57,93 @@ func AddRowsInPlace(a, b *Bool, set *Vector) bool {
 	}
 	changed := false
 	for _, i := range set.idx {
-		changed = a.orRow(int(i), b.rows[i]) || changed
+		changed = a.orRow(int(i), b) || changed
 	}
 	return changed
 }
 
-// orRow ORs the sorted row rb into row i of m and reports whether it
-// changed.
-func (m *Bool) orRow(i int, rb []uint32) bool {
-	ra := m.rows[i]
-	if len(rb) == 0 || containsAll(ra, rb) {
+// orRow ORs row i of b, which has m's shape, into row i of m and
+// reports whether it changed. A bitmap row of m takes the new bits in
+// place; a list row is replaced by the union, which is a bitmap once it
+// is long enough or when b's row is one (b's bitmap rows are past the
+// crossover unless Resize widened b).
+func (m *Bool) orRow(i int, b *Bool) bool {
+	rb, sb, mb := b.rows[i], b.bitRow(i), m.bitRow(i)
+	if mb == nil && sb == nil {
+		ra := m.rows[i]
+		if len(rb) == 0 || containsAll(ra, rb) {
+			return false
+		}
+		row := unionRows(ra, rb)
+		m.setList(i, row, len(row)-len(ra))
+		return true
+	}
+	if mb == nil {
+		mb = bitsOf(m.rows[i], m.ncols)
+		m.setBits(i, mb)
+	}
+	if !lacks(mb, rb, sb) {
 		return false
 	}
-	row := unionRows(ra, rb)
-	m.nvals += len(row) - len(ra)
-	m.rows[i] = row
-	m.markOwned(i)
+	m.ensureOwned(i)
+	mb = m.growBits(m.bits[i])
+	m.bits[i] = mb
+	if sb != nil {
+		m.nvals += orWords(mb, sb)
+		return true
+	}
+	for _, c := range rb {
+		if bit := uint64(1) << (c & 63); mb[c>>6]&bit == 0 {
+			mb[c>>6] |= bit
+			m.nvals++
+		}
+	}
 	return true
+}
+
+// lacks reports whether the list rb or the bitmap sb holds a column the
+// bitmap mb does not.
+func lacks(mb []uint64, rb []uint32, sb []uint64) bool {
+	for w, word := range sb {
+		if w >= len(mb) && word != 0 || w < len(mb) && word&^mb[w] != 0 {
+			return true
+		}
+	}
+	for _, c := range rb {
+		if !hasBit(mb, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// orWords ORs src into dst, which is at least as long, and returns the
+// number of columns dst gained.
+func orWords(dst, src []uint64) int {
+	grew := 0
+	for w, word := range src {
+		if n := word &^ dst[w]; n != 0 {
+			dst[w] |= n
+			grew += bits.OnesCount64(n)
+		}
+	}
+	return grew
 }
 
 // Sub returns the set difference a \ b: entries of a not present in b.
 func Sub(a, b *Bool) *Bool {
 	checkSameShape("Sub", a, b)
 	out := NewBool(a.nrows, a.ncols)
-	for i, row := range a.rows {
-		if row = diffInPlace(slices.Clone(row), b.rows[i]); len(row) > 0 {
-			out.rows[i] = row
-			out.nvals += len(row)
+	acc := getAccumulator(a.ncols)
+	defer putAccumulator(acc)
+	for i := range a.rows {
+		if len(a.rows[i]) == 0 && a.bitRow(i) == nil {
+			continue
 		}
+		acc.reset()
+		acc.orBoolRow(a, i)
+		acc.clearRow(b, i)
+		acc.install(out, i)
 	}
 	return out
 }
@@ -102,19 +152,27 @@ func Sub(a, b *Bool) *Bool {
 func Transpose(a *Bool) *Bool {
 	out := NewBool(a.ncols, a.nrows)
 	counts := make([]int, a.ncols)
-	for _, row := range a.rows {
-		for _, c := range row {
+	var buf []uint32
+	for i := range a.rows {
+		for _, c := range a.cols(i, &buf) {
 			counts[c]++
 		}
 	}
 	for j, n := range counts {
-		if n > 0 {
+		switch {
+		case n > out.listMax():
+			out.setBits(j, make([]uint64, nwords(out.ncols)))
+		case n > 0:
 			out.rows[j] = make([]uint32, 0, n)
 		}
 	}
-	for i, row := range a.rows {
-		for _, c := range row {
-			out.rows[c] = append(out.rows[c], uint32(i))
+	for i := range a.rows {
+		for _, c := range a.cols(i, &buf) {
+			if b := out.bitRow(int(c)); b != nil {
+				b[i>>6] |= 1 << (i & 63)
+			} else {
+				out.rows[c] = append(out.rows[c], uint32(i))
+			}
 		}
 	}
 	out.nvals = a.nvals
@@ -129,12 +187,13 @@ func ExtractRows(a *Bool, set *Vector) *Bool {
 	}
 	out := NewBool(a.nrows, a.ncols)
 	for _, i := range set.idx {
-		row := a.rows[i]
-		if len(row) == 0 {
-			continue
+		if b := a.bitRow(int(i)); b != nil {
+			out.setBits(int(i), slices.Clone(b))
+			out.nvals += popcount(b)
+		} else if row := a.rows[i]; len(row) > 0 {
+			out.rows[i] = slices.Clone(row)
+			out.nvals += len(row)
 		}
-		out.rows[i] = append([]uint32(nil), row...)
-		out.nvals += len(row)
 	}
 	return out
 }

@@ -180,12 +180,25 @@ func TestAddRowsInPlaceProperty(t *testing.T) {
 	}
 }
 
-func TestAccumulatorEpochWrap(t *testing.T) {
+// TestAccumulatorReset: each round reads back exactly what it gathered,
+// whatever earlier rounds left, masked or not.
+func TestAccumulatorReset(t *testing.T) {
 	acc := getAccumulator(128)
-	acc.epoch = ^uint32(0) - 1 // two resets away from wrap
+	defer putAccumulator(acc)
+	mask := NewBoolFromPairs(1, 128, [][2]int{{0, 1}, {0, 64}})
 	for round := 0; round < 4; round++ {
 		acc.reset()
+		if acc.count() != 0 || acc.contains(1) || acc.contains(127) {
+			t.Fatalf("round %d: reset left %v", round, acc.extract(nil))
+		}
 		acc.orRow([]uint32{1, 64, 127})
+		if round%2 == 1 {
+			acc.clearRow(mask, 0) // zeroes a touched word outright
+			if got := acc.extract(nil); len(got) != 1 || got[0] != 127 {
+				t.Fatalf("round %d: masked extract = %v", round, got)
+			}
+			continue
+		}
 		got := acc.extract(nil)
 		if len(got) != 3 || got[0] != 1 || got[1] != 64 || got[2] != 127 {
 			t.Fatalf("round %d: extract = %v", round, got)

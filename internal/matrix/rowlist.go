@@ -15,10 +15,9 @@ import (
 // products); the relations it grows stay Bool, whose rows the products
 // read by index.
 //
-// A RowList is read-only once built, with one exception: DiffInPlace
-// rewrites rows the list owns, which only a fresh product does. Lists
-// built from one another (Restrict, Union) share row slices. A nil
-// *RowList is an empty matrix of unknown shape.
+// A RowList is read-only once built. Lists built from one another
+// (Restrict, Union) share row slices. A nil *RowList is an empty matrix
+// of unknown shape.
 type RowList struct {
 	nrows, ncols int
 	ids          []uint32   // sorted ids of the non-empty rows
@@ -32,14 +31,15 @@ type Operand interface {
 	NRows() int
 	NCols() int
 	NVals() int
-	// table returns the non-nil rows: rows[x] is row ids[x], or row x
-	// when ids is nil.
-	table() (ids []uint32, rows [][]uint32)
+	// table returns the row slots: slot x is row ids[x], or row x when
+	// ids is nil, and holds the list rows[x] or, when bits is non-nil
+	// and bits[x] is, that bitmap.
+	table() (ids []uint32, rows [][]uint32, bits [][]uint64)
 }
 
-func (m *Bool) table() ([]uint32, [][]uint32) { return nil, m.rows }
+func (m *Bool) table() ([]uint32, [][]uint32, [][]uint64) { return nil, m.rows, m.bits }
 
-func (r *RowList) table() ([]uint32, [][]uint32) { return r.ids, r.rows }
+func (r *RowList) table() ([]uint32, [][]uint32, [][]uint64) { return r.ids, r.rows, nil }
 
 // NRows returns the number of rows of the matrix the list represents.
 func (r *RowList) NRows() int { return r.nrows }
@@ -102,7 +102,8 @@ func (r *RowList) push(i uint32, row []uint32) {
 
 // SelectRows returns copies of the rows of a listed in set. The copies
 // share one array, and none aliases a row of a, so later writes to a
-// (Bool.Set grows a row in place) cannot reach the list.
+// (Bool.Set grows a row in place) cannot reach the list. A bitmap row
+// is decoded into that array.
 func SelectRows(a *Bool, set *Vector) *RowList {
 	if set.n != a.nrows {
 		panic(fmt.Sprintf("matrix: SelectRows vector size %d does not match rows %d", set.n, a.nrows))
@@ -115,14 +116,14 @@ func SelectRows(a *Bool, set *Vector) *RowList {
 func ListRows(a *Bool) *RowList { return selectRows(a, nil, true) }
 
 func selectRows(a *Bool, set []uint32, all bool) *RowList {
-	n, id := len(set), func(x int) uint32 { return set[x] }
+	n, id := len(set), func(x int) int { return int(set[x]) }
 	if all {
-		n, id = a.nrows, func(x int) uint32 { return uint32(x) }
+		n, id = a.nrows, func(x int) int { return x }
 	}
 	out := &RowList{nrows: a.nrows, ncols: a.ncols}
 	live, total := 0, 0
 	for x := range n {
-		if l := len(a.rows[id(x)]); l > 0 {
+		if l := a.rowLen(id(x)); l > 0 {
 			live++
 			total += l
 		}
@@ -135,12 +136,15 @@ func selectRows(a *Bool, set []uint32, all bool) *RowList {
 	out.rows = make([][]uint32, 0, live)
 	for x := range n {
 		i := id(x)
-		if len(a.rows[i]) == 0 {
-			continue
-		}
 		lo := len(cols)
-		cols = append(cols, a.rows[i]...)
-		out.push(i, cols[lo:len(cols):len(cols)])
+		if b := a.bitRow(i); b != nil {
+			cols = appendBits(cols, b)
+		} else {
+			cols = append(cols, a.rows[i]...)
+		}
+		if len(cols) > lo {
+			out.push(uint32(i), cols[lo:len(cols):len(cols)])
+		}
 	}
 	return out
 }
@@ -209,75 +213,57 @@ func Union(a, b *RowList) *RowList {
 	return out
 }
 
-// DiffInPlace removes the entries of t from r, r \= t, and drops the
-// rows that become empty. It compacts r's rows within their own arrays,
-// so r must own them: call it on a fresh product only.
-func (r *RowList) DiffInPlace(t *Bool) {
-	if r.nrows != t.nrows || r.ncols != t.ncols {
-		panic(fmt.Sprintf("matrix: DiffInPlace shape mismatch %dx%d vs %dx%d", r.nrows, r.ncols, t.nrows, t.ncols))
-	}
-	keep := 0
-	for k, i := range r.ids {
-		row := r.rows[k]
-		if tr := t.rows[i]; len(tr) > 0 {
-			before := len(row)
-			row = diffInPlace(row, tr)
-			r.nvals -= before - len(row)
-		}
-		if len(row) > 0 {
-			r.ids[keep], r.rows[keep] = i, row
-			keep++
-		}
-	}
-	clear(r.rows[keep:])
-	r.ids, r.rows = r.ids[:keep], r.rows[:keep]
-}
-
-// AddListInPlace ORs the rows of r into t, t ∪= r, and reports whether t
-// changed. It costs r's rows and the rows of t they meet. t never
-// aliases r afterwards: a row t gains is a new slice.
-func AddListInPlace(t *Bool, r *RowList) bool {
-	if r.nrows != t.nrows || r.ncols != t.ncols {
-		panic(fmt.Sprintf("matrix: AddListInPlace shape mismatch %dx%d vs %dx%d", t.nrows, t.ncols, r.nrows, r.ncols))
-	}
-	changed := false
-	for k, i := range r.ids {
-		changed = t.orRow(int(i), r.rows[k]) || changed
-	}
-	return changed
-}
-
 // Cols returns the vector of columns holding at least one entry: the
 // paper's getDst of the pairs r represents.
 func (r *RowList) Cols() *Vector { return reduceCols(r) }
 
-// MulRows returns the Boolean product a × b as a row list. It visits
-// the non-empty rows of a, finds row k of b by index in a *Bool and by
-// search in a *RowList, and polls ctx every ctxCheckRows rows of a,
-// returning ctx.Err() once the context is done. So the product costs
-// a's rows and the products they form: neither operand's dimension,
-// unless a is a *Bool. Each row of the product is its own allocation,
-// which the product owns.
+// MulAddRows is the masked multiply-accumulate t<¬t> ∪= a × b: it adds
+// to t the entries of the Boolean product that t lacks, and returns
+// them, as a row list, with the product's entry count before the mask.
+//
+// It visits the non-empty rows of a and gathers row i of the product in
+// an accumulator: row k of b is found by index in a *Bool and by search
+// in a *RowList, and ORed in a word at a time when it is a bitmap, an
+// entry at a time when it is a list. It then clears what row i of t
+// holds — word by word for a bitmap row, bit by bit for a list row — and
+// extracts only what is left. So the product costs a's rows and the
+// products they form, and what t already holds is never extracted,
+// sorted or merged.
+//
+// The new rows are folded into t once every row is gathered: a bitmap
+// row of t takes them as bit sets in place, a list row is replaced by
+// the union. So the product is a × b as the operands stood on entry,
+// and t may be a or b itself. t never aliases the returned rows.
+//
+// The kernel polls ctx every ctxCheckRows rows of a. Once the context is
+// done it stops gathering, folds the rows gathered so far into t and
+// returns them with ctx.Err(): each is a true entry of the product.
 //
 // A non-nil wit receives, for every entry (i, j) of the product, one
 // witness k with a[i,k] and b[k,j] both true, under Key(i, j).
-func MulRows(ctx context.Context, a, b Operand, wit map[uint64]uint32) (*RowList, error) {
-	if a.NCols() != b.NRows() {
-		panic(fmt.Sprintf("matrix: MulRows dimension mismatch %dx%d * %dx%d", a.NRows(), a.NCols(), b.NRows(), b.NCols()))
+func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint32) (added *RowList, nnz int, err error) {
+	if a.NCols() != b.NRows() || t.nrows != a.NRows() || t.ncols != b.NCols() {
+		panic(fmt.Sprintf("matrix: MulAddRows dimension mismatch %dx%d += %dx%d * %dx%d",
+			t.nrows, t.ncols, a.NRows(), a.NCols(), b.NRows(), b.NCols()))
 	}
-	out := &RowList{nrows: a.NRows(), ncols: b.NCols()}
+	added = &RowList{nrows: t.nrows, ncols: t.ncols}
 	if a.NVals() == 0 || b.NVals() == 0 {
-		return out, ctx.Err()
+		return added, 0, ctx.Err()
 	}
-	aIDs, aRows := a.table()
-	bIDs, bRows := b.table()
-	acc := getAccumulator(b.NCols())
+	aIDs, aRows, aBits := a.table()
+	bIDs, bRows, bBits := b.table()
+	acc := getAccumulator(t.ncols)
 	defer putAccumulator(acc)
+	var buf []uint32
 	for x, ra := range aRows {
 		if x%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if err = ctx.Err(); err != nil {
+				break
 			}
+		}
+		if aBits != nil && aBits[x] != nil {
+			buf = appendBits(buf[:0], aBits[x])
+			ra = buf
 		}
 		if len(ra) == 0 {
 			continue
@@ -289,32 +275,58 @@ func MulRows(ctx context.Context, a, b Operand, wit map[uint64]uint32) (*RowList
 		acc.reset()
 		at := 0 // ra is sorted, so its rows of b are met in order
 		for _, k := range ra {
-			var rb []uint32
-			if bIDs == nil {
-				rb = bRows[k]
-			} else {
+			y := int(k)
+			if bIDs != nil {
 				if at = gallop(bIDs, at, k); at == len(bIDs) {
 					break
 				}
 				if bIDs[at] != k {
 					continue
 				}
-				rb = bRows[at]
+				y = at
+			}
+			var sb []uint64
+			if bBits != nil {
+				sb = bBits[y]
 			}
 			if wit != nil {
-				for _, j := range rb {
-					if !acc.contains(j) {
-						wit[Key(int(i), int(j))] = k
-					}
-				}
+				acc.witness(wit, i, k, bRows[y], sb)
 			}
-			acc.orRow(rb)
+			if sb != nil {
+				acc.orBits(sb)
+			} else {
+				acc.orRow(bRows[y])
+			}
 		}
-		if len(acc.touched) > 0 {
-			out.push(i, acc.extract(make([]uint32, 0, acc.count())))
+		if len(acc.touched) == 0 {
+			continue
+		}
+		nnz += acc.count()
+		acc.clearRow(t, int(i))
+		if n := acc.count(); n > 0 {
+			added.push(i, acc.extract(make([]uint32, 0, n)))
 		}
 	}
-	return out, nil
+	for k, i := range added.ids {
+		t.addNew(int(i), added.rows[k])
+	}
+	return added, nnz, err
+}
+
+// addNew adds the sorted columns row, none of which row i holds, to
+// row i: in place for a bitmap row, as a new union for a list row.
+func (m *Bool) addNew(i int, row []uint32) {
+	if m.bitRow(i) == nil {
+		m.setList(i, unionRows(m.rows[i], row), len(row))
+		return
+	}
+	m.ensureOwned(i)
+	b := m.growBits(m.bits[i])
+	m.bits[i] = b
+	for _, c := range row {
+		b[c>>6] |= 1 << (c & 63)
+	}
+	m.nvals += len(row)
 }
 
 // gallop returns the index of the first element of the sorted s[at:]

@@ -70,8 +70,10 @@ func rowSet(rng *rand.Rand, n int) *Vector {
 }
 
 // TestRowListKernelsQuick checks every row-list kernel against its n-slot
-// reference (ExtractRows, Sub, AddInPlace, ReduceCols, Mul) on random
-// shapes from 1x1 up and densities from empty to dense.
+// reference (ExtractRows, AddInPlace, ReduceCols, Mul) on random shapes
+// from 1x1 up and densities from empty to dense: MulAddRows with either
+// operand a Bool or a row list, into a separate t and into a or b
+// itself.
 func TestRowListKernelsQuick(t *testing.T) {
 	densities := []float64{0, 0.03, 0.2, 0.6}
 	f := func(seed int64) bool {
@@ -88,16 +90,8 @@ func TestRowListKernelsQuick(t *testing.T) {
 		ok = ok && sameAs(t, "Restrict", ListRows(b).Restrict(s2), rb) &&
 			sameAs(t, "Restrict of a selection", sel.Restrict(s2), ExtractRows(ra, s2))
 		ok = ok && sameAs(t, "Union", Union(sel, SelectRows(b, s2)), or(ra, rb))
-		diff := SelectRows(a, s1)
-		diff.DiffInPlace(b)
-		ok = ok && sameAs(t, "DiffInPlace", diff, Sub(ra, b))
 		if got, want := sel.Cols(), ReduceCols(ra); !got.Equal(want) {
 			t.Errorf("Cols = %v, want %v", got, want)
-			return false
-		}
-		sum, want := b.Clone(), or(b, ra)
-		if changed := AddListInPlace(sum, sel); changed != (want.NVals() > b.NVals()) || !sum.Equal(want) {
-			t.Errorf("AddListInPlace changed=%v: %v, want %v", changed, sum.Pairs(), want.Pairs())
 			return false
 		}
 		for _, l := range []struct {
@@ -113,19 +107,50 @@ func TestRowListKernelsQuick(t *testing.T) {
 				if r.ref == nil {
 					r.ref = r.op.(*RowList).toBool()
 				}
-				prod, err := MulRows(context.Background(), l.op, r.op, nil)
-				if err != nil {
-					t.Error(err)
-					return false
-				}
-				ok = ok && sameAs(t, "MulRows "+l.name+" x "+r.name, prod, Mul(l.ref, r.ref))
+				into, _ := randomMatrix(rng, n, p, densities[rng.Intn(4)])
+				ok = ok && mulAddAs(t, "MulAddRows "+l.name+" x "+r.name, into, l.op, r.op, Mul(l.ref, r.ref))
 			}
 		}
+		// Aliasing: t is the left or the right operand itself, and the
+		// product is taken as the operands stood on entry.
+		sq, _ := randomMatrix(rng, m, m, densities[rng.Intn(4)])
+		right, _ := randomMatrix(rng, m, m, densities[rng.Intn(4)])
+		ok = ok && mulAddAs(t, "MulAddRows into a", sq, sq, right, Mul(sq, right))
+		sq, _ = randomMatrix(rng, m, m, densities[rng.Intn(4)])
+		set := rowSet(rng, m)
+		ok = ok && mulAddAs(t, "MulAddRows into b", sq, SelectRows(sq, set), sq, Mul(ExtractRows(sq, set), sq))
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mulAddAs runs MulAddRows(t, a, b) and fails the quick check unless it
+// returns prod's entry count and exactly the entries of prod that t
+// lacked, and leaves t valid and equal to its old entries plus prod.
+// prod must be computed before the call when t aliases an operand.
+func mulAddAs(t *testing.T, what string, into *Bool, a, b Operand, prod *Bool) bool {
+	t.Helper()
+	before := into.Clone()
+	added, nnz, err := MulAddRows(context.Background(), into, a, b, nil)
+	if err != nil {
+		t.Errorf("%s: %v", what, err)
+		return false
+	}
+	if nnz != prod.NVals() {
+		t.Errorf("%s: product nnz %d, want %d", what, nnz, prod.NVals())
+		return false
+	}
+	if err := into.validate(); err != nil {
+		t.Errorf("%s: t invalid: %v", what, err)
+		return false
+	}
+	if want := or(before, prod); !into.Equal(want) {
+		t.Errorf("%s: t = %v, want %v", what, into.Pairs(), want.Pairs())
+		return false
+	}
+	return sameAs(t, what+" added", added, Sub(prod, before))
 }
 
 // TestSelectRowsCopies pins the copy rule: growing a selected row of the
@@ -143,52 +168,77 @@ func TestSelectRowsCopies(t *testing.T) {
 	}
 }
 
-// TestRowListDiffInPlace: removing T's entries drops the rows it empties
-// and keeps the others, and subtracting nothing changes nothing.
-func TestRowListDiffInPlace(t *testing.T) {
-	r := ListRows(NewBoolFromPairs(3, 3, [][2]int{{0, 0}, {0, 1}, {2, 2}}))
-	r.DiffInPlace(NewBool(3, 3))
-	if r.NVals() != 3 {
-		t.Fatalf("subtracting empty removed entries: %v", r.Pairs())
-	}
-	r.DiffInPlace(NewBoolFromPairs(3, 3, [][2]int{{0, 1}, {1, 1}, {2, 2}}))
-	if err := validateList(r); err != nil || r.NVals() != 1 || len(r.Row(0)) != 1 || r.Row(2) != nil {
-		t.Fatalf("DiffInPlace = %v (%v)", r.Pairs(), err)
-	}
-}
-
-func TestMulRowsWitness(t *testing.T) {
+// TestMulAddRowsWitness: every entry of the product gets one witness
+// k with a[i,k] and b[k,j], whether row k of b is a list or a bitmap.
+func TestMulAddRowsWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 20; trial++ {
 		a, _ := randomMatrix(rng, 10, 8, 0.2)
-		b, _ := randomMatrix(rng, 8, 12, 0.2)
+		b, _ := randomMatrix(rng, 8, 12, 0.2) // rows of 3 or more entries are bitmaps
+		into, _ := randomMatrix(rng, 10, 12, 0.1)
 		wit := map[uint64]uint32{}
-		prod, err := MulRows(context.Background(), SelectRows(a, rowSet(rng, 10)), b, wit)
+		added, nnz, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), b, wit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(wit) != prod.NVals() {
-			t.Fatalf("witness count %d != nvals %d", len(wit), prod.NVals())
+		if len(wit) != nnz {
+			t.Fatalf("witness count %d != product nnz %d", len(wit), nnz)
 		}
 		for key, k := range wit {
-			i, j := UnKey(key)
-			if !a.Get(i, int(k)) || !b.Get(int(k), j) || len(prod.Row(i)) == 0 {
+			i, j := int(key>>32), int(uint32(key))
+			if !a.Get(i, int(k)) || !b.Get(int(k), j) || !into.Get(i, j) {
 				t.Fatalf("witness (%d,%d) via %d is not a valid decomposition", i, j, k)
 			}
 		}
+		added.Iterate(func(i, j int) bool {
+			if _, ok := wit[Key(i, j)]; !ok {
+				t.Fatalf("added entry (%d,%d) has no witness", i, j)
+			}
+			return true
+		})
 	}
 }
 
-// TestMulRowsCancelled: a product under a cancelled context returns the
-// context's error and no product, whichever form its operands take.
-func TestMulRowsCancelled(t *testing.T) {
+// cancelAfter is a context whose Err reports cancellation from its
+// polls-th call on.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMulAddRowsCancelled: under a cancelled context the kernel returns
+// the context's error, whichever form its operands take. Cancelled
+// before its first row it adds nothing; cancelled after some rows it
+// keeps those rows, folded into t and returned.
+func TestMulAddRowsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a := NewBoolFromPairs(600, 4, [][2]int{{0, 1}, {599, 2}})
+	a := NewBool(600, 4)
+	for i := range 600 {
+		a.Set(i, 1)
+	}
 	b := NewBoolFromPairs(4, 4, [][2]int{{1, 3}, {2, 0}})
 	for _, op := range []Operand{a, ListRows(a)} {
-		if prod, err := MulRows(ctx, op, b, nil); !errors.Is(err, context.Canceled) || prod != nil {
-			t.Fatalf("%T: MulRows = %v, %v under a cancelled context", op, prod, err)
+		into := NewBool(600, 4)
+		if added, _, err := MulAddRows(ctx, into, op, b, nil); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
+			t.Fatalf("%T: MulAddRows = %v, %v under a cancelled context; t = %v", op, added.Pairs(), err, into.Pairs())
+		}
+		// One poll passes: rows 0..ctxCheckRows-1 are gathered and kept.
+		into = NewBool(600, 4)
+		added, nnz, err := MulAddRows(&cancelAfter{context.Background(), 1}, into, op, b, nil)
+		want := NewBool(600, 4)
+		for i := range ctxCheckRows {
+			want.Set(i, 3)
+		}
+		if !errors.Is(err, context.Canceled) || nnz != ctxCheckRows || !added.toBool().Equal(want) || !into.Equal(want) {
+			t.Fatalf("%T: cut after one block: added %d (nnz %d), t %d, err %v", op, added.NVals(), nnz, into.NVals(), err)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Vector is a sparse Boolean vector: a sorted, duplicate-free set of
 // indices drawn from [0, n). It represents vertex sets throughout the
-// CFPQ algorithms (source sets, getDst results, matrix diagonals).
+// CFPQ algorithms (source sets, getDst results).
 type Vector struct {
 	n   int
 	idx []uint32
@@ -148,17 +148,6 @@ func (v *Vector) DiffInPlace(o *Vector) bool {
 	return len(v.idx) != before
 }
 
-// Diag returns the n x n matrix with v's indices on the diagonal; this is
-// the matrix form of a source-vertex set used by the CFPQ algorithms.
-func (v *Vector) Diag() *Bool {
-	m := NewBool(v.n, v.n)
-	for _, c := range v.idx {
-		m.rows[c] = []uint32{c}
-	}
-	m.nvals = len(v.idx)
-	return m
-}
-
 // ReduceCols collapses m to the vector of columns that contain at least
 // one true entry. This is the linear-algebra form of the paper's getDst:
 // the destination vertices of all pairs represented by m (implemented via
@@ -173,9 +162,13 @@ func reduceCols(m Operand) *Vector {
 	}
 	acc := getAccumulator(m.NCols())
 	acc.reset()
-	_, rows := m.table()
-	for _, row := range rows {
-		acc.orRow(row)
+	_, rows, bits := m.table()
+	for x, row := range rows {
+		if bits != nil && bits[x] != nil {
+			acc.orBits(bits[x])
+		} else {
+			acc.orRow(row)
+		}
 	}
 	v.idx = acc.extract(make([]uint32, 0, acc.count()))
 	putAccumulator(acc)
@@ -195,7 +188,7 @@ func VecMul(v *Vector, m *Bool) *Vector {
 	acc := getAccumulator(m.ncols)
 	acc.reset()
 	for _, i := range v.idx {
-		acc.orRow(m.rows[i])
+		acc.orBoolRow(m, int(i))
 	}
 	out.idx = acc.extract(make([]uint32, 0, acc.count()))
 	putAccumulator(acc)
