@@ -5,7 +5,7 @@ GO ?= go
 # Packages with internal concurrency (query governor, index locking,
 # server drain); `race-quick` covers just these, `race` the whole
 # module.
-RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/analysis/... ./cmd/mscfpq-lint
+RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/matrix ./internal/analysis/... ./cmd/mscfpq-lint
 
 .PHONY: check all build vet test race race-quick cover bench bench-quick bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
 
@@ -97,7 +97,10 @@ bench-quick:
 # TestSweepQueryBytesAreSizeIndependent in `make test`) — and as the
 # first chunk-100 query of go-hierarchy@0.02/G2 on a fresh index, the
 # wire benchmark's dense-cold, with its rounds, work and answer size per
-# query (their guard is TestFixpointWorkPinned). The RPQ
+# query (their guard is TestFixpointWorkPinned), on one and on two
+# processors, since its products gather row blocks on every processor;
+# and as the all-sources a^n b^n query, hundreds of rounds of one-block
+# products, the per-call cost of the kernel. The RPQ
 # benchmark prints what one regular query costs through that same
 # driver (rpq.Eval, experiment E11), checked against the oracle. The
 # traverse benchmark prints what one relationship or one-step path hop
@@ -107,7 +110,8 @@ bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep|DenseCold)$$|BenchmarkRPQUnification$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep|ManyRounds)$$|BenchmarkRPQUnification$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDenseCold$$' -cpu 1,2 -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$' -benchmem ./internal/plan
 
 # The wire-level benchmark (benchmark/README.md), one workload end to

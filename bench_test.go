@@ -245,6 +245,50 @@ func BenchmarkKernelDenseCold(b *testing.B) {
 	b.ReportMetric(float64(answer)/float64(b.N), "answer/op")
 }
 
+// BenchmarkKernelManyRounds is the all-sources a^n b^n query over two
+// cycles of 100 a-edges and 99 b-edges sharing a vertex, on a fresh
+// index: about 20 000 rounds, each a few products of at most 200 rows,
+// too short to split into row blocks. It is the per-call cost of the
+// product kernel, which a change to how a product is handed out must
+// not raise.
+func BenchmarkKernelManyRounds(b *testing.B) {
+	const p = 100
+	g := NewGraph(2 * p)
+	for i := 0; i < p; i++ {
+		g.AddEdge(i, "a", (i+1)%p)
+	}
+	prev := 0
+	for i := 0; i < p-2; i++ {
+		g.AddEdge(prev, "b", p+i)
+		prev = p + i
+	}
+	g.AddEdge(prev, "b", 0)
+	w, err := ToWCNF(AnBnGrammar())
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, g.NumVertices())
+	for v := range all {
+		all[v] = v
+	}
+	src := NewVertexSet(g.NumVertices(), all...)
+	var rounds int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := cfpq.NewIndex(g, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := idx.MultiSourceSmart(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += int64(r.Rounds)
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
 func BenchmarkKernelWorklistMS(b *testing.B) {
 	g, w, src := benchInput(b)
 	b.ReportAllocs()

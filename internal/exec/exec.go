@@ -286,15 +286,20 @@ func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 // cancellation every few rows of a and returns the entries t gained.
 // It counts and charges the product's entries before the mask, as Mul
 // does, and counts one add of the entries t gained when there are any,
-// as Add does. On an error the entries already added stay in t and are
+// as Add does, and the row blocks the kernel gathered off the calling
+// goroutine. On an error the entries already added stay in t and are
 // returned with it.
 func (r *Run) MulAddRows(t *matrix.Bool, a, b matrix.Operand, wit map[uint64]uint32) (*matrix.RowList, error) {
-	added, nnz, err := matrix.MulAddRows(r.Ctx(), t, a, b, wit)
+	added, nnz, helped, err := matrix.MulAddRows(r.Ctx(), t, a, b, wit)
 	if r == nil {
 		return added, err
 	}
 	if !added.Empty() {
 		r.countAdded(int64(added.NVals()))
+	}
+	if helped > 0 {
+		obs.KernelMulHelperBlocks.Add(int64(helped))
+		r.trace.Add(obs.KeyMulHelperBlocks, int64(helped))
 	}
 	if cerr := r.countMul(nnz); err == nil {
 		err = cerr

@@ -46,6 +46,13 @@
 // operations panic with a descriptive message instead of returning an
 // error, mirroring the behaviour of GraphBLAS bindings and gonum.
 //
+// # Concurrency
+//
 // Matrices are not safe for concurrent mutation. Read-only sharing is
-// safe.
+// safe, and MulAddRows relies on it: a product of more than one block of
+// ctxCheckRows left-operand rows gathers its blocks on the calling
+// goroutine and up to runtime.GOMAXPROCS-1 helpers, which only read the
+// operands and t; the caller folds the gathered rows into t, in block
+// order, after they all finish. A one-block product runs on the caller
+// alone. Nothing else in the package starts a goroutine.
 package matrix

@@ -231,7 +231,7 @@ func TestBoolFormsQuick(t *testing.T) {
 			if left != Operand(a) {
 				want = ra.rows(set).mul(rsq)
 			}
-			added, nnz, err := MulAddRows(context.Background(), into, left, sq, nil)
+			added, nnz, _, err := MulAddRows(context.Background(), into, left, sq, nil)
 			if err != nil || nnz != len(want) {
 				t.Errorf("seed %d: MulAddRows nnz %d, want %d (%v)", seed, nnz, len(want), err)
 				return false

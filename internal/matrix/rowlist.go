@@ -3,7 +3,11 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // RowList is a hypersparse Boolean matrix (GraphBLAS's hypersparse form,
@@ -235,82 +239,200 @@ func (r *RowList) Cols() *Vector { return reduceCols(r) }
 // the union. So the product is a × b as the operands stood on entry,
 // and t may be a or b itself. t never aliases the returned rows.
 //
-// The kernel polls ctx every ctxCheckRows rows of a. Once the context is
-// done it stops gathering, folds the rows gathered so far into t and
-// returns them with ctx.Err(): each is a true entry of the product.
+// The rows of a are taken in blocks of ctxCheckRows slots. When there is
+// more than one block and more than one processor (runtime.GOMAXPROCS),
+// the calling goroutine and up to GOMAXPROCS-1 helpers claim blocks in
+// order from a shared counter and gather them side by side, each into
+// its own accumulator and its own piece of the result; the pieces are
+// joined in block order and only then folded into t, on the caller. So
+// the result, the count and t are the same as when one goroutine
+// gathers every block, and the caller waits only for blocks someone
+// claimed. helped is the number of blocks a helper gathered.
+//
+// Each claim polls ctx. Once the context is done, blocks claimed from
+// then on are skipped; the blocks gathered so far are folded into t and
+// returned with ctx.Err(): each row is a true row of the product.
 //
 // A non-nil wit receives, for every entry (i, j) of the product, one
-// witness k with a[i,k] and b[k,j] both true, under Key(i, j).
-func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint32) (added *RowList, nnz int, err error) {
+// witness k with a[i,k] and b[k,j] both true, under Key(i, j). A helper
+// files into a map of its own, merged into wit after the join; the keys
+// are disjoint, since the rows are.
+func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint32) (added *RowList, nnz, helped int, err error) {
 	if a.NCols() != b.NRows() || t.nrows != a.NRows() || t.ncols != b.NCols() {
 		panic(fmt.Sprintf("matrix: MulAddRows dimension mismatch %dx%d += %dx%d * %dx%d",
 			t.nrows, t.ncols, a.NRows(), a.NCols(), b.NRows(), b.NCols()))
 	}
 	added = &RowList{nrows: t.nrows, ncols: t.ncols}
 	if a.NVals() == 0 || b.NVals() == 0 {
-		return added, 0, ctx.Err()
+		return added, 0, 0, ctx.Err()
 	}
-	aIDs, aRows, aBits := a.table()
-	bIDs, bRows, bBits := b.table()
-	acc := getAccumulator(t.ncols)
-	defer putAccumulator(acc)
-	var buf []uint32
-	for x, ra := range aRows {
-		if x%ctxCheckRows == 0 {
+	p := product{t: t}
+	p.aIDs, p.aRows, p.aBits = a.table()
+	p.bIDs, p.bRows, p.bBits = b.table()
+	nblocks, workers := (len(p.aRows)+ctxCheckRows-1)/ctxCheckRows, 1
+	if nblocks > 1 {
+		workers = min(nblocks, runtime.GOMAXPROCS(0))
+	}
+	if workers > 1 {
+		added, nnz, helped, err = p.gatherParallel(ctx, nblocks, workers, wit)
+	} else {
+		acc := getAccumulator(t.ncols)
+		var buf []uint32
+		for lo := 0; lo < len(p.aRows); lo += ctxCheckRows {
 			if err = ctx.Err(); err != nil {
 				break
 			}
+			var n int
+			n, buf = p.gather(lo, acc, wit, added, buf)
+			nnz += n
 		}
-		if aBits != nil && aBits[x] != nil {
-			buf = appendBits(buf[:0], aBits[x])
+		putAccumulator(acc)
+	}
+	for k, i := range added.ids {
+		t.addNew(int(i), added.rows[k])
+	}
+	return added, nnz, helped, err
+}
+
+// product holds the row tables of the operands of one MulAddRows call
+// and the matrix t it masks by. Gathering only reads them.
+type product struct {
+	t            *Bool
+	aIDs, bIDs   []uint32
+	aRows, bRows [][]uint32
+	aBits, bBits [][]uint64
+}
+
+// gather appends to out the rows of a × b that t lacks for the block of
+// a's slots starting at lo, filing witnesses in wit when it is non-nil,
+// and returns the product's entry count over the block before the mask.
+// buf is scratch for decoding a bitmap row of a; gather returns it,
+// grown, for the next block.
+func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *RowList, buf []uint32) (nnz int, _ []uint32) {
+	for x := lo; x < min(lo+ctxCheckRows, len(p.aRows)); x++ {
+		ra := p.aRows[x]
+		if p.aBits != nil && p.aBits[x] != nil {
+			buf = appendBits(buf[:0], p.aBits[x])
 			ra = buf
 		}
 		if len(ra) == 0 {
 			continue
 		}
 		i := uint32(x)
-		if aIDs != nil {
-			i = aIDs[x]
+		if p.aIDs != nil {
+			i = p.aIDs[x]
 		}
 		acc.reset()
 		at := 0 // ra is sorted, so its rows of b are met in order
 		for _, k := range ra {
 			y := int(k)
-			if bIDs != nil {
-				if at = gallop(bIDs, at, k); at == len(bIDs) {
+			if p.bIDs != nil {
+				if at = gallop(p.bIDs, at, k); at == len(p.bIDs) {
 					break
 				}
-				if bIDs[at] != k {
+				if p.bIDs[at] != k {
 					continue
 				}
 				y = at
 			}
 			var sb []uint64
-			if bBits != nil {
-				sb = bBits[y]
+			if p.bBits != nil {
+				sb = p.bBits[y]
 			}
 			if wit != nil {
-				acc.witness(wit, i, k, bRows[y], sb)
+				acc.witness(wit, i, k, p.bRows[y], sb)
 			}
 			if sb != nil {
 				acc.orBits(sb)
 			} else {
-				acc.orRow(bRows[y])
+				acc.orRow(p.bRows[y])
 			}
 		}
 		if len(acc.touched) == 0 {
 			continue
 		}
 		nnz += acc.count()
-		acc.clearRow(t, int(i))
+		acc.clearRow(p.t, int(i))
 		if n := acc.count(); n > 0 {
-			added.push(i, acc.extract(make([]uint32, 0, n)))
+			out.push(i, acc.extract(make([]uint32, 0, n)))
 		}
 	}
-	for k, i := range added.ids {
-		t.addNew(int(i), added.rows[k])
+	return nnz, buf
+}
+
+// block is what gathering one block of a's slots produced.
+type block struct {
+	added  RowList
+	nnz    int
+	err    error // the context's error when the block was skipped
+	helped bool  // gathered by a helper
+}
+
+// gatherParallel gathers the nblocks blocks of a × b \ t on the calling
+// goroutine and workers-1 helpers, and joins the pieces in block order.
+// A helper touches nothing but the claim counter until it claims a
+// block, and the wait group counts blocks, not helpers, so a helper
+// that starts after the last claim is never waited for.
+func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit map[uint64]uint32) (added *RowList, nnz, helped int, err error) {
+	blocks := make([]block, nblocks)
+	wits := make([]map[uint64]uint32, workers)
+	if wit != nil {
+		wits[0] = wit
+		for w := 1; w < workers; w++ {
+			wits[w] = map[uint64]uint32{}
+		}
 	}
-	return added, nnz, err
+	ncols := p.t.ncols
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(nblocks)
+	work := func(w int) {
+		var acc *accumulator
+		var buf []uint32
+		for x := int(next.Add(1) - 1); x < nblocks; x = int(next.Add(1) - 1) {
+			if acc == nil {
+				acc = getAccumulator(ncols)
+			}
+			blk := &blocks[x]
+			if blk.err = ctx.Err(); blk.err == nil {
+				blk.nnz, buf = p.gather(x*ctxCheckRows, acc, wits[w], &blk.added, buf)
+				blk.helped = w > 0
+			}
+			wg.Done()
+		}
+		if acc != nil {
+			putAccumulator(acc)
+		}
+	}
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
+	wg.Wait()
+
+	total := 0
+	for x := range blocks {
+		total += len(blocks[x].added.ids)
+	}
+	added = &RowList{nrows: p.t.nrows, ncols: ncols,
+		ids: make([]uint32, 0, total), rows: make([][]uint32, 0, total)}
+	for x := range blocks {
+		blk := &blocks[x]
+		added.ids = append(added.ids, blk.added.ids...)
+		added.rows = append(added.rows, blk.added.rows...)
+		added.nvals += blk.added.nvals
+		nnz += blk.nnz
+		if blk.helped {
+			helped++
+		}
+		if err == nil {
+			err = blk.err
+		}
+	}
+	for _, m := range wits[1:] {
+		maps.Copy(wit, m)
+	}
+	return added, nnz, helped, err
 }
 
 // addNew adds the sorted columns row, none of which row i holds, to

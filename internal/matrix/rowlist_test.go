@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -133,7 +137,7 @@ func TestRowListKernelsQuick(t *testing.T) {
 func mulAddAs(t *testing.T, what string, into *Bool, a, b Operand, prod *Bool) bool {
 	t.Helper()
 	before := into.Clone()
-	added, nnz, err := MulAddRows(context.Background(), into, a, b, nil)
+	added, nnz, _, err := MulAddRows(context.Background(), into, a, b, nil)
 	if err != nil {
 		t.Errorf("%s: %v", what, err)
 		return false
@@ -177,7 +181,7 @@ func TestMulAddRowsWitness(t *testing.T) {
 		b, _ := randomMatrix(rng, 8, 12, 0.2) // rows of 3 or more entries are bitmaps
 		into, _ := randomMatrix(rng, 10, 12, 0.1)
 		wit := map[uint64]uint32{}
-		added, nnz, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), b, wit)
+		added, nnz, _, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), b, wit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +204,20 @@ func TestMulAddRowsWitness(t *testing.T) {
 }
 
 // cancelAfter is a context whose Err reports cancellation from its
-// polls-th call on.
+// polls-th call on. Helpers poll it concurrently.
 type cancelAfter struct {
 	context.Context
-	polls int
+	polls atomic.Int64
+}
+
+func newCancelAfter(polls int) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.polls.Store(int64(polls))
+	return c
 }
 
 func (c *cancelAfter) Err() error {
-	if c.polls--; c.polls < 0 {
+	if c.polls.Add(-1) < 0 {
 		return context.Canceled
 	}
 	return nil
@@ -215,31 +225,134 @@ func (c *cancelAfter) Err() error {
 
 // TestMulAddRowsCancelled: under a cancelled context the kernel returns
 // the context's error, whichever form its operands take. Cancelled
-// before its first row it adds nothing; cancelled after some rows it
-// keeps those rows, folded into t and returned.
+// before its first row it adds nothing; cancelled after some polls it
+// keeps the blocks those polls claimed, whole, folded into t and
+// returned. On one processor they are the first blocks; with helpers
+// they are as many blocks, whichever were claimed first.
 func TestMulAddRowsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a := NewBool(600, 4)
-	for i := range 600 {
+	const nrows = 2*ctxCheckRows + 88
+	a := NewBool(nrows, 4)
+	for i := range nrows {
 		a.Set(i, 1)
 	}
 	b := NewBoolFromPairs(4, 4, [][2]int{{1, 3}, {2, 0}})
-	for _, op := range []Operand{a, ListRows(a)} {
-		into := NewBool(600, 4)
-		if added, _, err := MulAddRows(ctx, into, op, b, nil); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
-			t.Fatalf("%T: MulAddRows = %v, %v under a cancelled context; t = %v", op, added.Pairs(), err, into.Pairs())
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, op := range []Operand{a, ListRows(a)} {
+			into := NewBool(nrows, 4)
+			if added, _, _, err := MulAddRows(ctx, into, op, b, nil); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
+				t.Fatalf("%d procs, %T: MulAddRows = %v, %v under a cancelled context; t = %v", procs, op, added.Pairs(), err, into.Pairs())
+			}
+			for polls := 1; polls <= 2; polls++ {
+				into = NewBool(nrows, 4)
+				added, nnz, _, err := MulAddRows(newCancelAfter(polls), into, op, b, nil)
+				if !errors.Is(err, context.Canceled) || nnz != added.NVals() || !added.toBool().Equal(into) || validateList(added) != nil {
+					t.Fatalf("%d procs, %T: cut after %d polls: added %d (nnz %d), t %d, err %v", procs, op, polls, added.NVals(), nnz, into.NVals(), err)
+				}
+				// Every kept row is a true product row, and the kept rows
+				// are polls whole blocks.
+				kept := map[int]int{}
+				added.Iterate(func(i, j int) bool {
+					if j != 3 {
+						t.Fatalf("%d procs, %T: kept (%d,%d), not a product entry", procs, op, i, j)
+					}
+					kept[i/ctxCheckRows]++
+					return true
+				})
+				if len(kept) != polls {
+					t.Fatalf("%d procs, %T: %d polls kept blocks %v", procs, op, polls, kept)
+				}
+				for x, n := range kept {
+					if n != min(ctxCheckRows, nrows-x*ctxCheckRows) || procs == 1 && x >= polls {
+						t.Fatalf("%d procs, %T: %d polls kept blocks %v", procs, op, polls, kept)
+					}
+				}
+			}
 		}
-		// One poll passes: rows 0..ctxCheckRows-1 are gathered and kept.
-		into = NewBool(600, 4)
-		added, nnz, err := MulAddRows(&cancelAfter{context.Background(), 1}, into, op, b, nil)
-		want := NewBool(600, 4)
-		for i := range ctxCheckRows {
-			want.Set(i, 3)
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestMulAddRowsParallelQuick: gathered on four processors, the kernel
+// returns the same rows in the same order, the same count and the same
+// t as on one, and its witnesses are the same valid decompositions, on
+// operands of one to four row blocks in every left and right form, with
+// t a separate matrix or one of the operands.
+func TestMulAddRowsParallelQuick(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{1 + rng.Intn(3*ctxCheckRows+1), ctxCheckRows, ctxCheckRows + 1, 2*ctxCheckRows + 1, 3*ctxCheckRows + 1}[rng.Intn(5)]
+		a0, _ := formsMatrix(rng, n, n)
+		b0, _ := formsMatrix(rng, n, n)
+		c0, _ := formsMatrix(rng, n, n)
+		set, bset := rowSet(rng, n), rowSet(rng, n)
+		left, right, into := rng.Intn(3), rng.Intn(2), rng.Intn(3)
+		type result struct {
+			added       *RowList
+			nnz, helped int
+			t           *Bool
+			wit         map[uint64]uint32
 		}
-		if !errors.Is(err, context.Canceled) || nnz != ctxCheckRows || !added.toBool().Equal(want) || !into.Equal(want) {
-			t.Fatalf("%T: cut after one block: added %d (nnz %d), t %d, err %v", op, added.NVals(), nnz, into.NVals(), err)
+		// run multiplies fresh copies of the operands on procs processors.
+		run := func(procs int) result {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			a, b := a0.Clone(), b0.Clone()
+			var l, r Operand = a, b
+			switch left {
+			case 1:
+				l = SelectRows(a, set)
+			case 2:
+				l = ListRows(a)
+			}
+			if right == 1 {
+				r = SelectRows(b, bset)
+			}
+			res := result{t: c0.Clone(), wit: map[uint64]uint32{}}
+			switch into {
+			case 1:
+				res.t = a
+			case 2:
+				res.t = b
+			}
+			var err error
+			if res.added, res.nnz, res.helped, err = MulAddRows(context.Background(), res.t, l, r, res.wit); err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
+		one, four := run(1), run(4)
+		what := fmt.Sprintf("seed %d, %d rows, left form %d, right form %d, into %d", seed, n, left, right, into)
+		if one.helped != 0 || n <= ctxCheckRows && four.helped != 0 {
+			t.Errorf("%s: helpers gathered %d and %d blocks", what, one.helped, four.helped)
+			return false
+		}
+		if err := validateList(four.added); err != nil || !slices.Equal(one.added.ids, four.added.ids) ||
+			!slices.EqualFunc(one.added.rows, four.added.rows, slices.Equal) || one.nnz != four.nnz {
+			t.Errorf("%s: parallel added %d rows (nnz %d, %v), serial %d (nnz %d)", what, len(four.added.ids), four.nnz, err, len(one.added.ids), one.nnz)
+			return false
+		}
+		if err := four.t.validate(); err != nil || !four.t.Equal(one.t) {
+			t.Errorf("%s: parallel t differs from serial t (%v)", what, err)
+			return false
+		}
+		if len(four.wit) != four.nnz || !maps.Equal(one.wit, four.wit) {
+			t.Errorf("%s: %d witnesses for %d entries, or not the serial ones", what, len(four.wit), four.nnz)
+			return false
+		}
+		for key, k := range four.wit {
+			i, j := int(key>>32), int(uint32(key))
+			if !a0.Get(i, int(k)) || !b0.Get(int(k), j) || !four.t.Get(i, j) {
+				t.Errorf("%s: witness (%d,%d) via %d is not a valid decomposition", what, i, j, k)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

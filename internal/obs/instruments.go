@@ -18,6 +18,10 @@ var (
 	KernelAddNNZ      = Default.Counter("kernel.add.nnz")
 	KernelFrontierNNZ = Default.Histogram("kernel.frontier.nnz", SizeBuckets)
 
+	// Row blocks of a product gathered off the query's goroutine: 0
+	// while every product fits one block or one processor.
+	KernelMulHelperBlocks = Default.Counter("kernel.mul.helper_blocks")
+
 	// Fixpoint shape: rounds until convergence (RPQ runs on the CFPQ
 	// driver, so its rounds land here too).
 	CFPQRounds = Default.Histogram("kernel.cfpq.rounds", RoundBuckets)
@@ -88,6 +92,8 @@ const (
 	KeyMulNNZ = "kernel.mul.nnz"
 	KeyAddOps = "kernel.add.ops"
 	KeyAddNNZ = "kernel.add.nnz"
+
+	KeyMulHelperBlocks = "kernel.mul.helper_blocks"
 )
 
 // Layer prefixes: the first dotted component of every instrument name

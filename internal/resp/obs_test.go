@@ -130,7 +130,7 @@ func TestServerProfileSpanTree(t *testing.T) {
 		}
 	}
 
-	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops"} {
+	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.mul.helper_blocks"} {
 		re := regexp.MustCompile(regexp.QuoteMeta(key) + `=(\d+)`)
 		var total int64
 		for _, m := range re.FindAllStringSubmatch(joined, -1) {

@@ -8,14 +8,14 @@ import (
 	"time"
 
 	"mscfpq/internal/dataset"
+	"mscfpq/internal/fault"
 	"mscfpq/internal/gdb"
 	"mscfpq/internal/graph"
 )
 
 // twoCycle builds the a^n b^n stress input: a cycle of p a-edges and a
 // cycle of p-1 b-edges sharing vertex 0. The an^bn path query over it
-// runs a long fixpoint, giving the drain tests a query that is reliably
-// still in flight when Shutdown begins.
+// runs a fixpoint of many rounds.
 func twoCycle(p int) *graph.Graph {
 	g := graph.New(2 * p)
 	for i := 0; i < p; i++ {
@@ -100,6 +100,25 @@ func TestServerQueryTimeout(t *testing.T) {
 	}
 }
 
+// holdNextCommand arms the dispatch failpoint to hold the next command
+// for d inside the server's drain group, so a drain test has a command
+// in flight however fast the query itself runs. The returned function
+// waits until that command is being held.
+func holdNextCommand(t *testing.T, d time.Duration) (waitHeld func()) {
+	t.Helper()
+	t.Cleanup(fault.Enable(FPDispatch, fault.Spec{Delay: d, Times: 1}))
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for fault.Hits(FPDispatch) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no command reached dispatch")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestServerShutdownDrains checks the graceful path: a query in flight
 // when Shutdown begins still completes and its reply is delivered, new
 // work is refused, and Shutdown returns nil.
@@ -113,8 +132,10 @@ func TestServerShutdownDrains(t *testing.T) {
 
 	type reply struct {
 		rows int
+		at   time.Time
 		err  error
 	}
+	waitHeld := holdNextCommand(t, 300*time.Millisecond)
 	inflight := make(chan reply, 1)
 	go func() {
 		r, err := c.GraphQuery("g", anbnQuery)
@@ -122,10 +143,11 @@ func TestServerShutdownDrains(t *testing.T) {
 			inflight <- reply{err: err}
 			return
 		}
-		inflight <- reply{rows: len(r.Rows)}
+		inflight <- reply{rows: len(r.Rows), at: time.Now()}
 	}()
-	time.Sleep(100 * time.Millisecond) // let the query reach the fixpoint
+	waitHeld()
 
+	began := time.Now()
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -139,6 +161,9 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 	if got.rows == 0 {
 		t.Fatal("in-flight query returned no rows")
+	}
+	if !got.at.After(began) {
+		t.Fatal("the reply came before Shutdown began: nothing was in flight")
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown = %v, want nil", err)
@@ -165,12 +190,13 @@ func TestServerShutdownDrainTimeout(t *testing.T) {
 	}
 	defer c.Close()
 
+	waitHeld := holdNextCommand(t, 500*time.Millisecond)
 	inflight := make(chan error, 1)
 	go func() {
 		_, err := c.GraphQuery("g", anbnQuery)
 		inflight <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
+	waitHeld()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -193,9 +219,7 @@ func TestServerShutdownDrainTimeout(t *testing.T) {
 // TestServerRefusesDuringDrain checks that commands arriving on an
 // existing connection after a drain started get an explicit refusal.
 func TestServerRefusesDuringDrain(t *testing.T) {
-	// The busy connection's query must still run after the 150 ms of
-	// sleeps below; a^n b^n over two 150-vertex cycles leaves a wide margin.
-	srv, addr := startServerWith(t, map[string]*graph.Graph{"g": twoCycle(150)})
+	srv, addr := startServerWith(t, map[string]*graph.Graph{"g": twoCycle(100)})
 	busy, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -207,13 +231,19 @@ func TestServerRefusesDuringDrain(t *testing.T) {
 	}
 	defer idle.Close()
 
-	inflight := make(chan error, 1)
+	type reply struct {
+		at  time.Time
+		err error
+	}
+	waitHeld := holdNextCommand(t, 300*time.Millisecond)
+	inflight := make(chan reply, 1)
 	go func() {
 		_, err := busy.GraphQuery("g", anbnQuery)
-		inflight <- err
+		inflight <- reply{time.Now(), err}
 	}()
-	time.Sleep(100 * time.Millisecond)
+	waitHeld()
 
+	began := time.Now()
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -225,8 +255,10 @@ func TestServerRefusesDuringDrain(t *testing.T) {
 	if err := idle.Ping(); err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("command during drain: err = %v, want shutting-down refusal", err)
 	}
-	if err := <-inflight; err != nil {
-		t.Fatalf("in-flight query aborted: %v", err)
+	if got := <-inflight; got.err != nil {
+		t.Fatalf("in-flight query aborted: %v", got.err)
+	} else if !got.at.After(began) {
+		t.Fatal("the reply came before Shutdown began: nothing was in flight")
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown = %v", err)

@@ -80,7 +80,7 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 
 	// Counter agreement: the tree's kernel totals are exactly the
 	// registry's deltas — the two views of kernel work never drift.
-	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.add.nnz"} {
+	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.add.nnz", "kernel.mul.helper_blocks"} {
 		if tot := root.Total(key); tot != delta[key] {
 			t.Errorf("%s: span total %d != registry delta %d", key, tot, delta[key])
 		}
