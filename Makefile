@@ -100,7 +100,10 @@ bench-quick:
 # query (their guard is TestFixpointWorkPinned), on one and on two
 # processors, since its products gather row blocks on every processor;
 # and as the all-sources a^n b^n query, hundreds of rounds of one-block
-# products, the per-call cost of the kernel. The RPQ
+# products, the per-call cost of the kernel. The kernel micro-benchmark
+# times one MulAddRows call on each of dense-cold's two heaviest product
+# shapes on its own, outside the driver: short rows times long row-list
+# rows (bitmaps), and long rows times a relation's short rows. The RPQ
 # benchmark prints what one regular query costs through that same
 # driver (rpq.Eval, experiment E11), checked against the oracle. The
 # traverse benchmark prints what one relationship or one-step path hop
@@ -112,6 +115,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep|ManyRounds)$$|BenchmarkRPQUnification$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelDenseCold$$' -cpu 1,2 -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$' -benchmem ./internal/plan
 
 # The wire-level benchmark (benchmark/README.md), one workload end to

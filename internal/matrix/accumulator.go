@@ -155,20 +155,28 @@ func (a *accumulator) extract(dst []uint32) []uint32 {
 // install makes the accumulated columns row i of m, which is empty, in
 // the smaller of the two row forms.
 func (a *accumulator) install(m *Bool, i int) {
-	n := a.count()
-	switch {
+	if row, b, n := a.emit(); n > 0 {
+		m.setRow(i, row, b, n)
+	}
+}
+
+// emit returns the n accumulated columns as a new row in the smaller of
+// the two row forms for the accumulator's width: a sorted list, or, past
+// the crossover, a bitmap copied from the touched words, which are
+// neither extracted nor sorted. With nothing accumulated, it returns n
+// = 0 and allocates nothing.
+func (a *accumulator) emit() (row []uint32, b []uint64, n int) {
+	switch n = a.count(); {
 	case n == 0:
-		return
-	case n > m.listMax():
-		b := make([]uint64, nwords(m.ncols))
+		return nil, nil, 0
+	case n > 2*len(a.words): // listMax of the width a was sized for
+		b = make([]uint64, len(a.words))
 		for _, w := range a.touched {
 			b[w] = a.words[w]
 		}
-		m.setBits(i, b)
-	default:
-		m.rows[i] = a.extract(make([]uint32, 0, n))
+		return nil, b, n
 	}
-	m.nvals += n
+	return a.extract(make([]uint32, 0, n)), nil, n
 }
 
 // count returns the number of accumulated columns without extracting.

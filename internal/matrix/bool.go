@@ -60,17 +60,63 @@ func (m *Bool) setBits(i int, b []uint64) {
 	m.markOwned(i)
 }
 
-// setList installs row, which the matrix owns and which holds grown
-// entries more than row i did, as row i: a list while it is short
-// enough, a bitmap once it is not.
-func (m *Bool) setList(i int, row []uint32, grown int) {
-	m.nvals += grown
-	if len(row) > m.listMax() {
-		m.setBits(i, bitsOf(row, m.ncols))
+// setRow installs a new row the matrix owns as row i, a list or empty
+// row: the list row, or the bitmap b when it is non-nil, of n entries.
+func (m *Bool) setRow(i int, row []uint32, b []uint64, n int) {
+	m.nvals += n - len(m.rows[i])
+	if b != nil {
+		m.setBits(i, b)
 		return
 	}
 	m.rows[i] = row
 	m.markOwned(i)
+}
+
+// orInto ORs a row, the sorted list row or the bitmap b when it is
+// non-nil, into row i: in place for a bitmap row, a word at a time from
+// a bitmap, and as a new union (orRows) for a list or empty row. It
+// never keeps row or b.
+func (m *Bool) orInto(i int, row []uint32, b []uint64) {
+	if m.bitRow(i) == nil {
+		u, words, n := orRows(m.rows[i], nil, row, b, m.ncols)
+		m.setRow(i, u, words, n)
+		return
+	}
+	m.ensureOwned(i)
+	mb := m.growBits(m.bits[i])
+	m.bits[i] = mb
+	m.nvals += orWords(mb, b)
+	for _, c := range row {
+		if bit := uint64(1) << (c & 63); mb[c>>6]&bit == 0 {
+			mb[c>>6] |= bit
+			m.nvals++
+		}
+	}
+}
+
+// orRows returns the union of two rows of ncols columns, each a sorted
+// list r or, when s is non-nil, a bitmap s, as a new row in the smaller
+// form: a list while the union is within the crossover, a bitmap past
+// it. A bitmap side is past the crossover, so a union with one is a
+// bitmap. It also returns the union's entry count.
+func orRows(ra []uint32, sa []uint64, rb []uint32, sb []uint64, ncols int) (row []uint32, b []uint64, n int) {
+	if sa == nil && sb == nil {
+		row = unionRows(ra, rb)
+		if len(row) <= 2*nwords(ncols) {
+			return row, nil, len(row)
+		}
+		return nil, bitsOf(row, ncols), len(row)
+	}
+	if sa == nil {
+		ra, sa, rb, sb = rb, sb, ra, sa
+	}
+	b = make([]uint64, nwords(ncols))
+	copy(b, sa)
+	orWords(b, sb)
+	for _, c := range rb {
+		b[c>>6] |= 1 << (c & 63)
+	}
+	return nil, b, popcount(b)
 }
 
 // bitsOf returns the bitmap of the sorted columns row.

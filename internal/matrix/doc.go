@@ -25,16 +25,22 @@
 //     exists only once one row needs it. Every kernel reads both
 //     encodings; a product ORs a bitmap row a word at a time.
 //   - RowList is hypersparse (DCSR): the sorted ids of the non-empty
-//     rows and their column lists, with no slot for an empty row, so row
-//     i is a search away and building, scanning or multiplying one costs
-//     the rows it holds. It holds what a fixpoint round makes and drops:
-//     the rows it selects from a relation (SelectRows, Restrict, Union),
-//     what a product added (MulAddRows) and their getDst (Cols).
+//     rows and their rows, with no slot for an empty row, so row i is a
+//     search away and building, scanning or multiplying one costs the
+//     rows it holds. It holds what a fixpoint round makes and drops: the
+//     rows it selects from a relation (SelectRows, Restrict, Union), what
+//     a product added (MulAddRows) and their getDst (Cols). Its rows take
+//     Bool's two encodings by the same rule: a row a product gathers or a
+//     union merges is a bitmap past the crossover, so a product ORs it a
+//     word at a time in its turn; a row copied out of a Bool (SelectRows,
+//     ListRows) is a list. Its bitmap table, too, exists only once a row
+//     needs it.
 //
 // The fixpoint's one kernel is MulAddRows, the masked multiply-accumulate
 // t<¬t> ∪= a × b of GraphBLAS's mxm with a complemented mask and an OR
 // accumulator: it gathers each product row, clears what t already
-// holds, folds only the rest into t and returns it.
+// holds, emits the rest in the smaller encoding, folds it into t and
+// returns it.
 //
 // Vector stores a sparse Boolean vector as a sorted index slice and
 // doubles as the representation of vertex sets (query source sets,

@@ -62,43 +62,17 @@ func AddRowsInPlace(a, b *Bool, set *Vector) bool {
 	return changed
 }
 
-// orRow ORs row i of b, which has m's shape, into row i of m and
-// reports whether it changed. A bitmap row of m takes the new bits in
-// place; a list row is replaced by the union, which is a bitmap once it
-// is long enough or when b's row is one (b's bitmap rows are past the
-// crossover unless Resize widened b).
+// orRow ORs row i of b, which has m's shape, into row i of m (orInto)
+// and reports whether it changed. A row that holds all of b's row is
+// left as it is.
 func (m *Bool) orRow(i int, b *Bool) bool {
-	rb, sb, mb := b.rows[i], b.bitRow(i), m.bitRow(i)
-	if mb == nil && sb == nil {
-		ra := m.rows[i]
-		if len(rb) == 0 || containsAll(ra, rb) {
-			return false
-		}
-		row := unionRows(ra, rb)
-		m.setList(i, row, len(row)-len(ra))
-		return true
-	}
-	if mb == nil {
-		mb = bitsOf(m.rows[i], m.ncols)
-		m.setBits(i, mb)
-	}
-	if !lacks(mb, rb, sb) {
+	rb, sb := b.rows[i], b.bitRow(i)
+	if mb := m.bitRow(i); mb != nil && !lacks(mb, rb, sb) || mb == nil && sb == nil && containsAll(m.rows[i], rb) {
 		return false
 	}
-	m.ensureOwned(i)
-	mb = m.growBits(m.bits[i])
-	m.bits[i] = mb
-	if sb != nil {
-		m.nvals += orWords(mb, sb)
-		return true
-	}
-	for _, c := range rb {
-		if bit := uint64(1) << (c & 63); mb[c>>6]&bit == 0 {
-			mb[c>>6] |= bit
-			m.nvals++
-		}
-	}
-	return true
+	before := m.nvals
+	m.orInto(i, rb, sb)
+	return m.nvals != before
 }
 
 // lacks reports whether the list rb or the bitmap sb holds a column the

@@ -11,22 +11,32 @@ import (
 )
 
 // RowList is a hypersparse Boolean matrix (GraphBLAS's hypersparse form,
-// DCSR): the sorted ids of its non-empty rows and, for each, the sorted,
-// duplicate-free slice of its column indices. It has no n-slot row
-// table, so building, scanning or multiplying one costs the rows it
-// holds and the products they form, not the dimension. The fixpoint
-// driver keeps every transient operand in this form (ΔT, ΔM, M and the
-// products); the relations it grows stay Bool, whose rows the products
-// read by index.
+// DCSR): the sorted ids of its non-empty rows and, for each, its
+// columns, in one of Bool's two row forms: a sorted, duplicate-free
+// slice of column indices, or a bitmap of ⌈ncols/64⌉ words. It has no
+// n-slot row table, so building, scanning or multiplying one costs the
+// rows it holds and the products they form, not the dimension. The
+// fixpoint driver keeps every transient operand in this form (ΔT, ΔM, M
+// and the products); the relations it grows stay Bool, whose rows the
+// products read by index.
 //
-// A RowList is read-only once built. Lists built from one another
-// (Restrict, Union) share row slices. A nil *RowList is an empty matrix
-// of unknown shape.
+// A row a product gathers (MulAddRows) or a union merges (Union) takes
+// the smaller form, by Bool's rule: a bitmap once 4·len > 8·⌈ncols/64⌉.
+// A row copied out of a Bool (SelectRows, ListRows) is a list whatever
+// its length.
+//
+// A RowList is read-only once built: nothing writes a row of either
+// form after it is pushed. Lists built from one another (Restrict,
+// Union) share rows. A nil *RowList is an empty matrix of unknown shape.
 type RowList struct {
 	nrows, ncols int
 	ids          []uint32   // sorted ids of the non-empty rows
-	rows         [][]uint32 // rows[k] holds the columns of row ids[k]
-	nvals        int
+	rows         [][]uint32 // rows[k] holds the columns of row ids[k]; nil for a bitmap
+	// bits[k] is row ids[k]'s bitmap, nil for a list. The table stays
+	// nil until the first bitmap row, so a list of short rows pays
+	// nothing for it.
+	bits  [][]uint64
+	nvals int
 }
 
 // Operand is a matrix the row-list kernels read: a *Bool, whose row i
@@ -43,7 +53,7 @@ type Operand interface {
 
 func (m *Bool) table() ([]uint32, [][]uint32, [][]uint64) { return nil, m.rows, m.bits }
 
-func (r *RowList) table() ([]uint32, [][]uint32, [][]uint64) { return r.ids, r.rows, nil }
+func (r *RowList) table() ([]uint32, [][]uint32, [][]uint64) { return r.ids, r.rows, r.bits }
 
 // NRows returns the number of rows of the matrix the list represents.
 func (r *RowList) NRows() int { return r.nrows }
@@ -63,23 +73,44 @@ func (r *RowList) NVals() int {
 func (r *RowList) Empty() bool { return r.NVals() == 0 }
 
 // Row returns the sorted column indices of row i (nil when the row is
-// empty). The slice is shared and must not be modified.
+// empty). A list row is returned as the list holds it, a bitmap row
+// decoded into a new slice; either way the slice must not be modified.
 func (r *RowList) Row(i int) []uint32 {
 	if i < 0 || i >= r.nrows {
 		panic(fmt.Sprintf("matrix: row %d out of range %d", i, r.nrows))
 	}
+	var buf []uint32
 	if k, ok := slices.BinarySearch(r.ids, uint32(i)); ok {
-		return r.rows[k]
+		return r.cols(k, &buf)
 	}
 	return nil
+}
+
+// bitRow returns slot k's bitmap, or nil when the row is a list.
+func (r *RowList) bitRow(k int) []uint64 {
+	if r.bits == nil {
+		return nil
+	}
+	return r.bits[k]
+}
+
+// cols returns the columns of slot k: the list itself, or the bitmap
+// decoded into *buf, whose array the next call reuses.
+func (r *RowList) cols(k int, buf *[]uint32) []uint32 {
+	if b := r.bitRow(k); b != nil {
+		*buf = appendBits((*buf)[:0], b)
+		return *buf
+	}
+	return r.rows[k]
 }
 
 // Iterate calls fn for every true entry in row-major order. Iteration
 // stops early when fn returns false.
 func (r *RowList) Iterate(fn func(i, j int) bool) {
-	for k, row := range r.rows {
-		for _, c := range row {
-			if !fn(int(r.ids[k]), int(c)) {
+	var buf []uint32
+	for k, i := range r.ids {
+		for _, c := range r.cols(k, &buf) {
+			if !fn(int(i), int(c)) {
 				return
 			}
 		}
@@ -97,11 +128,27 @@ func (r *RowList) Pairs() [][2]int {
 }
 
 // push appends row i, which must be non-empty and follow every row the
-// list holds.
-func (r *RowList) push(i uint32, row []uint32) {
+// list holds: the list row, or the bitmap b when it is non-nil, of n
+// entries.
+func (r *RowList) push(i uint32, row []uint32, b []uint64, n int) {
+	if b != nil && r.bits == nil {
+		r.bits = make([][]uint64, len(r.ids), cap(r.ids))
+	}
 	r.ids = append(r.ids, i)
 	r.rows = append(r.rows, row)
-	r.nvals += len(row)
+	if r.bits != nil {
+		r.bits = append(r.bits, b)
+	}
+	r.nvals += n
+}
+
+// pushSlot appends slot k of from, sharing its row.
+func (r *RowList) pushSlot(from *RowList, k int) {
+	if b := from.bitRow(k); b != nil {
+		r.push(from.ids[k], nil, b, popcount(b))
+		return
+	}
+	r.push(from.ids[k], from.rows[k], nil, len(from.rows[k]))
 }
 
 // SelectRows returns copies of the rows of a listed in set. The copies
@@ -147,14 +194,15 @@ func selectRows(a *Bool, set []uint32, all bool) *RowList {
 			cols = append(cols, a.rows[i]...)
 		}
 		if len(cols) > lo {
-			out.push(uint32(i), cols[lo:len(cols):len(cols)])
+			out.push(uint32(i), cols[lo:len(cols):len(cols)], nil, len(cols)-lo)
 		}
 	}
 	return out
 }
 
 // Restrict returns the rows of r listed in set. It walks the shorter of
-// the two lists and searches the longer, and shares r's rows.
+// the two lists and searches the longer, and shares r's rows, bitmaps
+// too.
 func (r *RowList) Restrict(set *Vector) *RowList {
 	if set.n != r.nrows {
 		panic(fmt.Sprintf("matrix: Restrict vector size %d does not match rows %d", set.n, r.nrows))
@@ -167,7 +215,7 @@ func (r *RowList) Restrict(set *Vector) *RowList {
 				break
 			}
 			if set.idx[at] == i {
-				out.push(i, r.rows[k])
+				out.pushSlot(r, k)
 			}
 		}
 		return out
@@ -178,15 +226,16 @@ func (r *RowList) Restrict(set *Vector) *RowList {
 			break
 		}
 		if r.ids[at] == i {
-			out.push(i, r.rows[at])
+			out.pushSlot(r, at)
 		}
 	}
 	return out
 }
 
 // Union returns a ∪ b. A row held by one side only is shared; a row held
-// by both is merged into a new slice. When one side is empty, the other
-// is returned itself.
+// by both is merged into a new row in the smaller form (orRows), a
+// bitmap when either side is one or the union is past the crossover.
+// When one side is empty, the other is returned itself.
 func Union(a, b *RowList) *RowList {
 	if a.nrows != b.nrows || a.ncols != b.ncols {
 		panic(fmt.Sprintf("matrix: Union shape mismatch %dx%d vs %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
@@ -203,13 +252,14 @@ func Union(a, b *RowList) *RowList {
 	for x < len(a.ids) || y < len(b.ids) {
 		switch {
 		case y == len(b.ids) || x < len(a.ids) && a.ids[x] < b.ids[y]:
-			out.push(a.ids[x], a.rows[x])
+			out.pushSlot(a, x)
 			x++
 		case x == len(a.ids) || b.ids[y] < a.ids[x]:
-			out.push(b.ids[y], b.rows[y])
+			out.pushSlot(b, y)
 			y++
 		default:
-			out.push(a.ids[x], unionRows(a.rows[x], b.rows[y]))
+			row, words, n := orRows(a.rows[x], a.bitRow(x), b.rows[y], b.bitRow(y), a.ncols)
+			out.push(a.ids[x], row, words, n)
 			x++
 			y++
 		}
@@ -230,14 +280,18 @@ func (r *RowList) Cols() *Vector { return reduceCols(r) }
 // in a *RowList, and ORed in a word at a time when it is a bitmap, an
 // entry at a time when it is a list. It then clears what row i of t
 // holds — word by word for a bitmap row, bit by bit for a list row — and
-// extracts only what is left. So the product costs a's rows and the
-// products they form, and what t already holds is never extracted,
-// sorted or merged.
+// emits only what is left, in the smaller row form: past the crossover,
+// the accumulator's touched words copied into a bitmap, not extracted
+// or sorted. So the product costs a's rows and the products they form,
+// what t already holds is never extracted, sorted or merged, and a
+// bitmap row of the result is ORed a word at a time when it is a right
+// operand in its turn.
 //
 // The new rows are folded into t once every row is gathered: a bitmap
-// row of t takes them as bit sets in place, a list row is replaced by
-// the union. So the product is a × b as the operands stood on entry,
-// and t may be a or b itself. t never aliases the returned rows.
+// row of t takes them in place, a word at a time from a bitmap row; a
+// list row is replaced by the union (orRows). So the product is a × b as
+// the operands stood on entry, and t may be a or b itself. t never
+// aliases the returned rows.
 //
 // The rows of a are taken in blocks of ctxCheckRows slots. When there is
 // more than one block and more than one processor (runtime.GOMAXPROCS),
@@ -289,7 +343,7 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 		putAccumulator(acc)
 	}
 	for k, i := range added.ids {
-		t.addNew(int(i), added.rows[k])
+		t.orInto(int(i), added.rows[k], added.bitRow(k))
 	}
 	return added, nnz, helped, err
 }
@@ -353,8 +407,8 @@ func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *R
 		}
 		nnz += acc.count()
 		acc.clearRow(p.t, int(i))
-		if n := acc.count(); n > 0 {
-			out.push(i, acc.extract(make([]uint32, 0, n)))
+		if row, b, n := acc.emit(); n > 0 {
+			out.push(i, row, b, n)
 		}
 	}
 	return nnz, buf
@@ -410,14 +464,25 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 	work(0)
 	wg.Wait()
 
-	total := 0
+	total, anyBits := 0, false
 	for x := range blocks {
 		total += len(blocks[x].added.ids)
+		anyBits = anyBits || blocks[x].added.bits != nil
 	}
 	added = &RowList{nrows: p.t.nrows, ncols: ncols,
 		ids: make([]uint32, 0, total), rows: make([][]uint32, 0, total)}
+	if anyBits {
+		added.bits = make([][]uint64, 0, total)
+	}
 	for x := range blocks {
 		blk := &blocks[x]
+		if added.bits != nil {
+			if blk.added.bits != nil {
+				added.bits = append(added.bits, blk.added.bits...)
+			} else { // a block of list rows: nil slots
+				added.bits = added.bits[:len(added.bits)+len(blk.added.ids)]
+			}
+		}
 		added.ids = append(added.ids, blk.added.ids...)
 		added.rows = append(added.rows, blk.added.rows...)
 		added.nvals += blk.added.nvals
@@ -433,22 +498,6 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 		maps.Copy(wit, m)
 	}
 	return added, nnz, helped, err
-}
-
-// addNew adds the sorted columns row, none of which row i holds, to
-// row i: in place for a bitmap row, as a new union for a list row.
-func (m *Bool) addNew(i int, row []uint32) {
-	if m.bitRow(i) == nil {
-		m.setList(i, unionRows(m.rows[i], row), len(row))
-		return
-	}
-	m.ensureOwned(i)
-	b := m.growBits(m.bits[i])
-	m.bits[i] = b
-	for _, c := range row {
-		b[c>>6] |= 1 << (c & 63)
-	}
-	m.nvals += len(row)
 }
 
 // gallop returns the index of the first element of the sorted s[at:]

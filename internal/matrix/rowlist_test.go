@@ -17,18 +17,37 @@ import (
 func (r *RowList) toBool() *Bool { return NewBoolFromPairs(r.nrows, r.ncols, r.Pairs()) }
 
 // validateList checks the row-list invariants: ids strictly ascending
-// and in range, rows non-empty, strictly sorted and in range, and nvals
-// their total.
+// and in range; the list and bitmap tables as long as the ids; each slot
+// in exactly one form, a list non-empty, strictly sorted and in range, a
+// bitmap ⌈ncols/64⌉ words holding more than a list row may and no
+// column past ncols; and nvals their total.
 func validateList(r *RowList) error {
-	if len(r.ids) != len(r.rows) {
-		return fmt.Errorf("%d ids for %d rows", len(r.ids), len(r.rows))
+	if len(r.ids) != len(r.rows) || r.bits != nil && len(r.bits) != len(r.ids) {
+		return fmt.Errorf("%d ids for %d rows and %d bitmaps", len(r.ids), len(r.rows), len(r.bits))
 	}
+	listMax := 2 * nwords(r.ncols)
 	n := 0
 	for k, i := range r.ids {
 		if int(i) >= r.nrows || k > 0 && r.ids[k-1] >= i {
 			return fmt.Errorf("id %d at %d out of order or range", i, k)
 		}
 		row := r.rows[k]
+		if b := r.bitRow(k); b != nil {
+			if row != nil {
+				return fmt.Errorf("row %d is both a list and a bitmap", i)
+			}
+			if len(b) != nwords(r.ncols) {
+				return fmt.Errorf("row %d: bitmap of %d words for %d columns", i, len(b), r.ncols)
+			}
+			if r.ncols%64 != 0 && b[len(b)-1]>>(r.ncols%64) != 0 {
+				return fmt.Errorf("row %d: bitmap holds a column past %d", i, r.ncols)
+			}
+			if c := popcount(b); c <= listMax {
+				return fmt.Errorf("row %d: bitmap of %d entries, within the crossover %d", i, c, listMax)
+			}
+			n += popcount(b)
+			continue
+		}
 		if len(row) == 0 {
 			return fmt.Errorf("row %d is listed but empty", i)
 		}
@@ -43,6 +62,29 @@ func validateList(r *RowList) error {
 		return fmt.Errorf("nvals %d, rows hold %d", r.nvals, n)
 	}
 	return nil
+}
+
+// formsList returns copies of the rows of m listed in set, each in the
+// form m holds it: a bitmap row of m is a bitmap row of the list.
+func formsList(m *Bool, set *Vector) *RowList {
+	out := &RowList{nrows: m.nrows, ncols: m.ncols}
+	for _, i := range set.idx {
+		if b := m.bitRow(int(i)); b != nil {
+			out.push(i, nil, slices.Clone(b), popcount(b))
+		} else if row := m.rows[i]; len(row) > 0 {
+			out.push(i, slices.Clone(row), nil, len(row))
+		}
+	}
+	return out
+}
+
+// allRows is the set of every row of an n-row matrix.
+func allRows(n int) *Vector {
+	v := NewVector(n)
+	for i := range n {
+		v.Set(i)
+	}
+	return v
 }
 
 // sameAs fails the quick check when r is malformed or differs from want.
@@ -73,11 +115,139 @@ func rowSet(rng *rand.Rand, n int) *Vector {
 	return NewVectorFromIndices(n, rng.Perm(n)[:rng.Intn(n+1)])
 }
 
+// TestRowListFormsQuick checks the row-list reads and set operations
+// against a pair set on lists whose rows sit on both sides of the
+// list/bitmap crossover, at 40 columns (one word, lists of at most 2)
+// and 200 (four words, lists of at most 8): Row, Iterate (stopped inside
+// a bitmap row), Pairs and Cols; Restrict, which shares the rows it keeps
+// and changes nothing; and Union, whose merged rows take the smaller
+// form, over list ∪ list unions on both sides of the crossover,
+// list ∪ bitmap and bitmap ∪ bitmap.
+func TestRowListFormsQuick(t *testing.T) {
+	var crossed, mixed, bothBits int // merges seen of each kind
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nrows, ncols := 1+rng.Intn(24), []int{40, 200}[rng.Intn(2)]
+		am, aref := formsMatrix(rng, nrows, ncols)
+		bm, bref := formsMatrix(rng, nrows, ncols)
+		aset := rowSet(rng, nrows)
+		a, b := formsList(am, aset), formsList(bm, allRows(nrows))
+		aref = aref.rows(aset)
+		aPairs, bPairs := a.Pairs(), b.Pairs()
+		what := fmt.Sprintf("seed %d, %dx%d", seed, nrows, ncols)
+		if !sameAs(t, what+" list", a, aref.bool(nrows, ncols)) || !slices.Equal(aPairs, aref.sorted()) {
+			return false
+		}
+		for i := range nrows {
+			var want []uint32
+			for _, p := range aref.sorted() {
+				if p[0] == i {
+					want = append(want, uint32(p[1]))
+				}
+			}
+			if got := a.Row(i); !slices.Equal(got, want) {
+				t.Errorf("%s: Row(%d) = %v, want %v", what, i, got, want)
+				return false
+			}
+		}
+		if got, want := a.Cols(), ReduceCols(aref.bool(nrows, ncols)); !got.Equal(want) {
+			t.Errorf("%s: Cols = %v, want %v", what, got, want)
+			return false
+		}
+		// Stop Iterate at the middle entry of a bitmap row, or anywhere.
+		stop := rng.Intn(len(aPairs) + 1)
+		for k, i := range a.ids {
+			if b := a.bitRow(k); b != nil {
+				stop = slices.Index(aPairs, [2]int{int(i), int(appendBits(nil, b)[popcount(b)/2])})
+				break
+			}
+		}
+		var seen [][2]int
+		a.Iterate(func(i, j int) bool {
+			seen = append(seen, [2]int{i, j})
+			return len(seen) <= stop
+		})
+		if want := aPairs[:min(stop+1, len(aPairs))]; !slices.Equal(seen, want) {
+			t.Errorf("%s: Iterate stopped after %d of %d entries, want %d", what, len(seen), len(aPairs), len(want))
+			return false
+		}
+
+		set := rowSet(rng, nrows)
+		r := a.Restrict(set)
+		if !sameAs(t, what+" Restrict", r, aref.rows(set).bool(nrows, ncols)) {
+			return false
+		}
+		for k, i := range r.ids {
+			x, _ := slices.BinarySearch(a.ids, i)
+			if !sameSlot(r, k, a, x) {
+				t.Errorf("%s: Restrict copied row %d", what, i)
+				return false
+			}
+		}
+
+		u := Union(a, b)
+		if !sameAs(t, what+" Union", u, aref.union(bref).bool(nrows, ncols)) {
+			return false
+		}
+		for k, i := range u.ids {
+			x, inA := slices.BinarySearch(a.ids, i)
+			y, inB := slices.BinarySearch(b.ids, i)
+			var ok bool
+			switch {
+			case !inB:
+				ok = sameSlot(u, k, a, x)
+			case !inA:
+				ok = sameSlot(u, k, b, y)
+			default:
+				n := len(u.cols(k, new([]uint32)))
+				aBits, bBits := a.bitRow(x) != nil, b.bitRow(y) != nil
+				switch {
+				case aBits && bBits:
+					bothBits++
+				case aBits || bBits:
+					mixed++
+				case n > 2*nwords(ncols):
+					crossed++
+				}
+				ok = (u.bitRow(k) != nil) == (n > 2*nwords(ncols))
+			}
+			if !ok {
+				t.Errorf("%s: Union row %d is not shared or not in the smaller form", what, i)
+				return false
+			}
+		}
+		if !slices.Equal(a.Pairs(), aPairs) || !slices.Equal(b.Pairs(), bPairs) || validateList(a) != nil || validateList(b) != nil {
+			t.Errorf("%s: Restrict or Union changed an operand", what)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if crossed == 0 || mixed == 0 || bothBits == 0 {
+		t.Fatalf("merges seen: %d list ∪ list past the crossover, %d list ∪ bitmap, %d bitmap ∪ bitmap", crossed, mixed, bothBits)
+	}
+}
+
+// sameSlot reports whether slot k of r shares its row, list or bitmap,
+// with slot x of o.
+func sameSlot(r *RowList, k int, o *RowList, x int) bool {
+	if rb, ob := r.bitRow(k), o.bitRow(x); rb != nil || ob != nil {
+		return rb != nil && ob != nil && &rb[0] == &ob[0]
+	}
+	return &r.rows[k][0] == &o.rows[x][0]
+}
+
+// bool is the matrix holding r's entries.
+func (r refSet) bool(nrows, ncols int) *Bool { return NewBoolFromPairs(nrows, ncols, r.sorted()) }
+
 // TestRowListKernelsQuick checks every row-list kernel against its n-slot
 // reference (ExtractRows, AddInPlace, ReduceCols, Mul) on random shapes
 // from 1x1 up and densities from empty to dense: MulAddRows with either
-// operand a Bool or a row list, into a separate t and into a or b
-// itself.
+// operand a Bool, a row list of list rows or a row list whose long rows
+// are bitmaps (at most 30 columns, so every row of more than 2 entries),
+// into a separate t and into a or b itself.
 func TestRowListKernelsQuick(t *testing.T) {
 	densities := []float64{0, 0.03, 0.2, 0.6}
 	f := func(seed int64) bool {
@@ -102,12 +272,12 @@ func TestRowListKernelsQuick(t *testing.T) {
 			name string
 			op   Operand
 			ref  *Bool
-		}{{"Bool", a, a}, {"RowList", sel, ra}} {
+		}{{"Bool", a, a}, {"RowList", sel, ra}, {"bitmap RowList", formsList(a, s1), ra}} {
 			for _, r := range []struct {
 				name string
 				op   Operand
 				ref  *Bool
-			}{{"Bool", c, c}, {"RowList", SelectRows(c, rowSet(rng, m)), nil}} {
+			}{{"Bool", c, c}, {"RowList", SelectRows(c, rowSet(rng, m)), nil}, {"bitmap RowList", formsList(c, rowSet(rng, m)), nil}} {
 				if r.ref == nil {
 					r.ref = r.op.(*RowList).toBool()
 				}
@@ -123,6 +293,8 @@ func TestRowListKernelsQuick(t *testing.T) {
 		sq, _ = randomMatrix(rng, m, m, densities[rng.Intn(4)])
 		set := rowSet(rng, m)
 		ok = ok && mulAddAs(t, "MulAddRows into b", sq, SelectRows(sq, set), sq, Mul(ExtractRows(sq, set), sq))
+		sq, _ = randomMatrix(rng, m, m, densities[rng.Intn(4)])
+		ok = ok && mulAddAs(t, "MulAddRows into a, bitmap RowList b", sq, sq, formsList(sq, set), Mul(sq, ExtractRows(sq, set)))
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -173,15 +345,20 @@ func TestSelectRowsCopies(t *testing.T) {
 }
 
 // TestMulAddRowsWitness: every entry of the product gets one witness
-// k with a[i,k] and b[k,j], whether row k of b is a list or a bitmap.
+// k with a[i,k] and b[k,j], whether row k of b is a list or a bitmap,
+// and whether b is a Bool or a row list that keeps its bitmap rows.
 func TestMulAddRowsWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		a, _ := randomMatrix(rng, 10, 8, 0.2)
 		b, _ := randomMatrix(rng, 8, 12, 0.2) // rows of 3 or more entries are bitmaps
 		into, _ := randomMatrix(rng, 10, 12, 0.1)
+		var right Operand = b
+		if trial%2 == 1 {
+			right = formsList(b, allRows(8))
+		}
 		wit := map[uint64]uint32{}
-		added, nnz, _, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), b, wit)
+		added, nnz, _, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), right, wit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,8 +455,9 @@ func TestMulAddRowsCancelled(t *testing.T) {
 // TestMulAddRowsParallelQuick: gathered on four processors, the kernel
 // returns the same rows in the same order, the same count and the same
 // t as on one, and its witnesses are the same valid decompositions, on
-// operands of one to four row blocks in every left and right form, with
-// t a separate matrix or one of the operands.
+// operands of one to four row blocks in every left and right form
+// (a right row list of list rows, or one that keeps b's bitmap rows),
+// with t a separate matrix or one of the operands.
 func TestMulAddRowsParallelQuick(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	f := func(seed int64) bool {
@@ -289,7 +467,7 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 		b0, _ := formsMatrix(rng, n, n)
 		c0, _ := formsMatrix(rng, n, n)
 		set, bset := rowSet(rng, n), rowSet(rng, n)
-		left, right, into := rng.Intn(3), rng.Intn(2), rng.Intn(3)
+		left, right, into := rng.Intn(3), rng.Intn(3), rng.Intn(3)
 		type result struct {
 			added       *RowList
 			nnz, helped int
@@ -307,8 +485,11 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 			case 2:
 				l = ListRows(a)
 			}
-			if right == 1 {
+			switch right {
+			case 1:
 				r = SelectRows(b, bset)
+			case 2:
+				r = formsList(b, bset)
 			}
 			res := result{t: c0.Clone(), wit: map[uint64]uint32{}}
 			switch into {
@@ -330,7 +511,8 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 			return false
 		}
 		if err := validateList(four.added); err != nil || !slices.Equal(one.added.ids, four.added.ids) ||
-			!slices.EqualFunc(one.added.rows, four.added.rows, slices.Equal) || one.nnz != four.nnz {
+			!slices.EqualFunc(one.added.rows, four.added.rows, slices.Equal) ||
+			!slices.EqualFunc(one.added.bits, four.added.bits, slices.Equal) || one.nnz != four.nnz {
 			t.Errorf("%s: parallel added %d rows (nnz %d, %v), serial %d (nnz %d)", what, len(four.added.ids), four.nnz, err, len(one.added.ids), one.nnz)
 			return false
 		}
@@ -353,6 +535,43 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMulAddRowsJoinsMixedBlocks: a product whose row blocks differ in
+// form — the first and last add only list rows, the middle one only
+// bitmap rows — joins to a valid list with one bitmap slot per row, nil
+// for the list rows, equal to what one goroutine gathers.
+func TestMulAddRowsJoinsMixedBlocks(t *testing.T) {
+	const n = 2*ctxCheckRows + 1
+	b := NewBool(n, n)
+	b.Set(0, 0)
+	for j := range n {
+		b.Set(1, j)
+	}
+	a := NewBool(n, n)
+	for i := range n {
+		a.Set(i, i/ctxCheckRows%2) // block 1 reads b's full row 1
+	}
+	var serial *RowList
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		added, _, _, err := MulAddRows(context.Background(), NewBool(n, n), a, b, nil)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := validateList(added); err != nil {
+			t.Fatalf("%d procs: %v", procs, err)
+		}
+		if added.bits == nil || added.bitRow(0) != nil || added.bitRow(ctxCheckRows) == nil || added.bitRow(n-1) != nil {
+			t.Fatalf("%d procs: rows 0, %d and %d not list, bitmap, list", procs, ctxCheckRows, n-1)
+		}
+		if serial == nil {
+			serial = added
+		} else if !slices.Equal(serial.Pairs(), added.Pairs()) {
+			t.Fatalf("parallel join differs from the serial gather")
+		}
 	}
 }
 
@@ -417,5 +636,62 @@ func TestVectorUnionOwnsItsArray(t *testing.T) {
 	}
 	if v.NVals() != 15 {
 		t.Fatalf("v = %v", v)
+	}
+}
+
+// BenchmarkMulAddRows times one kernel call on each of the two product
+// shapes that do most of the dense-cold query's work (the first
+// chunk-100 query of go-hierarchy@0.02/G2, 900 vertices), drawn at
+// random with the row counts and lengths of that query's largest calls:
+//
+//   - short-x-long is M·ΔT: 775 left rows of 10 entries (rows of
+//     T#subClassOf_r) times a row list of 772 rows of 327 entries
+//     (ΔT^{S#0}), bitmaps, each ORed a word at a time;
+//   - long-x-short is ΔS·T: 744 left rows of 329 entries, bitmaps the
+//     gather decodes, times a Bool of 900 rows of 10 entries
+//     (T#subClassOf), each ORed an entry at a time — the shape a pull
+//     (dot-product) kernel would take over.
+//
+// t starts empty on every call, so the call folds its whole product.
+// Both shapes span several row blocks, so they gather on every
+// processor; run at -cpu 1,2.
+func BenchmarkMulAddRows(b *testing.B) {
+	const n = 900
+	rng := rand.New(rand.NewSource(1))
+	// rows returns live rows of n columns, k entries each, in the form
+	// a product leaves them: bitmaps past the crossover.
+	rows := func(live, k int) *RowList {
+		m := NewBool(n, n)
+		for _, i := range rng.Perm(n)[:live] {
+			for _, j := range rng.Perm(n)[:k] {
+				m.Set(i, j)
+			}
+		}
+		return formsList(m, allRows(n))
+	}
+	short := NewBool(n, n)
+	for i := range n {
+		for _, j := range rng.Perm(n)[:10] {
+			short.Set(i, j)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		a, b Operand
+	}{
+		{"short-x-long", rows(775, 10), rows(772, 327)},
+		{"long-x-short", rows(744, 329), short},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var nnz int
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				t := NewBool(n, n)
+				b.StartTimer()
+				_, nnz, _, _ = MulAddRows(context.Background(), t, bc.a, bc.b, nil)
+			}
+			b.ReportMetric(float64(nnz), "nnz/op")
+		})
 	}
 }

@@ -1,13 +1,18 @@
 package resp
 
 import (
+	"fmt"
+	"math/rand"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mscfpq/internal/dataset"
 	"mscfpq/internal/gdb"
+	"mscfpq/internal/graph"
 	"mscfpq/internal/obs"
 )
 
@@ -131,16 +136,7 @@ func TestServerProfileSpanTree(t *testing.T) {
 	}
 
 	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.mul.helper_blocks"} {
-		re := regexp.MustCompile(regexp.QuoteMeta(key) + `=(\d+)`)
-		var total int64
-		for _, m := range re.FindAllStringSubmatch(joined, -1) {
-			n, err := strconv.ParseInt(m[1], 10, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += n
-		}
-		if total != delta[key] {
+		if total := spanTotal(t, joined, key); total != delta[key] {
 			t.Errorf("%s: span total %d != registry delta %d\n%s", key, total, delta[key], joined)
 		}
 	}
@@ -159,6 +155,69 @@ func TestServerProfileSpanTree(t *testing.T) {
 	}
 	if len(plain.Rows) != len(reply.Rows) {
 		t.Fatalf("PROFILE changed answers: %d rows vs %d", len(reply.Rows), len(plain.Rows))
+	}
+}
+
+// spanTotal sums the key=value counters a rendered span tree carries
+// for key.
+func spanTotal(t *testing.T, tree, key string) int64 {
+	t.Helper()
+	var total int64
+	for _, m := range regexp.MustCompile(regexp.QuoteMeta(key)+`=(\d+)`).FindAllStringSubmatch(tree, -1) {
+		n, err := strconv.ParseInt(m[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	return total
+}
+
+// TestServerProfileHelperBlocks checks over the wire the counter the
+// a^n b^n profile leaves at zero: kernel.mul.helper_blocks. The first
+// chunk-100 count query of go-hierarchy@0.02/G2 multiplies operands of
+// several row blocks, so on two processors helpers gather some; the
+// profile's total must be more than zero and equal the registry's
+// delta. Each attempt renames the pattern, so it runs cold; one in which
+// no helper claimed a block is retried, a bounded number of times.
+func TestServerProfileHelperBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec, err := dataset.ByName("go-hierarchy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dataset.Generate(dataset.Scaled(spec, 0.02))
+	_, addr := startServerWith(t, map[string]*graph.Graph{"go": g})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const key, attempts = "kernel.mul.helper_blocks", 5
+	rng := rand.New(rand.NewSource(1))
+	for attempt := 1; ; attempt++ {
+		ids := make([]string, 100)
+		for x, v := range rng.Perm(g.NumVertices())[:len(ids)] {
+			ids[x] = strconv.Itoa(v)
+		}
+		query := fmt.Sprintf("PROFILE PATH PATTERN S%[1]d = ()-/ [<:subClassOf ~S%[1]d :subClassOf] | [:subClassOf] /->() "+
+			"MATCH (v)-/ ~S%[1]d /->(to) WHERE id(v) IN [%[2]s] RETURN count(to)", attempt, strings.Join(ids, ", "))
+		before := obs.Default.Snapshot()
+		reply, err := c.GraphQuery("go", query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := obs.Default.Snapshot().Sub(before)
+		tree := strings.Join(reply.Stats, "\n")
+		if total := spanTotal(t, tree, key); total != delta[key] {
+			t.Fatalf("%s: span total %d != registry delta %d\n%s", key, total, delta[key], tree)
+		}
+		if delta[key] > 0 {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("%s stayed 0 in %d runs", key, attempts)
+		}
 	}
 }
 

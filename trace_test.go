@@ -2,6 +2,8 @@ package mscfpq
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"mscfpq/internal/obs"
@@ -87,5 +89,48 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 	}
 	if root.Total("kernel.mul.ops") == 0 {
 		t.Fatal("expected mul work in the fixpoint")
+	}
+}
+
+// TestFacadeTraceHelperBlocks checks the counter the Figure 1 run leaves
+// at zero: kernel.mul.helper_blocks, the row blocks a helper goroutine
+// gathered. The first chunk-100 query of go-hierarchy@0.02/G2 multiplies
+// operands of several row blocks, so on two processors helpers gather
+// some; the trace's total must be more than zero and equal the registry's
+// delta. A helper that starts after the last block is claimed gathers
+// nothing, so a run in which none did is retried, a bounded number of
+// times.
+func TestFacadeTraceHelperBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g, err := GenerateDataset("go-hierarchy", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ToWCNF(G2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key, attempts = "kernel.mul.helper_blocks", 5
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(1))
+	for attempt := 1; ; attempt++ {
+		src := NewVertexSet(n, rng.Perm(n)[:100]...)
+		tr := NewTrace("cfpq")
+		before := obs.Default.Snapshot()
+		if _, err := EvalCFPQ(g, w, src, WithTrace(tr)); err != nil {
+			t.Fatal(err)
+		}
+		delta := obs.Default.Snapshot().Sub(before)
+		tr.Close()
+		if tot := tr.Root().Total(key); tot != delta[key] {
+			t.Fatalf("%s: span total %d != registry delta %d", key, tot, delta[key])
+		}
+		if delta[key] > 0 {
+			t.Logf("%s = %d on attempt %d", key, delta[key], attempt)
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("%s stayed 0 in %d runs", key, attempts)
+		}
 	}
 }
