@@ -286,22 +286,26 @@ func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 // cancellation every few rows of a and returns the entries t gained.
 // It counts and charges the product's entries before the mask, as Mul
 // does, and counts one add of the entries t gained when there are any,
-// as Add does, and the row blocks the kernel gathered off the calling
-// goroutine. On an error the entries already added stay in t and are
-// returned with it.
+// as Add does, the row blocks the kernel gathered off the calling
+// goroutine and the rows it gathered by column panels. On an error the
+// entries already added stay in t and are returned with it.
 func (r *Run) MulAddRows(t *matrix.Bool, a, b matrix.Operand, wit map[uint64]uint32) (*matrix.RowList, error) {
-	added, nnz, helped, err := matrix.MulAddRows(r.Ctx(), t, a, b, wit)
+	added, st, err := matrix.MulAddRows(r.Ctx(), t, a, b, wit)
 	if r == nil {
 		return added, err
 	}
 	if !added.Empty() {
 		r.countAdded(int64(added.NVals()))
 	}
-	if helped > 0 {
-		obs.KernelMulHelperBlocks.Add(int64(helped))
-		r.trace.Add(obs.KeyMulHelperBlocks, int64(helped))
+	if st.HelperBlocks > 0 {
+		obs.KernelMulHelperBlocks.Add(int64(st.HelperBlocks))
+		r.trace.Add(obs.KeyMulHelperBlocks, int64(st.HelperBlocks))
 	}
-	if cerr := r.countMul(nnz); err == nil {
+	if st.PanelRows > 0 {
+		obs.KernelMulPanelRows.Add(int64(st.PanelRows))
+		r.trace.Add(obs.KeyMulPanelRows, int64(st.PanelRows))
+	}
+	if cerr := r.countMul(st.NNZ); err == nil {
 		err = cerr
 	}
 	return added, err

@@ -12,9 +12,15 @@ import (
 // proportional to the touched region, not the full matrix width. Every
 // word outside the touched list is zero: reset clears the touched words,
 // so a word is known to be new to the round exactly when it reads zero.
+// It also holds a decoded row and the column panel's scratch, whose
+// colw and ct are 64-word blocks, all zero between panels.
 type accumulator struct {
 	words   []uint64
-	touched []uint32 // word indices dirtied this round
+	touched []uint32    // word indices dirtied this round
+	buf     []uint32    // an operand's bitmap row, decoded
+	colw    []uint64    // colw[k]: bit r set when the panel's row r holds k
+	ct      []uint64    // ct[j]: bit r set when the panel's product row r holds j
+	reads   []panelRead // the rows of b the panel reads
 }
 
 // accPool recycles accumulators across multiplications. A fixpoint

@@ -40,7 +40,10 @@
 // t<¬t> ∪= a × b of GraphBLAS's mxm with a complemented mask and an OR
 // accumulator: it gathers each product row, clears what t already
 // holds, emits the rest in the smaller encoding, folds it into t and
-// returns it.
+// returns it. Like SuiteSparse, it picks how to gather from its operands,
+// per 64 rows of a: row by row (Gustavson's push), or, for long rows
+// cheaper so by count, by column panel — the rows transposed, 64×64 bits
+// at a time, so each row of b is read once a panel and ORed a word.
 //
 // Vector stores a sparse Boolean vector as a sorted index slice and
 // doubles as the representation of vertex sets (query source sets,

@@ -231,9 +231,9 @@ func TestBoolFormsQuick(t *testing.T) {
 			if left != Operand(a) {
 				want = ra.rows(set).mul(rsq)
 			}
-			added, nnz, _, err := MulAddRows(context.Background(), into, left, sq, nil)
-			if err != nil || nnz != len(want) {
-				t.Errorf("seed %d: MulAddRows nnz %d, want %d (%v)", seed, nnz, len(want), err)
+			added, st, err := MulAddRows(context.Background(), into, left, sq, nil)
+			if err != nil || st.NNZ != len(want) {
+				t.Errorf("seed %d: MulAddRows nnz %d, want %d (%v)", seed, st.NNZ, len(want), err)
 				return false
 			}
 			ok = ok && check(fmt.Sprintf("MulAddRows %T into t", left), into, rinto.union(want)) &&

@@ -1,0 +1,229 @@
+package matrix
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"testing/quick"
+)
+
+// panelOperands draws a left matrix of nrows x inner whose rows average
+// past the list/bitmap crossover (a few empty), and a right matrix of
+// inner x ncols of short list rows with a few long bitmap rows: the
+// shape column panels are for.
+func panelOperands(rng *rand.Rand, nrows, inner, ncols int) (a, b *Bool) {
+	a, b = NewBool(nrows, inner), NewBool(inner, ncols)
+	for i := range nrows {
+		if rng.Intn(16) == 0 {
+			continue
+		}
+		for _, k := range rng.Perm(inner)[:min(inner, 2*nwords(inner)+1+rng.Intn(inner))] {
+			a.Set(i, k)
+		}
+	}
+	for k := range inner {
+		n := rng.Intn(5)
+		if rng.Intn(10) == 0 {
+			n = ncols / 2
+		}
+		for _, j := range rng.Perm(ncols)[:min(ncols, n)] {
+			b.Set(k, j)
+		}
+	}
+	return a, b
+}
+
+// sameAdded reports whether two products added the same rows in the same
+// slots and forms.
+func sameAdded(x, y *RowList) bool {
+	return slices.Equal(x.ids, y.ids) && slices.EqualFunc(x.rows, y.rows, slices.Equal) &&
+		slices.EqualFunc(x.bits, y.bits, slices.Equal) && x.nvals == y.nvals
+}
+
+// TestMulAddRowsPanelQuick: a product gathered by column panels is the
+// one push gathers — the same added rows, in the same slots and forms,
+// the same count before the mask, the same t after the fold — over left
+// operands of 1 to 300 rows (panels of 1, 63, 64 and 65 rows, and panels
+// on both sides of a row-block boundary) as a Bool of bitmap rows, a row
+// list of bitmaps, or the union of long list rows (SelectRows) and
+// bitmaps, whose panels transpose both forms; a right operand as a
+// Bool of list and bitmap rows or a row list missing some ids; widths
+// that are not whole words, with a's width not t's; t a separate matrix,
+// a or b; on one processor and on two; and cut after its first block
+// by a cancelled context. A product with witnesses is gathered by push,
+// which is the reference. Panels must be taken with every left form and
+// every row count but 1 (a one-row panel never wins by count), and some
+// cut product must keep rows.
+func TestMulAddRowsPanelQuick(t *testing.T) {
+	took := map[string]bool{}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{1, 63, 64, 65, ctxCheckRows + 1, 300}[rng.Intn(6)]
+		inner, ncols, into := 1+rng.Intn(200), 1+rng.Intn(200), rng.Intn(3)
+		if into > 0 {
+			inner, ncols = n, n
+		}
+		a0, b0 := panelOperands(rng, n, inner, ncols)
+		c0, _ := randomMatrix(rng, n, ncols, rng.Float64()/4)
+		left, right := rng.Intn(3), rng.Intn(3)
+		lset, mset, bset := allRows(n), rowSet(rng, n), rowSet(rng, inner)
+		if rng.Intn(2) == 0 {
+			lset = rowSet(rng, n)
+		}
+		run := func(ctx context.Context, procs int, wit map[uint64]uint32) (*RowList, MulStats, *Bool, error) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			a, b := a0.Clone(), b0.Clone()
+			var l, r Operand = a, b
+			switch left {
+			case 1: // long list rows beside bitmaps, as a fixpoint's ΔM
+				l = Union(SelectRows(a, lset), formsList(a, mset))
+			case 2:
+				l = formsList(a, lset)
+			}
+			switch right {
+			case 1:
+				r = SelectRows(b, bset)
+			case 2:
+				r = formsList(b, bset)
+			}
+			into := map[int]*Bool{0: c0.Clone(), 1: a, 2: b}[into]
+			added, st, err := MulAddRows(ctx, into, l, r, wit)
+			return added, st, into, err
+		}
+		what := fmt.Sprintf("seed %d: %d rows, %d inner, %d columns, left %d, right %d, into %d", seed, n, inner, ncols, left, right, into)
+		push, pst, pt, _ := run(context.Background(), 1, map[uint64]uint32{})
+		if pst.PanelRows != 0 {
+			t.Errorf("%s: %d rows gathered by panels with witnesses", what, pst.PanelRows)
+			return false
+		}
+		for procs := 1; procs <= 2; procs++ {
+			added, st, into, err := run(context.Background(), procs, nil)
+			if err != nil || validateList(added) != nil || into.validate() != nil {
+				t.Errorf("%s, %d procs: %v, %v, %v", what, procs, err, validateList(added), into.validate())
+				return false
+			}
+			if !sameAdded(added, push) || st.NNZ != pst.NNZ || !into.Equal(pt) {
+				t.Errorf("%s, %d procs: panels added %d (nnz %d), push %d (nnz %d)", what, procs, added.NVals(), st.NNZ, push.NVals(), pst.NNZ)
+				return false
+			}
+			if st.PanelRows > 0 {
+				took[fmt.Sprint("left ", left)] = true
+				took[fmt.Sprint(n, " rows")] = true
+			}
+		}
+		if n > ctxCheckRows {
+			push, _, pt, perr := run(newCancelAfter(1), 1, map[uint64]uint32{})
+			added, _, into, err := run(newCancelAfter(1), 1, nil)
+			cut := errors.Is(err, context.Canceled)
+			if cut != errors.Is(perr, context.Canceled) || !sameAdded(added, push) || !into.Equal(pt) {
+				t.Errorf("%s: cut after one block, panels added %d (%v), push %d (%v)", what, added.NVals(), err, push.NVals(), perr)
+				return false
+			}
+			took["cut"] = took["cut"] || cut && added.NVals() > 0
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"left 0", "left 1", "left 2", "63 rows", "64 rows", "65 rows", fmt.Sprint(ctxCheckRows+1, " rows"), "300 rows", "cut"} {
+		if !took[want] {
+			t.Errorf("no panel taken with %s", want)
+		}
+	}
+}
+
+// TestMulAddRowsPanelChoice pins which products panels gather, on the
+// shapes of BenchmarkMulAddRows (900 columns): every row of ΔS·T (rows
+// of 329 entries times rows of 10); of the same product with rows of 31
+// entries, one past the crossover, every panel but the last of 40 rows,
+// which push gathers cheaper by count; none with rows of 31 times rows
+// of 2, cheaper by push; and none of M·ΔT (rows of 10 times bitmaps of
+// 327), of an a^n b^n round (rows of one entry), or of rows of 10 with
+// one bitmap row of 329 among them: no panel of these passes the
+// crossover, so none makes panel scratch. Each call leaves the scratch
+// it made all zero.
+func TestMulAddRowsPanelChoice(t *testing.T) {
+	const n = 900
+	rng := rand.New(rand.NewSource(1))
+	rows := func(live, k int) *RowList {
+		m := NewBool(n, n)
+		for _, i := range rng.Perm(n)[:live] {
+			for _, j := range rng.Perm(n)[:k] {
+				m.Set(i, j)
+			}
+		}
+		return formsList(m, allRows(n))
+	}
+	short := NewBool(n, n)
+	for i := range n {
+		for _, j := range rng.Perm(n)[:10] {
+			short.Set(i, j)
+		}
+	}
+	cycle, sparse, oneLong := NewBool(n, n), NewBool(n, n), short.Clone()
+	for i := range n {
+		cycle.Set(i, (i+1)%n)
+		sparse.Set(i, rng.Intn(n))
+		sparse.Set(i, rng.Intn(n))
+	}
+	for _, j := range rng.Perm(n)[:329] {
+		oneLong.Set(0, j)
+	}
+	for _, c := range []struct {
+		name  string
+		a, b  Operand
+		panel int // rows panels gather; -1: none past the crossover
+	}{
+		{"long-x-short", rows(744, 329), short, 744},
+		{"mid-x-short", rows(744, 31), short, 704},
+		{"mid-x-sparse", rows(744, 31), sparse, 0},
+		{"short-x-long", rows(775, 10), rows(772, 327), -1},
+		{"one long row in short ones", oneLong, short, -1},
+		{"a^n b^n round", ListRows(cycle), cycle, -1},
+	} {
+		p := product{t: NewBool(n, n), inner: n}
+		p.aIDs, p.aRows, p.aBits = c.a.table()
+		p.bIDs, p.bRows, p.bBits = c.b.table()
+		acc := &accumulator{}
+		acc.resize(n)
+		var st MulStats
+		out := &RowList{nrows: n, ncols: n}
+		for lo := 0; lo < len(p.aRows); lo += ctxCheckRows {
+			p.gather(lo, acc, nil, out, &st)
+		}
+		if st.PanelRows != max(c.panel, 0) || c.panel < 0 && acc.colw != nil {
+			t.Errorf("%s: %d rows gathered by panels, want %d (scratch made: %v)", c.name, st.PanelRows, c.panel, acc.colw != nil)
+		}
+		nonzero := func(w uint64) bool { return w != 0 }
+		if slices.ContainsFunc(acc.colw, nonzero) || slices.ContainsFunc(acc.ct, nonzero) {
+			t.Errorf("%s: panel scratch left non-zero", c.name)
+		}
+	}
+}
+
+// TestTranspose64: bit c of word r moves to bit r of word c, and a
+// second transpose restores the block.
+func TestTranspose64(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var blk, orig [64]uint64
+	for r := range blk {
+		blk[r] = rng.Uint64() & rng.Uint64()
+	}
+	orig = blk
+	transpose64(&blk)
+	for r := range 64 {
+		for c := range 64 {
+			if blk[c]>>r&1 != orig[r]>>c&1 {
+				t.Fatalf("bit (%d,%d) did not move to (%d,%d)", r, c, c, r)
+			}
+		}
+	}
+	if transpose64(&blk); blk != orig {
+		t.Fatal("transposing twice changed the block")
+	}
+}

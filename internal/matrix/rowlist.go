@@ -27,7 +27,8 @@ import (
 //
 // A RowList is read-only once built: nothing writes a row of either
 // form after it is pushed. Lists built from one another (Restrict,
-// Union) share rows. A nil *RowList is an empty matrix of unknown shape.
+// Union) share rows. A nil *RowList is an empty matrix of unknown shape
+// to NVals, Empty, Iterate and Pairs; every other method needs a list.
 type RowList struct {
 	nrows, ncols int
 	ids          []uint32   // sorted ids of the non-empty rows
@@ -105,8 +106,11 @@ func (r *RowList) cols(k int, buf *[]uint32) []uint32 {
 }
 
 // Iterate calls fn for every true entry in row-major order. Iteration
-// stops early when fn returns false.
+// stops early when fn returns false. A nil list calls it for none.
 func (r *RowList) Iterate(fn func(i, j int) bool) {
+	if r == nil {
+		return
+	}
 	var buf []uint32
 	for k, i := range r.ids {
 		for _, c := range r.cols(k, &buf) {
@@ -117,9 +121,10 @@ func (r *RowList) Iterate(fn func(i, j int) bool) {
 	}
 }
 
-// Pairs returns all true entries as (row, col) pairs in row-major order.
+// Pairs returns all true entries (none for nil) as (row, col) pairs in
+// row-major order.
 func (r *RowList) Pairs() [][2]int {
-	out := make([][2]int, 0, r.nvals)
+	out := make([][2]int, 0, r.NVals())
 	r.Iterate(func(i, j int) bool {
 		out = append(out, [2]int{i, j})
 		return true
@@ -271,21 +276,33 @@ func Union(a, b *RowList) *RowList {
 // paper's getDst of the pairs r represents.
 func (r *RowList) Cols() *Vector { return reduceCols(r) }
 
+// MulStats is what one MulAddRows call did besides the rows it added.
+type MulStats struct {
+	NNZ          int // the product's entries before the mask
+	HelperBlocks int // row blocks a helper goroutine gathered
+	PanelRows    int // rows of a a column panel gathered
+}
+
 // MulAddRows is the masked multiply-accumulate t<¬t> ∪= a × b: it adds
 // to t the entries of the Boolean product that t lacks, and returns
 // them, as a row list, with the product's entry count before the mask.
 //
-// It visits the non-empty rows of a and gathers row i of the product in
-// an accumulator: row k of b is found by index in a *Bool and by search
-// in a *RowList, and ORed in a word at a time when it is a bitmap, an
-// entry at a time when it is a list. It then clears what row i of t
-// holds — word by word for a bitmap row, bit by bit for a list row — and
-// emits only what is left, in the smaller row form: past the crossover,
-// the accumulator's touched words copied into a bitmap, not extracted
-// or sorted. So the product costs a's rows and the products they form,
-// what t already holds is never extracted, sorted or merged, and a
-// bitmap row of the result is ORed a word at a time when it is a right
-// operand in its turn.
+// It gathers each row of the product in an accumulator one of two ways.
+// Row by row (Gustavson's push): row k of b is found by index in a *Bool
+// and by search in a *RowList, and ORed in a word at a time when it is a
+// bitmap, an entry at a time when it is a list. By column panel
+// (gatherPanel), when a holds bitmap rows, 64 of its rows average past
+// the crossover and cost less so by count, never with witnesses: the
+// rows are transposed into a word per index k, ORed into a word per
+// column for every entry of b's row k, so a row of b is read once a
+// panel. Either way it then clears what row i of t holds — word by word
+// for a bitmap row, bit by bit for a list row — and emits only what is
+// left, in the smaller row form: past the crossover, the accumulator's
+// touched words copied into a bitmap, not extracted or sorted. So the
+// product costs a's rows and the products they form, what t already
+// holds is never extracted, sorted or merged, and a bitmap row of the
+// result is ORed a word at a time when it is a right operand in its
+// turn.
 //
 // The new rows are folded into t once every row is gathered: a bitmap
 // row of t takes them in place, a word at a time from a bitmap row; a
@@ -301,7 +318,7 @@ func (r *RowList) Cols() *Vector { return reduceCols(r) }
 // joined in block order and only then folded into t, on the caller. So
 // the result, the count and t are the same as when one goroutine
 // gathers every block, and the caller waits only for blocks someone
-// claimed. helped is the number of blocks a helper gathered.
+// claimed.
 //
 // Each claim polls ctx. Once the context is done, blocks claimed from
 // then on are skipped; the blocks gathered so far are folded into t and
@@ -311,16 +328,16 @@ func (r *RowList) Cols() *Vector { return reduceCols(r) }
 // witness k with a[i,k] and b[k,j] both true, under Key(i, j). A helper
 // files into a map of its own, merged into wit after the join; the keys
 // are disjoint, since the rows are.
-func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint32) (added *RowList, nnz, helped int, err error) {
+func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint32) (added *RowList, st MulStats, err error) {
 	if a.NCols() != b.NRows() || t.nrows != a.NRows() || t.ncols != b.NCols() {
 		panic(fmt.Sprintf("matrix: MulAddRows dimension mismatch %dx%d += %dx%d * %dx%d",
 			t.nrows, t.ncols, a.NRows(), a.NCols(), b.NRows(), b.NCols()))
 	}
 	added = &RowList{nrows: t.nrows, ncols: t.ncols}
 	if a.NVals() == 0 || b.NVals() == 0 {
-		return added, 0, 0, ctx.Err()
+		return added, st, ctx.Err()
 	}
-	p := product{t: t}
+	p := product{t: t, inner: a.NCols()}
 	p.aIDs, p.aRows, p.aBits = a.table()
 	p.bIDs, p.bRows, p.bBits = b.table()
 	nblocks, workers := (len(p.aRows)+ctxCheckRows-1)/ctxCheckRows, 1
@@ -328,98 +345,110 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 		workers = min(nblocks, runtime.GOMAXPROCS(0))
 	}
 	if workers > 1 {
-		added, nnz, helped, err = p.gatherParallel(ctx, nblocks, workers, wit)
+		added, st, err = p.gatherParallel(ctx, nblocks, workers, wit)
 	} else {
 		acc := getAccumulator(t.ncols)
-		var buf []uint32
 		for lo := 0; lo < len(p.aRows); lo += ctxCheckRows {
 			if err = ctx.Err(); err != nil {
 				break
 			}
-			var n int
-			n, buf = p.gather(lo, acc, wit, added, buf)
-			nnz += n
+			p.gather(lo, acc, wit, added, &st)
 		}
 		putAccumulator(acc)
 	}
 	for k, i := range added.ids {
 		t.orInto(int(i), added.rows[k], added.bitRow(k))
 	}
-	return added, nnz, helped, err
+	return added, st, err
 }
 
-// product holds the row tables of the operands of one MulAddRows call
-// and the matrix t it masks by. Gathering only reads them.
+// product holds one MulAddRows call's row tables, a's width and the
+// mask t. Gathering only reads them.
 type product struct {
 	t            *Bool
+	inner        int
 	aIDs, bIDs   []uint32
 	aRows, bRows [][]uint32
 	aBits, bBits [][]uint64
 }
 
+// slot returns slot x of a bitmap table, nil for a list row.
+func slot(bits [][]uint64, x int) []uint64 {
+	if bits == nil {
+		return nil
+	}
+	return bits[x]
+}
+
 // gather appends to out the rows of a × b that t lacks for the block of
 // a's slots starting at lo, filing witnesses in wit when it is non-nil,
-// and returns the product's entry count over the block before the mask.
-// buf is scratch for decoding a bitmap row of a; gather returns it,
-// grown, for the next block.
-func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *RowList, buf []uint32) (nnz int, _ []uint32) {
-	for x := lo; x < min(lo+ctxCheckRows, len(p.aRows)); x++ {
-		ra := p.aRows[x]
-		if p.aBits != nil && p.aBits[x] != nil {
-			buf = appendBits(buf[:0], p.aBits[x])
-			ra = buf
-		}
-		if len(ra) == 0 {
-			continue
-		}
-		i := uint32(x)
-		if p.aIDs != nil {
-			i = p.aIDs[x]
-		}
-		acc.reset()
-		at := 0 // ra is sorted, so its rows of b are met in order
-		for _, k := range ra {
-			y := int(k)
-			if p.bIDs != nil {
-				if at = gallop(p.bIDs, at, k); at == len(p.bIDs) {
-					break
+// and adds to st. Each run of panelSize slots is gathered by a column
+// panel when gatherPanel takes it, by push otherwise; either way each
+// row then goes through the same tail: its count before the mask, the
+// clear of what row i of t holds, and emit.
+func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *RowList, st *MulStats) {
+	hi := min(lo+ctxCheckRows, len(p.aRows))
+	for x0 := lo; x0 < hi; x0 += panelSize {
+		end := min(x0+panelSize, hi)
+		panel := wit == nil && p.aBits != nil && p.gatherPanel(x0, end, acc, st)
+		for x := x0; x < end; x++ {
+			i := uint32(x)
+			if p.aIDs != nil {
+				i = p.aIDs[x]
+			}
+			if panel {
+				acc.takeRow(x - x0)
+			} else {
+				ra := p.aRows[x]
+				if b := slot(p.aBits, x); b != nil {
+					acc.buf = appendBits(acc.buf[:0], b)
+					ra = acc.buf
 				}
-				if p.bIDs[at] != k {
+				if len(ra) == 0 {
 					continue
 				}
-				y = at
+				acc.reset()
+				at := 0 // ra is sorted, so its rows of b are met in order
+				for _, k := range ra {
+					y := int(k)
+					if p.bIDs != nil {
+						if at = gallop(p.bIDs, at, k); at == len(p.bIDs) {
+							break
+						}
+						if p.bIDs[at] != k {
+							continue
+						}
+						y = at
+					}
+					sb := slot(p.bBits, y)
+					if wit != nil {
+						acc.witness(wit, i, k, p.bRows[y], sb)
+					}
+					if sb != nil {
+						acc.orBits(sb)
+					} else {
+						acc.orRow(p.bRows[y])
+					}
+				}
 			}
-			var sb []uint64
-			if p.bBits != nil {
-				sb = p.bBits[y]
+			if len(acc.touched) == 0 {
+				continue
 			}
-			if wit != nil {
-				acc.witness(wit, i, k, p.bRows[y], sb)
+			st.NNZ += acc.count()
+			acc.clearRow(p.t, int(i))
+			if row, b, n := acc.emit(); n > 0 {
+				out.push(i, row, b, n)
 			}
-			if sb != nil {
-				acc.orBits(sb)
-			} else {
-				acc.orRow(p.bRows[y])
-			}
-		}
-		if len(acc.touched) == 0 {
-			continue
-		}
-		nnz += acc.count()
-		acc.clearRow(p.t, int(i))
-		if row, b, n := acc.emit(); n > 0 {
-			out.push(i, row, b, n)
 		}
 	}
-	return nnz, buf
 }
 
 // block is what gathering one block of a's slots produced.
 type block struct {
 	added  RowList
-	nnz    int
-	err    error // the context's error when the block was skipped
-	helped bool  // gathered by a helper
+	st     MulStats // the block's count and panel rows
+	err    error    // the context's error when the block was skipped
+	helped bool     // gathered by a helper
 }
 
 // gatherParallel gathers the nblocks blocks of a × b \ t on the calling
@@ -427,7 +456,7 @@ type block struct {
 // A helper touches nothing but the claim counter until it claims a
 // block, and the wait group counts blocks, not helpers, so a helper
 // that starts after the last claim is never waited for.
-func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit map[uint64]uint32) (added *RowList, nnz, helped int, err error) {
+func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit map[uint64]uint32) (added *RowList, st MulStats, err error) {
 	blocks := make([]block, nblocks)
 	wits := make([]map[uint64]uint32, workers)
 	if wit != nil {
@@ -442,14 +471,13 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 	wg.Add(nblocks)
 	work := func(w int) {
 		var acc *accumulator
-		var buf []uint32
 		for x := int(next.Add(1) - 1); x < nblocks; x = int(next.Add(1) - 1) {
 			if acc == nil {
 				acc = getAccumulator(ncols)
 			}
 			blk := &blocks[x]
 			if blk.err = ctx.Err(); blk.err == nil {
-				blk.nnz, buf = p.gather(x*ctxCheckRows, acc, wits[w], &blk.added, buf)
+				p.gather(x*ctxCheckRows, acc, wits[w], &blk.added, &blk.st)
 				blk.helped = w > 0
 			}
 			wg.Done()
@@ -486,9 +514,10 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 		added.ids = append(added.ids, blk.added.ids...)
 		added.rows = append(added.rows, blk.added.rows...)
 		added.nvals += blk.added.nvals
-		nnz += blk.nnz
+		st.NNZ += blk.st.NNZ
+		st.PanelRows += blk.st.PanelRows
 		if blk.helped {
-			helped++
+			st.HelperBlocks++
 		}
 		if err == nil {
 			err = blk.err
@@ -497,7 +526,7 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 	for _, m := range wits[1:] {
 		maps.Copy(wit, m)
 	}
-	return added, nnz, helped, err
+	return added, st, err
 }
 
 // gallop returns the index of the first element of the sorted s[at:]

@@ -309,13 +309,13 @@ func TestRowListKernelsQuick(t *testing.T) {
 func mulAddAs(t *testing.T, what string, into *Bool, a, b Operand, prod *Bool) bool {
 	t.Helper()
 	before := into.Clone()
-	added, nnz, _, err := MulAddRows(context.Background(), into, a, b, nil)
+	added, st, err := MulAddRows(context.Background(), into, a, b, nil)
 	if err != nil {
 		t.Errorf("%s: %v", what, err)
 		return false
 	}
-	if nnz != prod.NVals() {
-		t.Errorf("%s: product nnz %d, want %d", what, nnz, prod.NVals())
+	if st.NNZ != prod.NVals() {
+		t.Errorf("%s: product nnz %d, want %d", what, st.NNZ, prod.NVals())
 		return false
 	}
 	if err := into.validate(); err != nil {
@@ -327,6 +327,19 @@ func mulAddAs(t *testing.T, what string, into *Bool, a, b Operand, prod *Bool) b
 		return false
 	}
 	return sameAs(t, what+" added", added, Sub(prod, before))
+}
+
+// TestRowListNil pins what a nil *RowList answers: it is empty to
+// NVals, Empty, Iterate and Pairs.
+func TestRowListNil(t *testing.T) {
+	var r *RowList
+	r.Iterate(func(i, j int) bool {
+		t.Fatalf("nil list iterated (%d,%d)", i, j)
+		return false
+	})
+	if r.NVals() != 0 || !r.Empty() || len(r.Pairs()) != 0 {
+		t.Fatalf("nil list: NVals %d, Empty %v, Pairs %v", r.NVals(), r.Empty(), r.Pairs())
+	}
 }
 
 // TestSelectRowsCopies pins the copy rule: growing a selected row of the
@@ -358,12 +371,12 @@ func TestMulAddRowsWitness(t *testing.T) {
 			right = formsList(b, allRows(8))
 		}
 		wit := map[uint64]uint32{}
-		added, nnz, _, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), right, wit)
+		added, st, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), right, wit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(wit) != nnz {
-			t.Fatalf("witness count %d != product nnz %d", len(wit), nnz)
+		if len(wit) != st.NNZ {
+			t.Fatalf("witness count %d != product nnz %d", len(wit), st.NNZ)
 		}
 		for key, k := range wit {
 			i, j := int(key>>32), int(uint32(key))
@@ -419,14 +432,14 @@ func TestMulAddRowsCancelled(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, op := range []Operand{a, ListRows(a)} {
 			into := NewBool(nrows, 4)
-			if added, _, _, err := MulAddRows(ctx, into, op, b, nil); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
+			if added, _, err := MulAddRows(ctx, into, op, b, nil); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
 				t.Fatalf("%d procs, %T: MulAddRows = %v, %v under a cancelled context; t = %v", procs, op, added.Pairs(), err, into.Pairs())
 			}
 			for polls := 1; polls <= 2; polls++ {
 				into = NewBool(nrows, 4)
-				added, nnz, _, err := MulAddRows(newCancelAfter(polls), into, op, b, nil)
-				if !errors.Is(err, context.Canceled) || nnz != added.NVals() || !added.toBool().Equal(into) || validateList(added) != nil {
-					t.Fatalf("%d procs, %T: cut after %d polls: added %d (nnz %d), t %d, err %v", procs, op, polls, added.NVals(), nnz, into.NVals(), err)
+				added, st, err := MulAddRows(newCancelAfter(polls), into, op, b, nil)
+				if !errors.Is(err, context.Canceled) || st.NNZ != added.NVals() || !added.toBool().Equal(into) || validateList(added) != nil {
+					t.Fatalf("%d procs, %T: cut after %d polls: added %d (nnz %d), t %d, err %v", procs, op, polls, added.NVals(), st.NNZ, into.NVals(), err)
 				}
 				// Every kept row is a true product row, and the kept rows
 				// are polls whole blocks.
@@ -469,10 +482,10 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 		set, bset := rowSet(rng, n), rowSet(rng, n)
 		left, right, into := rng.Intn(3), rng.Intn(3), rng.Intn(3)
 		type result struct {
-			added       *RowList
-			nnz, helped int
-			t           *Bool
-			wit         map[uint64]uint32
+			added *RowList
+			st    MulStats
+			t     *Bool
+			wit   map[uint64]uint32
 		}
 		// run multiplies fresh copies of the operands on procs processors.
 		run := func(procs int) result {
@@ -499,29 +512,29 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 				res.t = b
 			}
 			var err error
-			if res.added, res.nnz, res.helped, err = MulAddRows(context.Background(), res.t, l, r, res.wit); err != nil {
+			if res.added, res.st, err = MulAddRows(context.Background(), res.t, l, r, res.wit); err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
 		one, four := run(1), run(4)
 		what := fmt.Sprintf("seed %d, %d rows, left form %d, right form %d, into %d", seed, n, left, right, into)
-		if one.helped != 0 || n <= ctxCheckRows && four.helped != 0 {
-			t.Errorf("%s: helpers gathered %d and %d blocks", what, one.helped, four.helped)
+		if one.st.HelperBlocks != 0 || n <= ctxCheckRows && four.st.HelperBlocks != 0 {
+			t.Errorf("%s: helpers gathered %d and %d blocks", what, one.st.HelperBlocks, four.st.HelperBlocks)
 			return false
 		}
 		if err := validateList(four.added); err != nil || !slices.Equal(one.added.ids, four.added.ids) ||
 			!slices.EqualFunc(one.added.rows, four.added.rows, slices.Equal) ||
-			!slices.EqualFunc(one.added.bits, four.added.bits, slices.Equal) || one.nnz != four.nnz {
-			t.Errorf("%s: parallel added %d rows (nnz %d, %v), serial %d (nnz %d)", what, len(four.added.ids), four.nnz, err, len(one.added.ids), one.nnz)
+			!slices.EqualFunc(one.added.bits, four.added.bits, slices.Equal) || one.st.NNZ != four.st.NNZ || one.st.PanelRows != four.st.PanelRows {
+			t.Errorf("%s: parallel added %d rows (nnz %d, %v), serial %d (nnz %d)", what, len(four.added.ids), four.st.NNZ, err, len(one.added.ids), one.st.NNZ)
 			return false
 		}
 		if err := four.t.validate(); err != nil || !four.t.Equal(one.t) {
 			t.Errorf("%s: parallel t differs from serial t (%v)", what, err)
 			return false
 		}
-		if len(four.wit) != four.nnz || !maps.Equal(one.wit, four.wit) {
-			t.Errorf("%s: %d witnesses for %d entries, or not the serial ones", what, len(four.wit), four.nnz)
+		if len(four.wit) != four.st.NNZ || !maps.Equal(one.wit, four.wit) {
+			t.Errorf("%s: %d witnesses for %d entries, or not the serial ones", what, len(four.wit), four.st.NNZ)
 			return false
 		}
 		for key, k := range four.wit {
@@ -556,7 +569,7 @@ func TestMulAddRowsJoinsMixedBlocks(t *testing.T) {
 	var serial *RowList
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		added, _, _, err := MulAddRows(context.Background(), NewBool(n, n), a, b, nil)
+		added, _, err := MulAddRows(context.Background(), NewBool(n, n), a, b, nil)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -642,18 +655,23 @@ func TestVectorUnionOwnsItsArray(t *testing.T) {
 // BenchmarkMulAddRows times one kernel call on each of the two product
 // shapes that do most of the dense-cold query's work (the first
 // chunk-100 query of go-hierarchy@0.02/G2, 900 vertices), drawn at
-// random with the row counts and lengths of that query's largest calls:
+// random with the row counts and lengths of that query's largest calls,
+// and on a third at the edge of the panel choice:
 //
 //   - short-x-long is M·ΔT: 775 left rows of 10 entries (rows of
 //     T#subClassOf_r) times a row list of 772 rows of 327 entries
-//     (ΔT^{S#0}), bitmaps, each ORed a word at a time;
-//   - long-x-short is ΔS·T: 744 left rows of 329 entries, bitmaps the
-//     gather decodes, times a Bool of 900 rows of 10 entries
-//     (T#subClassOf), each ORed an entry at a time — the shape a pull
-//     (dot-product) kernel would take over.
+//     (ΔT^{S#0}), bitmaps, each ORed a word at a time; its rows are
+//     within the crossover, so it is gathered by push;
+//   - long-x-short is ΔS·T: 744 left rows of 329 entries, bitmaps,
+//     times a Bool of 900 rows of 10 entries (T#subClassOf), which
+//     column panels gather, each row of the Bool read once a panel;
+//   - mid-x-short is the same product with left rows of 31 entries,
+//     one past the crossover at 900 columns, the least a panel is
+//     tried on: panels gather every row but the last panel's 40, which
+//     push gathers cheaper by count.
 //
 // t starts empty on every call, so the call folds its whole product.
-// Both shapes span several row blocks, so they gather on every
+// The shapes span several row blocks, so they gather on every
 // processor; run at -cpu 1,2.
 func BenchmarkMulAddRows(b *testing.B) {
 	const n = 900
@@ -681,17 +699,18 @@ func BenchmarkMulAddRows(b *testing.B) {
 	}{
 		{"short-x-long", rows(775, 10), rows(772, 327)},
 		{"long-x-short", rows(744, 329), short},
+		{"mid-x-short", rows(744, 31), short},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var nnz int
+			var st MulStats
 			b.ReportAllocs()
 			for range b.N {
 				b.StopTimer()
 				t := NewBool(n, n)
 				b.StartTimer()
-				_, nnz, _, _ = MulAddRows(context.Background(), t, bc.a, bc.b, nil)
+				_, st, _ = MulAddRows(context.Background(), t, bc.a, bc.b, nil)
 			}
-			b.ReportMetric(float64(nnz), "nnz/op")
+			b.ReportMetric(float64(st.NNZ), "nnz/op")
 		})
 	}
 }

@@ -22,6 +22,11 @@ var (
 	// while every product fits one block or one processor.
 	KernelMulHelperBlocks = Default.Counter("kernel.mul.helper_blocks")
 
+	// Rows of a product's left operand gathered by column panels, 64 at
+	// a time: 0 while no product has rows long enough for a panel to
+	// cost less than push (DESIGN.md §16).
+	KernelMulPanelRows = Default.Counter("kernel.mul.panel_rows")
+
 	// Fixpoint shape: rounds until convergence (RPQ runs on the CFPQ
 	// driver, so its rounds land here too).
 	CFPQRounds = Default.Histogram("kernel.cfpq.rounds", RoundBuckets)
@@ -94,6 +99,7 @@ const (
 	KeyAddNNZ = "kernel.add.nnz"
 
 	KeyMulHelperBlocks = "kernel.mul.helper_blocks"
+	KeyMulPanelRows    = "kernel.mul.panel_rows"
 )
 
 // Layer prefixes: the first dotted component of every instrument name

@@ -135,7 +135,7 @@ func TestServerProfileSpanTree(t *testing.T) {
 		}
 	}
 
-	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.mul.helper_blocks"} {
+	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.mul.helper_blocks", "kernel.mul.panel_rows"} {
 		if total := spanTotal(t, joined, key); total != delta[key] {
 			t.Errorf("%s: span total %d != registry delta %d\n%s", key, total, delta[key], joined)
 		}
@@ -173,13 +173,16 @@ func spanTotal(t *testing.T, tree, key string) int64 {
 	return total
 }
 
-// TestServerProfileHelperBlocks checks over the wire the counter the
-// a^n b^n profile leaves at zero: kernel.mul.helper_blocks. The first
-// chunk-100 count query of go-hierarchy@0.02/G2 multiplies operands of
-// several row blocks, so on two processors helpers gather some; the
-// profile's total must be more than zero and equal the registry's
-// delta. Each attempt renames the pattern, so it runs cold; one in which
-// no helper claimed a block is retried, a bounded number of times.
+// TestServerProfileHelperBlocks checks over the wire the counters the
+// a^n b^n profile leaves at zero: kernel.mul.helper_blocks and
+// kernel.mul.panel_rows. The first chunk-100 count query of
+// go-hierarchy@0.02/G2 multiplies operands of several row blocks, so on
+// two processors helpers gather some, and rows long enough for column
+// panels; each profile total must equal the registry's delta, and both
+// must be more than zero. Each attempt renames the pattern, so it runs
+// cold; one in which no helper claimed a block is retried, a bounded
+// number of times, while every attempt must gather panel rows. INFO
+// kernels lists the panel counter.
 func TestServerProfileHelperBlocks(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	spec, err := dataset.ByName("go-hierarchy")
@@ -209,10 +212,18 @@ func TestServerProfileHelperBlocks(t *testing.T) {
 		}
 		delta := obs.Default.Snapshot().Sub(before)
 		tree := strings.Join(reply.Stats, "\n")
-		if total := spanTotal(t, tree, key); total != delta[key] {
-			t.Fatalf("%s: span total %d != registry delta %d\n%s", key, total, delta[key], tree)
+		for _, key := range []string{key, obs.KeyMulPanelRows} {
+			if total := spanTotal(t, tree, key); total != delta[key] {
+				t.Fatalf("%s: span total %d != registry delta %d\n%s", key, total, delta[key], tree)
+			}
+		}
+		if delta[obs.KeyMulPanelRows] == 0 {
+			t.Fatalf("%s stayed 0 on attempt %d\n%s", obs.KeyMulPanelRows, attempt, tree)
 		}
 		if delta[key] > 0 {
+			if sec, err := c.Do("INFO", "kernels"); err != nil || !strings.Contains(sec.Str, obs.KeyMulPanelRows+":") {
+				t.Fatalf("INFO kernels lacks %s: %q, %v", obs.KeyMulPanelRows, sec.Str, err)
+			}
 			return
 		}
 		if attempt == attempts {

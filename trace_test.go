@@ -82,7 +82,7 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 
 	// Counter agreement: the tree's kernel totals are exactly the
 	// registry's deltas — the two views of kernel work never drift.
-	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.add.nnz", "kernel.mul.helper_blocks"} {
+	for _, key := range []string{"kernel.mul.ops", "kernel.mul.nnz", "kernel.add.ops", "kernel.add.nnz", "kernel.mul.helper_blocks", "kernel.mul.panel_rows"} {
 		if tot := root.Total(key); tot != delta[key] {
 			t.Errorf("%s: span total %d != registry delta %d", key, tot, delta[key])
 		}
@@ -92,14 +92,16 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 	}
 }
 
-// TestFacadeTraceHelperBlocks checks the counter the Figure 1 run leaves
-// at zero: kernel.mul.helper_blocks, the row blocks a helper goroutine
+// TestFacadeTraceHelperBlocks checks the counters the Figure 1 run
+// leaves at zero: kernel.mul.helper_blocks, the row blocks a helper
+// goroutine gathered, and kernel.mul.panel_rows, the rows column panels
 // gathered. The first chunk-100 query of go-hierarchy@0.02/G2 multiplies
 // operands of several row blocks, so on two processors helpers gather
-// some; the trace's total must be more than zero and equal the registry's
-// delta. A helper that starts after the last block is claimed gathers
-// nothing, so a run in which none did is retried, a bounded number of
-// times.
+// some, and its ΔS·T#subClassOf rows are long, so panels gather them;
+// each trace total must equal the registry's delta, and both must be
+// more than zero. A helper that starts after the last block is claimed
+// gathers nothing, so a run in which none did is retried, a bounded
+// number of times; the panel rows do not depend on the schedule.
 func TestFacadeTraceHelperBlocks(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, err := GenerateDataset("go-hierarchy", 0.02)
@@ -122,8 +124,13 @@ func TestFacadeTraceHelperBlocks(t *testing.T) {
 		}
 		delta := obs.Default.Snapshot().Sub(before)
 		tr.Close()
-		if tot := tr.Root().Total(key); tot != delta[key] {
-			t.Fatalf("%s: span total %d != registry delta %d", key, tot, delta[key])
+		for _, key := range []string{key, obs.KeyMulPanelRows} {
+			if tot := tr.Root().Total(key); tot != delta[key] {
+				t.Fatalf("%s: span total %d != registry delta %d", key, tot, delta[key])
+			}
+		}
+		if delta[obs.KeyMulPanelRows] == 0 {
+			t.Fatalf("%s stayed 0 on attempt %d", obs.KeyMulPanelRows, attempt)
 		}
 		if delta[key] > 0 {
 			t.Logf("%s = %d on attempt %d", key, delta[key], attempt)
