@@ -113,8 +113,8 @@ bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm|SmartSweep|ManyRounds)$$|BenchmarkRPQUnification$$' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelDenseCold$$' -cpu 1,2 -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm)$$|BenchmarkRPQUnification$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel(DenseCold|SmartSweep|ManyRounds)$$' -cpu 1,2 -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$' -benchmem ./internal/plan
 
@@ -181,4 +181,4 @@ lint-tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 clean:
-	rm -f test_output.txt bench_output.txt BENCH_obs.json BENCH_cache.json
+	rm -rf .bench_build BENCH_obs.json BENCH_cache.json *.test *.prof

@@ -11,7 +11,7 @@ import (
 )
 
 // fixpoint is the one delta-driven loop behind AllPairsSemiNaive,
-// MultiSourceFrom, the Index (MultiSourceSmart and Extension.Rows),
+// MultiSource, the Index (MultiSourceSmart and Extension.Rows),
 // SinglePath and MultiSourceSinglePath (DESIGN.md §16): they set up T and
 // the source vectors, call solve, and pack the state into their result.
 //
@@ -68,10 +68,10 @@ type fixpoint struct {
 // evaluate is the set-up the four index-free callers share: check the
 // inputs, start the governor, seed fresh relations (every row, with
 // provenance when witness is set; otherwise a restricted run seeds the
-// rows it activates), run the driver (unrestricted when srcByNT is nil)
-// and stamp the statistics. It also returns the sources the run
-// activated.
-func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, witness bool, opts []Option) (*SinglePathResult, []*matrix.Vector, error) {
+// rows it activates), run the driver (unrestricted when src is nil,
+// otherwise from the sources src of the start nonterminal) and stamp the
+// statistics. It also returns the sources the run activated.
+func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool, opts []Option) (*SinglePathResult, []*matrix.Vector, error) {
 	if err := checkInputs(g, w); err != nil {
 		return nil, nil, err
 	}
@@ -85,15 +85,15 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, w
 	case witness:
 		f.witness = r
 		err = r.seedProv(run, g)
-	case srcByNT == nil:
+	case src == nil:
 		err = f.seeds.all(run, r.T, n)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if srcByNT == nil {
+	if src == nil {
 		f.listAll()
-	} else if err := f.restrict(srcByNT, n); err != nil {
+	} else if err := f.restrict(w.Start, src, n); err != nil {
 		return nil, nil, err
 	}
 	if err := f.solve(); err != nil {
@@ -112,28 +112,24 @@ func (f *fixpoint) listAll() {
 	}
 }
 
-// restrict installs the requested source sets, less the processed ones,
-// as the first round's fresh and active sources, with an empty first ΔT.
-func (f *fixpoint) restrict(srcByNT map[int]*matrix.Vector, n int) error {
+// restrict installs the sources src of nonterminal a, less the processed
+// ones, as the first round's fresh and active sources, with an empty
+// first ΔT. Its callers check a.
+func (f *fixpoint) restrict(a int, src *matrix.Vector, n int) error {
+	if src.Size() != n {
+		return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
+	}
 	f.delta = make([]*matrix.RowList, len(f.T))
 	f.active = make([]*matrix.Vector, len(f.T))
 	f.fresh = make([]*matrix.Vector, len(f.T))
-	for a := range f.T {
-		f.active[a] = matrix.NewVector(n)
-		f.fresh[a] = matrix.NewVector(n)
+	for b := range f.T {
+		f.active[b] = matrix.NewVector(n)
+		f.fresh[b] = matrix.NewVector(n)
 	}
-	for a, src := range srcByNT {
-		if a < 0 || a >= len(f.T) {
-			return fmt.Errorf("cfpq: source nonterminal id %d out of range", a)
-		}
-		if src == nil || src.Size() != n {
-			return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
-		}
-		if err := f.activate(a, src.Clone(), f.fresh); err != nil {
-			return err
-		}
-		f.active[a] = f.fresh[a].Clone()
+	if err := f.activate(a, src.Clone(), f.fresh); err != nil {
+		return err
 	}
+	f.active[a] = f.fresh[a].Clone()
 	return nil
 }
 

@@ -57,7 +57,7 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			solve := func(f *fixpoint, req *matrix.Vector) (int, []*matrix.Vector) {
 				if req == nil {
 					f.listAll()
-				} else if err := f.restrict(map[int]*matrix.Vector{w.Start: req}, n); err != nil {
+				} else if err := f.restrict(w.Start, req, n); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.solve(); err != nil {

@@ -110,7 +110,10 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option)
 	return idx, nil
 }
 
-// Queries returns the number of queries evaluated against the index.
+// Queries returns the number of solves the index ran: one per
+// MultiSourceSmart call and per Extension.Rows call with a source not
+// yet processed. A Rows call whose sources were all processed runs no
+// fixpoint and does not count.
 func (idx *Index) Queries() int {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -159,7 +162,7 @@ func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.
 	run, cancel := idx.opts.Apply(opts).Start()
 	defer cancel()
 	f := &fixpoint{w: w, run: run, seeds: newSeeder(idx.G, w), T: T, done: done}
-	if err := f.restrict(map[int]*matrix.Vector{a: src}, idx.G.NumVertices()); err != nil {
+	if err := f.restrict(a, src, idx.G.NumVertices()); err != nil {
 		return nil, 0, err
 	}
 	idx.queries++

@@ -51,30 +51,9 @@ func MultiSource(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...Op
 	if src == nil {
 		return nil, fmt.Errorf("cfpq: nil source vector")
 	}
-	return MultiSourceFrom(g, w, map[int]*matrix.Vector{w.Start: src}, opts...)
-}
-
-// MultiSourceFrom is the generalization of Algorithm 2 used by the
-// database layer (Section 4.3.2): it accepts source sets for arbitrary
-// nonterminals — the dependencies of a query operation — instead of only
-// the start symbol. The returned Sources field is the start
-// nonterminal's requested set (empty if none was given).
-func MultiSourceFrom(g *graph.Graph, w *grammar.WCNF, srcByNT map[int]*matrix.Vector, opts ...Option) (*MSResult, error) {
-	if srcByNT == nil {
-		srcByNT = map[int]*matrix.Vector{}
-	}
-	r, active, err := evaluate(g, w, srcByNT, false, opts)
+	r, active, err := evaluate(g, w, src, false, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &MSResult{Result: r.Result, Src: active, Sources: requested(srcByNT, w.Start, g.NumVertices())}, nil
-}
-
-// requested returns a private copy of the source set asked for
-// nonterminal a (empty if none was).
-func requested(srcByNT map[int]*matrix.Vector, a, n int) *matrix.Vector {
-	if src, ok := srcByNT[a]; ok {
-		return src.Clone()
-	}
-	return matrix.NewVector(n)
+	return &MSResult{Result: r.Result, Src: active, Sources: src.Clone()}, nil
 }

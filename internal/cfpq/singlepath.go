@@ -84,7 +84,7 @@ func MultiSourceSinglePath(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, 
 	if src == nil {
 		return nil, fmt.Errorf("cfpq: nil source vector")
 	}
-	r, active, err := evaluate(g, w, map[int]*matrix.Vector{w.Start: src}, true, opts)
+	r, active, err := evaluate(g, w, src, true, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -11,15 +11,22 @@ import (
 // version's relations answers every query on the grown graph exactly as
 // a fresh index does — the soundness contract that lets gdb carry a
 // PathCtx across versions (monotone edge addition keeps old facts
-// derivable; processed-source claims are reset).
+// derivable; processed-source claims are reset). The last trials grow a
+// graph of under 64 vertices past 120, so the prior's relations are one
+// word wide and the warm index's bitmap rows are shorter than their word
+// count when its products read them and fold into them.
 func TestWarmIndexMatchesFreshProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	labels := []string{"a", "b", "subClassOf"}
 	for name, w := range testGrammars() {
 		w := w
 		t.Run(name, func(t *testing.T) {
-			for trial := 0; trial < 8; trial++ {
-				n := 5 + rng.Intn(12)
+			for trial := 0; trial < 11; trial++ {
+				wide := trial >= 8
+				n, lift, grow := 5+rng.Intn(12), 1, 3
+				if wide {
+					n, lift, grow = 50+rng.Intn(14), 70, 70
+				}
 				g := randomGraph(rng, n, 2+rng.Intn(3*n), labels)
 				prior, err := NewIndex(g, w)
 				if err != nil {
@@ -35,9 +42,12 @@ func TestWarmIndexMatchesFreshProperty(t *testing.T) {
 				// Grow a successor version: additions only, including new
 				// vertices — the gdb write-path guarantee.
 				g2 := g.CowClone()
-				n2 := n + 1 + rng.Intn(3)
+				n2 := n + lift + rng.Intn(grow)
 				for e := 0; e < 1+rng.Intn(6); e++ {
 					g2.AddEdge(rng.Intn(n2), labels[rng.Intn(len(labels))], rng.Intn(n2))
+				}
+				if wide {
+					g2.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], n2-1)
 				}
 				n2 = g2.NumVertices()
 

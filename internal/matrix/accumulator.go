@@ -15,6 +15,7 @@ import (
 // It also holds a decoded row and the column panel's scratch, whose
 // colw and ct are 64-word blocks, all zero between panels.
 type accumulator struct {
+	ncols   int // the width resize sized it for
 	words   []uint64
 	touched []uint32    // word indices dirtied this round
 	buf     []uint32    // an operand's bitmap row, decoded
@@ -50,12 +51,12 @@ func putAccumulator(a *accumulator) {
 // first, so the whole array, visible or not, stays zero.
 func (a *accumulator) resize(ncols int) {
 	a.reset()
-	nwords := (ncols + 63) / 64
-	if cap(a.words) < nwords {
-		a.words = make([]uint64, nwords)
-		return
+	a.ncols = ncols
+	if n := nwords(ncols); cap(a.words) < n {
+		a.words = make([]uint64, n)
+	} else {
+		a.words = a.words[:n]
 	}
-	a.words = a.words[:nwords]
 }
 
 // reset prepares the accumulator for a new row.
@@ -94,12 +95,12 @@ func (a *accumulator) orBits(b []uint64) {
 	}
 }
 
-// orBoolRow ORs row k of m, a list or a bitmap, into the accumulator.
-func (a *accumulator) orBoolRow(m *Bool, k int) {
-	if b := m.bitRow(k); b != nil {
+// orSlot ORs slot x of s, a list or a bitmap, into the accumulator.
+func (a *accumulator) orSlot(s *slots, x int) {
+	if b := s.bitRow(x); b != nil {
 		a.orBits(b)
 	} else {
-		a.orRow(m.rows[k])
+		a.orRow(s.rows[x])
 	}
 }
 
@@ -175,7 +176,7 @@ func (a *accumulator) emit() (row []uint32, b []uint64, n int) {
 	switch n = a.count(); {
 	case n == 0:
 		return nil, nil, 0
-	case n > 2*len(a.words): // listMax of the width a was sized for
+	case n > listMax(a.ncols):
 		b = make([]uint64, len(a.words))
 		for _, w := range a.touched {
 			b[w] = a.words[w]

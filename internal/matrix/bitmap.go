@@ -32,35 +32,3 @@ func appendBits(dst []uint32, b []uint64) []uint32 {
 	}
 	return dst
 }
-
-// wordsEqual reports whether two bitmaps set the same columns.
-func wordsEqual(a, b []uint64) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for w, word := range a {
-		if b[w] != word {
-			return false
-		}
-	}
-	for _, word := range b[len(a):] {
-		if word != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// listIsBits reports whether the sorted list l and the bitmap b hold the
-// same columns.
-func listIsBits(l []uint32, b []uint64) bool {
-	if len(l) != popcount(b) {
-		return false
-	}
-	for _, c := range l {
-		if !hasBit(b, c) {
-			return false
-		}
-	}
-	return true
-}

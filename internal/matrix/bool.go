@@ -7,25 +7,18 @@ import (
 	"strings"
 )
 
-// Bool is a Boolean matrix stored row-wise. Each non-empty row takes
-// whichever of two forms is smaller: a sorted, duplicate-free list of
-// column indices (4 bytes an entry), or a bitmap of ⌈ncols/64⌉ words
-// (8 bytes a word). A row turns into a bitmap once its list would take
-// more bytes, 4·len > 8·⌈ncols/64⌉, and since a row only ever grows it
-// never turns back.
+// Bool is a Boolean matrix stored row-wise: a row table (slots) with a
+// slot for every row, so row i is an index away. Each non-empty row is a
+// list or, past listMax, a bitmap; since a row only ever grows, it never
+// turns back into a list.
 //
 // The zero value is not usable; construct with NewBool.
 type Bool struct {
 	nrows, ncols int
-	rows         [][]uint32 // list rows; nil for a bitmap or empty row
-	nvals        int
-
-	// bits holds the bitmap rows: bits[i] is row i's words, nil for a
-	// list or empty row. The table itself stays nil until the first row
-	// turns into a bitmap, so a matrix of short rows pays nothing for it.
 	// A bitmap shorter than ⌈ncols/64⌉ words (the matrix was widened by
 	// Resize) reads as zero past its end.
-	bits [][]uint64
+	slots
+	nvals int
 
 	// shared marks rows whose backing arrays, list or bitmap, may be
 	// aliased by a copy-on-write sibling (CloneCOW). A shared row must be
@@ -33,21 +26,6 @@ type Bool struct {
 	// new slice shed the mark with the old pointer. nil when the matrix
 	// never took part in a COW clone.
 	shared []bool
-}
-
-// nwords is the length of a bitmap row of ncols columns.
-func nwords(ncols int) int { return (ncols + 63) / 64 }
-
-// listMax is the most entries a list row holds: one more, and its list
-// would take more bytes than a bitmap.
-func (m *Bool) listMax() int { return 2 * nwords(m.ncols) }
-
-// bitRow returns row i's bitmap, or nil when the row is a list or empty.
-func (m *Bool) bitRow(i int) []uint64 {
-	if m.bits == nil {
-		return nil
-	}
-	return m.bits[i]
 }
 
 // setBits installs b, which the matrix owns, as row i's bitmap and drops
@@ -102,7 +80,7 @@ func (m *Bool) orInto(i int, row []uint32, b []uint64) {
 func orRows(ra []uint32, sa []uint64, rb []uint32, sb []uint64, ncols int) (row []uint32, b []uint64, n int) {
 	if sa == nil && sb == nil {
 		row = unionRows(ra, rb)
-		if len(row) <= 2*nwords(ncols) {
+		if len(row) <= listMax(ncols) {
 			return row, nil, len(row)
 		}
 		return nil, bitsOf(row, ncols), len(row)
@@ -128,30 +106,12 @@ func bitsOf(row []uint32, ncols int) []uint64 {
 	return b
 }
 
-// cols returns the columns of row i: the list itself, or the bitmap
-// decoded into *buf, whose array the next call reuses.
-func (m *Bool) cols(i int, buf *[]uint32) []uint32 {
-	if b := m.bitRow(i); b != nil {
-		*buf = appendBits((*buf)[:0], b)
-		return *buf
-	}
-	return m.rows[i]
-}
-
-// rowLen returns the number of entries of row i.
-func (m *Bool) rowLen(i int) int {
-	if b := m.bitRow(i); b != nil {
-		return popcount(b)
-	}
-	return len(m.rows[i])
-}
-
 // NewBool returns an empty nrows x ncols Boolean matrix.
 func NewBool(nrows, ncols int) *Bool {
 	if nrows < 0 || ncols < 0 {
 		panic(fmt.Sprintf("matrix: negative dimensions %dx%d", nrows, ncols))
 	}
-	return &Bool{nrows: nrows, ncols: ncols, rows: make([][]uint32, nrows)}
+	return &Bool{nrows: nrows, ncols: ncols, slots: slots{rows: make([][]uint32, nrows)}}
 }
 
 // NewBoolFromPairs builds a matrix from (row, col) coordinate pairs.
@@ -207,7 +167,7 @@ func (m *Bool) markOwned(i int) {
 // non-empty one marked shared on the clone's side.
 func (m *Bool) cloneShared() *Bool {
 	c := &Bool{nrows: m.nrows, ncols: m.ncols, nvals: m.nvals,
-		rows: slices.Clone(m.rows), shared: make([]bool, m.nrows)}
+		slots: slots{rows: slices.Clone(m.rows)}, shared: make([]bool, m.nrows)}
 	if m.bits != nil {
 		c.bits = slices.Clone(m.bits)
 	}
@@ -267,7 +227,7 @@ func (m *Bool) Set(i, j int) {
 	row[k] = c
 	m.rows[i] = row
 	m.nvals++
-	if len(row) > m.listMax() {
+	if len(row) > listMax(m.ncols) {
 		m.setBits(i, bitsOf(row, m.ncols))
 	}
 }
@@ -329,20 +289,9 @@ func (m *Bool) Equal(o *Bool) bool {
 	if m.nrows != o.nrows || m.ncols != o.ncols || m.nvals != o.nvals {
 		return false
 	}
+	var mbuf, obuf []uint32
 	for i := range m.rows {
-		mb, ob := m.bitRow(i), o.bitRow(i)
-		var same bool
-		switch {
-		case mb == nil && ob == nil:
-			same = slices.Equal(m.rows[i], o.rows[i])
-		case mb != nil && ob != nil:
-			same = wordsEqual(mb, ob)
-		case mb != nil:
-			same = listIsBits(o.rows[i], mb)
-		default:
-			same = listIsBits(m.rows[i], ob)
-		}
-		if !same {
+		if !slices.Equal(m.cols(i, &mbuf), o.cols(i, &obuf)) {
 			return false
 		}
 	}
@@ -350,27 +299,11 @@ func (m *Bool) Equal(o *Bool) bool {
 }
 
 // Pairs returns all true entries as (row, col) pairs in row-major order.
-func (m *Bool) Pairs() [][2]int {
-	out := make([][2]int, 0, m.nvals)
-	m.Iterate(func(i, j int) bool {
-		out = append(out, [2]int{i, j})
-		return true
-	})
-	return out
-}
+func (m *Bool) Pairs() [][2]int { return pairs(m) }
 
 // Iterate calls fn for every true entry in row-major order. Iteration
 // stops early when fn returns false.
-func (m *Bool) Iterate(fn func(i, j int) bool) {
-	var buf []uint32
-	for i := range m.rows {
-		for _, c := range m.cols(i, &buf) {
-			if !fn(i, int(c)) {
-				return
-			}
-		}
-	}
-}
+func (m *Bool) Iterate(fn func(i, j int) bool) { m.each(nil, fn) }
 
 // Resize grows the matrix to at least nrows x ncols, keeping entries.
 // Shrinking is not supported and panics. Bitmap rows keep their length
@@ -446,8 +379,8 @@ func (m *Bool) validate() error {
 			n += popcount(b)
 			continue
 		}
-		if len(row) > m.listMax() {
-			return fmt.Errorf("row %d: list of %d entries, past the bitmap crossover %d", i, len(row), m.listMax())
+		if len(row) > listMax(m.ncols) {
+			return fmt.Errorf("row %d: list of %d entries, past the bitmap crossover %d", i, len(row), listMax(m.ncols))
 		}
 		for k, c := range row {
 			if int(c) >= m.ncols {

@@ -12,9 +12,9 @@ import (
 // E3–E8 sweep, see EXPERIMENTS.md).
 const ctxCheckRows = 256
 
-// MulCtx is Mul with cancellation: it checks ctx between row blocks and
-// returns ctx.Err() as soon as the context is done, discarding the
-// partial product.
+// MulCtx returns the Boolean product a * b, checking ctx every
+// ctxCheckRows rows: once the context is done it returns ctx.Err(),
+// discarding the partial product.
 func MulCtx(ctx context.Context, a, b *Bool) (*Bool, error) {
 	if a.ncols != b.nrows {
 		panic(fmt.Sprintf("matrix: MulCtx dimension mismatch %dx%d * %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
@@ -25,15 +25,22 @@ func MulCtx(ctx context.Context, a, b *Bool) (*Bool, error) {
 	}
 	acc := getAccumulator(b.ncols)
 	defer putAccumulator(acc)
-	for lo := 0; lo < a.nrows; lo += ctxCheckRows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	var buf []uint32
+	for i := range a.rows {
+		if i%ctxCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		hi := lo + ctxCheckRows
-		if hi > a.nrows {
-			hi = a.nrows
+		ra := a.cols(i, &buf)
+		if len(ra) == 0 {
+			continue
 		}
-		mulRowsInto(a, b, out, lo, hi, acc)
+		acc.reset()
+		for _, k := range ra {
+			acc.orSlot(&b.slots, int(k))
+		}
+		acc.install(out, i)
 	}
 	return out, nil
 }

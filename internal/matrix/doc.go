@@ -9,32 +9,30 @@
 //
 // # Representation
 //
-// A matrix takes one of two forms, both row-wise. This favours the
-// access patterns of the CFPQ algorithms, which are row-driven:
-// multiplication unions rows of the right operand selected by the left
-// operand's rows.
+// Matrices are row-wise. This favours the access patterns of the CFPQ
+// algorithms, which are row-driven: multiplication unions rows of the
+// right operand selected by the left operand's rows.
+//
+// Both matrix types embed one row table (slots). A row is a sorted,
+// duplicate-free list of column indices (4 bytes an entry) or a bitmap
+// of ⌈ncols/64⌉ words (8 bytes a word): a bitmap once its list would
+// take more bytes (listMax), wherever a row's form is decided. Bitmap
+// rows sit in a second table that exists only once one row needs it.
+// Every kernel reads both forms; a product ORs a bitmap row a word at a
+// time.
 //
 //   - Bool is CSR-like: one slot per row, empty or not, so row i is an
 //     index away, and anything that walks the matrix costs its dimension.
 //     It holds what persists: graph label matrices and the relations a
-//     fixpoint grows. Each row is whichever of two encodings is smaller:
-//     a sorted, duplicate-free list of column indices (4 bytes an entry),
-//     or a bitmap of ⌈ncols/64⌉ words (8 bytes a word) — the row turns
-//     into a bitmap once its list would take more bytes, and never turns
-//     back, since rows only grow. Bitmap rows sit in a second table that
-//     exists only once one row needs it. Every kernel reads both
-//     encodings; a product ORs a bitmap row a word at a time.
+//     fixpoint grows. Its rows only grow, so a bitmap never turns back.
 //   - RowList is hypersparse (DCSR): the sorted ids of the non-empty
-//     rows and their rows, with no slot for an empty row, so row i is a
+//     rows and a slot for each, with none for an empty row, so row i is a
 //     search away and building, scanning or multiplying one costs the
 //     rows it holds. It holds what a fixpoint round makes and drops: the
 //     rows it selects from a relation (SelectRows, Restrict, Union), what
-//     a product added (MulAddRows) and their getDst (Cols). Its rows take
-//     Bool's two encodings by the same rule: a row a product gathers or a
-//     union merges is a bitmap past the crossover, so a product ORs it a
-//     word at a time in its turn; a row copied out of a Bool (SelectRows,
-//     ListRows) is a list. Its bitmap table, too, exists only once a row
-//     needs it.
+//     a product added (MulAddRows) and their getDst (Cols). A row a
+//     product gathers or a union merges takes the smaller form; a row
+//     copied out of a Bool (SelectRows, ListRows) is a list.
 //
 // The fixpoint's one kernel is MulAddRows, the masked multiply-accumulate
 // t<¬t> ∪= a × b of GraphBLAS's mxm with a complemented mask and an OR

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -8,33 +9,8 @@ import (
 
 // Mul returns the Boolean product a * b over the (OR, AND) semiring.
 func Mul(a, b *Bool) *Bool {
-	if a.ncols != b.nrows {
-		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d * %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
-	}
-	out := NewBool(a.nrows, b.ncols)
-	if a.nvals == 0 || b.nvals == 0 {
-		return out
-	}
-	acc := getAccumulator(b.ncols)
-	mulRowsInto(a, b, out, 0, a.nrows, acc)
-	putAccumulator(acc)
+	out, _ := MulCtx(context.Background(), a, b)
 	return out
-}
-
-// mulRowsInto computes rows [lo, hi) of a*b into out using acc.
-func mulRowsInto(a, b, out *Bool, lo, hi int, acc *accumulator) {
-	var buf []uint32
-	for i := lo; i < hi; i++ {
-		ra := a.cols(i, &buf)
-		if len(ra) == 0 {
-			continue
-		}
-		acc.reset()
-		for _, k := range ra {
-			acc.orBoolRow(b, int(k))
-		}
-		acc.install(out, i)
-	}
 }
 
 // AddInPlace ORs b into a and reports whether a changed.
@@ -115,7 +91,7 @@ func Sub(a, b *Bool) *Bool {
 			continue
 		}
 		acc.reset()
-		acc.orBoolRow(a, i)
+		acc.orSlot(&a.slots, i)
 		acc.clearRow(b, i)
 		acc.install(out, i)
 	}
@@ -134,7 +110,7 @@ func Transpose(a *Bool) *Bool {
 	}
 	for j, n := range counts {
 		switch {
-		case n > out.listMax():
+		case n > listMax(out.ncols):
 			out.setBits(j, make([]uint64, nwords(out.ncols)))
 		case n > 0:
 			out.rows[j] = make([]uint32, 0, n)

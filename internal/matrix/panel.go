@@ -33,17 +33,15 @@ func (a *accumulator) growPanel(p *product) {
 func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 	live, entries, cost := 0, 0, 5*64*(nwords(p.inner)+nwords(p.t.ncols))
 	for x := lo; x < hi; x++ {
-		n := len(p.aRows[x])
-		if b := slot(p.aBits, x); b != nil {
-			n = popcount(b)
-		} else {
+		n := p.a.rowLen(x)
+		if p.a.bitRow(x) == nil {
 			cost += n
 		}
 		if n > 0 {
 			live, entries = live+1, entries+n
 		}
 	}
-	if entries <= live*2*nwords(p.inner) {
+	if entries <= live*listMax(p.inner) {
 		return false
 	}
 	// Word w of the panel's row r goes to word r of colw's block w, a
@@ -51,10 +49,10 @@ func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 	// blocks are transposed.
 	acc.growPanel(p)
 	for x := lo; x < hi; x++ {
-		for w, word := range slot(p.aBits, x) {
+		for w, word := range p.a.bitRow(x) {
 			acc.colw[w<<6+x-lo] = word
 		}
-		for _, k := range p.aRows[x] {
+		for _, k := range p.a.rows[x] {
 			acc.colw[int(k&^63)+x-lo] |= 1 << (k & 63)
 		}
 	}
@@ -74,8 +72,8 @@ func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 			}
 			y = at
 		}
-		n, words := len(p.bRows[y]), len(p.bRows[y])
-		if sb := slot(p.bBits, y); sb != nil {
+		n, words := len(p.b.rows[y]), len(p.b.rows[y])
+		if sb := p.b.bitRow(y); sb != nil {
 			n, words = popcount(sb), len(sb)
 		}
 		if n > 0 {
@@ -88,12 +86,7 @@ func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 		return false
 	}
 	for _, r := range acc.reads {
-		rb := p.bRows[r.y]
-		if sb := slot(p.bBits, r.y); sb != nil {
-			acc.buf = appendBits(acc.buf[:0], sb)
-			rb = acc.buf
-		}
-		for _, j := range rb {
+		for _, j := range p.b.cols(r.y, &acc.buf) {
 			acc.ct[j] |= r.w
 		}
 	}

@@ -21,7 +21,7 @@ func panelOperands(rng *rand.Rand, nrows, inner, ncols int) (a, b *Bool) {
 		if rng.Intn(16) == 0 {
 			continue
 		}
-		for _, k := range rng.Perm(inner)[:min(inner, 2*nwords(inner)+1+rng.Intn(inner))] {
+		for _, k := range rng.Perm(inner)[:min(inner, listMax(inner)+1+rng.Intn(inner))] {
 			a.Set(i, k)
 		}
 	}
@@ -51,25 +51,33 @@ func sameAdded(x, y *RowList) bool {
 // on both sides of a row-block boundary) as a Bool of bitmap rows, a row
 // list of bitmaps, or the union of long list rows (SelectRows) and
 // bitmaps, whose panels transpose both forms; a right operand as a
-// Bool of list and bitmap rows or a row list missing some ids; widths
-// that are not whole words, with a's width not t's; t a separate matrix,
-// a or b; on one processor and on two; and cut after its first block
-// by a cancelled context. A product with witnesses is gathered by push,
-// which is the reference. Panels must be taken with every left form and
-// every row count but 1 (a one-row panel never wins by count), and some
-// cut product must keep rows.
+// Bool of list and bitmap rows, a row list missing some ids or a Bool
+// widened by Resize, whose bitmap rows are shorter than their word
+// count; widths that are not whole words, with a's width not t's; t a
+// separate matrix, a widened one, a or b; on one processor and on two;
+// and cut after its first block by a cancelled context. A product with
+// witnesses is gathered by push, which is the reference. Panels must be
+// taken with every left form, every row count but 1 (a one-row panel
+// never wins by count) and short bitmap rows in b and in t, and some cut
+// product must keep rows.
 func TestMulAddRowsPanelQuick(t *testing.T) {
 	took := map[string]bool{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := []int{1, 63, 64, 65, ctxCheckRows + 1, 300}[rng.Intn(6)]
-		inner, ncols, into := 1+rng.Intn(200), 1+rng.Intn(200), rng.Intn(3)
-		if into > 0 {
+		inner, ncols, into := 1+rng.Intn(200), 1+rng.Intn(200), rng.Intn(4)
+		if into == 1 || into == 2 {
 			inner, ncols = n, n
 		}
 		a0, b0 := panelOperands(rng, n, inner, ncols)
 		c0, _ := randomMatrix(rng, n, ncols, rng.Float64()/4)
-		left, right := rng.Intn(3), rng.Intn(3)
+		if into == 3 {
+			c0 = widened(rng, c0)
+		}
+		left, right := rng.Intn(3), rng.Intn(4)
+		if right == 3 {
+			b0 = widened(rng, b0)
+		}
 		lset, mset, bset := allRows(n), rowSet(rng, n), rowSet(rng, inner)
 		if rng.Intn(2) == 0 {
 			lset = rowSet(rng, n)
@@ -90,7 +98,7 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 			case 2:
 				r = formsList(b, bset)
 			}
-			into := map[int]*Bool{0: c0.Clone(), 1: a, 2: b}[into]
+			into := map[int]*Bool{0: c0.Clone(), 1: a, 2: b, 3: c0.Clone()}[into]
 			added, st, err := MulAddRows(ctx, into, l, r, wit)
 			return added, st, into, err
 		}
@@ -113,6 +121,8 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 			if st.PanelRows > 0 {
 				took[fmt.Sprint("left ", left)] = true
 				took[fmt.Sprint(n, " rows")] = true
+				took["short b"] = took["short b"] || shortBits(b0)
+				took["short t"] = took["short t"] || shortBits(c0)
 			}
 		}
 		if n > ctxCheckRows {
@@ -130,7 +140,7 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"left 0", "left 1", "left 2", "63 rows", "64 rows", "65 rows", fmt.Sprint(ctxCheckRows+1, " rows"), "300 rows", "cut"} {
+	for _, want := range []string{"left 0", "left 1", "left 2", "63 rows", "64 rows", "65 rows", fmt.Sprint(ctxCheckRows+1, " rows"), "300 rows", "short b", "short t", "cut"} {
 		if !took[want] {
 			t.Errorf("no panel taken with %s", want)
 		}
@@ -187,13 +197,13 @@ func TestMulAddRowsPanelChoice(t *testing.T) {
 		{"a^n b^n round", ListRows(cycle), cycle, -1},
 	} {
 		p := product{t: NewBool(n, n), inner: n}
-		p.aIDs, p.aRows, p.aBits = c.a.table()
-		p.bIDs, p.bRows, p.bBits = c.b.table()
+		p.aIDs, p.a = c.a.table()
+		p.bIDs, p.b = c.b.table()
 		acc := &accumulator{}
 		acc.resize(n)
 		var st MulStats
 		out := &RowList{nrows: n, ncols: n}
-		for lo := 0; lo < len(p.aRows); lo += ctxCheckRows {
+		for lo := 0; lo < len(p.a.rows); lo += ctxCheckRows {
 			p.gather(lo, acc, nil, out, &st)
 		}
 		if st.PanelRows != max(c.panel, 0) || c.panel < 0 && acc.colw != nil {

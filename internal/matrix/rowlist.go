@@ -11,19 +11,17 @@ import (
 )
 
 // RowList is a hypersparse Boolean matrix (GraphBLAS's hypersparse form,
-// DCSR): the sorted ids of its non-empty rows and, for each, its
-// columns, in one of Bool's two row forms: a sorted, duplicate-free
-// slice of column indices, or a bitmap of ⌈ncols/64⌉ words. It has no
-// n-slot row table, so building, scanning or multiplying one costs the
-// rows it holds and the products they form, not the dimension. The
+// DCSR): the sorted ids of its non-empty rows and a row table (slots)
+// whose slot k holds row ids[k], a list or a bitmap as in Bool. It has
+// no n-slot row table, so building, scanning or multiplying one costs
+// the rows it holds and the products they form, not the dimension. The
 // fixpoint driver keeps every transient operand in this form (ΔT, ΔM, M
 // and the products); the relations it grows stay Bool, whose rows the
 // products read by index.
 //
 // A row a product gathers (MulAddRows) or a union merges (Union) takes
-// the smaller form, by Bool's rule: a bitmap once 4·len > 8·⌈ncols/64⌉.
-// A row copied out of a Bool (SelectRows, ListRows) is a list whatever
-// its length.
+// the smaller form: a bitmap past listMax. A row copied out of a Bool
+// (SelectRows, ListRows) is a list whatever its length.
 //
 // A RowList is read-only once built: nothing writes a row of either
 // form after it is pushed. Lists built from one another (Restrict,
@@ -31,12 +29,8 @@ import (
 // to NVals, Empty, Iterate and Pairs; every other method needs a list.
 type RowList struct {
 	nrows, ncols int
-	ids          []uint32   // sorted ids of the non-empty rows
-	rows         [][]uint32 // rows[k] holds the columns of row ids[k]; nil for a bitmap
-	// bits[k] is row ids[k]'s bitmap, nil for a list. The table stays
-	// nil until the first bitmap row, so a list of short rows pays
-	// nothing for it.
-	bits  [][]uint64
+	ids          []uint32 // sorted ids of the non-empty rows
+	slots
 	nvals int
 }
 
@@ -46,15 +40,14 @@ type Operand interface {
 	NRows() int
 	NCols() int
 	NVals() int
-	// table returns the row slots: slot x is row ids[x], or row x when
-	// ids is nil, and holds the list rows[x] or, when bits is non-nil
-	// and bits[x] is, that bitmap.
-	table() (ids []uint32, rows [][]uint32, bits [][]uint64)
+	// table returns the row table: slot x is row ids[x], or row x when
+	// ids is nil.
+	table() (ids []uint32, s slots)
 }
 
-func (m *Bool) table() ([]uint32, [][]uint32, [][]uint64) { return nil, m.rows, m.bits }
+func (m *Bool) table() ([]uint32, slots) { return nil, m.slots }
 
-func (r *RowList) table() ([]uint32, [][]uint32, [][]uint64) { return r.ids, r.rows, r.bits }
+func (r *RowList) table() ([]uint32, slots) { return r.ids, r.slots }
 
 // NRows returns the number of rows of the matrix the list represents.
 func (r *RowList) NRows() int { return r.nrows }
@@ -87,50 +80,17 @@ func (r *RowList) Row(i int) []uint32 {
 	return nil
 }
 
-// bitRow returns slot k's bitmap, or nil when the row is a list.
-func (r *RowList) bitRow(k int) []uint64 {
-	if r.bits == nil {
-		return nil
-	}
-	return r.bits[k]
-}
-
-// cols returns the columns of slot k: the list itself, or the bitmap
-// decoded into *buf, whose array the next call reuses.
-func (r *RowList) cols(k int, buf *[]uint32) []uint32 {
-	if b := r.bitRow(k); b != nil {
-		*buf = appendBits((*buf)[:0], b)
-		return *buf
-	}
-	return r.rows[k]
-}
-
 // Iterate calls fn for every true entry in row-major order. Iteration
 // stops early when fn returns false. A nil list calls it for none.
 func (r *RowList) Iterate(fn func(i, j int) bool) {
-	if r == nil {
-		return
-	}
-	var buf []uint32
-	for k, i := range r.ids {
-		for _, c := range r.cols(k, &buf) {
-			if !fn(int(i), int(c)) {
-				return
-			}
-		}
+	if r != nil {
+		r.each(r.ids, fn)
 	}
 }
 
 // Pairs returns all true entries (none for nil) as (row, col) pairs in
 // row-major order.
-func (r *RowList) Pairs() [][2]int {
-	out := make([][2]int, 0, r.NVals())
-	r.Iterate(func(i, j int) bool {
-		out = append(out, [2]int{i, j})
-		return true
-	})
-	return out
-}
+func (r *RowList) Pairs() [][2]int { return pairs(r) }
 
 // push appends row i, which must be non-empty and follow every row the
 // list holds: the list row, or the bitmap b when it is non-nil, of n
@@ -251,8 +211,8 @@ func Union(a, b *RowList) *RowList {
 	if a.nvals == 0 {
 		return b
 	}
-	out := &RowList{nrows: a.nrows, ncols: a.ncols,
-		ids: make([]uint32, 0, len(a.ids)+len(b.ids)), rows: make([][]uint32, 0, len(a.ids)+len(b.ids))}
+	n := len(a.ids) + len(b.ids)
+	out := &RowList{nrows: a.nrows, ncols: a.ncols, ids: make([]uint32, 0, n), slots: slots{rows: make([][]uint32, 0, n)}}
 	x, y := 0, 0
 	for x < len(a.ids) || y < len(b.ids) {
 		switch {
@@ -338,9 +298,9 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 		return added, st, ctx.Err()
 	}
 	p := product{t: t, inner: a.NCols()}
-	p.aIDs, p.aRows, p.aBits = a.table()
-	p.bIDs, p.bRows, p.bBits = b.table()
-	nblocks, workers := (len(p.aRows)+ctxCheckRows-1)/ctxCheckRows, 1
+	p.aIDs, p.a = a.table()
+	p.bIDs, p.b = b.table()
+	nblocks, workers := (len(p.a.rows)+ctxCheckRows-1)/ctxCheckRows, 1
 	if nblocks > 1 {
 		workers = min(nblocks, runtime.GOMAXPROCS(0))
 	}
@@ -348,7 +308,7 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 		added, st, err = p.gatherParallel(ctx, nblocks, workers, wit)
 	} else {
 		acc := getAccumulator(t.ncols)
-		for lo := 0; lo < len(p.aRows); lo += ctxCheckRows {
+		for lo := 0; lo < len(p.a.rows); lo += ctxCheckRows {
 			if err = ctx.Err(); err != nil {
 				break
 			}
@@ -365,19 +325,10 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 // product holds one MulAddRows call's row tables, a's width and the
 // mask t. Gathering only reads them.
 type product struct {
-	t            *Bool
-	inner        int
-	aIDs, bIDs   []uint32
-	aRows, bRows [][]uint32
-	aBits, bBits [][]uint64
-}
-
-// slot returns slot x of a bitmap table, nil for a list row.
-func slot(bits [][]uint64, x int) []uint64 {
-	if bits == nil {
-		return nil
-	}
-	return bits[x]
+	t          *Bool
+	inner      int
+	aIDs, bIDs []uint32
+	a, b       slots
 }
 
 // gather appends to out the rows of a × b that t lacks for the block of
@@ -387,10 +338,10 @@ func slot(bits [][]uint64, x int) []uint64 {
 // row then goes through the same tail: its count before the mask, the
 // clear of what row i of t holds, and emit.
 func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *RowList, st *MulStats) {
-	hi := min(lo+ctxCheckRows, len(p.aRows))
+	hi := min(lo+ctxCheckRows, len(p.a.rows))
 	for x0 := lo; x0 < hi; x0 += panelSize {
 		end := min(x0+panelSize, hi)
-		panel := wit == nil && p.aBits != nil && p.gatherPanel(x0, end, acc, st)
+		panel := wit == nil && p.a.bits != nil && p.gatherPanel(x0, end, acc, st)
 		for x := x0; x < end; x++ {
 			i := uint32(x)
 			if p.aIDs != nil {
@@ -399,11 +350,7 @@ func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *R
 			if panel {
 				acc.takeRow(x - x0)
 			} else {
-				ra := p.aRows[x]
-				if b := slot(p.aBits, x); b != nil {
-					acc.buf = appendBits(acc.buf[:0], b)
-					ra = acc.buf
-				}
+				ra := p.a.cols(x, &acc.buf)
 				if len(ra) == 0 {
 					continue
 				}
@@ -420,14 +367,14 @@ func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *R
 						}
 						y = at
 					}
-					sb := slot(p.bBits, y)
+					sb := p.b.bitRow(y)
 					if wit != nil {
-						acc.witness(wit, i, k, p.bRows[y], sb)
+						acc.witness(wit, i, k, p.b.rows[y], sb)
 					}
 					if sb != nil {
 						acc.orBits(sb)
 					} else {
-						acc.orRow(p.bRows[y])
+						acc.orRow(p.b.rows[y])
 					}
 				}
 			}
@@ -497,8 +444,7 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 		total += len(blocks[x].added.ids)
 		anyBits = anyBits || blocks[x].added.bits != nil
 	}
-	added = &RowList{nrows: p.t.nrows, ncols: ncols,
-		ids: make([]uint32, 0, total), rows: make([][]uint32, 0, total)}
+	added = &RowList{nrows: p.t.nrows, ncols: ncols, ids: make([]uint32, 0, total), slots: slots{rows: make([][]uint32, 0, total)}}
 	if anyBits {
 		added.bits = make([][]uint64, 0, total)
 	}

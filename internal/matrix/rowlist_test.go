@@ -25,7 +25,6 @@ func validateList(r *RowList) error {
 	if len(r.ids) != len(r.rows) || r.bits != nil && len(r.bits) != len(r.ids) {
 		return fmt.Errorf("%d ids for %d rows and %d bitmaps", len(r.ids), len(r.rows), len(r.bits))
 	}
-	listMax := 2 * nwords(r.ncols)
 	n := 0
 	for k, i := range r.ids {
 		if int(i) >= r.nrows || k > 0 && r.ids[k-1] >= i {
@@ -42,8 +41,8 @@ func validateList(r *RowList) error {
 			if r.ncols%64 != 0 && b[len(b)-1]>>(r.ncols%64) != 0 {
 				return fmt.Errorf("row %d: bitmap holds a column past %d", i, r.ncols)
 			}
-			if c := popcount(b); c <= listMax {
-				return fmt.Errorf("row %d: bitmap of %d entries, within the crossover %d", i, c, listMax)
+			if c := popcount(b); c <= listMax(r.ncols) {
+				return fmt.Errorf("row %d: bitmap of %d entries, within the crossover %d", i, c, listMax(r.ncols))
 			}
 			n += popcount(b)
 			continue
@@ -206,10 +205,10 @@ func TestRowListFormsQuick(t *testing.T) {
 					bothBits++
 				case aBits || bBits:
 					mixed++
-				case n > 2*nwords(ncols):
+				case n > listMax(ncols):
 					crossed++
 				}
-				ok = (u.bitRow(k) != nil) == (n > 2*nwords(ncols))
+				ok = (u.bitRow(k) != nil) == (n > listMax(ncols))
 			}
 			if !ok {
 				t.Errorf("%s: Union row %d is not shared or not in the smaller form", what, i)
@@ -247,9 +246,12 @@ func (r refSet) bool(nrows, ncols int) *Bool { return NewBoolFromPairs(nrows, nc
 // from 1x1 up and densities from empty to dense: MulAddRows with either
 // operand a Bool, a row list of list rows or a row list whose long rows
 // are bitmaps (at most 30 columns, so every row of more than 2 entries),
-// into a separate t and into a or b itself.
+// into a separate t and into a or b itself; and with a Bool widened by
+// Resize past one word (65 to 200 columns) as b and as t, whose bitmap
+// rows are shorter than their word count.
 func TestRowListKernelsQuick(t *testing.T) {
 	densities := []float64{0, 0.03, 0.2, 0.6}
+	short := 0 // products whose b and t both held short bitmap rows
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, m, p := 1+rng.Intn(30), 1+rng.Intn(30), 1+rng.Intn(30)
@@ -268,22 +270,31 @@ func TestRowListKernelsQuick(t *testing.T) {
 			t.Errorf("Cols = %v, want %v", got, want)
 			return false
 		}
-		for _, l := range []struct {
+		type operand struct {
 			name string
 			op   Operand
 			ref  *Bool
-		}{{"Bool", a, a}, {"RowList", sel, ra}, {"bitmap RowList", formsList(a, s1), ra}} {
-			for _, r := range []struct {
-				name string
-				op   Operand
-				ref  *Bool
-			}{{"Bool", c, c}, {"RowList", SelectRows(c, rowSet(rng, m)), nil}, {"bitmap RowList", formsList(c, rowSet(rng, m)), nil}} {
+		}
+		lefts := []operand{{"Bool", a, a}, {"RowList", sel, ra}, {"bitmap RowList", formsList(a, s1), ra}}
+		for _, l := range lefts {
+			for _, r := range []operand{{"Bool", c, c}, {"RowList", SelectRows(c, rowSet(rng, m)), nil}, {"bitmap RowList", formsList(c, rowSet(rng, m)), nil}} {
 				if r.ref == nil {
 					r.ref = r.op.(*RowList).toBool()
 				}
 				into, _ := randomMatrix(rng, n, p, densities[rng.Intn(4)])
 				ok = ok && mulAddAs(t, "MulAddRows "+l.name+" x "+r.name, into, l.op, r.op, Mul(l.ref, r.ref))
 			}
+		}
+		wide := 65 + rng.Intn(136)
+		wc, _ := randomMatrix(rng, m, wide, densities[rng.Intn(4)])
+		wc = widened(rng, wc)
+		for _, l := range lefts {
+			into, _ := randomMatrix(rng, n, wide, densities[rng.Intn(4)])
+			into = widened(rng, into)
+			if shortBits(wc) && shortBits(into) {
+				short++
+			}
+			ok = ok && mulAddAs(t, "MulAddRows "+l.name+" x widened Bool into widened Bool", into, l.op, wc, Mul(l.ref, wc))
 		}
 		// Aliasing: t is the left or the right operand itself, and the
 		// product is taken as the operands stood on entry.
@@ -300,6 +311,40 @@ func TestRowListKernelsQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	if short == 0 {
+		t.Fatal("no product read a widened b into a widened t")
+	}
+}
+
+// widened returns a matrix of m's shape holding m's entries in its
+// first rows and words: they are set in a narrower matrix, which Resize
+// then widens, as NewIndexWarm widens a relation. When m is more than
+// one word wide, its bitmap rows are shorter than ⌈ncols/64⌉ words.
+func widened(rng *rand.Rand, m *Bool) *Bool {
+	nrows, ncols := m.nrows-rng.Intn(m.nrows/2+1), m.ncols
+	if w := nwords(m.ncols); w > 1 {
+		ncols = 64 * (1 + rng.Intn(w-1))
+	}
+	out := NewBool(nrows, ncols)
+	m.Iterate(func(i, j int) bool {
+		if i < nrows && j < ncols {
+			out.Set(i, j)
+		}
+		return true
+	})
+	out.Resize(m.nrows, m.ncols)
+	return out
+}
+
+// shortBits reports whether m holds a bitmap row shorter than
+// ⌈ncols/64⌉ words.
+func shortBits(m *Bool) bool {
+	for i := range m.rows {
+		if b := m.bitRow(i); b != nil && len(b) < nwords(m.ncols) {
+			return true
+		}
+	}
+	return false
 }
 
 // mulAddAs runs MulAddRows(t, a, b) and fails the quick check unless it

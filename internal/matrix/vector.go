@@ -162,13 +162,9 @@ func reduceCols(m Operand) *Vector {
 	}
 	acc := getAccumulator(m.NCols())
 	acc.reset()
-	_, rows, bits := m.table()
-	for x, row := range rows {
-		if bits != nil && bits[x] != nil {
-			acc.orBits(bits[x])
-		} else {
-			acc.orRow(row)
-		}
+	_, s := m.table()
+	for x := range s.rows {
+		acc.orSlot(&s, x)
 	}
 	v.idx = acc.extract(make([]uint32, 0, acc.count()))
 	putAccumulator(acc)
@@ -188,7 +184,7 @@ func VecMul(v *Vector, m *Bool) *Vector {
 	acc := getAccumulator(m.ncols)
 	acc.reset()
 	for _, i := range v.idx {
-		acc.orBoolRow(m, int(i))
+		acc.orSlot(&m.slots, int(i))
 	}
 	out.idx = acc.extract(make([]uint32, 0, acc.count()))
 	putAccumulator(acc)
