@@ -62,6 +62,10 @@ type fixpoint struct {
 	fresh  []*matrix.Vector // the part of active that the previous round activated
 	done   []*matrix.Vector // sources never to activate (Algorithm 3's index.TSrc); nil = none
 
+	// gained, when set, collects per nonterminal the rows every round's
+	// ΔT touched: the rows a maintenance run changed (NewIndexWarm).
+	gained []*matrix.Vector
+
 	rounds int
 }
 
@@ -99,6 +103,7 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool,
 	if err := f.solve(); err != nil {
 		return nil, nil, err
 	}
+	obs.CFPQRounds.Observe(int64(f.rounds))
 	r.Rounds, r.Work = f.rounds, run.Spent()
 	return r, f.active, nil
 }
@@ -164,7 +169,6 @@ func (f *fixpoint) solve() error {
 			return err
 		}
 	}
-	obs.CFPQRounds.Observe(int64(f.rounds))
 	return nil
 }
 
@@ -211,7 +215,13 @@ func (f *fixpoint) round() (progress bool, err error) {
 	}
 	f.delta, f.fresh = next, nextFresh
 	for a := range next {
-		progress = progress || next[a] != nil
+		if next[a] == nil {
+			continue
+		}
+		progress = true
+		if f.gained != nil {
+			f.gained[a].UnionInPlace(next[a].RowIDs())
+		}
 	}
 	for a := range nextFresh {
 		if f.active[a].UnionInPlace(nextFresh[a]) {

@@ -9,6 +9,7 @@ import (
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
+	"mscfpq/internal/obs"
 )
 
 // Index is the persistent cache of the optimized multiple-source
@@ -19,18 +20,20 @@ import (
 // T holds the rows queries have activated, seeds included: row i of T^A
 // holds its seed facts whenever i is processed for A.
 //
-// An Index is bound to an immutable snapshot of the graph: mutating the
-// graph after NewIndex invalidates the cache (the paper's setting —
-// static graph, repeated queries). Queries against one Index may run
-// from multiple goroutines; they are serialized internally.
+// An Index is bound to an immutable snapshot of the graph (the paper's
+// setting: static graph, repeated queries); the graph must not change
+// under it. A newer version of the graph that grew out of this one gets
+// its own index, carried over from this one by NewIndexWarm, which
+// keeps the processed sources whose rows the growth left alone. Queries
+// against one Index may run from multiple goroutines; they are
+// serialized internally.
 //
 // Cancellation safety: a query grows T in place and claims its sources
 // as processed only once its fixpoint has completed. A query aborted by
 // its context, timeout, or budget leaves behind the facts it derived —
-// each is true on this graph whether or not the query finished (the
-// monotonicity argument above NewIndexWarm) — in rows no TSrc claims, so
-// a later query that needs those rows computes them to completion and
-// every answer stays exact.
+// each is true on this graph whether or not the query finished — in
+// rows no TSrc claims, so a later query that needs those rows computes
+// them to completion and every answer stays exact.
 type Index struct {
 	G *graph.Graph
 	W *grammar.WCNF
@@ -41,6 +44,11 @@ type Index struct {
 
 	opts    exec.Options
 	queries int // guarded by mu
+
+	// maint is what NewIndexWarm's maintenance run found; nil for an
+	// index built cold or whose maintenance failed. Set before the index
+	// is shared, immutable afterwards.
+	maint *Maintenance
 }
 
 // NewIndex creates an empty cache for (g, w): T and TSrc start empty,
@@ -56,58 +64,18 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
 	n := g.NumVertices()
 	idx := &Index{G: g, W: w, opts: exec.Build(opts)}
 	idx.T = newResult(w, n).T
-	idx.TSrc = make([]*matrix.Vector, w.NumNonterms())
-	for a := range idx.TSrc {
-		idx.TSrc[a] = matrix.NewVector(n)
-	}
+	idx.TSrc = noSources(w.NumNonterms(), n)
 	return idx, nil
 }
 
-// NewIndexWarm creates an index for (g, w) seeded from a prior index's
-// accumulated relations — the warm start of the incremental re-query
-// path: when a graph version grows out of an older one by edge and
-// vertex ADDITIONS only (the gdb write path never deletes), every fact
-// the old index derived remains derivable, because CFPQ facts are
-// monotone under edge addition. Seeding T with them can therefore only
-// skip work, never change answers. The processed-source sets start
-// EMPTY: a source fully processed against the old graph may reach new
-// facts through the added edges, so its claim must not carry over —
-// the first query touching it reprocesses it against the new graph,
-// which also seeds its rows from the new graph's edges.
-//
-// The caller is responsible for the supergraph relationship (in the
-// store layer it follows from version lineage); w must be the prior
-// index's grammar.
-func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option) (*Index, error) {
-	idx, err := NewIndex(g, w, opts...)
-	if err != nil {
-		return nil, err
+// noSources returns an empty processed set of n vertices for each of
+// nnt nonterminals.
+func noSources(nnt, n int) []*matrix.Vector {
+	done := make([]*matrix.Vector, nnt)
+	for a := range done {
+		done[a] = matrix.NewVector(n)
 	}
-	if prior == nil {
-		return idx, nil
-	}
-	if prior.W != w {
-		return nil, fmt.Errorf("cfpq: warm start requires the prior index's grammar")
-	}
-	n := g.NumVertices()
-	if pn := prior.G.NumVertices(); pn > n {
-		return nil, fmt.Errorf("cfpq: warm start from a larger graph (%d > %d vertices)", pn, n)
-	}
-	prior.mu.Lock()
-	defer prior.mu.Unlock()
-	// idx is unpublished, but its invariants are mu-guarded; taking the
-	// lock is free here and keeps the guarantee machine-checked.
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	for a := range idx.T {
-		if prior.T[a].NVals() == 0 {
-			continue
-		}
-		// One copy per relation: the prior's rows, grown to the new shape.
-		idx.T[a] = prior.T[a].Clone()
-		idx.T[a].Resize(n, n)
-	}
-	return idx, nil
+	return done
 }
 
 // Queries returns the number of solves the index ran: one per
@@ -169,6 +137,7 @@ func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.
 	if err := f.solve(); err != nil {
 		return nil, 0, err
 	}
+	obs.CFPQRounds.Observe(int64(f.rounds))
 	for b := range done {
 		done[b].UnionInPlace(f.active[b])
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
 )
 
@@ -104,5 +105,99 @@ func TestWarmIndexNilPriorAndErrors(t *testing.T) {
 	small := randomGraph(rand.New(rand.NewSource(1)), 3, 3, []string{"a", "b"})
 	if _, err := NewIndexWarm(small, w, prior); err == nil {
 		t.Fatal("expected shrunk-graph error")
+	}
+}
+
+// TestWarmIndexMaintenance: carrying an index over keeps its processed
+// sources. A write that links only new vertices costs no round and
+// dirties nothing; an edge that extends a processed row dirties exactly
+// the processed rows that gain, and the carried rows are those a fresh
+// index computes. A maintenance run the governor stops leaves an index
+// with no processed source and no Maintenance that still answers right.
+func TestWarmIndexMaintenance(t *testing.T) {
+	w := anbnWCNF()
+	g := graph.New(0)
+	g.AddEdge(0, "a", 1)
+	g.AddEdge(1, "a", 2)
+	g.AddEdge(2, "b", 3)
+	g.AddEdge(3, "b", 4)
+	g.AddEdge(5, "a", 6)
+	g.AddEdge(6, "b", 7)
+	prior, err := NewIndex(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := matrix.NewVectorFromIndices(8, []int{0, 1, 5})
+	if _, err := prior.MultiSourceSmart(src); err != nil {
+		t.Fatal(err)
+	}
+	s := w.Start
+
+	// New vertices linked among themselves: nothing to maintain.
+	g1 := g.CowClone()
+	g1.AddEdge(8, "a", 9)
+	g1.AddEdge(9, "b", 10)
+	warm1, err := NewIndexWarm(g1, w, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := warm1.Maintenance()
+	if m == nil || m.Rounds != 0 || !m.Dirty[s].Empty() {
+		t.Fatalf("maintenance after a new-vertex write = %+v, want 0 rounds and nothing dirty", m)
+	}
+	if got, want := warm1.ProcessedSources(s), matrix.NewVectorFromIndices(11, prior.ProcessedSources(s).Ints()); !got.Equal(want) {
+		t.Fatalf("processed sources %v, want the prior's %v", got.Ints(), want.Ints())
+	}
+	if !m.Kept(s, src) {
+		t.Fatal("carried rows not kept across a write that left them alone")
+	}
+
+	// 2-b->8 gives 1 the new row entry (1, 8); 0 and 5 keep theirs.
+	g2 := g1.CowClone()
+	g2.AddEdge(2, "b", 8)
+	warm2, err := NewIndexWarm(g2, w, warm1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = warm2.Maintenance()
+	if m == nil || m.Rounds == 0 {
+		t.Fatalf("maintenance = %+v, want a run", m)
+	}
+	if got := m.Dirty[s].Ints(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("dirty S sources %v, want [1]", got)
+	}
+	if m.Kept(s, src) || !m.Kept(s, matrix.NewVectorFromIndices(11, []int{0, 5})) {
+		t.Fatal("Kept disagrees with the dirty set")
+	}
+	fresh, err := NewIndex(g2, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := matrix.NewVectorFromIndices(11, []int{0, 1, 5})
+	fa, err := fresh.MultiSourceSmart(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := matrix.ExtractRows(warm2.Relation(s), all); !got.Equal(fa.Answer()) {
+		t.Fatalf("carried rows %v, fresh %v", got.Pairs(), fa.Answer().Pairs())
+	}
+	if warm2.Queries() != 0 {
+		t.Fatalf("maintenance counted as %d queries", warm2.Queries())
+	}
+
+	// A budget of one entry stops the maintenance run.
+	failed, err := NewIndexWarm(g2, w, warm1, WithBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed.Maintenance() != nil || !failed.ProcessedSources(s).Empty() {
+		t.Fatal("a failed maintenance run kept processed sources")
+	}
+	fb, err := failed.MultiSourceSmart(all, WithBudget(1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fb.Answer().Equal(fa.Answer()) {
+		t.Fatalf("after a failed maintenance run: %v, fresh %v", fb.Answer().Pairs(), fa.Answer().Pairs())
 	}
 }

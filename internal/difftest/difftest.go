@@ -11,8 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"mscfpq/internal/cfpq"
@@ -481,6 +483,112 @@ func CheckIndexReuse(inst gen.Instance, chunks int) error {
 	}
 	if !idx1.Relation(start).Equal(before) {
 		return errors.New("replaying processed sources mutated the cached relation")
+	}
+	return nil
+}
+
+// CheckIndexMaintenance asserts the delta-maintenance contract of
+// cfpq.NewIndexWarm over a write that reaches processed rows: an index
+// that processed some sources is carried over to the next version of a
+// store, after a Store.Update that adds a random batch of edges and
+// vertex labels between existing vertices. On the new version, every
+// processed row of every nonterminal of the carried index equals the
+// same row of a fresh index and of the oracle; the processed sets only
+// grow; the maintenance's carried sets are the prior processed sets;
+// and its dirty set holds every carried row that changed.
+func CheckIndexMaintenance(inst gen.Instance, rng *rand.Rand) error {
+	st := store.New(inst.G)
+	prior, err := cfpq.NewIndex(st.Pin().Graph(), inst.W)
+	if err != nil {
+		return err
+	}
+	n, nnt := inst.G.NumVertices(), inst.W.NumNonterms()
+	for q := 0; q < 1+rng.Intn(3); q++ {
+		src := matrix.NewVectorFromIndices(n, []int{rng.Intn(n), rng.Intn(n)})
+		if _, err := prior.MultiSourceSmart(src); err != nil {
+			return fmt.Errorf("prior query: %v", err)
+		}
+	}
+	before := make([]*matrix.Vector, nnt)
+	for a := range before {
+		before[a] = prior.ProcessedSources(a)
+	}
+
+	// Half the batch starts at processed sources, so that most batches
+	// reach a processed row.
+	processed := before[inst.W.Start].Ints()
+	pick := func() int {
+		if len(processed) > 0 && rng.Intn(2) == 0 {
+			return processed[rng.Intn(len(processed))]
+		}
+		return rng.Intn(n)
+	}
+	snap, err := st.Update(func(tx *store.Tx) error {
+		g := tx.Graph()
+		for e := 0; e < 1+rng.Intn(4); e++ {
+			l := gen.DefaultLabels[rng.Intn(len(gen.DefaultLabels))]
+			if rng.Intn(4) == 0 {
+				g.AddVertexLabel(pick(), l)
+			} else {
+				g.AddEdge(pick(), l, rng.Intn(n))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	g := snap.Graph()
+	warm, err := cfpq.NewIndexWarm(g, inst.W, prior)
+	if err != nil {
+		return fmt.Errorf("NewIndexWarm: %v", err)
+	}
+	m := warm.Maintenance()
+	if m == nil {
+		return errors.New("maintenance run failed")
+	}
+	fresh, err := cfpq.NewIndex(g, inst.W)
+	if err != nil {
+		return err
+	}
+	x, err := fresh.Extend(inst.W)
+	if err != nil {
+		return err
+	}
+	ref := oracle.CFPQ(g, inst.W)
+	for a := 0; a < nnt; a++ {
+		done := warm.ProcessedSources(a)
+		if !m.Carried[a].Equal(before[a]) {
+			return fmt.Errorf("nonterminal %d: carried %v, prior processed %v", a, m.Carried[a].Ints(), before[a].Ints())
+		}
+		if lost := before[a].Clone(); lost.DiffInPlace(done) && !lost.Empty() {
+			return fmt.Errorf("nonterminal %d: processed sources shrank from %v to %v", a, before[a].Ints(), done.Ints())
+		}
+		want := map[int][]uint32{}
+		for _, p := range ref.Pairs(a) {
+			want[p[0]] = append(want[p[0]], uint32(p[1]))
+		}
+		rows, err := x.Rows(a, done)
+		if err != nil {
+			return fmt.Errorf("fresh index rows: %v", err)
+		}
+		dirty := map[int]bool{}
+		for _, s := range m.Dirty[a].Ints() {
+			dirty[s] = true
+		}
+		rel, old := warm.Relation(a), prior.Relation(a)
+		for _, s := range done.Ints() {
+			got := rel.Row(s)
+			if !slices.Equal(got, want[s]) {
+				return fmt.Errorf("nonterminal %d source %d: carried row %v, oracle %v", a, s, got, want[s])
+			}
+			if f := rows.Row(s); !slices.Equal(got, f) {
+				return fmt.Errorf("nonterminal %d source %d: carried row %v, fresh index %v", a, s, got, f)
+			}
+			if before[a].Get(s) && !dirty[s] && !slices.Equal(got, old.Row(s)) {
+				return fmt.Errorf("nonterminal %d source %d: row changed from %v to %v but is not dirty", a, s, old.Row(s), got)
+			}
+		}
 	}
 	return nil
 }

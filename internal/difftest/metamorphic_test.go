@@ -7,7 +7,7 @@ import (
 	"mscfpq/internal/gen"
 )
 
-// The four standing metamorphic invariants (documented in DESIGN.md):
+// The five standing metamorphic invariants (documented in DESIGN.md):
 //
 //  1. chunk-union: the union of multiple-source answers over any chunking
 //     of the source set equals the source-restricted all-pairs relation;
@@ -15,7 +15,10 @@ import (
 //  3. path replay: extracted single paths replay to valid derivations;
 //  4. governed-abort soundness: budgeted/cancelled runs never return a
 //     wrong partial answer, and an index query aborted at any budget
-//     claims no source and keeps only true facts.
+//     claims no source and keeps only true facts;
+//  5. index maintenance: an index carried across a write that reaches
+//     its processed rows agrees, row by row, with a fresh index and the
+//     oracle, and its dirty set names every carried row that changed.
 //
 // Each invariant runs over its own seeded instance stream so adding or
 // resizing one stream never perturbs the others.
@@ -63,4 +66,8 @@ func TestMetamorphicGovernedAbort(t *testing.T) {
 	runMetamorphic(t, 6_000_000, func(inst gen.Instance, rng *rand.Rand) error {
 		return CheckGoverned(inst, 1+rng.Int63n(governedBudgetSpan))
 	})
+}
+
+func TestMetamorphicIndexMaintenance(t *testing.T) {
+	runMetamorphic(t, 8_000_000, CheckIndexMaintenance)
 }

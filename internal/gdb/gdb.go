@@ -8,12 +8,15 @@ package gdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"mscfpq/internal/cfpq"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
+	"mscfpq/internal/fault"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/obs"
 	"mscfpq/internal/plan"
@@ -30,8 +33,8 @@ type DB struct {
 	polMu  sync.RWMutex
 	policy Policy // guarded by polMu
 
-	// cache is the version-keyed query-result cache, shared by all
-	// graphs of the database; set once by newDB, immutable afterwards
+	// cache is the query-result cache, shared by all graphs of the
+	// database; set once by newDB, immutable afterwards
 	// (the cache is internally synchronized). Disabled until a policy
 	// sets CacheMaxBytes.
 	cache *store.Cache
@@ -82,21 +85,51 @@ type GraphStore struct {
 	st *store.Store
 
 	ctxMu    sync.Mutex
-	ctxCache map[string]*cachedCtx // guarded by ctxMu
-	ctxHits  int                   // guarded by ctxMu
+	ctxCache map[string]*ctxSlot // guarded by ctxMu
+	ctxHits  atomic.Int64
 }
 
-// cachedCtx pairs a prepared path context with the snapshot version
-// it was built against.
+// ctxSlot holds the path-pattern context of one declaration set. Its
+// lock serializes carrying the context over to a newer version, which
+// runs a fixpoint (cfpq.NewIndexWarm), so that neither other
+// declaration sets nor readers at the cached version wait for it; cur
+// is read without the lock.
+type ctxSlot struct {
+	mu  sync.Mutex
+	cur atomic.Pointer[cachedCtx]
+}
+
+// ctxLogSteps bounds a context's maintenance log: a cached result older
+// than the steps it keeps serves its own version only.
+const ctxLogSteps = 32
+
+// cachedCtx pairs a prepared path context with the snapshot version it
+// was built against and the maintenance log that led there: log[k]
+// carried the context from version log[k].from to log[k].to, the last
+// step ending at version, each starting where the one before ended. A
+// cold build starts an empty log.
 //
-// immutable after publish (enforced by the snapfreeze analyzer): an
-// entry placed in ctxCache is read outside ctxMu-free fast paths of
-// future refactors; a version bump allocates a fresh entry instead of
-// rewriting this one.
+// immutable after publish (enforced by the snapfreeze analyzer): a
+// published entry is read without ctxSlot.mu, so carrying the context
+// over allocates a fresh entry (and log) instead of rewriting this one.
 type cachedCtx struct {
 	ctx     *plan.PathCtx
 	version uint64
+	log     []ctxStep
 }
+
+// ctxStep is one maintenance run of a context: what carrying it from
+// version from to version to left unchanged.
+type ctxStep struct {
+	from, to uint64
+	m        *cfpq.Maintenance
+}
+
+// FPCtxWarm fails carrying a cached path-pattern context over to a
+// newer version, so the context is rebuilt cold.
+const FPCtxWarm = "gdb.ctx.warm"
+
+var _ = fault.Declare(FPCtxWarm)
 
 // NewGraphStore wraps an existing graph (no properties) as version 0.
 // The graph is adopted by the store: seed it fully before the first
@@ -104,7 +137,7 @@ type cachedCtx struct {
 func NewGraphStore(g *graph.Graph) *GraphStore {
 	return &GraphStore{
 		st:       store.New(g),
-		ctxCache: map[string]*cachedCtx{},
+		ctxCache: map[string]*ctxSlot{},
 	}
 }
 
@@ -119,57 +152,134 @@ func (s *GraphStore) Version() uint64 { return s.st.Version() }
 // (part of every cache key).
 func (s *GraphStore) StoreID() uint64 { return s.st.ID() }
 
+// slot returns the context slot of a declaration set, creating it when
+// create is set; nil otherwise.
+func (s *GraphStore) slot(key string, create bool) *ctxSlot {
+	s.ctxMu.Lock()
+	defer s.ctxMu.Unlock()
+	sl := s.ctxCache[key]
+	if sl == nil && create {
+		sl = &ctxSlot{}
+		s.ctxCache[key] = sl
+	}
+	return sl
+}
+
 // pathCtxFor returns a path-pattern context for the query's
 // declarations, evaluated against the pinned snapshot. The cache keeps
 // one context per declaration set at the newest version seen: an exact
 // version match is reused outright; a context from an OLDER version is
-// warm-started into the snapshot's version (the write path only adds
-// edges and vertices, so the accumulated index facts stay sound — see
-// cfpq.NewIndexWarm); a reader pinned BEHIND the cached version builds
-// a private context without disturbing the cache. Queries without
-// declarations always get a fresh empty context (cheap).
+// carried over into the snapshot's version (cfpq.NewIndexWarm: the
+// write path only adds edges and vertices, so the accumulated facts
+// stay true and a maintenance run completes the processed rows); a
+// reader pinned BEHIND the cached version builds a private context
+// without disturbing the cache. Queries without declarations always get
+// a fresh empty context (cheap).
 func (s *GraphStore) pathCtxFor(snap *store.Snapshot, q *cypher.Query) (*plan.PathCtx, error) {
 	if len(q.PathPatterns) == 0 {
 		return plan.NewPathCtx(snap.Graph(), nil)
 	}
-	key := plan.CtxKey(q.PathPatterns)
-	v := snap.Version()
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	if c, ok := s.ctxCache[key]; ok {
-		if c.version == v {
-			s.ctxHits++
-			return c.ctx, nil
-		}
-		if c.version < v {
-			if ctx, err := c.ctx.WarmSuccessor(snap.Graph()); err == nil {
-				s.ctxCache[key] = &cachedCtx{ctx: ctx, version: v}
-				return ctx, nil
-			}
-			// Warm start failed (shouldn't happen along a version
-			// lineage); fall through to a cold build.
-		} else {
-			// The cache moved past this reader's pinned version; serve
-			// it a private context and leave the cache at the newer one.
-			return plan.NewPathCtx(snap.Graph(), q.PathPatterns)
-		}
+	sl := s.slot(plan.CtxKey(q.PathPatterns), true)
+	if c := sl.cur.Load(); c != nil && c.version == snap.Version() {
+		s.ctxHits.Add(1)
+		return c.ctx, nil
 	}
-	ctx, err := plan.NewPathCtx(snap.Graph(), q.PathPatterns)
+	c, err := sl.advance(snap, q.PathPatterns)
 	if err != nil {
 		return nil, err
 	}
-	s.ctxCache[key] = &cachedCtx{ctx: ctx, version: v}
-	return ctx, nil
+	if c.version > snap.Version() {
+		// The cache moved past this reader's pinned version; serve it a
+		// private context and leave the cache at the newer one.
+		return plan.NewPathCtx(snap.Graph(), q.PathPatterns)
+	}
+	return c.ctx, nil
+}
+
+// advance brings the slot's context up to the snapshot's version, unless
+// it is there or past it already, and returns the slot's context, which
+// may be newer than the snapshot. An empty slot gets a cold build.
+func (sl *ctxSlot) advance(snap *store.Snapshot, pats []cypher.NamedPathPattern) (*cachedCtx, error) {
+	v := snap.Version()
+	if c := sl.cur.Load(); c != nil && c.version >= v {
+		return c, nil
+	}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	c := sl.cur.Load()
+	switch {
+	case c != nil && c.version >= v:
+		return c, nil
+	case c != nil:
+		next, err := carry(c, snap)
+		if err == nil {
+			sl.cur.Store(next)
+			return next, nil
+		}
+		// Carrying failed (shouldn't happen along a version lineage):
+		// rebuild cold below, with an empty log, so no cached result is
+		// revalidated across the gap.
+		obs.GdbCtxColdRebuilds.Inc()
+	}
+	ctx, err := plan.NewPathCtx(snap.Graph(), pats)
+	if err != nil {
+		return nil, err
+	}
+	c = &cachedCtx{ctx: ctx, version: v}
+	sl.cur.Store(c)
+	return c, nil
+}
+
+// carry returns c carried over to the snapshot's version, its log grown
+// by the step; a step whose maintenance failed starts the log afresh.
+func carry(c *cachedCtx, snap *store.Snapshot) (*cachedCtx, error) {
+	if err := fault.Inject(FPCtxWarm); err != nil {
+		return nil, err
+	}
+	ctx, err := c.ctx.WarmSuccessor(snap.Graph())
+	if err != nil {
+		return nil, err
+	}
+	next := &cachedCtx{ctx: ctx, version: snap.Version()}
+	if m := ctx.Maintenance(); m != nil {
+		keep := c.log[max(0, len(c.log)-ctxLogSteps+1):]
+		next.log = append(slices.Clip(keep), ctxStep{from: c.version, to: next.version, m: m})
+	}
+	return next, nil
+}
+
+// unchanged reports whether the rows fp names are the same at version
+// at and at the snapshot's: the log steps of its context spanning the
+// two versions all kept them. It first carries the context up to the
+// snapshot, which the reader would otherwise do on the miss.
+func (s *GraphStore) unchanged(snap *store.Snapshot, pats []cypher.NamedPathPattern, at uint64, fp *store.Footprint) bool {
+	sl := s.slot(fp.Ctx, false)
+	if sl == nil {
+		return false
+	}
+	c, err := sl.advance(snap, pats)
+	if err != nil {
+		return false
+	}
+	lo, hi := min(at, snap.Version()), max(at, snap.Version())
+	if hi > c.version {
+		return false
+	}
+	covered := c.version
+	for k := len(c.log) - 1; k >= 0 && covered > lo; k-- {
+		st := c.log[k]
+		if st.from < hi && !st.m.Kept(fp.Nonterm, fp.Sources) {
+			return false
+		}
+		covered = st.from
+	}
+	return covered <= lo
 }
 
 // CtxCacheHits reports how many queries reused a cached path-pattern
 // context (and its warmed multiple-source index) at the exact same
 // version. Warm starts across versions are not counted.
-func (s *GraphStore) CtxCacheHits() int {
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	return s.ctxHits
-}
+func (s *GraphStore) CtxCacheHits() int { return int(s.ctxHits.Load()) }
 
 // Graph exposes the current version's graph. Read-only once the store
 // is serving queries: direct mutation bypasses versioning (copy-on-write
@@ -377,19 +487,25 @@ func (s *GraphStore) prepare(snap *store.Snapshot, q *cypher.Query, run *exec.Ru
 // runMatchSnap evaluates a MATCH query against a pinned snapshot. No
 // lock is held: concurrent writes publish newer versions without
 // affecting this evaluation, and the result is exactly the answer for
-// the snapshot's version.
-func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*QueryResult, error) {
+// the snapshot's version. It also returns the plan's footprint
+// (plan.Plan.Footprint), nil when the plan reads more than the rows of
+// one declared path pattern.
+func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*QueryResult, *store.Footprint, error) {
 	p, err := s.prepare(snap, q, run)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	execSpan := run.StartSpan(obs.SpanExecute)
 	rs, err := p.ExecuteWith(exec.WithRun(run))
 	execSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &QueryResult{Columns: rs.Columns, Rows: rs.Rows}, nil
+	var fp *store.Footprint
+	if a, src, ok := p.Footprint(); ok {
+		fp = &store.Footprint{Ctx: plan.CtxKey(q.PathPatterns), Nonterm: a, Sources: src}
+	}
+	return &QueryResult{Columns: rs.Columns, Rows: rs.Rows}, fp, nil
 }
 
 func (db *DB) runCreate(name string, q *cypher.Query) (*QueryResult, error) {

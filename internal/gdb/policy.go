@@ -35,11 +35,13 @@ type Policy struct {
 	// (Open): a snapshot is cut and the journal rotated this often.
 	// 0 disables auto-saving; explicit Save/GRAPH.SAVE still works.
 	SaveInterval time.Duration
-	// CacheMaxBytes is the byte budget of the version-keyed query
-	// result cache (DESIGN.md §11): results are keyed by (store
-	// incarnation, graph version, query text), so a write to a graph
-	// automatically invalidates its cached results — older-version
-	// entries can never serve a newer version. 0 disables caching.
+	// CacheMaxBytes is the byte budget of the query result cache
+	// (DESIGN.md §11): results are keyed by (store incarnation, query
+	// text) and record the version they were computed at. A result
+	// serves another version only when it read nothing but rows of a
+	// declared path pattern for fixed sources and no write in between
+	// changed those rows; any other result serves its own version only,
+	// so it misses after any write. 0 disables caching.
 	CacheMaxBytes int64
 	// CacheTTL additionally expires cached results by age; 0 keeps
 	// entries until evicted or invalidated.
@@ -115,17 +117,25 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 		trace = obs.NewTrace(obs.SpanQuery)
 		trace.AddSpan(obs.SpanParse, parseDur)
 	}
-
-	// Pin ONE snapshot for both the cache key and the evaluation: the
+	// Pin ONE snapshot for both the cache lookup and the evaluation: the
 	// result is exactly the answer for this version even if writes
-	// publish newer versions mid-flight, and a result cached under the
-	// key can never be served for any other version.
-	snap := s.Snapshot()
+	// publish newer versions mid-flight.
+	return db.readAt(ctx, name, src, q, s, s.Snapshot(), trace, parseStart)
+}
+
+// readAt answers the parsed MATCH statement src at the pinned snapshot
+// snap of s, from the result cache or by evaluation, which then fills
+// the cache. A result cached at another version serves this one only
+// when its footprint's rows are the same at both (GraphStore.unchanged).
+// start is when the statement arrived.
+func (db *DB) readAt(ctx context.Context, name, src string, q *cypher.Query, s *GraphStore, snap *store.Snapshot, trace *obs.Trace, start time.Time) (*QueryResult, error) {
 	var rkey store.Key
 	if db.cache.Enabled() {
-		rkey = store.ResultKey(snap.StoreID(), snap.Version(), src)
+		rkey = store.TextKey(snap.StoreID(), src)
 		lookupStart := time.Now()
-		v, hit := db.cache.Get(rkey)
+		v, hit := db.cache.Get(rkey, snap.Version(), func(at uint64, fp *store.Footprint) bool {
+			return s.unchanged(snap, q.PathPatterns, at, fp)
+		})
 		if trace != nil {
 			if hit {
 				trace.AddSpan(obs.SpanCacheHit, time.Since(lookupStart))
@@ -137,7 +147,7 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 			cached := v.(*QueryResult)
 			res := &QueryResult{Columns: cached.Columns, Rows: cached.Rows}
 			obs.GdbQueries.Inc()
-			obs.GdbQueryLatencyUS.Observe(time.Since(parseStart).Microseconds())
+			obs.GdbQueryLatencyUS.Observe(time.Since(start).Microseconds())
 			if trace != nil {
 				trace.Close()
 				res.Profile = trace.Render()
@@ -147,8 +157,9 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 	}
 
 	var res *QueryResult
-	err = db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
-		res, err = s.runMatchSnap(snap, q, run)
+	var fp *store.Footprint
+	err := db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
+		res, fp, err = s.runMatchSnap(snap, q, run)
 		return err
 	})
 	if err != nil {
@@ -158,7 +169,7 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 		// Cache a trimmed copy (columns and rows only — never the
 		// profile) so later hits share immutable data.
 		entry := &QueryResult{Columns: res.Columns, Rows: res.Rows}
-		db.cache.Put(rkey, entry, resultBytes(entry, rkey), snap.StoreID(), snap.Version())
+		db.cache.Put(rkey, entry, resultBytes(entry, rkey, fp), snap.StoreID(), snap.Version(), fp)
 	}
 	if trace != nil {
 		res.Profile = trace.Render()
@@ -215,8 +226,11 @@ func (db *DB) serve(ctx context.Context, name, src string, q *cypher.Query, trac
 
 // resultBytes estimates a cached result's memory footprint for the
 // cache's byte budget.
-func resultBytes(r *QueryResult, key store.Key) int64 {
+func resultBytes(r *QueryResult, key store.Key, fp *store.Footprint) int64 {
 	b := int64(len(key)) + 96
+	if fp != nil {
+		b += int64(len(fp.Ctx)) + 4*int64(fp.Sources.NVals()) + 64
+	}
 	for _, c := range r.Columns {
 		b += int64(len(c)) + 16
 	}

@@ -1,0 +1,290 @@
+package gdb
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"mscfpq/internal/cypher"
+	"mscfpq/internal/graph"
+	"mscfpq/internal/oracle"
+	"mscfpq/internal/store"
+)
+
+const revalidateDecl = `PATH PATTERN S = ()-/ [:a ~S :b] | [:a :b] /->() `
+
+// revalidateGraph is two aⁿbⁿ gadgets, 0-a->1-a->2-b->3-b->4 and
+// 10-a->11-b->12, every vertex labeled N.
+func revalidateGraph() *graph.Graph {
+	g := graph.New(13)
+	g.AddEdge(0, "a", 1)
+	g.AddEdge(1, "a", 2)
+	g.AddEdge(2, "b", 3)
+	g.AddEdge(3, "b", 4)
+	g.AddEdge(10, "a", 11)
+	g.AddEdge(11, "b", 12)
+	for v := range 13 {
+		g.AddVertexLabel(v, "N")
+	}
+	return g
+}
+
+// cacheProbe runs statements against one graph and reports how the
+// result cache served each, checking every answer against the oracle at
+// the version the statement was served at.
+type cacheProbe struct {
+	t  *testing.T
+	db *DB
+	s  *GraphStore
+}
+
+// outcome is how the cache served one statement.
+type outcome string
+
+const (
+	exactHit    outcome = "exact hit"
+	revalidated outcome = "revalidated hit"
+	missed      outcome = "miss"
+)
+
+// read answers text at snap (the current version when nil) and checks
+// the answer against the oracle at snap's version.
+func (p cacheProbe) read(text string, snap *store.Snapshot) outcome {
+	p.t.Helper()
+	q, err := cypher.Parse(text)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if snap == nil {
+		snap = p.s.Snapshot()
+	}
+	before := p.db.Cache().Stats()
+	res, err := p.db.readAt(context.Background(), "g", text, q, p.s, snap, nil, time.Now())
+	if err != nil {
+		p.t.Fatalf("%s: %v", text, err)
+	}
+	after := p.db.Cache().Stats()
+	if got, want := sortedPairs(pairsFromRows(res.Rows)), wantPairs(p.t, snap.Graph(), q); !pairsEqual(got, want) {
+		p.t.Fatalf("version %d: %s\n got %v\nwant %v", snap.Version(), text, got, want)
+	}
+	switch {
+	case after.Revalidations > before.Revalidations:
+		return revalidated
+	case after.Hits > before.Hits:
+		return exactHit
+	}
+	return missed
+}
+
+// expect reads text at snap and fails unless the cache served it as want.
+func (p cacheProbe) expect(text string, snap *store.Snapshot, want outcome) {
+	p.t.Helper()
+	if got := p.read(text, snap); got != want {
+		p.t.Fatalf("%s: served as %s, want %s", text, got, want)
+	}
+}
+
+// wantPairs is the oracle's answer to a revalidation-test statement on
+// g: the (v, to) pairs of S from the listed ids that exist, from the
+// N-labeled vertices for a label scan, or from every vertex.
+func wantPairs(t *testing.T, g *graph.Graph, q *cypher.Query) [][2]int {
+	t.Helper()
+	var src []int
+	switch where := q.Where.(type) {
+	case cypher.IDIn:
+		for _, id := range where.IDs {
+			if int(id) < g.NumVertices() {
+				src = append(src, int(id))
+			}
+		}
+	case nil:
+		src = allVertices(g.NumVertices())
+		if labels := q.Match.Patterns[0].Nodes[0].Labels; len(labels) > 0 {
+			src = g.VertexSet(labels[0]).Ints()
+		}
+	default:
+		t.Fatalf("unexpected WHERE %v", where)
+	}
+	return sortedPairs(oracle.CFPQ(g, stressGrammar(t)).StartPairsFrom(src))
+}
+
+func sourcesQuery(ids ...int) string {
+	list := strings.Trim(strings.Join(strings.Fields(fmt.Sprint(ids)), ", "), "[]")
+	return revalidateDecl + `MATCH (v)-/ ~S /->(to) WHERE id(v) IN [` + list + `] RETURN v, to`
+}
+
+// TestStressCacheRevalidationByDirtyRows walks the result cache's
+// cross-version rules: an id-seek answer of a declared pattern survives
+// a write that leaves its rows alone, as a hit at the newer version and
+// at an older one, and misses once a write changes one of its rows or
+// creates an id it names; label and all-node scans miss after any
+// write; a reader pinned behind a newer entry gets its own version's
+// answer without displacing the entry. Readers then race a writer, each
+// answer checked against the oracle.
+func TestStressCacheRevalidationByDirtyRows(t *testing.T) {
+	db := New()
+	db.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
+	p := cacheProbe{t: t, db: db, s: db.AddGraph("g", revalidateGraph())}
+	var (
+		qA     = sourcesQuery(0, 1)
+		qB     = sourcesQuery(10)
+		qNew   = sourcesQuery(0, 20)
+		qAll   = revalidateDecl + `MATCH (v)-/ ~S /->(to) RETURN v, to`
+		qLabel = revalidateDecl + `MATCH (v:N)-/ ~S /->(to) RETURN v, to`
+	)
+	all := []string{qA, qB, qNew, qAll, qLabel}
+	for _, q := range all {
+		p.expect(q, nil, missed)
+		p.expect(q, nil, exactHit)
+	}
+	v0 := p.s.Snapshot()
+
+	// A CREATE links only the vertices it creates: the id-seek answers
+	// of existing vertices survive; scans, and the seek that names an id
+	// it does not have yet, miss.
+	if _, err := db.Query("g", `CREATE (x:N)-[:a]->(y:N)`); err != nil {
+		t.Fatal(err)
+	}
+	p.expect(qA, nil, revalidated)
+	p.expect(qB, nil, revalidated)
+	p.expect(qNew, nil, missed)
+	p.expect(qAll, nil, missed)
+	p.expect(qLabel, nil, missed)
+	// The revalidated entry is restamped to the newer version; a reader
+	// at the older one is served by revalidation too.
+	p.expect(qA, nil, exactHit)
+	p.expect(qA, v0, revalidated)
+
+	// An edge that reaches source 1 (1-a->2-b->12 is a new S path)
+	// changes qA's rows but not qB's.
+	if _, err := p.s.st.Update(func(tx *store.Tx) error {
+		tx.Graph().AddEdge(2, "b", 12)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.expect(qA, nil, missed)
+	p.expect(qB, nil, revalidated)
+	p.expect(qAll, nil, missed)
+	p.expect(qLabel, nil, missed)
+
+	// A CREATE that brings id 20 into existence, with an S path from it.
+	// qNew names 20, so its entries serve their own version only.
+	p.expect(qNew, nil, missed)
+	p.expect(qNew, nil, exactHit)
+	if _, err := db.Query("g", `CREATE (f1:N), (f2:N), (f3:N), (f4:N), (f5:N), (s:N)-[:a]->(m:N)-[:b]->(e:N)`); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.s.Snapshot().Graph().NumVertices(); n != 23 {
+		t.Fatalf("graph has %d vertices, want 23", n)
+	}
+	p.expect(qNew, nil, missed)
+	p.expect(qA, nil, revalidated)
+
+	// A reader pinned behind a newer entry whose rows changed since gets
+	// its own version's answer, and leaves the newer entry in place.
+	pinned := p.s.Snapshot()
+	p.expect(qB, pinned, revalidated)
+	if _, err := p.s.st.Update(func(tx *store.Tx) error {
+		tx.Graph().AddEdge(2, "b", 13)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.expect(qA, nil, missed)
+	p.expect(qA, pinned, missed)
+	p.expect(qA, nil, exactHit)
+	// qB's rows did not change: restamped at the newest version, its
+	// entry still serves the pinned reader, across the step that dirtied
+	// qA's rows.
+	p.expect(qB, nil, revalidated)
+	p.expect(qB, pinned, revalidated)
+
+	// Readers race a writer that adds vertices and, now and then, an
+	// edge into a gadget. The answer of a statement lies between the
+	// oracle's at the versions pinned just before and just after it.
+	const readers, reads = 4, 30
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%3 == 2 {
+				_, _ = p.s.st.Update(func(tx *store.Tx) error {
+					tx.Graph().AddEdge(11, "b", 14+i%9)
+					return nil
+				})
+			} else if _, err := db.Query("g", `CREATE (x:N)-[:a]->(y:N)`); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			texts := []string{qA, qB, sourcesQuery(1, 10), qAll}
+			for range reads {
+				text := texts[rng.Intn(len(texts))]
+				q, err := cypher.Parse(text)
+				if err != nil {
+					errs <- err
+					return
+				}
+				lo := p.s.Snapshot()
+				res, err := db.Query("g", text)
+				hi := p.s.Snapshot()
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := map[[2]int]bool{}
+				for _, pr := range pairsFromRows(res.Rows) {
+					got[pr] = true
+				}
+				for _, pr := range wantPairs(t, lo.Graph(), q) {
+					if !got[pr] {
+						errs <- fmt.Errorf("%s: lost %v, present at version %d", text, pr, lo.Version())
+						return
+					}
+					delete(got, pr)
+				}
+				upper := map[[2]int]bool{}
+				for _, pr := range wantPairs(t, hi.Graph(), q) {
+					upper[pr] = true
+				}
+				for pr := range got {
+					if !upper[pr] {
+						errs <- fmt.Errorf("%s: invented %v, absent at version %d", text, pr, hi.Version())
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := db.Cache().Stats(); st.Revalidations == 0 {
+		t.Fatalf("no hit was served across versions: %+v", st)
+	}
+}

@@ -194,7 +194,7 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 				want := sortedPairs(oracle.CFPQ(g, w).StartPairsFrom(allVertices(g.NumVertices())))
 
 				run, cancel := exec.Options{}.Start()
-				res, err := s.runMatchSnap(snap, q, run)
+				res, _, err := s.runMatchSnap(snap, q, run)
 				cancel()
 				if err != nil {
 					t.Errorf("reader %d: match at version %d: %v", rd, v, err)

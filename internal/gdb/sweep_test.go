@@ -67,7 +67,7 @@ func TestSweepQueryBytesAreSizeIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		run, cancel := exec.Options{}.Start()
-		_, err = s.runMatchSnap(s.Snapshot(), q, run)
+		_, _, err = s.runMatchSnap(s.Snapshot(), q, run)
 		cancel()
 		if err != nil {
 			t.Fatal(err)

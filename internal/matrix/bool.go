@@ -201,6 +201,46 @@ func (m *Bool) CloneCOW() *Bool {
 // CloneCOW when both sides stay mutable).
 func (m *Bool) CloneFrozen() *Bool { return m.cloneShared() }
 
+// Gained returns the entries of m that prior lacks, for an m that grew
+// out of prior by copy-on-write clones (CloneCOW, CloneFrozen) and
+// Resize. A row whose backing array the two still share is skipped
+// unread, so the call costs a pointer compare per row plus the rows
+// that differ. The answer is exact for any prior no larger than m;
+// sharing only makes it cheap.
+func Gained(prior, m *Bool) *RowList {
+	if prior.nrows > m.nrows || prior.ncols > m.ncols {
+		panic(fmt.Sprintf("matrix: Gained from a larger matrix %dx%d > %dx%d", prior.nrows, prior.ncols, m.nrows, m.ncols))
+	}
+	out := &RowList{nrows: m.nrows, ncols: m.ncols}
+	var pbuf, mbuf []uint32
+	for i := range m.rows {
+		var old []uint32
+		if i < prior.nrows {
+			if sameRow(prior, m, i) {
+				continue
+			}
+			old = prior.cols(i, &pbuf)
+		}
+		if add := diffInPlace(slices.Clone(m.cols(i, &mbuf)), old); len(add) > 0 {
+			out.push(uint32(i), add, nil, len(add))
+		}
+	}
+	return out
+}
+
+// sameRow reports whether row i of a and of b is one backing array of
+// one length, so the two hold the same entries.
+func sameRow(a, b *Bool, i int) bool {
+	if ab, bb := a.bitRow(i), b.bitRow(i); ab != nil || bb != nil {
+		return sameArray(ab, bb)
+	}
+	return sameArray(a.rows[i], b.rows[i])
+}
+
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // Set makes entry (i, j) true.
 func (m *Bool) Set(i, j int) {
 	m.checkIndex(i, j)
@@ -325,11 +365,11 @@ func (m *Bool) Resize(nrows, ncols int) {
 	m.ncols = ncols
 }
 
-// grown returns a copy of s lengthened to n with zero values.
+// grown returns s lengthened to n with zero values, in its own array
+// when the capacity allows: a row table is never shared between
+// matrices, so its spare capacity is its own.
 func grown[T any](s []T, n int) []T {
-	g := make([]T, n)
-	copy(g, s)
-	return g
+	return append(s, make([]T, n-len(s))...)
 }
 
 // String renders small matrices as a 0/1 grid; large matrices are

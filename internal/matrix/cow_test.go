@@ -197,3 +197,50 @@ func TestCloneFrozenLeavesSourceUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGainedFindsWhatTheCloneAdded: Gained returns exactly the entries
+// a copy-on-write clone gained, through Set, the product fold and
+// Resize, in list and bitmap rows alike; and it stays exact against a
+// deep copy of the prior, which shares no row with the clone.
+func TestGainedFindsWhatTheCloneAdded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(150)
+		prior := NewBool(n, n)
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			prior.Set(rng.Intn(n), rng.Intn(n))
+		}
+		m := prior.CloneFrozen()
+		if trial%2 == 1 {
+			m = prior.CloneCOW()
+		}
+		grown := n + rng.Intn(70)
+		m.Resize(grown, grown)
+		var added [][2]int
+		for e := rng.Intn(6); e > 0; e-- {
+			added = append(added, [2]int{rng.Intn(grown), rng.Intn(grown)})
+		}
+		for _, p := range added[:len(added)/2] {
+			m.Set(p[0], p[1])
+		}
+		mulAdd(m, added[len(added)/2:])
+		want := map[[2]int]bool{}
+		m.Iterate(func(i, j int) bool {
+			if i >= n || j >= n || !prior.Get(i, j) {
+				want[[2]int{i, j}] = true
+			}
+			return true
+		})
+		for label, got := range map[string]*RowList{"clone": Gained(prior, m), "copy": Gained(prior.Clone(), m)} {
+			pairs := got.Pairs()
+			if len(pairs) != len(want) {
+				t.Fatalf("trial %d %s: Gained %v, want %d entries %v", trial, label, pairs, len(want), want)
+			}
+			for _, p := range pairs {
+				if !want[p] {
+					t.Fatalf("trial %d %s: Gained has %v, which prior holds", trial, label, p)
+				}
+			}
+		}
+	}
+}

@@ -232,6 +232,11 @@ func Union(a, b *RowList) *RowList {
 	return out
 }
 
+// RowIDs returns the vector of the rows holding at least one entry.
+func (r *RowList) RowIDs() *Vector {
+	return &Vector{n: r.nrows, idx: slices.Clone(r.ids)}
+}
+
 // Cols returns the vector of columns holding at least one entry: the
 // paper's getDst of the pairs r represents.
 func (r *RowList) Cols() *Vector { return reduceCols(r) }

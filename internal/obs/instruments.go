@@ -31,6 +31,12 @@ var (
 	// driver, so its rounds land here too).
 	CFPQRounds = Default.Histogram("kernel.cfpq.rounds", RoundBuckets)
 
+	// Carrying an index over to a newer graph version (cfpq.NewIndexWarm):
+	// the rounds its maintenance run took (0 when the write touched no
+	// processed row) and how many processed rows it changed.
+	CFPQMaintainRounds = Default.Histogram("kernel.cfpq.maintain.rounds", RoundBuckets)
+	CFPQMaintainDirty  = Default.Histogram("kernel.cfpq.maintain.dirty", SizeBuckets)
+
 	// Execution governor outcomes (one per top-level query).
 	GovCompleted = Default.Counter("governor.completed")
 	GovCancelled = Default.Counter("governor.cancelled")
@@ -42,6 +48,9 @@ var (
 	GdbWrites         = Default.Counter("gdb.writes")
 	GdbSlowQueries    = Default.Counter("gdb.slow_queries")
 	GdbQueryLatencyUS = Default.Histogram("gdb.query.latency_us", LatencyBuckets)
+	// Path-pattern contexts built cold because carrying the cached one
+	// over to a newer version failed.
+	GdbCtxColdRebuilds = Default.Counter("gdb.ctx.cold_rebuilds")
 
 	// Durability (snapshots + op journal).
 	DurSnapshotBytes  = Default.Counter("dur.snapshot.bytes")
@@ -56,6 +65,9 @@ var (
 	CacheMisses        = Default.Counter("cache.misses")
 	CacheEvictions     = Default.Counter("cache.evictions")
 	CacheInvalidations = Default.Counter("cache.invalidations")
+	// Hits served by an entry computed at another version, whose rows a
+	// dirty-row check vouched for (also counted in cache.hits).
+	CacheRevalidations = Default.Counter("cache.revalidations")
 	CacheBytes         = Default.Gauge("cache.bytes")
 	CacheEntries       = Default.Gauge("cache.entries")
 
@@ -123,7 +135,7 @@ const (
 	SpanParse     = "parse"     // Cypher parse + plan build
 	SpanPlan      = "plan"      // plan-context resolution (grammar, index warmup)
 	SpanExecute   = "execute"   // fixpoint evaluation
-	SpanCacheHit  = "cache.hit" // result served from the version-keyed cache
+	SpanCacheHit  = "cache.hit" // result served from the query result cache
 	SpanCacheMiss = "cache.miss"
 	SpanDiffTest  = "difftest" // root span of a differential-harness run
 )

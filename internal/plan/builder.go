@@ -7,6 +7,7 @@ import (
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
+	"mscfpq/internal/matrix"
 )
 
 // Plan is a compiled, executable query plan.
@@ -299,6 +300,40 @@ func reverseChain(chain []QGEdge) []QGEdge {
 		out = append(out, QGEdge{From: e.To, To: e.From, Conn: conn})
 	}
 	return out
+}
+
+// Footprint reports what executing the plan reads of its snapshot, when
+// that is only the rows of one declared path pattern for a fixed source
+// set: a NodeByIdSeek without a label whose every id names a vertex,
+// one traverse of a bare reference to a declared pattern, and above it
+// only operators that reshape records (Project, Aggregate, Sort,
+// Paginate). Such a plan answers the same at every version where those
+// rows are the same. It returns the pattern's nonterminal id in the
+// path-pattern context's grammar and the sources; ok is false for any
+// other plan: a scan, a label or property read, a pattern the query
+// compiles itself, or no declarations at all.
+func (p *Plan) Footprint() (nonterm int, src *matrix.Vector, ok bool) {
+	if p.ctx == nil || p.ctx.cf == nil {
+		return 0, nil, false
+	}
+	op := p.root
+	for reshapes := true; reshapes; {
+		switch op.(type) {
+		case *Project, *Aggregate, *Sort, *Paginate:
+			op = op.Child()
+		default:
+			reshapes = false
+		}
+	}
+	t, isTraverse := op.(*Traverse)
+	if !isTraverse || t.path.start < 0 || len(t.path.rules.Prods) > 0 || t.path.w != p.ctx.idx.W {
+		return 0, nil, false
+	}
+	s, isScan := t.child.(*NodeScan)
+	if !isScan || !s.seek || !s.exact || s.label != "" || s.child != nil || s.slot != t.fromSlot {
+		return 0, nil, false
+	}
+	return t.path.start, matrix.NewVectorFromIndices(p.env.G.NumVertices(), s.verts), true
 }
 
 // Execute runs the plan to completion, ungoverned.

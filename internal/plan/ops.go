@@ -44,6 +44,7 @@ type NodeScan struct {
 	slot   int
 	label  string // "" = all vertices
 	seek   bool   // verts holds the ids of a consumed id predicate
+	exact  bool   // a seek that dropped none of its ids
 	child  Operation
 	cur    Record // the child's record being extended
 	out    Record // cur with slot bound, rewritten per vertex
@@ -68,11 +69,13 @@ func newNodeSeek(env *Env, child Operation, slots, slot int, label string, ids [
 	s.seek, s.verts = true, []int{}
 	ids = slices.Clone(ids)
 	slices.Sort(ids)
-	for _, id := range slices.Compact(ids) {
+	ids = slices.Compact(ids)
+	for _, id := range ids {
 		if id >= 0 && id < int64(env.G.NumVertices()) && (label == "" || env.G.HasVertexLabel(int(id), label)) {
 			s.verts = append(s.verts, int(id))
 		}
 	}
+	s.exact = len(s.verts) == len(ids)
 	return s
 }
 

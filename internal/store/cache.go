@@ -14,23 +14,37 @@ import (
 )
 
 // entry is one cached value plus the bookkeeping eviction and
-// invalidation need.
+// revalidation need.
 type entry struct {
 	key     Key
 	val     any
 	bytes   int64
 	storeID uint64
-	version uint64
-	expires time.Time // zero when the cache has no TTL
+	version uint64     // a version val is right at, first the one it was computed at; read and restamped under Cache.mu
+	fp      *Footprint // nil: val is right at its own version only
+	expires time.Time  // zero when the cache has no TTL
 }
 
-// Cache is the version-keyed query cache: an LRU under a configurable
-// byte budget with optional TTL. Entries are keyed by Key (EvalKey /
-// ResultKey), which embeds the graph version — a version bump makes
-// new lookups miss immediately, and Put sweeps the displaced older
-// versions of the same store so their bytes are reclaimed without any
-// explicit invalidation call (retention: only the newest seen version
-// per store is kept). Safe for concurrent use.
+// Footprint is what a cached answer read of its snapshot, when that was
+// all it read: the rows of nonterminal Nonterm of the path-pattern
+// context Ctx (a declaration set, plan.CtxKey) for the sources Sources.
+// An entry with a footprint may serve a reader at another version of
+// its store, if those rows are the same there (Cache.Get); one without
+// serves its own version only.
+type Footprint struct {
+	Ctx     string
+	Nonterm int
+	Sources *matrix.Vector
+}
+
+// Cache is the query cache: an LRU under a configurable byte budget
+// with optional TTL. An entry records the store incarnation and the
+// version its value was computed at, and a lookup at that version hits.
+// A lookup at another version hits only an entry with a footprint that
+// the caller's revalidation vouches for; otherwise an entry older than
+// the lookup is stale and goes (an invalidation), while a newer one
+// stays for readers at its own version. Stale entries no lookup meets
+// go by LRU. Safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64                 // guarded by mu: <= 0 disables the cache
@@ -38,22 +52,22 @@ type Cache struct {
 	ll       *list.List            // guarded by mu: LRU order, front = most recent
 	items    map[Key]*list.Element // guarded by mu
 	bytes    int64                 // guarded by mu: sum of entry sizes
-	newest   map[uint64]uint64     // guarded by mu: newest version seen per store
 
-	hits, misses, evictions, invalidations uint64 // guarded by mu
+	hits, misses, evictions, invalidations, revalidations uint64 // guarded by mu
 }
 
-// CacheStats is a point-in-time counter snapshot.
+// CacheStats is a point-in-time counter snapshot. Revalidations counts
+// the hits served across versions; they are among Hits too.
 type CacheStats struct {
-	Hits, Misses, Evictions, Invalidations uint64
-	Entries                                int
-	Bytes                                  int64
+	Hits, Misses, Evictions, Invalidations, Revalidations uint64
+	Entries                                               int
+	Bytes                                                 int64
 }
 
 // NewCache returns a cache bounded by maxBytes (<= 0 disables it) with
 // per-entry TTL ttl (0 = no expiry).
 func NewCache(maxBytes int64, ttl time.Duration) *Cache {
-	c := &Cache{ll: list.New(), items: map[Key]*list.Element{}, newest: map[uint64]uint64{}}
+	c := &Cache{ll: list.New(), items: map[Key]*list.Element{}}
 	c.Configure(maxBytes, ttl)
 	return c
 }
@@ -79,54 +93,98 @@ func (c *Cache) Enabled() bool {
 	return c.maxBytes > 0
 }
 
-// Get returns the cached value for key, updating LRU order. Expired
+// Get returns the value cached under key for a reader at version,
+// updating LRU order. An entry computed at version hits. An entry
+// computed at another version hits (a revalidation) only when it has a
+// footprint and revalidate(at, fp) reports its rows the same at both
+// versions; revalidate runs without the cache's lock, so it may do
+// work, and a nil revalidate vouches for nothing. Otherwise the lookup
+// misses, and an entry older than version is dropped as stale. Expired
 // entries are dropped and count as misses. The returned value is
 // shared — callers must treat it as immutable.
-func (c *Cache) Get(key Key) (any, bool) {
+func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		if e.expires.IsZero() || time.Now().Before(e.expires) {
-			c.ll.MoveToFront(el)
-			c.hits++
-			obs.CacheHits.Inc()
-			return e.val, true
-		}
+	el, ok := c.items[key]
+	if !ok {
+		return c.missLocked()
+	}
+	e := el.Value.(*entry)
+	if !e.expires.IsZero() && !time.Now().Before(e.expires) {
 		c.removeLocked(el)
 		c.evictions++
 		obs.CacheEvictions.Inc()
 		c.publishGaugesLocked()
+		return c.missLocked()
 	}
+	if e.version == version {
+		return c.hitLocked(el), true
+	}
+	if e.fp != nil && revalidate != nil {
+		at := e.version
+		c.mu.Unlock()
+		valid := revalidate(at, e.fp)
+		c.mu.Lock()
+		if c.items[key] != el {
+			// Replaced or dropped while unlocked: e's verdict is moot.
+			return c.missLocked()
+		}
+		if valid {
+			c.revalidations++
+			obs.CacheRevalidations.Inc()
+			if version > e.version {
+				// Restamp: the answer holds at version, and a reader
+				// behind it can still revalidate across the gap, so the
+				// next lookup here is an exact hit.
+				e.version = version
+			}
+			return c.hitLocked(el), true
+		}
+	}
+	if e.version < version {
+		c.removeLocked(el)
+		c.invalidations++
+		obs.CacheInvalidations.Inc()
+		c.publishGaugesLocked()
+	}
+	return c.missLocked()
+}
+
+func (c *Cache) hitLocked(el *list.Element) any {
+	c.ll.MoveToFront(el)
+	c.hits++
+	obs.CacheHits.Inc()
+	return el.Value.(*entry).val
+}
+
+func (c *Cache) missLocked() (any, bool) {
 	c.misses++
 	obs.CacheMisses.Inc()
 	return nil, false
 }
 
-// Put stores val under key, charging bytes against the budget. The
-// (storeID, version) pair drives retention: when version advances past
-// the newest this cache has seen for storeID, every entry of an older
-// version of that store is invalidated (they can never be looked up
-// again — keys embed the version). Values too large for the whole
+// Put stores val, computed at version of store storeID, under key,
+// charging bytes against the budget; fp, when non-nil, is what val read
+// (Footprint). An entry computed at a newer version stays: a reader
+// pinned behind it does not displace it. Values too large for the whole
 // budget are not stored.
-func (c *Cache) Put(key Key, val any, bytes int64, storeID, version uint64) {
+func (c *Cache) Put(key Key, val any, bytes int64, storeID, version uint64, fp *Footprint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes <= 0 || bytes > c.maxBytes {
 		return
 	}
-	if version > c.newest[storeID] {
-		c.newest[storeID] = version
-		c.invalidateBelowLocked(storeID, version)
+	if el, ok := c.items[key]; ok {
+		if el.Value.(*entry).version > version {
+			return
+		}
+		c.removeLocked(el)
 	}
 	var expires time.Time
 	if c.ttl > 0 {
 		expires = time.Now().Add(c.ttl)
 	}
-	if el, ok := c.items[key]; ok {
-		c.removeLocked(el)
-	}
-	e := &entry{key: key, val: val, bytes: bytes, storeID: storeID, version: version, expires: expires}
+	e := &entry{key: key, val: val, bytes: bytes, storeID: storeID, version: version, fp: fp, expires: expires}
 	c.items[key] = c.ll.PushFront(e)
 	c.bytes += bytes
 	c.evictToFitLocked()
@@ -139,8 +197,15 @@ func (c *Cache) Put(key Key, val any, bytes int64, storeID, version uint64) {
 func (c *Cache) DropStore(storeID uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.invalidateBelowLocked(storeID, ^uint64(0))
-	delete(c.newest, storeID)
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*entry).storeID == storeID {
+			c.removeLocked(el)
+			c.invalidations++
+			obs.CacheInvalidations.Inc()
+		}
+		el = next
+	}
 	c.publishGaugesLocked()
 }
 
@@ -150,24 +215,8 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Invalidations: c.invalidations, Entries: len(c.items), Bytes: c.bytes,
-	}
-}
-
-// invalidateBelowLocked drops entries of storeID with version < below.
-func (c *Cache) invalidateBelowLocked(storeID, below uint64) {
-	var stale []*list.Element
-	for _, el := range c.items {
-		e := el.Value.(*entry)
-		if e.storeID == storeID && e.version < below {
-			//lint:ignore detrange stale feeds only map deletes and counter increments, which are order-independent
-			stale = append(stale, el)
-		}
-	}
-	for _, el := range stale {
-		c.removeLocked(el)
-		c.invalidations++
-		obs.CacheInvalidations.Inc()
+		Invalidations: c.invalidations, Revalidations: c.revalidations,
+		Entries: len(c.items), Bytes: c.bytes,
 	}
 }
 
@@ -229,7 +278,7 @@ func CachedEval(c *Cache, storeID, version uint64, g *graph.Graph, w *grammar.WC
 		}
 	}
 	key := EvalKey(storeID, version, w, src, alg)
-	if v, ok := c.Get(key); ok {
+	if v, ok := c.Get(key, version, nil); ok {
 		return v.([][2]int), true, nil
 	}
 	res, err := cfpq.Eval(g, w, src, opts...)
@@ -237,6 +286,6 @@ func CachedEval(c *Cache, storeID, version uint64, g *graph.Graph, w *grammar.WC
 		return nil, false, err
 	}
 	pairs := res.Pairs()
-	c.Put(key, pairs, PairsBytes(pairs, key), storeID, version)
+	c.Put(key, pairs, PairsBytes(pairs, key), storeID, version, nil)
 	return pairs, false, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -38,20 +39,24 @@ func cycleChain() *graph.Graph {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(300, 0)
-	put := func(k string, bytes int64) { c.Put(Key(k), k, bytes, 1, 1) }
+	put := func(k string, bytes int64) { c.Put(Key(k), k, bytes, 1, 1, nil) }
+	get := func(k string) bool {
+		_, ok := c.Get(Key(k), 1, nil)
+		return ok
+	}
 	put("a", 100)
 	put("b", 100)
 	put("c", 100)
-	if _, ok := c.Get(Key("a")); !ok {
+	if !get("a") {
 		t.Fatalf("a evicted too early")
 	}
 	// a is now most recent; adding d must evict b (LRU).
 	put("d", 100)
-	if _, ok := c.Get(Key("b")); ok {
+	if get("b") {
 		t.Fatalf("b survived past the byte budget")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(Key(k)); !ok {
+		if !get(k) {
 			t.Fatalf("%s missing", k)
 		}
 	}
@@ -61,46 +66,103 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// Oversized values are refused outright.
 	put("huge", 1000)
-	if _, ok := c.Get(Key("huge")); ok {
+	if get("huge") {
 		t.Fatalf("oversized value cached")
 	}
 }
 
 func TestCacheVersionBumpInvalidates(t *testing.T) {
 	c := NewCache(1<<20, 0)
-	c.Put(Key("v1-a"), 1, 10, 7, 1)
-	c.Put(Key("v1-b"), 2, 10, 7, 1)
-	c.Put(Key("other-store"), 3, 10, 8, 1)
-	// Version bump on store 7: its older entries are swept, store 8
-	// untouched.
-	c.Put(Key("v2-a"), 4, 10, 7, 2)
-	if _, ok := c.Get(Key("v1-a")); ok {
-		t.Fatalf("stale version survived the bump")
+	c.Put(Key("a"), 1, 10, 7, 1, nil)
+	c.Put(Key("b"), 2, 10, 7, 1, nil)
+	c.Put(Key("other-store"), 3, 10, 8, 1, nil)
+	// A lookup at a newer version finds a footprint-free entry stale:
+	// it misses and the entry goes. Entries no lookup meets stay until
+	// LRU or DropStore.
+	if _, ok := c.Get(Key("a"), 2, nil); ok {
+		t.Fatalf("stale version served after the bump")
 	}
-	if _, ok := c.Get(Key("v1-b")); ok {
-		t.Fatalf("stale version survived the bump")
+	if _, ok := c.Get(Key("a"), 1, nil); ok {
+		t.Fatalf("stale entry survived the lookup that found it stale")
 	}
-	if _, ok := c.Get(Key("other-store")); !ok {
+	if _, ok := c.Get(Key("b"), 1, nil); !ok {
+		t.Fatalf("entry no newer lookup met was dropped")
+	}
+	if _, ok := c.Get(Key("other-store"), 1, nil); !ok {
 		t.Fatalf("unrelated store invalidated")
 	}
-	if _, ok := c.Get(Key("v2-a")); !ok {
-		t.Fatalf("current version missing")
+	if st := c.Stats(); st.Invalidations != 1 {
+		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
 	}
-	if st := c.Stats(); st.Invalidations != 2 {
-		t.Fatalf("invalidations = %d, want 2", st.Invalidations)
+
+	// A newer entry serves its own version, misses an older reader
+	// without being dropped, and is not displaced by the older answer.
+	c.Put(Key("b"), 4, 10, 7, 3, nil)
+	if _, ok := c.Get(Key("b"), 2, nil); ok {
+		t.Fatalf("newer entry served an older reader")
+	}
+	c.Put(Key("b"), 5, 10, 7, 2, nil)
+	if v, ok := c.Get(Key("b"), 3, nil); !ok || v != 4 {
+		t.Fatalf("older put displaced the newer entry: %v %v", v, ok)
 	}
 
 	c.DropStore(8)
-	if _, ok := c.Get(Key("other-store")); ok {
+	if _, ok := c.Get(Key("other-store"), 1, nil); ok {
 		t.Fatalf("DropStore left the entry")
+	}
+}
+
+// TestCacheRevalidation: an entry with a footprint serves another
+// version, older or newer, exactly when the revalidation vouches for
+// it, which runs without the cache's lock. A vouched newer version
+// restamps the entry, so the next lookup there is an exact hit; a
+// refused older entry goes, a refused newer one stays.
+func TestCacheRevalidation(t *testing.T) {
+	c := NewCache(1<<20, 0)
+	fp := &Footprint{Ctx: "S=x", Nonterm: 0, Sources: matrix.NewVectorFromIndices(4, []int{1})}
+	c.Put(Key("k"), "v", 10, 7, 5, fp)
+	var asked []uint64
+	vouch := func(ok bool) func(uint64, *Footprint) bool {
+		return func(at uint64, got *Footprint) bool {
+			if got != fp {
+				t.Fatalf("revalidation got footprint %v, want the entry's", got)
+			}
+			asked = append(asked, at)
+			// The cache's lock is free while revalidation runs.
+			c.Stats()
+			return ok
+		}
+	}
+	for _, version := range []uint64{6, 4} {
+		if v, ok := c.Get(Key("k"), version, vouch(true)); !ok || v != "v" {
+			t.Fatalf("vouched lookup at %d missed", version)
+		}
+	}
+	if _, ok := c.Get(Key("k"), 6, vouch(false)); !ok {
+		t.Fatalf("lookup at the restamped version missed")
+	}
+	if _, ok := c.Get(Key("k"), 4, vouch(false)); ok {
+		t.Fatalf("refused lookup at an older version hit")
+	}
+	if _, ok := c.Get(Key("k"), 7, vouch(false)); ok {
+		t.Fatalf("refused lookup at a newer version hit")
+	}
+	if _, ok := c.Get(Key("k"), 6, nil); ok {
+		t.Fatalf("entry refused at a newer version was kept")
+	}
+	if want := []uint64{5, 6, 6, 6}; !slices.Equal(asked, want) {
+		t.Fatalf("revalidation asked at %v, want %v", asked, want)
+	}
+	if st := c.Stats(); st.Revalidations != 2 || st.Hits != 3 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
 	c := NewCache(1<<20, time.Millisecond)
-	c.Put(Key("k"), 1, 10, 1, 1)
+	c.Put(Key("k"), 1, 10, 1, 1, nil)
 	time.Sleep(5 * time.Millisecond)
-	if _, ok := c.Get(Key("k")); ok {
+	if _, ok := c.Get(Key("k"), 1, nil); ok {
 		t.Fatalf("entry outlived its TTL")
 	}
 }
@@ -110,13 +172,13 @@ func TestCacheDisabled(t *testing.T) {
 	if c.Enabled() {
 		t.Fatalf("zero-budget cache reports enabled")
 	}
-	c.Put(Key("k"), 1, 10, 1, 1)
-	if _, ok := c.Get(Key("k")); ok {
+	c.Put(Key("k"), 1, 10, 1, 1, nil)
+	if _, ok := c.Get(Key("k"), 1, nil); ok {
 		t.Fatalf("disabled cache stored a value")
 	}
 	// Shrinking the budget purges.
 	c.Configure(100, 0)
-	c.Put(Key("k"), 1, 10, 1, 1)
+	c.Put(Key("k"), 1, 10, 1, 1, nil)
 	c.Configure(0, 0)
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("disable did not purge: %+v", st)

@@ -40,10 +40,11 @@ func alphaRename(g *grammar.Grammar) *grammar.Grammar {
 }
 
 // FuzzCacheKey checks the canonicalization properties of the cache
-// key (ISSUE 7): semantically identical inputs — α-renamed grammars,
-// permuted/duplicated source sets — must map to the SAME key, and
-// distinct versions, store incarnations, or source sets must NEVER
-// collide.
+// keys: semantically identical inputs — α-renamed grammars,
+// permuted/duplicated source sets — must map to the SAME evaluation
+// key, and distinct versions, store incarnations, or source sets must
+// NEVER collide; a result key is shared by the versions of one text and
+// never collides across incarnations or texts.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("S -> a S b | a b", uint64(3), uint64(2), int64(42))
 	f.Add("S -> S S | a |", uint64(0), uint64(1), int64(7))
@@ -92,12 +93,26 @@ func FuzzCacheKey(f *testing.F) {
 		if k2 := EvalKey(sid, v2, w, src, alg); k2 == k {
 			t.Fatalf("versions %d and %d collide on key %s", version, v2, k)
 		}
-		if rk, rk2 := ResultKey(sid, version, gtext), ResultKey(sid, v2, gtext); rk == rk2 {
-			t.Fatalf("result keys collide across versions")
-		}
 		// Distinct store incarnations never collide.
 		if k2 := EvalKey(sid+1, version, w, src, alg); k2 == k {
 			t.Fatalf("store ids collide on key %s", k)
+		}
+		// A result key names a text of one incarnation at every version:
+		// the entry keeps its version, so versions share the key, while
+		// incarnations and texts never collide — not even a text that
+		// starts with the digits of another store id.
+		rk := TextKey(sid, gtext)
+		if rk != TextKey(sid, gtext) {
+			t.Fatalf("one text keyed twice differently")
+		}
+		if rk2 := TextKey(sid+1, gtext); rk2 == rk {
+			t.Fatalf("store ids collide on result key %s", rk)
+		}
+		if rk2 := TextKey(1, fmt.Sprint(sid)[1:]+"|"+gtext); rk2 == rk {
+			t.Fatalf("store id and text boundary collide on result key %s", rk)
+		}
+		if rk2 := TextKey(sid, gtext+" "); rk2 == rk {
+			t.Fatalf("distinct texts collide on result key %s", rk)
 		}
 		// A strictly different source set is a different key.
 		extra := -1

@@ -12,11 +12,10 @@ import (
 	"mscfpq/internal/matrix"
 )
 
-// Key is a canonical cache key. Two keys are equal exactly when the
-// cached computation is guaranteed to produce byte-identical results:
-// same store incarnation, same version, same grammar up to nonterminal
-// renaming, same source set up to order and duplication, same
-// algorithm.
+// Key is a canonical cache key: an EvalKey names one CFPQ evaluation
+// at one version, a TextKey one statement's result at any version of
+// its store incarnation (the entry keeps the version it was computed
+// at).
 type Key string
 
 // GrammarHash fingerprints a WCNF grammar α-renaming-invariantly.
@@ -82,10 +81,13 @@ func EvalKey(storeID, version uint64, w *grammar.WCNF, src *matrix.Vector, alg e
 	return Key(fmt.Sprintf("eval|%d|%d|%s|%s|%d", storeID, version, GrammarHash(w), SourceKey(src), int(alg)))
 }
 
-// ResultKey is the key of a full gdb query result: the raw statement
-// text against one (store incarnation, version). Textual — two
-// spellings of the same query cache separately, which costs a
+// TextKey is the key of a gdb query result: the raw statement text
+// against one store incarnation. The versions of one text share the key
+// — the entry records the version it was computed at, and Cache.Get
+// decides which versions it serves — while incarnations and texts never
+// collide: the store id is a literal field that holds no '|'. Textual,
+// so two spellings of one query cache separately, which costs a
 // duplicate entry but can never serve a wrong answer.
-func ResultKey(storeID, version uint64, query string) Key {
-	return Key(fmt.Sprintf("res|%d|%d|%s", storeID, version, query))
+func TextKey(storeID uint64, query string) Key {
+	return Key(fmt.Sprintf("res|%d|%s", storeID, query))
 }

@@ -1,6 +1,6 @@
 // Package store implements epoch-versioned, immutable graph snapshots
-// and the version-keyed query cache built on top of them (DESIGN.md
-// §11).
+// and the query cache built on top of them, whose entries record the
+// version they were computed at (DESIGN.md §11).
 //
 // A Store holds an atomically published chain of Snapshots. Readers
 // pin the current snapshot with one atomic load and evaluate against
