@@ -108,7 +108,11 @@ bench-quick:
 # driver (rpq.Eval, experiment E11), checked against the oracle. The
 # traverse benchmark prints what one relationship or one-step path hop
 # from one bound source costs on 20 000 vertices (ns and allocations;
-# its gate is TestTraverseAllocsAreSizeIndependent in `make test`).
+# its gate is TestTraverseAllocsAreSizeIndependent in `make test`), and
+# what a plan's read-out of 6000 two-column rows costs (DESIGN.md §15).
+# The cache-hit benchmark prints what one cached MATCH read costs
+# through QueryContext, exact and revalidated after a write (its gate is
+# TestCacheHitSkipsParse in `make test`).
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
@@ -116,7 +120,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm)$$|BenchmarkRPQUnification$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(DenseCold|SmartSweep|ManyRounds)$$' -cpu 1,2 -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
-	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$' -benchmem ./internal/plan
+	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$' -benchmem ./internal/gdb
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

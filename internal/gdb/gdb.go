@@ -251,13 +251,19 @@ func carry(c *cachedCtx, snap *store.Snapshot) (*cachedCtx, error) {
 // unchanged reports whether the rows fp names are the same at version
 // at and at the snapshot's: the log steps of its context spanning the
 // two versions all kept them. It first carries the context up to the
-// snapshot, which the reader would otherwise do on the miss.
-func (s *GraphStore) unchanged(snap *store.Snapshot, pats []cypher.NamedPathPattern, at uint64, fp *store.Footprint) bool {
+// snapshot, which the reader would otherwise do on the miss, with the
+// declarations the slot's context holds, so the cached statement is
+// not parsed for them.
+func (s *GraphStore) unchanged(snap *store.Snapshot, at uint64, fp *store.Footprint) bool {
 	sl := s.slot(fp.Ctx, false)
 	if sl == nil {
 		return false
 	}
-	c, err := sl.advance(snap, pats)
+	c := sl.cur.Load()
+	if c == nil {
+		return false
+	}
+	c, err := sl.advance(snap, c.ctx.Patterns())
 	if err != nil {
 		return false
 	}
@@ -333,10 +339,12 @@ func (db *DB) Get(name string) (*GraphStore, error) {
 	defer db.mu.RUnlock()
 	s, ok := db.graphs[name]
 	if !ok {
-		return nil, fmt.Errorf("gdb: graph %q does not exist", name)
+		return nil, errNoGraph(name)
 	}
 	return s, nil
 }
+
+func errNoGraph(name string) error { return fmt.Errorf("gdb: graph %q does not exist", name) }
 
 // Delete removes a graph; it reports whether it existed. On a durable
 // database the deletion is journaled before it is applied; a non-nil

@@ -73,13 +73,52 @@ func (db *DB) Policy() Policy {
 	return db.policy
 }
 
-// QueryContext parses and executes a statement against the named graph
-// under the caller's context and the database policy. The effective
-// timeout is the statement's TIMEOUT clause if present, the policy
-// default otherwise; the policy's work budget always applies. Queries
-// aborted by the governor return context.Canceled,
-// context.DeadlineExceeded, or exec.ErrBudget.
+// QueryContext executes a statement against the named graph under the
+// caller's context and the database policy. The effective timeout is
+// the statement's TIMEOUT clause if present, the policy default
+// otherwise; the policy's work budget always applies. Queries aborted
+// by the governor return context.Canceled, context.DeadlineExceeded, or
+// exec.ErrBudget.
 func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult, error) {
+	start := time.Now()
+	// Pin ONE snapshot for both the cache lookup and the evaluation: the
+	// result is exactly the answer for this version even if writes
+	// publish newer versions mid-flight.
+	var snap *store.Snapshot
+	db.mu.RLock()
+	s := db.graphs[name]
+	db.mu.RUnlock()
+	if s != nil {
+		snap = s.Snapshot()
+	}
+	return db.queryAt(ctx, name, src, s, snap, start)
+}
+
+// queryAt answers statement src on graph s, nil when it does not exist,
+// at the snapshot snap pinned for it; start is when the statement
+// arrived. The result cache is looked up by the raw text before
+// anything parses it, so a hit, exact or revalidated
+// (GraphStore.unchanged), costs the lookup alone. Otherwise src is
+// parsed once: a CREATE commits, and a MATCH is evaluated at snap and
+// fills the cache. A PROFILE'd MATCH neither reads nor fills it, as
+// Profile does not: it is evaluated so that its span tree is rendered.
+func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap *store.Snapshot, start time.Time) (*QueryResult, error) {
+	var rkey store.Key
+	var known bool // rkey has an entry, so Lookup counted the miss
+	if s != nil && db.cache.Enabled() {
+		rkey = store.TextKey(snap.StoreID(), src)
+		v, hit, found := db.cache.Lookup(rkey, snap.Version(), func(at uint64, fp *store.Footprint) bool {
+			return s.unchanged(snap, at, fp)
+		})
+		if hit {
+			cached := v.(*QueryResult)
+			obs.GdbQueries.Inc()
+			obs.GdbQueryLatencyUS.Observe(time.Since(start).Microseconds())
+			return &QueryResult{Columns: cached.Columns, Rows: cached.Rows}, nil
+		}
+		known = found
+	}
+
 	parseStart := time.Now()
 	q, err := cypher.Parse(src)
 	parseDur := time.Since(parseStart)
@@ -87,78 +126,23 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 		return nil, err
 	}
 	if q.Create != nil {
-		if q.Profile {
-			return nil, fmt.Errorf("gdb: PROFILE requires a MATCH query")
-		}
-		// Writes are single-pass over the pattern list — no fixpoint to
-		// govern; honor an already-cancelled context, journal the
-		// statement (durable databases fsync before acknowledging), and
-		// run.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var res *QueryResult
-		var applyErr error
-		err := db.commit(journalOp{op: opCypher, name: name, arg: src}, func() {
-			res, applyErr = db.runCreate(name, q)
-		})
-		if err != nil {
-			return nil, err
-		}
-		obs.GdbWrites.Inc()
-		return res, applyErr
+		return db.write(ctx, name, src, q)
 	}
-	s, err := db.Get(name)
-	if err != nil {
-		return nil, err
+	if s == nil {
+		return nil, errNoGraph(name)
 	}
 	var trace *obs.Trace
 	if q.Profile {
 		trace = obs.NewTrace(obs.SpanQuery)
 		trace.AddSpan(obs.SpanParse, parseDur)
-	}
-	// Pin ONE snapshot for both the cache lookup and the evaluation: the
-	// result is exactly the answer for this version even if writes
-	// publish newer versions mid-flight.
-	return db.readAt(ctx, name, src, q, s, s.Snapshot(), trace, parseStart)
-}
-
-// readAt answers the parsed MATCH statement src at the pinned snapshot
-// snap of s, from the result cache or by evaluation, which then fills
-// the cache. A result cached at another version serves this one only
-// when its footprint's rows are the same at both (GraphStore.unchanged).
-// start is when the statement arrived.
-func (db *DB) readAt(ctx context.Context, name, src string, q *cypher.Query, s *GraphStore, snap *store.Snapshot, trace *obs.Trace, start time.Time) (*QueryResult, error) {
-	var rkey store.Key
-	if db.cache.Enabled() {
-		rkey = store.TextKey(snap.StoreID(), src)
-		lookupStart := time.Now()
-		v, hit := db.cache.Get(rkey, snap.Version(), func(at uint64, fp *store.Footprint) bool {
-			return s.unchanged(snap, q.PathPatterns, at, fp)
-		})
-		if trace != nil {
-			if hit {
-				trace.AddSpan(obs.SpanCacheHit, time.Since(lookupStart))
-			} else {
-				trace.AddSpan(obs.SpanCacheMiss, time.Since(lookupStart))
-			}
-		}
-		if hit {
-			cached := v.(*QueryResult)
-			res := &QueryResult{Columns: cached.Columns, Rows: cached.Rows}
-			obs.GdbQueries.Inc()
-			obs.GdbQueryLatencyUS.Observe(time.Since(start).Microseconds())
-			if trace != nil {
-				trace.Close()
-				res.Profile = trace.Render()
-			}
-			return res, nil
-		}
+		rkey = ""
+	} else if rkey != "" && !known {
+		db.cache.Miss()
 	}
 
 	var res *QueryResult
 	var fp *store.Footprint
-	err := db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
+	err = db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
 		res, fp, err = s.runMatchSnap(snap, q, run)
 		return err
 	})
@@ -166,8 +150,8 @@ func (db *DB) readAt(ctx context.Context, name, src string, q *cypher.Query, s *
 		return nil, err
 	}
 	if rkey != "" {
-		// Cache a trimmed copy (columns and rows only — never the
-		// profile) so later hits share immutable data.
+		// Cache a trimmed copy (columns and rows only) so later hits
+		// share immutable data.
 		entry := &QueryResult{Columns: res.Columns, Rows: res.Rows}
 		db.cache.Put(rkey, entry, resultBytes(entry, rkey, fp), snap.StoreID(), snap.Version(), fp)
 	}
@@ -175,6 +159,29 @@ func (db *DB) readAt(ctx context.Context, name, src string, q *cypher.Query, s *
 		res.Profile = trace.Render()
 	}
 	return res, nil
+}
+
+// write runs the parsed CREATE statement src. Writes are single-pass
+// over the pattern list — no fixpoint to govern; it honors an
+// already-cancelled context, journals the statement (durable databases
+// fsync before acknowledging), and runs.
+func (db *DB) write(ctx context.Context, name, src string, q *cypher.Query) (*QueryResult, error) {
+	if q.Profile {
+		return nil, fmt.Errorf("gdb: PROFILE requires a MATCH query")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var res *QueryResult
+	var applyErr error
+	err := db.commit(journalOp{op: opCypher, name: name, arg: src}, func() {
+		res, applyErr = db.runCreate(name, q)
+	})
+	if err != nil {
+		return nil, err
+	}
+	obs.GdbWrites.Inc()
+	return res, applyErr
 }
 
 // serve runs one MATCH evaluation under the caller's context, the

@@ -33,9 +33,10 @@ func revalidateGraph() *graph.Graph {
 	return g
 }
 
-// cacheProbe runs statements against one graph and reports how the
-// result cache served each, checking every answer against the oracle at
-// the version the statement was served at.
+// cacheProbe runs statements against one graph through queryAt, which
+// looks the raw text up before parsing it, and reports how the result
+// cache served each, checking every answer against the oracle at the
+// version the statement was served at.
 type cacheProbe struct {
 	t  *testing.T
 	db *DB
@@ -63,7 +64,7 @@ func (p cacheProbe) read(text string, snap *store.Snapshot) outcome {
 		snap = p.s.Snapshot()
 	}
 	before := p.db.Cache().Stats()
-	res, err := p.db.readAt(context.Background(), "g", text, q, p.s, snap, nil, time.Now())
+	res, err := p.db.queryAt(context.Background(), "g", text, p.s, snap, time.Now())
 	if err != nil {
 		p.t.Fatalf("%s: %v", text, err)
 	}

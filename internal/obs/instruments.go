@@ -131,13 +131,11 @@ const (
 // names drift away from what PROFILE consumers grep for; every span a
 // trace opens must use one of these or an obs helper like SpanRound.
 const (
-	SpanQuery     = "query"     // root span of one GRAPH.QUERY
-	SpanParse     = "parse"     // Cypher parse + plan build
-	SpanPlan      = "plan"      // plan-context resolution (grammar, index warmup)
-	SpanExecute   = "execute"   // fixpoint evaluation
-	SpanCacheHit  = "cache.hit" // result served from the query result cache
-	SpanCacheMiss = "cache.miss"
-	SpanDiffTest  = "difftest" // root span of a differential-harness run
+	SpanQuery    = "query"    // root span of one GRAPH.QUERY
+	SpanParse    = "parse"    // Cypher parse + plan build
+	SpanPlan     = "plan"     // plan-context resolution (grammar, index warmup)
+	SpanExecute  = "execute"  // fixpoint evaluation
+	SpanDiffTest = "difftest" // root span of a differential-harness run
 )
 
 // SpanRound names the n-th fixpoint round's span; evaluators must use

@@ -64,6 +64,10 @@ func (ctx *PathCtx) WarmSuccessor(g *graph.Graph) (*PathCtx, error) {
 	return &PathCtx{pats: ctx.pats, cf: ctx.cf, idx: idx}, nil
 }
 
+// Patterns returns the PATH PATTERN declarations the context was
+// compiled from.
+func (ctx *PathCtx) Patterns() []cypher.NamedPathPattern { return ctx.pats }
+
 // Maintenance reports which processed rows the step from the prior
 // context to this one left unchanged (cfpq.Index.Maintenance); nil for
 // a context built cold or whose maintenance failed.

@@ -63,7 +63,9 @@ func hopQuery(conn string) string { return `MATCH (v)` + conn + ` WHERE id(v) = 
 // vertices as on 5 000. Nothing builds a whole-graph matrix per batch or
 // per execution; only the n-slot row tables grow with the graph. The
 // collector is off while allocations are counted, so it cannot empty
-// the multiply accumulator pool more often on the larger graph.
+// the multiply accumulator pool more often on the larger graph. Under
+// the race detector sync.Pool drops entries at random, so only the rows
+// and the work are compared there.
 func TestTraverseAllocsAreSizeIndependent(t *testing.T) {
 	for _, h := range hopShapes {
 		var allocs []float64
@@ -90,7 +92,7 @@ func TestTraverseAllocsAreSizeIndependent(t *testing.T) {
 			debug.SetGCPercent(gc)
 			spent = append(spent, run.Spent())
 		}
-		if allocs[0] != allocs[1] || spent[0] != spent[1] {
+		if (!raceEnabled && allocs[0] != allocs[1]) || spent[0] != spent[1] {
 			t.Errorf("%s: %.0f allocs and %d work on 5000 vertices, %.0f and %d on 20000",
 				h.conn, allocs[0], spent[0], allocs[1], spent[1])
 		}

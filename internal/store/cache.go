@@ -29,7 +29,7 @@ type entry struct {
 // all it read: the rows of nonterminal Nonterm of the path-pattern
 // context Ctx (a declaration set, plan.CtxKey) for the sources Sources.
 // An entry with a footprint may serve a reader at another version of
-// its store, if those rows are the same there (Cache.Get); one without
+// its store, if those rows are the same there (Cache.Lookup); one without
 // serves its own version only.
 type Footprint struct {
 	Ctx     string
@@ -94,20 +94,34 @@ func (c *Cache) Enabled() bool {
 }
 
 // Get returns the value cached under key for a reader at version,
+// updating LRU order; a key with no entry is a miss. It is Lookup for a
+// caller that knows the key names something cacheable.
+func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (any, bool) {
+	v, hit, found := c.Lookup(key, version, revalidate)
+	if !found {
+		c.Miss()
+	}
+	return v, hit
+}
+
+// Lookup returns the value cached under key for a reader at version,
 // updating LRU order. An entry computed at version hits. An entry
 // computed at another version hits (a revalidation) only when it has a
 // footprint and revalidate(at, fp) reports its rows the same at both
 // versions; revalidate runs without the cache's lock, so it may do
 // work, and a nil revalidate vouches for nothing. Otherwise the lookup
 // misses, and an entry older than version is dropped as stale. Expired
-// entries are dropped and count as misses. The returned value is
+// entries are dropped and count as misses. found reports whether key
+// had an entry: a key without one counts as neither a hit nor a miss,
+// so a caller that looks a text up before it knows whether the text is
+// cacheable records the miss (Miss) once it does. The returned value is
 // shared — callers must treat it as immutable.
-func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (any, bool) {
+func (c *Cache) Lookup(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (val any, hit, found bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return c.missLocked()
+		return nil, false, false
 	}
 	e := el.Value.(*entry)
 	if !e.expires.IsZero() && !time.Now().Before(e.expires) {
@@ -118,7 +132,7 @@ func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Foot
 		return c.missLocked()
 	}
 	if e.version == version {
-		return c.hitLocked(el), true
+		return c.hitLocked(el), true, true
 	}
 	if e.fp != nil && revalidate != nil {
 		at := e.version
@@ -138,7 +152,7 @@ func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Foot
 				// next lookup here is an exact hit.
 				e.version = version
 			}
-			return c.hitLocked(el), true
+			return c.hitLocked(el), true, true
 		}
 	}
 	if e.version < version {
@@ -150,6 +164,14 @@ func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Foot
 	return c.missLocked()
 }
 
+// Miss counts a miss of a key Lookup found no entry for.
+func (c *Cache) Miss() {
+	c.mu.Lock()
+	c.misses++
+	c.mu.Unlock()
+	obs.CacheMisses.Inc()
+}
+
 func (c *Cache) hitLocked(el *list.Element) any {
 	c.ll.MoveToFront(el)
 	c.hits++
@@ -157,10 +179,11 @@ func (c *Cache) hitLocked(el *list.Element) any {
 	return el.Value.(*entry).val
 }
 
-func (c *Cache) missLocked() (any, bool) {
+// missLocked counts a miss of a key that had an entry.
+func (c *Cache) missLocked() (val any, hit, found bool) {
 	c.misses++
 	obs.CacheMisses.Inc()
-	return nil, false
+	return nil, false, true
 }
 
 // Put stores val, computed at version of store storeID, under key,

@@ -158,6 +158,47 @@ func TestCacheRevalidation(t *testing.T) {
 	}
 }
 
+// TestCacheLookupLeavesAbsentKeysUncounted: Lookup counts a key without
+// an entry as neither a hit nor a miss, so its caller can count the miss
+// once it knows the key names something cacheable; Get counts it.
+func TestCacheLookupLeavesAbsentKeysUncounted(t *testing.T) {
+	c := NewCache(1<<20, 0)
+	if _, hit, found := c.Lookup(Key("k"), 1, nil); hit || found {
+		t.Fatalf("empty cache: hit %v, found %v", hit, found)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a lookup of an absent key counted: %+v", st)
+	}
+	c.Put(Key("k"), "v", 10, 1, 1, nil)
+	if v, hit, found := c.Lookup(Key("k"), 1, nil); !hit || !found || v != "v" {
+		t.Fatalf("lookup at the entry's version: %v, hit %v, found %v", v, hit, found)
+	}
+	if _, hit, found := c.Lookup(Key("k"), 2, nil); hit || !found {
+		t.Fatalf("stale lookup: hit %v, found %v", hit, found)
+	}
+	if _, ok := c.Get(Key("other"), 1, nil); ok {
+		t.Fatal("absent key hit")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want 1 hit, 2 misses (stale, Get's absent key), 1 invalidation", st)
+	}
+}
+
+// TestTextKeyForm: a result key is "res|<store id>|<text>", built with
+// one allocation, since every statement is looked up before it parses.
+func TestTextKeyForm(t *testing.T) {
+	const text = "MATCH (v) RETURN v"
+	if got := TextKey(1234567, text); got != "res|1234567|"+text {
+		t.Fatalf("TextKey = %q", got)
+	}
+	if got := TextKey(0, ""); got != "res|0|" {
+		t.Fatalf("TextKey = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = TextKey(1234567, text) }); n > 1 {
+		t.Fatalf("TextKey allocates %.0f objects, want 1", n)
+	}
+}
+
 func TestCacheTTLExpiry(t *testing.T) {
 	c := NewCache(1<<20, time.Millisecond)
 	c.Put(Key("k"), 1, 10, 1, 1, nil)

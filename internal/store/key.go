@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mscfpq/internal/exec"
@@ -88,6 +89,9 @@ func EvalKey(storeID, version uint64, w *grammar.WCNF, src *matrix.Vector, alg e
 // collide: the store id is a literal field that holds no '|'. Textual,
 // so two spellings of one query cache separately, which costs a
 // duplicate entry but can never serve a wrong answer.
+// Every statement looks its text up before it is parsed, so the key is
+// one concatenation: the converted id is a temporary, not an allocation.
 func TextKey(storeID uint64, query string) Key {
-	return Key(fmt.Sprintf("res|%d|%s", storeID, query))
+	var id [20]byte
+	return Key("res|" + string(strconv.AppendUint(id[:0], storeID, 10)) + "|" + query)
 }
