@@ -191,6 +191,7 @@ func (s *GraphStore) pathCtxFor(snap *store.Snapshot, q *cypher.Query) (*plan.Pa
 	if c.version > snap.Version() {
 		// The cache moved past this reader's pinned version; serve it a
 		// private context and leave the cache at the newer one.
+		obs.GdbCtxPrivateBuilds.Inc()
 		return plan.NewPathCtx(snap.Graph(), q.PathPatterns)
 	}
 	return c.ctx, nil
@@ -498,7 +499,7 @@ func (s *GraphStore) prepare(snap *store.Snapshot, q *cypher.Query, run *exec.Ru
 // the snapshot's version. It also returns the plan's footprint
 // (plan.Plan.Footprint), nil when the plan reads more than the rows of
 // one declared path pattern.
-func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*QueryResult, *store.Footprint, error) {
+func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*plan.ResultSet, *store.Footprint, error) {
 	p, err := s.prepare(snap, q, run)
 	if err != nil {
 		return nil, nil, err
@@ -513,7 +514,7 @@ func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *ex
 	if a, src, ok := p.Footprint(); ok {
 		fp = &store.Footprint{Ctx: plan.CtxKey(q.PathPatterns), Nonterm: a, Sources: src}
 	}
-	return &QueryResult{Columns: rs.Columns, Rows: rs.Rows}, fp, nil
+	return rs, fp, nil
 }
 
 func (db *DB) runCreate(name string, q *cypher.Query) (*QueryResult, error) {

@@ -2,15 +2,23 @@ package gdb
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mscfpq/internal/cypher"
+	"mscfpq/internal/dataset"
+	"mscfpq/internal/graph"
+	"mscfpq/internal/store"
 )
 
 // hitAllocs bounds what an exact result-cache hit through QueryContext
-// allocates: the key and the reply's result header. Parsing the
-// statement alone costs dozens of allocations.
+// allocates: the reply's result header and its row headers, whatever
+// the row count. Parsing the statement alone costs dozens of
+// allocations.
 const hitAllocs = 2
 
 // cachedDB is a database with the result cache on and revalidateGraph
@@ -46,6 +54,142 @@ func TestCacheHitSkipsParse(t *testing.T) {
 	}
 	if st := db.Cache().Stats(); st.Misses != before.Misses || st.Hits != before.Hits+101 {
 		t.Fatalf("101 cached reads moved hits %d → %d and misses %d → %d", before.Hits, st.Hits, before.Misses, st.Misses)
+	}
+}
+
+// declG2 is the paper's same-generation query G2 over subClassOf, as
+// the wire benchmark's dense workloads declare it.
+const declG2 = "PATH PATTERN S = ()-/ [<:subClassOf ~S :subClassOf] | [:subClassOf] /->() "
+
+// g2Query is the dense-scan statement: the (v, to) pairs of G2 from ids.
+func g2Query(ids []int) string {
+	list := strings.Trim(strings.Join(strings.Fields(fmt.Sprint(ids)), ", "), "[]")
+	return declG2 + "MATCH (v)-/ ~S /->(to) WHERE id(v) IN [" + list + "] RETURN v, to"
+}
+
+// wideRows is the row count of wideQuery on wideGraph, about a
+// dense-scan reply: vertices 0..9 are the sources, 10 and 11 a bridge
+// and 12..611 the targets, and every source reaches every target.
+const wideRows = 10 * 600
+
+func wideGraph() *graph.Graph {
+	g := graph.New(12 + 600)
+	g.AddEdge(10, "subClassOf", 11)
+	for v := range 10 {
+		g.AddEdge(10, "subClassOf", v)
+	}
+	for to := 12; to < 12+600; to++ {
+		g.AddEdge(11, "subClassOf", to)
+	}
+	return g
+}
+
+var wideQuery = g2Query([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+
+// wideDB is a database with the result cache on, wideGraph as graph "g"
+// and wideQuery's answer cached; it returns that answer.
+func wideDB(tb testing.TB) (*DB, *GraphStore, *QueryResult) {
+	tb.Helper()
+	db := New()
+	db.SetPolicy(Policy{CacheMaxBytes: 64 << 20})
+	s := db.AddGraph("g", wideGraph())
+	res, err := db.Query("g", wideQuery)
+	if err != nil || len(res.Rows) != wideRows {
+		tb.Fatalf("wide query: %d rows, %v", len(res.Rows), err)
+	}
+	return db, s, res
+}
+
+// TestCachedAnswerIsFlat: the cache holds an answer as its cells alone,
+// row-major with no per-row slice, and an exact hit of a 6000-row
+// answer cuts its row headers within hitAllocs.
+func TestCachedAnswerIsFlat(t *testing.T) {
+	db, s, want := wideDB(t)
+	v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), wideQuery), s.Version(), nil)
+	a, ok := v.(*answer)
+	if !hit || !ok {
+		t.Fatalf("cached value %T (hit %v), want *answer", v, hit)
+	}
+	if a.rows != wideRows || len(a.cells) != a.rows*len(a.columns) {
+		t.Fatalf("answer of %d rows × %d columns holds %d cells", a.rows, len(a.columns), len(a.cells))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := db.Query("g", wideQuery)
+		if err != nil || len(res.Rows) != wideRows {
+			t.Fatal(len(res.Rows), err)
+		}
+	})
+	if allocs > hitAllocs {
+		t.Fatalf("an exact hit of %d rows allocates %.0f objects, want at most %d", wideRows, allocs, hitAllocs)
+	}
+	got, err := db.Query("g", wideQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Columns, want.Columns) {
+		t.Fatal("a hit answered differently from the evaluation it cached")
+	}
+}
+
+// TestHitRowsEndAtTheirWidth: readers share the cached cells, so every
+// row a reply hands out ends its capacity with its width. Appending to
+// each row of the reply that filled the cache and of a hit leaves the
+// rows of a second hit as they were.
+func TestHitRowsEndAtTheirWidth(t *testing.T) {
+	db, _, filled := wideDB(t)
+	first, err := db.Query("g", wideQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := db.Query("g", wideQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]int64, len(second.Rows))
+	for i, row := range second.Rows {
+		want[i] = append([]int64(nil), row...)
+	}
+	for _, res := range []*QueryResult{filled, first} {
+		for i := range res.Rows {
+			res.Rows[i] = append(res.Rows[i], -1)
+		}
+	}
+	if !reflect.DeepEqual(second.Rows, want) {
+		t.Fatal("an append to one reply's row wrote into another reply's rows")
+	}
+}
+
+// TestCacheChargesCellsOnly: the cache's byte count is, over its
+// entries, 8 bytes a cell plus fixed parts (the text, the columns, the
+// entry) with no per-row term.
+func TestCacheChargesCellsOnly(t *testing.T) {
+	db, s := cachedDB()
+	texts := []string{
+		`MATCH (v:N) RETURN v`,
+		`MATCH (v) RETURN count(v)`,
+		`MATCH (v)-[:a]->(to) RETURN v, to`,
+		`MATCH (v)-[:a]->(m)-[:b]->(to) RETURN v, m, to`,
+	}
+	var want int64
+	for _, text := range texts {
+		if _, err := db.Query("g", text); err != nil {
+			t.Fatal(err)
+		}
+		v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Version(), nil)
+		if !hit {
+			t.Fatalf("%s: not cached", text)
+		}
+		a := v.(*answer)
+		if a.rows == 0 {
+			t.Fatalf("%s: no rows", text)
+		}
+		want += 8*int64(len(a.cells)) + int64(len(text)) + 96
+		for _, c := range a.columns {
+			want += int64(len(c)) + 16
+		}
+	}
+	if st := db.Cache().Stats(); st.Entries != len(texts) || st.Bytes != want {
+		t.Fatalf("%d entries charge %d bytes, want %d entries and %d bytes", st.Entries, st.Bytes, len(texts), want)
 	}
 }
 
@@ -126,14 +270,14 @@ func TestCacheCountsMatchReadsOnly(t *testing.T) {
 }
 
 // BenchmarkQueryCacheHit times one cached MATCH read through
-// QueryContext: an exact hit, and a revalidated hit — the first read of
-// the text after a write that left its rows alone, which carries the
+// QueryContext: an exact hit of a few rows and of a dense-scan-sized
+// answer (6000 rows), and a revalidated hit — the first read of the
+// text after a write that left its rows alone, which carries the
 // path-pattern context over to the new version first.
 func BenchmarkQueryCacheHit(b *testing.B) {
 	text := sourcesQuery(0, 1)
 	ctx := context.Background()
-	b.Run("exact", func(b *testing.B) {
-		db, _ := cachedDB()
+	exact := func(b *testing.B, db *DB, text string) {
 		if _, err := db.QueryContext(ctx, "g", text); err != nil {
 			b.Fatal(err)
 		}
@@ -144,6 +288,14 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("exact", func(b *testing.B) {
+		db, _ := cachedDB()
+		exact(b, db, text)
+	})
+	b.Run("exact-6000", func(b *testing.B) {
+		db, _, _ := wideDB(b)
+		exact(b, db, wideQuery)
 	})
 	b.Run("revalidated", func(b *testing.B) {
 		db, s := cachedDB()
@@ -166,4 +318,34 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 			b.Fatalf("%d of %d reads revalidated", st.Revalidations, b.N)
 		}
 	})
+}
+
+// BenchmarkCachedAnswersGC times one full collection with the default
+// 64 MiB result cache filled with dense-scan answers: distinct
+// chunk-10 G2 reads of go-hierarchy@0.02, ~6000 rows each, until the
+// cache evicts. What the collector does with the cached answers is
+// what every collection of a dense-scan server pays.
+func BenchmarkCachedAnswersGC(b *testing.B) {
+	spec, err := dataset.ByName("go-hierarchy")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := dataset.Generate(dataset.Scaled(spec, 0.02))
+	db := New()
+	db.SetPolicy(Policy{CacheMaxBytes: 64 << 20})
+	db.AddGraph("g", g)
+	rng := rand.New(rand.NewSource(1))
+	for db.Cache().Stats().Evictions == 0 {
+		perm := rng.Perm(g.NumVertices())
+		for lo := 0; lo+10 <= len(perm); lo += 10 {
+			if _, err := db.Query("g", g2Query(perm[lo:lo+10])); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.ReportMetric(float64(db.Cache().Stats().Entries), "answers")
 }

@@ -10,6 +10,7 @@ import (
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/obs"
+	"mscfpq/internal/plan"
 	"mscfpq/internal/store"
 )
 
@@ -105,16 +106,17 @@ func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult,
 func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap *store.Snapshot, start time.Time) (*QueryResult, error) {
 	var rkey store.Key
 	var known bool // rkey has an entry, so Lookup counted the miss
-	if s != nil && db.cache.Enabled() {
+	cacheable := s != nil && db.cache.Enabled()
+	if cacheable {
 		rkey = store.TextKey(snap.StoreID(), src)
 		v, hit, found := db.cache.Lookup(rkey, snap.Version(), func(at uint64, fp *store.Footprint) bool {
 			return s.unchanged(snap, at, fp)
 		})
 		if hit {
-			cached := v.(*QueryResult)
+			a := v.(*answer)
 			obs.GdbQueries.Inc()
 			obs.GdbQueryLatencyUS.Observe(time.Since(start).Microseconds())
-			return &QueryResult{Columns: cached.Columns, Rows: cached.Rows}, nil
+			return &QueryResult{Columns: a.columns, Rows: plan.CutRows(a.cells, a.rows)}, nil
 		}
 		known = found
 	}
@@ -135,26 +137,25 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 	if q.Profile {
 		trace = obs.NewTrace(obs.SpanQuery)
 		trace.AddSpan(obs.SpanParse, parseDur)
-		rkey = ""
-	} else if rkey != "" && !known {
+		cacheable = false
+	} else if cacheable && !known {
 		db.cache.Miss()
 	}
 
-	var res *QueryResult
+	var rs *plan.ResultSet
 	var fp *store.Footprint
 	err = db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
-		res, fp, err = s.runMatchSnap(snap, q, run)
+		rs, fp, err = s.runMatchSnap(snap, q, run)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if rkey != "" {
-		// Cache a trimmed copy (columns and rows only) so later hits
-		// share immutable data.
-		entry := &QueryResult{Columns: res.Columns, Rows: res.Rows}
-		db.cache.Put(rkey, entry, resultBytes(entry, rkey, fp), snap.StoreID(), snap.Version(), fp)
+	if cacheable {
+		a := &answer{columns: rs.Columns, cells: rs.Cells, rows: len(rs.Rows)}
+		db.cache.Put(rkey, a, resultBytes(a, src, fp), snap.StoreID(), snap.Version(), fp)
 	}
+	res := &QueryResult{Columns: rs.Columns, Rows: rs.Rows}
 	if trace != nil {
 		res.Profile = trace.Render()
 	}
@@ -231,18 +232,25 @@ func (db *DB) serve(ctx context.Context, name, src string, q *cypher.Query, trac
 	return err
 }
 
-// resultBytes estimates a cached result's memory footprint for the
-// cache's byte budget.
-func resultBytes(r *QueryResult, key store.Key, fp *store.Footprint) int64 {
-	b := int64(len(key)) + 96
+// answer is a cached MATCH result: its columns and its rows' cells,
+// row-major (plan.ResultSet.Cells), with no per-row slice. The cells
+// hold no pointers, so the collector marks them without scanning them;
+// each hit cuts row headers of its own over the shared cells.
+type answer struct {
+	columns []string
+	cells   []int64
+	rows    int
+}
+
+// resultBytes is what a cached answer to statement text holds, charged
+// against the cache's byte budget: 8 bytes a cell plus fixed parts.
+func resultBytes(a *answer, text string, fp *store.Footprint) int64 {
+	b := int64(len(text)) + 96 + 8*int64(len(a.cells))
 	if fp != nil {
 		b += int64(len(fp.Ctx)) + 4*int64(fp.Sources.NVals()) + 64
 	}
-	for _, c := range r.Columns {
+	for _, c := range a.columns {
 		b += int64(len(c)) + 16
-	}
-	for _, row := range r.Rows {
-		b += int64(len(row))*8 + 24
 	}
 	return b
 }

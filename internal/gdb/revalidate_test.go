@@ -11,6 +11,7 @@ import (
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/obs"
 	"mscfpq/internal/oracle"
 	"mscfpq/internal/store"
 )
@@ -116,6 +117,44 @@ func wantPairs(t *testing.T, g *graph.Graph, q *cypher.Query) [][2]int {
 func sourcesQuery(ids ...int) string {
 	list := strings.Trim(strings.Join(strings.Fields(fmt.Sprint(ids)), ", "), "[]")
 	return revalidateDecl + `MATCH (v)-/ ~S /->(to) WHERE id(v) IN [` + list + `] RETURN v, to`
+}
+
+// TestPinnedReaderBuildsPrivateContext: a reader pinned behind the
+// version its declaration set's slot has moved to gets a private cold
+// context, which gdb.ctx.private_builds counts once, and answers at its
+// own version exactly as a database that never saw the write does.
+func TestPinnedReaderBuildsPrivateContext(t *testing.T) {
+	db := New() // no result cache: the pinned read evaluates
+	p := cacheProbe{t: t, db: db, s: db.AddGraph("g", revalidateGraph())}
+	text := sourcesQuery(0, 1)
+	p.expect(text, nil, missed)
+	pinned := p.s.Snapshot()
+	uncached := New()
+	uncached.AddGraph("g", pinned.Graph())
+	want, err := uncached.Query("g", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1-a->2-b->12 gives source 1 a new row, so the versions differ.
+	if _, err := p.s.st.Update(func(tx *store.Tx) error {
+		tx.Graph().AddEdge(2, "b", 12)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.expect(text, nil, missed) // carries the slot past the pinned version
+
+	builds := obs.GdbCtxPrivateBuilds.Value()
+	res, err := db.queryAt(context.Background(), "g", text, p.s, pinned, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.GdbCtxPrivateBuilds.Value() - builds; got != 1 {
+		t.Fatalf("gdb.ctx.private_builds rose by %d, want 1", got)
+	}
+	if got, want := sortedPairs(pairsFromRows(res.Rows)), sortedPairs(pairsFromRows(want.Rows)); !pairsEqual(got, want) {
+		t.Fatalf("pinned reader answered %v, the uncached database %v", got, want)
+	}
 }
 
 // TestStressCacheRevalidationByDirtyRows walks the result cache's

@@ -51,6 +51,9 @@ var (
 	// Path-pattern contexts built cold because carrying the cached one
 	// over to a newer version failed.
 	GdbCtxColdRebuilds = Default.Counter("gdb.ctx.cold_rebuilds")
+	// Path-pattern contexts built cold for one reader, because its slot
+	// had moved past the version the reader pinned.
+	GdbCtxPrivateBuilds = Default.Counter("gdb.ctx.private_builds")
 
 	// Durability (snapshots + op journal).
 	DurSnapshotBytes  = Default.Counter("dur.snapshot.bytes")

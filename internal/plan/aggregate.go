@@ -124,7 +124,7 @@ func (s *Sort) Open() error {
 func (s *Sort) Next() (Record, error) {
 	if !s.sorted {
 		var err error
-		if s.out, err = drainRows(s.child, nil); err != nil {
+		if s.out, _, err = drainRows(s.child, nil); err != nil {
 			return nil, err
 		}
 		sort.SliceStable(s.out, func(i, j int) bool {

@@ -24,6 +24,10 @@ type Plan struct {
 type ResultSet struct {
 	Columns []string
 	Rows    [][]int64
+	// Cells is the row-major array Rows are cut from, exactly
+	// len(Rows) × width cells: a caller that keeps the answer can keep
+	// Cells alone and cut the rows again (CutRows).
+	Cells []int64
 }
 
 // Build compiles a parsed MATCH query against an environment. CREATE
@@ -360,43 +364,54 @@ func (p *Plan) ExecuteWith(opts ...exec.Option) (*ResultSet, error) {
 	if err := p.root.Open(); err != nil {
 		return nil, err
 	}
-	rows, err := drainRows(p.root, run)
+	rows, cells, err := drainRows(p.root, run)
 	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{Columns: p.Columns, Rows: rows}, nil
+	return &ResultSet{Columns: p.Columns, Rows: rows, Cells: cells}, nil
 }
 
 // drainRows pulls op dry and returns its records as rows (nil for
-// none). A record is valid only until the next pull, so the cells are
-// collected back to back, then the rows cut from one array of exactly
-// their size that nothing else refers to: whoever keeps them (the query
-// cache) pins the bytes it accounts for and no buffer of the execution.
-func drainRows(op Operation, run *exec.Run) ([][]int64, error) {
+// none) and the array they are cut from. A record is valid only until
+// the next pull, so the cells are collected back to back, then copied
+// into one array of exactly their size that nothing else refers to:
+// whoever keeps them (the query cache) pins the bytes it accounts for
+// and no buffer of the execution.
+func drainRows(op Operation, run *exec.Run) ([][]int64, []int64, error) {
 	var cells []int64
 	for pulled := 0; ; pulled++ {
 		if pulled%executeCheckRecords == 0 {
 			if err := run.Err(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		rec, err := op.Next()
 		if err != nil || (rec == nil && pulled == 0) {
-			return nil, err
+			return nil, nil, err
 		}
 		if rec == nil {
 			data := append(make([]int64, 0, len(cells)), cells...)
-			rows, width := make([][]int64, pulled), len(cells)/pulled
-			for i := range rows {
-				rows[i] = data[i*width : (i+1)*width : (i+1)*width]
-			}
-			return rows, nil
+			return CutRows(data, pulled), data, nil
 		}
 		if len(cells)+len(rec) > cap(cells) {
 			cells = append(make([]int64, 0, max(512, 2*cap(cells))), cells...)
 		}
 		cells = append(cells, rec...)
 	}
+}
+
+// CutRows cuts n rows of equal width from the row-major array cells
+// (nil for none). Each row's capacity ends with it, so an append to a
+// row copies instead of writing into the next.
+func CutRows(cells []int64, n int) [][]int64 {
+	if n == 0 {
+		return nil
+	}
+	rows, width := make([][]int64, n), len(cells)/n
+	for i := range rows {
+		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // Explain renders the operation tree, root first.

@@ -278,7 +278,7 @@ func (c *Cache) publishGaugesLocked() {
 
 // PairsBytes estimates the cache charge of an answer pair set.
 func PairsBytes(pairs [][2]int, key Key) int64 {
-	return int64(len(pairs))*16 + int64(len(key)) + 64
+	return int64(len(pairs))*16 + int64(len(key.s)) + 64
 }
 
 // CachedEval answers a CFPQ evaluation through the cache: on a hit the

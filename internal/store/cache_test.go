@@ -2,6 +2,7 @@ package store
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,11 +38,14 @@ func cycleChain() *graph.Graph {
 	return g
 }
 
+// key names an entry of the cache tests, which store their own values.
+func key(name string) Key { return TextKey(1, name) }
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(300, 0)
-	put := func(k string, bytes int64) { c.Put(Key(k), k, bytes, 1, 1, nil) }
+	put := func(k string, bytes int64) { c.Put(key(k), k, bytes, 1, 1, nil) }
 	get := func(k string) bool {
-		_, ok := c.Get(Key(k), 1, nil)
+		_, ok := c.Get(key(k), 1, nil)
 		return ok
 	}
 	put("a", 100)
@@ -73,22 +77,22 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheVersionBumpInvalidates(t *testing.T) {
 	c := NewCache(1<<20, 0)
-	c.Put(Key("a"), 1, 10, 7, 1, nil)
-	c.Put(Key("b"), 2, 10, 7, 1, nil)
-	c.Put(Key("other-store"), 3, 10, 8, 1, nil)
+	c.Put(key("a"), 1, 10, 7, 1, nil)
+	c.Put(key("b"), 2, 10, 7, 1, nil)
+	c.Put(key("other-store"), 3, 10, 8, 1, nil)
 	// A lookup at a newer version finds a footprint-free entry stale:
 	// it misses and the entry goes. Entries no lookup meets stay until
 	// LRU or DropStore.
-	if _, ok := c.Get(Key("a"), 2, nil); ok {
+	if _, ok := c.Get(key("a"), 2, nil); ok {
 		t.Fatalf("stale version served after the bump")
 	}
-	if _, ok := c.Get(Key("a"), 1, nil); ok {
+	if _, ok := c.Get(key("a"), 1, nil); ok {
 		t.Fatalf("stale entry survived the lookup that found it stale")
 	}
-	if _, ok := c.Get(Key("b"), 1, nil); !ok {
+	if _, ok := c.Get(key("b"), 1, nil); !ok {
 		t.Fatalf("entry no newer lookup met was dropped")
 	}
-	if _, ok := c.Get(Key("other-store"), 1, nil); !ok {
+	if _, ok := c.Get(key("other-store"), 1, nil); !ok {
 		t.Fatalf("unrelated store invalidated")
 	}
 	if st := c.Stats(); st.Invalidations != 1 {
@@ -97,17 +101,17 @@ func TestCacheVersionBumpInvalidates(t *testing.T) {
 
 	// A newer entry serves its own version, misses an older reader
 	// without being dropped, and is not displaced by the older answer.
-	c.Put(Key("b"), 4, 10, 7, 3, nil)
-	if _, ok := c.Get(Key("b"), 2, nil); ok {
+	c.Put(key("b"), 4, 10, 7, 3, nil)
+	if _, ok := c.Get(key("b"), 2, nil); ok {
 		t.Fatalf("newer entry served an older reader")
 	}
-	c.Put(Key("b"), 5, 10, 7, 2, nil)
-	if v, ok := c.Get(Key("b"), 3, nil); !ok || v != 4 {
+	c.Put(key("b"), 5, 10, 7, 2, nil)
+	if v, ok := c.Get(key("b"), 3, nil); !ok || v != 4 {
 		t.Fatalf("older put displaced the newer entry: %v %v", v, ok)
 	}
 
 	c.DropStore(8)
-	if _, ok := c.Get(Key("other-store"), 1, nil); ok {
+	if _, ok := c.Get(key("other-store"), 1, nil); ok {
 		t.Fatalf("DropStore left the entry")
 	}
 }
@@ -120,7 +124,7 @@ func TestCacheVersionBumpInvalidates(t *testing.T) {
 func TestCacheRevalidation(t *testing.T) {
 	c := NewCache(1<<20, 0)
 	fp := &Footprint{Ctx: "S=x", Nonterm: 0, Sources: matrix.NewVectorFromIndices(4, []int{1})}
-	c.Put(Key("k"), "v", 10, 7, 5, fp)
+	c.Put(key("k"), "v", 10, 7, 5, fp)
 	var asked []uint64
 	vouch := func(ok bool) func(uint64, *Footprint) bool {
 		return func(at uint64, got *Footprint) bool {
@@ -134,20 +138,20 @@ func TestCacheRevalidation(t *testing.T) {
 		}
 	}
 	for _, version := range []uint64{6, 4} {
-		if v, ok := c.Get(Key("k"), version, vouch(true)); !ok || v != "v" {
+		if v, ok := c.Get(key("k"), version, vouch(true)); !ok || v != "v" {
 			t.Fatalf("vouched lookup at %d missed", version)
 		}
 	}
-	if _, ok := c.Get(Key("k"), 6, vouch(false)); !ok {
+	if _, ok := c.Get(key("k"), 6, vouch(false)); !ok {
 		t.Fatalf("lookup at the restamped version missed")
 	}
-	if _, ok := c.Get(Key("k"), 4, vouch(false)); ok {
+	if _, ok := c.Get(key("k"), 4, vouch(false)); ok {
 		t.Fatalf("refused lookup at an older version hit")
 	}
-	if _, ok := c.Get(Key("k"), 7, vouch(false)); ok {
+	if _, ok := c.Get(key("k"), 7, vouch(false)); ok {
 		t.Fatalf("refused lookup at a newer version hit")
 	}
-	if _, ok := c.Get(Key("k"), 6, nil); ok {
+	if _, ok := c.Get(key("k"), 6, nil); ok {
 		t.Fatalf("entry refused at a newer version was kept")
 	}
 	if want := []uint64{5, 6, 6, 6}; !slices.Equal(asked, want) {
@@ -163,20 +167,20 @@ func TestCacheRevalidation(t *testing.T) {
 // once it knows the key names something cacheable; Get counts it.
 func TestCacheLookupLeavesAbsentKeysUncounted(t *testing.T) {
 	c := NewCache(1<<20, 0)
-	if _, hit, found := c.Lookup(Key("k"), 1, nil); hit || found {
+	if _, hit, found := c.Lookup(key("k"), 1, nil); hit || found {
 		t.Fatalf("empty cache: hit %v, found %v", hit, found)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("a lookup of an absent key counted: %+v", st)
 	}
-	c.Put(Key("k"), "v", 10, 1, 1, nil)
-	if v, hit, found := c.Lookup(Key("k"), 1, nil); !hit || !found || v != "v" {
+	c.Put(key("k"), "v", 10, 1, 1, nil)
+	if v, hit, found := c.Lookup(key("k"), 1, nil); !hit || !found || v != "v" {
 		t.Fatalf("lookup at the entry's version: %v, hit %v, found %v", v, hit, found)
 	}
-	if _, hit, found := c.Lookup(Key("k"), 2, nil); hit || !found {
+	if _, hit, found := c.Lookup(key("k"), 2, nil); hit || !found {
 		t.Fatalf("stale lookup: hit %v, found %v", hit, found)
 	}
-	if _, ok := c.Get(Key("other"), 1, nil); ok {
+	if _, ok := c.Get(key("other"), 1, nil); ok {
 		t.Fatal("absent key hit")
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Invalidations != 1 {
@@ -184,26 +188,36 @@ func TestCacheLookupLeavesAbsentKeysUncounted(t *testing.T) {
 	}
 }
 
-// TestTextKeyForm: a result key is "res|<store id>|<text>", built with
-// one allocation, since every statement is looked up before it parses.
+// TestTextKeyForm: a result key is the store id and the text as they
+// are, built without an allocation, since every statement is looked up
+// before it parses; no text makes it equal an evaluation key.
 func TestTextKeyForm(t *testing.T) {
 	const text = "MATCH (v) RETURN v"
-	if got := TextKey(1234567, text); got != "res|1234567|"+text {
+	if got := TextKey(1234567, text).String(); got != "res|1234567|"+text {
 		t.Fatalf("TextKey = %q", got)
 	}
-	if got := TextKey(0, ""); got != "res|0|" {
+	if got := TextKey(0, "").String(); got != "res|0|" {
 		t.Fatalf("TextKey = %q", got)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = TextKey(1234567, text) }); n > 1 {
-		t.Fatalf("TextKey allocates %.0f objects, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { _ = TextKey(1234567, text) }); n != 0 {
+		t.Fatalf("TextKey allocates %.0f objects, want 0", n)
+	}
+	ek := EvalKey(3, 9, testGrammar(t), nil, exec.AlgMatrix)
+	if !strings.HasPrefix(ek.String(), "eval|3|9|") {
+		t.Fatalf("EvalKey = %q", ek)
+	}
+	for _, text := range []string{ek.s, ek.String(), strings.TrimPrefix(ek.String(), "eval|3|")} {
+		if tk := TextKey(3, text); tk == ek {
+			t.Fatalf("text %q collides with evaluation key %s", text, ek)
+		}
 	}
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
 	c := NewCache(1<<20, time.Millisecond)
-	c.Put(Key("k"), 1, 10, 1, 1, nil)
+	c.Put(key("k"), 1, 10, 1, 1, nil)
 	time.Sleep(5 * time.Millisecond)
-	if _, ok := c.Get(Key("k"), 1, nil); ok {
+	if _, ok := c.Get(key("k"), 1, nil); ok {
 		t.Fatalf("entry outlived its TTL")
 	}
 }
@@ -213,13 +227,13 @@ func TestCacheDisabled(t *testing.T) {
 	if c.Enabled() {
 		t.Fatalf("zero-budget cache reports enabled")
 	}
-	c.Put(Key("k"), 1, 10, 1, 1, nil)
-	if _, ok := c.Get(Key("k"), 1, nil); ok {
+	c.Put(key("k"), 1, 10, 1, 1, nil)
+	if _, ok := c.Get(key("k"), 1, nil); ok {
 		t.Fatalf("disabled cache stored a value")
 	}
 	// Shrinking the budget purges.
 	c.Configure(100, 0)
-	c.Put(Key("k"), 1, 10, 1, 1, nil)
+	c.Put(key("k"), 1, 10, 1, 1, nil)
 	c.Configure(0, 0)
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("disable did not purge: %+v", st)

@@ -16,8 +16,25 @@ import (
 // Key is a canonical cache key: an EvalKey names one CFPQ evaluation
 // at one version, a TextKey one statement's result at any version of
 // its store incarnation (the entry keeps the version it was computed
-// at).
-type Key string
+// at, and Cache.Lookup decides which versions it serves). A comparable
+// struct, so a text key holds the statement's string itself and
+// building one copies nothing. The kind is a field of its own, so a
+// text key never equals an eval key, whatever the text holds.
+type Key struct {
+	eval    bool // an EvalKey; a TextKey otherwise
+	storeID uint64
+	s       string // the statement text, or the evaluation's other fields
+}
+
+// String renders the key as "res|<store id>|<text>" or
+// "eval|<store id>|<version>|...", for diagnostics.
+func (k Key) String() string {
+	kind := "res"
+	if k.eval {
+		kind = "eval"
+	}
+	return kind + "|" + strconv.FormatUint(k.storeID, 10) + "|" + k.s
+}
 
 // GrammarHash fingerprints a WCNF grammar α-renaming-invariantly.
 // ToWCNF interns nonterminals by first appearance in the production
@@ -79,19 +96,15 @@ func SourceKey(src *matrix.Vector) string {
 // algorithm). Distinct versions or incarnations can never collide —
 // both are literal key fields.
 func EvalKey(storeID, version uint64, w *grammar.WCNF, src *matrix.Vector, alg exec.Algorithm) Key {
-	return Key(fmt.Sprintf("eval|%d|%d|%s|%s|%d", storeID, version, GrammarHash(w), SourceKey(src), int(alg)))
+	return Key{eval: true, storeID: storeID, s: fmt.Sprintf("%d|%s|%s|%d", version, GrammarHash(w), SourceKey(src), int(alg))}
 }
 
 // TextKey is the key of a gdb query result: the raw statement text
-// against one store incarnation. The versions of one text share the key
-// — the entry records the version it was computed at, and Cache.Get
-// decides which versions it serves — while incarnations and texts never
-// collide: the store id is a literal field that holds no '|'. Textual,
-// so two spellings of one query cache separately, which costs a
-// duplicate entry but can never serve a wrong answer.
-// Every statement looks its text up before it is parsed, so the key is
-// one concatenation: the converted id is a temporary, not an allocation.
+// against one store incarnation. The versions of one text share the
+// key, while incarnations and texts never collide: both are fields.
+// Textual, so two spellings of one query cache separately, which costs
+// a duplicate entry but can never serve a wrong answer. Every statement
+// looks its text up before it is parsed, so the key allocates nothing.
 func TextKey(storeID uint64, query string) Key {
-	var id [20]byte
-	return Key("res|" + string(strconv.AppendUint(id[:0], storeID, 10)) + "|" + query)
+	return Key{storeID: storeID, s: query}
 }
