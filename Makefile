@@ -82,9 +82,11 @@ bench-quick:
 # Observability overhead smoke (see TESTING.md): the governed-kernel
 # and multiple-source workloads with the metrics registry on vs off,
 # recorded to BENCH_obs.json. The acceptance gate for the obs layer is
-# governed-kernel overhead <= 3%. The cache smoke measures cold-vs-warm
-# latency and concurrent-reader throughput into BENCH_cache.json; its
-# acceptance gate (warm hit >= 10x faster than cold) fails the run.
+# governed-kernel overhead <= 3%. The cache smoke times the result
+# cache the server serves, through gdb.DB.QueryContext: cold-vs-warm
+# latency of one G1 statement and concurrent-reader throughput (median
+# and quartiles of 5 windows) into BENCH_cache.json; its acceptance
+# gate (warm hit >= 10x faster than cold) fails the run.
 # The reply
 # benchmarks print what one query reply costs to encode and to decode
 # (10 and 6000 rows, ns and allocations; DESIGN.md §15) — their gate is

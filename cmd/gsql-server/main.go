@@ -61,7 +61,6 @@ func run() error {
 		saveInterval  = flag.Duration("save-interval", 0, "auto-snapshot interval for -data-dir stores (0 = only GRAPH.SAVE)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "commands allowed to execute at once before BUSY shedding (0 = unlimited)")
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "byte budget of the versioned query-result cache (0 = disabled)")
-		cacheTTL      = flag.Duration("cache-ttl", 0, "expire cached query results after this age (0 = until evicted/invalidated)")
 		maxConns      = flag.Int("max-conns", 0, "simultaneous client connections (0 = unlimited)")
 		idleTimeout   = flag.Duration("idle-timeout", 0, "close connections idle for this long (0 = never)")
 		metricsAddr   = flag.String("metrics-addr", "", "HTTP address serving the metrics snapshot as JSON (empty = disabled)")
@@ -97,7 +96,6 @@ func run() error {
 		MaxConcurrent:  *maxConcurrent,
 		SaveInterval:   *saveInterval,
 		CacheMaxBytes:  *cacheBytes,
-		CacheTTL:       *cacheTTL,
 		Log:            log.Default(),
 	})
 	srv := resp.NewServer(db)

@@ -1,31 +1,37 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"mscfpq/internal/grammar"
-	"mscfpq/internal/store"
+	"mscfpq/internal/gdb"
 )
 
 // cacheReps is how many cold/warm latency samples each source set
-// takes; each warm sample batches cacheWarmInner lookups so the
-// sub-microsecond hit path is not lost in timer jitter.
+// takes; each warm sample batches cacheWarmInner hits so the
+// microsecond hit path is not lost in timer jitter. cacheWindows is how
+// many throughput windows each reader count runs.
 const (
 	cacheReps      = 9
 	cacheWarmInner = 64
-	// cacheMinSpeedup is the acceptance gate (ISSUE 7): a warm hit must
-	// be at least this much faster than the cold evaluation it replaces.
+	cacheWindows   = 5
+	// cacheMinSpeedup is the acceptance gate: a warm hit must be at
+	// least this much faster than the cold evaluation it replaces.
 	cacheMinSpeedup = 10
 )
 
+// declG1 is the paper's G1 (grammar.G1) as a PATH PATTERN declaration.
+const declG1 = "PATH PATTERN S = ()-/ [<:subClassOf ~S :subClassOf] | [<:type ~S :type] | [<:subClassOf :subClassOf] | [<:type :type] /->() "
+
 // CacheMeasurement is one row of the cache experiment, as serialized
 // into BENCH_cache.json by `make bench-smoke`: either a cold-vs-warm
-// latency pair (Readers == 0) or a concurrent-reader throughput run.
+// latency pair (Readers == 0) or a concurrent-reader throughput run,
+// whose ThroughputQPS is the median window and Q1/Q3 its quartiles.
 type CacheMeasurement struct {
 	Workload      string  `json:"workload"`
 	Graph         string  `json:"graph"`
@@ -36,33 +42,35 @@ type CacheMeasurement struct {
 	Speedup       float64 `json:"speedup,omitempty"`
 	Readers       int     `json:"readers,omitempty"`
 	ThroughputQPS float64 `json:"throughput_qps,omitempty"`
+	ThroughputQ1  float64 `json:"throughput_q1_qps,omitempty"`
+	ThroughputQ3  float64 `json:"throughput_q3_qps,omitempty"`
 	Reps          int     `json:"reps"`
 }
 
-// CacheBench measures the versioned query cache (DESIGN.md §11): the
-// latency of a cold evaluation vs a warm version-keyed hit for each
-// source-set size, and the aggregate throughput of 1/4/8 concurrent
-// readers hammering a warm cache against a pinned snapshot. It returns
-// an error if any warm hit fails the >=10x acceptance gate.
+// CacheBench measures the query result cache the server serves
+// (DESIGN.md §11) through gdb.DB.QueryContext: the latency of a cold G1
+// statement, on a freshly added store with a cold path-pattern index,
+// vs a warm hit of the same text, for each source-set size; and the
+// aggregate throughput of 1/4/8 concurrent readers of an all-hit cache.
+// It returns an error if any warm hit fails the >=10x acceptance gate.
 func CacheBench(cfg Config) (*Report, []CacheMeasurement, error) {
 	const graphName = "core"
 	g, spec, err := cfg.Generate(graphName)
 	if err != nil {
 		return nil, nil, err
 	}
-	qname, q := queryFor(graphName)
-	w, err := grammar.ToWCNF(q)
-	if err != nil {
-		return nil, nil, err
+	qname, _ := queryFor(graphName)
+	ctx := context.Background()
+	db := gdb.New()
+	db.SetPolicy(gdb.Policy{CacheMaxBytes: 64 << 20})
+	text := func(ids []int) string {
+		return declG1 + "MATCH (v)-/ ~S /->(to) " + idIn(ids) + " RETURN v, to"
 	}
-	st := store.New(g)
-	snap := st.Pin()
-	cache := store.NewCache(64<<20, 0)
 
 	rep := &Report{
 		ID:      "Cache",
-		Title:   "Versioned query cache: cold vs warm latency and reader scaling",
-		Columns: []string{"Workload", "Sources/Readers", "Cold ms", "Warm ms", "Speedup", "QPS"},
+		Title:   "Query result cache through QueryContext: cold vs warm latency and reader scaling",
+		Columns: []string{"Workload", "Sources/Readers", "Cold ms", "Warm ms", "Speedup", "QPS (q1-q3)"},
 	}
 	var out []CacheMeasurement
 
@@ -72,15 +80,21 @@ func CacheBench(cfg Config) (*Report, []CacheMeasurement, error) {
 			continue
 		}
 		src := srcs[0]
+		q := text(src.Ints())
 		var cold, warm time.Duration
 		for trial := 0; trial < cacheReps; trial++ {
-			// A fresh version key per trial forces a true cold evaluation
-			// (and exercises the invalidation sweep on every fill).
-			version := uint64(trial)
+			// A fresh store per trial: a new incarnation the cache holds
+			// nothing for, and a cold path-pattern index.
+			db.AddGraph(spec.Name, g)
+			var rows int
 			dCold, err := timeIt(func() error {
-				_, hit, err := store.CachedEval(cache, st.ID(), version, snap.Graph(), w, src)
-				if err == nil && hit {
+				hits := db.Cache().Stats().Hits
+				res, err := db.QueryContext(ctx, spec.Name, q)
+				if err == nil && db.Cache().Stats().Hits != hits {
 					return fmt.Errorf("cold run hit the cache")
+				}
+				if err == nil {
+					rows = len(res.Rows)
 				}
 				return err
 			})
@@ -88,14 +102,18 @@ func CacheBench(cfg Config) (*Report, []CacheMeasurement, error) {
 				return nil, nil, fmt.Errorf("cold size %d: %w", size, err)
 			}
 			dWarm, err := timeIt(func() error {
+				hits := db.Cache().Stats().Hits
 				for i := 0; i < cacheWarmInner; i++ {
-					_, hit, err := store.CachedEval(cache, st.ID(), version, snap.Graph(), w, src)
+					res, err := db.QueryContext(ctx, spec.Name, q)
 					if err != nil {
 						return err
 					}
-					if !hit {
-						return fmt.Errorf("warm run missed the cache")
+					if len(res.Rows) != rows {
+						return fmt.Errorf("warm run answered %d rows, cold %d", len(res.Rows), rows)
 					}
+				}
+				if got := db.Cache().Stats().Hits - hits; got != cacheWarmInner {
+					return fmt.Errorf("%d of %d warm runs hit the cache", got, cacheWarmInner)
 				}
 				return nil
 			})
@@ -133,59 +151,98 @@ func CacheBench(cfg Config) (*Report, []CacheMeasurement, error) {
 		}
 	}
 
-	// Concurrent readers against a warm cache: every query is a hit, so
-	// this measures contention on the cache's lock and the lock-free
-	// snapshot pin, not evaluation time.
-	srcs := cfg.chunks(g.NumVertices(), cfg.ChunkSizes[len(cfg.ChunkSizes)-1])
-	for _, src := range srcs {
-		if _, _, err := store.CachedEval(cache, st.ID(), 0, snap.Graph(), w, src); err != nil {
+	// Concurrent readers of a warm cache: every statement is a hit, so
+	// this measures the snapshot pin, contention on the cache's lock and
+	// the rows each hit cuts, not evaluation. The reader counts take
+	// their windows in turn, so drift of the machine spreads over all.
+	var texts []string
+	for _, src := range cfg.chunks(g.NumVertices(), cfg.ChunkSizes[len(cfg.ChunkSizes)-1]) {
+		texts = append(texts, text(src.Ints()))
+		if _, err := db.QueryContext(ctx, spec.Name, texts[len(texts)-1]); err != nil {
 			return nil, nil, err
 		}
 	}
+	misses := db.Cache().Stats().Misses
 	const window = 100 * time.Millisecond
-	for _, readers := range []int{1, 4, 8} {
-		var ops atomic.Int64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				i := r
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					pin := st.Pin()
-					src := srcs[i%len(srcs)]
-					if _, _, err := store.CachedEval(cache, pin.StoreID(), pin.Version(), pin.Graph(), w, src); err != nil {
-						return
-					}
-					ops.Add(1)
-					i++
-				}
-			}(r)
+	readerCounts := []int{1, 4, 8}
+	qps := make([][]float64, len(readerCounts))
+	for w := 0; w < cacheWindows; w++ {
+		for k, readers := range readerCounts {
+			n, err := readWindow(ctx, db, spec.Name, texts, readers, window)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%d readers: %w", readers, err)
+			}
+			qps[k] = append(qps[k], float64(n)/window.Seconds())
 		}
-		time.Sleep(window)
-		close(stop)
-		wg.Wait()
-		qps := float64(ops.Load()) / window.Seconds()
+	}
+	if got := db.Cache().Stats().Misses; got != misses {
+		return nil, nil, fmt.Errorf("concurrent readers missed the cache %d times", got-misses)
+	}
+	for k, readers := range readerCounts {
+		q1, med, q3 := quartiles(qps[k])
 		m := CacheMeasurement{
 			Workload: "concurrent-readers", Graph: spec.Name, Query: qname,
-			Readers: readers, ThroughputQPS: qps, Reps: 1,
+			Readers: readers, ThroughputQPS: med, ThroughputQ1: q1, ThroughputQ3: q3,
+			Reps: cacheWindows,
 		}
 		out = append(out, m)
 		rep.Rows = append(rep.Rows, []string{
 			m.Workload, fmt.Sprintf("%d readers", readers), "-", "-", "-",
-			fmt.Sprintf("%.0f", qps),
+			fmt.Sprintf("%.0f (%.0f-%.0f)", med, q1, q3),
 		})
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"cold/warm are per-mode minima over %d reps (warm batches of %d); acceptance: warm hit >= %dx faster than cold; throughput windows of %s on an all-hit cache",
-		cacheReps, cacheWarmInner, cacheMinSpeedup, window))
+		"cold/warm are per-mode minima over %d reps (warm batches of %d); acceptance: warm hit >= %dx faster than cold; QPS is the median (quartiles) of %d windows of %s on an all-hit cache",
+		cacheReps, cacheWarmInner, cacheMinSpeedup, cacheWindows, window))
 	return rep, out, nil
+}
+
+// readWindow runs readers goroutines that send texts in turn to graph
+// name of db for one window, and returns how many statements they
+// answered.
+func readWindow(ctx context.Context, db *gdb.DB, name string, texts []string, readers int, window time.Duration) (int, error) {
+	counts := make([]int, readers)
+	errs := make([]error, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.QueryContext(ctx, name, texts[i%len(texts)]); err != nil {
+					errs[r] = err
+					return
+				}
+				counts[r]++
+			}
+		}(r)
+	}
+	time.Sleep(window)
+	close(stop)
+	wg.Wait()
+	n := 0
+	for r := range counts {
+		if errs[r] != nil {
+			return 0, errs[r]
+		}
+		n += counts[r]
+	}
+	return n, nil
+}
+
+// quartiles returns the lower quartile, the median and the upper
+// quartile of xs by nearest rank.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	return s[n/4], s[n/2], s[3*n/4]
 }
 
 // WriteCacheJSON serializes the measurements as indented JSON.

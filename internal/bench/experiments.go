@@ -356,15 +356,7 @@ func FullStack(cfg Config) (*Report, error) {
 		}
 		db.AddGraph(spec.Name, g)
 		src := cfg.chunks(g.NumVertices(), c.srcSize)[0]
-		where := "WHERE id(v) IN ["
-		for i, v := range src.Ints() {
-			if i > 0 {
-				where += ", "
-			}
-			where += fmt.Sprintf("%d", v)
-		}
-		where += "]"
-		queryText := fmt.Sprintf(c.query, where)
+		queryText := fmt.Sprintf(c.query, idIn(src.Ints()))
 
 		var dbRows int
 		dbTime, err := timeIt(func() error {
@@ -418,6 +410,18 @@ func FullStack(cfg Config) (*Report, error) {
 		"warm = repeated query reusing the store's cached path-pattern context (Algorithm 3 index)",
 	)
 	return rep, nil
+}
+
+// idIn is the WHERE clause that restricts v to the vertices ids.
+func idIn(ids []int) string {
+	where := "WHERE id(v) IN ["
+	for i, v := range ids {
+		if i > 0 {
+			where += ", "
+		}
+		where += fmt.Sprintf("%d", v)
+	}
+	return where + "]"
 }
 
 // RPQUnification answers one regular query through the library's one

@@ -67,23 +67,6 @@ func TestDifferentialEval(t *testing.T) {
 	}
 }
 
-// TestDifferentialEvalCached reruns every algorithm through the
-// version-keyed query cache: cold fill, warm hit, and the recompute
-// after a version bump must be byte-identical to the uncached Eval,
-// and permuted source lists must canonicalize onto the warm entry.
-func TestDifferentialEvalCached(t *testing.T) {
-	failures := 0
-	for i := 0; i < cfpqInstances/4; i++ {
-		inst := gen.NewInstance(*seedFlag+int64(4_000_000+i), maxGraphVertices)
-		if err := CheckEvalCached(inst); err != nil {
-			reportCFPQFailure(t, inst, err, CheckEvalCached)
-			if failures++; failures >= 3 {
-				t.Fatalf("stopping after %d failing instances", failures)
-			}
-		}
-	}
-}
-
 // TestDifferentialRPQ drives the RPQ path (the regex reduced to a
 // grammar and run by the multiple-source driver, then by an Algorithm 3
 // index over two source chunks) against the BFS-product oracle on

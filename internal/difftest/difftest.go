@@ -234,101 +234,6 @@ func CheckEval(inst gen.Instance) error {
 	return nil
 }
 
-// CheckEvalCached reruns every algorithm through the version-keyed
-// query cache (internal/store) and asserts the cached path is
-// answer-transparent: the cold fill (miss), the warm hit, and the
-// post-invalidation recompute after a simulated version bump must all
-// be byte-identical to the uncached Eval — and a permuted, duplicated
-// source list must canonicalize onto the same warm entry.
-func CheckEvalCached(inst gen.Instance) error {
-	cache := store.NewCache(1<<24, 0)
-	const storeID, version = 1, 7
-	src := srcVector(inst.G, inst.Sources)
-
-	for _, alg := range evalAlgorithms {
-		res, err := cfpq.Eval(inst.G, inst.W, src, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("Eval %v: %v", alg, err)
-		}
-		want := res.Pairs()
-
-		cold, hit, err := store.CachedEval(cache, storeID, version, inst.G, inst.W, src, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("CachedEval %v cold: %v", alg, err)
-		}
-		if hit {
-			return fmt.Errorf("CachedEval %v: cold run hit the cache", alg)
-		}
-		if !pairsEqual(cold, want) {
-			return pairsErr(fmt.Sprintf("CachedEval %v cold", alg), cold, want)
-		}
-		warm, hit, err := store.CachedEval(cache, storeID, version, inst.G, inst.W, src, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("CachedEval %v warm: %v", alg, err)
-		}
-		if !hit {
-			return fmt.Errorf("CachedEval %v: warm run missed the cache", alg)
-		}
-		if !pairsEqual(warm, want) {
-			return pairsErr(fmt.Sprintf("CachedEval %v warm", alg), warm, want)
-		}
-
-		// A permuted, duplicated source list canonicalizes to the same
-		// key and must hit the warm entry.
-		ids := src.Ints()
-		if len(ids) > 1 {
-			scrambled := append([]int{ids[len(ids)-1]}, ids...)
-			perm, hit, err := store.CachedEval(cache, storeID, version, inst.G, inst.W,
-				matrix.NewVectorFromIndices(inst.G.NumVertices(), scrambled), cfpq.WithAlgorithm(alg))
-			if err != nil {
-				return fmt.Errorf("CachedEval %v permuted: %v", alg, err)
-			}
-			if !hit {
-				return fmt.Errorf("CachedEval %v: permuted source list missed the warm entry", alg)
-			}
-			if !pairsEqual(perm, want) {
-				return pairsErr(fmt.Sprintf("CachedEval %v permuted", alg), perm, want)
-			}
-		}
-	}
-
-	// Simulate the write path's version bump: grow a COW clone by one
-	// edge, re-derive the uncached answer for the NEW graph, and check
-	// the bumped version misses the old entries and matches exactly.
-	g2 := inst.G.CowClone()
-	n := g2.NumVertices()
-	if n > 0 {
-		// Pick a storable label: inverse terminals ("x_r") cannot be
-		// added as edges directly.
-		label := "a"
-		for _, term := range inst.W.Terms {
-			if !strings.HasSuffix(term, "_r") {
-				label = term
-				break
-			}
-		}
-		g2.AddEdge(0, label, n-1)
-	}
-	for _, alg := range evalAlgorithms {
-		res, err := cfpq.Eval(g2, inst.W, src, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("Eval %v post-bump: %v", alg, err)
-		}
-		want := res.Pairs()
-		post, hit, err := store.CachedEval(cache, storeID, version+1, g2, inst.W, src, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("CachedEval %v post-bump: %v", alg, err)
-		}
-		if hit {
-			return fmt.Errorf("CachedEval %v: version bump served a stale entry", alg)
-		}
-		if !pairsEqual(post, want) {
-			return pairsErr(fmt.Sprintf("CachedEval %v post-bump", alg), post, want)
-		}
-	}
-	return nil
-}
-
 // CheckRPQ compares the one RPQ path (rpq.Eval: the regex reduced to a
 // right-linear grammar and run by the multiple-source CFPQ driver)
 // against the BFS-product oracle. It then asks an Algorithm 3 index on

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 
 	"mscfpq/internal/cypher"
@@ -14,28 +15,101 @@ import (
 )
 
 // CheckQuery sends every statement of the case through the whole query
-// path — parse, plan, PATH PATTERN compilation, the path-pattern index,
-// the traverse batches — and compares each reply with the oracle:
-// projected rows as sets, count values exactly. All statements go to one
-// database store, so the ones that declare the same patterns share its
-// path-pattern context and index, as they do on a server.
+// path — the result cache, parse, plan, PATH PATTERN compilation, the
+// path-pattern index, the traverse batches — and compares each reply
+// with the oracle: projected rows as sets, count values exactly. All
+// statements go to one database store, so the ones that declare the
+// same patterns share its path-pattern context and index, as they do on
+// a server. Each statement is sent twice, and the second send must be a
+// cache hit. Then one CREATE (createText) writes a new version, and
+// every statement is checked again against the oracle over the new
+// version's graph, so a cached answer the write made stale shows.
 func CheckQuery(pq gen.PathQuery) error {
-	db := gdb.New()
-	db.AddGraph("g", pq.G)
-	for i := range pq.Queries {
-		if err := checkStatement(db, pq, i); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := checkQuery(pq)
+	return err
 }
 
-// CheckQueryConcurrent is CheckQuery with every statement sent from its
-// own goroutine, reps times, to the one store: concurrent statements
-// then share its path-pattern index while each grows its own rules.
-func CheckQueryConcurrent(pq gen.PathQuery, reps int) error {
+// checkQuery is CheckQuery; it also reports how many statements the
+// CREATE changed the oracle's answer of.
+func checkQuery(pq gen.PathQuery) (changed int, err error) {
+	db := newQueryDB(pq.G)
+	before := make([][][]int64, len(pq.Queries))
+	for i := range pq.Queries {
+		if before[i], err = checkCached(db, pq.G, pq, i); err != nil {
+			return 0, err
+		}
+	}
+	create := createText(pq.G)
+	if _, err := db.Query("g", create); err != nil {
+		return 0, fmt.Errorf("%s: %v", create, err)
+	}
+	s, err := db.Get("g")
+	if err != nil {
+		return 0, err
+	}
+	g := s.Snapshot().Graph()
+	for i := range pq.Queries {
+		after, err := checkCached(db, g, pq, i)
+		if err != nil {
+			return 0, fmt.Errorf("after %s: %w", create, err)
+		}
+		if !reflect.DeepEqual(after, before[i]) {
+			changed++
+		}
+	}
+	return changed, nil
+}
+
+// newQueryDB is a database serving g as "g" with gsql-server's default
+// cache budget, so statements go through the result cache it serves.
+func newQueryDB(g *graph.Graph) *gdb.DB {
 	db := gdb.New()
-	db.AddGraph("g", pq.G)
+	db.SetPolicy(gdb.Policy{CacheMaxBytes: 64 << 20})
+	db.AddGraph("g", g)
+	return db
+}
+
+// checkCached sends statement i to db twice, checking both replies
+// against the oracle over g, the graph db serves; the second send must
+// count a cache hit. It returns the oracle's answer.
+func checkCached(db *gdb.DB, g *graph.Graph, pq gen.PathQuery, i int) ([][]int64, error) {
+	if _, err := checkStatement(db, g, pq, i); err != nil {
+		return nil, err
+	}
+	hits := db.Cache().Stats().Hits
+	want, err := checkStatement(db, g, pq, i)
+	if err != nil {
+		return nil, fmt.Errorf("second send: %w", err)
+	}
+	if db.Cache().Stats().Hits == hits {
+		return nil, fmt.Errorf("%s: the second send missed the cache", pq.Texts[i])
+	}
+	return want, nil
+}
+
+// createText is a CREATE of one new vertex that carries every vertex
+// label of g and a self-loop of each of g's edge labels. It links no old
+// vertex, so an answer for old sources keeps (its cached entry may
+// revalidate), while one whose sources are free gains the new vertex.
+func createText(g *graph.Graph) string {
+	var b strings.Builder
+	b.WriteString("CREATE (w")
+	for _, l := range g.VertexLabels() {
+		b.WriteString(":" + l)
+	}
+	b.WriteString(")")
+	for _, l := range g.EdgeLabels() {
+		b.WriteString("-[:" + l + "]->(w)")
+	}
+	return b.String()
+}
+
+// CheckQueryConcurrent is CheckQuery's first pass with every statement
+// sent from its own goroutine, reps times, to the one store: concurrent
+// statements then share its path-pattern index while each grows its
+// own rules, and race their cache fills against each other's hits.
+func CheckQueryConcurrent(pq gen.PathQuery, reps int) error {
+	db := newQueryDB(pq.G)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(pq.Queries))
 	for i := range pq.Queries {
@@ -43,7 +117,7 @@ func CheckQueryConcurrent(pq gen.PathQuery, reps int) error {
 		go func(i int) {
 			defer wg.Done()
 			for r := 0; r < reps; r++ {
-				if err := checkStatement(db, pq, i); err != nil {
+				if _, err := checkStatement(db, pq.G, pq, i); err != nil {
 					errs <- err
 					return
 				}
@@ -56,25 +130,26 @@ func CheckQueryConcurrent(pq gen.PathQuery, reps int) error {
 }
 
 // checkStatement sends statement i of the case to db and compares the
-// reply with the oracle's.
-func checkStatement(db *gdb.DB, pq gen.PathQuery, i int) error {
+// reply with the oracle's over g, the graph db serves. It returns the
+// oracle's answer.
+func checkStatement(db *gdb.DB, g *graph.Graph, pq gen.PathQuery, i int) ([][]int64, error) {
 	q, text := pq.Queries[i], pq.Texts[i]
 	res, err := db.Query("g", text)
 	if err != nil {
-		return fmt.Errorf("%s: %v", text, err)
+		return nil, fmt.Errorf("%s: %v", text, err)
 	}
-	want, err := matchRows(pq.G, q)
+	want, err := matchRows(g, q)
 	if err != nil {
-		return fmt.Errorf("%s: oracle: %v", text, err)
+		return nil, fmt.Errorf("%s: oracle: %v", text, err)
 	}
 	got := res.Rows
 	if !q.Return.Items[0].Count {
 		got = canonicalRows(got)
 	}
 	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-		return fmt.Errorf("%s:\n got  %v\n want %v", text, got, want)
+		return nil, fmt.Errorf("%s:\n got  %v\n want %v", text, got, want)
 	}
-	return nil
+	return want, nil
 }
 
 // matchRows is the reply the oracle expects: every binding of the

@@ -12,18 +12,27 @@ import (
 // declarations with recursion, quantifiers, inverse steps and node
 // checks, applied forward and inverse, chained with relationships, with
 // free, labeled, pinned or cyclic destinations — through the database
-// and compares every reply with the pattern oracle.
+// and compares every reply with the pattern oracle, from the result
+// cache as well, before and after a write.
 func TestDifferentialQuery(t *testing.T) {
-	failures := 0
+	failures, changed := 0, 0
 	for i := 0; i < queryCases; i++ {
 		seed := *seedFlag + int64(8_000_000+i)
-		if err := CheckQuery(gen.NewPathQuery(seed, maxGraphVertices)); err != nil {
+		n, err := checkQuery(gen.NewPathQuery(seed, maxGraphVertices))
+		if err != nil {
 			t.Errorf("case seed %d (rerun: go test ./internal/difftest -run TestDifferentialQuery -seed=%d): %v", seed, *seedFlag, err)
 			if failures++; failures >= 3 {
 				t.Fatalf("stopping after %d failing cases", failures)
 			}
 		}
+		changed += n
 	}
+	// A cache that served answers across the write unchecked would pass
+	// if no write changed an answer.
+	if changed == 0 && failures == 0 {
+		t.Fatal("no write changed an oracle answer: the post-write check is vacuous")
+	}
+	t.Logf("writes changed %d statements' answers", changed)
 }
 
 // TestDifferentialQueryConcurrent sends the statements of generated

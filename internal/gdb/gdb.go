@@ -62,7 +62,7 @@ const slowLogCapacity = 128
 func New() *DB {
 	return &DB{
 		graphs:  map[string]*GraphStore{},
-		cache:   store.NewCache(0, 0),
+		cache:   store.NewCache(0),
 		slowLog: obs.NewSlowLog(slowLogCapacity),
 	}
 }

@@ -44,9 +44,6 @@ type Policy struct {
 	// changed those rows; any other result serves its own version only,
 	// so it misses after any write. 0 disables caching.
 	CacheMaxBytes int64
-	// CacheTTL additionally expires cached results by age; 0 keeps
-	// entries until evicted or invalidated.
-	CacheTTL time.Duration
 	// BatchWindow is ignored; set by benchmark/ until ROADMAP item 1
 	// drops it. Concurrent same-grammar queries share work through the
 	// per-grammar index (DESIGN.md §14), so there is nothing to window.
@@ -63,7 +60,7 @@ func (db *DB) SetPolicy(p Policy) {
 	db.polMu.Lock()
 	db.policy = p
 	db.polMu.Unlock()
-	db.cache.Configure(p.CacheMaxBytes, p.CacheTTL)
+	db.cache.Configure(p.CacheMaxBytes)
 	db.kickAutoSaver()
 }
 

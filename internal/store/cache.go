@@ -3,12 +3,7 @@ package store
 import (
 	"container/list"
 	"sync"
-	"time"
 
-	"mscfpq/internal/cfpq"
-	"mscfpq/internal/exec"
-	"mscfpq/internal/grammar"
-	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
 	"mscfpq/internal/obs"
 )
@@ -22,7 +17,6 @@ type entry struct {
 	storeID uint64
 	version uint64     // a version val is right at, first the one it was computed at; read and restamped under Cache.mu
 	fp      *Footprint // nil: val is right at its own version only
-	expires time.Time  // zero when the cache has no TTL
 }
 
 // Footprint is what a cached answer read of its snapshot, when that was
@@ -37,18 +31,17 @@ type Footprint struct {
 	Sources *matrix.Vector
 }
 
-// Cache is the query cache: an LRU under a configurable byte budget
-// with optional TTL. An entry records the store incarnation and the
-// version its value was computed at, and a lookup at that version hits.
-// A lookup at another version hits only an entry with a footprint that
-// the caller's revalidation vouches for; otherwise an entry older than
-// the lookup is stale and goes (an invalidation), while a newer one
-// stays for readers at its own version. Stale entries no lookup meets
-// go by LRU. Safe for concurrent use.
+// Cache is the query result cache: an LRU under a configurable byte
+// budget. An entry records the store incarnation and the version its
+// value was computed at, and a lookup at that version hits. A lookup at
+// another version hits only an entry with a footprint that the caller's
+// revalidation vouches for; otherwise an entry older than the lookup is
+// stale and goes (an invalidation), while a newer one stays for readers
+// at its own version. Stale entries no lookup meets go by LRU. Safe for
+// concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64                 // guarded by mu: <= 0 disables the cache
-	ttl      time.Duration         // guarded by mu: 0 means entries never expire
 	ll       *list.List            // guarded by mu: LRU order, front = most recent
 	items    map[Key]*list.Element // guarded by mu
 	bytes    int64                 // guarded by mu: sum of entry sizes
@@ -64,20 +57,19 @@ type CacheStats struct {
 	Bytes                                                 int64
 }
 
-// NewCache returns a cache bounded by maxBytes (<= 0 disables it) with
-// per-entry TTL ttl (0 = no expiry).
-func NewCache(maxBytes int64, ttl time.Duration) *Cache {
+// NewCache returns a cache bounded by maxBytes (<= 0 disables it).
+func NewCache(maxBytes int64) *Cache {
 	c := &Cache{ll: list.New(), items: map[Key]*list.Element{}}
-	c.Configure(maxBytes, ttl)
+	c.Configure(maxBytes)
 	return c
 }
 
-// Configure replaces the byte budget and TTL, evicting (or purging,
-// when disabled) to fit.
-func (c *Cache) Configure(maxBytes int64, ttl time.Duration) {
+// Configure replaces the byte budget, evicting (or purging, when
+// disabled) to fit.
+func (c *Cache) Configure(maxBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.maxBytes, c.ttl = maxBytes, ttl
+	c.maxBytes = maxBytes
 	if maxBytes <= 0 {
 		c.purgeLocked()
 		return
@@ -93,29 +85,17 @@ func (c *Cache) Enabled() bool {
 	return c.maxBytes > 0
 }
 
-// Get returns the value cached under key for a reader at version,
-// updating LRU order; a key with no entry is a miss. It is Lookup for a
-// caller that knows the key names something cacheable.
-func (c *Cache) Get(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (any, bool) {
-	v, hit, found := c.Lookup(key, version, revalidate)
-	if !found {
-		c.Miss()
-	}
-	return v, hit
-}
-
 // Lookup returns the value cached under key for a reader at version,
 // updating LRU order. An entry computed at version hits. An entry
 // computed at another version hits (a revalidation) only when it has a
 // footprint and revalidate(at, fp) reports its rows the same at both
 // versions; revalidate runs without the cache's lock, so it may do
 // work, and a nil revalidate vouches for nothing. Otherwise the lookup
-// misses, and an entry older than version is dropped as stale. Expired
-// entries are dropped and count as misses. found reports whether key
-// had an entry: a key without one counts as neither a hit nor a miss,
-// so a caller that looks a text up before it knows whether the text is
-// cacheable records the miss (Miss) once it does. The returned value is
-// shared — callers must treat it as immutable.
+// misses, and an entry older than version is dropped as stale. found
+// reports whether key had an entry: a key without one counts as neither
+// a hit nor a miss, so a caller that looks a text up before it knows
+// whether the text is cacheable records the miss (Miss) once it does.
+// The returned value is shared — callers must treat it as immutable.
 func (c *Cache) Lookup(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (val any, hit, found bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -124,13 +104,6 @@ func (c *Cache) Lookup(key Key, version uint64, revalidate func(at uint64, fp *F
 		return nil, false, false
 	}
 	e := el.Value.(*entry)
-	if !e.expires.IsZero() && !time.Now().Before(e.expires) {
-		c.removeLocked(el)
-		c.evictions++
-		obs.CacheEvictions.Inc()
-		c.publishGaugesLocked()
-		return c.missLocked()
-	}
 	if e.version == version {
 		return c.hitLocked(el), true, true
 	}
@@ -203,11 +176,7 @@ func (c *Cache) Put(key Key, val any, bytes int64, storeID, version uint64, fp *
 		}
 		c.removeLocked(el)
 	}
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = time.Now().Add(c.ttl)
-	}
-	e := &entry{key: key, val: val, bytes: bytes, storeID: storeID, version: version, fp: fp, expires: expires}
+	e := &entry{key: key, val: val, bytes: bytes, storeID: storeID, version: version, fp: fp}
 	c.items[key] = c.ll.PushFront(e)
 	c.bytes += bytes
 	c.evictToFitLocked()
@@ -274,41 +243,4 @@ func (c *Cache) removeLocked(el *list.Element) {
 func (c *Cache) publishGaugesLocked() {
 	obs.CacheBytes.Set(c.bytes)
 	obs.CacheEntries.Set(int64(len(c.items)))
-}
-
-// PairsBytes estimates the cache charge of an answer pair set.
-func PairsBytes(pairs [][2]int, key Key) int64 {
-	return int64(len(pairs))*16 + int64(len(key.s)) + 64
-}
-
-// CachedEval answers a CFPQ evaluation through the cache: on a hit the
-// previously computed pair set is returned (shared — treat as
-// read-only); on a miss cfpq.Eval runs against g and the sorted answer
-// pairs are stored under the canonical EvalKey for (storeID, version).
-// The boolean reports whether the answer came from the cache. g must
-// be the immutable graph of the (storeID, version) snapshot the caller
-// pinned — the key, not the caller, is what guarantees cached and
-// uncached results are byte-identical.
-func CachedEval(c *Cache, storeID, version uint64, g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...cfpq.Option) ([][2]int, bool, error) {
-	alg := exec.Build(opts).Algorithm
-	if alg == exec.AlgAuto {
-		// Resolve exactly as cfpq.Eval does, so AlgAuto and its resolved
-		// algorithm share one entry.
-		if src != nil {
-			alg = exec.AlgMultiSource
-		} else {
-			alg = exec.AlgMatrix
-		}
-	}
-	key := EvalKey(storeID, version, w, src, alg)
-	if v, ok := c.Get(key, version, nil); ok {
-		return v.([][2]int), true, nil
-	}
-	res, err := cfpq.Eval(g, w, src, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	pairs := res.Pairs()
-	c.Put(key, pairs, PairsBytes(pairs, key), storeID, version, nil)
-	return pairs, false, nil
 }

@@ -2,51 +2,20 @@ package store
 
 import (
 	"slices"
-	"strings"
 	"testing"
-	"time"
 
-	"mscfpq/internal/exec"
-	"mscfpq/internal/grammar"
-	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/oracle"
 )
-
-func testGrammar(t testing.TB) *grammar.WCNF {
-	t.Helper()
-	g, err := grammar.ParseString("S -> a S b | a b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := grammar.ToWCNF(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// cycleChain is the paper's figure-1 shape: an a-cycle feeding a
-// b-chain, giving a non-trivial a^n b^n answer set.
-func cycleChain() *graph.Graph {
-	g := graph.New(0)
-	g.AddEdge(0, "a", 1)
-	g.AddEdge(1, "a", 2)
-	g.AddEdge(2, "a", 0)
-	g.AddEdge(0, "b", 3)
-	g.AddEdge(3, "b", 0)
-	return g
-}
 
 // key names an entry of the cache tests, which store their own values.
 func key(name string) Key { return TextKey(1, name) }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(300, 0)
+	c := NewCache(300)
 	put := func(k string, bytes int64) { c.Put(key(k), k, bytes, 1, 1, nil) }
 	get := func(k string) bool {
-		_, ok := c.Get(key(k), 1, nil)
-		return ok
+		_, hit, _ := c.Lookup(key(k), 1, nil)
+		return hit
 	}
 	put("a", 100)
 	put("b", 100)
@@ -76,23 +45,23 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheVersionBumpInvalidates(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1 << 20)
 	c.Put(key("a"), 1, 10, 7, 1, nil)
 	c.Put(key("b"), 2, 10, 7, 1, nil)
 	c.Put(key("other-store"), 3, 10, 8, 1, nil)
 	// A lookup at a newer version finds a footprint-free entry stale:
 	// it misses and the entry goes. Entries no lookup meets stay until
 	// LRU or DropStore.
-	if _, ok := c.Get(key("a"), 2, nil); ok {
+	if _, ok, _ := c.Lookup(key("a"), 2, nil); ok {
 		t.Fatalf("stale version served after the bump")
 	}
-	if _, ok := c.Get(key("a"), 1, nil); ok {
+	if _, ok, _ := c.Lookup(key("a"), 1, nil); ok {
 		t.Fatalf("stale entry survived the lookup that found it stale")
 	}
-	if _, ok := c.Get(key("b"), 1, nil); !ok {
+	if _, ok, _ := c.Lookup(key("b"), 1, nil); !ok {
 		t.Fatalf("entry no newer lookup met was dropped")
 	}
-	if _, ok := c.Get(key("other-store"), 1, nil); !ok {
+	if _, ok, _ := c.Lookup(key("other-store"), 1, nil); !ok {
 		t.Fatalf("unrelated store invalidated")
 	}
 	if st := c.Stats(); st.Invalidations != 1 {
@@ -102,16 +71,16 @@ func TestCacheVersionBumpInvalidates(t *testing.T) {
 	// A newer entry serves its own version, misses an older reader
 	// without being dropped, and is not displaced by the older answer.
 	c.Put(key("b"), 4, 10, 7, 3, nil)
-	if _, ok := c.Get(key("b"), 2, nil); ok {
+	if _, ok, _ := c.Lookup(key("b"), 2, nil); ok {
 		t.Fatalf("newer entry served an older reader")
 	}
 	c.Put(key("b"), 5, 10, 7, 2, nil)
-	if v, ok := c.Get(key("b"), 3, nil); !ok || v != 4 {
+	if v, ok, _ := c.Lookup(key("b"), 3, nil); !ok || v != 4 {
 		t.Fatalf("older put displaced the newer entry: %v %v", v, ok)
 	}
 
 	c.DropStore(8)
-	if _, ok := c.Get(key("other-store"), 1, nil); ok {
+	if _, ok, _ := c.Lookup(key("other-store"), 1, nil); ok {
 		t.Fatalf("DropStore left the entry")
 	}
 }
@@ -122,7 +91,7 @@ func TestCacheVersionBumpInvalidates(t *testing.T) {
 // restamps the entry, so the next lookup there is an exact hit; a
 // refused older entry goes, a refused newer one stays.
 func TestCacheRevalidation(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1 << 20)
 	fp := &Footprint{Ctx: "S=x", Nonterm: 0, Sources: matrix.NewVectorFromIndices(4, []int{1})}
 	c.Put(key("k"), "v", 10, 7, 5, fp)
 	var asked []uint64
@@ -138,20 +107,20 @@ func TestCacheRevalidation(t *testing.T) {
 		}
 	}
 	for _, version := range []uint64{6, 4} {
-		if v, ok := c.Get(key("k"), version, vouch(true)); !ok || v != "v" {
+		if v, ok, _ := c.Lookup(key("k"), version, vouch(true)); !ok || v != "v" {
 			t.Fatalf("vouched lookup at %d missed", version)
 		}
 	}
-	if _, ok := c.Get(key("k"), 6, vouch(false)); !ok {
+	if _, ok, _ := c.Lookup(key("k"), 6, vouch(false)); !ok {
 		t.Fatalf("lookup at the restamped version missed")
 	}
-	if _, ok := c.Get(key("k"), 4, vouch(false)); ok {
+	if _, ok, _ := c.Lookup(key("k"), 4, vouch(false)); ok {
 		t.Fatalf("refused lookup at an older version hit")
 	}
-	if _, ok := c.Get(key("k"), 7, vouch(false)); ok {
+	if _, ok, _ := c.Lookup(key("k"), 7, vouch(false)); ok {
 		t.Fatalf("refused lookup at a newer version hit")
 	}
-	if _, ok := c.Get(key("k"), 6, nil); ok {
+	if _, ok, _ := c.Lookup(key("k"), 6, nil); ok {
 		t.Fatalf("entry refused at a newer version was kept")
 	}
 	if want := []uint64{5, 6, 6, 6}; !slices.Equal(asked, want) {
@@ -164,9 +133,9 @@ func TestCacheRevalidation(t *testing.T) {
 
 // TestCacheLookupLeavesAbsentKeysUncounted: Lookup counts a key without
 // an entry as neither a hit nor a miss, so its caller can count the miss
-// once it knows the key names something cacheable; Get counts it.
+// once it knows the key names something cacheable (Miss).
 func TestCacheLookupLeavesAbsentKeysUncounted(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1 << 20)
 	if _, hit, found := c.Lookup(key("k"), 1, nil); hit || found {
 		t.Fatalf("empty cache: hit %v, found %v", hit, found)
 	}
@@ -180,17 +149,15 @@ func TestCacheLookupLeavesAbsentKeysUncounted(t *testing.T) {
 	if _, hit, found := c.Lookup(key("k"), 2, nil); hit || !found {
 		t.Fatalf("stale lookup: hit %v, found %v", hit, found)
 	}
-	if _, ok := c.Get(key("other"), 1, nil); ok {
-		t.Fatal("absent key hit")
-	}
+	c.Miss()
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Invalidations != 1 {
-		t.Fatalf("stats = %+v, want 1 hit, 2 misses (stale, Get's absent key), 1 invalidation", st)
+		t.Fatalf("stats = %+v, want 1 hit, 2 misses (stale, Miss), 1 invalidation", st)
 	}
 }
 
 // TestTextKeyForm: a result key is the store id and the text as they
 // are, built without an allocation, since every statement is looked up
-// before it parses; no text makes it equal an evaluation key.
+// before it parses.
 func TestTextKeyForm(t *testing.T) {
 	const text = "MATCH (v) RETURN v"
 	if got := TextKey(1234567, text).String(); got != "res|1234567|"+text {
@@ -202,119 +169,22 @@ func TestTextKeyForm(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = TextKey(1234567, text) }); n != 0 {
 		t.Fatalf("TextKey allocates %.0f objects, want 0", n)
 	}
-	ek := EvalKey(3, 9, testGrammar(t), nil, exec.AlgMatrix)
-	if !strings.HasPrefix(ek.String(), "eval|3|9|") {
-		t.Fatalf("EvalKey = %q", ek)
-	}
-	for _, text := range []string{ek.s, ek.String(), strings.TrimPrefix(ek.String(), "eval|3|")} {
-		if tk := TextKey(3, text); tk == ek {
-			t.Fatalf("text %q collides with evaluation key %s", text, ek)
-		}
-	}
-}
-
-func TestCacheTTLExpiry(t *testing.T) {
-	c := NewCache(1<<20, time.Millisecond)
-	c.Put(key("k"), 1, 10, 1, 1, nil)
-	time.Sleep(5 * time.Millisecond)
-	if _, ok := c.Get(key("k"), 1, nil); ok {
-		t.Fatalf("entry outlived its TTL")
-	}
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0, 0)
+	c := NewCache(0)
 	if c.Enabled() {
 		t.Fatalf("zero-budget cache reports enabled")
 	}
 	c.Put(key("k"), 1, 10, 1, 1, nil)
-	if _, ok := c.Get(key("k"), 1, nil); ok {
+	if _, ok, _ := c.Lookup(key("k"), 1, nil); ok {
 		t.Fatalf("disabled cache stored a value")
 	}
 	// Shrinking the budget purges.
-	c.Configure(100, 0)
+	c.Configure(100)
 	c.Put(key("k"), 1, 10, 1, 1, nil)
-	c.Configure(0, 0)
+	c.Configure(0)
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("disable did not purge: %+v", st)
-	}
-}
-
-// TestCachedEvalColdWarmInvalidate: the cached evaluation path must be
-// byte-identical to the uncached oracle answer cold (miss + compute),
-// warm (hit), and after a version bump (miss + recompute on the new
-// graph).
-func TestCachedEvalColdWarmInvalidate(t *testing.T) {
-	w := testGrammar(t)
-	g := cycleChain()
-	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0, 1})
-	want := oracle.CFPQ(g, w).StartPairsFrom(src.Ints())
-
-	c := NewCache(1<<20, 0)
-	st := New(g)
-	snap := st.Pin()
-
-	cold, hit, err := CachedEval(c, st.ID(), snap.Version(), snap.Graph(), w, src)
-	if err != nil || hit {
-		t.Fatalf("cold: hit=%v err=%v", hit, err)
-	}
-	warm, hit, err := CachedEval(c, st.ID(), snap.Version(), snap.Graph(), w, src)
-	if err != nil || !hit {
-		t.Fatalf("warm: hit=%v err=%v", hit, err)
-	}
-	assertPairs(t, "cold", cold, want)
-	assertPairs(t, "warm", warm, want)
-
-	// Bump the version with an edge to a fresh vertex, changing the
-	// answer; the old key must not serve.
-	snap2, err := st.Update(func(tx *Tx) error {
-		tx.Graph().AddEdge(1, "b", 4)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2 := snap2.Graph().NumVertices()
-	src2 := matrix.NewVectorFromIndices(n2, []int{0, 1})
-	want2 := oracle.CFPQ(snap2.Graph(), w).StartPairsFrom(src2.Ints())
-	post, hit, err := CachedEval(c, st.ID(), snap2.Version(), snap2.Graph(), w, src2)
-	if err != nil || hit {
-		t.Fatalf("post-invalidation: hit=%v err=%v", hit, err)
-	}
-	assertPairs(t, "post-invalidation", post, want2)
-	if len(want2) == len(want) {
-		t.Fatalf("test graph mutation did not change the answer; invalidation untested")
-	}
-
-	// Permuted, duplicated source list: same canonical key, warm hit.
-	srcPerm := matrix.NewVectorFromIndices(n2, []int{1, 0, 1, 0, 0})
-	perm, hit, err := CachedEval(c, st.ID(), snap2.Version(), snap2.Graph(), w, srcPerm)
-	if err != nil || !hit {
-		t.Fatalf("permuted sources: hit=%v err=%v", hit, err)
-	}
-	assertPairs(t, "permuted sources", perm, want2)
-
-	// A different algorithm is a different key but the same answer.
-	alg, hit, err := CachedEval(c, st.ID(), snap2.Version(), snap2.Graph(), w, src2,
-		exec.WithAlgorithm(exec.AlgWorklist))
-	if err != nil || hit {
-		t.Fatalf("algorithm variant: hit=%v err=%v", hit, err)
-	}
-	assertPairs(t, "algorithm variant", alg, want2)
-}
-
-func assertPairs(t *testing.T, label string, got, want [][2]int) {
-	t.Helper()
-	// Cached pair sets are shared and read-only; sort a copy.
-	got = append([][2]int(nil), got...)
-	oracle.SortPairs(got)
-	oracle.SortPairs(want)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d pairs, want %d\n got %v\nwant %v", label, len(got), len(want), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: pair %d = %v, want %v", label, i, got[i], want[i])
-		}
 	}
 }

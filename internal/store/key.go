@@ -4,36 +4,24 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"strconv"
-	"strings"
 
-	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
-	"mscfpq/internal/matrix"
 )
 
-// Key is a canonical cache key: an EvalKey names one CFPQ evaluation
-// at one version, a TextKey one statement's result at any version of
-// its store incarnation (the entry keeps the version it was computed
+// Key is a cache key (TextKey): one statement's result at any version
+// of its store incarnation (the entry keeps the version it was computed
 // at, and Cache.Lookup decides which versions it serves). A comparable
-// struct, so a text key holds the statement's string itself and
-// building one copies nothing. The kind is a field of its own, so a
-// text key never equals an eval key, whatever the text holds.
+// struct, so it holds the statement's string itself and building one
+// copies nothing.
 type Key struct {
-	eval    bool // an EvalKey; a TextKey otherwise
 	storeID uint64
-	s       string // the statement text, or the evaluation's other fields
+	text    string
 }
 
-// String renders the key as "res|<store id>|<text>" or
-// "eval|<store id>|<version>|...", for diagnostics.
+// String renders the key as "res|<store id>|<text>", for diagnostics.
 func (k Key) String() string {
-	kind := "res"
-	if k.eval {
-		kind = "eval"
-	}
-	return kind + "|" + strconv.FormatUint(k.storeID, 10) + "|" + k.s
+	return "res|" + strconv.FormatUint(k.storeID, 10) + "|" + k.text
 }
 
 // GrammarHash fingerprints a WCNF grammar α-renaming-invariantly.
@@ -71,34 +59,6 @@ func GrammarHash(w *grammar.WCNF) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// SourceKey canonicalizes a source set. Vectors are sorted and
-// duplicate-free by construction (matrix.NewVectorFromIndices), so
-// permuted or duplicated input id lists map to the same key. nil means
-// the unrestricted all-pairs answer. The vector length participates:
-// the same id set over a different vertex count is a different query.
-func SourceKey(src *matrix.Vector) string {
-	if src == nil {
-		return "all"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:", src.Size())
-	for i, id := range src.Indices() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%x", id)
-	}
-	return b.String()
-}
-
-// EvalKey is the canonical key of one CFPQ evaluation: (store
-// incarnation, graph version, grammar hash, canonicalized source set,
-// algorithm). Distinct versions or incarnations can never collide —
-// both are literal key fields.
-func EvalKey(storeID, version uint64, w *grammar.WCNF, src *matrix.Vector, alg exec.Algorithm) Key {
-	return Key{eval: true, storeID: storeID, s: fmt.Sprintf("%d|%s|%s|%d", version, GrammarHash(w), SourceKey(src), int(alg))}
-}
-
 // TextKey is the key of a gdb query result: the raw statement text
 // against one store incarnation. The versions of one text share the
 // key, while incarnations and texts never collide: both are fields.
@@ -106,5 +66,5 @@ func EvalKey(storeID, version uint64, w *grammar.WCNF, src *matrix.Vector, alg e
 // a duplicate entry but can never serve a wrong answer. Every statement
 // looks its text up before it is parsed, so the key allocates nothing.
 func TextKey(storeID uint64, query string) Key {
-	return Key{storeID: storeID, s: query}
+	return Key{storeID: storeID, text: query}
 }
