@@ -89,8 +89,10 @@ bench-quick:
 # gate (warm hit >= 10x faster than cold) fails the run.
 # The reply
 # benchmarks print what one query reply costs to encode and to decode
-# (10 and 6000 rows, ns and allocations; DESIGN.md §15) — their gate is
-# the allocation guard TestReplyAllocs in `make test`. The kernel
+# (10 and 6000 rows, ns and allocations; DESIGN.md §15), and what
+# Client.Do of a 6000-row reply costs over loopback, the client's share
+# of dense-scan — their gate is the allocation guard TestReplyAllocs in
+# `make test`. The kernel
 # benchmarks print what one multiple-source query costs under the
 # fixpoint driver (DESIGN.md §16): from scratch, against a saturated
 # index, and as one chunk-10 step of a pathways/G1 sweep cut from a
@@ -118,7 +120,7 @@ bench-quick:
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
-	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)' -benchmem ./internal/resp
+	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)|BenchmarkClientReadout' -benchmem ./internal/resp
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm)$$|BenchmarkRPQUnification$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(DenseCold|SmartSweep|ManyRounds)$$' -cpu 1,2 -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
@@ -141,7 +143,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/cypher/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/grammar/
 	$(GO) test -run=NONE -fuzz=FuzzRegex -fuzztime=30s ./internal/rpq/
-	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/resp/
+	$(GO) test -run=NONE -fuzz=FuzzRead$$ -fuzztime=30s ./internal/resp/
+	$(GO) test -run=NONE -fuzz=FuzzReadMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/resp/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=30s ./internal/gdb/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverSnapshot -fuzztime=30s ./internal/gdb/
@@ -154,7 +157,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/cypher/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/grammar/
 	$(GO) test -run=NONE -fuzz=FuzzRegex -fuzztime=10s ./internal/rpq/
-	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/resp/
+	$(GO) test -run=NONE -fuzz=FuzzRead$$ -fuzztime=10s ./internal/resp/
+	$(GO) test -run=NONE -fuzz=FuzzReadMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/resp/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=10s ./internal/gdb/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverSnapshot -fuzztime=10s ./internal/gdb/

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -183,14 +182,4 @@ func sum(xs []int) int {
 
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000.0)
-}
-
-// sortedKeys returns map keys sorted.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

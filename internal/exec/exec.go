@@ -175,15 +175,6 @@ type Run struct {
 	trace  *obs.Trace // nil = untraced
 }
 
-// NewRun builds a governor directly from a context (no timeout, no
-// budget) — a convenience for call sites that only need cancellation.
-func NewRun(ctx context.Context) *Run {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Run{ctx: ctx}
-}
-
 // Ctx returns the run's cancellation context (never nil).
 func (r *Run) Ctx() context.Context {
 	if r == nil || r.ctx == nil {

@@ -11,15 +11,16 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Value is one RESP value. Exactly one field is meaningful per Kind.
 type Value struct {
 	Kind  Kind
+	Null  bool    // null bulk string / null array
 	Str   string  // SimpleString, BulkString, Error
 	Int   int64   // Integer
 	Array []Value // Array
-	Null  bool    // null bulk string / null array
 }
 
 // Kind enumerates RESP2 types.
@@ -163,29 +164,78 @@ const maxArrayLen = 1 << 20
 
 // Read decodes one value from r.
 func Read(r *bufio.Reader) (Value, error) {
-	d := decoder{r: r}
+	return readValue(r, nil)
+}
+
+// readValue decodes one value from r; a non-nil scratch lends the first
+// long array its growing room (see decoder.long). The bytes parsed from
+// the window go back to r on every return.
+func readValue(r *bufio.Reader, scratch *[]Value) (Value, error) {
+	d := decoder{r: r, scratch: scratch}
 	var v Value
 	err := d.read(&v)
+	d.sync()
 	return v, err
 }
 
-// decoder reads one top-level value. Its small arrays (the rows of a
+// decoder reads one top-level value. Integer and array-length lines are
+// parsed where they lie in the reader's buffer (the window); anything
+// else is read through the reader. Its small arrays (the rows of a
 // query reply) are cut from shared chunks, and every element is decoded
-// in its place in its array: a Value is 64 bytes.
+// in its place in its array: a Value is 56 bytes.
 type decoder struct {
-	r     *bufio.Reader
-	chunk []Value // unused rest of the current chunk, all zero
-	next  int     // size of the chunk to allocate when this one is used up
+	r       *bufio.Reader
+	win     []byte   // r's buffered bytes, valid until the next call on r
+	pos     int      // bytes of win parsed; r has not yet skipped them
+	chunk   []Value  // unused rest of the current chunk, all zero
+	next    int      // size of the chunk to allocate when this one is used up
+	scratch *[]Value // room to grow one long array in, or nil
 }
 
 // Arrays of up to slabArrayMax elements share chunks, which double from
-// slabChunkMin up to slabChunkMax values (1 to 32 KiB): a command or a
-// short reply takes little, a long reply a chunk per few hundred rows.
+// slabChunkMin values up to slabChunkMax, the most that fit in 32 KiB
+// (a chunk of 512 would be 28 KiB, rounded up to the same size class):
+// a command or a short reply takes little, a long reply a chunk per few
+// hundred rows.
 const (
 	slabArrayMax = 16
 	slabChunkMin = 16
-	slabChunkMax = 512
+	slabChunkMax = (32 << 10) / int(unsafe.Sizeof(Value{}))
 )
+
+// sync hands the parsed part of the window back to the reader. It must
+// run before any other call on d.r, which may move the buffer's bytes.
+func (d *decoder) sync() {
+	if d.pos > 0 {
+		d.r.Discard(d.pos) // never short: the bytes are buffered
+	}
+	d.win, d.pos = nil, 0
+}
+
+// windowLine parses an integer or array-length line of 1 to 18 plain
+// digits at the head of the window. It reports false, consuming
+// nothing, for anything else: a sign, 19 digits, another kind, or a line
+// the window does not hold to its end.
+func (d *decoder) windowLine() (Kind, int64, bool) {
+	if d.pos == len(d.win) {
+		d.sync()
+		d.win, _ = d.r.Peek(d.r.Buffered()) // never fails: the bytes are buffered
+	}
+	b := d.win[d.pos:]
+	if len(b) < 4 || (b[0] != byte(Integer) && b[0] != byte(Array)) {
+		return 0, 0, false
+	}
+	var n int64
+	i := 1
+	for ; i < len(b) && i <= 18 && b[i] >= '0' && b[i] <= '9'; i++ {
+		n = n*10 + int64(b[i]-'0')
+	}
+	if i == 1 || i+1 >= len(b) || b[i] != '\r' || b[i+1] != '\n' {
+		return 0, 0, false
+	}
+	d.pos += i + 2
+	return Kind(b[0]), n, true
+}
 
 // array returns space for n elements: all of it when small, otherwise
 // to grow as they arrive, so a hostile length commits no memory.
@@ -204,77 +254,124 @@ func (d *decoder) array(n int) []Value {
 
 // read decodes the next value into *v, which is zero.
 func (d *decoder) read(v *Value) error {
-	t, err := d.r.ReadByte()
+	kind, n, ok := d.windowLine()
+	v.Kind = kind
+	if !ok {
+		d.sync()
+		t, err := d.r.ReadByte()
+		if err != nil {
+			return err
+		}
+		v.Kind = Kind(t)
+		switch v.Kind {
+		case SimpleString, ErrorString:
+			s, err := readBoundedLine(d.r, maxInlineLen)
+			if err != nil {
+				return err
+			}
+			if len(s) < 2 || s[len(s)-2] != '\r' {
+				return errors.New("resp: line missing CRLF")
+			}
+			v.Str = s[:len(s)-2]
+			return nil
+		case BulkString:
+			n, err := d.readInt()
+			if err != nil {
+				return err
+			}
+			if err := checkLen("bulk", n, maxBulkLen); err != nil {
+				return err
+			}
+			if n == -1 {
+				v.Null = true
+				return nil
+			}
+			buf := make([]byte, n+2)
+			if _, err := io.ReadFull(d.r, buf); err != nil {
+				return err
+			}
+			if buf[n] != '\r' || buf[n+1] != '\n' {
+				return fmt.Errorf("resp: bulk string missing CRLF")
+			}
+			v.Str = string(buf[:n])
+			return nil
+		case Integer, Array:
+			if n, err = d.readInt(); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("resp: unexpected type byte %q", t)
+		}
+	}
+	if v.Kind == Integer {
+		v.Int = n
+		return nil
+	}
+	if err := checkLen("array", n, maxArrayLen); err != nil {
+		return err
+	}
+	if n == -1 {
+		v.Null = true
+		return nil
+	}
+	if n > slabArrayMax && d.scratch != nil {
+		return d.long(v, int(n))
+	}
+	a, err := d.fill(d.array(int(n)), int(n))
 	if err != nil {
 		return err
 	}
-	v.Kind = Kind(t)
-	switch v.Kind {
-	case SimpleString, ErrorString:
-		s, err := readBoundedLine(d.r, maxInlineLen)
-		if err != nil {
-			return err
-		}
-		if len(s) < 2 || s[len(s)-2] != '\r' {
-			return errors.New("resp: line missing CRLF")
-		}
-		v.Str = s[:len(s)-2]
-		return nil
-	case Integer:
-		v.Int, err = d.readInt()
-		return err
-	case BulkString:
-		n, err := d.readLen("bulk", maxBulkLen)
-		if err != nil {
-			return err
-		}
-		if n == -1 {
-			v.Null = true
-			return nil
-		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return err
-		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return fmt.Errorf("resp: bulk string missing CRLF")
-		}
-		v.Str = string(buf[:n])
-		return nil
-	case Array:
-		n, err := d.readLen("array", maxArrayLen)
-		if err != nil {
-			return err
-		}
-		if n == -1 {
-			v.Null = true
-			return nil
-		}
-		a := d.array(n)
-		for len(a) < n {
-			if len(a) == cap(a) {
-				// Double: append's 1.25x copies 6000 rows five times over.
-				a = append(make([]Value, 0, min(int(n), 2*cap(a))), a...)
-			}
-			a = a[:len(a)+1]
-			if err := d.read(&a[len(a)-1]); err != nil {
-				return err
-			}
-		}
-		v.Array = a
-		return nil
-	default:
-		return fmt.Errorf("resp: unexpected type byte %q", t)
-	}
+	v.Array = a
+	return nil
 }
 
-// readLen reads a bulk or array length: -1 for null, at most limit.
-func (d *decoder) readLen(what string, limit int) (int, error) {
-	n, err := d.readInt()
-	if err == nil && (n < -1 || n > int64(limit)) {
-		err = fmt.Errorf("resp: bad %s length %d", what, n)
+// fill decodes elements onto a until it holds n, in place, growing it as
+// they arrive. It returns a with the element it failed on, if any.
+func (d *decoder) fill(a []Value, n int) ([]Value, error) {
+	for len(a) < n {
+		if len(a) == cap(a) {
+			// Double: append's 1.25x copies 6000 rows five times over.
+			a = append(make([]Value, 0, min(n, max(2*cap(a), 1024))), a...)
+		}
+		a = a[:len(a)+1]
+		if err := d.read(&a[len(a)-1]); err != nil {
+			return a, err
+		}
 	}
-	return int(n), err
+	return a, nil
+}
+
+// scratchKeepMax is the largest scratch (in elements, 3.5 MiB) kept
+// for the next reply; a longer one is dropped rather than held for the
+// client's lifetime.
+const scratchKeepMax = 1 << 16
+
+// long decodes an array of n > slabArrayMax elements in the scratch,
+// then copies it once into an exact-length array. The scratch is
+// cleared again whether or not the array was whole, so it keeps no
+// reference into this reply or a torn one; an array nested in this one
+// grows on its own.
+func (d *decoder) long(v *Value, n int) error {
+	scratch := d.scratch
+	d.scratch = nil
+	a, err := d.fill((*scratch)[:0], n)
+	if err == nil {
+		v.Array = append(make([]Value, 0, n), a...)
+	}
+	if cap(a) > scratchKeepMax {
+		a = nil
+	}
+	clear(a)
+	*scratch, d.scratch = a[:0], scratch
+	return err
+}
+
+// checkLen bounds a bulk or array length: -1 for null, at most limit.
+func checkLen(what string, n int64, limit int) error {
+	if n < -1 || n > int64(limit) {
+		return fmt.Errorf("resp: bad %s length %d", what, n)
+	}
+	return nil
 }
 
 // readInt parses the rest of an integer or length line where it lies in

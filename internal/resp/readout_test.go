@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -202,7 +204,9 @@ func TestWriteMatchesReferenceOnEveryKind(t *testing.T) {
 // matrix.TestMulAllocsPooled): a 6000 x 2 result — one dense-scan
 // reply — encodes without a per-row allocation at all, and decodes into
 // the Value tree with its 6000 row arrays cut from a few dozen chunks.
-// Before this change: 14 665 and 24 275 allocations.
+// Before this change: 14 665 and 24 275 allocations. A Client decodes
+// the same reply over loopback with its row list allocated once, at its
+// length: 18 000 Values of 56 bytes and the chunks' slack.
 func TestReplyAllocs(t *testing.T) {
 	res := denseResult(6000, 2)
 	w := bufio.NewWriter(io.Discard)
@@ -226,6 +230,137 @@ func TestReplyAllocs(t *testing.T) {
 	})
 	if decode > 64 {
 		t.Errorf("decoding a 6000x2 reply allocates %.0f objects, want <= 64", decode)
+	}
+
+	c, err := Dial(cannedServer(t, false, wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	do := func() {
+		if v, err := c.Do("GRAPH.QUERY", "g", "q"); err != nil || len(v.Array[1].Array) != 6000 {
+			t.Fatal(err)
+		}
+	}
+	client := testing.AllocsPerRun(20, do)
+	if client > 64 {
+		t.Errorf("Client.Do of a 6000x2 reply allocates %.0f objects, want <= 64", client)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		do()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1_150_000 {
+		t.Errorf("Client.Do of a 6000x2 reply allocates %d bytes, want <= 1 150 000", perOp)
+	}
+}
+
+// cannedServer answers each command on a loopback connection with the
+// next of replies, in turn: round and round, or, with hangUp, closing
+// the connection after the last one.
+func cannedServer(t testing.TB, hangUp bool, replies ...[]byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for i := 0; !hangUp || i < len(replies); i++ {
+					if _, err := Read(r); err != nil {
+						return
+					}
+					if _, err := conn.Write(replies[i%len(replies)]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientLongRepliesDoNotAlias pins the ownership of a reply decoded
+// through a Client's scratch: a 6000-row reply stays whole while the
+// next one is decoded in the same room.
+func TestClientLongRepliesDoNotAlias(t *testing.T) {
+	second := denseResult(6000, 2)
+	for _, row := range second.Rows {
+		row[0] += 1000
+	}
+	wires := [][]byte{encodeWith(t, queryReply{denseResult(6000, 2)}.encode), encodeWith(t, queryReply{second}.encode)}
+	c, err := Dial(cannedServer(t, false, wires...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var got []Value
+	for range wires {
+		v, err := c.Do("GRAPH.QUERY", "g", "q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	for i, wire := range wires {
+		want, err := Read(bufio.NewReader(bytes.NewReader(wire)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("reply %d changed after a later Do", i)
+		}
+	}
+	if cap(c.scratch) < 6000 || !zeroValues(c.scratch) {
+		t.Errorf("scratch of capacity %d: want >= 6000, all zero between calls", cap(c.scratch))
+	}
+}
+
+// TestClientDropsAnOversizedScratch reads an array one past the kept
+// scratch size: the reply decodes whole and the scratch is let go, so a
+// Client does not hold 56 bytes per element of its longest reply ever.
+func TestClientDropsAnOversizedScratch(t *testing.T) {
+	n := scratchKeepMax + 1
+	wire := fmt.Sprintf("*%d\r\n%s*17\r\n%s", n, strings.Repeat(":1\r\n", n), strings.Repeat(":2\r\n", 17))
+	r := bufio.NewReader(strings.NewReader(wire))
+	var scratch []Value
+	if v, err := readValue(r, &scratch); err != nil || len(v.Array) != n || scratch != nil {
+		t.Fatalf("array of %d: %d elements, %v, scratch of capacity %d kept", n, len(v.Array), err, cap(scratch))
+	}
+	if v, err := readValue(r, &scratch); err != nil || len(v.Array) != 17 || cap(scratch) != 17 || !zeroValues(scratch) {
+		t.Fatalf("array of 17 after it: %d elements, %v, scratch of capacity %d", len(v.Array), err, cap(scratch))
+	}
+}
+
+// TestClientTornReplyLeavesNoStaleElements cuts a 6000-row reply off
+// mid-array with a server close: the call fails as a broken connection,
+// and the scratch keeps none of the rows it had decoded.
+func TestClientTornReplyLeavesNoStaleElements(t *testing.T) {
+	wire := encodeWith(t, queryReply{denseResult(6000, 2)}.encode)
+	c, err := Dial(cannedServer(t, true, wire, wire[:len(wire)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do("GRAPH.QUERY", "g", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do("GRAPH.QUERY", "g", "q"); !IsBrokenConn(err) {
+		t.Fatalf("Do of a torn reply = %v, want a broken connection", err)
+	}
+	if cap(c.scratch) < 6000 || !zeroValues(c.scratch) {
+		t.Errorf("scratch of capacity %d after a torn reply: want >= 6000, all zero", cap(c.scratch))
 	}
 }
 
@@ -266,6 +401,26 @@ func BenchmarkReplyDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkClientReadout is the client's side of a dense-scan query:
+// Client.Do of a 6000 x 2 reply from a loopback server that answers
+// every command with the same bytes.
+func BenchmarkClientReadout(b *testing.B) {
+	wire := encodeWith(b, queryReply{denseResult(6000, 2)}.encode)
+	c, err := Dial(cannedServer(b, false, wire))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if decoded, err = c.Do("GRAPH.QUERY", "g", "q"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -110,17 +110,6 @@ type Tx struct {
 // invisible until the Update commits.
 func (tx *Tx) Graph() *graph.Graph { return tx.g }
 
-// Prop reads a property through the transaction (its own writes
-// included).
-func (tx *Tx) Prop(v int, key string) (cypher.Value, bool) {
-	p, ok := tx.props[v]
-	if !ok {
-		return cypher.Value{}, false
-	}
-	val, ok := p[key]
-	return val, ok
-}
-
 // SetProp sets a node property, copying the vertex's inner map on
 // first write so prior snapshots keep their values.
 func (tx *Tx) SetProp(v int, key string, val cypher.Value) {
