@@ -5,7 +5,7 @@ GO ?= go
 # Packages with internal concurrency (query governor, index locking,
 # server drain); `race-quick` covers just these, `race` the whole
 # module.
-RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/matrix ./internal/analysis/... ./cmd/mscfpq-lint
+RACE_PKGS = ./internal/gdb ./internal/resp ./internal/plan ./internal/cfpq ./internal/exec ./internal/store ./internal/matrix ./internal/analysis/... ./cmd/mscfpq-lint
 
 .PHONY: check all build vet test race race-quick cover bench bench-quick bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
 
@@ -113,10 +113,12 @@ bench-quick:
 # traverse benchmark prints what one relationship or one-step path hop
 # from one bound source costs on 20 000 vertices (ns and allocations;
 # its gate is TestTraverseAllocsAreSizeIndependent in `make test`), and
-# what a plan's read-out of 6000 two-column rows costs (DESIGN.md §15).
-# The cache-hit benchmark prints what one cached MATCH read costs
-# through QueryContext, exact and revalidated after a write (its gate is
-# TestCacheHitSkipsParse in `make test`).
+# what a plan's read-out of 6000 two-column rows costs (DESIGN.md §15;
+# its gate is TestExecuteBytesPerCell in `make test`). The cache-hit
+# benchmark prints what one cached MATCH read costs through
+# QueryContext, exact and revalidated after a write, and a 6000-row
+# exact hit through QueryCells, the server's entry (their gates are
+# TestCacheHitSkipsParse and TestCellHitIsItsResultAlone in `make test`).
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json

@@ -311,7 +311,14 @@ func (s *GraphStore) SetProp(v int, key string, val cypher.Value) {
 // QueryResult is the outcome of one statement.
 type QueryResult struct {
 	Columns []string
-	Rows    [][]int64
+	// Cells holds a MATCH answer's rows back to back, row-major: NumRows
+	// rows of len(Columns) cells. The array may be shared with the
+	// result cache and with other results: read it, never write it.
+	Cells   []int64
+	NumRows int
+	// Rows is Cells cut into one slice per row: filled by QueryContext,
+	// nil from QueryCells.
+	Rows [][]int64
 	// Write statistics (CREATE).
 	NodesCreated int
 	EdgesCreated int

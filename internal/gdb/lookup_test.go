@@ -131,6 +131,39 @@ func TestCachedAnswerIsFlat(t *testing.T) {
 	}
 }
 
+// TestCellHitIsItsResultAlone: an exact hit of a 6000-row answer
+// through QueryCells, the server's entry, shares the cached cells and
+// cuts no row headers, so it allocates the result and nothing sized by
+// the answer (QueryContext's hit cuts 144 KiB of headers).
+func TestCellHitIsItsResultAlone(t *testing.T) {
+	db, _, want := wideDB(t)
+	ctx := context.Background()
+	read := func() *QueryResult {
+		res, err := db.QueryCells(ctx, "g", wideQuery)
+		if err != nil || res.NumRows != wideRows || res.Rows != nil {
+			t.Fatalf("cell hit: %v", err)
+		}
+		return res
+	}
+	got := read()
+	if !reflect.DeepEqual(got.Cells, want.Cells) || !reflect.DeepEqual(got.Columns, want.Columns) {
+		t.Fatal("a cell hit answered differently from the evaluation it cached")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { read() }); allocs > hitAllocs {
+		t.Fatalf("a cell hit of %d rows allocates %.0f objects, want at most %d", wideRows, allocs, hitAllocs)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 1024 {
+		t.Fatalf("a cell hit of %d rows allocates %d bytes, want under 1 KiB", wideRows, perOp)
+	}
+}
+
 // TestHitRowsEndAtTheirWidth: readers share the cached cells, so every
 // row a reply hands out ends its capacity with its width. Appending to
 // each row of the reply that filled the cache and of a hit leaves the
@@ -271,31 +304,36 @@ func TestCacheCountsMatchReadsOnly(t *testing.T) {
 
 // BenchmarkQueryCacheHit times one cached MATCH read through
 // QueryContext: an exact hit of a few rows and of a dense-scan-sized
-// answer (6000 rows), and a revalidated hit — the first read of the
-// text after a write that left its rows alone, which carries the
+// answer (6000 rows), that hit through QueryCells (the server's entry,
+// which cuts no row headers), and a revalidated hit — the first read of
+// the text after a write that left its rows alone, which carries the
 // path-pattern context over to the new version first.
 func BenchmarkQueryCacheHit(b *testing.B) {
 	text := sourcesQuery(0, 1)
 	ctx := context.Background()
-	exact := func(b *testing.B, db *DB, text string) {
-		if _, err := db.QueryContext(ctx, "g", text); err != nil {
+	exact := func(b *testing.B, query func(context.Context, string, string) (*QueryResult, error), text string) {
+		if _, err := query(ctx, "g", text); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.QueryContext(ctx, "g", text); err != nil {
+			if _, err := query(ctx, "g", text); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("exact", func(b *testing.B) {
 		db, _ := cachedDB()
-		exact(b, db, text)
+		exact(b, db.QueryContext, text)
 	})
 	b.Run("exact-6000", func(b *testing.B) {
 		db, _, _ := wideDB(b)
-		exact(b, db, wideQuery)
+		exact(b, db.QueryContext, wideQuery)
+	})
+	b.Run("exact-6000-cells", func(b *testing.B) {
+		db, _, _ := wideDB(b)
+		exact(b, db.QueryCells, wideQuery)
 	})
 	b.Run("revalidated", func(b *testing.B) {
 		db, s := cachedDB()

@@ -76,8 +76,21 @@ func (db *DB) Policy() Policy {
 // the statement's TIMEOUT clause if present, the policy default
 // otherwise; the policy's work budget always applies. Queries aborted
 // by the governor return context.Canceled, context.DeadlineExceeded, or
-// exec.ErrBudget.
+// exec.ErrBudget. It is QueryCells with the answer cut into Rows.
 func (db *DB) QueryContext(ctx context.Context, name, src string) (*QueryResult, error) {
+	res, err := db.QueryCells(ctx, name, src)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = plan.CutRows(res.Cells, res.NumRows)
+	return res, nil
+}
+
+// QueryCells executes a statement like QueryContext but leaves a MATCH
+// answer as its cells (QueryResult.Cells and NumRows, Rows nil), all a
+// caller that writes the rows out one after another needs. It cuts no
+// row headers, so a hit allocates the result alone, whatever its size.
+func (db *DB) QueryCells(ctx context.Context, name, src string) (*QueryResult, error) {
 	start := time.Now()
 	// Pin ONE snapshot for both the cache lookup and the evaluation: the
 	// result is exactly the answer for this version even if writes
@@ -113,7 +126,7 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 			a := v.(*answer)
 			obs.GdbQueries.Inc()
 			obs.GdbQueryLatencyUS.Observe(time.Since(start).Microseconds())
-			return &QueryResult{Columns: a.columns, Rows: plan.CutRows(a.cells, a.rows)}, nil
+			return &QueryResult{Columns: a.columns, Cells: a.cells, NumRows: a.rows}, nil
 		}
 		known = found
 	}
@@ -149,10 +162,10 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 		return nil, err
 	}
 	if cacheable {
-		a := &answer{columns: rs.Columns, cells: rs.Cells, rows: len(rs.Rows)}
+		a := &answer{columns: rs.Columns, cells: rs.Cells, rows: rs.NumRows}
 		db.cache.Put(rkey, a, resultBytes(a, src, fp), snap.StoreID(), snap.Version(), fp)
 	}
-	res := &QueryResult{Columns: rs.Columns, Rows: rs.Rows}
+	res := &QueryResult{Columns: rs.Columns, Cells: rs.Cells, NumRows: rs.NumRows}
 	if trace != nil {
 		res.Profile = trace.Render()
 	}
@@ -232,7 +245,7 @@ func (db *DB) serve(ctx context.Context, name, src string, q *cypher.Query, trac
 // answer is a cached MATCH result: its columns and its rows' cells,
 // row-major (plan.ResultSet.Cells), with no per-row slice. The cells
 // hold no pointers, so the collector marks them without scanning them;
-// each hit cuts row headers of its own over the shared cells.
+// every hit shares them (QueryResult.Cells).
 type answer struct {
 	columns []string
 	cells   []int64

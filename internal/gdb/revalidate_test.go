@@ -13,6 +13,7 @@ import (
 	"mscfpq/internal/graph"
 	"mscfpq/internal/obs"
 	"mscfpq/internal/oracle"
+	"mscfpq/internal/plan"
 	"mscfpq/internal/store"
 )
 
@@ -70,7 +71,7 @@ func (p cacheProbe) read(text string, snap *store.Snapshot) outcome {
 		p.t.Fatalf("%s: %v", text, err)
 	}
 	after := p.db.Cache().Stats()
-	if got, want := sortedPairs(pairsFromRows(res.Rows)), wantPairs(p.t, snap.Graph(), q); !pairsEqual(got, want) {
+	if got, want := sortedPairs(pairsFromRows(plan.CutRows(res.Cells, res.NumRows))), wantPairs(p.t, snap.Graph(), q); !pairsEqual(got, want) {
 		p.t.Fatalf("version %d: %s\n got %v\nwant %v", snap.Version(), text, got, want)
 	}
 	switch {
@@ -152,7 +153,7 @@ func TestPinnedReaderBuildsPrivateContext(t *testing.T) {
 	if got := obs.GdbCtxPrivateBuilds.Value() - builds; got != 1 {
 		t.Fatalf("gdb.ctx.private_builds rose by %d, want 1", got)
 	}
-	if got, want := sortedPairs(pairsFromRows(res.Rows)), sortedPairs(pairsFromRows(want.Rows)); !pairsEqual(got, want) {
+	if got, want := sortedPairs(pairsFromRows(plan.CutRows(res.Cells, res.NumRows))), sortedPairs(pairsFromRows(want.Rows)); !pairsEqual(got, want) {
 		t.Fatalf("pinned reader answered %v, the uncached database %v", got, want)
 	}
 }

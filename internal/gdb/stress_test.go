@@ -200,7 +200,7 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 					t.Errorf("reader %d: match at version %d: %v", rd, v, err)
 					return
 				}
-				if got := sortedPairs(pairsFromRows(res.Rows)); !pairsEqual(got, want) {
+				if got := sortedPairs(pairsFromRows(res.Rows())); !pairsEqual(got, want) {
 					t.Errorf("reader %d: version %d: match answer diverged from pinned oracle\n got %v\nwant %v", rd, v, got, want)
 					return
 				}

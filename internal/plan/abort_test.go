@@ -43,7 +43,7 @@ func TestAbortedQueryLeavesNothingPending(t *testing.T) {
 	doomed := mustParseQuery(t, decl+`WHERE id(v) = 0 RETURN v, to`)
 	later := mustParseQuery(t, decl+`WHERE id(v) = 4 RETURN v, to`)
 	want := runQuery(t, g, decl+`WHERE id(v) = 4 RETURN v, to`)
-	if len(want.Rows) == 0 {
+	if len(want.Rows()) == 0 {
 		t.Fatal("the later query has no answer to lose")
 	}
 

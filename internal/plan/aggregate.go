@@ -123,10 +123,11 @@ func (s *Sort) Open() error {
 
 func (s *Sort) Next() (Record, error) {
 	if !s.sorted {
-		var err error
-		if s.out, _, err = drainRows(s.child, nil); err != nil {
+		n, cells, err := drainRows(s.child, nil)
+		if err != nil {
 			return nil, err
 		}
+		s.out = CutRows(cells, n)
 		sort.SliceStable(s.out, func(i, j int) bool {
 			for _, k := range s.keys {
 				a, b := s.out[i][k.col], s.out[j][k.col]

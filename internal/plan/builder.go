@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
@@ -23,12 +24,15 @@ type Plan struct {
 // vertex ids.
 type ResultSet struct {
 	Columns []string
-	Rows    [][]int64
-	// Cells is the row-major array Rows are cut from, exactly
-	// len(Rows) × width cells: a caller that keeps the answer can keep
-	// Cells alone and cut the rows again (CutRows).
-	Cells []int64
+	// Cells holds the rows back to back, row-major: exactly NumRows ×
+	// len(Columns) cells in an array of its own, which whoever keeps the
+	// answer (the query cache) may keep as it is.
+	Cells   []int64
+	NumRows int
 }
+
+// Rows cuts the result into one slice per row (CutRows), nil for none.
+func (r *ResultSet) Rows() [][]int64 { return CutRows(r.Cells, r.NumRows) }
 
 // Build compiles a parsed MATCH query against an environment. CREATE
 // statements are handled by the storage layer, not the planner.
@@ -364,34 +368,60 @@ func (p *Plan) ExecuteWith(opts ...exec.Option) (*ResultSet, error) {
 	if err := p.root.Open(); err != nil {
 		return nil, err
 	}
-	rows, cells, err := drainRows(p.root, run)
+	n, cells, err := drainRows(p.root, run)
 	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{Columns: p.Columns, Rows: rows, Cells: cells}, nil
+	return &ResultSet{Columns: p.Columns, Cells: cells, NumRows: n}, nil
 }
 
-// drainRows pulls op dry and returns its records as rows (nil for
-// none) and the array they are cut from. A record is valid only until
-// the next pull, so the cells are collected back to back, then copied
+// drainPool recycles the room drainRows collects cells in, so that a
+// steady stream of executions allocates each answer once and no room
+// to grow it in.
+var drainPool = sync.Pool{New: func() any { return new([]int64) }}
+
+// drainKeepMax is the largest room (in cells, 512 KiB) given back to
+// drainPool; a longer one is dropped rather than held by the pool.
+const drainKeepMax = 1 << 16
+
+// drainRows pulls op dry and returns the number of records and their
+// cells, back to back (nil for none). A record is valid only until the
+// next pull, so the cells are collected in a pooled room, then copied
 // into one array of exactly their size that nothing else refers to:
 // whoever keeps them (the query cache) pins the bytes it accounts for
-// and no buffer of the execution.
-func drainRows(op Operation, run *exec.Run) ([][]int64, []int64, error) {
-	var cells []int64
+// and no buffer of the execution. The room never leaves drainRows.
+func drainRows(op Operation, run *exec.Run) (int, []int64, error) {
+	room := drainPool.Get().(*[]int64)
+	n, cells, err := drainInto((*room)[:0], op, run)
+	var answer []int64
+	if err == nil && n > 0 {
+		answer = append(make([]int64, 0, len(cells)), cells...)
+	}
+	// Only once the answer is copied out may another execution take the
+	// room.
+	if cap(cells) <= drainKeepMax {
+		*room = cells[:0]
+		drainPool.Put(room)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return n, answer, nil
+}
+
+// drainInto appends op's records to cells until op is dry, checking
+// the governor every executeCheckRecords records. It returns the
+// records pulled and cells, grown as needed.
+func drainInto(cells []int64, op Operation, run *exec.Run) (int, []int64, error) {
 	for pulled := 0; ; pulled++ {
 		if pulled%executeCheckRecords == 0 {
 			if err := run.Err(); err != nil {
-				return nil, nil, err
+				return pulled, cells, err
 			}
 		}
 		rec, err := op.Next()
-		if err != nil || (rec == nil && pulled == 0) {
-			return nil, nil, err
-		}
-		if rec == nil {
-			data := append(make([]int64, 0, len(cells)), cells...)
-			return CutRows(data, pulled), data, nil
+		if err != nil || rec == nil {
+			return pulled, cells, err
 		}
 		if len(cells)+len(rec) > cap(cells) {
 			cells = append(make([]int64, 0, max(512, 2*cap(cells))), cells...)

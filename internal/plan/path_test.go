@@ -112,7 +112,7 @@ func BenchmarkTraverseHop(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rs, err := p.Execute(); err != nil || len(rs.Rows) != len(h.rows) {
+				if rs, err := p.Execute(); err != nil || len(rs.Rows()) != len(h.rows) {
 					b.Fatal(rs, err)
 				}
 			}
@@ -141,8 +141,8 @@ func TestPathWorkIsSizeIndependent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rs.Rows) != c.rows {
-				t.Fatalf("%s on %d vertices: %d rows, want %d", c.query, 50*k, len(rs.Rows), c.rows)
+			if len(rs.Rows()) != c.rows {
+				t.Fatalf("%s on %d vertices: %d rows, want %d", c.query, 50*k, len(rs.Rows()), c.rows)
 			}
 			spent = append(spent, run.Spent())
 			rows = append(rows, rs)

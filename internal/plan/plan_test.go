@@ -48,7 +48,7 @@ func runQuery(t *testing.T, g *graph.Graph, src string) *ResultSet {
 }
 
 func sortedRows(rs *ResultSet) [][]int64 {
-	rows := append([][]int64(nil), rs.Rows...)
+	rows := append([][]int64(nil), rs.Rows()...)
 	sort.Slice(rows, func(i, j int) bool {
 		for k := range rows[i] {
 			if rows[i][k] != rows[j][k] {
@@ -98,8 +98,8 @@ func TestRelAlternationAndAnyEdge(t *testing.T) {
 	any := runQuery(t, paperGraph(), `MATCH (v)-->(u) RETURN v, u`)
 	// Relation semantics are set-based: (1,2) carries labels a and b but
 	// is one pair, so 9 labeled edges yield 8 distinct pairs.
-	if len(any.Rows) != 8 {
-		t.Fatalf("any-edge rows = %d, want 8", len(any.Rows))
+	if len(any.Rows()) != 8 {
+		t.Fatalf("any-edge rows = %d, want 8", len(any.Rows()))
 	}
 }
 
@@ -120,8 +120,8 @@ func TestListing7EndToEnd(t *testing.T) {
 		PATH PATTERN S = ()-/ [:c ~S :d] | [:c (:y) :d] /->()
 		MATCH (v:x)-[:a]->()-/ :b ~S /->(to)
 		RETURN v, to`)
-	if len(rs.Rows) != 0 {
-		t.Fatalf("expected empty result, got %v", rs.Rows)
+	if len(rs.Rows()) != 0 {
+		t.Fatalf("expected empty result, got %v", rs.Rows())
 	}
 }
 
@@ -139,13 +139,13 @@ func TestAnBnNamedPattern(t *testing.T) {
 		WHERE id(v) = 0
 		RETURN v, to`)
 	found := false
-	for _, row := range rs.Rows {
+	for _, row := range rs.Rows() {
 		if row[0] == 0 && row[1] == 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("expected (0,0) in %v", rs.Rows)
+		t.Fatalf("expected (0,0) in %v", rs.Rows())
 	}
 }
 
@@ -186,8 +186,8 @@ func TestDestinationLabelFolded(t *testing.T) {
 
 func TestLimit(t *testing.T) {
 	rs := runQuery(t, paperGraph(), `MATCH (v)-->(u) RETURN v LIMIT 3`)
-	if len(rs.Rows) != 3 {
-		t.Fatalf("limit ignored: %d rows", len(rs.Rows))
+	if len(rs.Rows()) != 3 {
+		t.Fatalf("limit ignored: %d rows", len(rs.Rows()))
 	}
 }
 
@@ -206,20 +206,20 @@ func TestTraverseMultipleBatches(t *testing.T) {
 		g.AddEdge(i, "a", i+1)
 	}
 	rs := runQuery(t, g, `MATCH (v)-[:a]->(u) RETURN count(*)`)
-	if len(rs.Rows) != 1 || rs.Rows[0][0] != n-1 {
-		t.Fatalf("count = %v, want %d", rs.Rows, n-1)
+	if len(rs.Rows()) != 1 || rs.Rows()[0][0] != n-1 {
+		t.Fatalf("count = %v, want %d", rs.Rows(), n-1)
 	}
 	// Path-pattern flavour across batches.
 	rs = runQuery(t, g, `MATCH (v)-/ [:a]? /->(u) RETURN count(*)`)
-	if len(rs.Rows) != 1 || rs.Rows[0][0] != int64(n+n-1) {
-		t.Fatalf("opt count = %v, want %d", rs.Rows, n+n-1)
+	if len(rs.Rows()) != 1 || rs.Rows()[0][0] != int64(n+n-1) {
+		t.Fatalf("opt count = %v, want %d", rs.Rows(), n+n-1)
 	}
 }
 
 func TestStandaloneNodeScan(t *testing.T) {
 	rs := runQuery(t, paperGraph(), `MATCH (v) RETURN v`)
-	if len(rs.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rs.Rows))
+	if len(rs.Rows()) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rs.Rows()))
 	}
 	rs = runQuery(t, paperGraph(), `MATCH (v:y) RETURN v`)
 	expectRows(t, rs, [][]int64{{2}, {5}})
@@ -240,8 +240,8 @@ func TestSharedVarAcrossPatternsMergesConstraints(t *testing.T) {
 
 func TestCartesianPatterns(t *testing.T) {
 	rs := runQuery(t, paperGraph(), `MATCH (v:x), (u:y) RETURN v, u`)
-	if len(rs.Rows) != 4 { // {0,2} x {2,5}
-		t.Fatalf("rows = %v", rs.Rows)
+	if len(rs.Rows()) != 4 { // {0,2} x {2,5}
+		t.Fatalf("rows = %v", rs.Rows())
 	}
 }
 
@@ -266,7 +266,7 @@ func TestChainOrientationBySelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectRows(t, &ResultSet{Rows: rs.Rows}, [][]int64{{1, 2}})
+	expectRows(t, rs, [][]int64{{1, 2}})
 }
 
 func TestChainOrientationKeepsForwardWhenSourceSelective(t *testing.T) {
@@ -282,7 +282,7 @@ func TestChainOrientationKeepsForwardWhenSourceSelective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectRows(t, &ResultSet{Rows: rs.Rows}, [][]int64{{0, 1}})
+	expectRows(t, rs, [][]int64{{0, 1}})
 }
 
 // TestIDSeek: an id predicate on an unbound node becomes the node's scan,

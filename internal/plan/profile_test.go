@@ -21,8 +21,8 @@ func TestExecuteProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 1 {
-		t.Fatalf("rows = %v", rs.Rows)
+	if len(rs.Rows()) != 1 {
+		t.Fatalf("rows = %v", rs.Rows())
 	}
 	if len(entries) != 3 { // Project, CondTraverse, LabelScan
 		t.Fatalf("entries = %d: %+v", len(entries), entries)
@@ -62,8 +62,8 @@ func TestExecuteProfiledWithPathPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 2 {
-		t.Fatalf("rows = %v", rs.Rows)
+	if len(rs.Rows()) != 2 {
+		t.Fatalf("rows = %v", rs.Rows())
 	}
 	found := false
 	for _, e := range entries {

@@ -3,7 +3,10 @@ package plan
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mscfpq/internal/cypher"
@@ -61,8 +64,8 @@ func TestExecuteAllocsPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != readoutRows {
-		t.Fatalf("fixture returned %d rows, want %d", len(rs.Rows), readoutRows)
+	if len(rs.Rows()) != readoutRows {
+		t.Fatalf("fixture returned %d rows, want %d", len(rs.Rows()), readoutRows)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := p.Execute(); err != nil {
@@ -85,16 +88,16 @@ func TestResultRowsOwnTheirArray(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(first.Rows) == 0 {
+		if len(first.Rows()) == 0 {
 			t.Fatalf("RETURN %s: no rows", ret)
 		}
-		for i, row := range first.Rows {
+		for i, row := range first.Rows() {
 			if len(row) != len(first.Columns) || cap(row) != len(row) {
 				t.Fatalf("RETURN %s: row %d has len %d cap %d; an append to it must not reach its neighbour", ret, i, len(row), cap(row))
 			}
 		}
-		want := make([][]int64, len(first.Rows))
-		for i, row := range first.Rows {
+		want := make([][]int64, len(first.Rows()))
+		for i, row := range first.Rows() {
 			want[i] = append([]int64(nil), row...)
 		}
 		for range 3 {
@@ -102,13 +105,121 @@ func TestResultRowsOwnTheirArray(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(again.Rows, want) {
+			if !reflect.DeepEqual(again.Rows(), want) {
 				t.Fatalf("RETURN %s: re-execution answered differently", ret)
 			}
 		}
-		if !reflect.DeepEqual(first.Rows, want) {
+		if !reflect.DeepEqual(first.Rows(), want) {
 			t.Fatalf("RETURN %s: a later execution overwrote the first result's rows", ret)
 		}
+	}
+}
+
+// chainPlan plans every e-edge of a chain of n+1 vertices: n rows of
+// (v, u), row i being (i, i+1).
+func chainPlan(tb testing.TB, n int) *Plan {
+	tb.Helper()
+	g := graph.New(n + 1)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, "e", v+1)
+	}
+	p, err := Build(mustParseQuery(tb, "MATCH (v)-[:e]->(u) RETURN v, u"), NewEnv(g, nil, nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// chainAnswerErr checks rs against chainPlan's answer on n edges.
+func chainAnswerErr(rs *ResultSet, n int) error {
+	if rs.NumRows != n || len(rs.Cells) != 2*n || cap(rs.Cells) != len(rs.Cells) {
+		return fmt.Errorf("%d rows in %d cells of capacity %d, want %d rows", rs.NumRows, len(rs.Cells), cap(rs.Cells), n)
+	}
+	for i := 0; i < n; i++ {
+		if rs.Cells[2*i] != int64(i) || rs.Cells[2*i+1] != int64(i+1) {
+			return fmt.Errorf("row %d is %v", i, rs.Cells[2*i:2*i+2])
+		}
+	}
+	return nil
+}
+
+// TestDrainScratchNeverLeaks pins the other side of the ownership rule:
+// the room drainRows collects cells in is pooled and shared by every
+// execution, so no answer may keep any of it. A 6000-row answer stays
+// whole, in an array of exactly its size, while a larger execution
+// grows the same room and concurrent executions take rooms of their
+// own.
+func TestDrainScratchNeverLeaks(t *testing.T) {
+	first, err := readoutPlan(t, "v, to").Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(first.Cells) != len(first.Cells) || len(first.Cells) != 2*readoutRows {
+		t.Fatalf("first answer: %d cells of capacity %d, want %d of exactly that", len(first.Cells), cap(first.Cells), 2*readoutRows)
+	}
+	want := slices.Clone(first.Cells)
+
+	larger := chainPlan(t, 3*readoutRows)
+	rs, err := larger.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chainAnswerErr(rs, 3*readoutRows); err != nil {
+		t.Fatal(err)
+	}
+
+	sizes := []int{1, 100, readoutRows, 2 * readoutRows, 3 * readoutRows, drainKeepMax}
+	plans := make([]*Plan, len(sizes))
+	for i, n := range sizes {
+		plans[i] = chainPlan(t, n)
+	}
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(p *Plan, n int) {
+			defer wg.Done()
+			for range 5 {
+				rs, err := p.Execute()
+				if err == nil {
+					err = chainAnswerErr(rs, n)
+				}
+				if err != nil {
+					t.Errorf("concurrent execution of %d rows: %v", n, err)
+					return
+				}
+			}
+		}(plans[i], sizes[i])
+	}
+	wg.Wait()
+	if !slices.Equal(first.Cells, want) || cap(first.Cells) != len(first.Cells) {
+		t.Fatal("a later execution wrote into the first answer's cells")
+	}
+}
+
+// TestExecuteBytesPerCell gates what a warm execution of the dense-scan
+// plan shape allocates: its answer, 8 bytes a cell, and little besides
+// (the room it collects cells in is pooled). Before the pool: 5.5 times
+// the answer, for the room's doublings and 144 KiB of row headers.
+func TestExecuteBytesPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled rooms at random")
+	}
+	p := readoutPlan(t, "v, to")
+	if _, err := p.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := p.Execute(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	cellBytes := uint64(8 * 2 * readoutRows)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; 2*perOp > 3*cellBytes {
+		t.Errorf("Execute of %d cells (%d bytes) allocates %d bytes, want <= 1.5x the cells", 2*readoutRows, cellBytes, perOp)
 	}
 }
 
@@ -121,8 +232,8 @@ func BenchmarkExecuteReadout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, err := p.Execute()
-		if err != nil || len(rs.Rows) != readoutRows {
-			b.Fatal(len(rs.Rows), err)
+		if err != nil || rs.NumRows != readoutRows {
+			b.Fatal(rs.NumRows, err)
 		}
 	}
 }

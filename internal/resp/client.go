@@ -117,7 +117,7 @@ func (c *Client) Do(args ...string) (Value, error) {
 	if err := c.w.Flush(); err != nil {
 		return Value{}, err
 	}
-	reply, err := readValue(c.r, &c.scratch)
+	reply, err := decode(c.r, &c.scratch, maxReplyArrayLen)
 	if err != nil {
 		return Value{}, err
 	}

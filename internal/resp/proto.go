@@ -162,16 +162,30 @@ const maxBulkLen = 16 << 20
 // server to unbounded element parsing.
 const maxArrayLen = 1 << 20
 
-// Read decodes one value from r.
+// maxReplyArrayLen bounds the arrays of a reply a Client reads (1G
+// elements), far past any answer a server sends: one chunk of a sweep
+// over the paper's largest graph returns 2.2M rows. An array grows only
+// as its elements arrive, so a length prefix commits no memory up front.
+const maxReplyArrayLen = 1 << 30
+
+// Read decodes one value from r, within the bounds of a command.
 func Read(r *bufio.Reader) (Value, error) {
 	return readValue(r, nil)
 }
 
-// readValue decodes one value from r; a non-nil scratch lends the first
-// long array its growing room (see decoder.long). The bytes parsed from
-// the window go back to r on every return.
+// readValue decodes one value from r within the bounds of a command; a
+// non-nil scratch lends the first long array its growing room (see
+// decoder.long).
 func readValue(r *bufio.Reader, scratch *[]Value) (Value, error) {
-	d := decoder{r: r, scratch: scratch}
+	return decode(r, scratch, maxArrayLen)
+}
+
+// decode decodes one value from r whose arrays hold at most maxArray
+// elements; a non-nil scratch lends the first long array its growing
+// room (see decoder.long). The bytes parsed from the window go back to
+// r on every return.
+func decode(r *bufio.Reader, scratch *[]Value, maxArray int) (Value, error) {
+	d := decoder{r: r, scratch: scratch, maxArray: maxArray}
 	var v Value
 	err := d.read(&v)
 	d.sync()
@@ -184,12 +198,13 @@ func readValue(r *bufio.Reader, scratch *[]Value) (Value, error) {
 // query reply) are cut from shared chunks, and every element is decoded
 // in its place in its array: a Value is 56 bytes.
 type decoder struct {
-	r       *bufio.Reader
-	win     []byte   // r's buffered bytes, valid until the next call on r
-	pos     int      // bytes of win parsed; r has not yet skipped them
-	chunk   []Value  // unused rest of the current chunk, all zero
-	next    int      // size of the chunk to allocate when this one is used up
-	scratch *[]Value // room to grow one long array in, or nil
+	r        *bufio.Reader
+	win      []byte   // r's buffered bytes, valid until the next call on r
+	pos      int      // bytes of win parsed; r has not yet skipped them
+	chunk    []Value  // unused rest of the current chunk, all zero
+	next     int      // size of the chunk to allocate when this one is used up
+	scratch  *[]Value // room to grow one long array in, or nil
+	maxArray int      // the longest array accepted
 }
 
 // Arrays of up to slabArrayMax elements share chunks, which double from
@@ -307,7 +322,7 @@ func (d *decoder) read(v *Value) error {
 		v.Int = n
 		return nil
 	}
-	if err := checkLen("array", n, maxArrayLen); err != nil {
+	if err := checkLen("array", n, d.maxArray); err != nil {
 		return err
 	}
 	if n == -1 {

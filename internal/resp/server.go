@@ -455,7 +455,7 @@ func (s *Server) execute(args []string) (rep reply, quit bool) {
 		if len(args) != 3 {
 			return Errorf("usage: GRAPH.QUERY <graph> <query>"), false
 		}
-		res, err := s.DB.QueryContext(s.baseCtx, args[1], args[2])
+		res, err := s.DB.QueryCells(s.baseCtx, args[1], args[2])
 		if err != nil {
 			return Errorf("%v", err), false
 		}
@@ -654,20 +654,29 @@ type reply interface {
 func (v Value) encode(w *bufio.Writer) error { return Write(w, v) }
 
 // queryReply renders a query result the way RedisGraph does: a
-// three-element array of header, rows, and statistics. Cells go into
-// the connection's buffer as digits, unallocated (DESIGN.md §15).
+// three-element array of header, rows, and statistics. Each row is
+// written from its span of the result's cells (gdb.DB.QueryCells), or
+// from its slice of Rows for a result that carries them, and cells go
+// into the connection's buffer as digits, unallocated (DESIGN.md §15).
 type queryReply struct{ res *gdb.QueryResult }
 
 func (q queryReply) encode(w *bufio.Writer) error {
 	res := q.res
-	obs.RespReplyRows.Add(int64(len(res.Rows)))
+	n, width := max(res.NumRows, len(res.Rows)), len(res.Columns)
+	obs.RespReplyRows.Add(int64(n))
 	writeInt(w, Array, 3)
 	writeInt(w, Array, int64(len(res.Columns)))
 	for _, c := range res.Columns {
 		writeBulk(w, c)
 	}
-	writeInt(w, Array, int64(len(res.Rows)))
-	for _, row := range res.Rows {
+	writeInt(w, Array, int64(n))
+	for i := range n {
+		var row []int64
+		if res.Rows != nil {
+			row = res.Rows[i]
+		} else {
+			row = res.Cells[i*width : (i+1)*width]
+		}
 		b := appendInt(room(w, (1+len(row))*maxIntLine), Array, int64(len(row)))
 		for _, v := range row {
 			b = appendInt(b, Integer, v)
@@ -679,7 +688,7 @@ func (q queryReply) encode(w *bufio.Writer) error {
 	writeInt(w, Array, int64(3+len(res.Profile)))
 	writeBulk(w, "Nodes created: "+strconv.Itoa(res.NodesCreated))
 	writeBulk(w, "Relationships created: "+strconv.Itoa(res.EdgesCreated))
-	writeBulk(w, "Rows returned: "+strconv.Itoa(len(res.Rows)))
+	writeBulk(w, "Rows returned: "+strconv.Itoa(n))
 	for _, l := range res.Profile {
 		writeBulk(w, l)
 	}
