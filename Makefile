@@ -119,6 +119,10 @@ bench-quick:
 # QueryContext, exact and revalidated after a write, and a 6000-row
 # exact hit through QueryCells, the server's entry (their gates are
 # TestCacheHitSkipsParse and TestCellHitIsItsResultAlone in `make test`).
+# The dense-cold statement benchmark prints what the wire's dense-cold op
+# costs in process: the G2 count of a hundred sources through
+# QueryCells on a freshly restored go-hierarchy@0.02, with its fixpoint
+# rounds per op (14.57 at -benchtime 40x).
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
@@ -128,6 +132,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$' -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -benchmem ./internal/gdb
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

@@ -79,9 +79,9 @@ func noSources(nnt, n int) []*matrix.Vector {
 }
 
 // Queries returns the number of solves the index ran: one per
-// MultiSourceSmart call and per Extension.Rows call with a source not
-// yet processed. A Rows call whose sources were all processed runs no
-// fixpoint and does not count.
+// MultiSourceSmart call and per Extension.Rows or Count call with a
+// source not yet processed. A call whose sources were all processed
+// runs no fixpoint and does not count.
 func (idx *Index) Queries() int {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -196,23 +196,49 @@ func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 // processed already, no round runs. The copy is a row list, so it costs
 // the rows returned, not the graph's size.
 func (x *Extension) Rows(a int, src *matrix.Vector, opts ...Option) (*matrix.RowList, error) {
+	x.idx.mu.Lock()
+	defer x.idx.mu.Unlock()
+	if err := x.solveLocked(a, src, opts); err != nil {
+		return nil, err
+	}
+	return matrix.SelectRows(x.t[a], src), nil
+}
+
+// Count returns how many pairs of nonterminal a start at the vertices
+// from lists, a vertex counted as often as it is listed: the lengths of
+// their rows summed, once they are solved as Rows solves its sources.
+// It copies no row.
+func (x *Extension) Count(a int, from []int, opts ...Option) (int, error) {
+	src := matrix.NewVectorFromIndices(x.idx.G.NumVertices(), from)
+	x.idx.mu.Lock()
+	defer x.idx.mu.Unlock()
+	if err := x.solveLocked(a, src, opts); err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, v := range from {
+		n += x.t[a].RowLen(v)
+	}
+	return n, nil
+}
+
+// solveLocked runs Algorithm 3 for the sources in src that a has not
+// processed, if any. The caller holds x.idx.mu.
+func (x *Extension) solveLocked(a int, src *matrix.Vector, opts []Option) error {
 	if a < 0 || a >= len(x.t) {
-		return nil, fmt.Errorf("cfpq: nonterminal id %d out of range", a)
+		return fmt.Errorf("cfpq: nonterminal id %d out of range", a)
 	}
 	idx := x.idx
 	if src == nil || src.Size() != idx.G.NumVertices() {
-		return nil, fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", idx.G.NumVertices())
+		return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", idx.G.NumVertices())
 	}
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
 	fresh := src.Clone()
 	fresh.DiffInPlace(x.tsrc[a])
-	if !fresh.Empty() {
-		if _, _, err := idx.solveLocked(x.w, x.t, x.tsrc, a, src, opts); err != nil {
-			return nil, err
-		}
+	if fresh.Empty() {
+		return nil
 	}
-	return matrix.SelectRows(x.t[a], src), nil
+	_, _, err := idx.solveLocked(x.w, x.t, x.tsrc, a, src, opts)
+	return err
 }
 
 // Relation returns the cached relation matrix for a nonterminal id. The

@@ -156,8 +156,10 @@ func checkStatement(db *gdb.DB, g *graph.Graph, pq gen.PathQuery, i int) ([][]in
 // pattern's nodes that the connections' relations, the node labels and
 // the WHERE clause admit (one vertex per node position; a repeated
 // variable binds one vertex), projected on the RETURN variables as a
-// sorted set, or counted. It covers one linear pattern whose RETURN items
-// are either all variables or all counts.
+// sorted set; with counts among the items, each row of that set has
+// them set to how many bindings project onto it (one row over all the
+// bindings for counts alone, none without bindings). It covers one
+// linear pattern.
 func matchRows(g *graph.Graph, q *cypher.Query) ([][]int64, error) {
 	if len(q.Match.Patterns) != 1 {
 		return nil, fmt.Errorf("%d patterns, want 1", len(q.Match.Patterns))
@@ -220,32 +222,37 @@ func matchRows(g *graph.Graph, q *cypher.Query) ([][]int64, error) {
 	}
 
 	items := q.Return.Items
-	if items[0].Count {
+	var rows [][]int64
+	counts := map[string]int64{} // a group's count, by its variables' row
+	for _, bind := range bindings {
+		var row []int64
 		for _, it := range items {
-			if !it.Count {
-				return nil, fmt.Errorf("RETURN mixes counts and variables")
+			if it.Count {
+				row = append(row, 0)
+				continue
 			}
-		}
-		if len(bindings) == 0 {
-			return nil, nil
-		}
-		row := make([]int64, len(items))
-		for i := range row {
-			row[i] = int64(len(bindings))
-		}
-		return [][]int64{row}, nil
-	}
-	rows := make([][]int64, len(bindings))
-	for i, bind := range bindings {
-		for _, it := range items {
 			k, ok := pos[it.Var]
-			if !ok || it.Count {
+			if !ok {
 				return nil, fmt.Errorf("RETURN item %+v", it)
 			}
-			rows[i] = append(rows[i], int64(bind[k]))
+			row = append(row, int64(bind[k]))
+		}
+		key := fmt.Sprint(row)
+		if counts[key] == 0 {
+			rows = append(rows, row)
+		}
+		counts[key]++
+	}
+	rows = canonicalRows(rows)
+	for _, row := range rows {
+		n := counts[fmt.Sprint(row)]
+		for i, it := range items {
+			if it.Count {
+				row[i] = n
+			}
 		}
 	}
-	return canonicalRows(rows), nil
+	return rows, nil
 }
 
 // connectionPairs is the relation a connection walks, by the oracle's

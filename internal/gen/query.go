@@ -117,7 +117,9 @@ func pathAtom(rng *rand.Rand, names []string) cypher.PathExpr {
 // randomMatch draws one MATCH statement: (v)-/ e /->(to), applied
 // forward or inverse, optionally chained after or before a relationship
 // through (m); or a relationship alone, or two through a labeled (m). to
-// may carry a label, be v itself, or be pinned by id.
+// may carry a label, be v itself, or be pinned by id. It returns the
+// bindings, or counts them: count(to) or count(*) alone, or count(to)
+// grouped by v.
 func randomMatch(rng *rand.Rand, names []string, n int) *cypher.Query {
 	var e cypher.PathExpr = cypher.PERef{Name: names[rng.Intn(len(names))]}
 	switch rng.Intn(5) {
@@ -169,8 +171,13 @@ func randomMatch(rng *rand.Rand, names []string, n int) *cypher.Query {
 			q.Where = cypher.AndExpr{Left: in, Right: q.Where}
 		}
 	}
-	if rng.Intn(3) == 0 {
-		ret = []cypher.ReturnItem{{Var: ret[len(ret)-1].Var, Count: true}}
+	switch last := ret[len(ret)-1].Var; rng.Intn(6) {
+	case 0:
+		ret = []cypher.ReturnItem{{Var: last, Count: true}}
+	case 1:
+		ret = []cypher.ReturnItem{{Var: "*", Count: true}}
+	case 2: // grouped by the source
+		ret = []cypher.ReturnItem{{Var: "v"}, {Var: last, Count: true}}
 	}
 	q.Return = &cypher.ReturnClause{Items: ret}
 	return q

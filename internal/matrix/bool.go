@@ -304,6 +304,9 @@ func (m *Bool) Row(i int) []uint32 {
 	return m.cols(i, &buf)
 }
 
+// RowLen returns the number of entries of row i.
+func (m *Bool) RowLen(i int) int { return m.rowLen(i) }
+
 // Clone returns a deep copy of the matrix.
 func (m *Bool) Clone() *Bool {
 	c := NewBool(m.nrows, m.ncols)

@@ -66,11 +66,13 @@ func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 		}
 		acc.colw[k] = 0
 		y := k
-		if p.bIDs != nil {
-			if at = gallop(p.bIDs, at, uint32(k)); at == len(p.bIDs) || p.bIDs[at] != uint32(k) {
-				continue
-			}
-			y = at
+		if p.bSlots != nil {
+			y = int(p.bSlots[k]) - 1
+		} else if p.bIDs != nil {
+			y = p.search(uint32(k), &at)
+		}
+		if y < 0 {
+			continue
 		}
 		n, words := len(p.b.rows[y]), len(p.b.rows[y])
 		if sb := p.b.bitRow(y); sb != nil {

@@ -305,6 +305,11 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 	p := product{t: t, inner: a.NCols()}
 	p.aIDs, p.a = a.table()
 	p.bIDs, p.b = b.table()
+	var tab *[]int32
+	if p.bIDs != nil && 2*len(p.bIDs) < a.NVals() {
+		tab = getSlotTable(b.NRows(), p.bIDs)
+		p.bSlots = *tab
+	}
 	nblocks, workers := (len(p.a.rows)+ctxCheckRows-1)/ctxCheckRows, 1
 	if nblocks > 1 {
 		workers = min(nblocks, runtime.GOMAXPROCS(0))
@@ -324,6 +329,9 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 	for k, i := range added.ids {
 		t.orInto(int(i), added.rows[k], added.bitRow(k))
 	}
+	if tab != nil {
+		putSlotTable(tab, p.bIDs)
+	}
 	return added, st, err
 }
 
@@ -334,6 +342,46 @@ type product struct {
 	inner      int
 	aIDs, bIDs []uint32
 	a, b       slots
+	bSlots     []int32 // when non-nil, 1 + b's slot of row k at k, 0 for none
+}
+
+// search returns the slot of row k of a row-list b without a slot
+// table, or -1 when b has no row k: a gallop on from *at, where the
+// caller's ascending ks leave it.
+func (p *product) search(k uint32, at *int) int {
+	if *at = gallop(p.bIDs, *at, k); *at == len(p.bIDs) || p.bIDs[*at] != k {
+		return -1
+	}
+	return *at
+}
+
+// slotPool recycles the row id→slot tables of row-list right operands.
+// A pooled table is all zero. MulAddRows builds one when a's entries,
+// each a search without it, outnumber twice b's rows, which it costs to
+// fill and to clear; it is read-only while the product gathers, helpers
+// included, and never outlives the call.
+var slotPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// getSlotTable returns a table of n entries holding 1+x at ids[x] and 0
+// elsewhere.
+func getSlotTable(n int, ids []uint32) *[]int32 {
+	tab := slotPool.Get().(*[]int32)
+	if cap(*tab) < n {
+		*tab = make([]int32, n)
+	}
+	*tab = (*tab)[:n]
+	for x, id := range ids {
+		(*tab)[id] = int32(x + 1)
+	}
+	return tab
+}
+
+// putSlotTable clears the entries getSlotTable set and pools tab.
+func putSlotTable(tab *[]int32, ids []uint32) {
+	for _, id := range ids {
+		(*tab)[id] = 0
+	}
+	slotPool.Put(tab)
 }
 
 // gather appends to out the rows of a × b that t lacks for the block of
@@ -363,14 +411,13 @@ func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *R
 				at := 0 // ra is sorted, so its rows of b are met in order
 				for _, k := range ra {
 					y := int(k)
-					if p.bIDs != nil {
-						if at = gallop(p.bIDs, at, k); at == len(p.bIDs) {
-							break
-						}
-						if p.bIDs[at] != k {
-							continue
-						}
-						y = at
+					if p.bSlots != nil {
+						y = int(p.bSlots[k]) - 1
+					} else if p.bIDs != nil {
+						y = p.search(k, &at)
+					}
+					if y < 0 {
+						continue
 					}
 					sb := p.b.bitRow(y)
 					if wit != nil {

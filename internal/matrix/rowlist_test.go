@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -757,5 +758,86 @@ func BenchmarkMulAddRows(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.NNZ), "nnz/op")
 		})
+	}
+}
+
+// TestMulAddRowsSlotTables: a product whose right operand is a row list
+// of few rows against many entries of a finds b's rows through a pooled
+// slot table, which consecutive and concurrent products share. Each
+// product here, of three row blocks gathered with helpers, with
+// witnesses and without, must equal the reference product, over right
+// operands that hold different rows of b: a table that kept a previous
+// operand's entries would send a lookup to a wrong row or past the end.
+func TestMulAddRowsSlotTables(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 2*ctxCheckRows + 1
+	rng := rand.New(rand.NewSource(61))
+	a, _ := formsMatrix(rng, n, n)
+	b, _ := formsMatrix(rng, n, n)
+	var rights []*RowList
+	for step := 2; step <= 5; step++ {
+		set := NewVector(n)
+		for k := rng.Intn(step); k < n; k += step {
+			set.Set(k)
+		}
+		r := formsList(b, set)
+		if 2*len(r.ids) >= a.NVals() {
+			t.Fatalf("%d rows of b against %d entries of a: the product builds no slot table", len(r.ids), a.NVals())
+		}
+		rights = append(rights, r)
+	}
+	check := func(r *RowList, withWit bool) error {
+		want := Mul(a, r.toBool())
+		var wit map[uint64]uint32
+		if withWit {
+			wit = map[uint64]uint32{}
+		}
+		into := NewBool(n, n)
+		added, st, err := MulAddRows(context.Background(), into, a, r, wit)
+		if err != nil {
+			return err
+		}
+		if !added.toBool().Equal(want) || !into.Equal(want) || st.NNZ != want.NVals() {
+			return fmt.Errorf("%d rows of b, witnesses %v: product of %d entries, want %d", len(r.ids), withWit, added.NVals(), want.NVals())
+		}
+		if withWit && len(wit) != st.NNZ {
+			return fmt.Errorf("%d witnesses for %d entries", len(wit), st.NNZ)
+		}
+		for key, k := range wit {
+			if i, j := int(key>>32), int(uint32(key)); !a.Get(i, int(k)) || !slices.Contains(r.Row(int(k)), uint32(j)) {
+				return fmt.Errorf("witness (%d,%d) via %d is not a valid decomposition", i, j, k)
+			}
+		}
+		return nil
+	}
+	for range 2 {
+		for _, r := range rights {
+			for _, withWit := range []bool{true, false} {
+				if err := check(r, withWit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(rights))
+	for _, r := range rights {
+		for _, withWit := range []bool{true, false} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 3 {
+					if err := check(r, withWit); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

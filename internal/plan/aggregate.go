@@ -1,9 +1,10 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -16,7 +17,8 @@ type OutCol struct {
 
 // Aggregate implements RETURN with count aggregates: non-count columns
 // are grouping keys, count columns report the group sizes. Groups are
-// emitted in first-seen order.
+// emitted in first-seen order. With no grouping column there is one
+// group, all the records, or none when there are no records.
 type Aggregate struct {
 	child Operation
 	cols  []OutCol
@@ -51,18 +53,28 @@ func (a *Aggregate) Next() (Record, error) {
 	return rec, nil
 }
 
+// drain counts the child's records: into a local when no column groups
+// them, else per group, keyed by the eight bytes of each grouping cell.
 func (a *Aggregate) drain() error {
+	grouped := slices.ContainsFunc(a.cols, func(c OutCol) bool { return !c.Count })
 	groups := map[string]int{} // key -> offset of the group's row in a.rows
 	var key []byte
-	for {
+	n := 0
+	for ; ; n++ {
 		rec, err := a.child.Next()
-		if err != nil || rec == nil {
+		if err != nil {
 			return err
+		}
+		if rec == nil {
+			break
+		}
+		if !grouped {
+			continue
 		}
 		key = key[:0]
 		for _, c := range a.cols {
 			if !c.Count {
-				key = append(strconv.AppendInt(key, rec[c.Slot], 10), '|')
+				key = binary.LittleEndian.AppendUint64(key, uint64(rec[c.Slot]))
 			}
 		}
 		off, ok := groups[string(key)]
@@ -83,14 +95,36 @@ func (a *Aggregate) drain() error {
 			}
 		}
 	}
+	if !grouped {
+		a.rows = countRow(len(a.cols), n)
+	}
+	return nil
+}
+
+// countRow is the answer to a RETURN of width counts alone over n
+// records: one row of n, or no row when n is 0.
+func countRow(width, n int) []int64 {
+	if n == 0 {
+		return nil
+	}
+	row := make([]int64, width)
+	for i := range row {
+		row[i] = int64(n)
+	}
+	return row
 }
 
 func (a *Aggregate) Explain() string {
-	names := make([]string, len(a.cols))
-	for i, c := range a.cols {
+	return "Aggregate(" + strings.Join(colNames(a.cols), ", ") + ")"
+}
+
+// colNames returns the names of the output columns.
+func colNames(cols []OutCol) []string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
 		names[i] = c.Name
 	}
-	return "Aggregate(" + strings.Join(names, ", ") + ")"
+	return names
 }
 
 func (a *Aggregate) Child() Operation     { return a.child }

@@ -115,3 +115,67 @@ func TestProfiledAggregate(t *testing.T) {
 		}
 	}
 }
+
+// countDecl is a same-generation pattern over paperGraph: S relates 3
+// to 4 (c (:y) d) and 4 to 5 (c S d).
+const countDecl = `PATH PATTERN S = ()-/ [:c ~S :d] | [:c (:y) :d] /->() `
+
+// TestCountRowsPlanned: counts alone over a traverse with a free,
+// unfiltered destination plan CountRows, which EXPLAIN and PROFILE name,
+// and answer what counting the records would.
+func TestCountRowsPlanned(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		want [][]int64
+	}{
+		{countDecl + `MATCH (v)-/ ~S /->(to) RETURN count(to)`, [][]int64{{2}}},
+		{countDecl + `MATCH (v)-/ ~S /->(to) RETURN count(*), count(v)`, [][]int64{{2, 2}}},
+		// m is 4 for v = 2 and v = 5: each record counts 4's two rows.
+		{`MATCH (v)-[:d]->(m)-[:c|d]->(to) RETURN count(to)`, [][]int64{{5}}},
+		{countDecl + `MATCH (v)-/ ~S /->(to) WHERE id(v) = 0 RETURN count(to)`, nil},
+	} {
+		p, err := Build(mustParseQuery(t, c.text), NewEnv(paperGraph(), nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := p.Explain(); !contains(out, "CountRows(") || contains(out, "Aggregate") {
+			t.Fatalf("%s: explain:\n%s", c.text, out)
+		}
+		rs, entries, err := p.ExecuteProfiled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !contains(entries[0].Op, "CountRows(") || entries[0].Records != len(c.want) {
+			t.Fatalf("%s: profile %+v", c.text, entries)
+		}
+		expectRows(t, rs, c.want)
+	}
+}
+
+// TestCountRowsNotPlanned: a grouping column, a filter on the
+// destination, or a destination bound before the traverse keeps
+// Aggregate, which counts the records that survive.
+func TestCountRowsNotPlanned(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		want [][]int64
+	}{
+		{countDecl + `MATCH (v)-/ ~S /->(to) RETURN v, count(to)`, [][]int64{{3, 1}, {4, 1}}},
+		{countDecl + `MATCH (v)-/ ~S /->(to) WHERE id(v) IN [3, 4] AND id(to) IN [5] RETURN count(to)`, [][]int64{{1}}},
+		{countDecl + `MATCH (v)-/ ~S /->(v) RETURN count(v)`, nil},
+		{`MATCH (v)-[:d]->(to), (to)-[:d]->(v) RETURN count(*)`, [][]int64{{2}}},
+	} {
+		p, err := Build(mustParseQuery(t, c.text), NewEnv(paperGraph(), nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := p.Explain(); contains(out, "CountRows") || !contains(out, "Aggregate") {
+			t.Fatalf("%s: explain:\n%s", c.text, out)
+		}
+		rs, err := p.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectRows(t, rs, c.want)
+	}
+}

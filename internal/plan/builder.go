@@ -174,6 +174,7 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 	// Stage 2: linearize the query graph into chains and compile each
 	// chain edge into the grammar of the traverse that drives it.
 	covered := map[int]bool{}
+	freeDst := false // the last traverse's destination was unbound before it
 	for _, chain := range qg.Chains() {
 		// Orient the chain so the scan starts at the more selective
 		// end: a filter on the destination would otherwise force a full
@@ -200,6 +201,7 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 				return nil, err
 			}
 			root = &Traverse{name: name, env: env, child: root, fromSlot: e.From, toSlot: e.To, path: path}
+			freeDst = !bound[e.To]
 			bound[e.To] = true
 			covered[e.To] = true
 			for _, p := range dst.Props {
@@ -223,7 +225,7 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 
 	// Projection / aggregation, then ordering and pagination.
 	var cols []OutCol
-	hasCount := false
+	hasCount, onlyCounts := false, true
 	for _, item := range q.Return.Items {
 		col := OutCol{Count: item.Count, Slot: -1}
 		switch {
@@ -248,15 +250,20 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 			col.Name = item.Alias
 		}
 		hasCount = hasCount || item.Count
+		onlyCounts = onlyCounts && item.Count
 		cols = append(cols, col)
 	}
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	if hasCount {
+	names := colNames(cols)
+	// Counts alone over a traverse that binds its destination and that
+	// nothing filters count the traverse's pairs: CountRows sums row
+	// lengths instead of aggregating a record per pair.
+	t, traverseRoot := root.(*Traverse)
+	switch {
+	case onlyCounts && traverseRoot && freeDst:
+		root = &CountRows{Traverse: t, cols: cols}
+	case hasCount:
 		root = NewAggregate(root, cols)
-	} else {
+	default:
 		projSlots := make([]int, len(cols))
 		for i, c := range cols {
 			projSlots[i] = c.Slot
@@ -313,10 +320,10 @@ func reverseChain(chain []QGEdge) []QGEdge {
 // Footprint reports what executing the plan reads of its snapshot, when
 // that is only the rows of one declared path pattern for a fixed source
 // set: a NodeByIdSeek without a label whose every id names a vertex,
-// one traverse of a bare reference to a declared pattern, and above it
-// only operators that reshape records (Project, Aggregate, Sort,
-// Paginate). Such a plan answers the same at every version where those
-// rows are the same. It returns the pattern's nonterminal id in the
+// one traverse of a bare reference to a declared pattern, counted by
+// CountRows or with only operators that reshape records above it
+// (Project, Aggregate, Sort, Paginate). Such a plan answers the same at
+// every version where those rows are the same. It returns the pattern's nonterminal id in the
 // path-pattern context's grammar and the sources; ok is false for any
 // other plan: a scan, a label or property read, a pattern the query
 // compiles itself, or no declarations at all.
@@ -332,6 +339,9 @@ func (p *Plan) Footprint() (nonterm int, src *matrix.Vector, ok bool) {
 		default:
 			reshapes = false
 		}
+	}
+	if c, isCount := op.(*CountRows); isCount {
+		op = c.Traverse
 	}
 	t, isTraverse := op.(*Traverse)
 	if !isTraverse || t.path.start < 0 || len(t.path.rules.Prods) > 0 || t.path.w != p.ctx.idx.W {

@@ -190,6 +190,7 @@ type Traverse struct {
 	ext      *cfpq.Extension // path's grammar over the index, for one execution
 
 	buf    []int64         // the batch: copies of the child's records, width cells each
+	from   []int           // the batch's sources, one per record
 	width  int             // cells per record
 	out    Record          // the buffered record being expanded, with toSlot bound
 	rows   *matrix.RowList // evaluation result for the current batch
@@ -250,38 +251,44 @@ func (t *Traverse) Next() (Record, error) {
 }
 
 func (t *Traverse) fillBatch() error {
-	t.buf = t.buf[:0]
 	t.bufIdx, t.rowPos = 0, 0
 	t.rows = nil
-	srcs := matrix.NewVector(t.env.G.NumVertices())
-	for n := 0; n < traverseBatchSize; n++ {
+	if err := t.pull(); err != nil || len(t.buf) == 0 {
+		return err
+	}
+	// The buffered source vertices are the sources of one multiple-source
+	// query (Section 4.3.2).
+	var err error
+	srcs := matrix.NewVectorFromIndices(t.env.G.NumVertices(), t.from)
+	t.rows, err = t.ext.Rows(t.path.start, srcs, exec.WithRun(t.env.Run))
+	return err
+}
+
+// pull copies up to a batch of the child's records into buf and their
+// sources into from, and sets done once the child is dry.
+func (t *Traverse) pull() error {
+	t.buf, t.from = t.buf[:0], t.from[:0]
+	for len(t.from) < traverseBatchSize {
 		rec, err := t.child.Next()
 		if err != nil {
 			return err
 		}
 		if rec == nil {
 			t.done = true
-			break
+			return nil
 		}
 		src := rec[t.fromSlot]
 		if src < 0 {
 			return fmt.Errorf("plan: %s consumed a record with unbound source slot %d", t.name, t.fromSlot)
 		}
-		srcs.Set(int(src))
+		t.from = append(t.from, int(src))
 		if t.width == 0 {
 			t.width = len(rec)
 			t.out = make(Record, t.width)
 		}
 		t.buf = append(t.buf, rec...)
 	}
-	if len(t.buf) == 0 {
-		return nil
-	}
-	// The buffered source vertices are the sources of one multiple-source
-	// query (Section 4.3.2).
-	var err error
-	t.rows, err = t.ext.Rows(t.path.start, srcs, exec.WithRun(t.env.Run))
-	return err
+	return nil
 }
 
 func (t *Traverse) Explain() string {
@@ -289,6 +296,39 @@ func (t *Traverse) Explain() string {
 }
 
 func (t *Traverse) Child() Operation { return t.child }
+
+// CountRows answers a RETURN of counts alone over a traverse whose
+// destination is free and whose records nothing filters, so that every
+// count is the number of records the traverse would emit: it pulls the
+// traverse's input in batches and sums, per batch, the lengths of the
+// rows of its records' sources (cfpq.Extension.Count), so it copies no
+// row and emits no record per pair. Like Aggregate, it yields one row
+// of that number, or none when it is 0.
+type CountRows struct {
+	*Traverse
+	cols []OutCol
+}
+
+func (c *CountRows) Next() (Record, error) {
+	n := 0
+	for !c.done {
+		if err := c.pull(); err != nil {
+			return nil, err
+		}
+		if len(c.from) > 0 {
+			k, err := c.ext.Count(c.path.start, c.from, exec.WithRun(c.env.Run))
+			if err != nil {
+				return nil, err
+			}
+			n += k
+		}
+	}
+	return countRow(len(c.cols), n), nil
+}
+
+func (c *CountRows) Explain() string {
+	return "CountRows(" + strings.Join(colNames(c.cols), ", ") + ") over " + c.Traverse.Explain()
+}
 
 // ---------------------------------------------------------------------
 // Filter.
