@@ -122,7 +122,11 @@ bench-quick:
 # The dense-cold statement benchmark prints what the wire's dense-cold op
 # costs in process: the G2 count of a hundred sources through
 # QueryCells on a freshly restored go-hierarchy@0.02, with its fixpoint
-# rounds per op (14.57 at -benchtime 40x).
+# rounds per op (14.57 at -benchtime 40x). The regular-shapes benchmark
+# prints what regular path expressions cost through the one path
+# compiler, cold from a hundred sources on go-hierarchy@0.1, as a MATCH
+# and as a regex, with rounds, product entries and answer pairs per op
+# (DESIGN.md §4 item 9; -short skips the paper's size).
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
@@ -133,6 +137,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$' -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkRegularShapes$$' -short -benchtime 10x -benchmem .
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

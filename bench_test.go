@@ -84,7 +84,7 @@ func BenchmarkFullStackQuery(b *testing.B) {
 }
 
 // BenchmarkRPQUnification times one regular query through the CFPQ
-// driver, checked against the BFS-product oracle (E11, future work).
+// driver, checked against the relation-algebra oracle (E11, future work).
 func BenchmarkRPQUnification(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()

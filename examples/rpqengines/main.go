@@ -2,8 +2,9 @@
 //
 // The paper's conclusion demonstrates that the CFPQ machinery evaluates
 // regular path queries too. EvalRPQ is that claim as the library's one
-// RPQ path: it reduces the regex to a right-linear grammar and answers
-// it with the multiple-source CFPQ algorithm, the same fixpoint driver
+// RPQ path: it compiles the regex to a left-linear grammar, with the
+// same compiler as the query language's path patterns, and answers it
+// with the multiple-source CFPQ algorithm, the same fixpoint driver
 // every context-free query runs on. The example also shows query
 // governance: a second run is given a deliberately tiny work budget and
 // aborts with ErrBudget.

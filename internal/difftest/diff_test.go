@@ -3,6 +3,7 @@ package difftest
 import (
 	"flag"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mscfpq/internal/gen"
@@ -67,17 +68,19 @@ func TestDifferentialEval(t *testing.T) {
 	}
 }
 
-// TestDifferentialRPQ drives the RPQ path (the regex reduced to a
+// TestDifferentialRPQ drives the RPQ path (the regex compiled to a
 // grammar and run by the multiple-source driver, then by an Algorithm 3
-// index over two source chunks) against the BFS-product oracle on
-// seeded random (graph, regex, source-set) cases.
+// index over two source chunks) against the relation-algebra oracle on
+// seeded random (graph, regex, source-set) cases. The regexes draw
+// their labels from the edge labels and the vertex labels, so a label's
+// zero-length step on a vertex is checked too.
 func TestDifferentialRPQ(t *testing.T) {
 	failures := 0
 	for i := 0; i < rpqInstances; i++ {
 		seed := *seedFlag + int64(1_000_000+i)
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomGraph(rng, 2+rng.Intn(maxGraphVertices-1), gen.DefaultLabels)
-		query := gen.RandomRegex(rng, gen.DefaultLabels, 3)
+		query := gen.RandomRegex(rng, slices.Concat(gen.DefaultLabels, gen.VertexLabels), 3)
 		sources := gen.Sources(rng, g.NumVertices())
 		if err := CheckRPQ(g, query, sources); err != nil {
 			t.Errorf("seed %d (rerun: go test ./internal/difftest -seed=%d): %v", seed, *seedFlag, err)

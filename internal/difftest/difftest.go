@@ -20,7 +20,6 @@ import (
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/gen"
-	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
 	"mscfpq/internal/obs"
@@ -234,18 +233,18 @@ func CheckEval(inst gen.Instance) error {
 	return nil
 }
 
-// CheckRPQ compares the one RPQ path (rpq.Eval: the regex reduced to a
-// right-linear grammar and run by the multiple-source CFPQ driver)
-// against the BFS-product oracle. It then asks an Algorithm 3 index on
-// the reduced grammar for the sources in two disjoint chunks, so the
+// CheckRPQ compares the one RPQ path (rpq.Eval: the regex compiled by
+// the path-pattern compiler and run by the multiple-source CFPQ driver)
+// against the relation-algebra oracle. It then asks an Algorithm 3 index
+// on the compiled grammar for the sources in two disjoint chunks, so the
 // second query starts from the first one's processed sources, and
 // checks each chunk's answer against the oracle too.
 func CheckRPQ(g *graph.Graph, query string, sources []int) error {
-	nfa, err := rpq.CompileRegex(query)
+	re, err := rpq.ParseRegex(query)
 	if err != nil {
-		return fmt.Errorf("compile %q: %v", query, err)
+		return fmt.Errorf("parse %q: %v", query, err)
 	}
-	want := oracle.RPQ(g, nfa, sources)
+	want := oracle.RPQ(g, re, sources)
 	src := srcVector(g, sources)
 	m, err := rpq.Eval(g, query, src)
 	if err != nil {
@@ -255,9 +254,9 @@ func CheckRPQ(g *graph.Graph, query string, sources []int) error {
 		return pairsErr(fmt.Sprintf("rpq.Eval on %q", query), got, want)
 	}
 
-	w, err := grammar.ToWCNF(rpq.ToGrammar(nfa))
+	w, err := rpq.Compile(query)
 	if err != nil {
-		return fmt.Errorf("reduce %q: %v", query, err)
+		return fmt.Errorf("compile %q: %v", query, err)
 	}
 	idx, err := cfpq.NewIndex(g, w)
 	if err != nil {
@@ -269,7 +268,7 @@ func CheckRPQ(g *graph.Graph, query string, sources []int) error {
 		if err != nil {
 			return fmt.Errorf("index chunk %d on %q: %v", c, query, err)
 		}
-		if got, want := r.Answer().Pairs(), oracle.RPQ(g, nfa, chunk); !pairsEqual(got, want) {
+		if got, want := r.Answer().Pairs(), oracle.RPQ(g, re, chunk); !pairsEqual(got, want) {
 			return pairsErr(fmt.Sprintf("index chunk %d on %q", c, query), got, want)
 		}
 	}

@@ -17,6 +17,9 @@ import (
 // matches the terminals of the grammar pool.
 var DefaultLabels = []string{"a", "b", "c"}
 
+// VertexLabels are the vertex labels Graph sprinkles on every kind.
+var VertexLabels = []string{"x", "y"}
+
 // GraphKind names one generator shape; Graph dispatches on it and
 // RandomGraph picks one at random.
 type GraphKind int
@@ -139,10 +142,10 @@ func Graph(rng *rand.Rand, kind GraphKind, n int, labels []string) *graph.Graph 
 			g.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
 		}
 	}
-	// Vertex labels: "x" and "y" on a few vertices, mirroring the
-	// paper's Figure 1 usage of vertex-labeled terminals.
+	// Vertex labels on a few vertices, mirroring the paper's Figure 1
+	// usage of vertex-labeled terminals.
 	nv := g.NumVertices()
-	for _, vl := range []string{"x", "y"} {
+	for _, vl := range VertexLabels {
 		for v := 0; v < nv; v++ {
 			if rng.Intn(5) == 0 {
 				g.AddVertexLabel(v, vl)

@@ -1,5 +1,5 @@
 // Package oracle holds slow-but-obviously-correct reference evaluators
-// for the differential test harness (see TESTING.md). Both oracles work
+// for the differential test harness (see TESTING.md). The oracles work
 // directly on edge lists with plain Go maps and share no code with the
 // production linear-algebra kernels in internal/matrix, so an agreement
 // between an engine and an oracle is evidence of correctness rather
@@ -7,11 +7,13 @@
 //
 // The CFPQ oracle is the CYK-style closure of Azimov's relation spelled
 // out on triples: a fact (A, i, j) means some path from i to j spells a
-// word derivable from nonterminal A. The RPQ oracle is a breadth-first
-// search over the product of the graph and the query NFA.
+// word derivable from nonterminal A. The RPQ oracle and the path-pattern
+// oracle read their expressions as relations over the vertices, built
+// from the edges with composition, union and closure.
 package oracle
 
 import (
+	"fmt"
 	"sort"
 
 	"mscfpq/internal/grammar"
@@ -159,92 +161,57 @@ func CFPQ(g *graph.Graph, w *grammar.WCNF) *Relation {
 	return r
 }
 
-// RPQ answers a multiple-source regular path query by breadth-first
-// search over the product of g and the NFA: pairs (s, v) such that some
-// path from source s to v spells a word of the automaton's language.
-// Like the engines, a label matches graph edges and, as a zero-length
-// step, vertices carrying it as a vertex label; an inverse label "x_r"
-// traverses x edges backwards. Out-of-range or duplicate sources are
-// ignored.
-func RPQ(g *graph.Graph, nfa *rpq.NFA, sources []int) [][2]int {
-	n := g.NumVertices()
-	// adj[l][v] lists the vertices one l-step away from v.
-	adj := map[string]map[int][]int{}
-	for _, l := range nfa.Labels() {
-		out := map[int][]int{}
-		base, inverse := l, false
-		if grammar.IsInverseLabel(l) {
-			base, inverse = grammar.InverseLabel(l), true
-		}
-		g.Edges(func(src int, label string, dst int) bool {
-			if label == base {
-				if inverse {
-					out[dst] = append(out[dst], src)
-				} else {
-					out[src] = append(out[src], dst)
-				}
-			}
-			return true
-		})
-		for _, v := range g.VertexSet(l).Ints() {
-			out[v] = append(out[v], v)
-		}
-		adj[l] = out
-	}
-	// eps[q] lists the NFA states reachable from q by one eps move.
-	eps := map[int][]int{}
-	for _, e := range nfa.Eps {
-		eps[e[0]] = append(eps[e[0]], e[1])
-	}
-	// trans[q] lists the labeled NFA moves out of q.
-	type move struct {
-		label string
-		to    int
-	}
-	trans := map[int][]move{}
-	for l, trs := range nfa.Trans {
-		for _, tr := range trs {
-			trans[tr[0]] = append(trans[tr[0]], move{l, tr[1]})
-		}
-	}
-
+// RPQ answers a multiple-source regular path query: the pairs (s, v),
+// s in sources, such that some path from s to v spells a word of the
+// regex's language. It reads the regex AST as a denotation, with the
+// relation algebra of Pattern: concatenation composes, alternation
+// unites, * and + close (* and ? adding every vertex to itself), and a
+// label l takes the l edges, backwards for an inverse label "x_r", and,
+// as a zero-length step, the vertices labeled l. Out-of-range or
+// duplicate sources are ignored.
+func RPQ(g *graph.Graph, re rpq.Node, sources []int) [][2]int {
+	p := &patternEval{g: g}
+	r := p.regex(re)
 	var out [][2]int
 	done := map[int]bool{}
 	for _, s := range sources {
-		if s < 0 || s >= n || done[s] {
+		if s < 0 || s >= len(r) || done[s] {
 			continue
 		}
 		done[s] = true
-		type state struct{ q, v int }
-		start := state{nfa.Start, s}
-		seen := map[state]bool{start: true}
-		queue := []state{start}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			push := func(next state) {
-				if !seen[next] {
-					seen[next] = true
-					queue = append(queue, next)
-				}
-			}
-			for _, q := range eps[cur.q] {
-				push(state{q, cur.v})
-			}
-			for _, m := range trans[cur.q] {
-				for _, v := range adj[m.label][cur.v] {
-					push(state{m.to, v})
-				}
-			}
-		}
-		for st := range seen {
-			if st.q == nfa.Accept {
-				out = append(out, [2]int{s, st.v})
-			}
+		for v := range r[s] {
+			out = append(out, [2]int{s, v})
 		}
 	}
 	SortPairs(out)
 	return out
+}
+
+func (p *patternEval) regex(re rpq.Node) relation {
+	switch v := re.(type) {
+	case rpq.Label:
+		out := p.step(v.Name, false)
+		p.unite(out, p.check([]string{v.Name}))
+		return out
+	case rpq.Concat:
+		return p.compose(p.regex(v.Left), p.regex(v.Right))
+	case rpq.Alt:
+		out := p.regex(v.Left)
+		p.unite(out, p.regex(v.Right))
+		return out
+	case rpq.Star:
+		out := p.closure(p.regex(v.Sub))
+		p.unite(out, p.identity())
+		return out
+	case rpq.Plus:
+		return p.closure(p.regex(v.Sub))
+	case rpq.Opt:
+		out := p.identity()
+		p.unite(out, p.regex(v.Sub))
+		return out
+	default:
+		panic(fmt.Sprintf("oracle: unknown regex node %T", re))
+	}
 }
 
 // SortPairs orders pairs lexicographically, the canonical form the

@@ -107,11 +107,11 @@ func TestRPQHandChecked(t *testing.T) {
 		{"a", []int{1, 1, -3, 42}, [][2]int{{1, 2}}},
 	}
 	for _, c := range cases {
-		nfa, err := rpq.CompileRegex(c.regex)
+		re, err := rpq.ParseRegex(c.regex)
 		if err != nil {
-			t.Fatalf("compile %q: %v", c.regex, err)
+			t.Fatalf("parse %q: %v", c.regex, err)
 		}
-		if got := RPQ(g, nfa, c.sources); !reflect.DeepEqual(got, c.want) {
+		if got := RPQ(g, re, c.sources); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("RPQ(%q, %v) = %v, want %v", c.regex, c.sources, got, c.want)
 		}
 	}

@@ -110,34 +110,9 @@ func (p *patternEval) eval(e cypher.PathExpr) (relation, error) {
 		}
 		return out, nil
 	case cypher.PERel:
-		label, back := v.Type, v.Inverse
-		if base, ok := strings.CutSuffix(label, "_r"); ok {
-			label, back = base, !back
-		}
-		out := p.empty()
-		p.g.Edges(func(src int, l string, dst int) bool {
-			if l == label {
-				if back {
-					out.add(dst, src)
-				} else {
-					out.add(src, dst)
-				}
-			}
-			return true
-		})
-		return out, nil
+		return p.step(v.Type, v.Inverse), nil
 	case cypher.PENode:
-		out := p.empty()
-		for u := range out {
-			keep := true
-			for _, l := range v.Labels {
-				keep = keep && p.g.HasVertexLabel(u, l)
-			}
-			if keep {
-				out.add(u, u)
-			}
-		}
-		return out, nil
+		return p.check(v.Labels), nil
 	case cypher.PERef:
 		r, ok := p.env[v.Name]
 		if !ok {
@@ -169,6 +144,43 @@ func (p *patternEval) eval(e cypher.PathExpr) (relation, error) {
 	default:
 		return nil, fmt.Errorf("unsupported path expression %T", e)
 	}
+}
+
+// step returns the pairs one edge labeled label joins: backwards when
+// back is set, and flipped once more for the paper's inverse spelling
+// "x_r".
+func (p *patternEval) step(label string, back bool) relation {
+	if base, ok := strings.CutSuffix(label, "_r"); ok {
+		label, back = base, !back
+	}
+	out := p.empty()
+	p.g.Edges(func(src int, l string, dst int) bool {
+		if l == label {
+			if back {
+				out.add(dst, src)
+			} else {
+				out.add(src, dst)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// check returns the pairs (v, v) of the vertices that carry every one
+// of labels.
+func (p *patternEval) check(labels []string) relation {
+	out := p.empty()
+	for u := range out {
+		keep := true
+		for _, l := range labels {
+			keep = keep && p.g.HasVertexLabel(u, l)
+		}
+		if keep {
+			out.add(u, u)
+		}
+	}
+	return out
 }
 
 // compose returns a;b: the pairs (i, j) with (i, k) in a and (k, j) in b.

@@ -356,7 +356,7 @@ func TestExplainShowsOperationsAndContext(t *testing.T) {
 	}
 	out := p.Explain()
 	for _, want := range []string{"Project", "CFPQTraverse", "CondTraverse", "LabelScan",
-		"Q -> :b S", "Path pattern context", "S -> :c S :d | :c (:y) :d"} {
+		"Q -> :b S", "Path pattern context", "S#q1 -> :c (:y)", "S -> :c S :d | S#q1 :d"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %q:\n%s", want, out)
 		}
@@ -413,12 +413,12 @@ func TestTranslateConnectionShapes(t *testing.T) {
 		labels []string
 		want   string
 	}{
-		{conn, nil, "Q#q1 -> :b | :c; Q -> :a_r Q#q1 (:x) S"},
-		{conn, []string{"y"}, "Q#q1 -> :b | :c; Q -> :a_r Q#q1 (:x) S (:y)"},
+		{conn, nil, "Q#q1 -> :b | :c; Q#q2 -> :a_r Q#q1; Q#q3 -> Q#q2 (:x); Q -> Q#q3 S"},
+		{conn, []string{"y"}, "Q#q1 -> :b | :c; Q#q2 -> :a_r Q#q1; Q#q3 -> Q#q2 (:x); Q -> Q#q3 S (:y)"},
 		{cypher.PathApply{Expr: conn.Expr, Inverse: true}, nil,
-			"S#r#q1 -> eps | S#r; S#r -> :d_r S#r#q1 :c_r; Q#q2 -> :b_r | :c_r; Q -> S#r (:x) Q#q2 :a"},
+			"S#r#q1 -> :d_r | :d_r S#r; S#r -> S#r#q1 :c_r; Q#q2 -> :b_r | :c_r; Q#q3 -> S#r (:x); Q#q4 -> Q#q3 Q#q2; Q -> Q#q4 :a"},
 		{cypher.PathApply{Expr: cypher.PERef{Name: "S"}}, nil, "S"},
-		{cypher.PathApply{Expr: cypher.PERef{Name: "S"}, Inverse: true}, nil, "S#r#q1 -> eps | S#r; S#r -> :d_r S#r#q1 :c_r"},
+		{cypher.PathApply{Expr: cypher.PERef{Name: "S"}, Inverse: true}, nil, "S#r#q1 -> :d_r | :d_r S#r; S#r -> S#r#q1 :c_r"},
 	} {
 		path, err := ctx.compilePath(c.conn, c.labels)
 		if err != nil {

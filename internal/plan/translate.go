@@ -12,6 +12,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mscfpq/internal/cypher"
@@ -44,9 +45,10 @@ func relPath(r cypher.RelPattern, g *graph.Graph) cypher.PathApply {
 // context-free grammar whose nonterminals are the pattern names:
 // relationship steps become grammar.EdgeStep terminals, node checks
 // grammar.NodeCheck terminals, references become nonterminals, and
-// quantifiers introduce auxiliary nonterminals. The grammar feeds the
-// multiple-source CFPQ index that answers the MATCH clause's
-// connections, which compilePath adds to it.
+// quantifiers, and alternations after a prefix, introduce helper
+// nonterminals (fold). The grammar feeds the multiple-source CFPQ index
+// that answers the MATCH clause's connections, which compilePath adds
+// to it.
 func PatternsToGrammar(pats []cypher.NamedPathPattern) (*grammar.Grammar, error) {
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("plan: no named path patterns")
@@ -90,91 +92,191 @@ func (c *compiler) freshNT(owner string) string {
 	return fmt.Sprintf("%s#q%d", owner, c.fresh)
 }
 
-// addAlternatives adds the productions owner -> e, one per top-level
-// alternative.
+// addAlternatives adds the productions owner -> e, one per right-hand
+// side e folds into.
 func (c *compiler) addAlternatives(owner string, e cypher.PathExpr) error {
-	alts := []cypher.PathExpr{e}
-	if alt, ok := e.(cypher.PEAlt); ok {
-		alts = alt.Alts
+	rhss, err := c.fold(owner, [][]grammar.Symbol{nil}, e)
+	if err != nil {
+		return err
 	}
-	for _, a := range alts {
-		syms, err := c.toSymbols(owner, a)
-		if err != nil {
-			return err
+	if len(rhss) == 1 && len(rhss[0]) == 1 && !rhss[0][0].Term && !c.isRef(rhss[0][0]) {
+		// e folded into one helper, as e* does: owner becomes it, where a
+		// unit rule owner -> H would copy H's rules for the driver to
+		// solve twice.
+		h := rhss[0][0].Name
+		for i := range c.prods {
+			if c.prods[i].LHS == h {
+				c.prods[i].LHS = owner
+			}
+			for j, s := range c.prods[i].RHS {
+				if s.Name == h && !s.Term {
+					c.prods[i].RHS[j].Name = owner
+				}
+			}
 		}
-		c.prods = append(c.prods, grammar.Production{LHS: owner, RHS: syms})
+		return nil
 	}
+	c.addRules(owner, rhss)
 	return nil
 }
 
-// toSymbols flattens an expression into one right-hand side, introducing
-// helper nonterminals for nested alternation and quantifiers.
-func (c *compiler) toSymbols(owner string, e cypher.PathExpr) ([]grammar.Symbol, error) {
+func (c *compiler) addRules(lhs string, rhss [][]grammar.Symbol) {
+	for _, rhs := range rhss {
+		c.prods = append(c.prods, grammar.Production{LHS: lhs, RHS: rhs})
+	}
+}
+
+// fold appends e to a prefix, the right-hand sides that match the part
+// of a sequence before e, and returns those that match it with e. For a
+// rule A -> B C the driver solves C at every vertex B reaches, so the
+// fold goes left, and no helper after the first symbol of a sequence is
+// solved at mid vertices:
+//   - e* and e+ become a helper whose rules take the prefix p
+//     (quantify): H -> p | H e;
+//   - an alternation distributes: p (a | b) folds to p a | p b, and
+//     p e? to p | p e, except that single steps and node checks in
+//     alternation stay one helper (terms);
+//   - a step, a node check and a reference join the prefix (push).
+//
+// A prefix that an alternation copies is made one symbol first (join).
+// References stay nonterminals in place: their rows at mid vertices are
+// what a context-free query needs.
+func (c *compiler) fold(owner string, prefix [][]grammar.Symbol, e cypher.PathExpr) ([][]grammar.Symbol, error) {
+	var err error
 	switch v := e.(type) {
 	case cypher.PESeq:
-		var out []grammar.Symbol
 		for _, part := range v.Parts {
-			syms, err := c.toSymbols(owner, part)
+			if prefix, err = c.fold(owner, prefix, part); err != nil {
+				return nil, err
+			}
+		}
+		return prefix, nil
+	case cypher.PEAlt:
+		if ts := terms(v); ts != nil && !(len(prefix) == 1 && len(prefix[0]) == 0) {
+			// Steps and node checks in alternation are one helper with
+			// terminal rules alone: its rows at the vertices the prefix
+			// reaches are label rows, which cost no product.
+			h := c.freshNT(owner)
+			c.addRules(h, ts)
+			return c.push(owner, prefix, grammar.N(h)), nil
+		}
+		prefix = c.join(owner, prefix)
+		var out [][]grammar.Symbol
+		for _, a := range v.Alts {
+			rhss, err := c.fold(owner, prefix, a)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, syms...)
+			out = append(out, rhss...)
 		}
 		return out, nil
-	case cypher.PEAlt:
-		nt := c.freshNT(owner)
-		if err := c.addAlternatives(nt, v); err != nil {
-			return nil, err
-		}
-		return []grammar.Symbol{grammar.N(nt)}, nil
 	case cypher.PERel:
-		label := v.Type
-		if v.Inverse {
-			label = grammar.InverseLabel(label)
-		}
-		return []grammar.Symbol{grammar.T(grammar.EdgeStep(label))}, nil
+		return c.push(owner, prefix, step(v)), nil
 	case cypher.PENode:
-		var out []grammar.Symbol
 		for _, l := range v.Labels {
-			out = append(out, grammar.T(grammar.NodeCheck(l)))
+			prefix = c.push(owner, prefix, grammar.T(grammar.NodeCheck(l)))
 		}
-		return out, nil
+		return prefix, nil
 	case cypher.PERef:
 		if err := c.declare(v.Name); err != nil {
 			return nil, err
 		}
-		return []grammar.Symbol{grammar.N(v.Name)}, nil
+		return c.push(owner, prefix, grammar.N(v.Name)), nil
 	case cypher.PEStar:
-		return c.quantify(owner, v.Sub, true, true)
+		return c.quantify(owner, prefix, v.Sub, false)
 	case cypher.PEPlus:
-		return c.quantify(owner, v.Sub, false, true)
+		return c.quantify(owner, prefix, v.Sub, true)
 	case cypher.PEOpt:
-		return c.quantify(owner, v.Sub, true, false)
+		// p e? is the alternation p | p e.
+		prefix = c.join(owner, prefix)
+		rhss, err := c.fold(owner, prefix, v.Sub)
+		if err != nil {
+			return nil, err
+		}
+		return append(slices.Clip(prefix), rhss...), nil
 	default:
 		return nil, fmt.Errorf("plan: unsupported path expression %T", e)
 	}
 }
 
-// quantify introduces the helper nonterminal nt of a quantifier over
-// sub: nt -> eps where the empty path matches (e*, e?), nt -> inner where
-// it does not (e+), and nt -> nt inner where sub repeats (e*, e+), else
-// nt -> inner (e?). Recursing on the left, the helper is solved for the
-// sources bound to it, and sub only for the vertices they reach.
-func (c *compiler) quantify(owner string, sub cypher.PathExpr, empty, repeat bool) ([]grammar.Symbol, error) {
-	nt := c.freshNT(owner)
-	inner, err := c.toSymbols(nt, sub)
+// quantify folds e* or e+ onto the prefix p as a helper H that
+// recurses on the left: H -> p | H e, so that H matches p e*, and the
+// right-hand sides H e match p e+. Either way e is folded once.
+func (c *compiler) quantify(owner string, p [][]grammar.Symbol, e cypher.PathExpr, plus bool) ([][]grammar.Symbol, error) {
+	h := c.freshNT(owner)
+	loop, err := c.fold(owner, [][]grammar.Symbol{{grammar.N(h)}}, e)
 	if err != nil {
 		return nil, err
 	}
-	first, second := inner, inner
-	if empty {
-		first = nil
+	c.addRules(h, p)
+	c.addRules(h, loop)
+	if plus {
+		return loop, nil
 	}
-	if repeat {
-		second = append([]grammar.Symbol{grammar.N(nt)}, inner...)
+	return [][]grammar.Symbol{{grammar.N(h)}}, nil
+}
+
+// push appends the symbol s to a prefix. A prefix of two symbols or more
+// is made one symbol first (join), so that a run of steps folds left
+// too, unless it ends in a reference: such a prefix stays flat, as
+// [<:a ~S :a] has always compiled, since the reference is solved at the
+// mid vertex anyway.
+func (c *compiler) push(owner string, prefix [][]grammar.Symbol, s grammar.Symbol) [][]grammar.Symbol {
+	if len(prefix) != 1 || len(prefix[0]) >= 2 && !c.isRef(prefix[0][len(prefix[0])-1]) {
+		prefix = c.join(owner, prefix)
 	}
-	c.prods = append(c.prods, grammar.Production{LHS: nt, RHS: first}, grammar.Production{LHS: nt, RHS: second})
-	return []grammar.Symbol{grammar.N(nt)}, nil
+	if len(prefix) == 0 {
+		return nil
+	}
+	return [][]grammar.Symbol{append(slices.Clip(prefix[0]), s)}
+}
+
+// isRef reports whether s references a declared pattern or a reversal.
+func (c *compiler) isRef(s grammar.Symbol) bool { return !s.Term && c.decls[s.Name] != nil }
+
+// step is the terminal of a relationship step.
+func step(r cypher.PERel) grammar.Symbol {
+	label := r.Type
+	if r.Inverse {
+		label = grammar.InverseLabel(label)
+	}
+	return grammar.T(grammar.EdgeStep(label))
+}
+
+// terms returns the terminals of a step, of a node check of one label,
+// or of an alternation of them, each as a right-hand side, and nil for
+// any other expression.
+func terms(e cypher.PathExpr) [][]grammar.Symbol {
+	switch v := e.(type) {
+	case cypher.PERel:
+		return [][]grammar.Symbol{{step(v)}}
+	case cypher.PENode:
+		if len(v.Labels) == 1 {
+			return [][]grammar.Symbol{{grammar.T(grammar.NodeCheck(v.Labels[0]))}}
+		}
+	case cypher.PEAlt:
+		var out [][]grammar.Symbol
+		for _, a := range v.Alts {
+			ts := terms(a)
+			if ts == nil {
+				return nil
+			}
+			out = append(out, ts...)
+		}
+		return out
+	}
+	return nil
+}
+
+// join makes a prefix one symbol, a helper H -> p1 | p2 | ..., unless it
+// is one right-hand side of at most one symbol already.
+func (c *compiler) join(owner string, prefix [][]grammar.Symbol) [][]grammar.Symbol {
+	if len(prefix) == 0 || len(prefix) == 1 && len(prefix[0]) <= 1 {
+		return prefix
+	}
+	h := c.freshNT(owner)
+	c.addRules(h, prefix)
+	return [][]grammar.Symbol{{grammar.N(h)}}
 }
 
 // declare checks that a referenced pattern exists. The first reference

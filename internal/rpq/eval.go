@@ -4,30 +4,27 @@ import (
 	"fmt"
 
 	"mscfpq/internal/cfpq"
+	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
+	"mscfpq/internal/plan"
 )
 
 // Eval answers a multiple-source regular path query with pair
 // semantics: the result has (s, v) set when some path from a source s
 // to v spells a word of the regex's language. A regular query is a
-// partial case of CFPQ, so Eval compiles the regex, reduces its NFA to a
-// right-linear grammar (ToGrammar) and runs the multiple-source CFPQ
-// algorithm (Algorithm 2) through cfpq.Eval — the same fixpoint driver
-// every context-free query uses, which also validates src. Context,
-// timeout, budget and trace options apply, and the query's governor
-// outcome is recorded.
+// partial case of CFPQ, so Eval compiles the regex (Compile) and runs
+// the multiple-source CFPQ algorithm (Algorithm 2) through cfpq.Eval —
+// the same fixpoint driver every context-free query uses, which also
+// validates src. Context, timeout, budget and trace options apply, and
+// the query's governor outcome is recorded.
 func Eval(g *graph.Graph, query string, src *matrix.Vector, opts ...exec.Option) (*matrix.Bool, error) {
 	if g == nil {
 		return nil, fmt.Errorf("rpq: nil graph")
 	}
-	n, err := CompileRegex(query)
-	if err != nil {
-		return nil, err
-	}
-	w, err := grammar.ToWCNF(ToGrammar(n))
+	w, err := Compile(query)
 	if err != nil {
 		return nil, err
 	}
@@ -39,34 +36,41 @@ func Eval(g *graph.Graph, query string, src *matrix.Vector, opts ...exec.Option)
 	return matrix.NewBoolFromPairs(nv, nv, res.Pairs()), nil
 }
 
-// ToGrammar reduces the NFA to a right-linear context-free grammar whose
-// language equals the automaton's: one nonterminal per state, a
-// production Q_from -> l Q_to per transition, unit productions for eps
-// transitions, and Q_accept -> eps. Running the CFPQ engine on this
-// grammar answers the regular query (Eval), the paper's claim that
-// regular queries are a partial case of CFPQ.
-func ToGrammar(n *NFA) *grammar.Grammar {
-	// '#' never occurs in a regex label, so no state name can collide
-	// with a terminal.
-	name := func(q int) string { return fmt.Sprintf("Q#%d", q) }
-	var prods []grammar.Production
-	// Iterate labels in sorted order: grammar nonterminal ids are
-	// assigned in production order, so ranging the Trans map directly
-	// would make the reduction nondeterministic across runs.
-	for _, l := range n.Labels() {
-		for _, tr := range n.Trans[l] {
-			prods = append(prods, grammar.Production{
-				LHS: name(tr[0]),
-				RHS: []grammar.Symbol{grammar.T(l), grammar.N(name(tr[1]))},
-			})
-		}
+// Compile parses a regex and compiles it into the grammar Eval runs:
+// the path expression it denotes (path), compiled by the query
+// language's path-pattern compiler (plan.PatternsToGrammar), which folds
+// it left-linear, and normalized to weak Chomsky normal form.
+func Compile(query string) (*grammar.WCNF, error) {
+	n, err := ParseRegex(query)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range n.Eps {
-		prods = append(prods, grammar.Production{
-			LHS: name(e[0]),
-			RHS: []grammar.Symbol{grammar.N(name(e[1]))},
-		})
+	cf, err := plan.PatternsToGrammar([]cypher.NamedPathPattern{{Name: "Q", Expr: path(n)}})
+	if err != nil {
+		return nil, err
 	}
-	prods = append(prods, grammar.Production{LHS: name(n.Accept)})
-	return grammar.MustNew(name(n.Start), prods)
+	return grammar.ToWCNF(cf)
+}
+
+// path translates a regex into the path expression it denotes. A label
+// l matches an l edge or, as a zero-length step, a vertex labeled l, so
+// it becomes [:l | (:l)]; an inverse label "x_r" is a step along x
+// edges backwards, as everywhere in this module.
+func path(n Node) cypher.PathExpr {
+	switch v := n.(type) {
+	case Label:
+		return cypher.PEAlt{Alts: []cypher.PathExpr{cypher.PERel{Type: v.Name}, cypher.PENode{Labels: []string{v.Name}}}}
+	case Concat:
+		return cypher.PESeq{Parts: []cypher.PathExpr{path(v.Left), path(v.Right)}}
+	case Alt:
+		return cypher.PEAlt{Alts: []cypher.PathExpr{path(v.Left), path(v.Right)}}
+	case Star:
+		return cypher.PEStar{Sub: path(v.Sub)}
+	case Plus:
+		return cypher.PEPlus{Sub: path(v.Sub)}
+	case Opt:
+		return cypher.PEOpt{Sub: path(v.Sub)}
+	default:
+		panic(fmt.Sprintf("rpq: unknown AST node %T", n))
+	}
 }

@@ -10,16 +10,16 @@ import (
 	"mscfpq/internal/rpq"
 )
 
-// The oracle imports rpq for its NFA, so the comparison against it
-// lives in the external test package.
+// The oracle imports rpq for its regex AST, so the comparison against
+// it lives in the external test package.
 
 // Property (experiment E11's correctness leg): RPQ through the CFPQ
-// driver equals the BFS-product oracle on random graphs.
+// driver equals the relation-algebra oracle on random graphs.
 func TestRPQViaCFPQProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	regexes := []string{"a b", "a+ b", "(a | b)*", "a_r* b"}
 	for _, srcRe := range regexes {
-		n, err := rpq.CompileRegex(srcRe)
+		re, err := rpq.ParseRegex(srcRe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestRPQViaCFPQProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := matrix.NewBoolFromPairs(nv, nv, oracle.RPQ(g, n, src.Ints()))
+			want := matrix.NewBoolFromPairs(nv, nv, oracle.RPQ(g, re, src.Ints()))
 			if !got.Equal(want) {
 				t.Fatalf("regex %q trial %d: cfpq=%v oracle=%v",
 					srcRe, trial, got.Pairs(), want.Pairs())

@@ -1,12 +1,16 @@
 // Package rpq implements regular path querying: parsing of path regular
-// expressions, Thompson NFA construction, and the reduction of a regex
-// to a right-linear context-free grammar.
+// expressions and their evaluation as a partial case of CFPQ.
 //
 // The paper's conclusion demonstrates that regular queries are a partial
-// case of CFPQ, so there is no separate automaton evaluator: Eval runs
-// the reduced grammar through the multiple-source CFPQ driver
-// (experiment E11), and internal/oracle's BFS over the NFA product is
-// the independent reference it is tested against.
+// case of CFPQ, so there is no separate automaton evaluator. Compile
+// translates a regex into the path expression it denotes and compiles it
+// with the query language's path-pattern compiler, the one compiler from
+// path expressions to grammars. Its sequences fold left, into the
+// left-linear grammar on which the driver is Belyanin et al.'s
+// vector-times-matrix BFS. Eval runs that grammar through the
+// multiple-source CFPQ driver (experiment E11), and internal/oracle's
+// relation algebra over the regex AST is the independent reference it
+// is tested against.
 //
 // Regex syntax over graph labels:
 //

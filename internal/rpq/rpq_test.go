@@ -46,25 +46,35 @@ func TestParseRegexErrors(t *testing.T) {
 	}
 }
 
-func TestNFAAcceptsWord(t *testing.T) {
-	n, err := CompileRegex("a (b | c)* d?")
+// TestWordMatcher checks the test's word matcher, the reference the
+// compiled grammar is held to, on hand-picked words, and the compiled
+// grammar on the same words. A label matches its edge step or its node
+// check.
+func TestWordMatcher(t *testing.T) {
+	const src = "a (b | c)* d?"
+	re, err := ParseRegex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c, d := grammar.EdgeStep("a"), grammar.EdgeStep("b"), grammar.EdgeStep("c"), grammar.EdgeStep("d")
 	accept := [][]string{
-		{"a"}, {"a", "d"}, {"a", "b", "c", "b"}, {"a", "b", "d"},
+		{a}, {a, d}, {a, b, c, b}, {a, b, d}, {grammar.NodeCheck("a")}, {a, grammar.NodeCheck("c"), d},
 	}
 	reject := [][]string{
-		{}, {"d"}, {"a", "d", "d"}, {"b"}, {"a", "a"},
+		{}, {d}, {a, d, d}, {b}, {a, a}, {"a"}, {grammar.NodeCheck("d")},
 	}
-	for _, w := range accept {
-		if !n.AcceptsWord(w) {
-			t.Errorf("rejected %v", w)
+	for _, word := range accept {
+		if !matches(re, word) || !w.Accepts(word) {
+			t.Errorf("%v: matcher %v, compiled grammar %v, want both true", word, matches(re, word), w.Accepts(word))
 		}
 	}
-	for _, w := range reject {
-		if n.AcceptsWord(w) {
-			t.Errorf("accepted %v", w)
+	for _, word := range reject {
+		if matches(re, word) || w.Accepts(word) {
+			t.Errorf("%v: matcher %v, compiled grammar %v, want both false", word, matches(re, word), w.Accepts(word))
 		}
 	}
 }
@@ -114,12 +124,12 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-// TestEvalLabelsNamedLikeStates pins that the reduction's nonterminals
-// cannot collide with a label: a query over labels spelled like NFA
-// state names must answer, not panic building the grammar.
+// TestEvalLabelsNamedLikeStates pins that the compiled grammar's
+// nonterminals cannot collide with a label: a query over labels spelled
+// like its start symbol Q must answer, not fail building the grammar.
 func TestEvalLabelsNamedLikeStates(t *testing.T) {
-	g := chainGraph("Q0", "Q1")
-	got, err := Eval(g, "Q0 Q1", matrix.NewVectorFromIndices(3, []int{0}))
+	g := chainGraph("Q", "Q0")
+	got, err := Eval(g, "Q Q0", matrix.NewVectorFromIndices(3, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +150,7 @@ func engineGraph() *graph.Graph {
 
 // TestEvalEnginesAgree checks the one RPQ path (the multiple-source
 // driver) against the two reference CFPQ engines, Algorithm 1 and the
-// worklist baseline, run on the same reduced grammar.
+// worklist baseline, run on the same compiled grammar.
 func TestEvalEnginesAgree(t *testing.T) {
 	g := engineGraph()
 	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0, 3})
@@ -149,11 +159,10 @@ func TestEvalEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", query, err)
 		}
-		n, err := CompileRegex(query)
+		w, err := Compile(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := grammar.MustWCNF(ToGrammar(n))
 		for _, alg := range []exec.Algorithm{exec.AlgMatrix, exec.AlgWorklist} {
 			ref, err := cfpq.Eval(g, w, src, exec.WithAlgorithm(alg))
 			if err != nil {
@@ -213,43 +222,53 @@ func TestEvalRecordsOutcome(t *testing.T) {
 	}
 }
 
-// randomWordAccept compares NFA acceptance against grammar membership of
-// the reduced CFG: the languages must be identical.
-func TestToGrammarLanguageEquivalence(t *testing.T) {
+// TestCompileLanguageEquivalence compares membership in the compiled
+// grammar with the word matcher over the regex AST on random words of
+// edge steps and node checks: the languages must be identical.
+func TestCompileLanguageEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	regexes := []string{"a", "a b", "a | b", "a*", "(a b)+", "a (b | c)* d?", "a? b?"}
-	alphabet := []string{"a", "b", "c", "d"}
+	var alphabet []string
+	for _, l := range []string{"a", "b", "c", "d"} {
+		alphabet = append(alphabet, grammar.EdgeStep(l), grammar.NodeCheck(l))
+	}
 	for _, src := range regexes {
-		n, err := CompileRegex(src)
+		re, err := ParseRegex(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := grammar.MustWCNF(ToGrammar(n))
+		w, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < 120; trial++ {
 			word := make([]string, rng.Intn(5))
 			for i := range word {
 				word[i] = alphabet[rng.Intn(len(alphabet))]
 			}
-			if got, want := w.Accepts(word), n.AcceptsWord(word); got != want {
-				t.Fatalf("regex %q word %v: grammar=%v nfa=%v", src, word, got, want)
+			if got, want := w.Accepts(word), matches(re, word); got != want {
+				t.Fatalf("regex %q word %v: grammar=%v matcher=%v", src, word, got, want)
 			}
 		}
 	}
 }
 
-// TestToGrammarDeterministic pins the order of the reduction's
-// productions: nonterminal ids downstream are assigned in production
-// order, so iterating the NFA's transition map directly would make the
-// reduced grammar (and anything keyed on its ids) vary across runs.
-func TestToGrammarDeterministic(t *testing.T) {
-	n, err := CompileRegex("a b | c d* | e")
+// TestCompileDeterministic pins the compiled grammar: nonterminal ids
+// downstream are assigned in production order, so a compilation that
+// varied across runs would vary everything keyed on its ids.
+func TestCompileDeterministic(t *testing.T) {
+	first, err := Compile("a b | c d* | e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ToGrammar(n).String()
+	want := first.String()
 	for i := 0; i < 50; i++ {
-		if got := ToGrammar(n).String(); got != want {
-			t.Fatalf("ToGrammar varies across calls:\n--- first\n%s\n--- later\n%s", want, got)
+		w, err := Compile("a b | c d* | e")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.String(); got != want {
+			t.Fatalf("Compile varies across calls:\n--- first\n%s\n--- later\n%s", want, got)
 		}
 	}
 }

@@ -154,9 +154,6 @@ type (
 	QueryReply = resp.QueryReply
 )
 
-// NFA is a compiled regular path query.
-type NFA = rpq.NFA
-
 // DatasetSpec describes one synthetic analog of the paper's graphs.
 type DatasetSpec = dataset.Spec
 
@@ -235,12 +232,10 @@ func NewIndex(g *Graph, w *WCNF, opts ...Option) (*Index, error) {
 // Word returns the label word of an extracted path.
 func Word(steps []PathStep) []string { return cfpq.Word(steps) }
 
-// CompileRegex compiles a regular path query ("subClassOf+ type?").
-func CompileRegex(src string) (*NFA, error) { return rpq.CompileRegex(src) }
-
-// EvalRPQ answers a multiple-source regular path query with pair
-// semantics. Regular queries are a partial case of CFPQ: the regex is
-// reduced to a grammar (RegexToGrammar) and evaluated by the
+// EvalRPQ answers a multiple-source regular path query ("subClassOf+
+// type_r?") with pair semantics. Regular queries are a partial case of
+// CFPQ: the regex is compiled to a left-linear grammar by the compiler
+// of the query language's path patterns and evaluated by the
 // multiple-source algorithm, so the same options apply as to EvalCFPQ:
 //
 //	reach, err := mscfpq.EvalRPQ(g, "subClassOf+ type_r?", src,
@@ -248,10 +243,6 @@ func CompileRegex(src string) (*NFA, error) { return rpq.CompileRegex(src) }
 func EvalRPQ(g *Graph, query string, src *VertexSet, opts ...Option) (*BoolMatrix, error) {
 	return rpq.Eval(g, query, src, opts...)
 }
-
-// RegexToGrammar reduces a regular query to a context-free grammar so
-// the CFPQ engine can evaluate it.
-func RegexToGrammar(n *NFA) *Grammar { return rpq.ToGrammar(n) }
 
 // NewDB creates an empty graph database.
 func NewDB() *DB { return gdb.New() }

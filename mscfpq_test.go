@@ -1,6 +1,10 @@
 package mscfpq
 
-import "testing"
+import (
+	"testing"
+
+	"mscfpq/internal/rpq"
+)
 
 func hasPair(pairs [][2]int, p [2]int) bool {
 	for _, q := range pairs {
@@ -121,26 +125,28 @@ func TestFacadeSinglePathAndSemiNaive(t *testing.T) {
 	}
 }
 
+// regexWCNF is the grammar EvalRPQ compiles a regex to.
+func regexWCNF(t *testing.T, query string) *WCNF {
+	t.Helper()
+	w, err := rpq.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestFacadeRegex(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "a", 2)
-	nfa, err := CompileRegex("a+")
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := NewVertexSet(3, 0)
 	m, err := EvalRPQ(g, "a+", src)
 	if err != nil || m.NVals() != 2 || !m.Get(0, 1) || !m.Get(0, 2) {
 		t.Fatalf("regex pairs = %v, %v", m, err)
 	}
-	w, err := ToWCNF(RegexToGrammar(nfa))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reduced grammar under Algorithm 1, restricted to the sources,
+	// The compiled grammar under Algorithm 1, restricted to the sources,
 	// is the reference for the multiple-source path EvalRPQ takes.
-	ap, err := EvalCFPQ(g, w, src, WithAlgorithm(AlgMatrix))
+	ap, err := EvalCFPQ(g, regexWCNF(t, "a+"), src, WithAlgorithm(AlgMatrix))
 	if err != nil {
 		t.Fatal(err)
 	}
