@@ -122,7 +122,11 @@ bench-quick:
 # The dense-cold statement benchmark prints what the wire's dense-cold op
 # costs in process: the G2 count of a hundred sources through
 # QueryCells on a freshly restored go-hierarchy@0.02, with its fixpoint
-# rounds per op (14.57 at -benchtime 40x). The regular-shapes benchmark
+# rounds per op (14.57 at -benchtime 40x). The sparse-sweep statement
+# benchmark prints the wire's sparse-sweep op in process: chunk-10 G1
+# statements over pathways through QueryCells, restored every 62
+# queries, with rounds and allocations per op (18.69 rounds at
+# -benchtime 620x, one sweep). The regular-shapes benchmark
 # prints what regular path expressions cost through the one path
 # compiler, cold from a hundred sources on go-hierarchy@0.1, as a MATCH
 # and as a regex, with rounds, product entries and answer pairs per op
@@ -137,6 +141,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$' -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkSparseSweepStatement$$' -benchtime 620x -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkRegularShapes$$' -short -benchtime 10x -benchmem .
 
 # The wire-level benchmark (benchmark/README.md), one workload end to

@@ -23,8 +23,8 @@ import (
 //
 // and A gains ΔM * T^C ∪ M * ΔT^C, less T^A. Sources move as in
 // Algorithms 2 and 3: B ∪= fresh A-sources, C ∪= getDst(ΔM), less what
-// is active or (Algorithm 3) processed. An unrestricted run has every
-// row active: ΔM = ΔT^B and M = T^B, with no row extraction.
+// the marks hold, the processed (Algorithm 3) and activated sources. An
+// unrestricted run has every row active: ΔM = ΔT^B and M = T^B.
 //
 // T stays matrix.Bool, so a product finds a row of T^C by index, and a
 // row of T two-thirds full is a bitmap a product ORs a word at a time.
@@ -56,11 +56,16 @@ type fixpoint struct {
 
 	T     []*matrix.Bool    // relations per nonterminal, grown in place
 	delta []*matrix.RowList // ΔT: the entries T gained in the previous round; nil = none
+	next  []*matrix.RowList // the next ΔT, which the round fills; reused round to round
 
-	// The source restriction; active == nil runs unrestricted.
-	active []*matrix.Vector // sources whose rows this run computes
-	fresh  []*matrix.Vector // the part of active that the previous round activated
-	done   []*matrix.Vector // sources never to activate (Algorithm 3's index.TSrc); nil = none
+	// The source restriction; active == nil runs unrestricted. A mark
+	// holds the processed sources (Algorithm 3's TSrc, kept by an index
+	// across solves) and every one this run activated: activation is a
+	// test-and-set, which appends to activated, the next fresh sources.
+	active    []*matrix.Vector // sources whose rows this run computes, as the round began
+	fresh     []*matrix.Vector // the part of active that the previous round activated
+	marks     []matrix.Mark
+	activated [][]uint32 // unsorted
 
 	// gained, when set, collects per nonterminal the rows every round's
 	// ΔT touched: the rows a maintenance run changed (NewIndexWarm).
@@ -97,7 +102,7 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool,
 	}
 	if src == nil {
 		f.listAll()
-	} else if err := f.restrict(w.Start, src, n); err != nil {
+	} else if err := f.restrict(w.Start, src, noMarks(len(r.T), n)); err != nil {
 		return nil, nil, err
 	}
 	if err := f.solve(); err != nil {
@@ -106,6 +111,16 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool,
 	obs.CFPQRounds.Observe(int64(f.rounds))
 	r.Rounds, r.Work = f.rounds, run.Spent()
 	return r, f.active, nil
+}
+
+// noMarks returns an empty mark of n vertices for each of nnt
+// nonterminals.
+func noMarks(nnt, n int) []matrix.Mark {
+	marks := make([]matrix.Mark, nnt)
+	for a := range marks {
+		marks[a] = matrix.NewMark(n)
+	}
+	return marks
 }
 
 // listAll sets up an unrestricted run: its first ΔT is every row of the
@@ -117,43 +132,70 @@ func (f *fixpoint) listAll() {
 	}
 }
 
-// restrict installs the sources src of nonterminal a, less the processed
-// ones, as the first round's fresh and active sources, with an empty
-// first ΔT. Its callers check a.
-func (f *fixpoint) restrict(a int, src *matrix.Vector, n int) error {
+// restrict sets up a restricted run over the marks, with an empty first
+// ΔT: it activates the sources src of nonterminal a that the marks lack
+// as the first round's fresh and active ones. Its callers check a.
+func (f *fixpoint) restrict(a int, src *matrix.Vector, marks []matrix.Mark) error {
+	n := f.T[a].NRows()
 	if src.Size() != n {
 		return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", n)
 	}
 	f.delta = make([]*matrix.RowList, len(f.T))
-	f.active = make([]*matrix.Vector, len(f.T))
-	f.fresh = make([]*matrix.Vector, len(f.T))
-	for b := range f.T {
-		f.active[b] = matrix.NewVector(n)
-		f.fresh[b] = matrix.NewVector(n)
-	}
-	if err := f.activate(a, src.Clone(), f.fresh); err != nil {
+	f.from(n, marks)
+	if err := f.activate(a, src.Indices(), nil); err != nil {
 		return err
 	}
-	f.active[a] = f.fresh[a].Clone()
+	f.promote()
 	return nil
 }
 
-// activate adds to into[a] the candidates that are neither active nor
-// processed for nonterminal a, and seeds their rows of T^a; it consumes
-// cand.
-func (f *fixpoint) activate(a int, cand *matrix.Vector, into []*matrix.Vector) error {
-	cand.DiffInPlace(f.active[a])
-	if f.done != nil {
-		cand.DiffInPlace(f.done[a])
+// from installs a restriction over n vertices and the marks, with no
+// source active yet.
+func (f *fixpoint) from(n int, marks []matrix.Mark) {
+	f.marks = marks
+	f.active, f.fresh = make([]*matrix.Vector, len(f.T)), make([]*matrix.Vector, len(f.T))
+	for b := range f.T {
+		f.active[b], f.fresh[b] = matrix.NewVector(n), matrix.NewVector(n)
 	}
-	into[a].UnionInPlace(cand)
-	return f.seeds.rows(f.run, f.T[a], a, cand)
+	f.activated = make([][]uint32, len(f.T))
+}
+
+// activate activates for nonterminal a the candidates its mark lacks,
+// those of cand and getDst(d), and seeds their rows of T^a.
+func (f *fixpoint) activate(a int, cand []uint32, d *matrix.RowList) error {
+	lo := len(f.activated[a])
+	f.activated[a] = f.marks[a].AddCols(f.marks[a].AddAll(f.activated[a], cand), d)
+	return f.seeds.rows(f.run, f.T[a], a, f.activated[a][lo:])
+}
+
+// promote makes what the round activated the next round's fresh
+// sources and adds them to the active ones. It reports whether it
+// activated any.
+func (f *fixpoint) promote() (grew bool) {
+	for a, act := range f.activated {
+		f.activated[a] = f.fresh[a].Exchange(act)
+		grew = f.active[a].UnionInPlace(f.fresh[a]) || grew
+	}
+	return grew
+}
+
+// unmark clears from the marks every source the run activated, so they
+// hold what they held before it: the abort rule (DESIGN.md §16), at the
+// cost of the sources activated.
+func (f *fixpoint) unmark() {
+	f.promote()
+	for a, m := range f.marks {
+		for _, i := range f.active[a].Indices() {
+			m.Remove(i)
+		}
+	}
 }
 
 // solve runs rounds until one adds neither an entry nor a source. On an
 // error (cancellation, timeout, budget) T keeps what was derived so far;
 // every such entry is a true fact, but no row is known to be complete.
 func (f *fixpoint) solve() error {
+	f.next = make([]*matrix.RowList, len(f.T))
 	for progress := true; progress; {
 		// Poll once per round: with no binary rules the round is empty,
 		// and the governor must still be able to abort.
@@ -174,15 +216,10 @@ func (f *fixpoint) solve() error {
 
 // round applies every binary rule once, installs what that added as the
 // next round's ΔT and fresh sources, and reports whether it added any.
+// A rule whose ΔM and ΔT^C are both empty has nothing new to multiply
+// and is skipped once its B sources are activated.
 func (f *fixpoint) round() (progress bool, err error) {
-	next := make([]*matrix.RowList, len(f.T)) // nil where a relation gains nothing
-	var nextFresh []*matrix.Vector
-	if f.active != nil {
-		nextFresh = make([]*matrix.Vector, len(f.T))
-		for a := range nextFresh {
-			nextFresh[a] = matrix.NewVector(f.active[a].Size())
-		}
-	}
+	clear(f.next) // nil where a relation gains nothing
 	for ri, rule := range f.w.BinRules {
 		var dm, m matrix.Operand = f.delta[rule.B], f.T[rule.B]
 		if f.active != nil {
@@ -191,14 +228,20 @@ func (f *fixpoint) round() (progress bool, err error) {
 			if act.Empty() {
 				continue
 			}
-			if err := f.activate(rule.B, fresh.Clone(), nextFresh); err != nil {
+			if err := f.activate(rule.B, fresh.Indices(), nil); err != nil {
 				return false, err
 			}
-			d := matrix.SelectRows(f.T[rule.B], fresh)
+			var d *matrix.RowList
+			if !fresh.Empty() {
+				d = matrix.SelectRows(f.T[rule.B], fresh)
+			}
 			if !f.delta[rule.B].Empty() {
 				d = matrix.Union(d, f.delta[rule.B].Restrict(act))
 			}
-			if err := f.activate(rule.C, d.Cols(), nextFresh); err != nil {
+			if d.Empty() && f.delta[rule.C].Empty() {
+				continue
+			}
+			if err := f.activate(rule.C, nil, d); err != nil {
 				return false, err
 			}
 			dm = d
@@ -206,27 +249,25 @@ func (f *fixpoint) round() (progress bool, err error) {
 				m = matrix.SelectRows(f.T[rule.B], act)
 			}
 		}
-		if err := f.derive(ri, dm, f.T[rule.C], next); err != nil {
+		if err := f.derive(ri, dm, f.T[rule.C], f.next); err != nil {
 			return false, err
 		}
-		if err := f.derive(ri, m, f.delta[rule.C], next); err != nil {
+		if err := f.derive(ri, m, f.delta[rule.C], f.next); err != nil {
 			return false, err
 		}
 	}
-	f.delta, f.fresh = next, nextFresh
-	for a := range next {
-		if next[a] == nil {
+	f.delta, f.next = f.next, f.delta
+	for a, d := range f.delta {
+		if d == nil {
 			continue
 		}
 		progress = true
 		if f.gained != nil {
-			f.gained[a].UnionInPlace(next[a].RowIDs())
+			f.gained[a].UnionInPlace(d.RowIDs())
 		}
 	}
-	for a := range nextFresh {
-		if f.active[a].UnionInPlace(nextFresh[a]) {
-			progress = true
-		}
+	if f.active != nil && f.promote() {
+		progress = true
 	}
 	return progress, nil
 }
@@ -250,10 +291,6 @@ func (f *fixpoint) derive(ri int, a, b matrix.Operand, next []*matrix.RowList) e
 	if err != nil || added.Empty() {
 		return err
 	}
-	if next[head] == nil {
-		next[head] = added
-	} else {
-		next[head] = matrix.Union(next[head], added)
-	}
+	next[head] = matrix.Union(next[head], added)
 	return nil
 }

@@ -52,12 +52,14 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 				}
 			}
 
-			// solve runs one fixpoint over T and returns its rounds and
-			// the sources it activated.
+			// solve runs one fixpoint over T, restricted by the marks
+			// when req is set, and returns its rounds and the sources it
+			// activated.
+			marks := noMarks(len(T), n)
 			solve := func(f *fixpoint, req *matrix.Vector) (int, []*matrix.Vector) {
 				if req == nil {
 					f.listAll()
-				} else if err := f.restrict(w.Start, req, n); err != nil {
+				} else if err := f.restrict(w.Start, req, marks); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.solve(); err != nil {
@@ -74,7 +76,7 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 				rounds, rows = solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T}, src)
 			default:
 				first, done := solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T}, half)
-				second, active := solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T, done: done}, src)
+				second, active := solve(&fixpoint{w: w, run: run, seeds: seeds, witness: sp, T: T}, src) // the marks hold done
 				rounds, rows = first+second, done
 				for a := range rows {
 					if again := active[a].Clone(); again.DiffInPlace(done[a]) {

@@ -18,7 +18,8 @@ import (
 // across queries, so repeated or overlapping source sets reuse all
 // previously computed facts instead of recomputing them from scratch.
 // T holds the rows queries have activated, seeds included: row i of T^A
-// holds its seed facts whenever i is processed for A.
+// holds its seed facts whenever i is processed for A. TSrc^A is an
+// n-bit mark that a solve also sets for the sources it activates.
 //
 // An Index is bound to an immutable snapshot of the graph (the paper's
 // setting: static graph, repeated queries); the graph must not change
@@ -28,22 +29,22 @@ import (
 // against one Index may run from multiple goroutines; they are
 // serialized internally.
 //
-// Cancellation safety: a query grows T in place and claims its sources
-// as processed only once its fixpoint has completed. A query aborted by
-// its context, timeout, or budget leaves behind the facts it derived —
-// each is true on this graph whether or not the query finished — in
-// rows no TSrc claims, so a later query that needs those rows computes
-// them to completion and every answer stays exact.
+// Cancellation safety: a query grows T in place. One aborted by its
+// context, timeout, or budget clears the marks it set and leaves behind
+// the facts it derived — each is true on this graph whether or not the
+// query finished — in rows no TSrc claims, so a later query that needs
+// those rows computes them to completion and every answer stays exact.
 type Index struct {
 	G *graph.Graph
 	W *grammar.WCNF
 
 	mu   sync.Mutex
-	T    []*matrix.Bool   // guarded by mu: cached relation matrices, grown monotonically
-	TSrc []*matrix.Vector // guarded by mu: sources already fully processed, per nonterminal
+	T    []*matrix.Bool // guarded by mu: cached relation matrices, grown monotonically
+	TSrc []matrix.Mark  // guarded by mu: sources already fully processed, per nonterminal
 
 	opts    exec.Options
-	queries int // guarded by mu
+	seeds   *seeder // guarded by mu
+	queries int     // guarded by mu
 
 	// maint is what NewIndexWarm's maintenance run found; nil for an
 	// index built cold or whose maintenance failed. Set before the index
@@ -62,20 +63,10 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("cfpq: nil graph or grammar")
 	}
 	n := g.NumVertices()
-	idx := &Index{G: g, W: w, opts: exec.Build(opts)}
+	idx := &Index{G: g, W: w, opts: exec.Build(opts), seeds: newSeeder(g, w)}
 	idx.T = newResult(w, n).T
-	idx.TSrc = noSources(w.NumNonterms(), n)
+	idx.TSrc = noMarks(w.NumNonterms(), n)
 	return idx, nil
-}
-
-// noSources returns an empty processed set of n vertices for each of
-// nnt nonterminals.
-func noSources(nnt, n int) []*matrix.Vector {
-	done := make([]*matrix.Vector, nnt)
-	for a := range done {
-		done[a] = matrix.NewVector(n)
-	}
-	return done
 }
 
 // Queries returns the number of solves the index ran: one per
@@ -108,7 +99,7 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	w := idx.W
-	f, work, err := idx.solveLocked(w, idx.T, idx.TSrc, w.Start, src, opts)
+	f, work, err := idx.solveLocked(w, idx.seeds, idx.T, idx.TSrc, w.Start, src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -122,25 +113,25 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 
 // solveLocked is Algorithm 3 for the sources src of nonterminal a over
 // w, which is idx.W or extends it (grammar.Extend), with relations T and
-// processed sets done: the index's own, followed by an Extension's. Only
-// sources not in done enter the computation; once the fixpoint completes
-// the ones it processed join done (the abort rule, DESIGN.md §16). The
-// caller holds idx.mu.
-func (idx *Index) solveLocked(w *grammar.WCNF, T []*matrix.Bool, done []*matrix.Vector, a int, src *matrix.Vector, opts []Option) (*fixpoint, int64, error) {
+// processed marks done: the index's own, followed by an Extension's.
+// Only sources not in done enter the computation, and done marks them
+// as they activate; if the fixpoint fails, their marks are cleared again
+// (the abort rule, DESIGN.md §16). seeds is w's seeder. The caller
+// holds idx.mu.
+func (idx *Index) solveLocked(w *grammar.WCNF, seeds *seeder, T []*matrix.Bool, done []matrix.Mark, a int, src *matrix.Vector, opts []Option) (*fixpoint, int64, error) {
 	run, cancel := idx.opts.Apply(opts).Start()
 	defer cancel()
-	f := &fixpoint{w: w, run: run, seeds: newSeeder(idx.G, w), T: T, done: done}
-	if err := f.restrict(a, src, idx.G.NumVertices()); err != nil {
-		return nil, 0, err
+	f := &fixpoint{w: w, run: run, seeds: seeds, T: T}
+	err := f.restrict(a, src, done)
+	if err == nil {
+		idx.queries++
+		err = f.solve()
 	}
-	idx.queries++
-	if err := f.solve(); err != nil {
+	if err != nil {
+		f.unmark()
 		return nil, 0, err
 	}
 	obs.CFPQRounds.Observe(int64(f.rounds))
-	for b := range done {
-		done[b].UnionInPlace(f.active[b])
-	}
 	return f, run.Spent(), nil
 }
 
@@ -157,12 +148,13 @@ type Extension struct {
 
 	// Per nonterminal of w: the index's T and TSrc for its own
 	// nonterminals, then the added ones'; read and grown under idx.mu.
-	t    []*matrix.Bool
-	tsrc []*matrix.Vector
+	t     []*matrix.Bool
+	tsrc  []matrix.Mark
+	seeds *seeder
 }
 
 // Extend gives the nonterminals w adds to the index's grammar empty
-// relations and processed sets; the rows a call to Rows activates are
+// relations and processed marks; the rows a call to Rows activates are
 // seeded as it solves. w must extend idx.W (grammar.Extend).
 func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 	base := idx.W.NumNonterms()
@@ -171,14 +163,15 @@ func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 	}
 	n := idx.G.NumVertices()
 	x := &Extension{
-		idx:  idx,
-		w:    w,
-		t:    make([]*matrix.Bool, w.NumNonterms()),
-		tsrc: make([]*matrix.Vector, w.NumNonterms()),
+		idx:   idx,
+		w:     w,
+		t:     make([]*matrix.Bool, w.NumNonterms()),
+		tsrc:  make([]matrix.Mark, w.NumNonterms()),
+		seeds: newSeeder(idx.G, w),
 	}
 	for a := base; a < len(x.t); a++ {
 		x.t[a] = matrix.NewBool(n, n)
-		x.tsrc[a] = matrix.NewVector(n)
+		x.tsrc[a] = matrix.NewMark(n)
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -232,13 +225,13 @@ func (x *Extension) solveLocked(a int, src *matrix.Vector, opts []Option) error 
 	if src == nil || src.Size() != idx.G.NumVertices() {
 		return fmt.Errorf("cfpq: source vector size mismatch (graph has %d vertices)", idx.G.NumVertices())
 	}
-	fresh := src.Clone()
-	fresh.DiffInPlace(x.tsrc[a])
-	if fresh.Empty() {
-		return nil
+	for _, i := range src.Indices() {
+		if !x.tsrc[a].Has(i) {
+			_, _, err := idx.solveLocked(x.w, x.seeds, x.t, x.tsrc, a, src, opts)
+			return err
+		}
 	}
-	_, _, err := idx.solveLocked(x.w, x.t, x.tsrc, a, src, opts)
-	return err
+	return nil
 }
 
 // Relation returns the cached relation matrix for a nonterminal id. The
@@ -249,10 +242,10 @@ func (idx *Index) Relation(a int) *matrix.Bool {
 	return idx.T[a]
 }
 
-// ProcessedSources returns a copy of the vertices already fully
-// processed for a nonterminal id — the cached TSrc set.
+// ProcessedSources returns the vertices already fully processed for a
+// nonterminal id — the cached TSrc set, decoded from its mark.
 func (idx *Index) ProcessedSources(a int) *matrix.Vector {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	return idx.TSrc[a].Clone()
+	return idx.TSrc[a].Vector(idx.G.NumVertices())
 }

@@ -83,7 +83,7 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option)
 	if pn := prior.G.NumVertices(); pn > n {
 		return nil, fmt.Errorf("cfpq: warm start from a larger graph (%d > %d vertices)", pn, n)
 	}
-	idx := &Index{G: g, W: w, opts: exec.Build(opts)}
+	idx := &Index{G: g, W: w, opts: exec.Build(opts), seeds: newSeeder(g, w)}
 	// idx is unpublished, but its invariants are mu-guarded; taking the
 	// lock is free here and keeps the guarantee machine-checked.
 	idx.mu.Lock()
@@ -92,15 +92,15 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option)
 	idx.T, carried = prior.carry(n)
 	m, err := idx.maintainLocked(prior.G, carried)
 	if err != nil {
-		idx.TSrc = noSources(len(idx.T), n)
+		idx.TSrc = noMarks(len(idx.T), n)
 		return idx, nil
 	}
 	idx.maint = m
 	return idx, nil
 }
 
-// carry returns copy-on-write clones of the index's relations and
-// copies of its processed sets, grown to n vertices.
+// carry returns copy-on-write clones of the index's relations and its
+// processed sets, grown to n vertices.
 func (idx *Index) carry(n int) ([]*matrix.Bool, []*matrix.Vector) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -109,38 +109,38 @@ func (idx *Index) carry(n int) ([]*matrix.Bool, []*matrix.Vector) {
 	for a := range T {
 		T[a] = idx.T[a].CloneCOW()
 		T[a].Resize(n, n)
-		done[a] = idx.TSrc[a].Widen(n)
+		done[a] = idx.TSrc[a].Vector(n)
 	}
 	return T, done
 }
 
 // maintainLocked brings the rows of the carried sources up to idx.G, pg
-// being the graph the carried relations were computed on, and makes the
-// sources that leaves processed idx.TSrc. The caller holds idx.mu.
+// being the graph the carried relations were computed on, and marks the
+// sources that leaves processed in idx.TSrc, which it builds from the
+// carried sets. The caller holds idx.mu.
 func (idx *Index) maintainLocked(pg *graph.Graph, carried []*matrix.Vector) (*Maintenance, error) {
 	run, cancel := idx.opts.Start()
 	defer cancel()
-	f := &fixpoint{w: idx.W, run: run, T: idx.T}
+	f := &fixpoint{w: idx.W, run: run, seeds: idx.seeds, T: idx.T}
 	var err error
 	if f.delta, err = seedGains(run, pg, idx.G, idx.W, idx.T, carried); err != nil {
 		return nil, err
 	}
 	n := idx.G.NumVertices()
 	m := &Maintenance{Carried: carried, Dirty: make([]*matrix.Vector, len(carried))}
-	f.active = make([]*matrix.Vector, len(carried))
-	f.fresh = make([]*matrix.Vector, len(carried))
+	f.from(n, noMarks(len(carried), n))
 	progress := false
-	for a := range carried {
+	for a, c := range carried {
 		m.Dirty[a] = matrix.NewVector(n)
 		if f.delta[a] != nil {
 			m.Dirty[a] = f.delta[a].RowIDs()
 			progress = true
 		}
-		f.active[a] = carried[a].Clone()
-		f.fresh[a] = matrix.NewVector(n)
+		f.active[a].UnionInPlace(c)
+		f.marks[a].AddAll(nil, c.Indices())
 	}
 	if progress {
-		f.seeds, f.gained = newSeeder(idx.G, idx.W), m.Dirty
+		f.gained = m.Dirty
 		if err := f.solve(); err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func (idx *Index) maintainLocked(pg *graph.Graph, carried []*matrix.Vector) (*Ma
 		dirty += d.NVals()
 	}
 	m.Rounds = f.rounds
-	idx.TSrc = f.active
+	idx.TSrc = f.marks
 	obs.CFPQMaintainRounds.Observe(int64(m.Rounds))
 	obs.CFPQMaintainDirty.Observe(int64(dirty))
 	return m, nil

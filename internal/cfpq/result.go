@@ -91,38 +91,44 @@ func newResult(w *grammar.WCNF, n int) *Result {
 // gains row i of the adjacency matrix of edge label t (the graph's
 // cached transpose for an inverse label) and (i, i) if i carries vertex
 // label t — only the first for a grammar.EdgeStep, only the second for
-// a grammar.NodeCheck. A -> eps gives (i, i).
+// a grammar.NodeCheck. A -> eps gives (i, i). It looks the terminals up
+// on its first use (load), so one costs nothing until a row is seeded.
 type seeder struct {
+	g     *graph.Graph
 	w     *grammar.WCNF
 	edges []*matrix.Bool   // per terminal: the edges it matches; nil for none
 	verts []*matrix.Vector // per terminal: the vertices it matches; nil for none
 }
 
-func newSeeder(g *graph.Graph, w *grammar.WCNF) *seeder {
-	s := &seeder{w: w, edges: make([]*matrix.Bool, len(w.Terms)), verts: make([]*matrix.Vector, len(w.Terms))}
-	for t, term := range w.Terms {
+func newSeeder(g *graph.Graph, w *grammar.WCNF) *seeder { return &seeder{g: g, w: w} }
+
+func (s *seeder) load() {
+	s.edges, s.verts = make([]*matrix.Bool, len(s.w.Terms)), make([]*matrix.Vector, len(s.w.Terms))
+	for t, term := range s.w.Terms {
 		edge, vertex := grammar.TermLabels(term)
 		if edge != "" {
-			if m := g.EdgeMatrix(edge); !m.Empty() {
+			if m := s.g.EdgeMatrix(edge); !m.Empty() {
 				s.edges[t] = m
 			}
 		}
-		if v := g.VertexSet(vertex); !v.Empty() {
+		if v := s.g.VertexSet(vertex); !v.Empty() {
 			s.verts[t] = v
 		}
 	}
-	return s
 }
 
-// rows adds the seed facts of the rows in set to t, the relation of
-// nonterminal a, and charges the entries it adds to run as relation
-// entries produced.
-func (s *seeder) rows(run *exec.Run, t *matrix.Bool, a int, set *matrix.Vector) error {
-	if set.Empty() {
+// rows adds the seed facts of the rows listed in set, in any order, to
+// t, the relation of nonterminal a, and charges the entries it adds to
+// run as relation entries produced.
+func (s *seeder) rows(run *exec.Run, t *matrix.Bool, a int, set []uint32) error {
+	if len(set) == 0 {
 		return nil
 	}
+	if s.edges == nil {
+		s.load()
+	}
 	diag := func(keep *matrix.Vector) {
-		for _, i := range set.Indices() {
+		for _, i := range set {
 			if keep == nil || keep.Get(int(i)) {
 				t.Set(int(i), int(i))
 			}
@@ -149,9 +155,9 @@ func (s *seeder) rows(run *exec.Run, t *matrix.Bool, a int, set *matrix.Vector) 
 // all seeds every row of every relation: the set-up of a run without a
 // source restriction.
 func (s *seeder) all(run *exec.Run, T []*matrix.Bool, n int) error {
-	every := matrix.NewVector(n)
-	for v := range n {
-		every.Set(v)
+	every := make([]uint32, n)
+	for v := range every {
+		every[v] = uint32(v)
 	}
 	for a := range T {
 		if err := s.rows(run, T[a], a, every); err != nil {

@@ -93,3 +93,59 @@ func BenchmarkDenseColdStatement(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(obs.CFPQRounds.Sum()-rounds)/float64(b.N), "rounds/op")
 }
+
+// BenchmarkSparseSweepStatement is the wire benchmark's sparse-sweep op
+// in process: G1 statements over pathways through QueryCells, each from
+// ten sources cut in turn from a seeded permutation of the vertices.
+// Every 62 queries, one unit of the wire workload, the store is restored
+// from its dump, as GRAPH.RESTORE does, and the next 620 sources of the
+// permutation are cut into texts (both untimed); ten units use every
+// source once, then a new permutation is drawn. Besides ns/op and
+// allocs/op it reports the fixpoint rounds per op.
+func BenchmarkSparseSweepStatement(b *testing.B) {
+	const queries, chunk = 62, 10
+	spec, err := dataset.ByName("pathways")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := dataset.Generate(dataset.Scaled(spec, 1))
+	db := New()
+	db.SetPolicy(Policy{CacheMaxBytes: 64 << 20})
+	db.AddGraph("g", g)
+	dump, err := db.Dump("g")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	n := g.NumVertices()
+	units := n / (queries * chunk)
+	var perm []int
+	texts := make([]string, queries)
+	ctx := context.Background()
+	rounds := obs.CFPQRounds.Sum()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := i % queries
+		if q == 0 {
+			b.StopTimer()
+			unit := i / queries % units
+			if unit == 0 {
+				perm = rng.Perm(n)
+			}
+			for k := range texts {
+				lo := (unit*queries + k) * chunk
+				texts[k] = chunkQuery(declG1, perm[lo:lo+chunk])
+			}
+			if err := db.Restore("g", dump); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := db.QueryCells(ctx, "g", texts[q]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(obs.CFPQRounds.Sum()-rounds)/float64(b.N), "rounds/op")
+}

@@ -59,12 +59,19 @@ func TestCacheHitSkipsParse(t *testing.T) {
 
 // declG2 is the paper's same-generation query G2 over subClassOf, as
 // the wire benchmark's dense workloads declare it.
-const declG2 = "PATH PATTERN S = ()-/ [<:subClassOf ~S :subClassOf] | [:subClassOf] /->() "
+const (
+	declG1 = "PATH PATTERN S = ()-/ [<:subClassOf ~S :subClassOf] | [<:type ~S :type] | [<:subClassOf :subClassOf] | [<:type :type] /->() "
+	declG2 = "PATH PATTERN S = ()-/ [<:subClassOf ~S :subClassOf] | [:subClassOf] /->() "
+)
 
 // g2Query is the dense-scan statement: the (v, to) pairs of G2 from ids.
-func g2Query(ids []int) string {
+func g2Query(ids []int) string { return chunkQuery(declG2, ids) }
+
+// chunkQuery is the statement of the wire's chunk queries: the (v, to)
+// pairs of the S that decl declares, from ids.
+func chunkQuery(decl string, ids []int) string {
 	list := strings.Trim(strings.Join(strings.Fields(fmt.Sprint(ids)), ", "), "[]")
-	return declG2 + "MATCH (v)-/ ~S /->(to) WHERE id(v) IN [" + list + "] RETURN v, to"
+	return decl + "MATCH (v)-/ ~S /->(to) WHERE id(v) IN [" + list + "] RETURN v, to"
 }
 
 // wideRows is the row count of wideQuery on wideGraph, about a

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -280,5 +281,28 @@ func TestAdjacencyUnion(t *testing.T) {
 	ui := g.AdjacencyUnion(true)
 	if ui.NVals() != 4 || !ui.Get(1, 0) || !ui.Get(2, 1) {
 		t.Fatalf("undirected union wrong:\n%v", ui)
+	}
+}
+
+// TestReadBoundsRowSlots: Read refuses, with the line's number, an
+// order, a vertex id or a new edge label that takes the graph past
+// MaxRowSlots, and admits an order right at the bound (without edges it
+// allocates no row).
+func TestReadBoundsRowSlots(t *testing.T) {
+	for _, in := range []string{
+		"000000500000000 0 0",
+		"0 a 1\n9223372036854775807 a 0\n",
+		fmt.Sprintf("order %d\n", MaxRowSlots+1),
+		fmt.Sprintf("vertex %d x\n", MaxRowSlots),
+		fmt.Sprintf("order %d\n0 a 1\n0 b 1\n", MaxRowSlots/2+1), // the new label b doubles the slots
+	} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "row slots") || !strings.Contains(err.Error(), "line ") {
+			t.Errorf("Read(%.40q) = %v, want a row-slot error naming the line", in, err)
+		}
+	}
+	g, err := Read(strings.NewReader(fmt.Sprintf("order %d\n", MaxRowSlots)))
+	if err != nil || g.NumVertices() != MaxRowSlots {
+		t.Fatalf("a graph at the bound: %v", err)
 	}
 }

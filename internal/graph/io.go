@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"mscfpq/internal/grammar"
 )
 
 // The textual graph format is line-oriented, compatible with the triple
@@ -41,9 +43,27 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph from the textual format.
+// MaxRowSlots bounds the graphs Read builds: their vertices times their
+// edge labels (at least one), the row slots of the label matrices. A
+// slot costs a row header whatever the edges, so one line naming vertex
+// 500 000 000 would otherwise allocate gigabytes. 1 << 25 admits every
+// internal/dataset graph; the largest, taxonomy@1, holds about 17 M.
+const MaxRowSlots = 1 << 25
+
+// Read parses a graph from the textual format. It refuses, with the
+// line's number, an edge with an inverse label, and an order, vertex id
+// or new edge label that would take the graph past MaxRowSlots.
 func Read(r io.Reader) (*Graph, error) {
 	g := New(0)
+	// fits reports whether vertex v can exist, and label with it when
+	// it is not "", within MaxRowSlots.
+	fits := func(v int, label string) bool {
+		labels := len(g.edges)
+		if _, ok := g.edges[label]; label != "" && !ok {
+			labels++
+		}
+		return max(v, g.n-1) < MaxRowSlots/max(labels, 1)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -63,6 +83,9 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad order %q", lineNo, fields[1])
 			}
+			if !fits(n-1, "") {
+				return nil, fmt.Errorf("graph: line %d: order %d is past %d row slots (vertices × edge labels)", lineNo, n, MaxRowSlots)
+			}
 			if n > 0 && n > g.NumVertices() {
 				g.grow(n - 1)
 			}
@@ -71,12 +94,18 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil || v < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex id %q", lineNo, fields[1])
 			}
+			if !fits(v, "") {
+				return nil, fmt.Errorf("graph: line %d: vertex %d is past %d row slots (vertices × edge labels)", lineNo, v, MaxRowSlots)
+			}
 			g.AddVertexLabel(v, fields[2])
 		case len(fields) == 3:
 			src, err1 := strconv.Atoi(fields[0])
 			dst, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || src < 0 || dst < 0 {
+			if err1 != nil || err2 != nil || src < 0 || dst < 0 || grammar.IsInverseLabel(fields[1]) {
 				return nil, fmt.Errorf("graph: line %d: bad edge %q", lineNo, line)
+			}
+			if !fits(max(src, dst), fields[1]) {
+				return nil, fmt.Errorf("graph: line %d: edge %q is past %d row slots (vertices × edge labels)", lineNo, line, MaxRowSlots)
 			}
 			g.AddEdge(src, fields[1], dst)
 		default:

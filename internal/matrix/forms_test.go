@@ -183,7 +183,7 @@ func TestBoolFormsQuick(t *testing.T) {
 		AddInPlace(cow, b) // in-place ORs into shared bitmaps
 		ok = ok && check("CloneCOW parent after the child's OR", a, ra) && check("CloneCOW child", cow, ra.union(rb))
 		cow = a.CloneCOW()
-		AddRowsInPlace(a, b, set)
+		AddRowsInPlace(a, b, set.Indices())
 		ok = ok && check("CloneCOW child after the parent's OR", cow, ra) && check("AddRowsInPlace", a, ra.union(rb.rows(set)))
 		a = cow
 		frozen := a.CloneFrozen()

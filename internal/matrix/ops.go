@@ -23,16 +23,13 @@ func AddInPlace(a, b *Bool) bool {
 	return changed
 }
 
-// AddRowsInPlace ORs the rows of b listed in set into a, a ∪= rows(b,
-// set), and reports whether a changed. It costs the listed rows and
-// their entries, not a walk of a's row table.
-func AddRowsInPlace(a, b *Bool, set *Vector) bool {
+// AddRowsInPlace ORs the rows of b listed in rows, in any order, into
+// a, a ∪= rows(b, rows), and reports whether a changed. It costs the
+// listed rows and their entries, not a walk of a's row table.
+func AddRowsInPlace(a, b *Bool, rows []uint32) bool {
 	checkSameShape("AddRowsInPlace", a, b)
-	if set.n != a.nrows {
-		panic(fmt.Sprintf("matrix: AddRowsInPlace vector size %d does not match rows %d", set.n, a.nrows))
-	}
 	changed := false
-	for _, i := range set.idx {
+	for _, i := range rows {
 		changed = a.orRow(int(i), b) || changed
 	}
 	return changed

@@ -163,17 +163,22 @@ func TestExtractRows(t *testing.T) {
 	}
 }
 
-// Property: AddRowsInPlace(a, b, set) is a ∪= ExtractRows(b, set), and
-// it reports a change exactly when a grew.
+// Property: AddRowsInPlace(a, b, rows) is a ∪= ExtractRows(b, rows),
+// the rows listed in any order, and it reports a change exactly when a
+// grew.
 func TestAddRowsInPlaceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 25; trial++ {
 		a, _ := randomMatrix(rng, 10, 10, 0.2)
 		b, _ := randomMatrix(rng, 10, 10, 0.3)
-		set := NewVectorFromIndices(10, rng.Perm(10)[:rng.Intn(11)])
-		want := or(a, ExtractRows(b, set))
+		perm := rng.Perm(10)[:rng.Intn(11)]
+		rows := make([]uint32, len(perm))
+		for k, i := range perm {
+			rows[k] = uint32(i)
+		}
+		want := or(a, ExtractRows(b, NewVectorFromIndices(10, perm)))
 		grew := want.NVals() > a.NVals()
-		if changed := AddRowsInPlace(a, b, set); changed != grew || !a.Equal(want) {
+		if changed := AddRowsInPlace(a, b, rows); changed != grew || !a.Equal(want) {
 			t.Fatalf("trial %d: changed=%v, want %v; a=%v\nwant %v", trial, changed, grew, a, want)
 		}
 		mustValidate(t, a)

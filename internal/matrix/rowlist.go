@@ -200,16 +200,16 @@ func (r *RowList) Restrict(set *Vector) *RowList {
 // Union returns a ∪ b. A row held by one side only is shared; a row held
 // by both is merged into a new row in the smaller form (orRows), a
 // bitmap when either side is one or the union is past the crossover.
-// When one side is empty, the other is returned itself.
+// When one side is empty (or nil), the other is returned itself.
 func Union(a, b *RowList) *RowList {
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		panic(fmt.Sprintf("matrix: Union shape mismatch %dx%d vs %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
-	}
-	if b.nvals == 0 {
+	if b.NVals() == 0 {
 		return a
 	}
-	if a.nvals == 0 {
+	if a.NVals() == 0 {
 		return b
+	}
+	if a.nrows != b.nrows || a.ncols != b.ncols {
+		panic(fmt.Sprintf("matrix: Union shape mismatch %dx%d vs %dx%d", a.nrows, a.ncols, b.nrows, b.ncols))
 	}
 	n := len(a.ids) + len(b.ids)
 	out := &RowList{nrows: a.nrows, ncols: a.ncols, ids: make([]uint32, 0, n), slots: slots{rows: make([][]uint32, 0, n)}}
@@ -236,10 +236,6 @@ func Union(a, b *RowList) *RowList {
 func (r *RowList) RowIDs() *Vector {
 	return &Vector{n: r.nrows, idx: slices.Clone(r.ids)}
 }
-
-// Cols returns the vector of columns holding at least one entry: the
-// paper's getDst of the pairs r represents.
-func (r *RowList) Cols() *Vector { return reduceCols(r) }
 
 // MulStats is what one MulAddRows call did besides the rows it added.
 type MulStats struct {

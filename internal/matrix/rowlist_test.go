@@ -119,10 +119,10 @@ func rowSet(rng *rand.Rand, n int) *Vector {
 // against a pair set on lists whose rows sit on both sides of the
 // list/bitmap crossover, at 40 columns (one word, lists of at most 2)
 // and 200 (four words, lists of at most 8): Row, Iterate (stopped inside
-// a bitmap row), Pairs and Cols; Restrict, which shares the rows it keeps
-// and changes nothing; and Union, whose merged rows take the smaller
-// form, over list ∪ list unions on both sides of the crossover,
-// list ∪ bitmap and bitmap ∪ bitmap.
+// a bitmap row), Pairs and getDst through a Mark (AddCols); Restrict,
+// which shares the rows it keeps and changes nothing; and Union, whose
+// merged rows take the smaller form, over list ∪ list unions on both
+// sides of the crossover, list ∪ bitmap and bitmap ∪ bitmap.
 func TestRowListFormsQuick(t *testing.T) {
 	var crossed, mixed, bothBits int // merges seen of each kind
 	f := func(seed int64) bool {
@@ -150,8 +150,7 @@ func TestRowListFormsQuick(t *testing.T) {
 				return false
 			}
 		}
-		if got, want := a.Cols(), ReduceCols(aref.bool(nrows, ncols)); !got.Equal(want) {
-			t.Errorf("%s: Cols = %v, want %v", what, got, want)
+		if !addColsAs(t, what, rng, a, ReduceCols(aref.bool(nrows, ncols))) {
 			return false
 		}
 		// Stop Iterate at the middle entry of a bitmap row, or anywhere.
@@ -267,8 +266,7 @@ func TestRowListKernelsQuick(t *testing.T) {
 		ok = ok && sameAs(t, "Restrict", ListRows(b).Restrict(s2), rb) &&
 			sameAs(t, "Restrict of a selection", sel.Restrict(s2), ExtractRows(ra, s2))
 		ok = ok && sameAs(t, "Union", Union(sel, SelectRows(b, s2)), or(ra, rb))
-		if got, want := sel.Cols(), ReduceCols(ra); !got.Equal(want) {
-			t.Errorf("Cols = %v, want %v", got, want)
+		if !addColsAs(t, "SelectRows", rng, sel, ReduceCols(ra)) {
 			return false
 		}
 		type operand struct {

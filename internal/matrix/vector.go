@@ -144,6 +144,16 @@ func (v *Vector) UnionInPlace(o *Vector) bool {
 	return true
 }
 
+// Exchange makes v the set of idx, distinct indices of [0, v.Size()),
+// which it sorts in place and keeps, and returns v's former array,
+// emptied, so a vector refilled round after round allocates nothing.
+func (v *Vector) Exchange(idx []uint32) []uint32 {
+	slices.Sort(idx)
+	old := v.idx[:0]
+	v.idx = idx
+	return old
+}
+
 // DiffInPlace removes o's indices from v and reports whether v changed.
 // It compacts v in place and gallops through o, so it costs v's length
 // when o is much larger.
@@ -160,19 +170,15 @@ func (v *Vector) DiffInPlace(o *Vector) bool {
 // one true entry. This is the linear-algebra form of the paper's getDst:
 // the destination vertices of all pairs represented by m (implemented via
 // reduce_vector in the paper's pygraphblas version).
-func ReduceCols(m *Bool) *Vector { return reduceCols(m) }
-
-// reduceCols returns the vector of the columns that hold an entry of m.
-func reduceCols(m Operand) *Vector {
-	v := NewVector(m.NCols())
-	if m.NVals() == 0 {
+func ReduceCols(m *Bool) *Vector {
+	v := NewVector(m.ncols)
+	if m.nvals == 0 {
 		return v
 	}
-	acc := getAccumulator(m.NCols())
+	acc := getAccumulator(m.ncols)
 	acc.reset()
-	_, s := m.table()
-	for x := range s.rows {
-		acc.orSlot(&s, x)
+	for x := range m.rows {
+		acc.orSlot(&m.slots, x)
 	}
 	v.idx = acc.extract(make([]uint32, 0, acc.count()))
 	putAccumulator(acc)

@@ -3,6 +3,7 @@ package resp
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -243,6 +244,31 @@ func TestServerStatsDumpRestore(t *testing.T) {
 	}
 	if _, err := c.Do("GRAPH.STATS", "missing"); err == nil {
 		t.Fatal("expected error for missing graph")
+	}
+}
+
+// TestServerRestoreRefusesHugeVertex: a GRAPH.RESTORE whose one line
+// names vertex 500 000 000 gets an error reply naming the row-slot bound
+// instead of the server allocating gigabytes, and the same connection
+// keeps answering.
+func TestServerRestoreRefusesHugeVertex(t *testing.T) {
+	_, addr := startTestServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Do("GRAPH.RESTORE", "huge", "000000500000000 0 0")
+	var se *ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "row slots") {
+		t.Fatalf("restore = %v, want an error reply naming the row-slot bound", err)
+	}
+	reply, err := c.GraphQuery("cycles", `MATCH (v)-[:a]->(u) RETURN count(*)`)
+	if err != nil || len(reply.Rows) != 1 || reply.Rows[0][0] != 2 {
+		t.Fatalf("query after the refused restore: %v %v", reply, err)
+	}
+	if _, err := c.Do("GRAPH.STATS", "huge"); err == nil {
+		t.Fatal("the refused restore created a graph")
 	}
 }
 

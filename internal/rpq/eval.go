@@ -16,10 +16,11 @@ import (
 // semantics: the result has (s, v) set when some path from a source s
 // to v spells a word of the regex's language. A regular query is a
 // partial case of CFPQ, so Eval compiles the regex (Compile) and runs
-// the multiple-source CFPQ algorithm (Algorithm 2) through cfpq.Eval —
+// the multiple-source CFPQ algorithm (Algorithm 2, cfpq.MultiSource) —
 // the same fixpoint driver every context-free query uses, which also
-// validates src. Context, timeout, budget and trace options apply, and
-// the query's governor outcome is recorded.
+// validates src — and returns its answer, the start relation's rows of
+// the sources, copied once. Context, timeout, budget and trace options
+// apply, and the query's governor outcome is recorded.
 func Eval(g *graph.Graph, query string, src *matrix.Vector, opts ...exec.Option) (*matrix.Bool, error) {
 	if g == nil {
 		return nil, fmt.Errorf("rpq: nil graph")
@@ -28,12 +29,12 @@ func Eval(g *graph.Graph, query string, src *matrix.Vector, opts ...exec.Option)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cfpq.Eval(g, w, src, append(opts[:len(opts):len(opts)], exec.WithAlgorithm(exec.AlgMultiSource))...)
+	res, err := cfpq.MultiSource(g, w, src, opts...)
+	exec.RecordOutcome(err)
 	if err != nil {
 		return nil, err
 	}
-	nv := g.NumVertices()
-	return matrix.NewBoolFromPairs(nv, nv, res.Pairs()), nil
+	return res.Answer(), nil
 }
 
 // Compile parses a regex and compiles it into the grammar Eval runs:
