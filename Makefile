@@ -7,7 +7,7 @@ GO ?= go
 # module.
 RACE_PKGS = ./internal/gdb ./internal/resp ./internal/plan ./internal/cfpq ./internal/exec ./internal/store ./internal/matrix ./internal/analysis/... ./cmd/mscfpq-lint
 
-.PHONY: check all build vet test race race-quick cover bench bench-quick bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
+.PHONY: check all build vet test race race-quick cover bench bench-quick bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools loc clean
 
 # Default: what CI runs on every change.
 check: build vet lint test race diff-test chaos chaos-repl bench-smoke
@@ -207,6 +207,14 @@ lint:
 # network access; the core `make lint` gate works without it.
 lint-tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@v1.1.4
+
+# Non-test Go lines per package directory and in total: the `wc -l`
+# of every .go file but the _test.go ones, the figure ROADMAP's size
+# gates quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
 	rm -rf .bench_build BENCH_obs.json BENCH_cache.json *.test *.prof

@@ -5,10 +5,11 @@
 //	cfpq -graph g.txt -grammar q.txt [-algo ms] [-src 0,5,7] [-limit 20]
 //
 // Algorithms: allpairs (Algorithm 1), seminaive (delta iteration), ms
-// (Algorithm 2, default), smart (Algorithm 3), worklist
+// (Algorithm 2, default), smart (Algorithm 3 on a fresh index), worklist
 // (CFL-reachability baseline), singlepath / mspath (witness
-// extraction). All but smart go through the unified cfpq.Eval entry
-// point.
+// extraction). Each calls its internal/cfpq evaluator directly; ms,
+// smart and mspath need -src, and the others restrict their answer to
+// it when given. -timeout and -budget govern the query.
 package main
 
 import (
@@ -33,15 +34,67 @@ func main() {
 	}
 }
 
-// algorithms maps the -algo flag to Eval's algorithm options; smart
-// stays on its own entry point (the index has no Eval equivalent).
-var algorithms = map[string]exec.Algorithm{
-	"allpairs":   exec.AlgMatrix,
-	"seminaive":  exec.AlgSemiNaive,
-	"ms":         exec.AlgMultiSource,
-	"worklist":   exec.AlgWorklist,
-	"singlepath": exec.AlgSinglePath,
-	"mspath":     exec.AlgMSSinglePath,
+// evaluate runs the evaluator algo names. It returns the result whose
+// Rounds and Work the stats line prints, the answer pairs (the start
+// relation, restricted to src when it is given) and, for singlepath and
+// mspath, the witness extraction.
+func evaluate(algo string, g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts []cfpq.Option) (*cfpq.Result, [][2]int, func(src, dst int) ([]cfpq.PathStep, error), error) {
+	var (
+		res  *cfpq.Result
+		ans  *matrix.Bool // the answer of an evaluator that restricts to src itself
+		path func(src, dst int) ([]cfpq.PathStep, error)
+		err  error
+	)
+	switch algo {
+	case "allpairs":
+		res, err = cfpq.AllPairs(g, w, opts...)
+	case "seminaive":
+		res, err = cfpq.AllPairsSemiNaive(g, w, opts...)
+	case "worklist":
+		if src == nil {
+			res, err = cfpq.Worklist(g, w, opts...)
+			break
+		}
+		run, cancel := exec.Build(opts).Start()
+		ans, err = cfpq.WorklistMultiSource(g, w, src, cfpq.WithRun(run))
+		cancel()
+		res = &cfpq.Result{Work: run.Spent()}
+	case "singlepath":
+		var r *cfpq.SinglePathResult
+		if r, err = cfpq.SinglePath(g, w, opts...); err == nil {
+			res, path = r.Result, r.Path
+		}
+	case "ms":
+		var r *cfpq.MSResult
+		if r, err = cfpq.MultiSource(g, w, src, opts...); err == nil {
+			res, ans = r.Result, r.Answer()
+		}
+	case "smart":
+		var idx *cfpq.Index
+		var r *cfpq.MSResult
+		if idx, err = cfpq.NewIndex(g, w); err == nil {
+			r, err = idx.MultiSourceSmart(src, opts...)
+		}
+		if err == nil {
+			res, ans = r.Result, r.Answer()
+		}
+	case "mspath":
+		var r *cfpq.MSSinglePathResult
+		if r, err = cfpq.MultiSourceSinglePath(g, w, src, opts...); err == nil {
+			res, ans, path = r.Result, r.Answer(), r.Path
+		}
+	default:
+		return nil, nil, nil, fmt.Errorf("unknown algorithm %q", algo)
+	}
+	switch {
+	case err != nil:
+		return nil, nil, nil, err
+	case ans != nil:
+		return res, ans.Pairs(), path, nil
+	case src != nil:
+		return res, res.PairsFrom(src), path, nil
+	}
+	return res, res.Pairs(), path, nil
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -82,46 +135,44 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "graph: %d vertices, %d edges; grammar: %d nonterminals, %d rules\n",
 		g.NumVertices(), g.NumEdges(), w.NumNonterms(), len(w.BinRules)+len(w.TermRules))
 
-	var opts []exec.Option
+	if src == nil && (*algo == "ms" || *algo == "smart" || *algo == "mspath") {
+		return fmt.Errorf("-algo %s needs -src", *algo)
+	}
+	var opts []cfpq.Option
 	if *timeout > 0 {
-		opts = append(opts, exec.WithTimeout(*timeout))
+		opts = append(opts, cfpq.WithTimeout(*timeout))
 	}
 	if *budget > 0 {
-		opts = append(opts, exec.WithBudget(*budget))
+		opts = append(opts, cfpq.WithBudget(*budget))
 	}
-
-	if alg, ok := algorithms[*algo]; ok {
-		res, err := cfpq.Eval(g, w, src, append(opts, exec.WithAlgorithm(alg))...)
+	res, pairs, path, err := evaluate(*algo, g, w, src, opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "algorithm: %s; rounds: %d; work: %d\n", *algo, res.Rounds, res.Work)
+	if *showPaths && path == nil {
+		return fmt.Errorf("-paths needs -algo singlepath or mspath")
+	}
+	fmt.Fprintf(stdout, "%d result pairs\n", len(pairs))
+	shown := pairs
+	if *limit > 0 && len(shown) > *limit {
+		shown = shown[:*limit]
+	}
+	for _, p := range shown {
+		if !*showPaths {
+			fmt.Fprintf(stdout, "%d -> %d\n", p[0], p[1])
+			continue
+		}
+		steps, err := path(p[0], p[1])
 		if err != nil {
 			return err
 		}
-		st := res.Stats()
-		fmt.Fprintf(stdout, "algorithm: %v; rounds: %d; work: %d\n", st.Algorithm, st.Rounds, st.Work)
-		if *showPaths {
-			pr, ok := res.(cfpq.PathEvalResult)
-			if !ok {
-				return fmt.Errorf("-paths needs -algo singlepath or mspath")
-			}
-			return printWithPaths(stdout, pr, *limit)
-		}
-		return printPairs(stdout, res.Pairs(), *limit)
+		fmt.Fprintf(stdout, "%d -> %d via %s\n", p[0], p[1], strings.Join(cfpq.Word(steps), " "))
 	}
-
-	if *algo != "smart" {
-		return fmt.Errorf("unknown algorithm %q", *algo)
+	if *limit > 0 && len(pairs) > *limit {
+		fmt.Fprintf(stdout, "... (%d more)\n", len(pairs)-*limit)
 	}
-	if src == nil {
-		return fmt.Errorf("-algo smart needs -src")
-	}
-	idx, err := cfpq.NewIndex(g, w, opts...)
-	if err != nil {
-		return err
-	}
-	r, err := idx.MultiSourceSmart(src)
-	if err != nil {
-		return err
-	}
-	return printPairs(stdout, r.Answer().Pairs(), *limit)
+	return nil
 }
 
 func parseSources(spec string, n int) (*matrix.Vector, error) {
@@ -137,35 +188,4 @@ func parseSources(spec string, n int) (*matrix.Vector, error) {
 		v.Set(id)
 	}
 	return v, nil
-}
-
-func printPairs(stdout io.Writer, pairs [][2]int, limit int) error {
-	fmt.Fprintf(stdout, "%d result pairs\n", len(pairs))
-	shown := pairs
-	if limit > 0 && len(shown) > limit {
-		shown = shown[:limit]
-	}
-	for _, p := range shown {
-		fmt.Fprintf(stdout, "%d -> %d\n", p[0], p[1])
-	}
-	if limit > 0 && len(pairs) > limit {
-		fmt.Fprintf(stdout, "... (%d more)\n", len(pairs)-limit)
-	}
-	return nil
-}
-
-func printWithPaths(stdout io.Writer, sp cfpq.PathEvalResult, limit int) error {
-	pairs := sp.Pairs()
-	fmt.Fprintf(stdout, "%d result pairs\n", len(pairs))
-	if limit > 0 && len(pairs) > limit {
-		pairs = pairs[:limit]
-	}
-	for _, p := range pairs {
-		steps, err := sp.Path(p[0], p[1])
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%d -> %d via %s\n", p[0], p[1], strings.Join(cfpq.Word(steps), " "))
-	}
-	return nil
 }

@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("G2 from 10 sources: %d same-generation pairs in %v\n",
-		res.Stats().Answers, time.Since(start).Round(time.Microsecond))
+		res.NVals(), time.Since(start).Round(time.Microsecond))
 
 	// The cached index: batch 1 warms it, batch 2 overlaps heavily and
 	// finishes far faster than a fresh evaluation.
@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("G1 from 5 class vertices: %d pairs\n", res1.Stats().Answers)
+	fmt.Printf("G1 from 5 class vertices: %d pairs\n", res1.NVals())
 	for i, p := range res1.Pairs() {
 		if i == 5 {
 			fmt.Println("  ...")

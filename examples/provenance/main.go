@@ -85,5 +85,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("via GRAPH.QUERY: %d rows (library agrees: %v)\n",
-		len(reply.Rows), len(reply.Rows) == res.Stats().Answers)
+		len(reply.Rows), len(reply.Rows) == res.NVals())
 }

@@ -35,24 +35,22 @@ func main() {
 	}
 
 	// Multiple-source query: only paths starting at vertex 0. EvalCFPQ
-	// picks the multiple-source algorithm automatically because a
-	// source set is given.
+	// runs the multiple-source algorithm because a source set is given.
 	src := mscfpq.NewVertexSet(g.NumVertices(), 0)
-	res, err := mscfpq.EvalCFPQ(g, w, src)
+	answer, err := mscfpq.EvalCFPQ(g, w, src)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("pairs reachable from vertex 0 via a^n b^n:")
-	for _, p := range res.Pairs() {
+	for _, p := range answer.Pairs() {
 		fmt.Printf("  %d -> %d\n", p[0], p[1])
 	}
 
 	// Single-path semantics: reconstruct one witness.
-	spRes, err := mscfpq.EvalCFPQ(g, w, nil, mscfpq.WithAlgorithm(mscfpq.AlgSinglePath))
+	sp, err := mscfpq.SinglePath(g, w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp := spRes.(mscfpq.PathCFPQResult)
 	steps, err := sp.Path(0, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -27,7 +27,8 @@ import (
 // its own index, carried over from this one by NewIndexWarm, which
 // keeps the processed sources whose rows the growth left alone. Queries
 // against one Index may run from multiple goroutines; they are
-// serialized internally.
+// serialized internally. An index holds no options: each query brings
+// its own context, timeout, budget and trace.
 //
 // Cancellation safety: a query grows T in place. One aborted by its
 // context, timeout, or budget clears the marks it set and leaves behind
@@ -42,7 +43,6 @@ type Index struct {
 	T    []*matrix.Bool // guarded by mu: cached relation matrices, grown monotonically
 	TSrc []matrix.Mark  // guarded by mu: sources already fully processed, per nonterminal
 
-	opts    exec.Options
 	seeds   *seeder // guarded by mu
 	queries int     // guarded by mu
 
@@ -54,16 +54,16 @@ type Index struct {
 
 // NewIndex creates an empty cache for (g, w): T and TSrc start empty,
 // and a query seeds the rows of T it activates (DESIGN.md §16), so a
-// row's seeds are copied once, by the first query that needs it. The
-// options become per-index defaults; per-query options layered on top
-// via MultiSourceSmart override them. w may have no nonterminals: such
-// an index serves only Extensions.
-func NewIndex(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*Index, error) {
+// row's seeds are copied once, by the first query that needs it. Each
+// query brings its own options (MultiSourceSmart, Extension.Rows and
+// Count). w may have no nonterminals: such an index serves only
+// Extensions.
+func NewIndex(g *graph.Graph, w *grammar.WCNF) (*Index, error) {
 	if g == nil || w == nil {
 		return nil, fmt.Errorf("cfpq: nil graph or grammar")
 	}
 	n := g.NumVertices()
-	idx := &Index{G: g, W: w, opts: exec.Build(opts), seeds: newSeeder(g, w)}
+	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
 	idx.T = newResult(w, n).T
 	idx.TSrc = noMarks(w.NumNonterms(), n)
 	return idx, nil
@@ -119,7 +119,7 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 // (the abort rule, DESIGN.md §16). seeds is w's seeder. The caller
 // holds idx.mu.
 func (idx *Index) solveLocked(w *grammar.WCNF, seeds *seeder, T []*matrix.Bool, done []matrix.Mark, a int, src *matrix.Vector, opts []Option) (*fixpoint, int64, error) {
-	run, cancel := idx.opts.Apply(opts).Start()
+	run, cancel := exec.Build(opts).Start()
 	defer cancel()
 	f := &fixpoint{w: w, run: run, seeds: seeds, T: T}
 	err := f.restrict(a, src, done)

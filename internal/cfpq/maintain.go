@@ -62,7 +62,8 @@ func (idx *Index) Maintenance() *Maintenance { return idx.maint }
 // two graphs' rows (matrix.Gained), and the processed sources are
 // active. So it runs no round when g added nothing there, as when a
 // write links only vertices it creates. Index.Maintenance reports the
-// carried sources and the dirty ones. If the run fails (the options'
+// carried sources and the dirty ones. The options govern that run only;
+// the new index's queries bring their own. If the run fails (its
 // governor stops it), the index keeps the relations, whose facts all
 // hold on g, but starts with no processed source and no Maintenance.
 //
@@ -71,7 +72,7 @@ func (idx *Index) Maintenance() *Maintenance { return idx.maint }
 // index's grammar.
 func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option) (*Index, error) {
 	if prior == nil {
-		return NewIndex(g, w, opts...)
+		return NewIndex(g, w)
 	}
 	if g == nil || w == nil {
 		return nil, fmt.Errorf("cfpq: nil graph or grammar")
@@ -83,14 +84,14 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index, opts ...Option)
 	if pn := prior.G.NumVertices(); pn > n {
 		return nil, fmt.Errorf("cfpq: warm start from a larger graph (%d > %d vertices)", pn, n)
 	}
-	idx := &Index{G: g, W: w, opts: exec.Build(opts), seeds: newSeeder(g, w)}
+	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
 	// idx is unpublished, but its invariants are mu-guarded; taking the
 	// lock is free here and keeps the guarantee machine-checked.
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	var carried []*matrix.Vector
 	idx.T, carried = prior.carry(n)
-	m, err := idx.maintainLocked(prior.G, carried)
+	m, err := idx.maintainLocked(prior.G, carried, opts)
 	if err != nil {
 		idx.TSrc = noMarks(len(idx.T), n)
 		return idx, nil
@@ -117,9 +118,9 @@ func (idx *Index) carry(n int) ([]*matrix.Bool, []*matrix.Vector) {
 // maintainLocked brings the rows of the carried sources up to idx.G, pg
 // being the graph the carried relations were computed on, and marks the
 // sources that leaves processed in idx.TSrc, which it builds from the
-// carried sets. The caller holds idx.mu.
-func (idx *Index) maintainLocked(pg *graph.Graph, carried []*matrix.Vector) (*Maintenance, error) {
-	run, cancel := idx.opts.Start()
+// carried sets, governed by opts. The caller holds idx.mu.
+func (idx *Index) maintainLocked(pg *graph.Graph, carried []*matrix.Vector, opts []Option) (*Maintenance, error) {
+	run, cancel := exec.Build(opts).Start()
 	defer cancel()
 	f := &fixpoint{w: idx.W, run: run, seeds: idx.seeds, T: idx.T}
 	var err error

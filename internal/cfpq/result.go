@@ -32,9 +32,6 @@ var WithRun = exec.WithRun
 // kernel counter deltas.
 var WithTrace = exec.WithTrace
 
-// WithAlgorithm selects the evaluation algorithm for Eval.
-var WithAlgorithm = exec.WithAlgorithm
-
 // Result holds the context-free relations R_A computed by a query: one
 // Boolean matrix per grammar nonterminal, where T^A[i,j] means there is
 // a path from i to j whose word is derivable from A.
@@ -42,9 +39,10 @@ type Result struct {
 	W *grammar.WCNF
 	T []*matrix.Bool // indexed by nonterminal id
 
-	// Rounds is the number of fixpoint iterations until convergence and
-	// Work the governor charge (relation entries produced); both are
-	// filled by the evaluation algorithms for Stats reporting.
+	// Rounds is the number of fixpoint iterations until convergence (0
+	// for the worklist solver, which has no matrix rounds) and Work the
+	// governor charge (relation entries produced; facts propagated, for
+	// the worklist). The evaluators fill both; cmd/cfpq prints them.
 	Rounds int
 	Work   int64
 }

@@ -153,7 +153,7 @@ func worklistOn(g *graph.Graph, w *grammar.WCNF, keep *matrix.Vector, run *exec.
 			}
 		}
 	}
-	// The worklist has no matrix rounds; its Stats work figure is the
+	// The worklist has no matrix rounds; its Work figure is the
 	// governor charge (facts propagated).
 	r.Work = run.Spent()
 	return r, nil

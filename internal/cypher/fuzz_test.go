@@ -1,6 +1,9 @@
 package cypher
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse asserts the parser never panics and that lexical errors are
 // reported as errors, for arbitrary input. Run with `go test -fuzz=FuzzParse`;
@@ -21,6 +24,9 @@ func FuzzParse(f *testing.F) {
 		`PATH PATTERN S = ()-/ [:broaderTransitive ~S <:broaderTransitive] | [:broaderTransitive <:broaderTransitive] /->() MATCH (x)-/ ~S /->(y) RETURN x, y`,
 		`PATH PATTERN S = ()-/ [:a ~S :b] | [:a :b] /->() MATCH (v)-/ ~S /->(u) RETURN count(v)`,
 	}
+	// One level past MaxPathDepth: a parse error, not a deep recursion.
+	deep := strings.Repeat("[", MaxPathDepth+1) + ":a" + strings.Repeat("]", MaxPathDepth+1)
+	seeds = append(seeds, `MATCH (v)-/ `+deep+` /->(to) RETURN count(to)`)
 	for _, s := range seeds {
 		f.Add(s)
 	}

@@ -20,10 +20,19 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
+// MaxPathDepth bounds how deeply a path expression may nest: each
+// bracket and each quantifier is one level, so "[[:a]+]*" nests four
+// deep. The parser, PathExpr's String and the path compiler recurse
+// once per level, so a deeper expression is refused with a parse error
+// before it can exhaust the stack. rpq.ParseRegex applies the same
+// bound to its parentheses and quantifiers.
+const MaxPathDepth = 1000
+
 type qparser struct {
 	toks []token
 	pos  int
 	src  string
+	open int // brackets of the path expression being parsed, open at pos
 }
 
 func (p *qparser) cur() token  { return p.toks[p.pos] }
@@ -166,7 +175,7 @@ func (p *qparser) namedPathPattern() (NamedPathPattern, error) {
 	if err := p.expectPunct("-/"); err != nil {
 		return np, err
 	}
-	expr, err := p.pathExpr()
+	expr, _, err := p.pathExpr()
 	if err != nil {
 		return np, err
 	}
@@ -314,7 +323,7 @@ func (p *qparser) literal() (Value, error) {
 func (p *qparser) connection() (Connection, bool, error) {
 	switch {
 	case p.acceptPunct("-/"):
-		expr, err := p.pathExpr()
+		expr, _, err := p.pathExpr()
 		if err != nil {
 			return nil, false, err
 		}
@@ -323,7 +332,7 @@ func (p *qparser) connection() (Connection, bool, error) {
 		}
 		return PathApply{Expr: expr}, true, nil
 	case p.acceptPunct("<-/"):
-		expr, err := p.pathExpr()
+		expr, _, err := p.pathExpr()
 		if err != nil {
 			return nil, false, err
 		}
@@ -385,95 +394,108 @@ func (p *qparser) relBody() (RelPattern, error) {
 	return rel, nil
 }
 
-// pathExpr parses alternation of sequences.
-func (p *qparser) pathExpr() (PathExpr, error) {
-	first, err := p.pathSeq()
+// pathExpr parses alternation of sequences. It also returns how
+// deeply the expression nests (MaxPathDepth), as pathSeq and pathAtom
+// do.
+func (p *qparser) pathExpr() (PathExpr, int, error) {
+	first, depth, err := p.pathSeq()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	alts := []PathExpr{first}
 	for p.acceptPunct("|") {
-		next, err := p.pathSeq()
+		next, d, err := p.pathSeq()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		alts = append(alts, next)
+		depth = max(depth, d)
 	}
 	if len(alts) == 1 {
-		return first, nil
+		return first, depth, nil
 	}
-	return PEAlt{Alts: alts}, nil
+	return PEAlt{Alts: alts}, depth, nil
 }
 
-func (p *qparser) pathSeq() (PathExpr, error) {
+func (p *qparser) pathSeq() (PathExpr, int, error) {
 	var parts []PathExpr
+	depth := 0
 	for {
-		atom, ok, err := p.pathAtom()
+		atom, d, ok, err := p.pathAtom()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if !ok {
 			break
 		}
 		parts = append(parts, atom)
+		depth = max(depth, d)
 	}
 	if len(parts) == 0 {
-		return nil, p.errf("empty path-pattern sequence")
+		return nil, 0, p.errf("empty path-pattern sequence")
 	}
 	if len(parts) == 1 {
-		return parts[0], nil
+		return parts[0], depth, nil
 	}
-	return PESeq{Parts: parts}, nil
+	return PESeq{Parts: parts}, depth, nil
 }
 
 // pathAtom parses :rel, <:rel, (:label), ~Ref or [ expr ] with optional
-// quantifiers. ok=false signals the end of the sequence.
-func (p *qparser) pathAtom() (PathExpr, bool, error) {
-	var atom PathExpr
+// quantifiers. ok=false signals the end of the sequence. A bracket
+// deeper than MaxPathDepth is refused before its contents are parsed,
+// so the recursion stays bounded too.
+func (p *qparser) pathAtom() (atom PathExpr, depth int, ok bool, err error) {
 	switch {
 	case p.acceptPunct(":"):
 		t, err := p.expectIdent()
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		atom = PERel{Type: t}
 	case p.acceptPunct("<"):
 		if err := p.expectPunct(":"); err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		t, err := p.expectIdent()
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		atom = PERel{Type: t, Inverse: true}
 	case p.acceptPunct("~"):
 		name, err := p.expectIdent()
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		atom = PERef{Name: name}
 	case p.isPunct("("):
 		n, err := p.nodePattern()
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		if n.Var != "" || len(n.Props) > 0 {
-			return nil, false, p.errf("node checks inside path patterns take only labels")
+			return nil, 0, false, p.errf("node checks inside path patterns take only labels")
 		}
 		atom = PENode{Labels: n.Labels}
 	case p.acceptPunct("["):
-		inner, err := p.pathExpr()
+		if p.open++; p.open > MaxPathDepth {
+			return nil, 0, false, p.errf("path expression nested deeper than %d", MaxPathDepth)
+		}
+		inner, d, err := p.pathExpr()
+		p.open--
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		if err := p.expectPunct("]"); err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
-		atom = inner
+		atom, depth = inner, d+1
 	default:
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	for {
+		if depth > MaxPathDepth {
+			return nil, 0, false, p.errf("path expression nested deeper than %d", MaxPathDepth)
+		}
 		switch {
 		case p.acceptPunct("*"):
 			atom = PEStar{Sub: atom}
@@ -482,8 +504,9 @@ func (p *qparser) pathAtom() (PathExpr, bool, error) {
 		case p.acceptPunct("?"):
 			atom = PEOpt{Sub: atom}
 		default:
-			return atom, true, nil
+			return atom, depth, true, nil
 		}
+		depth++
 	}
 }
 

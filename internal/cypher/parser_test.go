@@ -262,6 +262,41 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParsePathDepthBound checks that a path expression may nest
+// MaxPathDepth levels and no more, brackets and quantifiers each
+// counting one, and that the bound holds for quantifiers on brackets.
+func TestParsePathDepthBound(t *testing.T) {
+	brackets := func(n int, inner string) string {
+		return strings.Repeat("[", n) + inner + strings.Repeat("]", n)
+	}
+	stmt := func(expr string) string {
+		return "MATCH (v)-/ " + expr + " /->(to) RETURN count(to)"
+	}
+	half := MaxPathDepth / 2
+	for _, c := range []struct {
+		expr string
+		ok   bool
+	}{
+		{brackets(MaxPathDepth, ":a"), true},
+		{brackets(MaxPathDepth+1, ":a"), false},
+		{":a" + strings.Repeat("+", MaxPathDepth), true},
+		{":a" + strings.Repeat("+", MaxPathDepth+1), false},
+		{brackets(half, ":a"+strings.Repeat("*", MaxPathDepth-half)), true},
+		{brackets(half, ":a"+strings.Repeat("*", MaxPathDepth-half+1)), false},
+		{"[" + brackets(half-1, ":a") + strings.Repeat("?", MaxPathDepth-half) + "]", true},
+		{"[" + brackets(half-1, ":a") + strings.Repeat("?", MaxPathDepth-half+1) + "]", false},
+		{":b | " + brackets(MaxPathDepth+1, ":a") + " | :c", false},
+	} {
+		_, err := Parse(stmt(c.expr))
+		if c.ok && err != nil {
+			t.Errorf("%.40s...: %v", c.expr, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "nested deeper")) {
+			t.Errorf("%.40s...: err = %v, want the depth error", c.expr, err)
+		}
+	}
+}
+
 func TestLexerStringsAndComments(t *testing.T) {
 	q := mustParse(t, "MATCH (v {name: 'O\\'Hara'}) // trailing comment\nRETURN v")
 	if q.Match.Patterns[0].Nodes[0].Props[0].Val.Str != "O'Hara" {

@@ -55,12 +55,27 @@ func pairsErr(engine string, got, want [][2]int) error {
 	return fmt.Errorf("%s: got %v, want %v", engine, got, want)
 }
 
-// CheckCFPQ runs all six CFPQ evaluators on the instance and compares
-// them against the oracle: the all-pairs engines on every nonterminal
+// CheckCFPQ runs every CFPQ evaluator on the instance and compares it
+// against the oracle: the all-pairs engines on every nonterminal
 // relation, the multiple-source engines on the source-restricted start
-// relation (the paper's central claim).
+// relation (the paper's central claim). Each evaluator then runs again
+// with a trace attached and the metrics registry off: observability
+// must never change an answer.
 func CheckCFPQ(inst gen.Instance) error {
 	ref := oracle.CFPQ(inst.G, inst.W)
+	if err := checkEvaluators(inst, ref, "", func() cfpq.Option { return nil }); err != nil {
+		return err
+	}
+	obs.SetEnabled(false)
+	defer obs.SetEnabled(true)
+	return checkEvaluators(inst, ref, " traced/metrics-off", func() cfpq.Option {
+		return cfpq.WithTrace(obs.NewTrace(obs.SpanDiffTest))
+	})
+}
+
+// checkEvaluators is one pass of CheckCFPQ: each evaluator runs with the
+// option opt returns, and a failure names it with variant appended.
+func checkEvaluators(inst gen.Instance, ref *oracle.Relation, variant string, opt func() cfpq.Option) error {
 	src := srcVector(inst.G, inst.Sources)
 	wantMS := ref.StartPairsFrom(inst.Sources)
 
@@ -69,11 +84,11 @@ func CheckCFPQ(inst gen.Instance) error {
 		name string
 		run  func() (*cfpq.Result, error)
 	}{
-		{"AllPairs", func() (*cfpq.Result, error) { return cfpq.AllPairs(inst.G, inst.W) }},
-		{"AllPairsSemiNaive", func() (*cfpq.Result, error) { return cfpq.AllPairsSemiNaive(inst.G, inst.W) }},
-		{"Worklist", func() (*cfpq.Result, error) { return cfpq.Worklist(inst.G, inst.W) }},
+		{"AllPairs", func() (*cfpq.Result, error) { return cfpq.AllPairs(inst.G, inst.W, opt()) }},
+		{"AllPairsSemiNaive", func() (*cfpq.Result, error) { return cfpq.AllPairsSemiNaive(inst.G, inst.W, opt()) }},
+		{"Worklist", func() (*cfpq.Result, error) { return cfpq.Worklist(inst.G, inst.W, opt()) }},
 		{"SinglePath", func() (*cfpq.Result, error) {
-			r, err := cfpq.SinglePath(inst.G, inst.W)
+			r, err := cfpq.SinglePath(inst.G, inst.W, opt())
 			if err != nil {
 				return nil, err
 			}
@@ -83,11 +98,11 @@ func CheckCFPQ(inst gen.Instance) error {
 	for _, e := range allPairs {
 		r, err := e.run()
 		if err != nil {
-			return fmt.Errorf("%s: %v", e.name, err)
+			return fmt.Errorf("%s%s: %v", e.name, variant, err)
 		}
 		for a := 0; a < inst.W.NumNonterms(); a++ {
 			if got, want := r.T[a].Pairs(), ref.Pairs(a); !pairsEqual(got, want) {
-				return pairsErr(fmt.Sprintf("%s relation %s", e.name, inst.W.Nonterms[a]), got, want)
+				return pairsErr(fmt.Sprintf("%s%s relation %s", e.name, variant, inst.W.Nonterms[a]), got, want)
 			}
 		}
 	}
@@ -98,14 +113,14 @@ func CheckCFPQ(inst gen.Instance) error {
 		run  func() (*matrix.Bool, error)
 	}{
 		{"MultiSource", func() (*matrix.Bool, error) {
-			r, err := cfpq.MultiSource(inst.G, inst.W, src)
+			r, err := cfpq.MultiSource(inst.G, inst.W, src, opt())
 			if err != nil {
 				return nil, err
 			}
 			return r.Answer(), nil
 		}},
 		{"MultiSourceSinglePath", func() (*matrix.Bool, error) {
-			r, err := cfpq.MultiSourceSinglePath(inst.G, inst.W, src)
+			r, err := cfpq.MultiSourceSinglePath(inst.G, inst.W, src, opt())
 			if err != nil {
 				return nil, err
 			}
@@ -116,119 +131,24 @@ func CheckCFPQ(inst gen.Instance) error {
 			if err != nil {
 				return nil, err
 			}
-			r, err := idx.MultiSourceSmart(src)
+			r, err := idx.MultiSourceSmart(src, opt())
 			if err != nil {
 				return nil, err
 			}
 			return r.Answer(), nil
 		}},
 		{"WorklistMultiSource", func() (*matrix.Bool, error) {
-			return cfpq.WorklistMultiSource(inst.G, inst.W, src)
+			return cfpq.WorklistMultiSource(inst.G, inst.W, src, opt())
 		}},
 	}
 	for _, e := range multiSource {
 		m, err := e.run()
 		if err != nil {
-			return fmt.Errorf("%s: %v", e.name, err)
+			return fmt.Errorf("%s%s: %v", e.name, variant, err)
 		}
 		if got := m.Pairs(); !pairsEqual(got, wantMS) {
-			return pairsErr(e.name, got, wantMS)
+			return pairsErr(e.name+variant, got, wantMS)
 		}
-	}
-	return nil
-}
-
-// evalAlgorithms is every concrete algorithm option of the unified
-// Eval entry point.
-var evalAlgorithms = []exec.Algorithm{
-	exec.AlgMatrix, exec.AlgSemiNaive, exec.AlgWorklist,
-	exec.AlgMultiSource, exec.AlgSinglePath, exec.AlgMSSinglePath,
-}
-
-// CheckEval drives the unified Eval entry point with every algorithm
-// option against the oracle: all six must return the identical
-// source-restricted answer, the all-pairs-capable ones must also agree
-// on the unrestricted query, AlgAuto must resolve by query shape, and
-// observability must be inert — attaching a trace and disabling the
-// metrics registry never changes answers.
-func CheckEval(inst gen.Instance) error {
-	ref := oracle.CFPQ(inst.G, inst.W)
-	src := srcVector(inst.G, inst.Sources)
-	wantMS := ref.StartPairsFrom(inst.Sources)
-	wantAll := ref.Pairs(inst.W.Start)
-
-	for _, alg := range evalAlgorithms {
-		res, err := cfpq.Eval(inst.G, inst.W, src, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("Eval %v: %v", alg, err)
-		}
-		if got := res.Pairs(); !pairsEqual(got, wantMS) {
-			return pairsErr(fmt.Sprintf("Eval %v", alg), got, wantMS)
-		}
-		if st := res.Stats(); st.Algorithm != alg || st.Answers != len(res.Pairs()) {
-			return fmt.Errorf("Eval %v: inconsistent stats %+v", alg, st)
-		}
-		// Observability must never change answers: rerun with a trace
-		// attached and the metrics registry disabled.
-		obs.SetEnabled(false)
-		traced, err := cfpq.Eval(inst.G, inst.W, src,
-			cfpq.WithAlgorithm(alg), cfpq.WithTrace(obs.NewTrace(obs.SpanDiffTest)))
-		obs.SetEnabled(true)
-		if err != nil {
-			return fmt.Errorf("Eval %v traced: %v", alg, err)
-		}
-		if got := traced.Pairs(); !pairsEqual(got, wantMS) {
-			return pairsErr(fmt.Sprintf("Eval %v traced/metrics-off", alg), got, wantMS)
-		}
-	}
-
-	// The all-pairs-capable algorithms also answer the unrestricted query.
-	for _, alg := range []exec.Algorithm{
-		exec.AlgMatrix, exec.AlgSemiNaive, exec.AlgWorklist, exec.AlgSinglePath} {
-		res, err := cfpq.Eval(inst.G, inst.W, nil, cfpq.WithAlgorithm(alg))
-		if err != nil {
-			return fmt.Errorf("Eval %v (all pairs): %v", alg, err)
-		}
-		if got := res.Pairs(); !pairsEqual(got, wantAll) {
-			return pairsErr(fmt.Sprintf("Eval %v (all pairs)", alg), got, wantAll)
-		}
-	}
-
-	// AlgAuto resolves by query shape: multiple-source with a source
-	// set, all-pairs without.
-	auto, err := cfpq.Eval(inst.G, inst.W, src)
-	if err != nil {
-		return fmt.Errorf("Eval auto (src): %v", err)
-	}
-	if alg := auto.Stats().Algorithm; alg != exec.AlgMultiSource {
-		return fmt.Errorf("Eval auto with sources resolved to %v", alg)
-	}
-	if got := auto.Pairs(); !pairsEqual(got, wantMS) {
-		return pairsErr("Eval auto (src)", got, wantMS)
-	}
-	auto, err = cfpq.Eval(inst.G, inst.W, nil)
-	if err != nil {
-		return fmt.Errorf("Eval auto (all pairs): %v", err)
-	}
-	if alg := auto.Stats().Algorithm; alg != exec.AlgMatrix {
-		return fmt.Errorf("Eval auto without sources resolved to %v", alg)
-	}
-	if got := auto.Pairs(); !pairsEqual(got, wantAll) {
-		return pairsErr("Eval auto (all pairs)", got, wantAll)
-	}
-
-	// The single-path options expose witnesses through the unified
-	// interface, and the witnesses replay to real accepted paths.
-	sp, err := cfpq.Eval(inst.G, inst.W, src, cfpq.WithAlgorithm(exec.AlgMSSinglePath))
-	if err != nil {
-		return fmt.Errorf("Eval mssinglepath: %v", err)
-	}
-	pr, ok := sp.(cfpq.PathEvalResult)
-	if !ok {
-		return fmt.Errorf("Eval mssinglepath result does not implement PathEvalResult")
-	}
-	if err := replayPairs(inst, pr.Pairs(), pr.Path); err != nil {
-		return fmt.Errorf("Eval mssinglepath: %v", err)
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package exec holds the execution-governance layer shared by every
 // query engine in the repository: a functional-options type configuring
-// how a query runs (context, timeout, work budget, algorithm) and a Run
+// how a query runs (context, timeout, work budget, trace) and a Run
 // governor the algorithms consult between units of work.
 //
 // The paper's algorithms are batch fixpoints; embedded in a database
@@ -14,7 +14,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -27,53 +26,8 @@ import (
 // iterations).
 var ErrBudget = errors.New("query work budget exceeded")
 
-// Algorithm selects the CFPQ evaluation algorithm for the unified
-// EvalCFPQ entry point.
-type Algorithm int
-
-const (
-	// AlgAuto picks by query shape: the multiple-source algorithm when
-	// a source set is given, all-pairs otherwise.
-	AlgAuto Algorithm = iota
-	// AlgMatrix is the all-pairs matrix algorithm (paper Algorithm 1).
-	AlgMatrix
-	// AlgSemiNaive is the delta-driven all-pairs variant.
-	AlgSemiNaive
-	// AlgWorklist is the scalar worklist baseline.
-	AlgWorklist
-	// AlgMultiSource is the multiple-source algorithm (paper
-	// Algorithm 2).
-	AlgMultiSource
-	// AlgSinglePath is all-pairs with single-path witness extraction.
-	AlgSinglePath
-	// AlgMSSinglePath is multiple-source with single-path witness
-	// extraction.
-	AlgMSSinglePath
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgAuto:
-		return "auto"
-	case AlgMatrix:
-		return "matrix"
-	case AlgSemiNaive:
-		return "seminaive"
-	case AlgWorklist:
-		return "worklist"
-	case AlgMultiSource:
-		return "multisource"
-	case AlgSinglePath:
-		return "singlepath"
-	case AlgMSSinglePath:
-		return "ms-singlepath"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-}
-
 // Options tunes query execution. The zero value means: background
-// context, no timeout, unlimited budget, algorithm by query shape.
+// context, no timeout, unlimited budget.
 type Options struct {
 	// Ctx cancels the query when done; nil means context.Background().
 	Ctx context.Context
@@ -84,8 +38,6 @@ type Options struct {
 	// relation entries produced across fixpoint iterations
 	// (iterations × nnz); 0 means unlimited.
 	Budget int64
-	// Algorithm selects the CFPQ evaluation algorithm (cfpq.Eval).
-	Algorithm Algorithm
 	// Trace, when non-nil, receives the query's span tree and kernel
 	// counter deltas (see obs.Trace). Nil means no tracing.
 	Trace *obs.Trace
@@ -110,9 +62,6 @@ func WithTimeout(d time.Duration) Option { return func(o *Options) { o.Timeout =
 // across fixpoint iterations). Exceeding it aborts with ErrBudget.
 func WithBudget(n int64) Option { return func(o *Options) { o.Budget = n } }
 
-// WithAlgorithm selects the CFPQ evaluation algorithm.
-func WithAlgorithm(a Algorithm) Option { return func(o *Options) { o.Algorithm = a } }
-
 // WithTrace attaches a per-query trace: the governor records kernel
 // counter deltas into the innermost open span, and the execution
 // layers open stage spans through Run.StartSpan.
@@ -125,17 +74,6 @@ func WithRun(r *Run) Option { return func(o *Options) { o.run = r } }
 // Build folds a list of options into an Options value.
 func Build(opts []Option) Options {
 	var o Options
-	for _, fn := range opts {
-		if fn != nil {
-			fn(&o)
-		}
-	}
-	return o
-}
-
-// Apply folds additional options on top of an existing Options value —
-// how per-query overrides layer over per-index or per-server defaults.
-func (o Options) Apply(opts []Option) Options {
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
@@ -243,8 +181,9 @@ func (r *Run) StartSpan(name string) *obs.Span {
 
 // RecordOutcome classifies how a top-level query ended and bumps the
 // matching governor outcome counter. Call it exactly once per query
-// boundary (the gdb command path and the EvalCFPQ/EvalRPQ facade) —
-// not per algorithm invocation, which may share a Run.
+// boundary: the gdb command path, rpq.Eval, and the facade's EvalCFPQ
+// and SinglePath. The evaluators themselves never call it, since one
+// query's evaluations may share a Run.
 func RecordOutcome(err error) {
 	switch {
 	case err == nil:

@@ -38,18 +38,10 @@ func TestNilRunIsUngoverned(t *testing.T) {
 	}
 }
 
-func TestBuildApplyOptions(t *testing.T) {
-	o := Build([]Option{WithTimeout(time.Second), WithBudget(42), WithAlgorithm(AlgSemiNaive)})
-	if o.Timeout != time.Second || o.Budget != 42 || o.Algorithm != AlgSemiNaive {
+func TestBuildOptions(t *testing.T) {
+	o := Build([]Option{WithTimeout(time.Second), WithBudget(42), nil, WithBudget(7)})
+	if o.Timeout != time.Second || o.Budget != 7 {
 		t.Fatalf("Build = %+v", o)
-	}
-	// Apply layers per-query options over stored defaults.
-	o2 := o.Apply([]Option{WithBudget(7)})
-	if o2.Budget != 7 || o2.Algorithm != AlgSemiNaive {
-		t.Fatalf("Apply = %+v", o2)
-	}
-	if o.Budget != 42 {
-		t.Fatalf("Apply mutated the receiver: %+v", o)
 	}
 }
 
@@ -117,20 +109,6 @@ func TestWithRunShares(t *testing.T) {
 	}
 	if run.Spent() != 60 {
 		t.Fatalf("Spent = %d, want 60", run.Spent())
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	cases := map[Algorithm]string{
-		AlgAuto: "auto", AlgMatrix: "matrix", AlgSemiNaive: "seminaive",
-		AlgWorklist: "worklist", AlgMultiSource: "multisource",
-		AlgSinglePath: "singlepath", AlgMSSinglePath: "ms-singlepath",
-		Algorithm(99): "algorithm(99)",
-	}
-	for a, want := range cases {
-		if a.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", int(a), a.String(), want)
-		}
 	}
 }
 

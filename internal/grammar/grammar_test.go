@@ -1,8 +1,10 @@
 package grammar
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -280,6 +282,22 @@ func TestWCNFPreservesLanguage(t *testing.T) {
 			{LHS: "B", RHS: []Symbol{T("c")}},
 			{LHS: "B"},
 		}),
+		// A, B and C reach each other through unit rules, and S reaches
+		// B and C through binary rules too, so each must get all three
+		// nonterminals' rules and D's.
+		"unit-cycle": MustNew("S", []Production{
+			{LHS: "S", RHS: []Symbol{N("A")}},
+			{LHS: "S", RHS: []Symbol{T("a"), N("B")}},
+			{LHS: "S", RHS: []Symbol{T("b"), N("C")}},
+			{LHS: "A", RHS: []Symbol{N("B")}},
+			{LHS: "A", RHS: []Symbol{T("a")}},
+			{LHS: "B", RHS: []Symbol{N("C")}},
+			{LHS: "B", RHS: []Symbol{T("b")}},
+			{LHS: "C", RHS: []Symbol{N("A")}},
+			{LHS: "C", RHS: []Symbol{N("D")}},
+			{LHS: "C", RHS: []Symbol{T("c"), T("c")}},
+			{LHS: "D", RHS: []Symbol{T("d")}},
+		}),
 	}
 	for name, g := range grammars {
 		g := g
@@ -361,5 +379,45 @@ func TestG2Language(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile("/nonexistent/grammar.txt"); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// unitChain is P0 -> P1 | a, P1 -> P2 | a, ..., Pn -> a: the grammar of
+// n chained path-pattern declarations P_i = ~P_{i+1} | :a.
+func unitChain(n int) *Grammar {
+	g := &Grammar{Start: "P0"}
+	for i := 0; i < n; i++ {
+		p := fmt.Sprintf("P%d", i)
+		g.Prods = append(g.Prods,
+			Production{LHS: p, RHS: []Symbol{N(fmt.Sprintf("P%d", i+1))}},
+			Production{LHS: p, RHS: []Symbol{T("a")}})
+	}
+	g.Prods = append(g.Prods, Production{LHS: fmt.Sprintf("P%d", n), RHS: []Symbol{T("a")}})
+	return g
+}
+
+// TestUnitChainClosureAllocs pins that eliminating unit rules costs the
+// rules it copies, not a closure set per nonterminal: normalizing a
+// chain of 4 000 unit rules allocates at most 16 MB, and each link ends
+// with its one rule.
+func TestUnitChainClosureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const n, limit = 4000, 16 << 20
+	g := unitChain(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := ToWCNF(g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("ToWCNF of a %d-link unit chain allocated %d bytes, want at most %d", n, got, limit)
+	}
+	if len(w.TermRules) != n+1 || len(w.BinRules) != 0 {
+		t.Errorf("chain normalized to %d terminal and %d binary rules, want %d and 0",
+			len(w.TermRules), len(w.BinRules), n+1)
 	}
 }

@@ -220,86 +220,53 @@ func Extend(base *WCNF, g *Grammar) (*WCNF, error) {
 
 	// Collect direct rule sets per nonterminal.
 	n := len(w.Nonterms)
-	termSet := make([]map[int]bool, n) // A -> a
-	binSet := make([]map[[2]int]bool, n)
-	epsSet := make([]bool, n)
-	unitSet := make([]map[int]bool, n) // A -> B
-	for i := 0; i < n; i++ {
-		termSet[i] = map[int]bool{}
-		binSet[i] = map[[2]int]bool{}
-		unitSet[i] = map[int]bool{}
+	rs := make([]*ruleSet, n)
+	for i := range rs {
+		rs[i] = &ruleSet{terms: map[int]bool{}, bins: map[[2]int]bool{}}
 	}
 	for t, a := range termNT {
-		termSet[a][t] = true
+		rs[a].terms[t] = true
 	}
 	// base's rules are already unit-closed: a new unit rule onto one of
 	// its nonterminals copies them as they are.
 	for _, r := range w.TermRules {
-		termSet[r.A][r.Term] = true
+		rs[r.A].terms[r.Term] = true
 	}
 	for _, r := range w.BinRules {
-		binSet[r.A][[2]int{r.B, r.C}] = true
+		rs[r.A].bins[[2]int{r.B, r.C}] = true
 	}
 	for a := 0; a < nBase; a++ {
-		epsSet[a] = base.Nullable[a]
+		rs[a].eps = base.Nullable[a]
 	}
 	for _, r := range short {
 		switch len(r.rhs) {
 		case 0:
-			epsSet[r.lhs] = true
+			rs[r.lhs].eps = true
 		case 1:
 			s := r.rhs[0]
 			if s.term {
-				termSet[r.lhs][s.id] = true
+				rs[r.lhs].terms[s.id] = true
 			} else {
-				unitSet[r.lhs][s.id] = true
+				rs[r.lhs].units = append(rs[r.lhs].units, s.id)
 			}
 		case 2:
-			binSet[r.lhs][[2]int{r.rhs[0].id, r.rhs[1].id}] = true
+			rs[r.lhs].bins[[2]int{r.rhs[0].id, r.rhs[1].id}] = true
 		default:
 			return nil, fmt.Errorf("grammar: internal: rule of length %d after binarization", len(r.rhs))
 		}
 	}
 
-	// Step 3: eliminate unit rules via unit closure.
-	closure := make([]map[int]bool, n)
-	for a := nBase; a < n; a++ {
-		closure[a] = map[int]bool{a: true}
-		stack := []int{a}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for c := range unitSet[b] {
-				if !closure[a][c] {
-					closure[a][c] = true
-					//lint:ignore detrange stack is a DFS worklist; the closure it computes is a set, and rule lists are sorted at emission below
-					stack = append(stack, c)
-				}
-			}
-		}
-	}
-	for a := nBase; a < n; a++ {
-		for b := range closure[a] {
-			if b == a {
-				continue
-			}
-			for t := range termSet[b] {
-				termSet[a][t] = true
-			}
-			for bc := range binSet[b] {
-				binSet[a][bc] = true
-			}
-			if epsSet[b] {
-				epsSet[a] = true
-			}
-		}
-	}
+	// Step 3: eliminate unit rules.
+	closeUnits(nBase, rs)
 
 	// Emit deterministically ordered rule lists after base's.
-	w.Nullable = epsSet
+	w.Nullable = make([]bool, n)
+	for a, r := range rs {
+		w.Nullable[a] = r.eps
+	}
 	for a := nBase; a < n; a++ {
-		terms := make([]int, 0, len(termSet[a]))
-		for t := range termSet[a] {
+		terms := make([]int, 0, len(rs[a].terms))
+		for t := range rs[a].terms {
 			terms = append(terms, t)
 		}
 		sort.Ints(terms)
@@ -307,8 +274,8 @@ func Extend(base *WCNF, g *Grammar) (*WCNF, error) {
 			w.TermRules = append(w.TermRules, TermRule{A: a, Term: t})
 			w.byTerm[t] = append(w.byTerm[t], a)
 		}
-		bins := make([][2]int, 0, len(binSet[a]))
-		for bc := range binSet[a] {
+		bins := make([][2]int, 0, len(rs[a].bins))
+		for bc := range rs[a].bins {
 			bins = append(bins, bc)
 		}
 		sort.Slice(bins, func(i, j int) bool {
@@ -322,6 +289,105 @@ func Extend(base *WCNF, g *Grammar) (*WCNF, error) {
 		}
 	}
 	return w, nil
+}
+
+// ruleSet is one nonterminal's rules during normalization.
+type ruleSet struct {
+	terms map[int]bool    // A -> a
+	bins  map[[2]int]bool // A -> B C
+	eps   bool            // A -> eps
+	units []int           // A -> B
+}
+
+// closeUnits eliminates unit rules: every nonterminal from from on gets
+// the rules of each nonterminal its unit rules reach. Nonterminals that
+// reach each other through unit rules, a strongly connected component
+// of the unit graph, have the same closure, so they share one rule set:
+// their own rules and the closed rules of the components they reach.
+// Tarjan's algorithm finishes a component only after every component
+// it reaches, so those are closed already. The work is the rules copied
+// along the unit rules, with no closure set per nonterminal, and the
+// walk keeps its own stack, so a long chain of unit rules does not
+// deepen the call stack. Below from, nonterminals have no unit rules:
+// their rules are closed already.
+func closeUnits(from int, rs []*ruleSet) {
+	n := len(rs)
+	order := make([]int, n) // 1 + the visit number; 0 = not visited
+	low := make([]int, n)
+	root := make([]int, n) // the root of a finished component; -1 before
+	var open []int         // Tarjan's stack: visited, component unfinished
+	type frame struct{ a, next int }
+	visited := 0
+	visit := func(a int) frame {
+		visited++
+		order[a], low[a], root[a] = visited, visited, -1
+		open = append(open, a)
+		return frame{a: a}
+	}
+	for start := from; start < n; start++ {
+		if order[start] != 0 {
+			continue
+		}
+		walk := []frame{visit(start)}
+		for len(walk) > 0 {
+			f := &walk[len(walk)-1]
+			if units := rs[f.a].units; f.next < len(units) {
+				b := units[f.next]
+				f.next++
+				switch {
+				case order[b] == 0:
+					walk = append(walk, visit(b))
+				case root[b] < 0:
+					low[f.a] = min(low[f.a], order[b])
+				}
+				continue
+			}
+			a := f.a
+			walk = walk[:len(walk)-1]
+			if len(walk) > 0 {
+				up := walk[len(walk)-1].a
+				low[up] = min(low[up], low[a])
+			}
+			if low[a] != order[a] {
+				continue
+			}
+			i := len(open) - 1
+			for open[i] != a {
+				i--
+			}
+			comp := open[i:]
+			open = open[:i]
+			for _, m := range comp {
+				root[m] = a
+			}
+			closed := rs[a]
+			for _, m := range comp {
+				closed.add(rs[m])
+				for _, b := range rs[m].units {
+					if root[b] != a {
+						closed.add(rs[b])
+					}
+				}
+			}
+			for _, m := range comp {
+				rs[m] = closed
+			}
+		}
+	}
+}
+
+// add copies o's rules into r.
+func (r *ruleSet) add(o *ruleSet) {
+	if r == o {
+		return
+	}
+	for t := range o.terms {
+		r.terms[t] = true
+	}
+	for bc := range o.bins {
+		r.bins[bc] = true
+	}
+	r.eps = r.eps || o.eps
 }
 
 // MustWCNF is ToWCNF, panicking on error; for known-good query grammars.

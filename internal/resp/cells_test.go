@@ -97,10 +97,6 @@ func TestCellReplyMatchesValueTree(t *testing.T) {
 		if got := encodeWith(t, queryReply{c.res}.encode); !bytes.Equal(got, want) {
 			t.Fatalf("%s: encoded from cells, the reply differs from Write of its tree at byte %d of %d", c.name, firstDiff(got, want), len(want))
 		}
-		// A result carrying both, as QueryContext returns it, encodes the same.
-		if got := encodeWith(t, queryReply{withRows(c.res)}.encode); !bytes.Equal(got, want) {
-			t.Fatalf("%s: encoded with rows cut, the reply differs at byte %d of %d", c.name, firstDiff(got, want), len(want))
-		}
 	}
 }
 

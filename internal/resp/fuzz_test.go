@@ -269,7 +269,7 @@ func FuzzReadMatchesReference(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	f.Add(encodeWith(f, queryReply{denseResult(6000, 2)}.encode))
+	f.Add(encodeWith(f, queryReply{asCells(denseResult(6000, 2))}.encode))
 	shapes := []struct {
 		name string
 		open func([]byte) *bufio.Reader

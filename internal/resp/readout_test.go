@@ -156,7 +156,7 @@ func TestReplyEncoderMatchesReference(t *testing.T) {
 		name := fmt.Sprintf("%dx%d/profile=%d/created=%d", len(res.Rows), len(res.Columns), len(res.Profile), res.NodesCreated)
 		tree := refEncodeResult(res)
 		want := encodeWith(t, func(w *bufio.Writer) error { return refWrite(w, tree) })
-		if got := encodeWith(t, queryReply{res}.encode); !bytes.Equal(got, want) {
+		if got := encodeWith(t, queryReply{asCells(res)}.encode); !bytes.Equal(got, want) {
 			t.Fatalf("%s: direct encoder differs from the reference at byte %d of %d", name, firstDiff(got, want), len(want))
 		}
 		if got := encodeWith(t, func(w *bufio.Writer) error { return Write(w, tree) }); !bytes.Equal(got, want) {
@@ -208,7 +208,7 @@ func TestWriteMatchesReferenceOnEveryKind(t *testing.T) {
 // the same reply over loopback with its row list allocated once, at its
 // length: 18 000 Values of 56 bytes and the chunks' slack.
 func TestReplyAllocs(t *testing.T) {
-	res := denseResult(6000, 2)
+	res := asCells(denseResult(6000, 2))
 	w := bufio.NewWriter(io.Discard)
 	encode := testing.AllocsPerRun(20, func() {
 		if err := (queryReply{res}).encode(w); err != nil {
@@ -299,7 +299,7 @@ func TestClientLongRepliesDoNotAlias(t *testing.T) {
 	for _, row := range second.Rows {
 		row[0] += 1000
 	}
-	wires := [][]byte{encodeWith(t, queryReply{denseResult(6000, 2)}.encode), encodeWith(t, queryReply{second}.encode)}
+	wires := [][]byte{encodeWith(t, queryReply{asCells(denseResult(6000, 2))}.encode), encodeWith(t, queryReply{asCells(second)}.encode)}
 	c, err := Dial(cannedServer(t, false, wires...))
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestClientDropsAnOversizedScratch(t *testing.T) {
 // mid-array with a server close: the call fails as a broken connection,
 // and the scratch keeps none of the rows it had decoded.
 func TestClientTornReplyLeavesNoStaleElements(t *testing.T) {
-	wire := encodeWith(t, queryReply{denseResult(6000, 2)}.encode)
+	wire := encodeWith(t, queryReply{asCells(denseResult(6000, 2))}.encode)
 	c, err := Dial(cannedServer(t, true, wire, wire[:len(wire)/2]))
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestClientTornReplyLeavesNoStaleElements(t *testing.T) {
 func BenchmarkReplyEncode(b *testing.B) {
 	for _, n := range []int{10, 6000} {
 		b.Run(fmt.Sprintf("%dx2", n), func(b *testing.B) {
-			res := denseResult(n, 2)
+			res := asCells(denseResult(n, 2))
 			w := bufio.NewWriter(io.Discard)
 			b.SetBytes(int64(len(encodeWith(b, queryReply{res}.encode))))
 			b.ReportAllocs()
@@ -386,7 +386,7 @@ var decoded Value
 func BenchmarkReplyDecode(b *testing.B) {
 	for _, n := range []int{10, 6000} {
 		b.Run(fmt.Sprintf("%dx2", n), func(b *testing.B) {
-			wire := encodeWith(b, queryReply{denseResult(n, 2)}.encode)
+			wire := encodeWith(b, queryReply{asCells(denseResult(n, 2))}.encode)
 			src := bytes.NewReader(wire)
 			r := bufio.NewReader(src)
 			b.SetBytes(int64(len(wire)))
@@ -408,7 +408,7 @@ func BenchmarkReplyDecode(b *testing.B) {
 // Client.Do of a 6000 x 2 reply from a loopback server that answers
 // every command with the same bytes.
 func BenchmarkClientReadout(b *testing.B) {
-	wire := encodeWith(b, queryReply{denseResult(6000, 2)}.encode)
+	wire := encodeWith(b, queryReply{asCells(denseResult(6000, 2))}.encode)
 	c, err := Dial(cannedServer(b, false, wire))
 	if err != nil {
 		b.Fatal(err)

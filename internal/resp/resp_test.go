@@ -272,6 +272,30 @@ func TestServerRestoreRefusesHugeVertex(t *testing.T) {
 	}
 }
 
+// TestServerRefusesDeepPathExpression sends a GRAPH.QUERY whose path
+// expression nests a million brackets deep, 2 MB of text: an error
+// reply, not a stack overflow, and the connection keeps answering.
+func TestServerRefusesDeepPathExpression(t *testing.T) {
+	_, addr := startTestServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const levels = 1_000_000
+	q := "MATCH (v)-/ " + strings.Repeat("[", levels) + ":a" + strings.Repeat("]", levels) +
+		" /->(to) WHERE id(v) = 0 RETURN count(to)"
+	_, err = c.GraphQuery("cycles", q)
+	var se *ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "nested deeper") {
+		t.Fatalf("deep query = %v, want an error reply naming the nesting bound", err)
+	}
+	reply, err := c.GraphQuery("cycles", `MATCH (v)-[:a]->(u) RETURN count(*)`)
+	if err != nil || len(reply.Rows) != 1 || reply.Rows[0][0] != 2 {
+		t.Fatalf("query after the refused one: %v %v", reply, err)
+	}
+}
+
 func TestServerInlineCommands(t *testing.T) {
 	_, addr := startTestServer(t)
 	conn, err := net.Dial("tcp", addr)

@@ -655,14 +655,14 @@ func (v Value) encode(w *bufio.Writer) error { return Write(w, v) }
 
 // queryReply renders a query result the way RedisGraph does: a
 // three-element array of header, rows, and statistics. Each row is
-// written from its span of the result's cells (gdb.DB.QueryCells), or
-// from its slice of Rows for a result that carries them, and cells go
-// into the connection's buffer as digits, unallocated (DESIGN.md §15).
+// written from its span of the result's cells (gdb.DB.QueryCells), and
+// cells go into the connection's buffer as digits, unallocated
+// (DESIGN.md §15).
 type queryReply struct{ res *gdb.QueryResult }
 
 func (q queryReply) encode(w *bufio.Writer) error {
 	res := q.res
-	n, width := max(res.NumRows, len(res.Rows)), len(res.Columns)
+	n, width := res.NumRows, len(res.Columns)
 	obs.RespReplyRows.Add(int64(n))
 	writeInt(w, Array, 3)
 	writeInt(w, Array, int64(len(res.Columns)))
@@ -671,12 +671,7 @@ func (q queryReply) encode(w *bufio.Writer) error {
 	}
 	writeInt(w, Array, int64(n))
 	for i := range n {
-		var row []int64
-		if res.Rows != nil {
-			row = res.Rows[i]
-		} else {
-			row = res.Cells[i*width : (i+1)*width]
-		}
+		row := res.Cells[i*width : (i+1)*width]
 		b := appendInt(room(w, (1+len(row))*maxIntLine), Array, int64(len(row)))
 		for _, v := range row {
 			b = appendInt(b, Integer, v)

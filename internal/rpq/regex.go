@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"mscfpq/internal/cypher"
 )
 
 // Node is a regular expression AST node.
@@ -60,9 +62,12 @@ func (n Opt) String() string    { return "(" + n.Sub.String() + ")?" }
 type parser struct {
 	toks []string
 	pos  int
+	open int // parentheses open at pos
 }
 
-// ParseRegex parses a path regular expression.
+// ParseRegex parses a path regular expression. Like a query's path
+// expression, it may nest at most cypher.MaxPathDepth levels, each
+// parenthesis and each quantifier counting one.
 func ParseRegex(src string) (Node, error) {
 	toks, err := lexRegex(src)
 	if err != nil {
@@ -72,7 +77,7 @@ func ParseRegex(src string) (Node, error) {
 		return nil, fmt.Errorf("rpq: empty regex")
 	}
 	p := &parser{toks: toks}
-	node, err := p.alt()
+	node, _, err := p.alt()
 	if err != nil {
 		return nil, err
 	}
@@ -119,82 +124,92 @@ func (p *parser) peek() string {
 	return ""
 }
 
-func (p *parser) alt() (Node, error) {
-	left, err := p.concat()
+// alt, concat, postfix and atom each return how deeply their
+// expression nests (cypher.MaxPathDepth).
+func (p *parser) alt() (Node, int, error) {
+	left, depth, err := p.concat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek() == "|" {
 		p.pos++
-		right, err := p.concat()
+		right, d, err := p.concat()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		left = Alt{Left: left, Right: right}
+		left, depth = Alt{Left: left, Right: right}, max(depth, d)
 	}
-	return left, nil
+	return left, depth, nil
 }
 
-func (p *parser) concat() (Node, error) {
-	left, err := p.postfix()
+func (p *parser) concat() (Node, int, error) {
+	left, depth, err := p.postfix()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
 		t := p.peek()
 		if t == "" || t == ")" || t == "|" {
-			return left, nil
+			return left, depth, nil
 		}
-		right, err := p.postfix()
+		right, d, err := p.postfix()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		left = Concat{Left: left, Right: right}
+		left, depth = Concat{Left: left, Right: right}, max(depth, d)
 	}
 }
 
-func (p *parser) postfix() (Node, error) {
-	node, err := p.atom()
+func (p *parser) postfix() (Node, int, error) {
+	node, depth, err := p.atom()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
+		if depth > cypher.MaxPathDepth {
+			return nil, 0, errTooDeep
+		}
 		switch p.peek() {
 		case "*":
-			p.pos++
 			node = Star{Sub: node}
 		case "+":
-			p.pos++
 			node = Plus{Sub: node}
 		case "?":
-			p.pos++
 			node = Opt{Sub: node}
 		default:
-			return node, nil
+			return node, depth, nil
 		}
+		p.pos++
+		depth++
 	}
 }
 
-func (p *parser) atom() (Node, error) {
+var errTooDeep = fmt.Errorf("rpq: regex nested deeper than %d", cypher.MaxPathDepth)
+
+func (p *parser) atom() (Node, int, error) {
 	t := p.peek()
 	switch t {
 	case "":
-		return nil, fmt.Errorf("rpq: unexpected end of regex")
+		return nil, 0, fmt.Errorf("rpq: unexpected end of regex")
 	case "(":
 		p.pos++
-		node, err := p.alt()
+		if p.open++; p.open > cypher.MaxPathDepth {
+			return nil, 0, errTooDeep
+		}
+		node, depth, err := p.alt()
+		p.open--
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.peek() != ")" {
-			return nil, fmt.Errorf("rpq: missing closing parenthesis")
+			return nil, 0, fmt.Errorf("rpq: missing closing parenthesis")
 		}
 		p.pos++
-		return node, nil
+		return node, depth + 1, nil
 	case ")", "|", "*", "+", "?":
-		return nil, fmt.Errorf("rpq: unexpected token %q", t)
+		return nil, 0, fmt.Errorf("rpq: unexpected token %q", t)
 	default:
 		p.pos++
-		return Label{Name: t}, nil
+		return Label{Name: t}, 0, nil
 	}
 }

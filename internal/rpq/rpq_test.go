@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mscfpq/internal/cfpq"
+	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
@@ -50,6 +52,38 @@ func TestParseRegexErrors(t *testing.T) {
 // compiled grammar is held to, on hand-picked words, and the compiled
 // grammar on the same words. A label matches its edge step or its node
 // check.
+// TestParseRegexDepthBound checks that a regex may nest
+// cypher.MaxPathDepth levels and no more, each parenthesis and each
+// quantifier counting one, and that FuzzRegex's seed of 24 nested
+// quantifiers parses.
+func TestParseRegexDepthBound(t *testing.T) {
+	max := cypher.MaxPathDepth
+	parens := func(n int, inner string) string {
+		return strings.Repeat("(", n) + inner + strings.Repeat(")", n)
+	}
+	for _, c := range []struct {
+		src string
+		ok  bool
+	}{
+		{"(a b?)" + strings.Repeat("+", 24), true},
+		{parens(max, "a"), true},
+		{parens(max+1, "a"), false},
+		{"a" + strings.Repeat("*", max), true},
+		{"a" + strings.Repeat("*", max+1), false},
+		{parens(max/2, "a") + strings.Repeat("+", max-max/2), true},
+		{parens(max/2, "a") + strings.Repeat("+", max-max/2+1), false},
+		{"b | " + parens(max+1, "a"), false},
+	} {
+		_, err := ParseRegex(c.src)
+		if c.ok && err != nil {
+			t.Errorf("%.40s...: %v", c.src, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "nested deeper")) {
+			t.Errorf("%.40s...: err = %v, want the depth error", c.src, err)
+		}
+	}
+}
+
 func TestWordMatcher(t *testing.T) {
 	const src = "a (b | c)* d?"
 	re, err := ParseRegex(src)
@@ -163,13 +197,16 @@ func TestEvalEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []exec.Algorithm{exec.AlgMatrix, exec.AlgWorklist} {
-			ref, err := cfpq.Eval(g, w, src, exec.WithAlgorithm(alg))
+		for _, ref := range []struct {
+			name string
+			run  func(*graph.Graph, *grammar.WCNF, ...cfpq.Option) (*cfpq.Result, error)
+		}{{"AllPairs", cfpq.AllPairs}, {"Worklist", cfpq.Worklist}} {
+			r, err := ref.run(g, w)
 			if err != nil {
-				t.Fatalf("%q %v: %v", query, alg, err)
+				t.Fatalf("%q %s: %v", query, ref.name, err)
 			}
-			if want := matrix.NewBoolFromPairs(g.NumVertices(), g.NumVertices(), ref.Pairs()); !got.Equal(want) {
-				t.Fatalf("%q: Eval = %v, %v = %v", query, got.Pairs(), alg, want.Pairs())
+			if want := matrix.ExtractRows(r.Start(), src); !got.Equal(want) {
+				t.Fatalf("%q: Eval = %v, %s = %v", query, got.Pairs(), ref.name, want.Pairs())
 			}
 		}
 	}

@@ -18,8 +18,8 @@
 //	gr, _ := mscfpq.ParseGrammar("S -> a S b | a b")
 //	w, _ := mscfpq.ToWCNF(gr)
 //	src := mscfpq.NewVertexSet(g.NumVertices(), 0)
-//	res, _ := mscfpq.EvalCFPQ(g, w, src)
-//	fmt.Println(res.Pairs())
+//	answer, _ := mscfpq.EvalCFPQ(g, w, src)
+//	fmt.Println(answer.Pairs())
 package mscfpq
 
 import (
@@ -36,11 +36,11 @@ import (
 )
 
 // Execution governance. Every query entry point accepts functional
-// options controlling cancellation, resource budgets and the algorithm:
+// options controlling cancellation, resource budgets and tracing:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
-//	res, err := mscfpq.EvalCFPQ(g, w, src,
+//	answer, err := mscfpq.EvalCFPQ(g, w, src,
 //		mscfpq.WithContext(ctx),
 //		mscfpq.WithBudget(1_000_000))
 //
@@ -50,8 +50,6 @@ import (
 type (
 	// Option configures one query execution.
 	Option = exec.Option
-	// Algorithm selects the evaluation strategy of EvalCFPQ.
-	Algorithm = exec.Algorithm
 	// Trace records a per-query span tree with kernel counter deltas;
 	// attach one with WithTrace and render it with Trace.Render.
 	Trace = obs.Trace
@@ -66,8 +64,6 @@ var (
 	WithTimeout = exec.WithTimeout
 	// WithBudget bounds the query's work (relation entries produced).
 	WithBudget = exec.WithBudget
-	// WithAlgorithm selects the CFPQ evaluation algorithm (see EvalCFPQ).
-	WithAlgorithm = exec.WithAlgorithm
 	// WithTrace attaches a per-query trace recording stage spans and
 	// kernel counter deltas.
 	WithTrace = exec.WithTrace
@@ -77,26 +73,6 @@ var (
 
 	// ErrBudget is returned when a query exceeds its work budget.
 	ErrBudget = exec.ErrBudget
-)
-
-// CFPQ algorithms for WithAlgorithm.
-const (
-	// AlgAuto picks by query shape: multiple-source when a source set
-	// is given, all-pairs otherwise.
-	AlgAuto = exec.AlgAuto
-	// AlgMatrix is the all-pairs matrix algorithm (Algorithm 1).
-	AlgMatrix = exec.AlgMatrix
-	// AlgSemiNaive is the delta-driven all-pairs variant.
-	AlgSemiNaive = exec.AlgSemiNaive
-	// AlgWorklist is the non-linear-algebra CFL-reachability baseline.
-	AlgWorklist = exec.AlgWorklist
-	// AlgMultiSource is the multiple-source algorithm (Algorithm 2).
-	AlgMultiSource = exec.AlgMultiSource
-	// AlgSinglePath is all-pairs with single-path witness extraction.
-	AlgSinglePath = exec.AlgSinglePath
-	// AlgMSSinglePath is multiple-source with single-path witness
-	// extraction.
-	AlgMSSinglePath = exec.AlgMSSinglePath
 )
 
 // Core data model.
@@ -125,17 +101,11 @@ type (
 	// Index is the cross-query cache of the optimized multiple-source
 	// algorithm (Algorithm 3).
 	Index = cfpq.Index
+	// SinglePathResult is an all-pairs result that reconstructs one
+	// witness path per answer pair (SinglePath).
+	SinglePathResult = cfpq.SinglePathResult
 	// PathStep is one edge (or vertex-label step) of an extracted path.
 	PathStep = cfpq.PathStep
-	// CFPQResult is the unified result of EvalCFPQ: answer pairs plus
-	// evaluation statistics, independent of the algorithm.
-	CFPQResult = cfpq.EvalResult
-	// PathCFPQResult is the CFPQResult extension of the single-path
-	// algorithms: one witness path per answer pair.
-	PathCFPQResult = cfpq.PathEvalResult
-	// CFPQStats reports how an EvalCFPQ evaluation ran (algorithm,
-	// fixpoint rounds, governor work, answer count).
-	CFPQStats = cfpq.Stats
 )
 
 // Database layer.
@@ -205,28 +175,46 @@ func NewVertexSet(n int, ids ...int) *VertexSet {
 	return matrix.NewVectorFromIndices(n, valid)
 }
 
-// EvalCFPQ is the unified CFPQ entry point, mirroring EvalRPQ: it
-// evaluates the query defined by w over g with the algorithm selected
-// by WithAlgorithm (AlgAuto picks multiple-source when src is non-nil,
-// all-pairs otherwise). A non-nil src restricts the answer to those
-// sources under every algorithm, so the options are interchangeable:
+// EvalCFPQ answers the query defined by w over g, mirroring EvalRPQ.
+// The input picks the paper's algorithm: with a source set it runs the
+// multiple-source algorithm (Algorithm 2) and returns the start
+// relation restricted to src; with src nil it runs the all-pairs
+// algorithm (Algorithm 1) and returns the whole start relation. The
+// options (context, timeout, budget, trace) govern the run:
 //
-//	res, err := mscfpq.EvalCFPQ(g, w, src)                              // Algorithm 2
-//	res, err := mscfpq.EvalCFPQ(g, w, nil,
-//		mscfpq.WithAlgorithm(mscfpq.AlgSemiNaive))                      // all-pairs, delta iteration
-//
-// Results from AlgSinglePath and AlgMSSinglePath additionally satisfy
-// PathCFPQResult. All exec options (timeout, budget, trace) apply.
-func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (CFPQResult, error) {
-	return cfpq.Eval(g, w, src, opts...)
+//	answer, err := mscfpq.EvalCFPQ(g, w, src, mscfpq.WithBudget(1_000_000))
+func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*BoolMatrix, error) {
+	var answer *BoolMatrix
+	var err error
+	if src == nil {
+		var r *Result
+		if r, err = cfpq.AllPairs(g, w, opts...); err == nil {
+			answer = r.Start()
+		}
+	} else {
+		var r *MSResult
+		if r, err = cfpq.MultiSource(g, w, src, opts...); err == nil {
+			answer = r.Answer()
+		}
+	}
+	exec.RecordOutcome(err)
+	return answer, err
+}
+
+// SinglePath answers the all-pairs query with single-path semantics:
+// the result's Path reconstructs one witness path per answer pair. The
+// options govern the run as for EvalCFPQ.
+func SinglePath(g *Graph, w *WCNF, opts ...Option) (*SinglePathResult, error) {
+	r, err := cfpq.SinglePath(g, w, opts...)
+	exec.RecordOutcome(err)
+	return r, err
 }
 
 // NewIndex builds the cross-query cache for the optimized
 // multiple-source algorithm (Algorithm 3); query it with
-// Index.MultiSourceSmart. Options given here become the defaults for
-// every query on the index; per-query options override them.
-func NewIndex(g *Graph, w *WCNF, opts ...Option) (*Index, error) {
-	return cfpq.NewIndex(g, w, opts...)
+// Index.MultiSourceSmart, whose options govern that query.
+func NewIndex(g *Graph, w *WCNF) (*Index, error) {
+	return cfpq.NewIndex(g, w)
 }
 
 // Word returns the label word of an extracted path.

@@ -3,6 +3,7 @@ package mscfpq
 import (
 	"testing"
 
+	"mscfpq/internal/cfpq"
 	"mscfpq/internal/rpq"
 )
 
@@ -52,7 +53,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatalf("answer = %v", res.Pairs())
 	}
 
-	ap, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgMatrix))
+	ap, err := EvalCFPQ(g, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,21 +61,16 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatal("all-pairs missing (0,0)")
 	}
 
-	sp, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgSinglePath))
+	sp, err := SinglePath(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := sp.(PathCFPQResult).Path(1, 3)
+	steps, err := sp.Path(1, 3)
 	if err != nil || len(steps) != 2 {
 		t.Fatalf("path = %v, %v", steps, err)
 	}
-
-	wl, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgWorklist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePairs(wl.Pairs(), ap.Pairs()) {
-		t.Fatal("worklist differs from all-pairs")
+	if !samePairs(sp.Pairs(), ap.Pairs()) {
+		t.Fatal("single-path differs from all-pairs")
 	}
 
 	idx, err := NewIndex(g, w)
@@ -100,23 +96,22 @@ func TestFacadeSinglePathAndSemiNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewVertexSet(4, 0)
-	msp, err := EvalCFPQ(g, w, src, WithAlgorithm(AlgMSSinglePath))
+	sp, err := SinglePath(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasPair(msp.Pairs(), [2]int{0, 0}) {
-		t.Fatalf("answer = %v", msp.Pairs())
+	if !hasPair(sp.Pairs(), [2]int{0, 0}) {
+		t.Fatalf("answer = %v", sp.Pairs())
 	}
-	steps, err := msp.(PathCFPQResult).Path(0, 0)
+	steps, err := sp.Path(0, 0)
 	if err != nil || len(steps) != 4 {
 		t.Fatalf("witness = %v, %v", steps, err)
 	}
-	sn, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgSemiNaive))
+	sn, err := cfpq.AllPairsSemiNaive(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgMatrix))
+	ap, err := EvalCFPQ(g, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +141,12 @@ func TestFacadeRegex(t *testing.T) {
 	}
 	// The compiled grammar under Algorithm 1, restricted to the sources,
 	// is the reference for the multiple-source path EvalRPQ takes.
-	ap, err := EvalCFPQ(g, regexWCNF(t, "a+"), src, WithAlgorithm(AlgMatrix))
+	ap, err := cfpq.AllPairs(g, regexWCNF(t, "a+"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePairs(ap.Pairs(), m.Pairs()) {
-		t.Fatalf("regex via all-pairs CFPQ = %v, EvalRPQ = %v", ap.Pairs(), m.Pairs())
+	if !samePairs(ap.PairsFrom(src), m.Pairs()) {
+		t.Fatalf("regex via all-pairs CFPQ = %v, EvalRPQ = %v", ap.PairsFrom(src), m.Pairs())
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 	"runtime"
 	"testing"
 
+	"mscfpq/internal/cfpq"
 	"mscfpq/internal/obs"
 )
 
 // TestFacadeEvalCFPQTraceFigure1 runs the paper's running-example query
-// (c^n y d^n, Section 2.3) over the Figure 1 graph through the unified
-// EvalCFPQ entry point with a trace attached, and checks the span tree:
+// (c^n y d^n, Section 2.3) over the Figure 1 graph through EvalCFPQ
+// with a trace attached, and checks the span tree:
 // one "round N" child per fixpoint iteration, in order, with kernel
 // counter totals that exactly match the metrics registry's delta over
 // the same evaluation.
@@ -34,9 +35,6 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alg := ref.Stats().Algorithm; alg != AlgMatrix {
-		t.Fatalf("auto algorithm without sources = %v, want %v", alg, AlgMatrix)
-	}
 	if len(ref.Pairs()) == 0 {
 		t.Fatal("running-example query has a known nonempty answer")
 	}
@@ -52,9 +50,6 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 	delta := obs.Default.Snapshot().Sub(before)
 	tr.Close()
 
-	if alg := res.Stats().Algorithm; alg != AlgMultiSource {
-		t.Fatalf("auto algorithm with sources = %v, want %v", alg, AlgMultiSource)
-	}
 	got, want := res.Pairs(), ref.Pairs()
 	if len(got) != len(want) {
 		t.Fatalf("traced answer %v differs from reference %v", got, want)
@@ -71,8 +66,12 @@ func TestFacadeEvalCFPQTraceFigure1(t *testing.T) {
 	if root.Name != "cfpq" {
 		t.Fatalf("root span = %q", root.Name)
 	}
-	if len(root.Children) == 0 || len(root.Children) != res.Stats().Rounds {
-		t.Fatalf("%d round spans for %d rounds", len(root.Children), res.Stats().Rounds)
+	ms, err := cfpq.MultiSource(g, w, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(root.Children) == 0 || len(root.Children) != ms.Rounds {
+		t.Fatalf("%d round spans for %d rounds", len(root.Children), ms.Rounds)
 	}
 	for i, c := range root.Children {
 		if want := fmt.Sprintf("round %d", i+1); c.Name != want {
