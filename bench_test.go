@@ -60,7 +60,7 @@ func BenchmarkFig3to8MultiSource(b *testing.B) {
 }
 
 // BenchmarkAblationBaselines compares Algorithm 2 with the all-pairs
-// filter and the worklist baseline (E9).
+// evaluators plus a row filter (E9).
 func BenchmarkAblationBaselines(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
@@ -287,17 +287,6 @@ func BenchmarkKernelManyRounds(b *testing.B) {
 		rounds += int64(r.Rounds)
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-}
-
-func BenchmarkKernelWorklistMS(b *testing.B) {
-	g, w, src := benchInput(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfpq.WorklistMultiSource(g, w, src); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkKernelGrammarNormalize(b *testing.B) {

@@ -150,13 +150,24 @@ func run(args []string, stdout io.Writer) error {
 			}
 			return bench.FiguresReport(series).Render(stdout)
 		case "ablation":
-			for _, g := range []string{"core", "pathways"} {
-				rep, err := bench.Ablation(cfg, g, 10)
-				if err != nil {
-					return err
-				}
-				if err := rep.Render(stdout); err != nil {
-					return err
+			// -graphs and -chunks span E9's grid; without them one
+			// |Src| = 10 query per sparse graph.
+			names, sizes := []string{"core", "pathways"}, []int{10}
+			if len(cfg.Graphs) > 0 {
+				names = cfg.Graphs
+			}
+			if *chunks != "" {
+				sizes = cfg.ChunkSizes
+			}
+			for _, g := range names {
+				for _, size := range sizes {
+					rep, err := bench.Ablation(cfg, g, size)
+					if err != nil {
+						return err
+					}
+					if err := rep.Render(stdout); err != nil {
+						return err
+					}
 				}
 			}
 			return nil

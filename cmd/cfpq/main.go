@@ -5,11 +5,11 @@
 //	cfpq -graph g.txt -grammar q.txt [-algo ms] [-src 0,5,7] [-limit 20]
 //
 // Algorithms: allpairs (Algorithm 1), seminaive (delta iteration), ms
-// (Algorithm 2, default), smart (Algorithm 3 on a fresh index), worklist
-// (CFL-reachability baseline), singlepath / mspath (witness
-// extraction). Each calls its internal/cfpq evaluator directly; ms,
-// smart and mspath need -src, and the others restrict their answer to
-// it when given. -timeout and -budget govern the query.
+// (Algorithm 2, default), smart (Algorithm 3 on a fresh index),
+// singlepath / mspath (witness extraction). Each calls its internal/cfpq
+// evaluator directly; ms, smart and mspath need -src, and the others
+// restrict their answer to it when given. -timeout and -budget govern
+// the query.
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"mscfpq/internal/cfpq"
-	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
@@ -50,15 +49,6 @@ func evaluate(algo string, g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, 
 		res, err = cfpq.AllPairs(g, w, opts...)
 	case "seminaive":
 		res, err = cfpq.AllPairsSemiNaive(g, w, opts...)
-	case "worklist":
-		if src == nil {
-			res, err = cfpq.Worklist(g, w, opts...)
-			break
-		}
-		run, cancel := exec.Build(opts).Start()
-		ans, err = cfpq.WorklistMultiSource(g, w, src, cfpq.WithRun(run))
-		cancel()
-		res = &cfpq.Result{Work: run.Spent()}
 	case "singlepath":
 		var r *cfpq.SinglePathResult
 		if r, err = cfpq.SinglePath(g, w, opts...); err == nil {
@@ -102,8 +92,8 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		graphPath   = fs.String("graph", "", "graph file (edge-list format)")
 		grammarPath = fs.String("grammar", "", "grammar file")
-		algo        = fs.String("algo", "ms", "allpairs | seminaive | ms | smart | worklist | singlepath | mspath")
-		srcSpec     = fs.String("src", "", "comma-separated source vertices (ms/smart/worklist)")
+		algo        = fs.String("algo", "ms", "allpairs | seminaive | ms | smart | singlepath | mspath")
+		srcSpec     = fs.String("src", "", "comma-separated source vertices (ms/smart/mspath)")
 		limit       = fs.Int("limit", 50, "maximum pairs to print (0 = all)")
 		showPaths   = fs.Bool("paths", false, "print a witness path per pair (singlepath/mspath)")
 		timeout     = fs.Duration("timeout", 0, "abort the query after this duration (0 = none)")

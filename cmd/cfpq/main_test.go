@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,7 +35,7 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 func TestCLIAlgorithmsAgree(t *testing.T) {
 	g, q := writeFixtures(t)
 	var results []string
-	for _, algo := range []string{"allpairs", "seminaive", "worklist", "singlepath"} {
+	for _, algo := range []string{"allpairs", "seminaive", "singlepath"} {
 		out, err := runCLI(t, "-graph", g, "-grammar", q, "-algo", algo)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -59,7 +60,7 @@ func TestCLIAlgorithmsAgree(t *testing.T) {
 
 func TestCLIMultiSource(t *testing.T) {
 	g, q := writeFixtures(t)
-	for _, algo := range []string{"ms", "smart", "worklist"} {
+	for _, algo := range []string{"ms", "smart", "mspath"} {
 		out, err := runCLI(t, "-graph", g, "-grammar", q, "-algo", algo, "-src", "0")
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -69,6 +70,29 @@ func TestCLIMultiSource(t *testing.T) {
 		}
 		if strings.Contains(out, "1 -> ") {
 			t.Fatalf("%s: leaked non-source rows:\n%s", algo, out)
+		}
+	}
+}
+
+// TestCLIWorkCharged runs every algorithm on the paper's Figure 1
+// example: each must charge the governor for the entries it produces,
+// since a run that reports work 0 is one no -budget can stop.
+func TestCLIWorkCharged(t *testing.T) {
+	g := filepath.Join("..", "..", "testdata", "example_graph.txt")
+	q := filepath.Join("..", "..", "queries", "cnd.txt")
+	for _, algo := range []string{"allpairs", "seminaive", "ms", "smart", "singlepath", "mspath"} {
+		args := []string{"-graph", g, "-grammar", q, "-algo", algo}
+		if algo == "ms" || algo == "smart" || algo == "mspath" {
+			args = append(args, "-src", "3,4")
+		}
+		out, err := runCLI(t, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		_, stats, _ := strings.Cut(out, "work: ")
+		stats, _, _ = strings.Cut(stats, "\n")
+		if work, err := strconv.Atoi(stats); err != nil || work <= 0 {
+			t.Errorf("%s: work %q, want > 0:\n%s", algo, stats, out)
 		}
 	}
 }

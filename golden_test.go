@@ -167,13 +167,6 @@ func TestGoldenReachablePairs(t *testing.T) {
 					}
 					return r.Pairs(), nil
 				}},
-				{"Worklist", func() ([][2]int, error) {
-					r, err := cfpq.Worklist(g, w)
-					if err != nil {
-						return nil, err
-					}
-					return r.Pairs(), nil
-				}},
 				{"SinglePath", func() ([][2]int, error) {
 					r, err := cfpq.SinglePath(g, w)
 					if err != nil {

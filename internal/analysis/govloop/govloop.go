@@ -2,9 +2,8 @@
 // governor they have in scope.
 //
 // PR 1 made every long-running algorithm loop — CFPQ fixpoint rounds,
-// worklist pops, the row blocks of big matrix multiplications — poll an
-// exec.Run (or a context) so queries
-// stay cancellable and budget-bounded. That discipline is easy to lose:
+// the row blocks of big matrix multiplications — poll an exec.Run (or a
+// context) so queries stay cancellable and budget-bounded. That discipline is easy to lose:
 // a new kernel that receives a governor but never consults it compiles
 // and passes tests, yet runs unbounded. govloop turns the convention
 // into a build failure.

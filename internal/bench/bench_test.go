@@ -74,7 +74,7 @@ func TestAblationAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 4 { // Algorithm 2, all-pairs, semi-naive, worklist
+	if len(rep.Rows) != 3 { // Algorithm 2, all-pairs, semi-naive
 		t.Fatalf("rows = %v", rep.Rows)
 	}
 }

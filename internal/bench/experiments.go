@@ -219,9 +219,9 @@ func FiguresReport(series []FigureSeries) *Report {
 	return rep
 }
 
-// Ablation compares the three ways to answer one multiple-source query
-// (experiment E9): Algorithm 2, all-pairs + row filter, and the
-// worklist CFL-reachability baseline. All three must agree.
+// Ablation compares three ways to answer one multiple-source query
+// (experiment E9): Algorithm 2, and all-pairs naive or semi-naive plus
+// a row filter. All three must agree.
 func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	g, spec, err := cfg.Generate(graphName)
 	if err != nil {
@@ -235,7 +235,7 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	}
 	src := chunks[0]
 
-	var msAnswer, apAnswer, wlAnswer *matrix.Bool
+	var msAnswer, apAnswer, snAnswer *matrix.Bool
 	msTime, err := timeIt(func() error {
 		r, e := cfpq.MultiSource(g, w, src)
 		if e == nil {
@@ -256,7 +256,6 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var snAnswer *matrix.Bool
 	snTime, err := timeIt(func() error {
 		r, e := cfpq.AllPairsSemiNaive(g, w)
 		if e == nil {
@@ -267,15 +266,7 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	wlTime, err := timeIt(func() error {
-		var e error
-		wlAnswer, e = cfpq.WorklistMultiSource(g, w, src)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !msAnswer.Equal(apAnswer) || !msAnswer.Equal(wlAnswer) || !msAnswer.Equal(snAnswer) {
+	if !msAnswer.Equal(apAnswer) || !msAnswer.Equal(snAnswer) {
 		return nil, fmt.Errorf("bench: ablation answers disagree on %s", graphName)
 	}
 	rep := &Report{
@@ -286,9 +277,8 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 			{"Algorithm 2 (multi-source)", ms(msTime)},
 			{"All-pairs + row filter", ms(apTime)},
 			{"All-pairs semi-naive + row filter", ms(snTime)},
-			{"Worklist on reachable subgraph", ms(wlTime)},
 		},
-		Notes: []string{"all four strategies returned identical answers"},
+		Notes: []string{"all three strategies returned identical answers"},
 	}
 	return rep, nil
 }

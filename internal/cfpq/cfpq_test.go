@@ -266,63 +266,6 @@ func TestMultiSourceEqualsFilteredAllPairsProperty(t *testing.T) {
 	}
 }
 
-// Property: the worklist baseline computes the same all-pairs relation
-// as the matrix algorithm.
-func TestWorklistEqualsAllPairsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	labels := []string{"a", "b", "subClassOf"}
-	for name, w := range testGrammars() {
-		w := w
-		t.Run(name, func(t *testing.T) {
-			for trial := 0; trial < 10; trial++ {
-				n := 3 + rng.Intn(15)
-				g := randomGraph(rng, n, 2+rng.Intn(3*n), labels)
-				ap, err := AllPairs(g, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wl, err := Worklist(g, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for a := 0; a < w.NumNonterms(); a++ {
-					if !ap.T[a].Equal(wl.T[a]) {
-						t.Fatalf("trial %d: relation of %s differs", trial, w.Nonterms[a])
-					}
-				}
-			}
-		})
-	}
-}
-
-// Property: the multiple-source worklist baseline agrees with Algorithm 2.
-func TestWorklistMultiSourceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	labels := []string{"a", "b"}
-	w := grammar.MustWCNF(grammar.AnBn("a", "b"))
-	for trial := 0; trial < 15; trial++ {
-		n := 3 + rng.Intn(15)
-		g := randomGraph(rng, n, 2+rng.Intn(3*n), labels)
-		src := matrix.NewVector(n)
-		for v := 0; v < n; v++ {
-			if rng.Intn(4) == 0 {
-				src.Set(v)
-			}
-		}
-		ms, err := MultiSource(g, w, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wl, err := WorklistMultiSource(g, w, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wl.Equal(ms.Answer()) {
-			t.Fatalf("trial %d: worklist MS differs:\n%v\nvs\n%v", trial, wl.Pairs(), ms.Answer().Pairs())
-		}
-	}
-}
-
 // Property: semi-naive evaluation computes exactly the Algorithm 1
 // relations on random inputs.
 func TestSemiNaiveEqualsAllPairsProperty(t *testing.T) {

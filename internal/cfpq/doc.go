@@ -12,10 +12,7 @@
 //   - SinglePath: all-pairs querying with single-path semantics
 //     (Terekhov et al., GRADES-NDA'20; the paper's Figure 2 experiment),
 //     which records one witness derivation per reachability fact and can
-//     reconstruct a concrete path for any result pair;
-//   - Worklist: a classic non-linear-algebra CFL-reachability solver used
-//     as the comparison baseline the paper's future-work section calls
-//     for.
+//     reconstruct a concrete path for any result pair.
 //
 // Every matrix evaluator but AllPairs is set-up, one call of the
 // delta-driven fixpoint driver (fixpoint.go, DESIGN.md §16) and result

@@ -25,8 +25,6 @@ func governedAlgorithms(g *graphAndSources, opts ...Option) map[string]error {
 	_, errs["MultiSource"] = MultiSource(g.g, g.w, g.src, opts...)
 	_, errs["SinglePath"] = SinglePath(g.g, g.w, opts...)
 	_, errs["MultiSourceSinglePath"] = MultiSourceSinglePath(g.g, g.w, g.src, opts...)
-	_, errs["Worklist"] = Worklist(g.g, g.w, opts...)
-	_, errs["WorklistMultiSource"] = WorklistMultiSource(g.g, g.w, g.src, opts...)
 	if idx, err := NewIndex(g.g, g.w); err != nil {
 		errs["MultiSourceSmart"] = err
 	} else {
@@ -88,10 +86,9 @@ func TestCancelledContextAbortsTerminalOnlyGrammar(t *testing.T) {
 }
 
 func TestTimeoutAbortsPromptly(t *testing.T) {
-	// Ungoverned, this input runs for over a hundred milliseconds
-	// (worklist baseline) to minutes (matrix fixpoints); a 3ms timeout
-	// must abort each algorithm long before that. The elapsed bound is
-	// generous — timers on loaded machines can fire tens of
+	// Ungoverned, this input runs for minutes (matrix fixpoints); a 3ms
+	// timeout must abort each algorithm long before that. The elapsed
+	// bound is generous — timers on loaded machines can fire tens of
 	// milliseconds late — but still far below the ungoverned runtime.
 	in := govInput(700)
 	start := time.Now()
@@ -109,8 +106,7 @@ func TestTimeoutAbortsPromptly(t *testing.T) {
 
 func TestBudgetAborts(t *testing.T) {
 	// A budget of 3 relation entries is exhausted by the first product
-	// of every matrix algorithm; the worklist baseline charges per 1024
-	// popped facts, which this input comfortably exceeds.
+	// of every matrix algorithm.
 	for name, err := range governedAlgorithms(govInput(60), WithBudget(3)) {
 		if !errors.Is(err, exec.ErrBudget) {
 			t.Errorf("%s: err = %v, want exec.ErrBudget", name, err)

@@ -87,8 +87,8 @@ func TestMultiSourceMonotoneQuick(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): the three all-pairs engines agree (naive,
-// semi-naive, worklist).
+// Property (testing/quick): the two all-pairs engines agree (naive,
+// semi-naive).
 func TestAllEnginesAgreeQuick(t *testing.T) {
 	w := grammar.MustWCNF(grammar.Dyck1("a", "b"))
 	f := func(edges []uint16) bool {
@@ -99,14 +99,7 @@ func TestAllEnginesAgreeQuick(t *testing.T) {
 			return false
 		}
 		sn, err := AllPairsSemiNaive(g, w)
-		if err != nil || !sn.Start().Equal(base.Start()) {
-			return false
-		}
-		wl, err := Worklist(g, w)
-		if err != nil || !wl.Start().Equal(base.Start()) {
-			return false
-		}
-		return true
+		return err == nil && sn.Start().Equal(base.Start())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

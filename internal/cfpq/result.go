@@ -24,10 +24,6 @@ var WithTimeout = exec.WithTimeout
 // across fixpoint iterations).
 var WithBudget = exec.WithBudget
 
-// WithRun shares an existing execution governor across layers of one
-// query.
-var WithRun = exec.WithRun
-
 // WithTrace attaches a per-query trace recording stage spans and
 // kernel counter deltas.
 var WithTrace = exec.WithTrace
@@ -39,10 +35,9 @@ type Result struct {
 	W *grammar.WCNF
 	T []*matrix.Bool // indexed by nonterminal id
 
-	// Rounds is the number of fixpoint iterations until convergence (0
-	// for the worklist solver, which has no matrix rounds) and Work the
-	// governor charge (relation entries produced; facts propagated, for
-	// the worklist). The evaluators fill both; cmd/cfpq prints them.
+	// Rounds is the number of fixpoint iterations until convergence and
+	// Work the governor charge (relation entries produced). The
+	// evaluators fill both; cmd/cfpq prints them.
 	Rounds int
 	Work   int64
 }

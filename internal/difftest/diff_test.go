@@ -33,10 +33,9 @@ func reportCFPQFailure(t *testing.T, inst gen.Instance, err error, check func(ge
 		min.G.NumEdges(), len(min.Sources), minErr, dir, min.Grammar)
 }
 
-// TestDifferentialCFPQ drives all eight CFPQ evaluators — AllPairs,
-// AllPairsSemiNaive, Worklist, SinglePath, MultiSource,
-// MultiSourceSinglePath, the smart Index, and WorklistMultiSource —
-// against the independent edge-list oracle on seeded random instances,
+// TestDifferentialCFPQ drives all six CFPQ evaluators — AllPairs,
+// AllPairsSemiNaive, SinglePath, MultiSource, MultiSourceSinglePath and
+// the smart Index — against the independent edge-list oracle on seeded random instances,
 // each plainly and traced with the metrics registry off.
 func TestDifferentialCFPQ(t *testing.T) {
 	failures := 0

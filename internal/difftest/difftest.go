@@ -86,7 +86,6 @@ func checkEvaluators(inst gen.Instance, ref *oracle.Relation, variant string, op
 	}{
 		{"AllPairs", func() (*cfpq.Result, error) { return cfpq.AllPairs(inst.G, inst.W, opt()) }},
 		{"AllPairsSemiNaive", func() (*cfpq.Result, error) { return cfpq.AllPairsSemiNaive(inst.G, inst.W, opt()) }},
-		{"Worklist", func() (*cfpq.Result, error) { return cfpq.Worklist(inst.G, inst.W, opt()) }},
 		{"SinglePath", func() (*cfpq.Result, error) {
 			r, err := cfpq.SinglePath(inst.G, inst.W, opt())
 			if err != nil {
@@ -136,9 +135,6 @@ func checkEvaluators(inst gen.Instance, ref *oracle.Relation, variant string, op
 				return nil, err
 			}
 			return r.Answer(), nil
-		}},
-		{"WorklistMultiSource", func() (*matrix.Bool, error) {
-			return cfpq.WorklistMultiSource(inst.G, inst.W, src, opt())
 		}},
 	}
 	for _, e := range multiSource {

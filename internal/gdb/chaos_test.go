@@ -246,6 +246,9 @@ func FuzzRecoverJournal(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 'Q'})
 	f.Add(journalOp{op: opCypher, name: "g", arg: `CREATE (a:N)`}.encode())
 	f.Add(journalOp{op: opDelete, name: "g"}.encode()[:7])
+	for _, data := range craftedJournals() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(journalPath(dir, 0), data, 0o644); err != nil {
@@ -277,6 +280,9 @@ func FuzzRecoverSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("MSCFPQSNAP\x00\x01\x00\x00\x00\x01"))
+	for _, data := range craftedSnapshots() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(snapshotPath(dir, 1), data, 0o644); err != nil {

@@ -1,10 +1,13 @@
 package gdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -469,5 +472,88 @@ func TestSnapshotRejectsTrailingGarbage(t *testing.T) {
 	}
 	if _, err := readSnapshotFile(path); err == nil || !strings.Contains(err.Error(), "trailing garbage") {
 		t.Fatalf("readSnapshotFile = %v, want trailing-garbage error", err)
+	}
+}
+
+// craftedSnapshots are snapshot files whose header or section length
+// promises far more than the file holds.
+func craftedSnapshots() map[string][]byte {
+	header := func(sections uint32) []byte {
+		b := binary.BigEndian.AppendUint16([]byte(snapshotMagic), snapshotVersion)
+		return binary.BigEndian.AppendUint32(b, sections)
+	}
+	section := append(binary.BigEndian.AppendUint32(header(1), 1), 'g')
+	return map[string][]byte{
+		"2^24 sections":   header(1 << 24),
+		"2^32-1 sections": header(math.MaxUint32),
+		"1 GiB section":   binary.BigEndian.AppendUint64(section, 1<<30),
+	}
+}
+
+// craftedJournals are journal files whose last record header promises
+// maxJournalRecord bytes that the file does not hold.
+func craftedJournals() map[string][]byte {
+	huge := binary.BigEndian.AppendUint32(nil, maxJournalRecord)
+	huge = append(huge, 0, 0, 0, 0, opCypher)
+	good := journalOp{op: opCypher, name: "g", arg: `CREATE (a:N)`}.encode()
+	return map[string][]byte{
+		"256 MiB record":           huge,
+		"good then 256 MiB record": append(good, huge...),
+	}
+}
+
+// TestOpenBoundsCraftedLengths: Open refuses a snapshot and cuts a
+// journal tail whose lengths run past the end of the file, without
+// first allocating what they promise; ScanRecords, the leader's journal
+// read for a replica, stops at the same boundary.
+func TestOpenBoundsCraftedLengths(t *testing.T) {
+	bounded := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s allocated %d bytes, want <= 16 MiB", what, got)
+		}
+	}
+	for name, data := range craftedSnapshots() {
+		t.Run("snapshot "+name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(snapshotPath(dir, 1), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			bounded(t, "Open", func() { _, err = Open(dir) })
+			if err == nil {
+				t.Fatal("Open accepted the snapshot")
+			}
+		})
+	}
+	for name, data := range craftedJournals() {
+		t.Run("journal "+name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := journalPath(dir, 0)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			intact := int64(len(data) - 9) // all but the crafted record
+			var recs [][]byte
+			var end int64
+			var err error
+			bounded(t, "ScanRecords", func() { recs, end, err = ScanRecords(path, 0, 1<<30) })
+			if err != nil || end != intact || len(recs) != int(min(intact, 1)) {
+				t.Fatalf("ScanRecords = %d records to offset %d (%v), want the %d bytes before the crafted record", len(recs), end, err, intact)
+			}
+			var db *DB
+			bounded(t, "Open", func() { db, err = Open(dir) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if st, err := os.Stat(path); err != nil || st.Size() != intact {
+				t.Fatalf("journal after Open: %v, %v; want its tail cut at %d", st, err, intact)
+			}
+		})
 	}
 }

@@ -32,7 +32,8 @@ const (
 	opDelete  = 'D'
 
 	// maxJournalRecord bounds one record payload (256 MiB): larger
-	// length prefixes are treated as corruption, not allocations.
+	// length prefixes, and those past the end of the file, are treated
+	// as corruption, not allocations.
 	maxJournalRecord = 256 << 20
 )
 
@@ -138,6 +139,10 @@ func readJournal(path string) (ops []journalOp, good int64, torn bool, err error
 	}
 	//lint:ignore errdrop read-only file; close failures cannot lose data
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, false, err
+	}
 
 	var off int64
 	header := make([]byte, 8)
@@ -149,7 +154,7 @@ func readJournal(path string) (ops []journalOp, good int64, torn bool, err error
 		}
 		payloadLen := binary.BigEndian.Uint32(header)
 		crc := binary.BigEndian.Uint32(header[4:])
-		if payloadLen > maxJournalRecord {
+		if payloadLen > maxJournalRecord || int64(payloadLen) > st.Size()-off-8 {
 			return ops, off, true, nil
 		}
 		payload := make([]byte, payloadLen)

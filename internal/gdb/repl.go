@@ -157,6 +157,10 @@ func ScanRecords(path string, off int64, maxBytes int64) ([][]byte, int64, error
 	}
 	//lint:ignore errdrop read-only file; close failures cannot lose data
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, off, err
+	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, off, err
 	}
@@ -168,8 +172,8 @@ func ScanRecords(path string, off int64, maxBytes int64) ([][]byte, int64, error
 			break // clean EOF or torn tail: stop at the last boundary
 		}
 		payloadLen := binary.BigEndian.Uint32(header)
-		if payloadLen > maxJournalRecord {
-			break // garbage length: treat as a torn tail
+		if payloadLen > maxJournalRecord || int64(payloadLen) > st.Size()-off-8 {
+			break // garbage length, or not yet written: a torn tail
 		}
 		raw := make([]byte, 8+payloadLen)
 		copy(raw, header)

@@ -34,8 +34,9 @@ const (
 	snapshotMagic   = "MSCFPQSNAP"
 	snapshotVersion = 1
 
-	// maxSnapshotSection bounds a single section payload (1 GiB) so a
-	// corrupted length field cannot force a huge allocation.
+	// maxSnapshotSection bounds a single section payload (1 GiB); a
+	// reader also refuses a length beyond the bytes left in the file, so
+	// a corrupted length field cannot force a huge allocation.
 	maxSnapshotSection = 1 << 30
 )
 
@@ -191,8 +192,9 @@ func syncDir(dir string) error {
 
 // readSnapshotFile loads and validates a snapshot file, returning the
 // decoded stores. Any structural damage — bad magic, unknown version,
-// CRC mismatch, short file, trailing garbage — is an error; the caller
-// falls back to an older snapshot.
+// CRC mismatch, short file, a length past the end, trailing garbage —
+// is an error; the caller falls back to an older snapshot. Nothing is
+// sized from the file before it is checked against the bytes left.
 func readSnapshotFile(path string) (map[string]*GraphStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -200,7 +202,12 @@ func readSnapshotFile(path string) (map[string]*GraphStore, error) {
 	}
 	//lint:ignore errdrop read-only file; close failures cannot lose data
 	defer f.Close()
-	r := bufio.NewReader(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// r.N counts the bytes left in the file.
+	r := &io.LimitedReader{R: bufio.NewReader(f), N: st.Size()}
 
 	header := make([]byte, len(snapshotMagic)+6)
 	if _, err := io.ReadFull(r, header); err != nil {
@@ -214,7 +221,7 @@ func readSnapshotFile(path string) (map[string]*GraphStore, error) {
 	}
 	count := binary.BigEndian.Uint32(header[len(snapshotMagic)+2:])
 
-	stores := make(map[string]*GraphStore, count)
+	stores := map[string]*GraphStore{}
 	for i := uint32(0); i < count; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.BigEndian, &nameLen); err != nil {
@@ -231,8 +238,8 @@ func readSnapshotFile(path string) (map[string]*GraphStore, error) {
 		if err := binary.Read(r, binary.BigEndian, &payloadLen); err != nil {
 			return nil, fmt.Errorf("gdb: snapshot %s: section %d: %w", path, i, err)
 		}
-		if payloadLen > maxSnapshotSection {
-			return nil, fmt.Errorf("gdb: snapshot %s: section %d: absurd payload length %d", path, i, payloadLen)
+		if payloadLen > maxSnapshotSection || payloadLen > uint64(r.N) {
+			return nil, fmt.Errorf("gdb: snapshot %s: section %d: absurd payload length %d (%d bytes left)", path, i, payloadLen, r.N)
 		}
 		payload := make([]byte, payloadLen)
 		if _, err := io.ReadFull(r, payload); err != nil {
@@ -252,7 +259,7 @@ func readSnapshotFile(path string) (map[string]*GraphStore, error) {
 		}
 		stores[string(name)] = s
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
+	if r.N != 0 {
 		return nil, fmt.Errorf("gdb: snapshot %s: trailing garbage after %d sections", path, count)
 	}
 	return stores, nil

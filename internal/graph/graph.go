@@ -272,39 +272,6 @@ func (g *Graph) Edges(fn func(src int, label string, dst int) bool) {
 	}
 }
 
-// AdjacencyUnion returns the union of all label matrices, optionally
-// including inverse edges. Used for reachability pruning by the
-// non-linear-algebra baseline.
-func (g *Graph) AdjacencyUnion(includeInverse bool) *matrix.Bool {
-	u := matrix.NewBool(g.n, g.n)
-	for _, m := range g.edges {
-		matrix.AddInPlace(u, m)
-	}
-	if includeInverse {
-		matrix.AddInPlace(u, matrix.Transpose(u))
-	}
-	return u
-}
-
-// Reachable returns every vertex reachable from src by a path over the
-// union adjacency (optionally treating edges as undirected), including
-// the sources themselves.
-func (g *Graph) Reachable(src *matrix.Vector, includeInverse bool) *matrix.Vector {
-	u := g.AdjacencyUnion(includeInverse)
-	seen := src.Clone()
-	frontier := src.Clone()
-	for !frontier.Empty() {
-		next := matrix.VecMul(frontier, u)
-		next.DiffInPlace(seen)
-		if next.Empty() {
-			break
-		}
-		seen.UnionInPlace(next)
-		frontier = next
-	}
-	return seen
-}
-
 // Stats summarizes a graph for the paper's Table 1.
 type Stats struct {
 	Vertices int

@@ -146,23 +146,6 @@ func TestEdgesIteration(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, "a", 1)
-	g.AddEdge(1, "b", 2)
-	g.AddEdge(3, "a", 4) // disconnected component
-	src := matrix.NewVectorFromIndices(6, []int{0})
-	got := g.Reachable(src, false)
-	if !got.Equal(matrix.NewVectorFromIndices(6, []int{0, 1, 2})) {
-		t.Fatalf("reachable = %v", got)
-	}
-	// With inverse edges, 1 reaches 0 as well.
-	got = g.Reachable(matrix.NewVectorFromIndices(6, []int{2}), true)
-	if !got.Equal(matrix.NewVectorFromIndices(6, []int{0, 1, 2})) {
-		t.Fatalf("undirected reachable = %v", got)
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := paperGraph()
 	s := g.Stats()
@@ -267,20 +250,6 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if back.NumEdges() != g.NumEdges() {
 		t.Fatal("file round trip lost edges")
-	}
-}
-
-func TestAdjacencyUnion(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, "a", 1)
-	g.AddEdge(1, "b", 2)
-	u := g.AdjacencyUnion(false)
-	if u.NVals() != 2 || !u.Get(0, 1) || !u.Get(1, 2) {
-		t.Fatalf("union wrong:\n%v", u)
-	}
-	ui := g.AdjacencyUnion(true)
-	if ui.NVals() != 4 || !ui.Get(1, 0) || !ui.Get(2, 1) {
-		t.Fatalf("undirected union wrong:\n%v", ui)
 	}
 }
 

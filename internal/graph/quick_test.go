@@ -49,35 +49,3 @@ func TestEdgeDecompositionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property (testing/quick): reachability is monotone — growing the
-// source set never shrinks the reachable set.
-func TestReachableMonotoneQuick(t *testing.T) {
-	type edge struct{ Src, Dst uint8 }
-	f := func(edges []edge, seeds []uint8) bool {
-		const n = 64
-		g := New(n)
-		for _, e := range edges {
-			g.AddEdge(int(e.Src)%n, "a", int(e.Dst)%n)
-		}
-		small := matrix.NewVector(n)
-		big := matrix.NewVector(n)
-		for i, s := range seeds {
-			big.Set(int(s) % n)
-			if i%2 == 0 {
-				small.Set(int(s) % n)
-			}
-		}
-		rSmall := g.Reachable(small, false)
-		rBig := g.Reachable(big, false)
-		for _, v := range rSmall.Ints() {
-			if !rBig.Get(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -212,15 +212,12 @@ func TestBoolFormsQuick(t *testing.T) {
 		ok = ok && check("Transpose", Transpose(a), tr) && check("Transpose twice", Transpose(Transpose(a)), ra)
 		ok = ok && check("ExtractRows", ExtractRows(a, set), ra.rows(set))
 		ok = ok && check("SelectRows", SelectRows(a, set).toBool(), ra.rows(set)) && check("ListRows", ListRows(a).toBool(), ra)
-		cols, vm := NewVector(n), NewVector(n)
+		cols := NewVector(n)
 		for p := range ra {
 			cols.Set(p[1])
-			if set.Get(p[0]) {
-				vm.Set(p[1])
-			}
 		}
-		if !ReduceCols(a).Equal(cols) || !VecMul(set, a).Equal(vm) {
-			t.Errorf("seed %d: ReduceCols or VecMul disagrees with the entries", seed)
+		if !ReduceCols(a).Equal(cols) {
+			t.Errorf("seed %d: ReduceCols disagrees with the entries", seed)
 			return false
 		}
 

@@ -185,26 +185,6 @@ func ReduceCols(m *Bool) *Vector {
 	return v
 }
 
-// VecMul returns the vector-matrix product v * m: the set of columns of m
-// reachable from rows in v.
-func VecMul(v *Vector, m *Bool) *Vector {
-	if v.n != m.nrows {
-		panic(fmt.Sprintf("matrix: VecMul size mismatch %d vs %dx%d", v.n, m.nrows, m.ncols))
-	}
-	out := NewVector(m.ncols)
-	if len(v.idx) == 0 || m.nvals == 0 {
-		return out
-	}
-	acc := getAccumulator(m.ncols)
-	acc.reset()
-	for _, i := range v.idx {
-		acc.orSlot(&m.slots, int(i))
-	}
-	out.idx = acc.extract(make([]uint32, 0, acc.count()))
-	putAccumulator(acc)
-	return out
-}
-
 func (v *Vector) String() string {
 	return fmt.Sprintf("Vector{n=%d, set=%v}", v.n, v.Ints())
 }

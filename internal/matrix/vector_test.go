@@ -92,17 +92,6 @@ func TestReduceColsMatchesGetDst(t *testing.T) {
 	}
 }
 
-func TestVecMul(t *testing.T) {
-	m := NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	v := NewVectorFromIndices(4, []int{0, 2})
-	if got := VecMul(v, m); !got.Equal(NewVectorFromIndices(4, []int{1, 3})) {
-		t.Fatalf("VecMul = %v", got)
-	}
-	if got := VecMul(NewVector(4), m); !got.Empty() {
-		t.Fatal("empty vector times matrix must be empty")
-	}
-}
-
 // Property (testing/quick): getDst(M), as the vector ReduceCols(M), holds
 // exactly the columns of M, for arbitrary generated matrices.
 func TestGetDstPropertyQuick(t *testing.T) {

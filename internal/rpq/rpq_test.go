@@ -183,8 +183,8 @@ func engineGraph() *graph.Graph {
 }
 
 // TestEvalEnginesAgree checks the one RPQ path (the multiple-source
-// driver) against the two reference CFPQ engines, Algorithm 1 and the
-// worklist baseline, run on the same compiled grammar.
+// driver) against the reference CFPQ engine, Algorithm 1, run on the
+// same compiled grammar.
 func TestEvalEnginesAgree(t *testing.T) {
 	g := engineGraph()
 	src := matrix.NewVectorFromIndices(g.NumVertices(), []int{0, 3})
@@ -197,17 +197,12 @@ func TestEvalEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ref := range []struct {
-			name string
-			run  func(*graph.Graph, *grammar.WCNF, ...cfpq.Option) (*cfpq.Result, error)
-		}{{"AllPairs", cfpq.AllPairs}, {"Worklist", cfpq.Worklist}} {
-			r, err := ref.run(g, w)
-			if err != nil {
-				t.Fatalf("%q %s: %v", query, ref.name, err)
-			}
-			if want := matrix.ExtractRows(r.Start(), src); !got.Equal(want) {
-				t.Fatalf("%q: Eval = %v, %s = %v", query, got.Pairs(), ref.name, want.Pairs())
-			}
+		r, err := cfpq.AllPairs(g, w)
+		if err != nil {
+			t.Fatalf("%q AllPairs: %v", query, err)
+		}
+		if want := matrix.ExtractRows(r.Start(), src); !got.Equal(want) {
+			t.Fatalf("%q: Eval = %v, AllPairs = %v", query, got.Pairs(), want.Pairs())
 		}
 	}
 }
