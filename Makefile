@@ -118,7 +118,13 @@ bench-quick:
 # benchmark prints what one cached MATCH read costs through
 # QueryContext, exact and revalidated after a write, and a 6000-row
 # exact hit through QueryCells, the server's entry (their gates are
-# TestCacheHitSkipsParse and TestCellHitIsItsResultAlone in `make test`).
+# TestCacheHitSkipsParse and TestCellHitIsItsResultAlone in `make test`);
+# the cached-answers benchmark fills the result cache with dense-scan
+# answers nobody reads again, which hold only its probation segment (an
+# eighth of the budget, DESIGN.md §11), and times one collection with
+# the answers and MiB held. The parse benchmark prints what parsing a
+# mixed-rw chunk statement costs, half of a result-cache miss against a
+# warm index (its gate is TestParseAllocs in `make test`).
 # The dense-cold statement benchmark prints what the wire's dense-cold op
 # costs in process: the G2 count of a hundred sources through
 # QueryCells on a freshly restored go-hierarchy@0.02, with its fixpoint
@@ -140,6 +146,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$' -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchmem ./internal/cypher
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseSweepStatement$$' -benchtime 620x -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkRegularShapes$$' -short -benchtime 10x -benchmem .

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,26 @@ func TestAblationAgreement(t *testing.T) {
 	}
 	if len(rep.Rows) != 3 { // Algorithm 2, all-pairs, semi-naive
 		t.Fatalf("rows = %v", rep.Rows)
+	}
+}
+
+// TestMedianTimeWarmsFirst: a strategy is called once untimed, then
+// ablationReps times, and an error on any call is the result.
+func TestMedianTimeWarmsFirst(t *testing.T) {
+	calls := 0
+	if _, err := medianTime(func() error { calls++; return nil }); err != nil || calls != ablationReps+1 {
+		t.Fatalf("%d calls (%v), want %d", calls, err, ablationReps+1)
+	}
+	calls = 0
+	boom := errors.New("boom")
+	if _, err := medianTime(func() error {
+		calls++
+		if calls == 3 {
+			return boom
+		}
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("error on the third call: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -219,6 +220,32 @@ func FiguresReport(series []FigureSeries) *Report {
 	return rep
 }
 
+// ablationReps is how many timed calls Ablation makes of each strategy,
+// after one untimed call; it reports their median, so a cell does not
+// depend on what the cells before it left warm in the process.
+const ablationReps = 5
+
+// medianTime calls fn once untimed, then ablationReps times timed, each
+// after a full collection, so the collector's pacing is the same
+// whatever garbage earlier calls left; it returns the median of the
+// timed calls.
+func medianTime(fn func() error) (time.Duration, error) {
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	ds := make([]time.Duration, ablationReps)
+	for i := range ds {
+		runtime.GC()
+		d, err := timeIt(fn)
+		if err != nil {
+			return 0, err
+		}
+		ds[i] = d
+	}
+	slices.Sort(ds)
+	return ds[len(ds)/2], nil
+}
+
 // Ablation compares three ways to answer one multiple-source query
 // (experiment E9): Algorithm 2, and all-pairs naive or semi-naive plus
 // a row filter. All three must agree.
@@ -236,7 +263,7 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	src := chunks[0]
 
 	var msAnswer, apAnswer, snAnswer *matrix.Bool
-	msTime, err := timeIt(func() error {
+	msTime, err := medianTime(func() error {
 		r, e := cfpq.MultiSource(g, w, src)
 		if e == nil {
 			msAnswer = r.Answer()
@@ -246,7 +273,7 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	apTime, err := timeIt(func() error {
+	apTime, err := medianTime(func() error {
 		r, e := cfpq.AllPairs(g, w)
 		if e == nil {
 			apAnswer = matrix.ExtractRows(r.Start(), src)
@@ -256,7 +283,7 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	snTime, err := timeIt(func() error {
+	snTime, err := medianTime(func() error {
 		r, e := cfpq.AllPairsSemiNaive(g, w)
 		if e == nil {
 			snAnswer = matrix.ExtractRows(r.Start(), src)
@@ -278,7 +305,10 @@ func Ablation(cfg Config, graphName string, chunkSize int) (*Report, error) {
 			{"All-pairs + row filter", ms(apTime)},
 			{"All-pairs semi-naive + row filter", ms(snTime)},
 		},
-		Notes: []string{"all three strategies returned identical answers"},
+		Notes: []string{
+			"all three strategies returned identical answers",
+			fmt.Sprintf("each time is the median of %d timed calls, each after a full collection, following one untimed call of that strategy", ablationReps),
+		},
 	}
 	return rep, nil
 }

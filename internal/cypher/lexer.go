@@ -39,7 +39,10 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Half the text's length in tokens is room for a statement like a
+	// sweep's chunk query (88 tokens in 225 bytes) without growing; the
+	// cap keeps a long text from reserving more than ~32 KiB up front.
+	l := &lexer{src: src, toks: make([]token, 0, min(len(src)/2, 1024)+1)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -108,23 +111,39 @@ func (l *lexer) lexString() error {
 	return fmt.Errorf("cypher: unterminated string at offset %d", start)
 }
 
-// multi-rune punctuation, longest first.
-var punctSeq = []string{"/->", "<-/", "->", "<-", "-/", "/-", "<>", ">=", "<="}
-
+// lexPunct emits the punctuation token at l.pos: a multi-byte one
+// (/->, /-, <-/, <-, <>, <=, ->, -/, >=), longest first, or one of
+// the single bytes ()[]{}-<>|:,=~*+?./. A token's text is a slice of
+// the source, so none allocates.
 func (l *lexer) lexPunct() error {
 	rest := l.src[l.pos:]
-	for _, p := range punctSeq {
-		if strings.HasPrefix(rest, p) {
-			l.toks = append(l.toks, token{kind: tokPunct, text: p, pos: l.pos})
-			l.pos += len(p)
-			return nil
+	n := 1
+	switch rest[0] {
+	case '/':
+		if strings.HasPrefix(rest, "/->") {
+			n = 3
+		} else if strings.HasPrefix(rest, "/-") {
+			n = 2
 		}
+	case '<':
+		if strings.HasPrefix(rest, "<-/") {
+			n = 3
+		} else if strings.HasPrefix(rest, "<-") || strings.HasPrefix(rest, "<>") || strings.HasPrefix(rest, "<=") {
+			n = 2
+		}
+	case '-':
+		if strings.HasPrefix(rest, "->") || strings.HasPrefix(rest, "-/") {
+			n = 2
+		}
+	case '>':
+		if strings.HasPrefix(rest, ">=") {
+			n = 2
+		}
+	case '(', ')', '[', ']', '{', '}', '|', ':', ',', '=', '~', '*', '+', '?', '.':
+	default:
+		return fmt.Errorf("cypher: invalid character %q at offset %d", rest[0], l.pos)
 	}
-	c := l.src[l.pos]
-	if strings.ContainsRune("()[]{}-<>|:,=~*+?./", rune(c)) {
-		l.toks = append(l.toks, token{kind: tokPunct, text: string(c), pos: l.pos})
-		l.pos++
-		return nil
-	}
-	return fmt.Errorf("cypher: invalid character %q at offset %d", c, l.pos)
+	l.toks = append(l.toks, token{kind: tokPunct, text: rest[:n], pos: l.pos})
+	l.pos += n
+	return nil
 }

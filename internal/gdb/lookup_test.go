@@ -12,6 +12,8 @@ import (
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/matrix"
+	"mscfpq/internal/plan"
 	"mscfpq/internal/store"
 )
 
@@ -365,20 +367,84 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 	})
 }
 
-// BenchmarkCachedAnswersGC times one full collection with the default
-// 64 MiB result cache filled with dense-scan answers: distinct
-// chunk-10 G2 reads of go-hierarchy@0.02, ~6000 rows each, until the
-// cache evicts. What the collector does with the cached answers is
-// what every collection of a dense-scan server pays.
-func BenchmarkCachedAnswersGC(b *testing.B) {
+// denseScanDB is a database holding go-hierarchy@0.02, dense-scan's
+// graph, as "g", with a result cache of maxBytes.
+func denseScanDB(tb testing.TB, maxBytes int64) (*DB, *graph.Graph) {
 	spec, err := dataset.ByName("go-hierarchy")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g := dataset.Generate(dataset.Scaled(spec, 0.02))
 	db := New()
-	db.SetPolicy(Policy{CacheMaxBytes: 64 << 20})
+	db.SetPolicy(Policy{CacheMaxBytes: maxBytes})
 	db.AddGraph("g", g)
+	return db, g
+}
+
+// TestScanHoldsOnlyProbation: a dense-scan sweep, distinct chunk-10 G2
+// texts whose answers nobody reads again, leaves the result cache
+// holding at most probation's share plus one answer beside a repeated
+// text, which keeps hitting throughout.
+func TestScanHoldsOnlyProbation(t *testing.T) {
+	// share is probation's eighth of the budget (store.probationMax).
+	const budget, share = 4 << 20, 4 << 20 / 8
+	db, g := denseScanDB(t, budget)
+	perm := rand.New(rand.NewSource(1)).Perm(g.NumVertices())
+	// answerBytes is what the cache charges for text's answer res, as
+	// queryAt computes it.
+	answerBytes := func(text string, ids []int, res *QueryResult) int64 {
+		q, err := cypher.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := &store.Footprint{Ctx: plan.CtxKey(q.PathPatterns), Sources: matrix.NewVectorFromIndices(g.NumVertices(), ids)}
+		return resultBytes(&answer{columns: res.Columns, cells: res.Cells, rows: res.NumRows}, text, fp)
+	}
+	hot := g2Query(perm[:10])
+	res, err := db.Query("g", hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotBytes := answerBytes(hot, perm[:10], res)
+	var largest, scanned int64
+	for lo := 10; lo+10 <= len(perm); lo += 10 {
+		if lo%100 == 10 {
+			// Every tenth text, the repeated one is read again: its
+			// first repeat promotes it, and every later one hits.
+			before := db.Cache().Stats()
+			if _, err := db.Query("g", hot); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.Cache().Stats(); st.Hits != before.Hits+1 {
+				t.Fatalf("after %d scanned texts the repeated text missed: %+v", lo/10-1, st)
+			}
+		}
+		text := g2Query(perm[lo : lo+10])
+		res, err := db.Query("g", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := answerBytes(text, perm[lo:lo+10], res)
+		largest, scanned = max(largest, b), scanned+b
+		if st := db.Cache().Stats(); st.Bytes-hotBytes > share+largest {
+			t.Fatalf("after %d scanned texts the cache holds %d bytes beside the repeated text's %d, want at most probation's %d plus one answer (%d)",
+				lo/10, st.Bytes-hotBytes, hotBytes, share, largest)
+		}
+	}
+	if scanned < 2*budget {
+		t.Fatalf("the sweep scanned only %d bytes of answers, not past the %d budget", scanned, budget)
+	}
+}
+
+// BenchmarkCachedAnswersGC times one full collection with the default
+// 64 MiB result cache after dense-scan answers (distinct chunk-10 G2
+// reads of go-hierarchy@0.02, ~6000 rows each) have filled its
+// probation segment until it evicts: answers nobody reads again hold
+// probation's eighth of the budget, not the whole of it. It reports
+// the answers and the MiB held: what the collector does with them is
+// what every collection of a dense-scan server pays.
+func BenchmarkCachedAnswersGC(b *testing.B) {
+	db, g := denseScanDB(b, 64<<20)
 	rng := rand.New(rand.NewSource(1))
 	for db.Cache().Stats().Evictions == 0 {
 		perm := rng.Perm(g.NumVertices())
@@ -392,5 +458,7 @@ func BenchmarkCachedAnswersGC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
 	}
-	b.ReportMetric(float64(db.Cache().Stats().Entries), "answers")
+	st := db.Cache().Stats()
+	b.ReportMetric(float64(st.Entries), "answers")
+	b.ReportMetric(float64(st.Bytes)/(1<<20), "MiB")
 }

@@ -71,8 +71,13 @@ var (
 	// Hits served by an entry computed at another version, whose rows a
 	// dirty-row check vouched for (also counted in cache.hits).
 	CacheRevalidations = Default.Counter("cache.revalidations")
-	CacheBytes         = Default.Gauge("cache.bytes")
-	CacheEntries       = Default.Gauge("cache.entries")
+	// Entries a first hit moved from the probation segment to the
+	// protected one, and what probation holds (among cache.bytes): a
+	// scan of texts nobody reads again holds only probation.
+	CachePromotions     = Default.Counter("cache.promotions")
+	CacheBytes          = Default.Gauge("cache.bytes")
+	CacheProbationBytes = Default.Gauge("cache.probation.bytes")
+	CacheEntries        = Default.Gauge("cache.entries")
 
 	// RESP serving surface.
 	RespConnsTotal   = Default.Counter("resp.conns.total")

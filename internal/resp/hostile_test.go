@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +180,23 @@ func TestHostileOversizedBulkLength(t *testing.T) {
 		t.Fatalf("reply to hostile bulk length = %q", reply)
 	}
 	mustServeHealthy(t, addr)
+}
+
+// TestHostileBulkLengthCommitsNothing: a bulk length at the bound with
+// nothing after it fails to decode without allocating the 16 MiB it
+// declares; the payload's buffer grows only as its bytes arrive.
+func TestHostileBulkLengthCommitsNothing(t *testing.T) {
+	r := bufio.NewReader(strings.NewReader("*1\r\n$16777215\r\n"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decode(r, nil, maxArrayLen)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a bulk string cut off after its length decoded")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a declared 16 MiB bulk string with no payload allocated %d bytes", d)
+	}
 }
 
 func TestHostileOversizedArrayLength(t *testing.T) {

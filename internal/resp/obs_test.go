@@ -92,6 +92,14 @@ func TestServerInfoSlowlog(t *testing.T) {
 	if !strings.Contains(sec.Str, "# kernels") || strings.Contains(sec.Str, "# server") {
 		t.Fatalf("INFO kernels = %q", sec.Str)
 	}
+	if sec, err = c.Do("INFO", "cache"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# cache", "cache.hits:", "cache.promotions:", "cache.bytes:", "cache.probation.bytes:"} {
+		if !strings.Contains(sec.Str, want) {
+			t.Errorf("INFO cache missing %q:\n%s", want, sec.Str)
+		}
+	}
 	if _, err := c.Do("INFO", "a", "b"); err == nil {
 		t.Fatal("expected error for INFO with two arguments")
 	}

@@ -301,14 +301,11 @@ func (d *decoder) read(v *Value) error {
 				v.Null = true
 				return nil
 			}
-			buf := make([]byte, n+2)
-			if _, err := io.ReadFull(d.r, buf); err != nil {
+			s, err := readBulk(d.r, int(n))
+			if err != nil {
 				return err
 			}
-			if buf[n] != '\r' || buf[n+1] != '\n' {
-				return fmt.Errorf("resp: bulk string missing CRLF")
-			}
-			v.Str = string(buf[:n])
+			v.Str = s
 			return nil
 		case Integer, Array:
 			if n, err = d.readInt(); err != nil {
@@ -338,6 +335,30 @@ func (d *decoder) read(v *Value) error {
 	}
 	v.Array = a
 	return nil
+}
+
+// readBulk reads a bulk payload of n bytes and its CRLF. Its buffer
+// starts at what r holds buffered and doubles as the bytes arrive, so
+// a declared length commits memory only as the peer sends it.
+func readBulk(r *bufio.Reader, n int) (string, error) {
+	buf := make([]byte, 0, min(n+2, max(r.Buffered(), 512)))
+	for len(buf) < n+2 {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n+2, 2*cap(buf))), buf...)
+		}
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // as one ReadFull of the payload reports it
+		}
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return "", err
+		}
+	}
+	if buf[n] != '\r' || buf[n+1] != '\n' {
+		return "", fmt.Errorf("resp: bulk string missing CRLF")
+	}
+	return string(buf[:n]), nil
 }
 
 // fill decodes elements onto a until it holds n, in place, growing it as
