@@ -55,13 +55,14 @@ chaos:
 # over real sockets, every repl.* failpoint struck with
 # error/torn/panic specs on both sides, kill-restart of either node —
 # plus the gdb replication primitives (read-only mode, record
-# scanning, mirrored apply/rotate/install, pin-vs-prune) and the
+# scanning, mirrored apply/rotate/install, pin-vs-prune, and a
+# follower's cache drops and fsync metric on apply) and the
 # client-side failover surface (redial, leader hints, routing). The
 # nofault build proves the replication failpoints also compile to
 # no-ops for release builds.
 chaos-repl:
 	$(GO) test -race -count=1 ./internal/repl
-	$(GO) test -race -count=1 -run 'TestReadOnlyReplica|TestPinSegment|TestScanRecords|TestDecodeFramed|TestReplApply|TestReplRotate|TestReplInstall|TestWatchJournal' ./internal/gdb
+	$(GO) test -race -count=1 -run 'TestReadOnlyReplica|TestPinSegment|TestScanRecords|TestDecodeFramed|TestReplApply|TestReplRotate|TestReplInstall|TestWatchJournal|TestFollowerCacheDropsReplacedStores|TestFollowerFsyncIsObserved' ./internal/gdb
 	$(GO) test -race -count=1 -run 'TestIsBrokenConn|TestLeaderHint|TestDoRetry|TestRoutingClient|TestServerReadOnly' ./internal/resp
 	$(GO) build -tags=nofault ./internal/repl
 

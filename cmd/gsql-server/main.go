@@ -6,9 +6,21 @@
 //	gsql-server -addr :6380
 //	gsql-server -addr :6380 -load social=social.txt -seed core@0.5
 //
-// Clients speak RESP: GRAPH.QUERY <name> <cypher>, GRAPH.EXPLAIN,
-// GRAPH.DELETE, GRAPH.LIST, PING. See cmd/gsql-cli for an interactive
-// client.
+// Clients speak RESP. The server answers
+//
+//	GRAPH.QUERY <graph> <cypher>     GRAPH.EXPLAIN <graph> <cypher>
+//	GRAPH.PROFILE <graph> <cypher>   GRAPH.STATS <graph>
+//	GRAPH.DUMP <graph>               GRAPH.RESTORE <graph> <dump>
+//	GRAPH.DELETE <graph>             GRAPH.LIST
+//	GRAPH.SAVE                       INFO [section]
+//	SLOWLOG GET [n] | RESET | LEN    PING [message]
+//	ECHO <message>                   QUIT, COMMAND, REPLCONF
+//
+// and, on a durable leader (-data-dir without -replica-of), SYNC, the
+// handshake internal/repl's followers open. A follower refuses the
+// writes (GRAPH.QUERY with CREATE, GRAPH.RESTORE, GRAPH.DELETE,
+// GRAPH.SAVE) with a READONLY error naming its leader. See
+// cmd/gsql-cli for an interactive client.
 package main
 
 import (

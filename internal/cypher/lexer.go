@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical classes.
@@ -52,7 +53,7 @@ func lex(src string) ([]token, error) {
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(l.runeAt()):
 			l.lexIdent()
 		case c >= '0' && c <= '9':
 			l.lexInt()
@@ -73,10 +74,21 @@ func lex(src string) ([]token, error) {
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
 func isIdentPart(r rune) bool  { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
 
+// runeAt decodes the character at l.pos: utf8.RuneError, one byte
+// wide, where the text is not valid UTF-8.
+func (l *lexer) runeAt() rune {
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
+}
+
 func (l *lexer) lexIdent() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	for l.pos < len(l.src) {
+		r, n := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentPart(r) {
+			break
+		}
+		l.pos += n
 	}
 	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
 }
@@ -141,7 +153,10 @@ func (l *lexer) lexPunct() error {
 		}
 	case '(', ')', '[', ']', '{', '}', '|', ':', ',', '=', '~', '*', '+', '?', '.':
 	default:
-		return fmt.Errorf("cypher: invalid character %q at offset %d", rest[0], l.pos)
+		if r, n := utf8.DecodeRuneInString(rest); r != utf8.RuneError || n > 1 {
+			return fmt.Errorf("cypher: invalid character %q at offset %d", r, l.pos)
+		}
+		return fmt.Errorf("cypher: invalid UTF-8 at offset %d", l.pos)
 	}
 	l.toks = append(l.toks, token{kind: tokPunct, text: rest[:n], pos: l.pos})
 	l.pos += n

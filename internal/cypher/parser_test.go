@@ -262,6 +262,31 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseUTF8Identifiers: variables, labels and relationship types
+// may hold any Unicode letter; an error names the character the text
+// holds, and invalid UTF-8 is a parse error.
+func TestParseUTF8Identifiers(t *testing.T) {
+	q := mustParse(t, `MATCH (é) RETURN é`)
+	if n := q.Match.Patterns[0].Nodes[0]; n.Var != "é" {
+		t.Fatalf("node = %+v, want variable é", n)
+	}
+	q = mustParse(t, `MATCH (v:Ärzte)-[:kennt]->(u:日本) RETURN v`)
+	pat := q.Match.Patterns[0]
+	if pat.Nodes[0].Labels[0] != "Ärzte" || pat.Nodes[1].Labels[0] != "日本" {
+		t.Fatalf("labels = %v, %v", pat.Nodes[0].Labels, pat.Nodes[1].Labels)
+	}
+	for src, want := range map[string]string{
+		`MATCH (v) RETURN v §`:       `invalid character '§' at offset 19`,
+		"MATCH (v) RETURN v \xff":    `invalid UTF-8 at offset 19`,
+		"MATCH (\xc3) RETURN v":      `invalid UTF-8 at offset 7`,
+		"MATCH (v\xe6\x97) RETURN v": `invalid UTF-8 at offset 8`,
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error with %q", src, err, want)
+		}
+	}
+}
+
 // TestParsePathDepthBound checks that a path expression may nest
 // MaxPathDepth levels and no more, brackets and quantifiers each
 // counting one, and that the bound holds for quantifiers on brackets.

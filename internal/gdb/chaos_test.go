@@ -240,7 +240,9 @@ func TestChaosRecoveryMatchesOracle(t *testing.T) {
 // FuzzRecoverJournal feeds arbitrary bytes to recovery as the journal
 // paired with an empty store: Open must never panic, and whenever it
 // succeeds a second Open over the recovered directory must agree —
-// truncated tails stay truncated.
+// truncated tails stay truncated — and ScanRecords, what a leader
+// ships to its replicas, must have read the same records recovery
+// kept, each one decoding.
 func FuzzRecoverJournal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 'Q'})
@@ -249,14 +251,36 @@ func FuzzRecoverJournal(f *testing.F) {
 	for _, data := range craftedJournals() {
 		f.Add(data)
 	}
+	// An intact record, then one whose CRC holds but whose opcode is
+	// unknown: recovery and ScanRecords both stop before the second.
+	good := journalOp{op: opCypher, name: "g", arg: `CREATE (a:N)`}.encode()
+	f.Add(append(good, journalOp{op: 'X', name: "g"}.encode()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(journalPath(dir, 0), data, 0o644); err != nil {
+		path := journalPath(dir, 0)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		recs, end, err := ScanRecords(path, 0, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shipped int64
+		for _, raw := range recs {
+			if _, err := decodeFramedRecord(raw); err != nil {
+				t.Fatalf("ScanRecords returned a record that does not decode: %v", err)
+			}
+			shipped += int64(len(raw))
+		}
+		if shipped != end {
+			t.Fatalf("ScanRecords returned %d record bytes but ended at offset %d", shipped, end)
 		}
 		db, err := Open(dir)
 		if err != nil {
 			return
+		}
+		if _, off := db.ReplPosition(); off != shipped {
+			t.Fatalf("recovery kept %d journal bytes, ScanRecords %d", off, shipped)
 		}
 		first := dumpAll(t, db)
 		if err := db.Close(); err != nil {

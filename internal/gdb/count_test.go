@@ -31,7 +31,12 @@ func TestCountRowsKeepsFootprint(t *testing.T) {
 		t.Fatalf("count = %v, want [[2]]", first.Rows)
 	}
 	// A property write publishes a version and changes no row.
-	s.SetProp(0, "k", cypher.Value{Int: 1, IsInt: true})
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		tx.SetProp(0, "k", cypher.Value{Int: 1, IsInt: true})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	before := db.Cache().Stats()
 	again, err := db.Query("g", text)
 	if err != nil {

@@ -34,7 +34,7 @@ type durability struct {
 	commitMu sync.RWMutex
 
 	// mu serializes journal appends and stays held through each
-	// mutation's in-memory apply (see commit), so live apply order
+	// mutation's in-memory apply (see appendAndApply), so live apply order
 	// always matches journal order — the order crash replay uses.
 	mu     sync.Mutex
 	seq    uint64   // guarded by mu: sequence of the live snapshot/journal pair
@@ -217,17 +217,23 @@ func syncJournalOnClose(f *os.File) error {
 // replayInto re-applies the journal paired with snapshot seq and
 // truncates any torn tail so the next append starts on a record
 // boundary. It returns the byte length of the intact record prefix —
-// the recovered journal offset a replication handshake resumes from.
+// the recovered journal offset a replication handshake resumes from. A
+// missing journal is an empty one.
 func (dur *durability) replayInto(db *DB, seq uint64) (int64, error) {
 	path := journalPath(dur.dir, seq)
-	ops, good, torn, err := readJournal(path)
+	var applyErr error
+	good, torn, err := scanJournal(path, 0, func(_ []byte, op journalOp) bool {
+		applyErr = db.applyOp(op)
+		return applyErr == nil
+	})
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err == nil {
+		err = applyErr
+	}
 	if err != nil {
 		return 0, fmt.Errorf("gdb: journal replay: %w", err)
-	}
-	for _, op := range ops {
-		if err := db.applyOp(op); err != nil {
-			return 0, fmt.Errorf("gdb: journal replay: %w", err)
-		}
 	}
 	if torn {
 		if err := fault.Inject(FPRecoverTruncate); err != nil {
@@ -240,7 +246,9 @@ func (dur *durability) replayInto(db *DB, seq uint64) (int64, error) {
 	return good, nil
 }
 
-// applyOp applies one journaled mutation during replay.
+// applyOp applies one decoded journal record, in recovery and on a
+// follower, through the same function per op kind the live command
+// runs: runCreate, putStore, dropStore.
 func (db *DB) applyOp(op journalOp) error {
 	switch op.op {
 	case opCypher:
@@ -253,75 +261,78 @@ func (db *DB) applyOp(op journalOp) error {
 		// reproducing the acknowledged (partial) state.
 		//lint:ignore errdrop the op's error was already delivered to the client when it ran live
 		_, _ = db.runCreate(op.name, q)
-		return nil
 	case opRestore:
 		s, err := ReadStore(strings.NewReader(op.arg))
 		if err != nil {
 			return fmt.Errorf("gdb: journaled restore of %q no longer decodes: %w", op.name, err)
 		}
-		db.mu.Lock()
-		db.graphs[op.name] = s
-		db.mu.Unlock()
-		return nil
+		db.putStore(op.name, s)
 	case opDelete:
-		db.mu.Lock()
-		delete(db.graphs, op.name)
-		db.mu.Unlock()
-		return nil
-	default:
-		return fmt.Errorf("gdb: unknown journal opcode %q", op.op)
+		db.dropStore(op.name)
 	}
+	return nil
 }
 
-// commit journals op (when durable) and then runs apply. The commit
-// lock is held shared across both so a concurrent Save sees either
-// none or all of the mutation, and dur.mu — the lock that orders
-// journal appends — stays held through apply so mutations reach
-// memory in exactly the order they reached the journal. Replay runs
-// in journal order, and applies are order-sensitive (runCreate
-// assigns vertex IDs from the current vertex count, Restore replaces
-// whole stores), so a live apply order that diverged from the append
-// order would make crash recovery reconstruct a state that never
-// existed. Both locks unlock by defer so a panicking handler (or an
-// armed panic failpoint) cannot wedge the database. The journal
-// append is fsynced before apply runs: an acknowledged mutation is
-// always recoverable.
+// commit journals a client mutation (when durable) and then runs
+// apply; a replica refuses it.
 func (db *DB) commit(op journalOp, apply func()) error {
 	if err := db.readOnlyErr(); err != nil {
 		return err
 	}
-	if db.dur == nil {
+	var rec []byte
+	if db.dur != nil {
+		rec = op.encode()
+	}
+	return db.appendAndApply(rec, FPJournalAppend, FPJournalSync, apply)
+}
+
+// appendAndApply appends the framed record rec to the live journal,
+// fsynced, and then runs apply: the one journal append, for a leader's
+// commits and a follower's ReplApply, which name its failpoints. On an
+// in-memory database it only runs apply. The commit lock is held
+// shared across both so a concurrent Save sees either none or all of
+// the mutation, and dur.mu — the lock that orders journal appends —
+// stays held through apply so mutations reach memory in exactly the
+// order they reached the journal. Replay runs in journal order, and
+// applies are order-sensitive (runCreate assigns vertex IDs from the
+// current vertex count, Restore replaces whole stores), so a live
+// apply order that diverged from the append order would make crash
+// recovery reconstruct a state that never existed. Both locks unlock
+// by defer so a panicking handler (or an armed panic failpoint) cannot
+// wedge the database. The journal append is fsynced before apply
+// runs: an acknowledged mutation is always recoverable.
+func (db *DB) appendAndApply(rec []byte, fpAppend, fpSync string, apply func()) error {
+	dur := db.dur
+	if dur == nil {
 		apply()
 		return nil
 	}
-	db.dur.commitMu.RLock()
-	defer db.dur.commitMu.RUnlock()
-	db.dur.mu.Lock()
-	defer db.dur.mu.Unlock()
-	if db.dur.closed {
+	dur.commitMu.RLock()
+	defer dur.commitMu.RUnlock()
+	dur.mu.Lock()
+	defer dur.mu.Unlock()
+	if dur.closed {
 		return ErrClosed
 	}
-	if db.dur.broken != nil {
-		return fmt.Errorf("gdb: journal unusable (GRAPH.SAVE rotates in a fresh one): %w", db.dur.broken)
+	if dur.broken != nil {
+		return fmt.Errorf("gdb: journal unusable (a snapshot rotates in a fresh one): %w", dur.broken)
 	}
-	st, err := db.dur.jf.Stat()
+	st, err := dur.jf.Stat()
 	if err != nil {
 		return fmt.Errorf("gdb: journal append: %w", err)
 	}
-	n, err := appendJournal(db.dur.jf, op)
-	if err != nil {
+	if err := appendJournal(dur.jf, rec, fpAppend, fpSync); err != nil {
 		// Roll the partial record back: replay stops at the first
 		// torn record, so leaving its bytes in place would strand
-		// every record appended after it. If even the rollback
-		// fails the journal is unusable until a Save rotates it
-		// out.
-		if terr := truncateJournal(db.dur.jf, st.Size()); terr != nil {
-			db.dur.broken = terr
+		// every record appended after it. If even the rollback fails
+		// the journal is unusable until a snapshot rotates it out.
+		if terr := truncateJournal(dur.jf, st.Size()); terr != nil {
+			dur.broken = terr
 		}
 		return err
 	}
-	db.dur.off += n
-	db.dur.notifyLocked()
+	dur.off += int64(len(rec))
+	dur.notifyLocked()
 	apply()
 	return nil
 }

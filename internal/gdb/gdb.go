@@ -300,14 +300,6 @@ func (s *GraphStore) PropEquals(v int, key string, val cypher.Value) bool {
 	return s.st.Pin().PropEquals(v, key, val)
 }
 
-// SetProp sets a node property, publishing a new version.
-func (s *GraphStore) SetProp(v int, key string, val cypher.Value) {
-	_, _ = s.st.Update(func(tx *store.Tx) error {
-		tx.SetProp(v, key, val)
-		return nil
-	})
-}
-
 // QueryResult is the outcome of one statement.
 type QueryResult struct {
 	Columns []string
@@ -330,15 +322,37 @@ type QueryResult struct {
 // AddGraph registers a pre-built graph under a name, replacing any
 // existing graph with that name.
 func (db *DB) AddGraph(name string, g *graph.Graph) *GraphStore {
+	s := NewGraphStore(g)
+	db.putStore(name, s)
+	return s
+}
+
+// putStore installs s under name, replacing any store there: the apply
+// of GRAPH.RESTORE, live, in recovery and on a follower. The replaced
+// store's cached results can never be keyed as the new store's (fresh
+// store id), but they are dropped to free budget.
+func (db *DB) putStore(name string, s *GraphStore) {
 	db.mu.Lock()
 	old := db.graphs[name]
-	s := NewGraphStore(g)
 	db.graphs[name] = s
 	db.mu.Unlock()
 	if old != nil {
 		db.cache.DropStore(old.StoreID())
 	}
-	return s
+}
+
+// dropStore removes the store under name, with its cached results, and
+// reports whether there was one: the apply of GRAPH.DELETE, live, in
+// recovery and on a follower.
+func (db *DB) dropStore(name string) bool {
+	db.mu.Lock()
+	old, ok := db.graphs[name]
+	delete(db.graphs, name)
+	db.mu.Unlock()
+	if ok {
+		db.cache.DropStore(old.StoreID())
+	}
+	return ok
 }
 
 // Get returns the named graph store.
@@ -370,20 +384,11 @@ func (db *DB) Delete(name string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	var old *GraphStore
-	err := db.commit(journalOp{op: opDelete, name: name}, func() {
-		db.mu.Lock()
-		old = db.graphs[name]
-		delete(db.graphs, name)
-		db.mu.Unlock()
-	})
-	if err != nil {
+	var existed bool
+	if err := db.commit(journalOp{op: opDelete, name: name}, func() { existed = db.dropStore(name) }); err != nil {
 		return false, err
 	}
-	if old != nil {
-		db.cache.DropStore(old.StoreID())
-	}
-	return old != nil, nil
+	return existed, nil
 }
 
 // List returns the sorted graph names.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mscfpq/internal/graph"
+	"mscfpq/internal/store"
 )
 
 // seedPaperGraph loads the Figure 1 example via the API.
@@ -268,7 +269,12 @@ func TestPropEquals(t *testing.T) {
 	if s.PropEquals(0, "k", propVal("v")) {
 		t.Fatal("empty store matched")
 	}
-	s.SetProp(0, "k", propVal("v"))
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		tx.SetProp(0, "k", propVal("v"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if !s.PropEquals(0, "k", propVal("v")) || s.PropEquals(0, "k", propVal("w")) || s.PropEquals(1, "k", propVal("v")) {
 		t.Fatal("PropEquals wrong")
 	}

@@ -98,77 +98,93 @@ func decodeJournalOp(payload []byte) (journalOp, error) {
 	return journalOp{op: op, name: name, arg: string(rest)}, nil
 }
 
-// appendJournal writes one record to the open journal file and fsyncs
-// it, returning the record's framed length so the caller can advance
-// its journal offset. The caller holds the durability journal lock.
-func appendJournal(f *os.File, o journalOp) (int64, error) {
-	if err := fault.Inject(FPJournalAppend); err != nil {
-		return 0, fmt.Errorf("gdb: journal append: %w", err)
+// appendJournal writes one framed record to the open journal file and
+// fsyncs it, behind the failpoints fpAppend and fpSync: a leader's
+// gdb.journal.append/.sync, a follower's repl.apply.append/.sync. Its
+// one caller, appendAndApply, holds the journal lock.
+func appendJournal(f *os.File, rec []byte, fpAppend, fpSync string) error {
+	if err := fault.Inject(fpAppend); err != nil {
+		return fmt.Errorf("gdb: journal append: %w", err)
 	}
-	rec := o.encode()
-	if _, err := fault.Writer(FPJournalAppend, f).Write(rec); err != nil {
-		return 0, fmt.Errorf("gdb: journal append: %w", err)
+	if _, err := fault.Writer(fpAppend, f).Write(rec); err != nil {
+		return fmt.Errorf("gdb: journal append: %w", err)
 	}
-	if err := fault.Inject(FPJournalSync); err != nil {
-		return 0, fmt.Errorf("gdb: journal sync: %w", err)
+	if err := fault.Inject(fpSync); err != nil {
+		return fmt.Errorf("gdb: journal sync: %w", err)
 	}
 	syncStart := time.Now()
 	if err := f.Sync(); err != nil {
-		return 0, fmt.Errorf("gdb: journal sync: %w", err)
+		return fmt.Errorf("gdb: journal sync: %w", err)
 	}
 	obs.DurFsyncLatencyUS.Observe(time.Since(syncStart).Microseconds())
 	obs.DurJournalAppends.Inc()
 	obs.DurJournalBytes.Add(int64(len(rec)))
-	return int64(len(rec)), nil
+	return nil
 }
 
-// readJournal scans the journal at path, returning every intact record
-// in order and the byte offset where the intact prefix ends. A missing
-// file is an empty journal. Damage — a short header, a payload cut off
-// by EOF, a CRC mismatch, an undecodable payload — ends the scan at
-// the last good offset; torn reports whether such a tail was found.
-// The caller truncates the file there so the next append starts on a
-// record boundary.
-func readJournal(path string) (ops []journalOp, good int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, false, nil
+// decodeFramedRecord is the one check of a record as it sits in the
+// file: its length prefix matches the bytes, its CRC holds and its
+// payload decodes. Recovery, the records a leader ships and a
+// follower's ReplApply all pass through it, so all three stop at the
+// same record.
+func decodeFramedRecord(raw []byte) (journalOp, error) {
+	if len(raw) < 8 {
+		return journalOp{}, fmt.Errorf("gdb: framed record too short (%d bytes)", len(raw))
 	}
+	payloadLen := binary.BigEndian.Uint32(raw)
+	if uint64(payloadLen) != uint64(len(raw)-8) {
+		return journalOp{}, fmt.Errorf("gdb: framed record length %d does not match %d payload bytes", payloadLen, len(raw)-8)
+	}
+	if crc32.ChecksumIEEE(raw[8:]) != binary.BigEndian.Uint32(raw[4:]) {
+		return journalOp{}, errors.New("gdb: framed record CRC mismatch")
+	}
+	return decodeJournalOp(raw[8:])
+}
+
+// scanJournal reads the journal at path from byte offset off and hands
+// each intact record to each, raw and decoded, until each returns
+// false. It is the one journal reader: recovery replays what it hands
+// over and ScanRecords ships it to replicas. Damage — a short header, a
+// length past maxJournalRecord or the end of the file, a payload cut
+// off, a record decodeFramedRecord refuses — ends the scan, and torn
+// reports it; a record still being appended reads as such a tail. end
+// is the offset after the last record handed over.
+func scanJournal(path string, off int64, each func(raw []byte, op journalOp) bool) (end int64, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, false, err
+		return off, false, err
 	}
 	//lint:ignore errdrop read-only file; close failures cannot lose data
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, 0, false, err
+		return off, false, err
 	}
-
-	var off int64
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return off, false, err
+	}
 	header := make([]byte, 8)
 	for {
 		if _, err := io.ReadFull(f, header); err != nil {
-			// Clean EOF on a record boundary: the whole journal is
-			// intact. Anything else is a torn tail.
-			return ops, off, err != io.EOF, nil
+			// Clean EOF on a record boundary: the rest is intact.
+			return off, err != io.EOF, nil
 		}
 		payloadLen := binary.BigEndian.Uint32(header)
-		crc := binary.BigEndian.Uint32(header[4:])
 		if payloadLen > maxJournalRecord || int64(payloadLen) > st.Size()-off-8 {
-			return ops, off, true, nil
+			return off, true, nil
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return ops, off, true, nil
+		raw := make([]byte, 8+payloadLen)
+		copy(raw, header)
+		if _, err := io.ReadFull(f, raw[8:]); err != nil {
+			return off, true, nil
 		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return ops, off, true, nil
-		}
-		op, err := decodeJournalOp(payload)
+		op, err := decodeFramedRecord(raw)
 		if err != nil {
-			return ops, off, true, nil
+			return off, true, nil
 		}
-		ops = append(ops, op)
-		off += 8 + int64(payloadLen)
+		off += int64(len(raw))
+		if !each(raw, op) {
+			return off, false, nil
+		}
 	}
 }

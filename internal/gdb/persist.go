@@ -136,20 +136,5 @@ func (db *DB) Restore(name, dump string) error {
 	if err != nil {
 		return err
 	}
-	var old *GraphStore
-	err = db.commit(journalOp{op: opRestore, name: name, arg: dump}, func() {
-		db.mu.Lock()
-		old = db.graphs[name]
-		db.graphs[name] = s
-		db.mu.Unlock()
-	})
-	if err != nil {
-		return err
-	}
-	// The replaced incarnation's cached results can never be keyed as
-	// the new store's (fresh store id), but drop them to free budget.
-	if old != nil {
-		db.cache.DropStore(old.StoreID())
-	}
-	return nil
+	return db.commit(journalOp{op: opRestore, name: name, arg: dump}, func() { db.putStore(name, s) })
 }

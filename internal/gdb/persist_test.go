@@ -6,6 +6,7 @@ import (
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/store"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -14,9 +15,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	g.AddEdge(1, "b", 2)
 	g.AddVertexLabel(0, "Person")
 	s := NewGraphStore(g)
-	s.SetProp(0, "name", cypher.Value{Str: "Ann O'Hara with spaces"})
-	s.SetProp(0, "age", cypher.Value{Int: 41, IsInt: true})
-	s.SetProp(2, "name", cypher.Value{Str: "multi\nline"})
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		tx.SetProp(0, "name", cypher.Value{Str: "Ann O'Hara with spaces"})
+		tx.SetProp(0, "age", cypher.Value{Int: 41, IsInt: true})
+		tx.SetProp(2, "name", cypher.Value{Str: "multi\nline"})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	var b strings.Builder
 	if err := WriteStore(&b, s); err != nil {

@@ -1,10 +1,7 @@
 package gdb
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -148,131 +145,39 @@ func (db *DB) SnapshotFile(seq uint64) string {
 // byte offset off, stopping after maxBytes of records have been
 // collected (at least one record is returned if one is intact) or at
 // the first torn/garbage tail — a torn tail is not an error, the scan
-// simply ends at the last record boundary, matching recovery. It
-// returns the records and the offset where the scan ended.
+// simply ends at the last record boundary, at the same record as
+// recovery (scanJournal). It returns the records and the offset where
+// the scan ended.
 func ScanRecords(path string, off int64, maxBytes int64) ([][]byte, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, off, err
-	}
-	//lint:ignore errdrop read-only file; close failures cannot lose data
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, off, err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, off, err
-	}
 	var recs [][]byte
 	var total int64
-	header := make([]byte, 8)
-	for total < maxBytes {
-		if _, err := io.ReadFull(f, header); err != nil {
-			break // clean EOF or torn tail: stop at the last boundary
-		}
-		payloadLen := binary.BigEndian.Uint32(header)
-		if payloadLen > maxJournalRecord || int64(payloadLen) > st.Size()-off-8 {
-			break // garbage length, or not yet written: a torn tail
-		}
-		raw := make([]byte, 8+payloadLen)
-		copy(raw, header)
-		if _, err := io.ReadFull(f, raw[8:]); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(raw[8:]) != binary.BigEndian.Uint32(header[4:]) {
-			break
-		}
+	end, _, err := scanJournal(path, off, func(raw []byte, _ journalOp) bool {
 		recs = append(recs, raw)
-		off += int64(len(raw))
 		total += int64(len(raw))
-	}
-	return recs, off, nil
-}
-
-// decodeFramedRecord validates one length-prefixed, checksummed
-// journal record exactly as it sits in the file and decodes its op.
-func decodeFramedRecord(raw []byte) (journalOp, error) {
-	if len(raw) < 8 {
-		return journalOp{}, fmt.Errorf("gdb: framed record too short (%d bytes)", len(raw))
-	}
-	payloadLen := binary.BigEndian.Uint32(raw)
-	if uint64(payloadLen) != uint64(len(raw)-8) {
-		return journalOp{}, fmt.Errorf("gdb: framed record length %d does not match %d payload bytes", payloadLen, len(raw)-8)
-	}
-	if crc32.ChecksumIEEE(raw[8:]) != binary.BigEndian.Uint32(raw[4:]) {
-		return journalOp{}, errors.New("gdb: framed record CRC mismatch")
-	}
-	return decodeJournalOp(raw[8:])
+		return total < maxBytes
+	})
+	return recs, end, err
 }
 
 // ReplApply appends one raw journal record shipped by the leader to
 // the local journal (fsynced, exactly the bytes the leader wrote, so
 // the mirror stays byte-identical) and applies it in memory, in
-// stream order. On a non-durable replica the record is validated and
-// applied in memory only.
+// stream order, through the leader's own append (appendAndApply). On
+// a non-durable replica the record is validated and applied in memory
+// only.
 func (db *DB) ReplApply(raw []byte) error {
 	op, err := decodeFramedRecord(raw)
 	if err != nil {
 		return fmt.Errorf("gdb: repl apply: %w", err)
 	}
-	if db.dur == nil {
-		if err := db.applyOp(op); err != nil {
-			return err
-		}
-		obs.ReplRecordsApplied.Inc()
-		return nil
-	}
-	dur := db.dur
-	dur.commitMu.RLock()
-	defer dur.commitMu.RUnlock()
-	dur.mu.Lock()
-	defer dur.mu.Unlock()
-	if dur.closed {
-		return ErrClosed
-	}
-	if dur.broken != nil {
-		return fmt.Errorf("gdb: repl apply: journal unusable: %w", dur.broken)
-	}
-	st, err := dur.jf.Stat()
-	if err != nil {
-		return fmt.Errorf("gdb: repl apply: %w", err)
-	}
-	if err := replAppend(dur.jf, raw); err != nil {
-		// Roll the partial record back so the journal stays on a record
-		// boundary (see commit); a failed rollback poisons the journal.
-		if terr := truncateJournal(dur.jf, st.Size()); terr != nil {
-			dur.broken = terr
-		}
+	var applyErr error
+	if err := db.appendAndApply(raw, FPReplApplyAppend, FPReplApplySync, func() { applyErr = db.applyOp(op) }); err != nil {
 		return err
 	}
-	dur.off += int64(len(raw))
-	dur.notifyLocked()
-	if err := db.applyOp(op); err != nil {
-		return err
+	if applyErr != nil {
+		return applyErr
 	}
 	obs.ReplRecordsApplied.Inc()
-	return nil
-}
-
-// replAppend writes one pre-framed record to the open journal and
-// fsyncs it. The caller holds dur.mu and passes the journal handle it
-// owns under that lock.
-func replAppend(jf *os.File, raw []byte) error {
-	if err := fault.Inject(FPReplApplyAppend); err != nil {
-		return fmt.Errorf("gdb: repl append: %w", err)
-	}
-	if _, err := fault.Writer(FPReplApplyAppend, jf).Write(raw); err != nil {
-		return fmt.Errorf("gdb: repl append: %w", err)
-	}
-	if err := fault.Inject(FPReplApplySync); err != nil {
-		return fmt.Errorf("gdb: repl sync: %w", err)
-	}
-	if err := jf.Sync(); err != nil {
-		return fmt.Errorf("gdb: repl sync: %w", err)
-	}
-	obs.DurJournalAppends.Inc()
-	obs.DurJournalBytes.Add(int64(len(raw)))
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"mscfpq/internal/obs"
 )
 
 // The gdb-level replication primitives: read-only replica mode, raw
@@ -412,5 +414,72 @@ func TestWatchJournalWakesOnAppend(t *testing.T) {
 	})
 	if New().WatchJournal() != nil {
 		t.Fatal("in-memory WatchJournal must be nil")
+	}
+}
+
+// TestFollowerCacheDropsReplacedStores: a follower applies GRAPH.RESTORE
+// and GRAPH.DELETE records through the functions the leader's commands
+// run, so each drops the replaced store's cached answers at once
+// instead of leaving them to hold cache budget until eviction.
+func TestFollowerCacheDropsReplacedStores(t *testing.T) {
+	src := New()
+	mustQuery(t, src, "g", `CREATE (a:N)-[:e]->(b:N)`)
+	dump, err := src.Dump("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := reopen(t, t.TempDir())
+	for i := 0; i < 2; i++ {
+		if err := leader.Restore("g", dump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := leader.Delete("g"); err != nil {
+		t.Fatal(err)
+	}
+	seq, _ := leader.ReplPosition()
+	recs, _, err := ScanRecords(leader.JournalFile(seq), 0, 1<<30)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("leader journal: %d records (%v), want R, R, D", len(recs), err)
+	}
+
+	follower := New()
+	follower.SetReplicaSource("leader:0")
+	follower.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
+	entries := func() int { return follower.Cache().Stats().Entries }
+	for i, raw := range recs {
+		if i > 0 {
+			mustQuery(t, follower, "g", `MATCH (v) RETURN count(v)`)
+			if n := entries(); n != 1 {
+				t.Fatalf("before record %d: %d cache entries, want 1", i, n)
+			}
+		}
+		if err := follower.ReplApply(raw); err != nil {
+			t.Fatalf("ReplApply record %d: %v", i, err)
+		}
+		if n := entries(); n != 0 {
+			t.Fatalf("after record %d: %d cache entries, want 0", i, n)
+		}
+	}
+}
+
+// TestFollowerFsyncIsObserved: a durable follower's append is the
+// leader's, so its fsync lands in dur.fsync.latency_us too.
+func TestFollowerFsyncIsObserved(t *testing.T) {
+	leader := reopen(t, t.TempDir())
+	mustQuery(t, leader, "g", `CREATE (a:N)`)
+	seq, _ := leader.ReplPosition()
+	recs, _, err := ScanRecords(leader.JournalFile(seq), 0, 1<<30)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("leader journal: %d records (%v), want 1", len(recs), err)
+	}
+	follower := reopen(t, t.TempDir())
+	follower.SetReplicaSource("leader:0")
+	before := obs.DurFsyncLatencyUS.Count()
+	if err := follower.ReplApply(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.DurFsyncLatencyUS.Count() - before; got != 1 {
+		t.Fatalf("dur.fsync.latency_us count moved by %d, want 1", got)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"mscfpq/internal/cypher"
 )
@@ -91,22 +92,23 @@ func lexRegex(src string) ([]string, error) {
 	var toks []string
 	i := 0
 	for i < len(src) {
-		c := rune(src[i])
+		c, n := utf8.DecodeRuneInString(src[i:])
 		switch {
+		case c == utf8.RuneError && n == 1:
+			return nil, fmt.Errorf("rpq: invalid UTF-8 at offset %d", i)
 		case unicode.IsSpace(c):
-			i++
+			i += n
 		case strings.ContainsRune("()|*+?", c):
 			toks = append(toks, string(c))
-			i++
-		case c == '_' || unicode.IsLetter(c) || unicode.IsDigit(c):
-			j := i
+			i += n
+		case isLabelRune(c):
+			j := i + n
 			for j < len(src) {
-				r := rune(src[j])
-				if r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) {
-					j++
-				} else {
+				r, m := utf8.DecodeRuneInString(src[j:])
+				if !isLabelRune(r) {
 					break
 				}
+				j += m
 			}
 			toks = append(toks, src[i:j])
 			i = j
@@ -116,6 +118,9 @@ func lexRegex(src string) ([]string, error) {
 	}
 	return toks, nil
 }
+
+// isLabelRune reports whether r may occur in a label.
+func isLabelRune(r rune) bool { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 func (p *parser) peek() string {
 	if p.pos < len(p.toks) {

@@ -135,6 +135,28 @@ func TestEvalPairsChain(t *testing.T) {
 	}
 }
 
+// TestEvalUTF8Label: a label may hold any Unicode letter, as a graph
+// file may; an error names the character the regex holds.
+func TestEvalUTF8Label(t *testing.T) {
+	g := chainGraph("é", "é", "b")
+	got, err := Eval(g, "é+", matrix.NewVectorFromIndices(4, []int{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrix.NewBoolFromPairs(4, 4, [][2]int{{0, 1}, {0, 2}})
+	if !got.Equal(want) {
+		t.Fatalf("pairs = %v, want %v", got.Pairs(), want.Pairs())
+	}
+	for src, want := range map[string]string{
+		"a §":     `invalid character '§'`,
+		"a \xe9+": `invalid UTF-8 at offset 2`,
+	} {
+		if _, err := ParseRegex(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseRegex(%q) = %v, want an error with %q", src, err, want)
+		}
+	}
+}
+
 func TestEvalPairsInverseLabels(t *testing.T) {
 	g := chainGraph("a", "a")
 	src := matrix.NewVectorFromIndices(3, []int{1, 2})
