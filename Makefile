@@ -80,14 +80,16 @@ experiments:
 bench-quick:
 	$(GO) run ./cmd/benchrunner -exp all -quick
 
-# Observability overhead smoke (see TESTING.md): the governed-kernel
-# and multiple-source workloads with the metrics registry on vs off,
-# recorded to BENCH_obs.json. The acceptance gate for the obs layer is
-# governed-kernel overhead <= 3%. The cache smoke times the result
-# cache the server serves, through gdb.DB.QueryContext: cold-vs-warm
-# latency of one G1 statement and concurrent-reader throughput (median
-# and quartiles of 5 windows) into BENCH_cache.json; its acceptance
-# gate (warm hit >= 10x faster than cold) fails the run.
+# In-process benchmarks, all of them `go test -bench` (see TESTING.md).
+# The observability benchmark prints the governed-kernel and
+# multiple-source workloads with the metrics registry on and off, five
+# times each so the spread shows; the overhead is read against 3% and
+# not enforced. It runs as five processes, not with -count 5: -count
+# runs a mode's five repetitions back to back, so drift of the machine
+# between the two blocks reads as overhead (one -count 5 run put
+# multi-source on 20% above off, where on was the faster in all five
+# alternating runs). The result cache's acceptance gate (warm hit >=
+# 10x faster than cold) is TestCacheWarmHitGate in `make test`.
 # The reply
 # benchmarks print what one query reply costs to encode and to decode
 # (10 and 6000 rows, ns and allocations; DESIGN.md §15), and what
@@ -139,8 +141,7 @@ bench-quick:
 # and as a regex, with rounds, product entries and answer pairs per op
 # (DESIGN.md §4 item 9; -short skips the paper's size).
 bench-smoke:
-	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
-	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
+	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkObsOverhead$$' -benchmem . || exit 1; done
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)|BenchmarkClientReadout' -benchmem ./internal/resp
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(MultiSource|SmartWarm)$$|BenchmarkRPQUnification$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(DenseCold|SmartSweep|ManyRounds)$$' -cpu 1,2 -benchmem .
@@ -225,4 +226,4 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
-	rm -rf .bench_build BENCH_obs.json BENCH_cache.json *.test *.prof
+	rm -rf .bench_build *.test *.prof

@@ -4,7 +4,9 @@ package mscfpq
 // (experiment index in DESIGN.md §3). Each delegates to the shared
 // harness in internal/bench at a reduced scale so `go test -bench=.`
 // completes in minutes; `cmd/benchrunner` runs the full-size sweeps and
-// writes the tables EXPERIMENTS.md records.
+// writes the tables EXPERIMENTS.md records. After them come the kernel
+// micro-benchmarks, and BenchmarkObsOverhead, the metrics-on/off
+// reading of the observability layer that `make bench-smoke` prints.
 
 import (
 	"math/rand"
@@ -14,6 +16,7 @@ import (
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/matrix"
+	"mscfpq/internal/obs"
 )
 
 func benchConfig() bench.Config {
@@ -295,6 +298,62 @@ func BenchmarkKernelGrammarNormalize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := grammar.ToWCNF(g); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObsOverhead times two workloads with the metrics registry on
+// and off (obs.SetEnabled): all-pairs G1 on core@0.5, every kernel call
+// counted through the governor, and a sweep of three chunk-10
+// multiple-source G1 queries on the same graph, cut from a seeded
+// permutation. No trace is attached, so the on/off difference is the
+// cost of the always-on metric hooks, read against 3% (TESTING.md).
+// Compare several runs of the benchmark, each timing on then off, not
+// one -count run, which times a mode's repetitions back to back.
+func BenchmarkObsOverhead(b *testing.B) {
+	g, err := GenerateDataset("core", 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := ToWCNF(G1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumVertices()
+	perm := rand.New(rand.NewSource(2021)).Perm(n)
+	var srcs []*matrix.Vector
+	for lo := 0; lo < 30; lo += 10 {
+		srcs = append(srcs, matrix.NewVectorFromIndices(n, perm[lo:lo+10]))
+	}
+	workloads := []struct {
+		name string
+		run  func() error
+	}{
+		{"governed-kernel", func() error {
+			_, err := cfpq.AllPairs(g, w)
+			return err
+		}},
+		{"multi-source", func() error {
+			for _, src := range srcs {
+				if _, err := cfpq.MultiSource(g, w, src); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	for _, wl := range workloads {
+		for _, mode := range []string{"on", "off"} {
+			b.Run(wl.name+"/metrics="+mode, func(b *testing.B) {
+				obs.SetEnabled(mode == "on")
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := wl.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

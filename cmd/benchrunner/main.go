@@ -31,27 +31,6 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// writeJSON writes one experiment's measurements to path through enc;
-// an empty path writes nothing.
-func writeJSON(path string, enc func(io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := enc(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
@@ -62,14 +41,13 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "table1 | fig2 | figures | ablation | fullstack | rpq | obs | cache | all")
-		quick    = fs.Bool("quick", false, "use the reduced smoke-test scales")
-		graphs   = fs.String("graphs", "", "comma-separated graph subset")
-		chunks   = fs.String("chunks", "", "comma-separated chunk sizes for the sweep")
-		seed     = fs.Int64("seed", 2021, "chunk sampling seed")
-		csvPath  = fs.String("csv", "", "also write the figures sweep as CSV to this path")
-		svgDir   = fs.String("svg", "", "also render one SVG chart per figures series into this directory")
-		jsonPath = fs.String("json", "", "also write the obs or cache experiment's measurements as JSON to this path")
+		exp     = fs.String("exp", "all", "table1 | fig2 | figures | ablation | fullstack | rpq | all")
+		quick   = fs.Bool("quick", false, "use the reduced smoke-test scales")
+		graphs  = fs.String("graphs", "", "comma-separated graph subset")
+		chunks  = fs.String("chunks", "", "comma-separated chunk sizes for the sweep")
+		seed    = fs.Int64("seed", 2021, "chunk sampling seed")
+		csvPath = fs.String("csv", "", "also write the figures sweep as CSV to this path")
+		svgDir  = fs.String("svg", "", "also render one SVG chart per figures series into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -183,31 +161,13 @@ func run(args []string, stdout io.Writer) error {
 				return err
 			}
 			return rep.Render(stdout)
-		case "obs":
-			rep, measurements, err := bench.ObsOverhead(cfg)
-			if err != nil {
-				return err
-			}
-			if err := writeJSON(*jsonPath, func(w io.Writer) error { return bench.WriteObsJSON(w, measurements) }); err != nil {
-				return err
-			}
-			return rep.Render(stdout)
-		case "cache":
-			rep, measurements, err := bench.CacheBench(cfg)
-			if err != nil {
-				return err
-			}
-			if err := writeJSON(*jsonPath, func(w io.Writer) error { return bench.WriteCacheJSON(w, measurements) }); err != nil {
-				return err
-			}
-			return rep.Render(stdout)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig2", "figures", "ablation", "fullstack", "rpq", "obs", "cache"} {
+		for _, name := range []string{"table1", "fig2", "figures", "ablation", "fullstack", "rpq"} {
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

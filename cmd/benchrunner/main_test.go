@@ -52,4 +52,11 @@ func TestBenchrunnerErrors(t *testing.T) {
 	if err := run([]string{"-exp", "table1", "-graphs", "unknown-graph"}, &out); err == nil {
 		t.Fatal("expected error for unknown graph")
 	}
+	// The retired obs and cache experiments and the -json flag must fail
+	// loudly, not run nothing.
+	for _, args := range [][]string{{"-exp", "obs"}, {"-exp", "cache"}, {"-exp", "table1", "-json", "x"}} {
+		if err := run(args, &out); err == nil {
+			t.Fatalf("expected error for retired %q", args)
+		}
+	}
 }

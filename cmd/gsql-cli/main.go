@@ -8,7 +8,7 @@
 //
 //	use <graph>            select the graph for queries
 //	list                   GRAPH.LIST
-//	delete <graph>         GRAPH.DELETE
+//	delete [graph]         GRAPH.DELETE (the selected graph by default)
 //	save                   GRAPH.SAVE (snapshot, durable servers)
 //	explain <query>        GRAPH.EXPLAIN on the selected graph
 //	profile <query>        GRAPH.PROFILE on the selected graph
@@ -18,7 +18,7 @@
 //	                       query's span tree (parse/plan/fixpoint
 //	                       rounds with kernel counters)
 //	info [section]         INFO (server metrics; sections: server, gdb,
-//	                       kernels, durability)
+//	                       cache, kernels, durability, replication)
 //	slowlog [get [n]|len|reset]  the server's slow-query log
 //	ping                   PING
 //	quit
@@ -110,7 +110,11 @@ func repl(c *resp.Client, current string, in io.Reader, out io.Writer) error {
 				fmt.Fprintln(out, n)
 			}
 		case "delete":
-			if err := c.GraphDelete(strings.TrimSpace(rest)); err != nil {
+			name := strings.TrimSpace(rest)
+			if name == "" {
+				name = current
+			}
+			if err := c.GraphDelete(name); err != nil {
 				fmt.Fprintln(out, "error:", err)
 			} else {
 				fmt.Fprintln(out, "OK")

@@ -66,13 +66,20 @@ use other
 CREATE (a:N)-[:e]->(b:N)
 MATCH (v:N)-[:e]->(u) RETURN v, u
 delete other
+use third
+CREATE (a:N)
+delete
 list
 `)
 	if !strings.Contains(out, "0 | 1") {
 		t.Fatalf("query on new graph failed:\n%s", out)
 	}
-	if !strings.Contains(out, "OK") {
+	// A bare delete drops the graph `use` selected.
+	if strings.Contains(out, "error:") || strings.Count(out, "OK") != 2 {
 		t.Fatalf("delete failed:\n%s", out)
+	}
+	if strings.Contains(out, "other\n") || strings.Contains(out, "third\n") {
+		t.Fatalf("list still names a deleted graph:\n%s", out)
 	}
 }
 

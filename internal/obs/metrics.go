@@ -12,9 +12,9 @@
 // Hot-path cost: every instrument update is a single atomic add behind
 // one atomic flag load, and tracing hooks are a nil check unless a
 // Trace was attached to the query. SetEnabled(false) turns the
-// instrument updates into a load-and-return, which is how the
-// obs-overhead benchmark (make bench-smoke, BENCH_obs.json) measures
-// the instrumentation cost.
+// instrument updates into a load-and-return, which is how the root
+// package's BenchmarkObsOverhead (make bench-smoke) measures the
+// instrumentation cost.
 package obs
 
 import (
