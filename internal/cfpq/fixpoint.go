@@ -67,10 +67,6 @@ type fixpoint struct {
 	marks     []matrix.Mark
 	activated [][]uint32 // unsorted
 
-	// gained, when set, collects per nonterminal the rows every round's
-	// ΔT touched: the rows a maintenance run changed (NewIndexWarm).
-	gained []*matrix.Vector
-
 	rounds int
 }
 
@@ -257,13 +253,9 @@ func (f *fixpoint) round() (progress bool, err error) {
 		}
 	}
 	f.delta, f.next = f.next, f.delta
-	for a, d := range f.delta {
-		if d == nil {
-			continue
-		}
-		progress = true
-		if f.gained != nil {
-			f.gained[a].UnionInPlace(d.RowIDs())
+	for _, d := range f.delta {
+		if d != nil {
+			progress = true
 		}
 	}
 	if f.active != nil && f.promote() {

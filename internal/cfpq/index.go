@@ -25,7 +25,7 @@ import (
 // setting: static graph, repeated queries); the graph must not change
 // under it. A newer version of the graph that grew out of this one gets
 // its own index, carried over from this one by NewIndexWarm, which
-// keeps the processed sources whose rows the growth left alone. Queries
+// keeps the processed sources when the growth left their rows alone. Queries
 // against one Index may run from multiple goroutines; they are
 // serialized internally. An index holds no options: each query brings
 // its own context, timeout, budget and trace.
@@ -45,11 +45,6 @@ type Index struct {
 
 	seeds   *seeder // guarded by mu
 	queries int     // guarded by mu
-
-	// maint is what NewIndexWarm's maintenance run found; nil for an
-	// index built cold or whose maintenance failed. Set before the index
-	// is shared, immutable afterwards.
-	maint *Maintenance
 }
 
 // NewIndex creates an empty cache for (g, w): T and TSrc start empty,
@@ -66,6 +61,52 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF) (*Index, error) {
 	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
 	idx.T = newResult(w, n).T
 	idx.TSrc = noMarks(w.NumNonterms(), n)
+	return idx, nil
+}
+
+// NewIndexWarm carries a prior index over to g, a graph that grew out of
+// the prior's by edge and vertex ADDITIONS only (the gdb write path never
+// deletes): the paper's "each source at most once" extended across graph
+// versions. CFPQ facts are monotone under such growth, so every fact the
+// prior derived holds on g, and its relations carry over copy-on-write
+// (matrix.Bool.CloneCOW), costing their row tables, not their entries.
+//
+// Its processed sources carry over too when g grew apart from the
+// prior's graph (graph.GrewApart): no edge joins an old vertex to a new
+// one, so every processed row is the same on g. Otherwise the index
+// starts with no processed source, and queries complete the rows they
+// need from the carried facts.
+//
+// The caller is responsible for the supergraph relationship (in the
+// store layer it follows from version lineage); w must be the prior
+// index's grammar.
+func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index) (*Index, error) {
+	if prior == nil {
+		return NewIndex(g, w)
+	}
+	if g == nil || w == nil {
+		return nil, fmt.Errorf("cfpq: nil graph or grammar")
+	}
+	if prior.W != w {
+		return nil, fmt.Errorf("cfpq: warm start requires the prior index's grammar")
+	}
+	n := g.NumVertices()
+	if pn := prior.G.NumVertices(); pn > n {
+		return nil, fmt.Errorf("cfpq: warm start from a larger graph (%d > %d vertices)", pn, n)
+	}
+	apart := graph.GrewApart(prior.G, g)
+	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
+	prior.mu.Lock()
+	defer prior.mu.Unlock()
+	idx.T = make([]*matrix.Bool, len(prior.T))
+	idx.TSrc = noMarks(len(prior.T), n)
+	for a, t := range prior.T {
+		idx.T[a] = t.CloneCOW()
+		idx.T[a].Resize(n, n)
+		if apart {
+			copy(idx.TSrc[a], prior.TSrc[a])
+		}
+	}
 	return idx, nil
 }
 

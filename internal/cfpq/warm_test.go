@@ -2,6 +2,7 @@ package cfpq
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mscfpq/internal/graph"
@@ -41,7 +42,8 @@ func TestWarmIndexMatchesFreshProperty(t *testing.T) {
 					}
 				}
 				// Grow a successor version: additions only, including new
-				// vertices — the gdb write-path guarantee.
+				// vertices, most of them touching old ones, so the warm
+				// index carries no processed source.
 				g2 := g.CowClone()
 				n2 := n + lift + rng.Intn(grow)
 				for e := 0; e < 1+rng.Intn(6); e++ {
@@ -109,11 +111,10 @@ func TestWarmIndexNilPriorAndErrors(t *testing.T) {
 }
 
 // TestWarmIndexMaintenance: carrying an index over keeps its processed
-// sources. A write that links only new vertices costs no round and
-// dirties nothing; an edge that extends a processed row dirties exactly
-// the processed rows that gain, and the carried rows are those a fresh
-// index computes. A maintenance run the governor stops leaves an index
-// with no processed source and no Maintenance that still answers right.
+// sources across a write that links only new vertices, whose carried
+// rows are then read without a solve; a write that links an old vertex
+// to a new one, here one that gives a processed row a new entry, leaves
+// no processed source, and the carried index answers as a fresh one.
 func TestWarmIndexMaintenance(t *testing.T) {
 	w := anbnWCNF()
 	g := graph.New(0)
@@ -128,12 +129,13 @@ func TestWarmIndexMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := matrix.NewVectorFromIndices(8, []int{0, 1, 5})
-	if _, err := prior.MultiSourceSmart(src); err != nil {
+	pa, err := prior.MultiSourceSmart(src)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s := w.Start
 
-	// New vertices linked among themselves: nothing to maintain.
+	// New vertices linked among themselves: the processed sources carry.
 	g1 := g.CowClone()
 	g1.AddEdge(8, "a", 9)
 	g1.AddEdge(9, "b", 10)
@@ -141,33 +143,35 @@ func TestWarmIndexMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := warm1.Maintenance()
-	if m == nil || m.Rounds != 0 || !m.Dirty[s].Empty() {
-		t.Fatalf("maintenance after a new-vertex write = %+v, want 0 rounds and nothing dirty", m)
-	}
 	if got, want := warm1.ProcessedSources(s), matrix.NewVectorFromIndices(11, prior.ProcessedSources(s).Ints()); !got.Equal(want) {
 		t.Fatalf("processed sources %v, want the prior's %v", got.Ints(), want.Ints())
 	}
-	if !m.Kept(s, src) {
-		t.Fatal("carried rows not kept across a write that left them alone")
+	x, err := warm1.Extend(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := x.Rows(s, matrix.NewVectorFromIndices(11, src.Ints()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rows.Pairs(), pa.Answer().Pairs(); !slices.Equal(got, want) {
+		t.Fatalf("carried rows %v, prior %v", got, want)
+	}
+	if q := warm1.Queries(); q != 0 {
+		t.Fatalf("reading carried rows ran %d solves", q)
 	}
 
-	// 2-b->8 gives 1 the new row entry (1, 8); 0 and 5 keep theirs.
+	// 2-b->8 links old to new and gives 1 the new row entry (1, 8).
 	g2 := g1.CowClone()
 	g2.AddEdge(2, "b", 8)
 	warm2, err := NewIndexWarm(g2, w, warm1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m = warm2.Maintenance()
-	if m == nil || m.Rounds == 0 {
-		t.Fatalf("maintenance = %+v, want a run", m)
-	}
-	if got := m.Dirty[s].Ints(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("dirty S sources %v, want [1]", got)
-	}
-	if m.Kept(s, src) || !m.Kept(s, matrix.NewVectorFromIndices(11, []int{0, 5})) {
-		t.Fatal("Kept disagrees with the dirty set")
+	for a := range w.NumNonterms() {
+		if done := warm2.ProcessedSources(a); !done.Empty() {
+			t.Fatalf("nonterminal %d: %v processed across a write that links old to new", a, done.Ints())
+		}
 	}
 	fresh, err := NewIndex(g2, w)
 	if err != nil {
@@ -178,26 +182,14 @@ func TestWarmIndexMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := matrix.ExtractRows(warm2.Relation(s), all); !got.Equal(fa.Answer()) {
-		t.Fatalf("carried rows %v, fresh %v", got.Pairs(), fa.Answer().Pairs())
+	if !slices.Contains(fa.Answer().Pairs(), [2]int{1, 8}) {
+		t.Fatalf("fresh answer %v lacks (1, 8)", fa.Answer().Pairs())
 	}
-	if warm2.Queries() != 0 {
-		t.Fatalf("maintenance counted as %d queries", warm2.Queries())
-	}
-
-	// A budget of one entry stops the maintenance run.
-	failed, err := NewIndexWarm(g2, w, warm1, WithBudget(1))
+	wb, err := warm2.MultiSourceSmart(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed.Maintenance() != nil || !failed.ProcessedSources(s).Empty() {
-		t.Fatal("a failed maintenance run kept processed sources")
-	}
-	fb, err := failed.MultiSourceSmart(all, WithBudget(1<<40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fb.Answer().Equal(fa.Answer()) {
-		t.Fatalf("after a failed maintenance run: %v, fresh %v", fb.Answer().Pairs(), fa.Answer().Pairs())
+	if !wb.Answer().Equal(fa.Answer()) {
+		t.Fatalf("carried index answered %v, fresh %v", wb.Answer().Pairs(), fa.Answer().Pairs())
 	}
 }

@@ -307,16 +307,17 @@ func CheckIndexReuse(inst gen.Instance, chunks int) error {
 	return nil
 }
 
-// CheckIndexMaintenance asserts the delta-maintenance contract of
-// cfpq.NewIndexWarm over a write that reaches processed rows: an index
-// that processed some sources is carried over to the next version of a
-// store, after a Store.Update that adds a random batch of edges and
-// vertex labels between existing vertices. On the new version, every
-// processed row of every nonterminal of the carried index equals the
-// same row of a fresh index and of the oracle; the processed sets only
-// grow; the maintenance's carried sets are the prior processed sets;
-// and its dirty set holds every carried row that changed.
-func CheckIndexMaintenance(inst gen.Instance, rng *rand.Rand) error {
+// CheckIndexCarry asserts the carry contract of cfpq.NewIndexWarm over
+// two Store.Update growths of an index that processed some sources.
+// After an apart growth (new vertices, with edges and vertex labels
+// among themselves only), the store's Touched stamp does not move, the
+// carried index's processed sets are the prior's, every processed row
+// equals the prior's and the oracle's, and reading them runs no solve.
+// After a touching growth (an edge from an old vertex to a new one, and
+// a random batch of edges and labels between old vertices), the stamp
+// is the new version, nothing is carried as processed, every carried
+// entry is in the oracle, and the carried index answers as a fresh one.
+func CheckIndexCarry(inst gen.Instance, rng *rand.Rand) error {
 	st := store.New(inst.G)
 	prior, err := cfpq.NewIndex(st.Pin().Graph(), inst.W)
 	if err != nil {
@@ -329,28 +330,17 @@ func CheckIndexMaintenance(inst gen.Instance, rng *rand.Rand) error {
 			return fmt.Errorf("prior query: %v", err)
 		}
 	}
-	before := make([]*matrix.Vector, nnt)
-	for a := range before {
-		before[a] = prior.ProcessedSources(a)
-	}
+	label := func() string { return gen.DefaultLabels[rng.Intn(len(gen.DefaultLabels))] }
 
-	// Half the batch starts at processed sources, so that most batches
-	// reach a processed row.
-	processed := before[inst.W.Start].Ints()
-	pick := func() int {
-		if len(processed) > 0 && rng.Intn(2) == 0 {
-			return processed[rng.Intn(len(processed))]
-		}
-		return rng.Intn(n)
-	}
+	// Apart: k new vertices n..n+k-1 linked among themselves.
+	k := 1 + rng.Intn(4)
 	snap, err := st.Update(func(tx *store.Tx) error {
 		g := tx.Graph()
 		for e := 0; e < 1+rng.Intn(4); e++ {
-			l := gen.DefaultLabels[rng.Intn(len(gen.DefaultLabels))]
 			if rng.Intn(4) == 0 {
-				g.AddVertexLabel(pick(), l)
+				g.AddVertexLabel(n+rng.Intn(k), label())
 			} else {
-				g.AddEdge(pick(), l, rng.Intn(n))
+				g.AddEdge(n+rng.Intn(k), label(), n+rng.Intn(k))
 			}
 		}
 		return nil
@@ -358,31 +348,23 @@ func CheckIndexMaintenance(inst gen.Instance, rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
+	if snap.Touched() != 0 {
+		return fmt.Errorf("apart growth stamped Touched %d", snap.Touched())
+	}
 	g := snap.Graph()
 	warm, err := cfpq.NewIndexWarm(g, inst.W, prior)
 	if err != nil {
 		return fmt.Errorf("NewIndexWarm: %v", err)
 	}
-	m := warm.Maintenance()
-	if m == nil {
-		return errors.New("maintenance run failed")
-	}
-	fresh, err := cfpq.NewIndex(g, inst.W)
-	if err != nil {
-		return err
-	}
-	x, err := fresh.Extend(inst.W)
+	x, err := warm.Extend(inst.W)
 	if err != nil {
 		return err
 	}
 	ref := oracle.CFPQ(g, inst.W)
 	for a := 0; a < nnt; a++ {
 		done := warm.ProcessedSources(a)
-		if !m.Carried[a].Equal(before[a]) {
-			return fmt.Errorf("nonterminal %d: carried %v, prior processed %v", a, m.Carried[a].Ints(), before[a].Ints())
-		}
-		if lost := before[a].Clone(); lost.DiffInPlace(done) && !lost.Empty() {
-			return fmt.Errorf("nonterminal %d: processed sources shrank from %v to %v", a, before[a].Ints(), done.Ints())
+		if got, want := done.Ints(), prior.ProcessedSources(a).Ints(); !slices.Equal(got, want) {
+			return fmt.Errorf("nonterminal %d: processed %v after an apart growth, prior %v", a, got, want)
 		}
 		want := map[int][]uint32{}
 		for _, p := range ref.Pairs(a) {
@@ -390,24 +372,76 @@ func CheckIndexMaintenance(inst gen.Instance, rng *rand.Rand) error {
 		}
 		rows, err := x.Rows(a, done)
 		if err != nil {
-			return fmt.Errorf("fresh index rows: %v", err)
+			return fmt.Errorf("carried rows: %v", err)
 		}
-		dirty := map[int]bool{}
-		for _, s := range m.Dirty[a].Ints() {
-			dirty[s] = true
-		}
-		rel, old := warm.Relation(a), prior.Relation(a)
+		old := prior.Relation(a)
 		for _, s := range done.Ints() {
-			got := rel.Row(s)
+			got := rows.Row(s)
 			if !slices.Equal(got, want[s]) {
 				return fmt.Errorf("nonterminal %d source %d: carried row %v, oracle %v", a, s, got, want[s])
 			}
-			if f := rows.Row(s); !slices.Equal(got, f) {
-				return fmt.Errorf("nonterminal %d source %d: carried row %v, fresh index %v", a, s, got, f)
+			if !slices.Equal(got, old.Row(s)) {
+				return fmt.Errorf("nonterminal %d source %d: row changed from %v to %v", a, s, old.Row(s), got)
 			}
-			if before[a].Get(s) && !dirty[s] && !slices.Equal(got, old.Row(s)) {
-				return fmt.Errorf("nonterminal %d source %d: row changed from %v to %v but is not dirty", a, s, old.Row(s), got)
+		}
+	}
+	if q := warm.Queries(); q != 0 {
+		return fmt.Errorf("reading carried processed rows ran %d solves", q)
+	}
+
+	// Touching: the old vertex v gains an edge to the new vertex n2.
+	n2 := g.NumVertices()
+	snap, err = st.Update(func(tx *store.Tx) error {
+		g := tx.Graph()
+		g.AddEdge(rng.Intn(n), label(), n2)
+		for e := 0; e < rng.Intn(4); e++ {
+			if rng.Intn(4) == 0 {
+				g.AddVertexLabel(rng.Intn(n), label())
+			} else {
+				g.AddEdge(rng.Intn(n), label(), rng.Intn(n))
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if snap.Touched() != snap.Version() {
+		return fmt.Errorf("touching growth stamped Touched %d at version %d", snap.Touched(), snap.Version())
+	}
+	g = snap.Graph()
+	touched, err := cfpq.NewIndexWarm(g, inst.W, warm)
+	if err != nil {
+		return fmt.Errorf("NewIndexWarm: %v", err)
+	}
+	fresh, err := cfpq.NewIndex(g, inst.W)
+	if err != nil {
+		return err
+	}
+	ref = oracle.CFPQ(g, inst.W)
+	for a := 0; a < nnt; a++ {
+		if done := touched.ProcessedSources(a); !done.Empty() {
+			return fmt.Errorf("nonterminal %d: %v carried as processed across a touching growth", a, done.Ints())
+		}
+		for _, p := range touched.Relation(a).Pairs() {
+			if !ref.Has(a, p[0], p[1]) {
+				return fmt.Errorf("nonterminal %d: carried entry %v is not in the oracle", a, p)
+			}
+		}
+	}
+	nv := g.NumVertices()
+	for q := 0; q < 3; q++ {
+		src := matrix.NewVectorFromIndices(nv, []int{rng.Intn(nv), rng.Intn(nv)})
+		tr, err := touched.MultiSourceSmart(src)
+		if err != nil {
+			return fmt.Errorf("carried query: %v", err)
+		}
+		fr, err := fresh.MultiSourceSmart(src)
+		if err != nil {
+			return fmt.Errorf("fresh query: %v", err)
+		}
+		if got, want := tr.Answer().Pairs(), fr.Answer().Pairs(); !pairsEqual(got, want) {
+			return pairsErr(fmt.Sprintf("carried index from %v", src.Ints()), got, want)
 		}
 	}
 	return nil

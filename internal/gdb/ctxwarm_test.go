@@ -12,19 +12,17 @@ import (
 	"mscfpq/internal/store"
 )
 
-// TestColdRebuildDropsDirtyLog forces the path where carrying a cached
-// path-pattern context over to a newer version fails: the context is
-// rebuilt cold, gdb.ctx.cold_rebuilds counts it, and the rebuilt
-// context starts an empty maintenance log, so a cached answer is not
-// revalidated across the gap even though the write left its rows
-// alone. Once carrying works again, the next write's step is logged and
-// answers survive it.
-func TestColdRebuildDropsDirtyLog(t *testing.T) {
+// TestColdRebuildKeepsRevalidation forces the path where carrying a
+// cached path-pattern context over to a newer version fails: the
+// context is rebuilt cold and gdb.ctx.cold_rebuilds counts it once. A
+// cached answer does not depend on the context for its revalidation,
+// so it survives the write, and the next one, either way.
+func TestColdRebuildKeepsRevalidation(t *testing.T) {
 	defer fault.Reset()
 	db := New()
 	db.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
 	p := cacheProbe{t: t, db: db, s: db.AddGraph("g", revalidateGraph())}
-	qA := sourcesQuery(0, 1)
+	qA, qB := sourcesQuery(0, 1), sourcesQuery(10)
 	p.expect(qA, nil, missed)
 
 	rebuilds := obs.GdbCtxColdRebuilds.Value()
@@ -32,7 +30,8 @@ func TestColdRebuildDropsDirtyLog(t *testing.T) {
 	if _, err := db.Query("g", `CREATE (x:N)-[:a]->(y:N)`); err != nil {
 		t.Fatal(err)
 	}
-	p.expect(qA, nil, missed)
+	p.expect(qA, nil, revalidated)
+	p.expect(qB, nil, missed) // carries the context: the failpoint fires
 	off()
 	if fault.Hits(FPCtxWarm) == 0 {
 		t.Fatal("warm-start failpoint never fired")
@@ -45,6 +44,7 @@ func TestColdRebuildDropsDirtyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.expect(qA, nil, revalidated)
+	p.expect(qB, nil, revalidated)
 	if got := obs.GdbCtxColdRebuilds.Value() - rebuilds; got != 1 {
 		t.Fatalf("a working warm start counted as a cold rebuild (%d)", got)
 	}

@@ -8,12 +8,10 @@ package gdb
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"mscfpq/internal/cfpq"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/fault"
@@ -90,39 +88,24 @@ type GraphStore struct {
 }
 
 // ctxSlot holds the path-pattern context of one declaration set. Its
-// lock serializes carrying the context over to a newer version, which
-// runs a fixpoint (cfpq.NewIndexWarm), so that neither other
-// declaration sets nor readers at the cached version wait for it; cur
-// is read without the lock.
+// lock serializes carrying the context over to a newer version
+// (cfpq.NewIndexWarm clones the index's relations), so that neither
+// other declaration sets nor readers at the cached version wait for it;
+// cur is read without the lock.
 type ctxSlot struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[cachedCtx]
 }
 
-// ctxLogSteps bounds a context's maintenance log: a cached result older
-// than the steps it keeps serves its own version only.
-const ctxLogSteps = 32
-
 // cachedCtx pairs a prepared path context with the snapshot version it
-// was built against and the maintenance log that led there: log[k]
-// carried the context from version log[k].from to log[k].to, the last
-// step ending at version, each starting where the one before ended. A
-// cold build starts an empty log.
+// was built against.
 //
 // immutable after publish (enforced by the snapfreeze analyzer): a
 // published entry is read without ctxSlot.mu, so carrying the context
-// over allocates a fresh entry (and log) instead of rewriting this one.
+// over allocates a fresh entry instead of rewriting this one.
 type cachedCtx struct {
 	ctx     *plan.PathCtx
 	version uint64
-	log     []ctxStep
-}
-
-// ctxStep is one maintenance run of a context: what carrying it from
-// version from to version to left unchanged.
-type ctxStep struct {
-	from, to uint64
-	m        *cfpq.Maintenance
 }
 
 // FPCtxWarm fails carrying a cached path-pattern context over to a
@@ -171,10 +154,10 @@ func (s *GraphStore) slot(key string, create bool) *ctxSlot {
 // version match is reused outright; a context from an OLDER version is
 // carried over into the snapshot's version (cfpq.NewIndexWarm: the
 // write path only adds edges and vertices, so the accumulated facts
-// stay true and a maintenance run completes the processed rows); a
-// reader pinned BEHIND the cached version builds a private context
-// without disturbing the cache. Queries without declarations always get
-// a fresh empty context (cheap).
+// stay true, and the processed rows too when the write grew the graph
+// apart); a reader pinned BEHIND the cached version builds a private
+// context without disturbing the cache. Queries without declarations
+// always get a fresh empty context (cheap).
 func (s *GraphStore) pathCtxFor(snap *store.Snapshot, q *cypher.Query) (*plan.PathCtx, error) {
 	if len(q.PathPatterns) == 0 {
 		return plan.NewPathCtx(snap.Graph(), nil)
@@ -218,8 +201,7 @@ func (sl *ctxSlot) advance(snap *store.Snapshot, pats []cypher.NamedPathPattern)
 			return next, nil
 		}
 		// Carrying failed (shouldn't happen along a version lineage):
-		// rebuild cold below, with an empty log, so no cached result is
-		// revalidated across the gap.
+		// rebuild cold below.
 		obs.GdbCtxColdRebuilds.Inc()
 	}
 	ctx, err := plan.NewPathCtx(snap.Graph(), pats)
@@ -231,8 +213,7 @@ func (sl *ctxSlot) advance(snap *store.Snapshot, pats []cypher.NamedPathPattern)
 	return c, nil
 }
 
-// carry returns c carried over to the snapshot's version, its log grown
-// by the step; a step whose maintenance failed starts the log afresh.
+// carry returns c carried over to the snapshot's version.
 func carry(c *cachedCtx, snap *store.Snapshot) (*cachedCtx, error) {
 	if err := fault.Inject(FPCtxWarm); err != nil {
 		return nil, err
@@ -241,46 +222,21 @@ func carry(c *cachedCtx, snap *store.Snapshot) (*cachedCtx, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := &cachedCtx{ctx: ctx, version: snap.Version()}
-	if m := ctx.Maintenance(); m != nil {
-		keep := c.log[max(0, len(c.log)-ctxLogSteps+1):]
-		next.log = append(slices.Clip(keep), ctxStep{from: c.version, to: next.version, m: m})
-	}
-	return next, nil
+	return &cachedCtx{ctx: ctx, version: snap.Version()}, nil
 }
 
 // unchanged reports whether the rows fp names are the same at version
-// at and at the snapshot's: the log steps of its context spanning the
-// two versions all kept them. It first carries the context up to the
-// snapshot, which the reader would otherwise do on the miss, with the
-// declarations the slot's context holds, so the cached statement is
-// not parsed for them.
+// at and at the snapshot's: no write between the two failed to grow the
+// graph apart, so the rows of every vertex that existed at the older
+// one stayed as they were, and every source exists at the snapshot.
+// The store's current Touched stamp bounds every write up to both
+// versions, so it refuses across a touching write past them too.
 func (s *GraphStore) unchanged(snap *store.Snapshot, at uint64, fp *store.Footprint) bool {
-	sl := s.slot(fp.Ctx, false)
-	if sl == nil {
+	if s.st.Pin().Touched() > min(at, snap.Version()) {
 		return false
 	}
-	c := sl.cur.Load()
-	if c == nil {
-		return false
-	}
-	c, err := sl.advance(snap, c.ctx.Patterns())
-	if err != nil {
-		return false
-	}
-	lo, hi := min(at, snap.Version()), max(at, snap.Version())
-	if hi > c.version {
-		return false
-	}
-	covered := c.version
-	for k := len(c.log) - 1; k >= 0 && covered > lo; k-- {
-		st := c.log[k]
-		if st.from < hi && !st.m.Kept(fp.Nonterm, fp.Sources) {
-			return false
-		}
-		covered = st.from
-	}
-	return covered <= lo
+	idx := fp.Sources.Indices()
+	return len(idx) == 0 || int(idx[len(idx)-1]) < snap.Graph().NumVertices()
 }
 
 // CtxCacheHits reports how many queries reused a cached path-pattern
@@ -523,8 +479,8 @@ func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *ex
 		return nil, nil, err
 	}
 	var fp *store.Footprint
-	if a, src, ok := p.Footprint(); ok {
-		fp = &store.Footprint{Ctx: plan.CtxKey(q.PathPatterns), Nonterm: a, Sources: src}
+	if src, ok := p.Footprint(); ok {
+		fp = &store.Footprint{Sources: src}
 	}
 	return rs, fp, nil
 }

@@ -13,7 +13,6 @@ import (
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
-	"mscfpq/internal/plan"
 	"mscfpq/internal/store"
 )
 
@@ -315,8 +314,7 @@ func TestCacheCountsMatchReadsOnly(t *testing.T) {
 // QueryContext: an exact hit of a few rows and of a dense-scan-sized
 // answer (6000 rows), that hit through QueryCells (the server's entry,
 // which cuts no row headers), and a revalidated hit — the first read of
-// the text after a write that left its rows alone, which carries the
-// path-pattern context over to the new version first.
+// the text after a write that left its rows alone.
 func BenchmarkQueryCacheHit(b *testing.B) {
 	text := sourcesQuery(0, 1)
 	ctx := context.Background()
@@ -398,11 +396,7 @@ func TestScanHoldsOnlyProbation(t *testing.T) {
 	// answerBytes is what the cache charges for text's answer res, as
 	// queryAt computes it.
 	answerBytes := func(text string, ids []int, res *QueryResult) int64 {
-		q, err := cypher.Parse(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp := &store.Footprint{Ctx: plan.CtxKey(q.PathPatterns), Sources: matrix.NewVectorFromIndices(g.NumVertices(), ids)}
+		fp := &store.Footprint{Sources: matrix.NewVectorFromIndices(g.NumVertices(), ids)}
 		return resultBytes(&answer{columns: res.Columns, cells: res.Cells, rows: res.NumRows}, text, fp)
 	}
 	hot := g2Query(perm[:10])

@@ -257,7 +257,7 @@ type answer struct {
 func resultBytes(a *answer, text string, fp *store.Footprint) int64 {
 	b := int64(len(text)) + 96 + 8*int64(len(a.cells))
 	if fp != nil {
-		b += int64(len(fp.Ctx)) + 4*int64(fp.Sources.NVals()) + 64
+		b += 4*int64(fp.Sources.NVals()) + 64
 	}
 	for _, c := range a.columns {
 		b += int64(len(c)) + 16

@@ -158,15 +158,16 @@ func TestPinnedReaderBuildsPrivateContext(t *testing.T) {
 	}
 }
 
-// TestStressCacheRevalidationByDirtyRows walks the result cache's
+// TestStressCacheRevalidationAcrossWrites walks the result cache's
 // cross-version rules: an id-seek answer of a declared pattern survives
-// a write that leaves its rows alone, as a hit at the newer version and
-// at an older one, and misses once a write changes one of its rows or
-// creates an id it names; label and all-node scans miss after any
-// write; a reader pinned behind a newer entry gets its own version's
-// answer without displacing the entry. Readers then race a writer, each
-// answer checked against the oracle.
-func TestStressCacheRevalidationByDirtyRows(t *testing.T) {
+// a write that grows the graph apart (a CREATE), as a hit at the newer
+// version and at an older one, and misses once a write links an old
+// vertex (Store.Update), whether or not its own rows changed, or creates
+// an id it names; label and all-node scans miss after any write; a
+// reader pinned behind a newer entry gets its own version's answer
+// without displacing the entry. Readers then race a writer, each answer
+// checked against the oracle.
+func TestStressCacheRevalidationAcrossWrites(t *testing.T) {
 	db := New()
 	db.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
 	p := cacheProbe{t: t, db: db, s: db.AddGraph("g", revalidateGraph())}
@@ -199,23 +200,27 @@ func TestStressCacheRevalidationByDirtyRows(t *testing.T) {
 	// at the older one is served by revalidation too.
 	p.expect(qA, nil, exactHit)
 	p.expect(qA, v0, revalidated)
+	// A seek of the vertex the CREATE made serves no reader that
+	// predates it.
+	qMade := sourcesQuery(0, 13)
+	p.expect(qMade, nil, missed)
+	p.expect(qMade, v0, missed)
 
-	// An edge that reaches source 1 (1-a->2-b->12 is a new S path)
-	// changes qA's rows but not qB's.
+	// An edge from an old vertex (1-a->2-b->12 is a new S path) changes
+	// qA's rows and leaves qB's alone; both miss.
 	if _, err := p.s.st.Update(func(tx *store.Tx) error {
 		tx.Graph().AddEdge(2, "b", 12)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	for _, q := range all[1:] {
+		p.expect(q, nil, missed)
+	}
 	p.expect(qA, nil, missed)
-	p.expect(qB, nil, revalidated)
-	p.expect(qAll, nil, missed)
-	p.expect(qLabel, nil, missed)
 
 	// A CREATE that brings id 20 into existence, with an S path from it.
 	// qNew names 20, so its entries serve their own version only.
-	p.expect(qNew, nil, missed)
 	p.expect(qNew, nil, exactHit)
 	if _, err := db.Query("g", `CREATE (f1:N), (f2:N), (f3:N), (f4:N), (f5:N), (s:N)-[:a]->(m:N)-[:b]->(e:N)`); err != nil {
 		t.Fatal(err)
@@ -226,7 +231,7 @@ func TestStressCacheRevalidationByDirtyRows(t *testing.T) {
 	p.expect(qNew, nil, missed)
 	p.expect(qA, nil, revalidated)
 
-	// A reader pinned behind a newer entry whose rows changed since gets
+	// A reader pinned behind a newer entry across a touching write gets
 	// its own version's answer, and leaves the newer entry in place.
 	pinned := p.s.Snapshot()
 	p.expect(qB, pinned, revalidated)
@@ -239,11 +244,9 @@ func TestStressCacheRevalidationByDirtyRows(t *testing.T) {
 	p.expect(qA, nil, missed)
 	p.expect(qA, pinned, missed)
 	p.expect(qA, nil, exactHit)
-	// qB's rows did not change: restamped at the newest version, its
-	// entry still serves the pinned reader, across the step that dirtied
-	// qA's rows.
-	p.expect(qB, nil, revalidated)
-	p.expect(qB, pinned, revalidated)
+	p.expect(qB, nil, missed)
+	p.expect(qB, pinned, missed)
+	p.expect(qB, nil, exactHit)
 
 	// Readers race a writer that adds vertices and, now and then, an
 	// edge into a gadget. The answer of a statement lies between the
@@ -327,5 +330,61 @@ func TestStressCacheRevalidationByDirtyRows(t *testing.T) {
 	}
 	if st := db.Cache().Stats(); st.Revalidations == 0 {
 		t.Fatalf("no hit was served across versions: %+v", st)
+	}
+}
+
+// TestCreateGrowsApart: every CREATE shape links only the vertices it
+// creates, so no CREATE moves the store's Touched stamp, not even one
+// that fails half-way. A Store.Update that links an old vertex or
+// labels one moves it to its own version; one that sets a property
+// does not.
+func TestCreateGrowsApart(t *testing.T) {
+	db := New()
+	s := db.AddGraph("g", revalidateGraph())
+	for _, c := range []struct{ text, fails string }{
+		{text: `CREATE (x:N)-[:a]->(y:N)`},
+		{text: `CREATE (x)-[:a]->(y), (z:N)-[:b]->(w), (u)`},
+		{text: `CREATE (x:N)-[:a]->(y:N), (z:N)-[:b]->(x), (x)-[:a]->(x)`},
+		{text: `CREATE (x:N)<-[:a]-(y:M)-[:b]->(z)`},
+		{text: `CREATE (x:N:M {name: 'n', k: 3})-[:a]->(y {k: 4})`},
+		{text: `CREATE (x:N)-[:a]->(y:N), (z:N)-[:a|b]->(w:N)`, fails: "exactly one type"},
+	} {
+		before := s.Snapshot()
+		_, err := db.Query("g", c.text)
+		if c.fails == "" && err != nil || c.fails != "" && (err == nil || !strings.Contains(err.Error(), c.fails)) {
+			t.Fatalf("%s: error %v, want %q", c.text, err, c.fails)
+		}
+		after := s.Snapshot()
+		if after.Version() != before.Version()+1 || after.Touched() != 0 {
+			t.Fatalf("%s: version %d → %d, Touched %d, want one version and Touched 0", c.text, before.Version(), after.Version(), after.Touched())
+		}
+	}
+	n := s.Snapshot().Graph().NumVertices()
+	for _, c := range []struct {
+		name  string
+		write func(tx *store.Tx)
+		moves bool
+	}{
+		{"property", func(tx *store.Tx) { tx.SetProp(0, "k", cypher.Value{Int: 1, IsInt: true}) }, false},
+		{"old to new edge", func(tx *store.Tx) { tx.Graph().AddEdge(4, "a", n) }, true},
+		{"new to old edge", func(tx *store.Tx) { tx.Graph().AddEdge(n+1, "b", 0) }, true},
+		{"old to old edge", func(tx *store.Tx) { tx.Graph().AddEdge(4, "a", 10) }, true},
+		{"label on old", func(tx *store.Tx) { tx.Graph().AddVertexLabel(3, "M") }, true},
+	} {
+		prior := s.Snapshot().Touched()
+		snap, err := s.st.Update(func(tx *store.Tx) error {
+			c.write(tx)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := prior
+		if c.moves {
+			want = snap.Version()
+		}
+		if snap.Touched() != want {
+			t.Fatalf("%s: Touched %d at version %d, want %d", c.name, snap.Touched(), snap.Version(), want)
+		}
 	}
 }

@@ -142,3 +142,81 @@ func TestGraphCloneFrozenIsolation(t *testing.T) {
 		t.Fatalf("clone lost its own mutations")
 	}
 }
+
+// TestGrewApart: a growth is apart exactly when it adds vertices and
+// only edges and vertex labels among them. Each case grows a frozen
+// clone of a graph of four vertices, 0-a->1-a->2 and 3 labeled P, with
+// vertex 0 past the list/bitmap crossover.
+func TestGrewApart(t *testing.T) {
+	base := New(0)
+	base.AddEdge(0, "a", 1)
+	base.AddEdge(1, "a", 2)
+	base.AddVertexLabel(3, "P")
+	for j := 4; j < 80; j++ {
+		base.AddEdge(0, "b", j) // past the crossover: row 0 of b is a bitmap
+	}
+	n := base.NumVertices()
+	cases := []struct {
+		name  string
+		grow  func(g *Graph)
+		apart bool
+	}{
+		{"props only", func(g *Graph) {}, true},
+		{"new to new", func(g *Graph) { g.AddEdge(n, "a", n+1) }, true},
+		{"new label matrix among new", func(g *Graph) { g.AddEdge(n, "c", n+1) }, true},
+		{"vertex label on new", func(g *Graph) { g.AddVertexLabel(n+2, "P"); g.AddVertexLabel(n+2, "Q") }, true},
+		{"existing edge again", func(g *Graph) { g.AddEdge(0, "a", 1); g.AddEdge(0, "b", 40) }, true},
+		{"existing vertex label again", func(g *Graph) { g.AddVertexLabel(3, "P") }, true},
+		{"old to new", func(g *Graph) { g.AddEdge(2, "a", n) }, false},
+		{"new to old", func(g *Graph) { g.AddEdge(n, "a", 0) }, false},
+		{"old to old", func(g *Graph) { g.AddEdge(2, "a", 3) }, false},
+		{"old to old in a bitmap row", func(g *Graph) { g.AddEdge(0, "b", 2) }, false},
+		{"new label matrix on old", func(g *Graph) { g.AddEdge(3, "c", n) }, false},
+		{"vertex label on old", func(g *Graph) { g.AddVertexLabel(1, "P") }, false},
+		{"new vertex label on old", func(g *Graph) { g.AddVertexLabel(n+1, "Q"); g.AddVertexLabel(2, "Q") }, false},
+	}
+	for _, c := range cases {
+		g := base.CloneFrozen()
+		c.grow(g)
+		if got := GrewApart(base, g); got != c.apart {
+			t.Errorf("%s: GrewApart = %v, want %v", c.name, got, c.apart)
+		}
+		// Against a copy built edge by edge no row is shared, so every
+		// row is compared by content.
+		deep := New(n)
+		base.Edges(func(src int, label string, dst int) bool {
+			deep.AddEdge(src, label, dst)
+			return true
+		})
+		for _, l := range base.VertexLabels() {
+			for _, v := range base.VertexSet(l).Ints() {
+				deep.AddVertexLabel(v, l)
+			}
+		}
+		if got := GrewApart(deep, g); got != c.apart {
+			t.Errorf("%s, rows compared by content: GrewApart = %v, want %v", c.name, got, c.apart)
+		}
+	}
+
+	// Across generations: three apart growths stay apart from the base;
+	// once one touches, every later generation is not apart from it.
+	gens := []*Graph{base}
+	for k := 0; k < 5; k++ {
+		g := gens[k].CloneFrozen()
+		v := g.NumVertices()
+		g.AddEdge(v, "a", v+1)
+		g.AddVertexLabel(v+1, "P")
+		if k == 3 {
+			g.AddEdge(1, "b", v)
+		}
+		gens = append(gens, g)
+	}
+	for k, g := range gens[1:] {
+		if got, want := GrewApart(base, g), k < 3; got != want {
+			t.Errorf("generation %d: GrewApart(base) = %v, want %v", k+1, got, want)
+		}
+		if got, want := GrewApart(gens[k], g), k != 3; got != want {
+			t.Errorf("generation %d: GrewApart(previous) = %v, want %v", k+1, got, want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -123,6 +124,36 @@ func (g *Graph) CloneFrozen() *Graph {
 		c.vlabels[l] = vec.Clone()
 	}
 	return c
+}
+
+// GrewApart reports whether g grew out of prior apart from it: g adds
+// only vertices, and edges and vertex labels among those. Then no edge
+// joins a vertex of prior to a new one, in either direction, so every
+// path from a vertex of prior stays in prior, and its rows of every
+// CFPQ relation, inverse labels included, are the same on both graphs.
+// It holds when every stored edge row of a vertex below
+// prior.NumVertices() is unchanged, no row at or above that count has
+// a column below it, and no vertex label was added below it; a label
+// prior lacks counts as empty there. Rows g shares with prior
+// (CloneFrozen) cost a pointer compare. g must have grown out of prior
+// by additions, as every version of a store does.
+func GrewApart(prior, g *Graph) bool {
+	pn := prior.n
+	for l, m := range g.edges {
+		pm := prior.edges[l]
+		if pm == nil {
+			pm = matrix.NewBool(pn, pn)
+		}
+		if !matrix.GrewApart(pm, m) {
+			return false
+		}
+	}
+	for l, vec := range g.vlabels {
+		if below, _ := slices.BinarySearch(vec.Indices(), uint32(pn)); below != prior.VertexSet(l).NVals() {
+			return false
+		}
+	}
+	return true
 }
 
 // AddEdge adds a directed edge src -> dst with the given label. Adding

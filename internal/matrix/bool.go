@@ -201,31 +201,26 @@ func (m *Bool) CloneCOW() *Bool {
 // CloneCOW when both sides stay mutable).
 func (m *Bool) CloneFrozen() *Bool { return m.cloneShared() }
 
-// Gained returns the entries of m that prior lacks, for an m that grew
-// out of prior by copy-on-write clones (CloneCOW, CloneFrozen) and
-// Resize. A row whose backing array the two still share is skipped
-// unread, so the call costs a pointer compare per row plus the rows
-// that differ. The answer is exact for any prior no larger than m;
-// sharing only makes it cheap.
-func Gained(prior, m *Bool) *RowList {
+// GrewApart reports whether m grew out of prior apart from it: every
+// row below prior's row count holds what it held in prior, and no row
+// at or past it holds a column below prior's column count. A row whose
+// backing array the two share (CloneCOW, CloneFrozen) is passed unread,
+// so the call costs a pointer compare per row plus the rows that differ.
+func GrewApart(prior, m *Bool) bool {
 	if prior.nrows > m.nrows || prior.ncols > m.ncols {
-		panic(fmt.Sprintf("matrix: Gained from a larger matrix %dx%d > %dx%d", prior.nrows, prior.ncols, m.nrows, m.ncols))
+		return false
 	}
-	out := &RowList{nrows: m.nrows, ncols: m.ncols}
 	var pbuf, mbuf []uint32
 	for i := range m.rows {
-		var old []uint32
-		if i < prior.nrows {
-			if sameRow(prior, m, i) {
-				continue
+		if i >= prior.nrows {
+			if c := m.cols(i, &mbuf); len(c) > 0 && int(c[0]) < prior.ncols {
+				return false
 			}
-			old = prior.cols(i, &pbuf)
-		}
-		if add := diffInPlace(slices.Clone(m.cols(i, &mbuf)), old); len(add) > 0 {
-			out.push(uint32(i), add, nil, len(add))
+		} else if !sameRow(prior, m, i) && !slices.Equal(prior.cols(i, &pbuf), m.cols(i, &mbuf)) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 // sameRow reports whether row i of a and of b is one backing array of

@@ -198,13 +198,15 @@ func TestCloneFrozenLeavesSourceUntouched(t *testing.T) {
 	}
 }
 
-// TestGainedFindsWhatTheCloneAdded: Gained returns exactly the entries
-// a copy-on-write clone gained, through Set, the product fold and
-// Resize, in list and bitmap rows alike; and it stays exact against a
-// deep copy of the prior, which shares no row with the clone.
-func TestGainedFindsWhatTheCloneAdded(t *testing.T) {
+// TestGrewApartMatchesEntries: GrewApart agrees with an entry-by-entry
+// check (no entry of m in a row or a column below prior's size that
+// prior lacks) for copy-on-write clones grown through Set, the product
+// fold and Resize, in list and bitmap rows alike, and against a deep
+// copy of the prior, which shares no row with the clone.
+func TestGrewApartMatchesEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
+	seen := map[bool]int{}
+	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(150)
 		prior := NewBool(n, n)
 		for e := rng.Intn(4 * n); e > 0; e-- {
@@ -214,33 +216,35 @@ func TestGainedFindsWhatTheCloneAdded(t *testing.T) {
 		if trial%2 == 1 {
 			m = prior.CloneCOW()
 		}
-		grown := n + rng.Intn(70)
+		grown := n + 1 + rng.Intn(70)
 		m.Resize(grown, grown)
 		var added [][2]int
 		for e := rng.Intn(6); e > 0; e-- {
-			added = append(added, [2]int{rng.Intn(grown), rng.Intn(grown)})
+			p := [2]int{n + rng.Intn(grown-n), n + rng.Intn(grown-n)}
+			if rng.Intn(3) == 0 {
+				p[rng.Intn(2)] = rng.Intn(grown)
+			}
+			added = append(added, p)
 		}
 		for _, p := range added[:len(added)/2] {
 			m.Set(p[0], p[1])
 		}
 		mulAdd(m, added[len(added)/2:])
-		want := map[[2]int]bool{}
+		want := true
 		m.Iterate(func(i, j int) bool {
-			if i >= n || j >= n || !prior.Get(i, j) {
-				want[[2]int{i, j}] = true
+			if (i < n || j < n) && (i >= n || j >= n || !prior.Get(i, j)) {
+				want = false
 			}
-			return true
+			return want
 		})
-		for label, got := range map[string]*RowList{"clone": Gained(prior, m), "copy": Gained(prior.Clone(), m)} {
-			pairs := got.Pairs()
-			if len(pairs) != len(want) {
-				t.Fatalf("trial %d %s: Gained %v, want %d entries %v", trial, label, pairs, len(want), want)
-			}
-			for _, p := range pairs {
-				if !want[p] {
-					t.Fatalf("trial %d %s: Gained has %v, which prior holds", trial, label, p)
-				}
+		seen[want]++
+		for label, p := range map[string]*Bool{"clone": prior, "copy": prior.Clone()} {
+			if got := GrewApart(p, m); got != want {
+				t.Fatalf("trial %d %s: GrewApart = %v, want %v (added %v)", trial, label, got, want, added)
 			}
 		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("trials exercised only one verdict: %v", seen)
 	}
 }

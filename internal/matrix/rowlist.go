@@ -232,11 +232,6 @@ func Union(a, b *RowList) *RowList {
 	return out
 }
 
-// RowIDs returns the vector of the rows holding at least one entry.
-func (r *RowList) RowIDs() *Vector {
-	return &Vector{n: r.nrows, idx: slices.Clone(r.ids)}
-}
-
 // MulStats is what one MulAddRows call did besides the rows it added.
 type MulStats struct {
 	NNZ          int // the product's entries before the mask

@@ -84,14 +84,6 @@ func (v *Vector) Clone() *Vector {
 	return &Vector{n: v.n, idx: append([]uint32(nil), v.idx...)}
 }
 
-// Widen returns a copy of v over n indices, n at least v's size.
-func (v *Vector) Widen(n int) *Vector {
-	if n < v.n {
-		panic(fmt.Sprintf("matrix: Widen cannot shrink a vector of size %d to %d", v.n, n))
-	}
-	return &Vector{n: n, idx: slices.Clone(v.idx)}
-}
-
 // Equal reports whether the vectors have identical size and indices.
 func (v *Vector) Equal(o *Vector) bool {
 	if v.n != o.n || len(v.idx) != len(o.idx) {

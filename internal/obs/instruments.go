@@ -31,12 +31,6 @@ var (
 	// driver, so its rounds land here too).
 	CFPQRounds = Default.Histogram("kernel.cfpq.rounds", RoundBuckets)
 
-	// Carrying an index over to a newer graph version (cfpq.NewIndexWarm):
-	// the rounds its maintenance run took (0 when the write touched no
-	// processed row) and how many processed rows it changed.
-	CFPQMaintainRounds = Default.Histogram("kernel.cfpq.maintain.rounds", RoundBuckets)
-	CFPQMaintainDirty  = Default.Histogram("kernel.cfpq.maintain.dirty", SizeBuckets)
-
 	// Execution governor outcomes (one per top-level query).
 	GovCompleted = Default.Counter("governor.completed")
 	GovCancelled = Default.Counter("governor.cancelled")

@@ -323,13 +323,12 @@ func reverseChain(chain []QGEdge) []QGEdge {
 // one traverse of a bare reference to a declared pattern, counted by
 // CountRows or with only operators that reshape records above it
 // (Project, Aggregate, Sort, Paginate). Such a plan answers the same at
-// every version where those rows are the same. It returns the pattern's nonterminal id in the
-// path-pattern context's grammar and the sources; ok is false for any
-// other plan: a scan, a label or property read, a pattern the query
-// compiles itself, or no declarations at all.
-func (p *Plan) Footprint() (nonterm int, src *matrix.Vector, ok bool) {
+// every version where those rows are the same. It returns the sources;
+// ok is false for any other plan: a scan, a label or property read, a
+// pattern the query compiles itself, or no declarations at all.
+func (p *Plan) Footprint() (src *matrix.Vector, ok bool) {
 	if p.ctx == nil || p.ctx.cf == nil {
-		return 0, nil, false
+		return nil, false
 	}
 	op := p.root
 	for reshapes := true; reshapes; {
@@ -345,13 +344,13 @@ func (p *Plan) Footprint() (nonterm int, src *matrix.Vector, ok bool) {
 	}
 	t, isTraverse := op.(*Traverse)
 	if !isTraverse || t.path.start < 0 || len(t.path.rules.Prods) > 0 || t.path.w != p.ctx.idx.W {
-		return 0, nil, false
+		return nil, false
 	}
 	s, isScan := t.child.(*NodeScan)
 	if !isScan || !s.seek || !s.exact || s.label != "" || s.child != nil || s.slot != t.fromSlot {
-		return 0, nil, false
+		return nil, false
 	}
-	return t.path.start, matrix.NewVectorFromIndices(p.env.G.NumVertices(), s.verts), true
+	return matrix.NewVectorFromIndices(p.env.G.NumVertices(), s.verts), true
 }
 
 // Execute runs the plan to completion, ungoverned.

@@ -50,12 +50,11 @@ func NewPathCtx(g *graph.Graph, pats []cypher.NamedPathPattern) (*PathCtx, error
 
 // WarmSuccessor builds the context for a NEWER snapshot of the same
 // logical graph, reusing this context's compiled grammar and carrying
-// its multiple-source index over (cfpq.NewIndexWarm): relations and
-// processed sources, after a maintenance run brings the processed rows
-// up to g. Sound only when g grew out of ctx's graph by edge/vertex
-// additions — exactly the write path's guarantee, which the context
-// cache in gdb enforces by only warm-starting along a store's version
-// lineage.
+// its multiple-source index over (cfpq.NewIndexWarm): its relations,
+// and its processed sources when g grew apart from ctx's graph. Sound
+// only when g grew out of ctx's graph by edge/vertex additions, which
+// the context cache in gdb ensures by only warm-starting along a
+// store's version lineage.
 func (ctx *PathCtx) WarmSuccessor(g *graph.Graph) (*PathCtx, error) {
 	idx, err := cfpq.NewIndexWarm(g, ctx.idx.W, ctx.idx)
 	if err != nil {
@@ -67,11 +66,6 @@ func (ctx *PathCtx) WarmSuccessor(g *graph.Graph) (*PathCtx, error) {
 // Patterns returns the PATH PATTERN declarations the context was
 // compiled from.
 func (ctx *PathCtx) Patterns() []cypher.NamedPathPattern { return ctx.pats }
-
-// Maintenance reports which processed rows the step from the prior
-// context to this one left unchanged (cfpq.Index.Maintenance); nil for
-// a context built cold or whose maintenance failed.
-func (ctx *PathCtx) Maintenance() *cfpq.Maintenance { return ctx.idx.Maintenance() }
 
 // CtxKey returns the canonical identity of a PATH PATTERN declaration
 // set: reuse a PathCtx (and its warmed index) only for queries whose

@@ -21,14 +21,11 @@ type entry struct {
 }
 
 // Footprint is what a cached answer read of its snapshot, when that was
-// all it read: the rows of nonterminal Nonterm of the path-pattern
-// context Ctx (a declaration set, plan.CtxKey) for the sources Sources.
-// An entry with a footprint may serve a reader at another version of
-// its store, if those rows are the same there (Cache.Lookup); one without
-// serves its own version only.
+// all it read: the rows of one declared path pattern for the sources
+// Sources. An entry with a footprint may serve a reader at another
+// version of its store, if those rows are the same there (Cache.Lookup);
+// one without serves its own version only.
 type Footprint struct {
-	Ctx     string
-	Nonterm int
 	Sources *matrix.Vector
 }
 

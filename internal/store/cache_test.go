@@ -214,7 +214,7 @@ func TestCacheVersionBumpInvalidates(t *testing.T) {
 // refused older entry goes, a refused newer one stays.
 func TestCacheRevalidation(t *testing.T) {
 	c := NewCache(1 << 20)
-	fp := &Footprint{Ctx: "S=x", Nonterm: 0, Sources: matrix.NewVectorFromIndices(4, []int{1})}
+	fp := &Footprint{Sources: matrix.NewVectorFromIndices(4, []int{1})}
 	c.Put(key("k"), "v", 10, 7, 5, fp)
 	var asked []uint64
 	vouch := func(ok bool) func(uint64, *Footprint) bool {

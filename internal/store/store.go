@@ -39,6 +39,7 @@ var storeIDs atomic.Uint64
 type Snapshot struct {
 	storeID uint64
 	version uint64
+	touched uint64
 	g       *graph.Graph
 	props   map[int]map[string]cypher.Value
 }
@@ -49,6 +50,11 @@ func (s *Snapshot) StoreID() uint64 { return s.storeID }
 // Version returns the snapshot's epoch: 0 for the initial state, +1
 // per committed Update.
 func (s *Snapshot) Version() uint64 { return s.version }
+
+// Touched returns the latest version, up to this one, whose write did
+// not grow the graph apart from its predecessor (graph.GrewApart): 0
+// when every write so far left the rows of every earlier vertex alone.
+func (s *Snapshot) Touched() uint64 { return s.touched }
 
 // Graph returns the snapshot's graph. Read-only: mutating it would
 // corrupt every snapshot sharing its rows.
@@ -138,6 +144,9 @@ func (tx *Tx) SetProp(v int, key string, val cypher.Value) {
 // at the same point during replay, reproducing the acknowledged
 // partial state). fn's error is returned alongside the new snapshot.
 //
+// The new snapshot inherits the current one's Touched stamp, or takes
+// its own version when the write did not grow the graph apart.
+//
 // Updates are serialized; readers are never blocked and keep serving
 // the prior version until the new one is published.
 func (st *Store) Update(fn func(tx *Tx) error) (*Snapshot, error) {
@@ -156,7 +165,11 @@ func (st *Store) Update(fn func(tx *Tx) error) (*Snapshot, error) {
 		tx.props[v] = p
 	}
 	err := fn(tx)
-	next := &Snapshot{storeID: st.id, version: cur.version + 1, g: tx.g, props: tx.props}
+	version, touched := cur.version+1, cur.touched
+	if !graph.GrewApart(cur.g, tx.g) {
+		touched = version
+	}
+	next := &Snapshot{storeID: st.id, version: version, touched: touched, g: tx.g, props: tx.props}
 	st.cur.Store(next)
 	return next, err
 }
