@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mscfpq/internal/cfpq"
-	"mscfpq/internal/dataset"
 	"mscfpq/internal/gdb"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
@@ -52,13 +51,6 @@ func Table1(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// fig2MaxVertices caps the graphs of the single-path experiment: the
-// all-pairs relation with per-fact provenance is quadratic in the worst
-// case, so E2 runs on reduced instances (the paper's own Figure 2 uses
-// the all-pairs single-path algorithm of GRADES-NDA'20, which has the
-// same scaling behaviour).
-const fig2MaxVertices = 2500
-
 // Fig2 measures single-path extraction (experiment E2): all-pairs
 // single-path CFPQ (index construction) plus the time to extract a
 // witness path for a sample of result pairs.
@@ -69,15 +61,7 @@ func Fig2(cfg Config, sample int) (*Report, error) {
 		Columns: []string{"Graph", "Query", "Pairs", "Index ms", "Extract ms", "Paths", "AvgLen"},
 	}
 	for _, name := range cfg.graphNames() {
-		scale := cfg.scaleFor(name)
-		if spec, err := dataset.ByName(name); err == nil {
-			if expected := float64(spec.Vertices) * scale; expected > fig2MaxVertices {
-				scale *= fig2MaxVertices / expected
-			}
-		}
-		sub := cfg
-		sub.Scales = map[string]float64{name: scale}
-		g, spec, err := sub.Generate(name)
+		g, spec, err := cfg.Generate(name)
 		if err != nil {
 			return nil, err
 		}
@@ -92,11 +76,15 @@ func Fig2(cfg Config, sample int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pairs := sp.Pairs()
-		count := len(pairs)
-		if count > sample {
-			pairs = pairs[:sample]
-		}
+		count := sp.Start().NVals()
+		var pairs [][2]int // the first sample pairs, not all of them
+		sp.Start().Iterate(func(i, j int) bool {
+			if len(pairs) == sample {
+				return false
+			}
+			pairs = append(pairs, [2]int{i, j})
+			return true
+		})
 		totalLen := 0
 		extracted := 0
 		extractTime, err := timeIt(func() error {

@@ -11,13 +11,13 @@
 //     queries so each vertex is processed at most once;
 //   - SinglePath: all-pairs querying with single-path semantics
 //     (Terekhov et al., GRADES-NDA'20; the paper's Figure 2 experiment),
-//     which records one witness derivation per reachability fact and can
-//     reconstruct a concrete path for any result pair.
+//     the all-pairs run plus a log of what each product added, from which
+//     it reconstructs a concrete path for any result pair.
 //
 // Every matrix evaluator but AllPairs is set-up, one call of the
 // delta-driven fixpoint driver (fixpoint.go, DESIGN.md §16) and result
-// packing; the driver holds source sets as vectors and varies in one
-// step, the product (plain or witness-recording).
+// packing; the driver holds source sets as vectors, and a single-path
+// run differs only in logging what each product added.
 //
 // All algorithms accept grammars in weak Chomsky normal form
 // (grammar.WCNF) and graphs as Boolean label-matrix decompositions

@@ -50,8 +50,8 @@ type fixpoint struct {
 	w     *grammar.WCNF
 	run   *exec.Run
 	seeds *seeder
-	// witness, when set, records a provenance for every entry the run
-	// derives (single-path semantics); nil for a Boolean run.
+	// witness, when set, logs what every derive call adds (single-path
+	// semantics); nil for a Boolean run.
 	witness *SinglePathResult
 
 	T     []*matrix.Bool    // relations per nonterminal, grown in place
@@ -71,11 +71,11 @@ type fixpoint struct {
 }
 
 // evaluate is the set-up the four index-free callers share: check the
-// inputs, start the governor, seed fresh relations (every row, with
-// provenance when witness is set; otherwise a restricted run seeds the
-// rows it activates), run the driver (unrestricted when src is nil,
-// otherwise from the sources src of the start nonterminal) and stamp the
-// statistics. It also returns the sources the run activated.
+// inputs, start the governor, seed every row of fresh relations when src
+// is nil (a restricted run seeds the rows it activates), run the driver
+// (unrestricted when src is nil, otherwise from the sources src of the
+// start nonterminal), logging its derivations when witness is set, and
+// stamp the statistics. It also returns the sources the run activated.
 func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool, opts []Option) (*SinglePathResult, []*matrix.Vector, error) {
 	if err := checkInputs(g, w); err != nil {
 		return nil, nil, err
@@ -85,18 +85,13 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool,
 	n := g.NumVertices()
 	r := &SinglePathResult{Result: newResult(w, n)}
 	f := &fixpoint{w: w, run: run, seeds: newSeeder(g, w), T: r.T}
-	var err error
-	switch {
-	case witness:
-		f.witness = r
-		err = r.seedProv(run, g)
-	case src == nil:
-		err = f.seeds.all(run, r.T, n)
-	}
-	if err != nil {
-		return nil, nil, err
+	if witness {
+		f.witness = r.logging(f.seeds)
 	}
 	if src == nil {
+		if err := f.seeds.all(run, r.T, n); err != nil {
+			return nil, nil, err
+		}
 		f.listAll()
 	} else if err := f.restrict(w.Start, src, noMarks(len(r.T), n)); err != nil {
 		return nil, nil, err
@@ -265,20 +260,16 @@ func (f *fixpoint) round() (progress bool, err error) {
 }
 
 // derive folds (a*b) \ T^A into T^A and into the next ΔT^A, A being
-// the head of rule ri. A witness run files the provenance of what T^A
-// gained before it looks at the error, since T^A keeps those entries.
+// the head of rule ri. A witness run logs what T^A gained before it
+// looks at the error, since T^A keeps those entries.
 func (f *fixpoint) derive(ri int, a, b matrix.Operand, next []*matrix.RowList) error {
 	if a.NVals() == 0 || b.NVals() == 0 {
 		return nil
 	}
 	head := f.w.BinRules[ri].A
-	var wit map[uint64]uint32
+	added, err := f.run.MulAddRows(f.T[head], a, b)
 	if f.witness != nil {
-		wit = map[uint64]uint32{}
-	}
-	added, err := f.run.MulAddRows(f.T[head], a, b, wit)
-	if wit != nil {
-		f.witness.noteBin(ri, added, wit)
+		f.witness.note(ri, added)
 	}
 	if err != nil || added.Empty() {
 		return err

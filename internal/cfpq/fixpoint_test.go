@@ -20,9 +20,11 @@ import (
 // must equal AllPairs on the rows the run claims and hold nothing false
 // elsewhere, every witness must replay to a path of the graph whose word
 // the nonterminal derives, and the rounds reported must be the round
-// spans traced.
+// spans traced. The public witness runs must be their Boolean runs
+// (checkWitnessRuns).
 func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.Vector) {
 	t.Helper()
+	checkWitnessRuns(t, g, w, src)
 	ap, err := AllPairs(g, w)
 	if err != nil {
 		t.Fatal(err)
@@ -35,18 +37,16 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 			tr := obs.NewTrace("driver")
 			run, _ := exec.Build([]Option{WithTrace(tr)}).Start() // no timeout: nothing to cancel
 
-			// A restricted Boolean run seeds on activation; the others
-			// start from every row seeded.
+			// A restricted run seeds on activation; an unrestricted one
+			// starts from every row seeded.
 			var sp *SinglePathResult
 			seeds := newSeeder(g, w)
 			T := newResult(w, n).T
 			if witness {
-				sp = &SinglePathResult{Result: newResult(w, n)}
-				if err := sp.seedProv(run, g); err != nil {
-					t.Fatal(err)
-				}
+				sp = (&SinglePathResult{Result: newResult(w, n)}).logging(seeds)
 				T = sp.T
-			} else if restriction == "none" {
+			}
+			if restriction == "none" {
 				if err := seeds.all(run, T, n); err != nil {
 					t.Fatal(err)
 				}
@@ -124,6 +124,127 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 	}
 }
 
+// checkWitnessRuns: a witness run is its Boolean run plus a log, so
+// SinglePath equals AllPairsSemiNaive, and MultiSourceSinglePath equals
+// MultiSource, on every relation, the rounds and the work, seeds
+// included, and the second pair on the sources too.
+func checkWitnessRuns(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.Vector) {
+	t.Helper()
+	same := func(name string, got, want *Result) {
+		t.Helper()
+		for a := range want.T {
+			if !got.T[a].Equal(want.T[a]) {
+				t.Fatalf("%s: %s differs from its Boolean run", name, w.Nonterms[a])
+			}
+		}
+		if got.Rounds != want.Rounds || got.Work != want.Work {
+			t.Fatalf("%s: %d rounds and work %d, its Boolean run %d and %d", name, got.Rounds, got.Work, want.Rounds, want.Work)
+		}
+	}
+	ap, err := AllPairsSemiNaive(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := SinglePath(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("SinglePath", sp.Result, ap)
+	ms, err := MultiSource(g, w, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msp, err := MultiSourceSinglePath(g, w, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("MultiSourceSinglePath", msp.Result, ms.Result)
+	for a := range ms.Src {
+		if !msp.Src[a].Equal(ms.Src[a]) {
+			t.Fatalf("MultiSourceSinglePath: %s sources %v, MultiSource %v", w.Nonterms[a], msp.Src[a].Ints(), ms.Src[a].Ints())
+		}
+	}
+}
+
+// TestWitnessSameRoundFactor: T grows in place within a round, so over
+// 0 -x-> 1 -y-> 2 -z-> 3 with A -> x y before S -> A z, S gains (0,3)
+// in the round A gains its factor (0,2). A height is therefore the
+// number of the derive call, not of the round: every entry of every
+// relation must have a path.
+func TestWitnessSameRoundFactor(t *testing.T) {
+	w := grammar.MustWCNF(grammar.MustNew("S", []grammar.Production{
+		{LHS: "A", RHS: []grammar.Symbol{grammar.T("x"), grammar.T("y")}},
+		{LHS: "S", RHS: []grammar.Symbol{grammar.N("A"), grammar.T("z")}},
+	}))
+	if r := w.BinRules; len(r) != 2 || w.Nonterms[r[0].A] != "A" || w.Nonterms[r[1].A] != "S" {
+		t.Fatalf("rules %v: want A's rule before S's", r)
+	}
+	g := graph.New(4)
+	g.AddEdge(0, "x", 1)
+	g.AddEdge(1, "y", 2)
+	g.AddEdge(2, "z", 3)
+	for name, sp := range map[string]func() (*SinglePathResult, error){
+		"SinglePath": func() (*SinglePathResult, error) { return SinglePath(g, w) },
+		"MultiSourceSinglePath": func() (*SinglePathResult, error) {
+			r, err := MultiSourceSinglePath(g, w, matrix.NewVectorFromIndices(4, []int{0}))
+			if err != nil {
+				return nil, err
+			}
+			return r.SinglePathResult, nil
+		},
+	} {
+		r, err := sp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Start().Get(0, 3) {
+			t.Fatalf("%s: S lacks (0,3)", name)
+		}
+		for a, m := range r.T {
+			for _, p := range m.Pairs() {
+				steps, err := r.PathFor(w.Nonterms[a], p[0], p[1])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				verifyPath(t, g, w, w.Nonterms[a], p[0], p[1], steps)
+			}
+		}
+	}
+}
+
+// TestWitnessFactorsStrictlyLower: under A -> a | A c, one derive call
+// adds both (0,1) and (0,2), from seeds (0,3) and (0,4), and c's cycle
+// 1 <-> 2 makes each of the two a candidate mid vertex of the other,
+// met before the true one. A search that took a factor of its own
+// height would go round that cycle; a factor must be strictly lower.
+func TestWitnessFactorsStrictlyLower(t *testing.T) {
+	w := grammar.MustWCNF(grammar.MustNew("A", []grammar.Production{
+		{LHS: "A", RHS: []grammar.Symbol{grammar.T("a")}},
+		{LHS: "A", RHS: []grammar.Symbol{grammar.N("A"), grammar.T("c")}},
+	}))
+	g := graph.New(5)
+	g.AddEdge(0, "a", 3)
+	g.AddEdge(0, "a", 4)
+	g.AddEdge(3, "c", 1)
+	g.AddEdge(4, "c", 2)
+	g.AddEdge(1, "c", 2)
+	g.AddEdge(2, "c", 1)
+	sp, err := SinglePath(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{1, 2} {
+		steps, err := sp.Path(0, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyPath(t, g, w, "A", 0, j, steps)
+		if len(steps) != 2 {
+			t.Fatalf("path to %d: %v, want a then c", j, Word(steps))
+		}
+	}
+}
+
 func TestDriverGridFigure1(t *testing.T) {
 	for _, src := range [][]int{{3, 4}, {0, 5}, {0, 1, 2, 3, 4, 5}, {}} {
 		checkDriverGrid(t, paperGraph(), cndGrammar(), matrix.NewVectorFromIndices(6, src))
@@ -152,7 +273,9 @@ func TestDriverGridQuick(t *testing.T) {
 
 // TestWitnessProvenanceSurvivesAbort: a witness run cut off by its
 // budget keeps in T what the cut product added, so every entry of T,
-// those included, must still have a provenance to extract a path from.
+// those included, must still have a derivation to extract a path from.
+// The seeds are laid outside the budgeted run, so the budgets cut the
+// products alone.
 func TestWitnessProvenanceSurvivesAbort(t *testing.T) {
 	in := govInput(20)
 	n := in.g.NumVertices()
@@ -160,13 +283,21 @@ func TestWitnessProvenanceSurvivesAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{1, full.Work / 4, full.Work / 2, full.Work - 1} {
-		run, _ := exec.Build([]Option{WithBudget(budget)}).Start() // no timeout: nothing to cancel
-		sp := &SinglePathResult{Result: newResult(in.w, n)}
-		if err := sp.seedProv(run, in.g); err != nil {
+	seeded := func() *SinglePathResult {
+		sp := (&SinglePathResult{Result: newResult(in.w, n)}).logging(newSeeder(in.g, in.w))
+		if err := sp.seeds.all(nil, sp.T, n); err != nil {
 			t.Fatal(err)
 		}
-		f := &fixpoint{w: in.w, run: run, seeds: newSeeder(in.g, in.w), witness: sp, T: sp.T}
+		return sp
+	}
+	products := full.Work
+	for _, m := range seeded().T {
+		products -= int64(m.NVals())
+	}
+	for _, budget := range []int64{1, products / 4, products / 2, products - 1} {
+		run, _ := exec.Build([]Option{WithBudget(budget)}).Start() // no timeout: nothing to cancel
+		sp := seeded()
+		f := &fixpoint{w: in.w, run: run, seeds: sp.seeds, witness: sp, T: sp.T}
 		f.listAll()
 		if err := f.solve(); !errors.Is(err, exec.ErrBudget) {
 			t.Fatalf("budget %d: err = %v, want ErrBudget", budget, err)

@@ -24,8 +24,7 @@ type MSResult struct {
 
 // Answer returns the start-relation pairs restricted to the queried
 // sources — the multiple-source CFPQ answer. The raw T^S matrix also
-// holds the rows of every vertex the run activated for S (and, for the
-// witness-recording run, the simple-rule seeds of all vertices), so
+// holds the rows of every vertex the run activated for S, so
 // restriction is required for a sound answer.
 func (r *MSResult) Answer() *matrix.Bool {
 	if r.answer != nil {

@@ -3,6 +3,7 @@ package cfpq
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mscfpq/internal/dataset"
@@ -111,4 +112,39 @@ func TestFixpointWorkPinned(t *testing.T) {
 	if want := (work{rounds: 12, work: 2311292, mulOps: 13, mulNNZ: 2281886, addOps: 11}); sn != want {
 		t.Errorf("AllPairsSemiNaive spent %+v, want %+v", sn, want)
 	}
+}
+
+// TestSinglePathAllocPinned pins what a witness run costs in bytes. Its
+// log shares the rows the kernel allocated anyway, so on
+// go-hierarchy@0.0555 under G1 SinglePath allocates at most 1.5× what
+// AllPairsSemiNaive does; filing a map entry per relation entry cost
+// about 200×. One processor keeps the count free of helper goroutines.
+func TestSinglePathAllocPinned(t *testing.T) {
+	spec, err := dataset.ByName("go-hierarchy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := dataset.Generate(dataset.Scaled(spec, 0.0555)), grammar.MustWCNF(grammar.G1())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	alloc := func(solve func() (*Result, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := solve(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	semi := alloc(func() (*Result, error) { return AllPairsSemiNaive(g, w) })
+	sp := alloc(func() (*Result, error) {
+		r, err := SinglePath(g, w)
+		if err != nil {
+			return nil, err
+		}
+		return r.Result, nil
+	})
+	if float64(sp) > 1.5*float64(semi) {
+		t.Fatalf("SinglePath allocated %d bytes, AllPairsSemiNaive %d: over 1.5×", sp, semi)
+	}
+	t.Logf("SinglePath %d bytes, AllPairsSemiNaive %d", sp, semi)
 }

@@ -3,30 +3,10 @@ package cfpq
 import (
 	"fmt"
 
-	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
 )
-
-// provKind tags how a relation entry was first derived.
-type provKind uint8
-
-const (
-	provEdge   provKind = iota // A -> t matched a graph edge
-	provVertex                 // A -> t matched a vertex label (self pair)
-	provEps                    // A -> eps (trivial path)
-	provBin                    // A -> B C split at a mid vertex
-)
-
-// provEntry records the first-discovered derivation of a relation entry.
-// First-discovery order makes the provenance graph acyclic, so path
-// extraction terminates.
-type provEntry struct {
-	kind provKind
-	mid  uint32 // provBin: split vertex
-	rule int32  // provBin: BinRules index; provEdge/provVertex: terminal id
-}
 
 // PathStep is one edge of an extracted path; for vertex-label terminals
 // Src == Dst and Label is the vertex label.
@@ -42,15 +22,51 @@ type PathStep struct {
 // reconstruct one witness path per reachability fact, following the
 // single-path semantics of Terekhov et al. (GRADES-NDA'20) that the
 // paper's Figure 2 experiment measures.
+//
+// A witness needs only each entry's height (Azimov & Grigorev), the
+// point at which the run derived it: 0 for a seed fact, otherwise the
+// number of the driver's derive call that added it, as its log holds.
+// A derive call takes its product before it folds the result into T, so
+// every entry it adds has a mid vertex whose two factors are of lower
+// height; numbering rounds instead would not do, since T grows in place
+// within a round (fixpoint). Extraction searches for such a mid vertex.
 type SinglePathResult struct {
 	*Result
-	prov []map[uint64]provEntry // per nonterminal
+	seeds *seeder        // the terminal matches: the facts of height 0
+	log   [][]derivation // per nonterminal, by step
+	steps int            // derive calls numbered so far
 }
 
-// SinglePath runs the all-pairs algorithm while recording, for every
-// entry of every relation matrix, the first derivation that produced it
-// (a witness mid vertex and rule for binary steps). The extra bookkeeping
-// is the measured cost of single-path semantics over plain reachability.
+// A derivation is what one derive call added to the relation of rule's
+// head, all of height step.
+type derivation struct {
+	step, rule int
+	added      *matrix.RowList
+}
+
+// logging makes r the derivation log of a run seeded by s, a fresh
+// seeder, and returns it. It looks the terminals up now, so extraction
+// only reads s.
+func (r *SinglePathResult) logging(s *seeder) *SinglePathResult {
+	s.load()
+	r.seeds, r.log = s, make([][]derivation, len(r.T))
+	return r
+}
+
+// note logs what derive call number steps+1, of rule ri, added. The
+// kernel allocated added and nothing writes it afterwards, so the log
+// shares it.
+func (r *SinglePathResult) note(ri int, added *matrix.RowList) {
+	r.steps++
+	if a := r.W.BinRules[ri].A; !added.Empty() {
+		r.log[a] = append(r.log[a], derivation{step: r.steps, rule: ri, added: added})
+	}
+}
+
+// SinglePath runs the all-pairs algorithm while logging what each
+// product added (see SinglePathResult), so that Path finds one witness
+// path per entry. The run, its rounds and its work are
+// AllPairsSemiNaive's.
 func SinglePath(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*SinglePathResult, error) {
 	r, _, err := evaluate(g, w, nil, true, opts)
 	return r, err
@@ -58,8 +74,7 @@ func SinglePath(g *graph.Graph, w *grammar.WCNF, opts ...Option) (*SinglePathRes
 
 // MSSinglePathResult is a multiple-source result with single-path
 // semantics: the relation matrices are restricted the way Algorithm 2
-// restricts them, and every derived fact carries enough provenance to
-// reconstruct one witness path.
+// restricts them, and every fact they hold has a witness path.
 type MSSinglePathResult struct {
 	*SinglePathResult
 	// Src holds the accumulated TSrc source sets, as in MSResult.
@@ -75,11 +90,12 @@ func (r *MSSinglePathResult) Answer() *matrix.Bool {
 }
 
 // MultiSourceSinglePath combines Algorithm 2 with single-path
-// semantics: it evaluates the query only for paths starting at src
-// while recording, for every derived fact, the first derivation that
-// produced it. Combining the two is the natural extension of the
-// paper's Figure 2 experiment (single-path extraction) to the
-// multiple-source setting the paper advocates.
+// semantics: it evaluates the query only for paths starting at src, as
+// MultiSource does, while logging what each product added; a seed fact
+// of a row activated mid-run is of height 0 like any other. Combining
+// the two is the natural extension of the paper's Figure 2 experiment
+// (single-path extraction) to the multiple-source setting the paper
+// advocates.
 func MultiSourceSinglePath(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, opts ...Option) (*MSSinglePathResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("cfpq: nil source vector")
@@ -89,64 +105,6 @@ func MultiSourceSinglePath(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, 
 		return nil, err
 	}
 	return &MSSinglePathResult{SinglePathResult: r, Src: active, Sources: src.Clone()}, nil
-}
-
-// seedProv seeds the relations from the simple and eps rules,
-// recording terminal provenance. Edge beats vertex label if both
-// somehow apply; entries record their first deriver. Seeding is
-// O(edges) per rule, so it polls the governor like the fixpoint: a
-// terminal-only grammar must still abort.
-func (r *SinglePathResult) seedProv(run *exec.Run, g *graph.Graph) error {
-	w := r.W
-	r.prov = make([]map[uint64]provEntry, w.NumNonterms())
-	for a := range r.prov {
-		r.prov[a] = map[uint64]provEntry{}
-	}
-	seed := func(a, i, j int, p provEntry) {
-		if !r.T[a].Get(i, j) {
-			r.prov[a][matrix.Key(i, j)] = p
-			r.T[a].Set(i, j)
-		}
-	}
-	for _, rule := range w.TermRules {
-		if err := run.Err(); err != nil {
-			return err
-		}
-		edge, vertex := grammar.TermLabels(w.Terms[rule.Term])
-		g.EdgeMatrix(edge).Iterate(func(i, j int) bool {
-			seed(rule.A, i, j, provEntry{kind: provEdge, rule: int32(rule.Term)})
-			return true
-		})
-		for _, v := range g.VertexSet(vertex).Ints() {
-			seed(rule.A, v, v, provEntry{kind: provVertex, rule: int32(rule.Term)})
-		}
-	}
-	for a, nullable := range w.Nullable {
-		if !nullable {
-			continue
-		}
-		if err := run.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < g.NumVertices(); i++ {
-			seed(a, i, i, provEntry{kind: provEps})
-		}
-	}
-	return nil
-}
-
-// noteBin files rule ri and its witness mid vertex as the provenance of
-// every entry the driver added to the rule's head. Both factors of a
-// witness are entries T already held (the driver's left operands are
-// rows of T^B, and MulAddRows folds its product in after taking it), so
-// provenance stays acyclic in discovery order.
-func (r *SinglePathResult) noteBin(ri int, added *matrix.RowList, wit map[uint64]uint32) {
-	prov := r.prov[r.W.BinRules[ri].A]
-	added.Iterate(func(i, j int) bool {
-		key := matrix.Key(i, j)
-		prov[key] = provEntry{kind: provBin, mid: wit[key], rule: int32(ri)}
-		return true
-	})
 }
 
 // Path reconstructs one path witnessing (src, dst) in the start
@@ -182,32 +140,82 @@ func Word(steps []PathStep) []string {
 	return out
 }
 
-const maxExtractDepth = 1 << 22 // guards against provenance corruption
-
+// extract appends a path for (src, dst) in T^a: its step when it is a
+// seed fact, otherwise, for the derivation of height s that added it,
+// a path for each factor of a mid vertex below s. Heights fall strictly
+// from at most r.steps, so no sound log recurses deeper than that.
 func (r *SinglePathResult) extract(a, src, dst int, steps *[]PathStep, depth int) error {
-	if depth > maxExtractDepth {
-		return fmt.Errorf("cfpq: path extraction exceeded depth bound (corrupt provenance?)")
+	if depth > r.steps {
+		return fmt.Errorf("cfpq: path extraction exceeded depth bound %d (corrupt log?)", r.steps)
 	}
-	p, ok := r.prov[a][matrix.Key(src, dst)]
-	if !ok {
-		return fmt.Errorf("cfpq: missing provenance for (%s,%d,%d)", r.W.Nonterms[a], src, dst)
-	}
-	switch p.kind {
-	case provEps:
-		return nil
-	case provEdge:
-		*steps = append(*steps, PathStep{Src: src, Dst: dst, Label: r.W.Terms[p.rule]})
-		return nil
-	case provVertex:
-		*steps = append(*steps, PathStep{Src: src, Dst: dst, Label: r.W.Terms[p.rule], VertexLabel: true})
-		return nil
-	case provBin:
-		rule := r.W.BinRules[p.rule]
-		if err := r.extract(rule.B, src, int(p.mid), steps, depth+1); err != nil {
-			return err
+	if step, ok := r.seed(a, src, dst); ok {
+		if step.Label != "" {
+			*steps = append(*steps, step)
 		}
-		return r.extract(rule.C, int(p.mid), dst, steps, depth+1)
-	default:
-		return fmt.Errorf("cfpq: unknown provenance kind %d", p.kind)
+		return nil
 	}
+	d := r.first(a, src, dst, r.steps+1)
+	if d == nil {
+		return fmt.Errorf("cfpq: no derivation of (%s,%d,%d)", r.W.Nonterms[a], src, dst)
+	}
+	rule := r.W.BinRules[d.rule]
+	k, ok := r.mid(rule, src, dst, d.step)
+	if !ok {
+		return fmt.Errorf("cfpq: no witness below step %d for (%s,%d,%d)", d.step, r.W.Nonterms[a], src, dst)
+	}
+	if err := r.extract(rule.B, src, k, steps, depth+1); err != nil {
+		return err
+	}
+	return r.extract(rule.C, k, dst, steps, depth+1)
+}
+
+// seed reports whether (i, j) is a seed fact of T^a, and its step: the
+// edge, else the vertex label, of the first rule a -> t that matches
+// it, else, for a -> eps, none (an empty Label).
+func (r *SinglePathResult) seed(a, i, j int) (PathStep, bool) {
+	for _, rule := range r.W.TermRules {
+		if rule.A != a {
+			continue
+		}
+		step := PathStep{Src: i, Dst: j, Label: r.W.Terms[rule.Term]}
+		if m := r.seeds.edges[rule.Term]; m != nil && m.Get(i, j) {
+			return step, true
+		}
+		if v := r.seeds.verts[rule.Term]; v != nil && i == j && v.Get(i) {
+			step.VertexLabel = true
+			return step, true
+		}
+	}
+	return PathStep{}, i == j && r.W.Nullable[a]
+}
+
+// first returns the derivation of T^a below step s that added (i, j),
+// nil for none.
+func (r *SinglePathResult) first(a, i, j, s int) *derivation {
+	for x := range r.log[a] {
+		if d := &r.log[a][x]; d.step >= s {
+			break
+		} else if d.added.Has(i, j) {
+			return d
+		}
+	}
+	return nil
+}
+
+// below reports whether (i, j) is in T^a with a height below s.
+func (r *SinglePathResult) below(a, i, j, s int) bool {
+	_, seed := r.seed(a, i, j)
+	return seed || r.first(a, i, j, s) != nil
+}
+
+// mid returns a mid vertex k of (i, j) for rule A -> B C, with (i, k) in
+// T^B and (k, j) in T^C both below height s. Row i of T^B is the
+// candidates; (k, j) in T^C is the cheap test, so it goes first.
+func (r *SinglePathResult) mid(rule grammar.BinRule, i, j, s int) (k int, ok bool) {
+	tc := r.T[rule.C]
+	r.T[rule.B].EachCol(i, func(c int) bool {
+		k, ok = c, tc.Get(c, j) && r.below(rule.C, c, j, s) && r.below(rule.B, i, c, s)
+		return !ok
+	})
+	return k, ok
 }

@@ -87,9 +87,9 @@ func TestMultiSourceSinglePathPaperExample(t *testing.T) {
 }
 
 // TestSinglePathProductsCounted: a witness product is the driver's one
-// kernel like any other, so a single-path trace counts its products, and
-// since witness seeding charges nothing, the products are the whole
-// charge.
+// kernel like any other, so a single-path trace counts its products.
+// That the charge is the Boolean run's, seeds included, is
+// checkWitnessRuns'.
 func TestSinglePathProductsCounted(t *testing.T) {
 	g, w := paperGraph(), cndGrammar()
 	for name, solve := range map[string]func(tr *obs.Trace) (*Result, error){
@@ -109,8 +109,8 @@ func TestSinglePathProductsCounted(t *testing.T) {
 		},
 	} {
 		got := traced(t, solve)
-		if got.mulOps == 0 || got.mulNNZ != got.work || got.addOps == 0 {
-			t.Errorf("%s: traced %+v; want products counted and mul_nnz equal to the charge", name, got)
+		if got.mulOps == 0 || got.mulNNZ == 0 || got.addOps == 0 {
+			t.Errorf("%s: traced %+v; want products counted", name, got)
 		}
 	}
 }

@@ -219,8 +219,8 @@ func (r *Run) Mul(a, b *matrix.Bool) (*matrix.Bool, error) {
 // as Add does, the row blocks the kernel gathered off the calling
 // goroutine and the rows it gathered by column panels. On an error the
 // entries already added stay in t and are returned with it.
-func (r *Run) MulAddRows(t *matrix.Bool, a, b matrix.Operand, wit map[uint64]uint32) (*matrix.RowList, error) {
-	added, st, err := matrix.MulAddRows(r.Ctx(), t, a, b, wit)
+func (r *Run) MulAddRows(t *matrix.Bool, a, b matrix.Operand) (*matrix.RowList, error) {
+	added, st, err := matrix.MulAddRows(r.Ctx(), t, a, b)
 	if r == nil {
 		return added, err
 	}

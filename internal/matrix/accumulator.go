@@ -122,26 +122,6 @@ func (a *accumulator) clearRow(m *Bool, i int) {
 	}
 }
 
-// witness files k under Key(i, j) in wit for every column j of the list
-// rb or the bitmap sb that the current round does not hold yet.
-func (a *accumulator) witness(wit map[uint64]uint32, i, k uint32, rb []uint32, sb []uint64) {
-	for _, j := range rb {
-		if !a.contains(j) {
-			wit[Key(int(i), int(j))] = k
-		}
-	}
-	for w, word := range sb {
-		for fresh := word &^ a.words[w]; fresh != 0; fresh &= fresh - 1 {
-			wit[Key(int(i), w<<6+bits.TrailingZeros64(fresh))] = k
-		}
-	}
-}
-
-// contains reports whether column c is set in the current round.
-func (a *accumulator) contains(c uint32) bool {
-	return a.words[c>>6]&(1<<(c&63)) != 0
-}
-
 // extract appends the accumulated columns, sorted, to dst and returns it.
 func (a *accumulator) extract(dst []uint32) []uint32 {
 	if len(a.touched) == 0 {

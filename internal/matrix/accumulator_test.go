@@ -29,7 +29,7 @@ func TestAccumulatorPoolResize(t *testing.T) {
 	c := getAccumulator(1024)
 	c.reset()
 	c.orRow([]uint32{5})
-	if c.contains(1000) || c.contains(1023) {
+	if hasBit(c.words, 1000) || hasBit(c.words, 1023) {
 		t.Fatal("stale bits survived a shrink/regrow cycle")
 	}
 	if got := c.extract(nil); len(got) != 1 || got[0] != 5 {

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -297,6 +298,22 @@ func (m *Bool) Row(i int) []uint32 {
 	}
 	var buf []uint32
 	return m.cols(i, &buf)
+}
+
+// EachCol calls fn on row i's columns, ascending, until fn returns false.
+func (m *Bool) EachCol(i int, fn func(j int) bool) {
+	for _, c := range m.rows[i] { // nil for a bitmap row
+		if !fn(int(c)) {
+			return
+		}
+	}
+	for w, word := range m.bitRow(i) {
+		for ; word != 0; word &= word - 1 {
+			if !fn(w<<6 | bits.TrailingZeros64(word)) {
+				return
+			}
+		}
+	}
 }
 
 // RowLen returns the number of entries of row i.

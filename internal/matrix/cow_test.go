@@ -23,7 +23,7 @@ func mulAdd(m *Bool, pairs [][2]int) {
 	for i := range m.NRows() {
 		id.Set(i, i)
 	}
-	if _, _, err := MulAddRows(context.Background(), m, ListRows(id), NewBoolFromPairs(m.NRows(), m.NCols(), pairs), nil); err != nil {
+	if _, _, err := MulAddRows(context.Background(), m, ListRows(id), NewBoolFromPairs(m.NRows(), m.NCols(), pairs)); err != nil {
 		panic(err)
 	}
 }

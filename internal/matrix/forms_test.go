@@ -228,7 +228,7 @@ func TestBoolFormsQuick(t *testing.T) {
 			if left != Operand(a) {
 				want = ra.rows(set).mul(rsq)
 			}
-			added, st, err := MulAddRows(context.Background(), into, left, sq, nil)
+			added, st, err := MulAddRows(context.Background(), into, left, sq)
 			if err != nil || st.NNZ != len(want) {
 				t.Errorf("seed %d: MulAddRows nnz %d, want %d (%v)", seed, st.NNZ, len(want), err)
 				return false

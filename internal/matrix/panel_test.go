@@ -37,6 +37,22 @@ func panelOperands(rng *rand.Rand, nrows, inner, ncols int) (a, b *Bool) {
 	return a, b
 }
 
+// iterable is an operand a test reads back entry by entry.
+type iterable interface {
+	Operand
+	Iterate(fn func(i, j int) bool)
+}
+
+// toDense returns m's entries as a denseRef.
+func toDense(m iterable) *denseRef {
+	d := newDense(m.NRows(), m.NCols())
+	m.Iterate(func(i, j int) bool {
+		d.set(i, j)
+		return true
+	})
+	return d
+}
+
 // sameAdded reports whether two products added the same rows in the same
 // slots and forms.
 func sameAdded(x, y *RowList) bool {
@@ -45,21 +61,21 @@ func sameAdded(x, y *RowList) bool {
 }
 
 // TestMulAddRowsPanelQuick: a product gathered by column panels is the
-// one push gathers — the same added rows, in the same slots and forms,
-// the same count before the mask, the same t after the fold — over left
-// operands of 1 to 300 rows (panels of 1, 63, 64 and 65 rows, and panels
-// on both sides of a row-block boundary) as a Bool of bitmap rows, a row
-// list of bitmaps, or the union of long list rows (SelectRows) and
-// bitmaps, whose panels transpose both forms; a right operand as a
-// Bool of list and bitmap rows, a row list missing some ids or a Bool
-// widened by Resize, whose bitmap rows are shorter than their word
-// count; widths that are not whole words, with a's width not t's; t a
-// separate matrix, a widened one, a or b; on one processor and on two;
-// and cut after its first block by a cancelled context. A product with
-// witnesses is gathered by push, which is the reference. Panels must be
-// taken with every left form, every row count but 1 (a one-row panel
-// never wins by count) and short bitmap rows in b and in t, and some cut
-// product must keep rows.
+// dense reference's (denseRef) — the added rows, the count before the
+// mask, t after the fold — and the same added rows, in the same slots
+// and forms, on one processor and on two, over left operands of 1 to
+// 300 rows (panels of 1, 63, 64 and 65 rows, and panels on both sides
+// of a row-block boundary) as a Bool of bitmap rows, a row list of
+// bitmaps, or the union of long list rows (SelectRows) and bitmaps,
+// whose panels transpose both forms; a right operand as a Bool of list
+// and bitmap rows, a row list missing some ids or a Bool widened by
+// Resize, whose bitmap rows are shorter than their word count; widths
+// that are not whole words, with a's width not t's; t a separate
+// matrix, a widened one, a or b; and cut after its first block by a
+// cancelled context, when the reference keeps the block's rows alone.
+// Panels must be taken with every left form, every row count but 1 (a
+// one-row panel never wins by count) and short bitmap rows in b and in
+// t, and some cut product must keep rows.
 func TestMulAddRowsPanelQuick(t *testing.T) {
 	took := map[string]bool{}
 	f := func(seed int64) bool {
@@ -82,10 +98,21 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			lset = rowSet(rng, n)
 		}
-		run := func(ctx context.Context, procs int, wit map[uint64]uint32) (*RowList, MulStats, *Bool, error) {
+		type outcome struct {
+			added    *RowList
+			st       MulStats
+			t        *Bool
+			err      error
+			want, wt *Bool // the dense reference's added entries and t
+			nnz      int   // and its count before the mask
+		}
+		// run multiplies fresh copies of the operands on procs
+		// processors; the reference keeps the rows of l's first cut
+		// slots, every row when cut is 0.
+		run := func(ctx context.Context, procs, cut int) (o outcome) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			a, b := a0.Clone(), b0.Clone()
-			var l, r Operand = a, b
+			var l, r iterable = a, b
 			switch left {
 			case 1: // long list rows beside bitmaps, as a fixpoint's ΔM
 				l = Union(SelectRows(a, lset), formsList(a, mset))
@@ -98,27 +125,56 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 			case 2:
 				r = formsList(b, bset)
 			}
-			into := map[int]*Bool{0: c0.Clone(), 1: a, 2: b, 3: c0.Clone()}[into]
-			added, st, err := MulAddRows(ctx, into, l, r, wit)
-			return added, st, into, err
+			o.t = map[int]*Bool{0: c0.Clone(), 1: a, 2: b, 3: c0.Clone()}[into]
+			kept := map[int]bool{}
+			ids, sl := l.table()
+			for x := range sl.rows {
+				i := x
+				if ids != nil {
+					i = int(ids[x])
+				}
+				kept[i] = cut == 0 || x < cut
+			}
+			prod := toDense(l).mul(toDense(r))
+			o.want, o.wt = NewBool(o.t.nrows, o.t.ncols), o.t.Clone()
+			for i := range prod.nrows {
+				for j := range prod.ncols {
+					if prod.get(i, j) && kept[i] {
+						o.nnz++
+						if !o.t.Get(i, j) {
+							o.want.Set(i, j)
+							o.wt.Set(i, j)
+						}
+					}
+				}
+			}
+			o.added, o.st, o.err = MulAddRows(ctx, o.t, l, r)
+			return o
 		}
 		what := fmt.Sprintf("seed %d: %d rows, %d inner, %d columns, left %d, right %d, into %d", seed, n, inner, ncols, left, right, into)
-		push, pst, pt, _ := run(context.Background(), 1, map[uint64]uint32{})
-		if pst.PanelRows != 0 {
-			t.Errorf("%s: %d rows gathered by panels with witnesses", what, pst.PanelRows)
-			return false
+		// A product emits a list row within the crossover; validateList
+		// checks the bitmaps are past it.
+		longList := func(r *RowList) bool {
+			return slices.ContainsFunc(r.rows, func(row []uint32) bool { return len(row) > listMax(r.ncols) })
 		}
+		var serial *RowList
 		for procs := 1; procs <= 2; procs++ {
-			added, st, into, err := run(context.Background(), procs, nil)
-			if err != nil || validateList(added) != nil || into.validate() != nil {
-				t.Errorf("%s, %d procs: %v, %v, %v", what, procs, err, validateList(added), into.validate())
+			o := run(context.Background(), procs, 0)
+			if o.err != nil || validateList(o.added) != nil || longList(o.added) || o.t.validate() != nil {
+				t.Errorf("%s, %d procs: %v, %v, long list %v, %v", what, procs, o.err, validateList(o.added), longList(o.added), o.t.validate())
 				return false
 			}
-			if !sameAdded(added, push) || st.NNZ != pst.NNZ || !into.Equal(pt) {
-				t.Errorf("%s, %d procs: panels added %d (nnz %d), push %d (nnz %d)", what, procs, added.NVals(), st.NNZ, push.NVals(), pst.NNZ)
+			if !o.added.toBool().Equal(o.want) || o.st.NNZ != o.nnz || !o.t.Equal(o.wt) {
+				t.Errorf("%s, %d procs: added %d (nnz %d), the reference %d (nnz %d)", what, procs, o.added.NVals(), o.st.NNZ, o.want.NVals(), o.nnz)
 				return false
 			}
-			if st.PanelRows > 0 {
+			if serial == nil {
+				serial = o.added
+			} else if !sameAdded(o.added, serial) {
+				t.Errorf("%s: two processors added other slots or forms than one", what)
+				return false
+			}
+			if o.st.PanelRows > 0 {
 				took[fmt.Sprint("left ", left)] = true
 				took[fmt.Sprint(n, " rows")] = true
 				took["short b"] = took["short b"] || shortBits(b0)
@@ -126,14 +182,13 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 			}
 		}
 		if n > ctxCheckRows {
-			push, _, pt, perr := run(newCancelAfter(1), 1, map[uint64]uint32{})
-			added, _, into, err := run(newCancelAfter(1), 1, nil)
-			cut := errors.Is(err, context.Canceled)
-			if cut != errors.Is(perr, context.Canceled) || !sameAdded(added, push) || !into.Equal(pt) {
-				t.Errorf("%s: cut after one block, panels added %d (%v), push %d (%v)", what, added.NVals(), err, push.NVals(), perr)
+			o := run(newCancelAfter(1), 1, ctxCheckRows)
+			cut := errors.Is(o.err, context.Canceled)
+			if validateList(o.added) != nil || longList(o.added) || !o.added.toBool().Equal(o.want) || o.st.NNZ != o.nnz || !o.t.Equal(o.wt) {
+				t.Errorf("%s: cut after one block (%v), added %d (nnz %d), the reference %d (nnz %d)", what, o.err, o.added.NVals(), o.st.NNZ, o.want.NVals(), o.nnz)
 				return false
 			}
-			took["cut"] = took["cut"] || cut && added.NVals() > 0
+			took["cut"] = took["cut"] || cut && o.added.NVals() > 0
 		}
 		return true
 	}
@@ -204,7 +259,7 @@ func TestMulAddRowsPanelChoice(t *testing.T) {
 		var st MulStats
 		out := &RowList{nrows: n, ncols: n}
 		for lo := 0; lo < len(p.a.rows); lo += ctxCheckRows {
-			p.gather(lo, acc, nil, out, &st)
+			p.gather(lo, acc, out, &st)
 		}
 		if st.PanelRows != max(c.panel, 0) || c.panel < 0 && acc.colw != nil {
 			t.Errorf("%s: %d rows gathered by panels, want %d (scratch made: %v)", c.name, st.PanelRows, c.panel, acc.colw != nil)

@@ -3,7 +3,6 @@ package matrix
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -78,6 +77,16 @@ func (r *RowList) Row(i int) []uint32 {
 		return r.cols(k, &buf)
 	}
 	return nil
+}
+
+// Has reports whether entry (i, j) is true.
+func (r *RowList) Has(i, j int) bool {
+	k, ok := slices.BinarySearch(r.ids, uint32(i))
+	if !ok {
+		return false
+	}
+	_, in := slices.BinarySearch(r.rows[k], uint32(j)) // nil for a bitmap row
+	return in || hasBit(r.bitRow(k), uint32(j))
 }
 
 // Iterate calls fn for every true entry in row-major order. Iteration
@@ -248,17 +257,16 @@ type MulStats struct {
 // and by search in a *RowList, and ORed in a word at a time when it is a
 // bitmap, an entry at a time when it is a list. By column panel
 // (gatherPanel), when a holds bitmap rows, 64 of its rows average past
-// the crossover and cost less so by count, never with witnesses: the
-// rows are transposed into a word per index k, ORed into a word per
-// column for every entry of b's row k, so a row of b is read once a
-// panel. Either way it then clears what row i of t holds — word by word
-// for a bitmap row, bit by bit for a list row — and emits only what is
-// left, in the smaller row form: past the crossover, the accumulator's
-// touched words copied into a bitmap, not extracted or sorted. So the
-// product costs a's rows and the products they form, what t already
-// holds is never extracted, sorted or merged, and a bitmap row of the
-// result is ORed a word at a time when it is a right operand in its
-// turn.
+// the crossover and cost less so by count: the rows are transposed into
+// a word per index k, ORed into a word per column for every entry of
+// b's row k, so a row of b is read once a panel. Either way it then
+// clears what row i of t holds — word by word for a bitmap row, bit by
+// bit for a list row — and emits only what is left, in the smaller row
+// form: past the crossover, the accumulator's touched words copied into
+// a bitmap, not extracted or sorted. So the product costs a's rows and
+// the products they form, what t already holds is never extracted,
+// sorted or merged, and a bitmap row of the result is ORed a word at a
+// time when it is a right operand in its turn.
 //
 // The new rows are folded into t once every row is gathered: a bitmap
 // row of t takes them in place, a word at a time from a bitmap row; a
@@ -279,12 +287,7 @@ type MulStats struct {
 // Each claim polls ctx. Once the context is done, blocks claimed from
 // then on are skipped; the blocks gathered so far are folded into t and
 // returned with ctx.Err(): each row is a true row of the product.
-//
-// A non-nil wit receives, for every entry (i, j) of the product, one
-// witness k with a[i,k] and b[k,j] both true, under Key(i, j). A helper
-// files into a map of its own, merged into wit after the join; the keys
-// are disjoint, since the rows are.
-func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint32) (added *RowList, st MulStats, err error) {
+func MulAddRows(ctx context.Context, t *Bool, a, b Operand) (added *RowList, st MulStats, err error) {
 	if a.NCols() != b.NRows() || t.nrows != a.NRows() || t.ncols != b.NCols() {
 		panic(fmt.Sprintf("matrix: MulAddRows dimension mismatch %dx%d += %dx%d * %dx%d",
 			t.nrows, t.ncols, a.NRows(), a.NCols(), b.NRows(), b.NCols()))
@@ -306,14 +309,14 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand, wit map[uint64]uint3
 		workers = min(nblocks, runtime.GOMAXPROCS(0))
 	}
 	if workers > 1 {
-		added, st, err = p.gatherParallel(ctx, nblocks, workers, wit)
+		added, st, err = p.gatherParallel(ctx, nblocks, workers)
 	} else {
 		acc := getAccumulator(t.ncols)
 		for lo := 0; lo < len(p.a.rows); lo += ctxCheckRows {
 			if err = ctx.Err(); err != nil {
 				break
 			}
-			p.gather(lo, acc, wit, added, &st)
+			p.gather(lo, acc, added, &st)
 		}
 		putAccumulator(acc)
 	}
@@ -376,16 +379,15 @@ func putSlotTable(tab *[]int32, ids []uint32) {
 }
 
 // gather appends to out the rows of a × b that t lacks for the block of
-// a's slots starting at lo, filing witnesses in wit when it is non-nil,
-// and adds to st. Each run of panelSize slots is gathered by a column
-// panel when gatherPanel takes it, by push otherwise; either way each
-// row then goes through the same tail: its count before the mask, the
-// clear of what row i of t holds, and emit.
-func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *RowList, st *MulStats) {
+// a's slots starting at lo, and adds to st. Each run of panelSize slots
+// is gathered by a column panel when gatherPanel takes it, by push
+// otherwise; either way each row then goes through the same tail: its
+// count before the mask, the clear of what row i of t holds, and emit.
+func (p *product) gather(lo int, acc *accumulator, out *RowList, st *MulStats) {
 	hi := min(lo+ctxCheckRows, len(p.a.rows))
 	for x0 := lo; x0 < hi; x0 += panelSize {
 		end := min(x0+panelSize, hi)
-		panel := wit == nil && p.a.bits != nil && p.gatherPanel(x0, end, acc, st)
+		panel := p.a.bits != nil && p.gatherPanel(x0, end, acc, st)
 		for x := x0; x < end; x++ {
 			i := uint32(x)
 			if p.aIDs != nil {
@@ -410,11 +412,7 @@ func (p *product) gather(lo int, acc *accumulator, wit map[uint64]uint32, out *R
 					if y < 0 {
 						continue
 					}
-					sb := p.b.bitRow(y)
-					if wit != nil {
-						acc.witness(wit, i, k, p.b.rows[y], sb)
-					}
-					if sb != nil {
+					if sb := p.b.bitRow(y); sb != nil {
 						acc.orBits(sb)
 					} else {
 						acc.orRow(p.b.rows[y])
@@ -446,15 +444,8 @@ type block struct {
 // A helper touches nothing but the claim counter until it claims a
 // block, and the wait group counts blocks, not helpers, so a helper
 // that starts after the last claim is never waited for.
-func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit map[uint64]uint32) (added *RowList, st MulStats, err error) {
+func (p product) gatherParallel(ctx context.Context, nblocks, workers int) (added *RowList, st MulStats, err error) {
 	blocks := make([]block, nblocks)
-	wits := make([]map[uint64]uint32, workers)
-	if wit != nil {
-		wits[0] = wit
-		for w := 1; w < workers; w++ {
-			wits[w] = map[uint64]uint32{}
-		}
-	}
 	ncols := p.t.ncols
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -467,7 +458,7 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 			}
 			blk := &blocks[x]
 			if blk.err = ctx.Err(); blk.err == nil {
-				p.gather(x*ctxCheckRows, acc, wits[w], &blk.added, &blk.st)
+				p.gather(x*ctxCheckRows, acc, &blk.added, &blk.st)
 				blk.helped = w > 0
 			}
 			wg.Done()
@@ -511,9 +502,6 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int, wit m
 		if err == nil {
 			err = blk.err
 		}
-	}
-	for _, m := range wits[1:] {
-		maps.Copy(wit, m)
 	}
 	return added, st, err
 }

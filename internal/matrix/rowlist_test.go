@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -353,7 +352,7 @@ func shortBits(m *Bool) bool {
 func mulAddAs(t *testing.T, what string, into *Bool, a, b Operand, prod *Bool) bool {
 	t.Helper()
 	before := into.Clone()
-	added, st, err := MulAddRows(context.Background(), into, a, b, nil)
+	added, st, err := MulAddRows(context.Background(), into, a, b)
 	if err != nil {
 		t.Errorf("%s: %v", what, err)
 		return false
@@ -401,42 +400,6 @@ func TestSelectRowsCopies(t *testing.T) {
 	}
 }
 
-// TestMulAddRowsWitness: every entry of the product gets one witness
-// k with a[i,k] and b[k,j], whether row k of b is a list or a bitmap,
-// and whether b is a Bool or a row list that keeps its bitmap rows.
-func TestMulAddRowsWitness(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 40; trial++ {
-		a, _ := randomMatrix(rng, 10, 8, 0.2)
-		b, _ := randomMatrix(rng, 8, 12, 0.2) // rows of 3 or more entries are bitmaps
-		into, _ := randomMatrix(rng, 10, 12, 0.1)
-		var right Operand = b
-		if trial%2 == 1 {
-			right = formsList(b, allRows(8))
-		}
-		wit := map[uint64]uint32{}
-		added, st, err := MulAddRows(context.Background(), into, SelectRows(a, rowSet(rng, 10)), right, wit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wit) != st.NNZ {
-			t.Fatalf("witness count %d != product nnz %d", len(wit), st.NNZ)
-		}
-		for key, k := range wit {
-			i, j := int(key>>32), int(uint32(key))
-			if !a.Get(i, int(k)) || !b.Get(int(k), j) || !into.Get(i, j) {
-				t.Fatalf("witness (%d,%d) via %d is not a valid decomposition", i, j, k)
-			}
-		}
-		added.Iterate(func(i, j int) bool {
-			if _, ok := wit[Key(i, j)]; !ok {
-				t.Fatalf("added entry (%d,%d) has no witness", i, j)
-			}
-			return true
-		})
-	}
-}
-
 // cancelAfter is a context whose Err reports cancellation from its
 // polls-th call on. Helpers poll it concurrently.
 type cancelAfter struct {
@@ -476,12 +439,12 @@ func TestMulAddRowsCancelled(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, op := range []Operand{a, ListRows(a)} {
 			into := NewBool(nrows, 4)
-			if added, _, err := MulAddRows(ctx, into, op, b, nil); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
+			if added, _, err := MulAddRows(ctx, into, op, b); !errors.Is(err, context.Canceled) || !added.Empty() || !into.Empty() {
 				t.Fatalf("%d procs, %T: MulAddRows = %v, %v under a cancelled context; t = %v", procs, op, added.Pairs(), err, into.Pairs())
 			}
 			for polls := 1; polls <= 2; polls++ {
 				into = NewBool(nrows, 4)
-				added, st, err := MulAddRows(newCancelAfter(polls), into, op, b, nil)
+				added, st, err := MulAddRows(newCancelAfter(polls), into, op, b)
 				if !errors.Is(err, context.Canceled) || st.NNZ != added.NVals() || !added.toBool().Equal(into) || validateList(added) != nil {
 					t.Fatalf("%d procs, %T: cut after %d polls: added %d (nnz %d), t %d, err %v", procs, op, polls, added.NVals(), st.NNZ, into.NVals(), err)
 				}
@@ -511,8 +474,7 @@ func TestMulAddRowsCancelled(t *testing.T) {
 
 // TestMulAddRowsParallelQuick: gathered on four processors, the kernel
 // returns the same rows in the same order, the same count and the same
-// t as on one, and its witnesses are the same valid decompositions, on
-// operands of one to four row blocks in every left and right form
+// t as on one, on operands of one to four row blocks in every left and right form
 // (a right row list of list rows, or one that keeps b's bitmap rows),
 // with t a separate matrix or one of the operands.
 func TestMulAddRowsParallelQuick(t *testing.T) {
@@ -529,7 +491,6 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 			added *RowList
 			st    MulStats
 			t     *Bool
-			wit   map[uint64]uint32
 		}
 		// run multiplies fresh copies of the operands on procs processors.
 		run := func(procs int) result {
@@ -548,7 +509,7 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 			case 2:
 				r = formsList(b, bset)
 			}
-			res := result{t: c0.Clone(), wit: map[uint64]uint32{}}
+			res := result{t: c0.Clone()}
 			switch into {
 			case 1:
 				res.t = a
@@ -556,7 +517,7 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 				res.t = b
 			}
 			var err error
-			if res.added, res.st, err = MulAddRows(context.Background(), res.t, l, r, res.wit); err != nil {
+			if res.added, res.st, err = MulAddRows(context.Background(), res.t, l, r); err != nil {
 				t.Fatal(err)
 			}
 			return res
@@ -576,17 +537,6 @@ func TestMulAddRowsParallelQuick(t *testing.T) {
 		if err := four.t.validate(); err != nil || !four.t.Equal(one.t) {
 			t.Errorf("%s: parallel t differs from serial t (%v)", what, err)
 			return false
-		}
-		if len(four.wit) != four.st.NNZ || !maps.Equal(one.wit, four.wit) {
-			t.Errorf("%s: %d witnesses for %d entries, or not the serial ones", what, len(four.wit), four.st.NNZ)
-			return false
-		}
-		for key, k := range four.wit {
-			i, j := int(key>>32), int(uint32(key))
-			if !a0.Get(i, int(k)) || !b0.Get(int(k), j) || !four.t.Get(i, j) {
-				t.Errorf("%s: witness (%d,%d) via %d is not a valid decomposition", what, i, j, k)
-				return false
-			}
 		}
 		return true
 	}
@@ -613,7 +563,7 @@ func TestMulAddRowsJoinsMixedBlocks(t *testing.T) {
 	var serial *RowList
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		added, _, err := MulAddRows(context.Background(), NewBool(n, n), a, b, nil)
+		added, _, err := MulAddRows(context.Background(), NewBool(n, n), a, b)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -752,7 +702,7 @@ func BenchmarkMulAddRows(b *testing.B) {
 				b.StopTimer()
 				t := NewBool(n, n)
 				b.StartTimer()
-				_, st, _ = MulAddRows(context.Background(), t, bc.a, bc.b, nil)
+				_, st, _ = MulAddRows(context.Background(), t, bc.a, bc.b)
 			}
 			b.ReportMetric(float64(st.NNZ), "nnz/op")
 		})
@@ -762,8 +712,8 @@ func BenchmarkMulAddRows(b *testing.B) {
 // TestMulAddRowsSlotTables: a product whose right operand is a row list
 // of few rows against many entries of a finds b's rows through a pooled
 // slot table, which consecutive and concurrent products share. Each
-// product here, of three row blocks gathered with helpers, with
-// witnesses and without, must equal the reference product, over right
+// product here, of three row blocks gathered with helpers, must equal
+// the reference product, over right
 // operands that hold different rows of b: a table that kept a previous
 // operand's entries would send a lookup to a wrong row or past the end.
 func TestMulAddRowsSlotTables(t *testing.T) {
@@ -784,48 +734,34 @@ func TestMulAddRowsSlotTables(t *testing.T) {
 		}
 		rights = append(rights, r)
 	}
-	check := func(r *RowList, withWit bool) error {
+	check := func(r *RowList) error {
 		want := Mul(a, r.toBool())
-		var wit map[uint64]uint32
-		if withWit {
-			wit = map[uint64]uint32{}
-		}
 		into := NewBool(n, n)
-		added, st, err := MulAddRows(context.Background(), into, a, r, wit)
+		added, st, err := MulAddRows(context.Background(), into, a, r)
 		if err != nil {
 			return err
 		}
 		if !added.toBool().Equal(want) || !into.Equal(want) || st.NNZ != want.NVals() {
-			return fmt.Errorf("%d rows of b, witnesses %v: product of %d entries, want %d", len(r.ids), withWit, added.NVals(), want.NVals())
-		}
-		if withWit && len(wit) != st.NNZ {
-			return fmt.Errorf("%d witnesses for %d entries", len(wit), st.NNZ)
-		}
-		for key, k := range wit {
-			if i, j := int(key>>32), int(uint32(key)); !a.Get(i, int(k)) || !slices.Contains(r.Row(int(k)), uint32(j)) {
-				return fmt.Errorf("witness (%d,%d) via %d is not a valid decomposition", i, j, k)
-			}
+			return fmt.Errorf("%d rows of b: product of %d entries, want %d", len(r.ids), added.NVals(), want.NVals())
 		}
 		return nil
 	}
 	for range 2 {
 		for _, r := range rights {
-			for _, withWit := range []bool{true, false} {
-				if err := check(r, withWit); err != nil {
-					t.Fatal(err)
-				}
+			if err := check(r); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*len(rights))
 	for _, r := range rights {
-		for _, withWit := range []bool{true, false} {
+		for range 2 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for range 3 {
-					if err := check(r, withWit); err != nil {
+					if err := check(r); err != nil {
 						errs <- err
 						return
 					}

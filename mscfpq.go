@@ -178,9 +178,10 @@ func NewVertexSet(n int, ids ...int) *VertexSet {
 // EvalCFPQ answers the query defined by w over g, mirroring EvalRPQ.
 // The input picks the paper's algorithm: with a source set it runs the
 // multiple-source algorithm (Algorithm 2) and returns the start
-// relation restricted to src; with src nil it runs the all-pairs
-// algorithm (Algorithm 1) and returns the whole start relation. The
-// options (context, timeout, budget, trace) govern the run:
+// relation restricted to src; with src nil it runs the all-pairs query
+// (Algorithm 1) on the semi-naive fixpoint driver (AllPairsSemiNaive)
+// and returns the whole start relation. The options (context, timeout,
+// budget, trace) govern the run:
 //
 //	answer, err := mscfpq.EvalCFPQ(g, w, src, mscfpq.WithBudget(1_000_000))
 func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*BoolMatrix, error) {
@@ -188,7 +189,7 @@ func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*BoolMatrix, e
 	var err error
 	if src == nil {
 		var r *Result
-		if r, err = cfpq.AllPairs(g, w, opts...); err == nil {
+		if r, err = cfpq.AllPairsSemiNaive(g, w, opts...); err == nil {
 			answer = r.Start()
 		}
 	} else {
