@@ -5,7 +5,7 @@ GO ?= go
 # Packages with internal concurrency (query governor, index locking,
 # server drain); `race-quick` covers just these, `race` the whole
 # module.
-RACE_PKGS = ./internal/gdb ./internal/resp ./internal/plan ./internal/cfpq ./internal/exec ./internal/store ./internal/matrix ./internal/analysis/... ./cmd/mscfpq-lint
+RACE_PKGS = ./internal/gdb ./internal/resp ./internal/plan ./internal/cfpq ./internal/exec ./internal/store ./internal/graph ./internal/matrix ./internal/analysis/... ./cmd/mscfpq-lint
 
 .PHONY: check all build vet test race race-quick cover bench bench-quick bench-smoke bench-e2e experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools loc clean
 
@@ -139,7 +139,12 @@ bench-quick:
 # prints what regular path expressions cost through the one path
 # compiler, cold from a hundred sources on go-hierarchy@0.1, as a MATCH
 # and as a regex, with rounds, product entries and answer pairs per op
-# (DESIGN.md §4 item 9; -short skips the paper's size).
+# (DESIGN.md §4 item 9; -short skips the paper's size). The apart-write
+# benchmark prints what one CREATE-shaped write costs through
+# Store.Update on core@1 and go-hierarchy@1, and what carrying a G1
+# index that processed a hundred sources across it costs
+# (cfpq.NewIndexWarm); both read the graph's lineage stamp
+# (graph.GrewApart, DESIGN.md §11), not its rows.
 bench-smoke:
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkObsOverhead$$' -benchmem . || exit 1; done
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)|BenchmarkClientReadout' -benchmem ./internal/resp
@@ -152,6 +157,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseSweepStatement$$' -benchtime 620x -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkRegularShapes$$' -short -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkUpdateApart$$' -benchtime 200x -benchmem ./internal/store
 
 # The wire-level benchmark (benchmark/README.md), one workload end to
 # end, exactly as BENCHMARK.json's command runs it:

@@ -72,10 +72,11 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF) (*Index, error) {
 // (matrix.Bool.CloneCOW), costing their row tables, not their entries.
 //
 // Its processed sources carry over too when g grew apart from the
-// prior's graph (graph.GrewApart): no edge joins an old vertex to a new
-// one, so every processed row is the same on g. Otherwise the index
-// starts with no processed source, and queries complete the rows they
-// need from the carried facts.
+// prior's graph (graph.GrewApart, a stamp the writes record, as
+// conservative across versions as the store's Touched): no edge joins
+// an old vertex to a new one, so every processed row is the same on g.
+// Otherwise the index starts with no processed source, and queries
+// complete the rows they need from the carried facts.
 //
 // The caller is responsible for the supergraph relationship (in the
 // store layer it follows from version lineage); w must be the prior

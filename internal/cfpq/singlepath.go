@@ -2,6 +2,7 @@ package cfpq
 
 import (
 	"fmt"
+	"slices"
 
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
@@ -209,13 +210,35 @@ func (r *SinglePathResult) below(a, i, j, s int) bool {
 }
 
 // mid returns a mid vertex k of (i, j) for rule A -> B C, with (i, k) in
-// T^B and (k, j) in T^C both below height s. Row i of T^B is the
-// candidates; (k, j) in T^C is the cheap test, so it goes first.
+// T^B and (k, j) in T^C both below height s. The candidates are row i of
+// T^B, and (k, j) in T^C is the cheap test, so it goes first. When C
+// heads no binary rule, T^C holds seeds alone, so the candidates are the
+// short side instead: column j of C's seeds, read through the graph's
+// cached transpose for an edge term, each of height 0.
 func (r *SinglePathResult) mid(rule grammar.BinRule, i, j, s int) (k int, ok bool) {
-	tc := r.T[rule.C]
-	r.T[rule.B].EachCol(i, func(c int) bool {
-		k, ok = c, tc.Get(c, j) && r.below(rule.C, c, j, s) && r.below(rule.B, i, c, s)
+	tb, tc := r.T[rule.B], r.T[rule.C]
+	seeds := !slices.ContainsFunc(r.W.BinRules, func(b grammar.BinRule) bool { return b.A == rule.C })
+	try := func(c int) bool {
+		k, ok = c, (seeds || tc.Get(c, j) && r.below(rule.C, c, j, s)) && tb.Get(i, c) && r.below(rule.B, i, c, s)
 		return !ok
-	})
+	}
+	if !seeds {
+		tb.EachCol(i, try)
+		return k, ok
+	}
+	for _, t := range r.W.TermRules {
+		if edge, _ := grammar.TermLabels(r.W.Terms[t.Term]); t.A == rule.C && r.seeds.edges[t.Term] != nil {
+			r.seeds.g.EdgeMatrix(grammar.InverseLabel(edge)).EachCol(j, try)
+		}
+		if v := r.seeds.verts[t.Term]; t.A == rule.C && !ok && v != nil && v.Get(j) {
+			try(j)
+		}
+		if ok {
+			return k, ok
+		}
+	}
+	if r.W.Nullable[rule.C] {
+		try(j)
+	}
 	return k, ok
 }

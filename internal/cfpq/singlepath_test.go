@@ -176,3 +176,40 @@ func TestSinglePathLongChain(t *testing.T) {
 	}
 	verifyPath(t, g, w, "S", 0, 2*k, steps)
 }
+
+// TestSinglePathTerminalMidSide: under a rule A -> B C whose C heads no
+// binary rule, mid takes its candidates from column j of C's seeds. C
+// matches a plain edge label, an inverse one (read through the graph's
+// transpose), and a terminal that matches edges and vertex labels alike.
+func TestSinglePathTerminalMidSide(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, last := range []string{"b", "b_r", "y"} {
+		w := grammar.MustWCNF(grammar.MustNew("S", []grammar.Production{
+			{LHS: "S", RHS: []grammar.Symbol{grammar.T("a"), grammar.T(last)}},
+			{LHS: "S", RHS: []grammar.Symbol{grammar.T("a"), grammar.N("S"), grammar.T(last)}},
+		}))
+		pairs := 0
+		for trial := 0; trial < 10; trial++ {
+			n := 3 + rng.Intn(12)
+			g := randomGraph(rng, n, 2+rng.Intn(3*n), []string{"a", "b", "y"})
+			for v := 0; v < n; v += 1 + rng.Intn(3) {
+				g.AddVertexLabel(v, "y")
+			}
+			sp, err := SinglePath(g, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range sp.Pairs() {
+				steps, err := sp.Path(pair[0], pair[1])
+				if err != nil {
+					t.Fatalf("%s, trial %d, pair %v: %v", last, trial, pair, err)
+				}
+				verifyPath(t, g, w, "S", pair[0], pair[1], steps)
+				pairs++
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no pair to extract", last)
+		}
+	}
+}

@@ -220,3 +220,31 @@ func TestGrewApart(t *testing.T) {
 		}
 	}
 }
+
+// TestGrewApartThroughCowClone: a CowClone starts a generation as a
+// CloneFrozen does, so a lineage of either answers alike: an apart
+// growth stays apart from every ancestor, and a touching one from none.
+func TestGrewApartThroughCowClone(t *testing.T) {
+	for name, clone := range map[string]func(*Graph) *Graph{
+		"CowClone":    (*Graph).CowClone,
+		"CloneFrozen": (*Graph).CloneFrozen,
+	} {
+		g := New(0)
+		g.AddEdge(0, "a", 1)
+		gens := []*Graph{g}
+		for k, touches := range []bool{false, false, true, false} {
+			g = clone(g)
+			v := g.NumVertices()
+			g.AddEdge(v, "a", v+1)
+			if touches {
+				g.AddEdge(0, "a", 0)
+			}
+			for i, prior := range gens {
+				if got, want := GrewApart(prior, g), i > 2 || k < 2; got != want {
+					t.Errorf("%s: GrewApart(generation %d, generation %d) = %v, want %v", name, i, k+1, got, want)
+				}
+			}
+			gens = append(gens, g)
+		}
+	}
+}

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -32,6 +31,12 @@ type Graph struct {
 	edges   map[string]*matrix.Bool   // label -> adjacency matrix E^l
 	vlabels map[string]*matrix.Vector // label -> diagonal vertex set V^l
 	nedges  int
+
+	// The lineage stamp (GrewApart): gen counts the clones since New,
+	// base is the vertex count this generation began with, and touched
+	// is the latest generation that added an entry at a vertex below
+	// its base.
+	gen, base, touched int
 
 	tmu        sync.Mutex
 	transposed map[string]*matrix.Bool // guarded by tmu: cache for inverse-label matrices
@@ -85,22 +90,7 @@ func (g *Graph) grow(v int) {
 // clone — including growing it — never changes the original, and vice
 // versa; cloning an immutable snapshot therefore yields a mutable next
 // version at O(labels + vertices) cost instead of O(edges).
-func (g *Graph) CowClone() *Graph {
-	c := &Graph{
-		n:          g.n,
-		edges:      make(map[string]*matrix.Bool, len(g.edges)),
-		vlabels:    make(map[string]*matrix.Vector, len(g.vlabels)),
-		nedges:     g.nedges,
-		transposed: map[string]*matrix.Bool{},
-	}
-	for l, m := range g.edges {
-		c.edges[l] = m.CloneCOW()
-	}
-	for l, vec := range g.vlabels {
-		c.vlabels[l] = vec.Clone()
-	}
-	return c
-}
+func (g *Graph) CowClone() *Graph { return g.clone((*matrix.Bool).CloneCOW) }
 
 // CloneFrozen is CowClone for a graph that will never be mutated
 // again — the next-version transaction over a published store
@@ -109,16 +99,23 @@ func (g *Graph) CowClone() *Graph {
 // snapshot stays immutable after publish while the clone still copies
 // rows lazily. The caller owns the freeze promise; use CowClone when
 // both sides remain mutable.
-func (g *Graph) CloneFrozen() *Graph {
+func (g *Graph) CloneFrozen() *Graph { return g.clone((*matrix.Bool).CloneFrozen) }
+
+// clone copies g with cloneEdges for each edge matrix. The copy starts
+// a new generation over g's vertices.
+func (g *Graph) clone(cloneEdges func(*matrix.Bool) *matrix.Bool) *Graph {
 	c := &Graph{
 		n:          g.n,
 		edges:      make(map[string]*matrix.Bool, len(g.edges)),
 		vlabels:    make(map[string]*matrix.Vector, len(g.vlabels)),
 		nedges:     g.nedges,
+		gen:        g.gen + 1,
+		base:       g.n,
+		touched:    g.touched,
 		transposed: map[string]*matrix.Bool{},
 	}
 	for l, m := range g.edges {
-		c.edges[l] = m.CloneFrozen()
+		c.edges[l] = cloneEdges(m)
 	}
 	for l, vec := range g.vlabels {
 		c.vlabels[l] = vec.Clone()
@@ -126,34 +123,25 @@ func (g *Graph) CloneFrozen() *Graph {
 	return c
 }
 
-// GrewApart reports whether g grew out of prior apart from it: g adds
-// only vertices, and edges and vertex labels among those. Then no edge
-// joins a vertex of prior to a new one, in either direction, so every
-// path from a vertex of prior stays in prior, and its rows of every
-// CFPQ relation, inverse labels included, are the same on both graphs.
-// It holds when every stored edge row of a vertex below
-// prior.NumVertices() is unchanged, no row at or above that count has
-// a column below it, and no vertex label was added below it; a label
-// prior lacks counts as empty there. Rows g shares with prior
-// (CloneFrozen) cost a pointer compare. g must have grown out of prior
-// by additions, as every version of a store does.
-func GrewApart(prior, g *Graph) bool {
-	pn := prior.n
-	for l, m := range g.edges {
-		pm := prior.edges[l]
-		if pm == nil {
-			pm = matrix.NewBool(pn, pn)
-		}
-		if !matrix.GrewApart(pm, m) {
-			return false
-		}
+// GrewApart reports whether g grew out of prior apart from it: no
+// generation since prior's added an edge or a vertex label at a vertex
+// that generation began with. Then no edge joins a vertex of prior to
+// a new one, in either direction, so every path from a vertex of prior
+// stays in prior, and its rows of every CFPQ relation, inverse labels
+// included, are the same on both graphs. The mutations record it as
+// they go, so the call reads no row. Across several generations it is
+// conservative: an entry at a vertex an earlier generation added counts
+// as touching, though that vertex is new to prior. g must have grown
+// out of prior by clones and additions, as every version of a store
+// does.
+func GrewApart(prior, g *Graph) bool { return g.touched <= prior.gen }
+
+// touch records an entry added at vertex v: it touches the graph this
+// generation grew from when v is one of that graph's vertices.
+func (g *Graph) touch(v int) {
+	if v < g.base {
+		g.touched = g.gen
 	}
-	for l, vec := range g.vlabels {
-		if below, _ := slices.BinarySearch(vec.Indices(), uint32(pn)); below != prior.VertexSet(l).NVals() {
-			return false
-		}
-	}
-	return true
 }
 
 // AddEdge adds a directed edge src -> dst with the given label. Adding
@@ -180,6 +168,7 @@ func (g *Graph) AddEdge(src int, label string, dst int) {
 	if !m.Get(src, dst) {
 		m.Set(src, dst)
 		g.nedges++
+		g.touch(min(src, dst))
 		g.tmu.Lock()
 		delete(g.transposed, grammar.InverseLabel(label))
 		g.tmu.Unlock()
@@ -215,7 +204,10 @@ func (g *Graph) AddVertexLabel(v int, label string) {
 		vec = matrix.NewVector(g.n)
 		g.vlabels[label] = vec
 	}
-	vec.Set(v)
+	if !vec.Get(v) {
+		vec.Set(v)
+		g.touch(v)
+	}
 }
 
 // HasVertexLabel reports whether vertex v carries the label.

@@ -202,41 +202,6 @@ func (m *Bool) CloneCOW() *Bool {
 // CloneCOW when both sides stay mutable).
 func (m *Bool) CloneFrozen() *Bool { return m.cloneShared() }
 
-// GrewApart reports whether m grew out of prior apart from it: every
-// row below prior's row count holds what it held in prior, and no row
-// at or past it holds a column below prior's column count. A row whose
-// backing array the two share (CloneCOW, CloneFrozen) is passed unread,
-// so the call costs a pointer compare per row plus the rows that differ.
-func GrewApart(prior, m *Bool) bool {
-	if prior.nrows > m.nrows || prior.ncols > m.ncols {
-		return false
-	}
-	var pbuf, mbuf []uint32
-	for i := range m.rows {
-		if i >= prior.nrows {
-			if c := m.cols(i, &mbuf); len(c) > 0 && int(c[0]) < prior.ncols {
-				return false
-			}
-		} else if !sameRow(prior, m, i) && !slices.Equal(prior.cols(i, &pbuf), m.cols(i, &mbuf)) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameRow reports whether row i of a and of b is one backing array of
-// one length, so the two hold the same entries.
-func sameRow(a, b *Bool, i int) bool {
-	if ab, bb := a.bitRow(i), b.bitRow(i); ab != nil || bb != nil {
-		return sameArray(ab, bb)
-	}
-	return sameArray(a.rows[i], b.rows[i])
-}
-
-func sameArray[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // Set makes entry (i, j) true.
 func (m *Bool) Set(i, j int) {
 	m.checkIndex(i, j)

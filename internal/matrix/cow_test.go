@@ -197,54 +197,3 @@ func TestCloneFrozenLeavesSourceUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestGrewApartMatchesEntries: GrewApart agrees with an entry-by-entry
-// check (no entry of m in a row or a column below prior's size that
-// prior lacks) for copy-on-write clones grown through Set, the product
-// fold and Resize, in list and bitmap rows alike, and against a deep
-// copy of the prior, which shares no row with the clone.
-func TestGrewApartMatchesEntries(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	seen := map[bool]int{}
-	for trial := 0; trial < 80; trial++ {
-		n := 2 + rng.Intn(150)
-		prior := NewBool(n, n)
-		for e := rng.Intn(4 * n); e > 0; e-- {
-			prior.Set(rng.Intn(n), rng.Intn(n))
-		}
-		m := prior.CloneFrozen()
-		if trial%2 == 1 {
-			m = prior.CloneCOW()
-		}
-		grown := n + 1 + rng.Intn(70)
-		m.Resize(grown, grown)
-		var added [][2]int
-		for e := rng.Intn(6); e > 0; e-- {
-			p := [2]int{n + rng.Intn(grown-n), n + rng.Intn(grown-n)}
-			if rng.Intn(3) == 0 {
-				p[rng.Intn(2)] = rng.Intn(grown)
-			}
-			added = append(added, p)
-		}
-		for _, p := range added[:len(added)/2] {
-			m.Set(p[0], p[1])
-		}
-		mulAdd(m, added[len(added)/2:])
-		want := true
-		m.Iterate(func(i, j int) bool {
-			if (i < n || j < n) && (i >= n || j >= n || !prior.Get(i, j)) {
-				want = false
-			}
-			return want
-		})
-		seen[want]++
-		for label, p := range map[string]*Bool{"clone": prior, "copy": prior.Clone()} {
-			if got := GrewApart(p, m); got != want {
-				t.Fatalf("trial %d %s: GrewApart = %v, want %v (added %v)", trial, label, got, want, added)
-			}
-		}
-	}
-	if seen[true] == 0 || seen[false] == 0 {
-		t.Fatalf("trials exercised only one verdict: %v", seen)
-	}
-}

@@ -52,8 +52,8 @@ func (s *Snapshot) StoreID() uint64 { return s.storeID }
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Touched returns the latest version, up to this one, whose write did
-// not grow the graph apart from its predecessor (graph.GrewApart): 0
-// when every write so far left the rows of every earlier vertex alone.
+// not grow the graph apart from its predecessor (graph.GrewApart), so
+// that version j grew apart from version i < j iff j's Touched is ≤ i.
 func (s *Snapshot) Touched() uint64 { return s.touched }
 
 // Graph returns the snapshot's graph. Read-only: mutating it would

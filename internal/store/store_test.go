@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -140,5 +141,78 @@ func TestStoreConcurrentPinUpdate(t *testing.T) {
 	wg.Wait()
 	if got, want := st.Version(), uint64(writers*writesPer); got != want {
 		t.Fatalf("final version = %d, want %d", got, want)
+	}
+}
+
+// TestGrewApartAgreesWithStamp: over random lineages of Update writes,
+// graph.GrewApart between any two versions answers as the store's
+// Touched stamp does: version j grew apart from version i < j exactly
+// when no write after i touched a vertex that existed before it. Among
+// the writes is an edge on a vertex an earlier apart write created,
+// which is new to every version before that write but still counts.
+func TestGrewApartAgreesWithStamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	labels := []string{"a", "b"}
+	label := func() string { return labels[rng.Intn(len(labels))] }
+	seen := map[bool]int{}
+	for trial := 0; trial < 60; trial++ {
+		st := New(seedGraph())
+		n0 := st.Pin().Graph().NumVertices()
+		snaps := []*Snapshot{st.Pin()}
+		for w := 0; w < 10; w++ {
+			_, err := st.Update(func(tx *Tx) error {
+				g := tx.Graph()
+				n := g.NumVertices()
+				old := func() int { return rng.Intn(n) }
+				switch rng.Intn(8) {
+				case 0: // CREATE-shaped: new vertices, linked and labeled among themselves
+					g.AddEdge(n, label(), n+1)
+					g.AddVertexLabel(n+1, "N")
+					if rng.Intn(2) == 0 {
+						g.AddEdge(n+2, label(), n)
+					}
+				case 1: // old to new
+					g.AddEdge(old(), label(), n)
+				case 2: // new to old
+					g.AddEdge(n, label(), old())
+				case 3: // old to old
+					g.AddEdge(old(), label(), old())
+				case 4: // a label on an old vertex
+					g.AddVertexLabel(old(), "M")
+				case 5: // properties only
+					tx.SetProp(old(), "k", cypher.Value{Int: int64(w), IsInt: true})
+				case 6: // an edge and a label that are already there
+					g.Edges(func(src int, l string, dst int) bool {
+						g.AddEdge(src, l, dst)
+						return rng.Intn(3) != 0
+					})
+					for _, v := range g.VertexSet("N").Ints() {
+						g.AddVertexLabel(v, "N")
+					}
+				case 7: // an edge on a vertex an earlier write created only
+					if n > n0 {
+						v := n0 + rng.Intn(n-n0)
+						g.AddEdge(v, label(), v)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, st.Pin())
+		}
+		for j, sj := range snaps {
+			for _, si := range snaps[:j] {
+				want := sj.Touched() <= si.Version()
+				seen[want]++
+				if got := graph.GrewApart(si.Graph(), sj.Graph()); got != want {
+					t.Fatalf("trial %d: GrewApart(v%d, v%d) = %v, but Touched(v%d) = %d", trial, si.Version(), sj.Version(), got, sj.Version(), sj.Touched())
+				}
+			}
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("lineages exercised only one verdict: %v", seen)
 	}
 }
