@@ -110,7 +110,9 @@ bench-quick:
 # products, the per-call cost of the kernel. The kernel micro-benchmark
 # times one MulAddRows call on each of dense-cold's two heaviest product
 # shapes on its own, outside the driver: short rows times long row-list
-# rows (bitmaps), and long rows times a relation's short rows. The RPQ
+# rows (bitmaps), the short rows also read in place from a relation
+# through an active set as the driver reads M, and long rows times a
+# relation's short rows. The RPQ
 # benchmark prints what one regular query costs through that same
 # driver (rpq.Eval, experiment E11), checked against the oracle. The
 # traverse benchmark prints what one relationship or one-step path hop
@@ -135,7 +137,10 @@ bench-quick:
 # benchmark prints the wire's sparse-sweep op in process: chunk-10 G1
 # statements over pathways through QueryCells, restored every 62
 # queries, with rounds and allocations per op (18.69 rounds at
-# -benchtime 620x, one sweep). The regular-shapes benchmark
+# -benchtime 620x, one sweep). Both run on one and on two processors,
+# like the kernel benchmarks, since a product of several row blocks
+# gathers them on every processor (their allocation gate is
+# TestDenseColdSolveAllocs in `make test`). The regular-shapes benchmark
 # prints what regular path expressions cost through the one path
 # compiler, cold from a hundred sources on go-hierarchy@0.1, as a MATCH
 # and as a regex, with rounds, product entries and answer pairs per op
@@ -154,8 +159,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$' -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchmem ./internal/cypher
-	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -benchmem ./internal/gdb
-	$(GO) test -run '^$$' -bench 'BenchmarkSparseSweepStatement$$' -benchtime 620x -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -cpu 1,2 -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkSparseSweepStatement$$' -benchtime 620x -cpu 1,2 -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkRegularShapes$$' -short -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkUpdateApart$$' -benchtime 200x -benchmem ./internal/store
 

@@ -221,12 +221,20 @@ func randomGraph(rng *rand.Rand, n, edges int, labels []string) *graph.Graph {
 	return g
 }
 
+// testGrammars are the grammars the property tests run. leftlinear,
+// S -> S a | a, has a rule whose head is its own left factor, as the
+// path compiler's left-folded helpers do: a product that reads T^S in
+// place reads what an earlier product of the same round added to it.
 func testGrammars() map[string]*grammar.WCNF {
 	return map[string]*grammar.WCNF{
 		"anbn":    grammar.MustWCNF(grammar.AnBn("a", "b")),
 		"dyck":    grammar.MustWCNF(grammar.Dyck1("a", "b")),
 		"samegen": grammar.MustWCNF(grammar.SameGen("a", "b")),
 		"g2":      grammar.MustWCNF(grammar.G2()),
+		"leftlinear": grammar.MustWCNF(grammar.MustNew("S", []grammar.Production{
+			{LHS: "S", RHS: []grammar.Symbol{grammar.N("S"), grammar.T("a")}},
+			{LHS: "S", RHS: []grammar.Symbol{grammar.T("a")}},
+		})),
 	}
 }
 

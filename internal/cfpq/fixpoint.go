@@ -28,11 +28,15 @@ import (
 //
 // T stays matrix.Bool, so a product finds a row of T^C by index, and a
 // row of T two-thirds full is a bitmap a product ORs a word at a time.
-// ΔT, ΔM and M are matrix.RowLists, which hold only their live rows: a
-// run restricted to a few sources costs the rows it touches and the
-// products they form, never a walk of the n-slot row tables. rows(T, ·)
-// are copies (matrix.SelectRows), because seeding grows rows of T in
-// place (Bool.Set). Every product is one masked multiply-accumulate,
+// ΔT and ΔM are matrix.RowLists, which hold only their live rows: a run
+// restricted to a few sources costs the rows it touches and the
+// products they form, never a walk of the n-slot row tables. M reads
+// T^B's rows in place through the active A-sources (matrix.ViewRows):
+// it copies no entry, a bitmap row stays a bitmap, and it is read when
+// its product runs. The fresh part of ΔM, rows(T^B, fresh A-sources),
+// is a copy (matrix.SelectRows): it is merged with rows of ΔT^B, and
+// seeding for C grows rows of T in place (Bool.Set) before it is
+// multiplied. Every product is one masked multiply-accumulate,
 // T^A<¬T^A> ∪= a×b (run.MulAddRows), which returns what T^A gained.
 //
 // A restricted run seeds on activation: a source i that becomes active
@@ -43,9 +47,14 @@ import (
 // no seed needs to be in ΔT.
 //
 // T grows in place, within a round too: a product may read entries an
-// earlier rule of the same round added, which only finds facts sooner.
-// Each entry is also in the next round's ΔT, so every pair of an M entry
-// and a T^C entry still meets, in the round the later of the two appears.
+// earlier product of the same round added, which only finds facts
+// sooner. So does M * ΔT^C when the rule's head is its own left factor
+// (A -> A C, as the path compiler's left-folded helpers are): M then
+// holds what ΔM * T^C added just before. Each entry is also in the next
+// round's ΔT, so every pair of an M entry and a T^C entry still meets,
+// in the round the later of the two appears. A witness run numbers its
+// products in order, so an entry found sooner is derived from entries
+// logged before it.
 type fixpoint struct {
 	w     *grammar.WCNF
 	run   *exec.Run
@@ -237,7 +246,7 @@ func (f *fixpoint) round() (progress bool, err error) {
 			}
 			dm = d
 			if !f.delta[rule.C].Empty() {
-				m = matrix.SelectRows(f.T[rule.B], act)
+				m = matrix.ViewRows(f.T[rule.B], act)
 			}
 		}
 		if err := f.derive(ri, dm, f.T[rule.C], f.next); err != nil {

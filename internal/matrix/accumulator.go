@@ -12,8 +12,9 @@ import (
 // proportional to the touched region, not the full matrix width. Every
 // word outside the touched list is zero: reset clears the touched words,
 // so a word is known to be new to the round exactly when it reads zero.
-// It also holds a decoded row and the column panel's scratch, whose
-// colw and ct are 64-word blocks, all zero between panels.
+// It also holds a decoded row, the column panel's scratch, whose colw
+// and ct are 64-word blocks, all zero between panels, the room a
+// product gathers its rows in, and the chunk emit cuts bitmap rows from.
 type accumulator struct {
 	ncols   int // the width resize sized it for
 	words   []uint64
@@ -22,14 +23,25 @@ type accumulator struct {
 	colw    []uint64    // colw[k]: bit r set when the panel's row r holds k
 	ct      []uint64    // ct[j]: bit r set when the panel's product row r holds j
 	reads   []panelRead // the rows of b the panel reads
+	room    room
+	chunk   []uint64 // zero words not yet cut into a row
 }
 
 // accPool recycles accumulators across multiplications. A fixpoint
 // round allocates one accumulator per kernel call; the backing bitsets
-// are by far the largest per-round allocation, so reusing them keeps the
-// steady-state fixpoint loop allocation-free apart from the result rows
-// themselves.
+// and the room are by far the largest per-round allocations, so reusing
+// them keeps the steady-state fixpoint loop allocation-free apart from
+// the result rows themselves and the one table they are copied out to.
 var accPool = sync.Pool{New: func() any { return &accumulator{} }}
+
+// roomKeepMax is the most rows (3.25 MiB of tables) a room may hold and
+// be pooled with its accumulator; a longer one is dropped rather than
+// held by the pool.
+const roomKeepMax = 1 << 16
+
+// chunkWords is the most words emit allocates at once to cut bitmap
+// rows from (16 KiB), unless one row is longer.
+const chunkWords = 1 << 11
 
 // getAccumulator returns an accumulator sized for ncols columns, reusing
 // a pooled one when its backing array is large enough. Callers must
@@ -41,8 +53,15 @@ func getAccumulator(ncols int) *accumulator {
 }
 
 // putAccumulator recycles a for later getAccumulator calls. The
-// accumulator must no longer be used after being put.
+// accumulator must no longer be used after being put, nor its room read:
+// the room is emptied, and dropped past roomKeepMax, so the pool pins no
+// row a product returned.
 func putAccumulator(a *accumulator) {
+	if cap(a.room.ids) > roomKeepMax {
+		a.room = room{}
+	} else {
+		a.room.reset()
+	}
 	accPool.Put(a)
 }
 
@@ -150,14 +169,20 @@ func (a *accumulator) install(m *Bool, i int) {
 // emit returns the n accumulated columns as a new row in the smaller of
 // the two row forms for the accumulator's width: a sorted list, or, past
 // the crossover, a bitmap copied from the touched words, which are
-// neither extracted nor sorted. With nothing accumulated, it returns n
-// = 0 and allocates nothing.
+// neither extracted nor sorted. A bitmap is cut from the accumulator's
+// chunk with its capacity cut to its length, so no row grows into the
+// next. With nothing accumulated, it returns n = 0 and allocates
+// nothing.
 func (a *accumulator) emit() (row []uint32, b []uint64, n int) {
 	switch n = a.count(); {
 	case n == 0:
 		return nil, nil, 0
 	case n > listMax(a.ncols):
-		b = make([]uint64, len(a.words))
+		nw := len(a.words)
+		if len(a.chunk) < nw {
+			a.chunk = make([]uint64, max(nw, chunkWords))
+		}
+		b, a.chunk = a.chunk[:nw:nw], a.chunk[nw:]
 		for _, w := range a.touched {
 			b[w] = a.words[w]
 		}

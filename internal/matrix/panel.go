@@ -33,8 +33,8 @@ func (a *accumulator) growPanel(p *product) {
 func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 	live, entries, cost := 0, 0, 5*64*(nwords(p.inner)+nwords(p.t.ncols))
 	for x := lo; x < hi; x++ {
-		n := p.a.rowLen(x)
-		if p.a.bitRow(x) == nil {
+		n := p.a.rowLen(p.aAt(x))
+		if p.a.bitRow(p.aAt(x)) == nil {
 			cost += n
 		}
 		if n > 0 {
@@ -49,10 +49,11 @@ func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 	// blocks are transposed.
 	acc.growPanel(p)
 	for x := lo; x < hi; x++ {
-		for w, word := range p.a.bitRow(x) {
+		e := p.aAt(x)
+		for w, word := range p.a.bitRow(e) {
 			acc.colw[w<<6+x-lo] = word
 		}
-		for _, k := range p.a.rows[x] {
+		for _, k := range p.a.rows[e] {
 			acc.colw[int(k&^63)+x-lo] |= 1 << (k & 63)
 		}
 	}
@@ -73,6 +74,8 @@ func (p *product) gatherPanel(lo, hi int, acc *accumulator, st *MulStats) bool {
 		}
 		if y < 0 {
 			continue
+		} else if p.bIn {
+			y = k
 		}
 		n, words := len(p.b.rows[y]), len(p.b.rows[y])
 		if sb := p.b.bitRow(y); sb != nil {

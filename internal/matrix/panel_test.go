@@ -127,7 +127,7 @@ func TestMulAddRowsPanelQuick(t *testing.T) {
 			}
 			o.t = map[int]*Bool{0: c0.Clone(), 1: a, 2: b, 3: c0.Clone()}[into]
 			kept := map[int]bool{}
-			ids, sl := l.table()
+			ids, sl, _ := l.table()
 			for x := range sl.rows {
 				i := x
 				if ids != nil {
@@ -252,14 +252,16 @@ func TestMulAddRowsPanelChoice(t *testing.T) {
 		{"a^n b^n round", ListRows(cycle), cycle, -1},
 	} {
 		p := product{t: NewBool(n, n), inner: n}
-		p.aIDs, p.a = c.a.table()
-		p.bIDs, p.b = c.b.table()
+		p.aIDs, p.a, p.aIn = c.a.table()
+		p.bIDs, p.b, p.bIn = c.b.table()
+		if p.n = len(p.a.rows); p.aIDs != nil {
+			p.n = len(p.aIDs)
+		}
 		acc := &accumulator{}
 		acc.resize(n)
 		var st MulStats
-		out := &RowList{nrows: n, ncols: n}
-		for lo := 0; lo < len(p.a.rows); lo += ctxCheckRows {
-			p.gather(lo, acc, out, &st)
+		for lo := 0; lo < p.n; lo += ctxCheckRows {
+			p.gather(lo, acc, &st)
 		}
 		if st.PanelRows != max(c.panel, 0) || c.panel < 0 && acc.colw != nil {
 			t.Errorf("%s: %d rows gathered by panels, want %d (scratch made: %v)", c.name, st.PanelRows, c.panel, acc.colw != nil)

@@ -20,7 +20,9 @@ import (
 //
 // A row a product gathers (MulAddRows) or a union merges (Union) takes
 // the smaller form: a bitmap past listMax. A row copied out of a Bool
-// (SelectRows, ListRows) is a list whatever its length.
+// (SelectRows, ListRows) is a list whatever its length; a product that
+// reads a Bool's rows in place (ViewRows) keeps their form, and copies
+// none.
 //
 // A RowList is read-only once built: nothing writes a row of either
 // form after it is pushed. Lists built from one another (Restrict,
@@ -34,19 +36,54 @@ type RowList struct {
 }
 
 // Operand is a matrix the row-list kernels read: a *Bool, whose row i
-// is found by index, or a *RowList, whose rows are found by search.
+// is found by index, a *RowList, whose rows are found by search, or a
+// *RowView, a Bool's rows in a set, found by search and read in place.
 type Operand interface {
 	NRows() int
 	NCols() int
 	NVals() int
 	// table returns the row table: slot x is row ids[x], or row x when
-	// ids is nil.
-	table() (ids []uint32, s slots)
+	// ids is nil, and entry x of s, or entry ids[x] when inPlace.
+	table() (ids []uint32, s slots, inPlace bool)
 }
 
-func (m *Bool) table() ([]uint32, slots) { return nil, m.slots }
+func (m *Bool) table() ([]uint32, slots, bool) { return nil, m.slots, false }
 
-func (r *RowList) table() ([]uint32, slots) { return r.ids, r.slots }
+func (r *RowList) table() ([]uint32, slots, bool) { return r.ids, r.slots, false }
+
+// RowView is the rows of a Bool listed in a set, read where they lie:
+// it copies no entry, and a bitmap row stays a bitmap. It reads the
+// matrix as it stands when a product runs, NVals included, so rows the
+// matrix gained after the view was made are in it.
+type RowView struct {
+	m   *Bool
+	set *Vector
+}
+
+// ViewRows returns the rows of a listed in set, read in place.
+func ViewRows(a *Bool, set *Vector) *RowView {
+	if set.n != a.nrows {
+		panic(fmt.Sprintf("matrix: ViewRows vector size %d does not match rows %d", set.n, a.nrows))
+	}
+	return &RowView{a, set}
+}
+
+// NRows returns the number of rows of the viewed matrix.
+func (v *RowView) NRows() int { return v.m.nrows }
+
+// NCols returns the number of columns.
+func (v *RowView) NCols() int { return v.m.ncols }
+
+// NVals returns the number of entries the viewed rows hold now.
+func (v *RowView) NVals() int {
+	n := 0
+	for _, i := range v.set.idx {
+		n += v.m.rowLen(int(i))
+	}
+	return n
+}
+
+func (v *RowView) table() ([]uint32, slots, bool) { return v.set.idx, v.m.slots, true }
 
 // NRows returns the number of rows of the matrix the list represents.
 func (r *RowList) NRows() int { return r.nrows }
@@ -176,12 +213,13 @@ func selectRows(a *Bool, set []uint32, all bool) *RowList {
 
 // Restrict returns the rows of r listed in set. It walks the shorter of
 // the two lists and searches the longer, and shares r's rows, bitmaps
-// too.
+// too. Its tables are sized for the shorter list, which bounds its rows.
 func (r *RowList) Restrict(set *Vector) *RowList {
 	if set.n != r.nrows {
 		panic(fmt.Sprintf("matrix: Restrict vector size %d does not match rows %d", set.n, r.nrows))
 	}
-	out := &RowList{nrows: r.nrows, ncols: r.ncols}
+	n := min(len(r.ids), len(set.idx))
+	out := &RowList{nrows: r.nrows, ncols: r.ncols, ids: make([]uint32, 0, n), slots: slots{rows: make([][]uint32, 0, n)}}
 	if len(r.ids) <= len(set.idx) {
 		at := 0
 		for k, i := range r.ids {
@@ -254,12 +292,12 @@ type MulStats struct {
 //
 // It gathers each row of the product in an accumulator one of two ways.
 // Row by row (Gustavson's push): row k of b is found by index in a *Bool
-// and by search in a *RowList, and ORed in a word at a time when it is a
-// bitmap, an entry at a time when it is a list. By column panel
-// (gatherPanel), when a holds bitmap rows, 64 of its rows average past
-// the crossover and cost less so by count: the rows are transposed into
-// a word per index k, ORed into a word per column for every entry of
-// b's row k, so a row of b is read once a panel. Either way it then
+// and by search in a *RowList or *RowView, and ORed in a word at a time
+// when it is a bitmap, an entry at a time when it is a list. By column
+// panel (gatherPanel), when a holds bitmap rows, 64 of its rows average
+// past the crossover and cost less so by count: the rows are transposed
+// into a word per index k, ORed into a word per column for every entry
+// of b's row k, so a row of b is read once a panel. Either way it then
 // clears what row i of t holds — word by word for a bitmap row, bit by
 // bit for a list row — and emits only what is left, in the smaller row
 // form: past the crossover, the accumulator's touched words copied into
@@ -268,19 +306,23 @@ type MulStats struct {
 // sorted or merged, and a bitmap row of the result is ORed a word at a
 // time when it is a right operand in its turn.
 //
-// The new rows are folded into t once every row is gathered: a bitmap
-// row of t takes them in place, a word at a time from a bitmap row; a
-// list row is replaced by the union (orRows). So the product is a × b as
-// the operands stood on entry, and t may be a or b itself. t never
-// aliases the returned rows.
+// The new rows are pushed into the accumulator's room, pooled row
+// tables, and copied out once every row is gathered, into one list
+// whose tables are exactly its length and that nothing else refers to.
+// Only then are they folded into t: a bitmap row of t takes them in
+// place, a word at a time from a bitmap row; a list row is replaced by
+// the union (orRows). So the product is a × b as the operands stood on
+// entry, and t may be a or b itself, or the matrix a *RowView reads.
+// t never aliases the returned rows.
 //
 // The rows of a are taken in blocks of ctxCheckRows slots. When there is
 // more than one block and more than one processor (runtime.GOMAXPROCS),
 // the calling goroutine and up to GOMAXPROCS-1 helpers claim blocks in
 // order from a shared counter and gather them side by side, each into
-// its own accumulator and its own piece of the result; the pieces are
-// joined in block order and only then folded into t, on the caller. So
-// the result, the count and t are the same as when one goroutine
+// its own accumulator and room, recording the range of its room each
+// block filled; the ranges are copied out in block order, and only then
+// are the rows folded into t and the accumulators pooled, on the caller.
+// So the result, the count and t are the same as when one goroutine
 // gathers every block, and the caller waits only for blocks someone
 // claimed.
 //
@@ -292,33 +334,44 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand) (added *RowList, st 
 		panic(fmt.Sprintf("matrix: MulAddRows dimension mismatch %dx%d += %dx%d * %dx%d",
 			t.nrows, t.ncols, a.NRows(), a.NCols(), b.NRows(), b.NCols()))
 	}
-	added = &RowList{nrows: t.nrows, ncols: t.ncols}
-	if a.NVals() == 0 || b.NVals() == 0 {
-		return added, st, ctx.Err()
+	na := a.NVals()
+	if na == 0 || b.NVals() == 0 {
+		return &RowList{nrows: t.nrows, ncols: t.ncols}, st, ctx.Err()
 	}
 	p := product{t: t, inner: a.NCols()}
-	p.aIDs, p.a = a.table()
-	p.bIDs, p.b = b.table()
+	p.aIDs, p.a, p.aIn = a.table()
+	p.bIDs, p.b, p.bIn = b.table()
+	if p.n = len(p.a.rows); p.aIDs != nil {
+		p.n = len(p.aIDs)
+	}
 	var tab *[]int32
-	if p.bIDs != nil && 2*len(p.bIDs) < a.NVals() {
+	if p.bIDs != nil && 2*len(p.bIDs) < na {
 		tab = getSlotTable(b.NRows(), p.bIDs)
 		p.bSlots = *tab
 	}
-	nblocks, workers := (len(p.a.rows)+ctxCheckRows-1)/ctxCheckRows, 1
+	nblocks, workers := (p.n+ctxCheckRows-1)/ctxCheckRows, 1
 	if nblocks > 1 {
 		workers = min(nblocks, runtime.GOMAXPROCS(0))
 	}
+	var one [1]block
+	var oneAcc [1]*accumulator
+	blocks, accs := one[:], oneAcc[:]
 	if workers > 1 {
-		added, st, err = p.gatherParallel(ctx, nblocks, workers)
+		blocks, accs = p.gatherParallel(ctx, nblocks, workers)
 	} else {
-		acc := getAccumulator(t.ncols)
-		for lo := 0; lo < len(p.a.rows); lo += ctxCheckRows {
-			if err = ctx.Err(); err != nil {
+		accs[0] = getAccumulator(t.ncols)
+		for lo := 0; lo < p.n; lo += ctxCheckRows {
+			if one[0].err = ctx.Err(); one[0].err != nil {
 				break
 			}
-			p.gather(lo, acc, added, &st)
+			p.gatherBlock(lo, accs[0], &one[0])
 		}
-		putAccumulator(acc)
+	}
+	added, st, err = join(t.nrows, t.ncols, blocks)
+	for _, acc := range accs {
+		if acc != nil {
+			putAccumulator(acc)
+		}
 	}
 	for k, i := range added.ids {
 		t.orInto(int(i), added.rows[k], added.bitRow(k))
@@ -334,14 +387,24 @@ func MulAddRows(ctx context.Context, t *Bool, a, b Operand) (added *RowList, st 
 type product struct {
 	t          *Bool
 	inner      int
+	n          int // a's slots
 	aIDs, bIDs []uint32
 	a, b       slots
+	aIn, bIn   bool    // slot x is entry ids[x] of the table (a *RowView)
 	bSlots     []int32 // when non-nil, 1 + b's slot of row k at k, 0 for none
 }
 
-// search returns the slot of row k of a row-list b without a slot
-// table, or -1 when b has no row k: a gallop on from *at, where the
-// caller's ascending ks leave it.
+// aAt returns the entry of a's table that holds slot x.
+func (p *product) aAt(x int) int {
+	if p.aIn {
+		return int(p.aIDs[x])
+	}
+	return x
+}
+
+// search returns the slot of row k of b without a slot table, or -1
+// when b has no row k: a gallop on from *at, where the caller's
+// ascending ks leave it.
 func (p *product) search(k uint32, at *int) int {
 	if *at = gallop(p.bIDs, *at, k); *at == len(p.bIDs) || p.bIDs[*at] != k {
 		return -1
@@ -378,13 +441,14 @@ func putSlotTable(tab *[]int32, ids []uint32) {
 	slotPool.Put(tab)
 }
 
-// gather appends to out the rows of a × b that t lacks for the block of
-// a's slots starting at lo, and adds to st. Each run of panelSize slots
-// is gathered by a column panel when gatherPanel takes it, by push
-// otherwise; either way each row then goes through the same tail: its
-// count before the mask, the clear of what row i of t holds, and emit.
-func (p *product) gather(lo int, acc *accumulator, out *RowList, st *MulStats) {
-	hi := min(lo+ctxCheckRows, len(p.a.rows))
+// gather pushes into acc's room the rows of a × b that t lacks for the
+// block of a's slots starting at lo, and adds to st. Each run of
+// panelSize slots is gathered by a column panel when gatherPanel takes
+// it, by push otherwise; either way each row then goes through the same
+// tail: its count before the mask, the clear of what row i of t holds,
+// and emit.
+func (p *product) gather(lo int, acc *accumulator, st *MulStats) {
+	hi := min(lo+ctxCheckRows, p.n)
 	for x0 := lo; x0 < hi; x0 += panelSize {
 		end := min(x0+panelSize, hi)
 		panel := p.a.bits != nil && p.gatherPanel(x0, end, acc, st)
@@ -396,7 +460,7 @@ func (p *product) gather(lo int, acc *accumulator, out *RowList, st *MulStats) {
 			if panel {
 				acc.takeRow(x - x0)
 			} else {
-				ra := p.a.cols(x, &acc.buf)
+				ra := p.a.cols(p.aAt(x), &acc.buf)
 				if len(ra) == 0 {
 					continue
 				}
@@ -411,6 +475,8 @@ func (p *product) gather(lo int, acc *accumulator, out *RowList, st *MulStats) {
 					}
 					if y < 0 {
 						continue
+					} else if p.bIn { // a view's row k is entry k
+						y = int(k)
 					}
 					if sb := p.b.bitRow(y); sb != nil {
 						acc.orBits(sb)
@@ -425,46 +491,84 @@ func (p *product) gather(lo int, acc *accumulator, out *RowList, st *MulStats) {
 			st.NNZ += acc.count()
 			acc.clearRow(p.t, int(i))
 			if row, b, n := acc.emit(); n > 0 {
-				out.push(i, row, b, n)
+				acc.room.push(i, row, b, n)
 			}
 		}
 	}
 }
 
-// block is what gathering one block of a's slots produced.
+// room is where a product gathers its rows before they are copied out:
+// pooled tables of a slot per row, whose bits run beside rows (nil for
+// a list row), so the rows of a block are one range of slots.
+type room struct {
+	ids []uint32
+	slots
+	nvals int // entries of every slot
+}
+
+// push appends row i, the list row or the bitmap b when it is non-nil,
+// of n entries.
+func (r *room) push(i uint32, row []uint32, b []uint64, n int) {
+	r.ids = append(r.ids, i)
+	r.rows = append(r.rows, row)
+	r.bits = append(r.bits, b)
+	r.nvals += n
+}
+
+// reset empties the room and lets go of its rows.
+func (r *room) reset() {
+	clear(r.rows)
+	clear(r.bits)
+	r.ids, r.rows, r.bits = r.ids[:0], r.rows[:0], r.bits[:0]
+	r.nvals = 0
+}
+
+// block is what gathering blocks of a's slots produced: a range of one
+// room, its count, panel rows and error.
 type block struct {
-	added  RowList
-	st     MulStats // the block's count and panel rows
-	err    error    // the context's error when the block was skipped
-	helped bool     // gathered by a helper
+	room   *room // nil when nothing was gathered
+	lo, hi int   // the room's slots lo..hi-1
+	nvals  int   // their entries
+	st     MulStats
+	err    error // the context's error when a block was skipped
+	helped bool  // gathered by a helper
+}
+
+// gatherBlock gathers the block at lo into acc's room and adds it to
+// blk, whose range it starts or extends.
+func (p *product) gatherBlock(lo int, acc *accumulator, blk *block) {
+	r := &acc.room
+	if blk.room == nil {
+		blk.room, blk.lo = r, len(r.ids)
+	}
+	nvals := r.nvals
+	p.gather(lo, acc, &blk.st)
+	blk.hi, blk.nvals = len(r.ids), blk.nvals+r.nvals-nvals
 }
 
 // gatherParallel gathers the nblocks blocks of a × b \ t on the calling
-// goroutine and workers-1 helpers, and joins the pieces in block order.
-// A helper touches nothing but the claim counter until it claims a
-// block, and the wait group counts blocks, not helpers, so a helper
-// that starts after the last claim is never waited for.
-func (p product) gatherParallel(ctx context.Context, nblocks, workers int) (added *RowList, st MulStats, err error) {
-	blocks := make([]block, nblocks)
-	ncols := p.t.ncols
+// goroutine and workers-1 helpers, each into its own accumulator's room,
+// and returns the blocks and the accumulators, which the caller pools
+// once it has joined the blocks. A helper touches nothing but the claim
+// counter until it claims a block, nor after its last block is counted
+// done: the wait group counts blocks, not helpers, so a helper that
+// starts after the last claim is never waited for.
+func (p product) gatherParallel(ctx context.Context, nblocks, workers int) ([]block, []*accumulator) {
+	blocks, accs := make([]block, nblocks), make([]*accumulator, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(nblocks)
 	work := func(w int) {
-		var acc *accumulator
 		for x := int(next.Add(1) - 1); x < nblocks; x = int(next.Add(1) - 1) {
-			if acc == nil {
-				acc = getAccumulator(ncols)
+			if accs[w] == nil {
+				accs[w] = getAccumulator(p.t.ncols)
 			}
 			blk := &blocks[x]
 			if blk.err = ctx.Err(); blk.err == nil {
-				p.gather(x*ctxCheckRows, acc, &blk.added, &blk.st)
+				p.gatherBlock(x*ctxCheckRows, accs[w], blk)
 				blk.helped = w > 0
 			}
 			wg.Done()
-		}
-		if acc != nil {
-			putAccumulator(acc)
 		}
 	}
 	for w := 1; w < workers; w++ {
@@ -472,28 +576,22 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int) (adde
 	}
 	work(0)
 	wg.Wait()
+	return blocks, accs
+}
 
+// join copies the blocks' rows out of their rooms, in block order, into
+// one list whose tables are exactly its length, bits only when a row is
+// a bitmap, and sums their counts; the error is the first block's that
+// has one.
+func join(nrows, ncols int, blocks []block) (added *RowList, st MulStats, err error) {
+	added = &RowList{nrows: nrows, ncols: ncols}
 	total, anyBits := 0, false
 	for x := range blocks {
-		total += len(blocks[x].added.ids)
-		anyBits = anyBits || blocks[x].added.bits != nil
-	}
-	added = &RowList{nrows: p.t.nrows, ncols: ncols, ids: make([]uint32, 0, total), slots: slots{rows: make([][]uint32, 0, total)}}
-	if anyBits {
-		added.bits = make([][]uint64, 0, total)
-	}
-	for x := range blocks {
 		blk := &blocks[x]
-		if added.bits != nil {
-			if blk.added.bits != nil {
-				added.bits = append(added.bits, blk.added.bits...)
-			} else { // a block of list rows: nil slots
-				added.bits = added.bits[:len(added.bits)+len(blk.added.ids)]
-			}
+		total, added.nvals = total+blk.hi-blk.lo, added.nvals+blk.nvals
+		if !anyBits && blk.hi > blk.lo {
+			anyBits = slices.ContainsFunc(blk.room.bits[blk.lo:blk.hi], func(b []uint64) bool { return b != nil })
 		}
-		added.ids = append(added.ids, blk.added.ids...)
-		added.rows = append(added.rows, blk.added.rows...)
-		added.nvals += blk.added.nvals
 		st.NNZ += blk.st.NNZ
 		st.PanelRows += blk.st.PanelRows
 		if blk.helped {
@@ -501,6 +599,25 @@ func (p product) gatherParallel(ctx context.Context, nblocks, workers int) (adde
 		}
 		if err == nil {
 			err = blk.err
+		}
+	}
+	if total == 0 {
+		return added, st, err
+	}
+	added.ids, added.rows = make([]uint32, 0, total), make([][]uint32, 0, total)
+	if anyBits {
+		added.bits = make([][]uint64, 0, total)
+	}
+	for x := range blocks {
+		blk := &blocks[x]
+		if blk.hi == blk.lo {
+			continue
+		}
+		r := blk.room
+		added.ids = append(added.ids, r.ids[blk.lo:blk.hi]...)
+		added.rows = append(added.rows, r.rows[blk.lo:blk.hi]...)
+		if added.bits != nil {
+			added.bits = append(added.bits, r.bits[blk.lo:blk.hi]...)
 		}
 	}
 	return added, st, err

@@ -662,7 +662,11 @@ func TestVectorUnionOwnsItsArray(t *testing.T) {
 //   - mid-x-short is the same product with left rows of 31 entries,
 //     one past the crossover at 900 columns, the least a panel is
 //     tried on: panels gather every row but the last panel's 40, which
-//     push gathers cheaper by count.
+//     push gathers cheaper by count;
+//   - inplace-x-long is M·ΔT as the driver forms it: the rows of a Bool
+//     of 900 rows of 10 entries read in place (ViewRows) through an
+//     active set of 775, times a row list like short-x-long's. Its
+//     operands are drawn after the others', which stay as they were.
 //
 // t starts empty on every call, so the call folds its whole product.
 // The shapes span several row blocks, so they gather on every
@@ -694,6 +698,7 @@ func BenchmarkMulAddRows(b *testing.B) {
 		{"short-x-long", rows(775, 10), rows(772, 327)},
 		{"long-x-short", rows(744, 329), short},
 		{"mid-x-short", rows(744, 31), short},
+		{"inplace-x-long", ViewRows(short, NewVectorFromIndices(n, rng.Perm(n)[:775])), rows(772, 327)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var st MulStats
