@@ -180,7 +180,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/cypher/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/grammar/
 	$(GO) test -run=NONE -fuzz=FuzzRegex -fuzztime=30s ./internal/rpq/
-	$(GO) test -run=NONE -fuzz=FuzzRead$$ -fuzztime=30s ./internal/resp/
+	$(GO) test -run=NONE -fuzz=FuzzRead$$ -fuzztime=30s -fuzzminimizetime=2s ./internal/resp/
 	$(GO) test -run=NONE -fuzz=FuzzReadMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/resp/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=30s ./internal/gdb/
@@ -194,7 +194,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/cypher/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/grammar/
 	$(GO) test -run=NONE -fuzz=FuzzRegex -fuzztime=10s ./internal/rpq/
-	$(GO) test -run=NONE -fuzz=FuzzRead$$ -fuzztime=10s ./internal/resp/
+	$(GO) test -run=NONE -fuzz=FuzzRead$$ -fuzztime=10s -fuzzminimizetime=2s ./internal/resp/
 	$(GO) test -run=NONE -fuzz=FuzzReadMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/resp/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=10s ./internal/gdb/

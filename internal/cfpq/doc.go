@@ -26,5 +26,6 @@
 // A -> y where y labels vertices contributes the diagonal vertex matrix
 // V^y, matching Definition 2.14's interleaving of vertex labels into
 // path words. A source-restricted run copies these seed facts only into
-// the rows it activates.
+// the rows it activates; a label relation (T#x -> x) is the graph's
+// own matrix and takes no copy.
 package cfpq

@@ -80,8 +80,9 @@ type fixpoint struct {
 }
 
 // evaluate is the set-up the four index-free callers share: check the
-// inputs, start the governor, seed every row of fresh relations when src
-// is nil (a restricted run seeds the rows it activates), run the driver
+// inputs, start the governor, seed every row of fresh relations, label
+// relations being the graph's matrices (seeder.relations), when src is
+// nil (a restricted run seeds the rows it activates), run the driver
 // (unrestricted when src is nil, otherwise from the sources src of the
 // start nonterminal), logging its derivations when witness is set, and
 // stamp the statistics. It also returns the sources the run activated.
@@ -92,8 +93,9 @@ func evaluate(g *graph.Graph, w *grammar.WCNF, src *matrix.Vector, witness bool,
 	run, cancel := exec.Build(opts).Start()
 	defer cancel()
 	n := g.NumVertices()
-	r := &SinglePathResult{Result: newResult(w, n)}
-	f := &fixpoint{w: w, run: run, seeds: newSeeder(g, w), T: r.T}
+	seeds := newSeeder(g, w)
+	r := &SinglePathResult{Result: &Result{W: w, T: seeds.relations(n, 0)}}
+	f := &fixpoint{w: w, run: run, seeds: seeds, T: r.T}
 	if witness {
 		f.witness = r.logging(f.seeds)
 	}

@@ -18,7 +18,10 @@ import (
 // across queries, so repeated or overlapping source sets reuse all
 // previously computed facts instead of recomputing them from scratch.
 // T holds the rows queries have activated, seeds included: row i of T^A
-// holds its seed facts whenever i is processed for A. TSrc^A is an
+// holds its seed facts whenever i is processed for A. A label relation
+// (A -> t, t matching only label l's edges; seeder.relations) is the
+// graph's matrix of l itself, every row in place, shared and never
+// written: the index copies nothing it did not derive. TSrc^A is an
 // n-bit mark that a solve also sets for the sources it activates.
 //
 // An Index is bound to an immutable snapshot of the graph (the paper's
@@ -47,9 +50,10 @@ type Index struct {
 	queries int     // guarded by mu
 }
 
-// NewIndex creates an empty cache for (g, w): T and TSrc start empty,
-// and a query seeds the rows of T it activates (DESIGN.md §16), so a
-// row's seeds are copied once, by the first query that needs it. Each
+// NewIndex creates an empty cache for (g, w): TSrc starts empty, and so
+// does T but for the label relations, which are g's own matrices; a
+// query seeds the rows of T it activates (DESIGN.md §16), so a row's
+// seeds are copied once, by the first query that needs it. Each
 // query brings its own options (MultiSourceSmart, Extension.Rows and
 // Count). w may have no nonterminals: such an index serves only
 // Extensions.
@@ -59,7 +63,7 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF) (*Index, error) {
 	}
 	n := g.NumVertices()
 	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
-	idx.T = newResult(w, n).T
+	idx.T = idx.seeds.relations(n, 0)
 	idx.TSrc = noMarks(w.NumNonterms(), n)
 	return idx, nil
 }
@@ -70,6 +74,9 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF) (*Index, error) {
 // versions. CFPQ facts are monotone under such growth, so every fact the
 // prior derived holds on g, and its relations carry over copy-on-write
 // (matrix.Bool.CloneCOW), costing their row tables, not their entries.
+// Label relations are not carried but read from g: g's own matrices. A
+// relation that was one on the prior's graph and is not on g (g labels
+// vertices with its term) carries that graph's matrix over.
 //
 // Its processed sources carry over too when g grew apart from the
 // prior's graph (graph.GrewApart, a stamp the writes record, as
@@ -97,13 +104,19 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index) (*Index, error)
 	}
 	apart := graph.GrewApart(prior.G, g)
 	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
+	idx.T = idx.seeds.relations(n, w.NumNonterms())
+	idx.TSrc = noMarks(w.NumNonterms(), n)
 	prior.mu.Lock()
 	defer prior.mu.Unlock()
-	idx.T = make([]*matrix.Bool, len(prior.T))
-	idx.TSrc = noMarks(len(prior.T), n)
 	for a, t := range prior.T {
-		idx.T[a] = t.CloneCOW()
-		idx.T[a].Resize(n, n)
+		if idx.T[a] == nil { // not a label relation on g
+			if prior.seeds.label[a] {
+				idx.T[a] = t.CloneFrozen() // the prior's graph, which never changes
+			} else {
+				idx.T[a] = t.CloneCOW()
+			}
+			idx.T[a].Resize(n, n)
+		}
 		if apart {
 			copy(idx.TSrc[a], prior.TSrc[a])
 		}
@@ -183,7 +196,8 @@ func (idx *Index) solveLocked(w *grammar.WCNF, seeds *seeder, T []*matrix.Bool, 
 // index's own relations and processed sources — what the query derives
 // for them stays for later queries — while the nonterminals it adds get
 // their own, which start empty and grow across the query's calls to
-// Rows. An Extension serves one query at a time.
+// Rows, but for label relations (a compiled step :l), which are the
+// graph's matrices. An Extension serves one query at a time.
 type Extension struct {
 	idx *Index
 	w   *grammar.WCNF
@@ -196,23 +210,18 @@ type Extension struct {
 }
 
 // Extend gives the nonterminals w adds to the index's grammar empty
-// relations and processed marks; the rows a call to Rows activates are
-// seeded as it solves. w must extend idx.W (grammar.Extend).
+// relations, or the graph's matrices for label relations, and processed
+// marks; the rows a call to Rows activates are seeded as it solves. w
+// must extend idx.W (grammar.Extend).
 func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 	base := idx.W.NumNonterms()
 	if w.NumNonterms() < base || !slices.Equal(w.Nonterms[:base], idx.W.Nonterms) {
 		return nil, fmt.Errorf("cfpq: grammar does not extend the index's")
 	}
 	n := idx.G.NumVertices()
-	x := &Extension{
-		idx:   idx,
-		w:     w,
-		t:     make([]*matrix.Bool, w.NumNonterms()),
-		tsrc:  make([]matrix.Mark, w.NumNonterms()),
-		seeds: newSeeder(idx.G, w),
-	}
+	x := &Extension{idx: idx, w: w, tsrc: make([]matrix.Mark, w.NumNonterms()), seeds: newSeeder(idx.G, w)}
+	x.t = x.seeds.relations(n, base)
 	for a := base; a < len(x.t); a++ {
-		x.t[a] = matrix.NewBool(n, n)
 		x.tsrc[a] = matrix.NewMark(n)
 	}
 	idx.mu.Lock()
@@ -277,7 +286,8 @@ func (x *Extension) solveLocked(a int, src *matrix.Vector, opts []Option) error 
 }
 
 // Relation returns the cached relation matrix for a nonterminal id. The
-// matrix is shared with the index and grows as queries are evaluated.
+// matrix is shared with the index and grows as queries are evaluated;
+// a label relation is shared with the graph. Callers must not mutate it.
 func (idx *Index) Relation(a int) *matrix.Bool {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()

@@ -30,7 +30,9 @@ var WithTrace = exec.WithTrace
 
 // Result holds the context-free relations R_A computed by a query: one
 // Boolean matrix per grammar nonterminal, where T^A[i,j] means there is
-// a path from i to j whose word is derivable from A.
+// a path from i to j whose word is derivable from A. Outside AllPairs,
+// the relation of a label nonterminal (seeder.relations) is the graph's
+// own matrix, shared with it: read-only, like every matrix of T.
 type Result struct {
 	W *grammar.WCNF
 	T []*matrix.Bool // indexed by nonterminal id
@@ -86,11 +88,14 @@ func newResult(w *grammar.WCNF, n int) *Result {
 // label t — only the first for a grammar.EdgeStep, only the second for
 // a grammar.NodeCheck. A -> eps gives (i, i). It looks the terminals up
 // on its first use (load), so one costs nothing until a row is seeded.
+// A label relation (relations) holds its seeds in every row already, so
+// seeding one of its rows only charges the row.
 type seeder struct {
 	g     *graph.Graph
 	w     *grammar.WCNF
 	edges []*matrix.Bool   // per terminal: the edges it matches; nil for none
 	verts []*matrix.Vector // per terminal: the vertices it matches; nil for none
+	label []bool           // per nonterminal: a label relation; nil before relations
 }
 
 func newSeeder(g *graph.Graph, w *grammar.WCNF) *seeder { return &seeder{g: g, w: w} }
@@ -110,12 +115,52 @@ func (s *seeder) load() {
 	}
 }
 
+// relations returns the relations over n vertices of w's nonterminals
+// from on, and below from only the label relations. A nonterminal is a
+// label relation when its one rule is A -> t, t matching only edges on
+// the graph (an edge step, or a term no vertex carries as a label): its
+// relation is t's matrix, the graph's own (Algorithms 1-3 start T^A from
+// it), which no run writes (derive writes the heads of binary rules
+// alone). Any other gets a fresh, empty relation.
+func (s *seeder) relations(n, from int) []*matrix.Bool {
+	// rules counts the rules each nonterminal heads, a binary one as two.
+	T, rules := make([]*matrix.Bool, s.w.NumNonterms()), make([]int, s.w.NumNonterms())
+	for _, r := range s.w.BinRules {
+		rules[r.A] = 2
+	}
+	for _, r := range s.w.TermRules {
+		rules[r.A]++
+	}
+	s.label = make([]bool, len(T))
+	for _, r := range s.w.TermRules {
+		edge, vertex := grammar.TermLabels(s.w.Terms[r.Term])
+		if rules[r.A] == 1 && !s.w.Nullable[r.A] && edge != "" && (vertex == "" || s.g.VertexSet(vertex).Empty()) {
+			T[r.A], s.label[r.A] = s.g.EdgeMatrix(edge), true
+		}
+	}
+	for a := from; a < len(T); a++ {
+		if T[a] == nil {
+			T[a] = matrix.NewBool(n, n)
+		}
+	}
+	return T
+}
+
 // rows adds the seed facts of the rows listed in set, in any order, to
 // t, the relation of nonterminal a, and charges the entries it adds to
-// run as relation entries produced.
+// run as relation entries produced. A label relation gains nothing: it
+// is charged the lengths of the rows, what copying them into an empty
+// relation would add.
 func (s *seeder) rows(run *exec.Run, t *matrix.Bool, a int, set []uint32) error {
 	if len(set) == 0 {
 		return nil
+	}
+	if a < len(s.label) && s.label[a] {
+		n := 0
+		for _, i := range set {
+			n += t.RowLen(int(i))
+		}
+		return run.Charge(n)
 	}
 	if s.edges == nil {
 		s.load()

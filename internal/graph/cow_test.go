@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
+
+	"mscfpq/internal/matrix"
 )
 
 // edgeSet flattens a graph's labeled edges for comparison.
@@ -245,6 +248,61 @@ func TestGrewApartThroughCowClone(t *testing.T) {
 				}
 			}
 			gens = append(gens, g)
+		}
+	}
+}
+
+// TestClonesCarryTransposes: a clone carries its original's cached
+// transposes copy-on-write, and AddEdge and growth keep a cached
+// transpose up to date in place, so an inverse label read on any version
+// is the exact transpose of that version's edges while every earlier
+// version keeps its own. Versions are cut by CloneFrozen (the store's
+// path) and CowClone, with reads of the inverse labels before, between
+// and after the writes, vertex growth among them.
+func TestClonesCarryTransposes(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	type version struct {
+		g  *Graph
+		tr map[string]*matrix.Bool
+	}
+	labels := []string{"a", "b", "c"}
+	transposes := func(g *Graph) map[string]*matrix.Bool {
+		out := map[string]*matrix.Bool{}
+		for _, l := range labels {
+			out[l] = matrix.Transpose(g.EdgeMatrix(l))
+			if !g.EdgeMatrix(l + "_r").Equal(out[l]) {
+				t.Fatalf("%s_r is not the transpose of %s", l, l)
+			}
+		}
+		return out
+	}
+	cur := New(4)
+	cur.AddEdge(0, "a", 1)
+	var history []version
+	for v := 0; v < 30; v++ {
+		if rng.Intn(2) == 0 {
+			cur.EdgeMatrix(labels[rng.Intn(len(labels))] + "_r")
+		}
+		history = append(history, version{cur, transposes(cur)})
+		if v%3 == 0 {
+			cur = cur.CowClone()
+		} else {
+			cur = cur.CloneFrozen()
+		}
+		for e := 0; e < 1+rng.Intn(5); e++ {
+			n := cur.NumVertices() + rng.Intn(3) // sometimes past the end
+			cur.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
+			if rng.Intn(3) == 0 {
+				cur.EdgeMatrix(labels[rng.Intn(len(labels))] + "_r")
+			}
+		}
+		transposes(cur)
+	}
+	for i, h := range history {
+		for _, l := range labels {
+			if !h.g.EdgeMatrix(l + "_r").Equal(h.tr[l]) {
+				t.Fatalf("version %d: %s_r changed after later versions were written", i, l)
+			}
 		}
 	}
 }

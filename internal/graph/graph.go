@@ -25,7 +25,8 @@ import (
 // extends the vertex set to include v. Mutation must not overlap with
 // any other use, but concurrent readers are safe: the only state a read
 // path touches is the inverse-label transpose cache, which has its own
-// lock.
+// lock. A cached transpose is kept up to date by the mutations, in
+// place, as the edge matrices are.
 type Graph struct {
 	n       int
 	edges   map[string]*matrix.Bool   // label -> adjacency matrix E^l
@@ -79,14 +80,16 @@ func (g *Graph) grow(v int) {
 		}
 	}
 	g.tmu.Lock()
-	g.transposed = map[string]*matrix.Bool{}
+	for _, t := range g.transposed {
+		t.Resize(g.n, g.n)
+	}
 	g.tmu.Unlock()
 }
 
 // CowClone returns a copy-on-write clone for epoch-versioned
-// snapshotting (internal/store): edge matrices share rows with the
-// original until either side mutates them, vertex-label vectors (tiny)
-// are deep-copied, and the transpose cache starts empty. Mutating the
+// snapshotting (internal/store): edge matrices and cached transposes
+// share rows with the original until either side mutates them, and
+// vertex-label vectors (tiny) are deep-copied. Mutating the
 // clone — including growing it — never changes the original, and vice
 // versa; cloning an immutable snapshot therefore yields a mutable next
 // version at O(labels + vertices) cost instead of O(edges).
@@ -101,8 +104,9 @@ func (g *Graph) CowClone() *Graph { return g.clone((*matrix.Bool).CloneCOW) }
 // both sides remain mutable.
 func (g *Graph) CloneFrozen() *Graph { return g.clone((*matrix.Bool).CloneFrozen) }
 
-// clone copies g with cloneEdges for each edge matrix. The copy starts
-// a new generation over g's vertices.
+// clone copies g with cloneEdges for each edge matrix and cached
+// transpose, so a version that only adds edges never transposes a label
+// again. The copy starts a new generation over g's vertices.
 func (g *Graph) clone(cloneEdges func(*matrix.Bool) *matrix.Bool) *Graph {
 	c := &Graph{
 		n:          g.n,
@@ -117,6 +121,11 @@ func (g *Graph) clone(cloneEdges func(*matrix.Bool) *matrix.Bool) *Graph {
 	for l, m := range g.edges {
 		c.edges[l] = cloneEdges(m)
 	}
+	g.tmu.Lock()
+	for l, t := range g.transposed {
+		c.transposed[l] = cloneEdges(t)
+	}
+	g.tmu.Unlock()
 	for l, vec := range g.vlabels {
 		c.vlabels[l] = vec.Clone()
 	}
@@ -170,7 +179,9 @@ func (g *Graph) AddEdge(src int, label string, dst int) {
 		g.nedges++
 		g.touch(min(src, dst))
 		g.tmu.Lock()
-		delete(g.transposed, grammar.InverseLabel(label))
+		if t := g.transposed[grammar.InverseLabel(label)]; t != nil {
+			t.Set(dst, src)
+		}
 		g.tmu.Unlock()
 	}
 }

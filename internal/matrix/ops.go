@@ -95,7 +95,9 @@ func Sub(a, b *Bool) *Bool {
 	return out
 }
 
-// Transpose returns the transposed matrix.
+// Transpose returns the transposed matrix. Its list rows are cut from
+// one array, each to its own capacity, so a later Set on one
+// reallocates it rather than write into its neighbour.
 func Transpose(a *Bool) *Bool {
 	out := NewBool(a.ncols, a.nrows)
 	counts := make([]int, a.ncols)
@@ -105,12 +107,19 @@ func Transpose(a *Bool) *Bool {
 			counts[c]++
 		}
 	}
+	listed := 0
+	for _, n := range counts {
+		if n <= listMax(out.ncols) {
+			listed += n
+		}
+	}
+	flat := make([]uint32, listed)
 	for j, n := range counts {
 		switch {
 		case n > listMax(out.ncols):
 			out.setBits(j, make([]uint64, nwords(out.ncols)))
 		case n > 0:
-			out.rows[j] = make([]uint32, 0, n)
+			out.rows[j], flat = flat[:0:n], flat[n:]
 		}
 	}
 	for i := range a.rows {

@@ -92,6 +92,50 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// TestTransposeRowsOwnCapacity: Transpose cuts its list rows from one
+// array, so each must end at its own capacity: a Set that grows one
+// reallocates it and leaves its neighbours as they were. Columns past
+// the crossover become bitmap rows, and a double transpose gives back
+// the matrix over both forms.
+func TestTransposeRowsOwnCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	a, _ := randomMatrix(rng, 150, 40, 0.04)
+	for i := 0; i < 150; i += 2 {
+		a.Set(i, 7) // column 7 is past listMax(150) = 6: a bitmap row
+	}
+	at := Transpose(a)
+	mustValidate(t, at)
+	if at.bitRow(7) == nil {
+		t.Fatal("the dense column did not become a bitmap row")
+	}
+	lists := 0
+	for j, row := range at.rows {
+		if len(row) > 0 {
+			lists++
+			if cap(row) != len(row) {
+				t.Fatalf("row %d: capacity %d past its length %d", j, cap(row), len(row))
+			}
+		}
+	}
+	if lists < 10 {
+		t.Fatalf("only %d list rows", lists)
+	}
+	if !Transpose(at).Equal(a) {
+		t.Fatal("double transpose is not identity")
+	}
+	want := at.Clone()
+	for j := range at.rows {
+		if at.bitRow(j) == nil && len(at.rows[j]) > 0 && !at.Get(j, 149) {
+			at.Set(j, 149)
+			want.Set(j, 149)
+			if !at.Equal(want) {
+				t.Fatalf("Set on row %d wrote into another row", j)
+			}
+		}
+	}
+	mustValidate(t, at)
+}
+
 // Property: (A*B)^T == B^T * A^T.
 func TestTransposeOfProductProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))

@@ -28,7 +28,8 @@ func createApart(tx *Tx) error {
 // a fresh store every 50 writes so that what a write clones does not
 // grow with the run, and "carry" one cfpq.NewIndexWarm of a G1 index
 // that has processed sources 0-99 over such a write. Both decide whether the write grew the graph
-// apart (graph.GrewApart); the carry also clones the index's relations.
+// apart (graph.GrewApart); the carry also clones the index's derived
+// relations. Both report their bytes and allocations.
 func BenchmarkUpdateApart(b *testing.B) {
 	w := grammar.MustWCNF(grammar.G1())
 	for _, name := range []string{"core", "go-hierarchy"} {
@@ -38,6 +39,7 @@ func BenchmarkUpdateApart(b *testing.B) {
 		}
 		g := dataset.Generate(dataset.Scaled(spec, 1))
 		b.Run(name+"@1/update", func(b *testing.B) {
+			b.ReportAllocs()
 			var st *Store
 			for i := 0; i < b.N; i++ {
 				if i%50 == 0 {
@@ -49,6 +51,7 @@ func BenchmarkUpdateApart(b *testing.B) {
 			}
 		})
 		b.Run(name+"@1/carry", func(b *testing.B) {
+			b.ReportAllocs()
 			idx, err := cfpq.NewIndex(g, w)
 			if err != nil {
 				b.Fatal(err)

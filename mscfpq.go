@@ -23,6 +23,8 @@
 package mscfpq
 
 import (
+	"slices"
+
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/exec"
@@ -191,6 +193,11 @@ func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*BoolMatrix, e
 		var r *Result
 		if r, err = cfpq.AllPairsSemiNaive(g, w, opts...); err == nil {
 			answer = r.Start()
+			// A start that heads no binary rule may be a label relation,
+			// the graph's own matrix (cfpq.Result): hand out a copy.
+			if !slices.ContainsFunc(w.BinRules, func(b grammar.BinRule) bool { return b.A == w.Start }) {
+				answer = answer.Clone()
+			}
 		}
 	} else {
 		var r *MSResult

@@ -120,6 +120,40 @@ func TestFacadeSinglePathAndSemiNaive(t *testing.T) {
 	}
 }
 
+// TestFacadeAnswerIsACopy: an all-pairs start relation that is a label
+// relation is the graph's own matrix inside the driver, so EvalCFPQ
+// must hand out a copy: writing to the answer leaves the graph as it
+// was, inverse labels (the graph's cached transpose) included.
+func TestFacadeAnswerIsACopy(t *testing.T) {
+	g := NewGraph(4)
+	g.AddEdge(0, "a", 1)
+	g.AddEdge(2, "a", 3)
+	for _, text := range []string{"S -> a", "S -> a_r"} {
+		gr, err := ParseGrammar(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := ToWCNF(gr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := w.Terms[w.TermRules[0].Term]
+		before := g.EdgeMatrix(label).Clone()
+		answer, err := EvalCFPQ(g, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !answer.Equal(before) {
+			t.Fatalf("%s: answer %v, want %v", text, answer.Pairs(), before.Pairs())
+		}
+		answer.Set(3, 0)
+		answer.Set(1, 1)
+		if !g.EdgeMatrix(label).Equal(before) || g.HasEdge(3, label, 0) {
+			t.Fatalf("%s: writing to the answer changed the graph: %v", text, g.EdgeMatrix(label).Pairs())
+		}
+	}
+}
+
 // regexWCNF is the grammar EvalRPQ compiles a regex to.
 func regexWCNF(t *testing.T, query string) *WCNF {
 	t.Helper()
