@@ -148,8 +148,9 @@ bench-quick:
 # benchmark prints what one CREATE-shaped write costs through
 # Store.Update on core@1 and go-hierarchy@1, and what carrying a G1
 # index that processed a hundred sources across it costs
-# (cfpq.NewIndexWarm); both read the graph's lineage stamp
-# (graph.GrewApart, DESIGN.md §11), not its rows.
+# (cfpq.NewIndexWarm), onto one version and, as a lineage, onto a
+# version cut afresh (untimed) every op; all read the graph's lineage
+# stamp (graph.GrewApart, DESIGN.md §11), not its rows.
 bench-smoke:
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkObsOverhead$$' -benchmem . || exit 1; done
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)|BenchmarkClientReadout' -benchmem ./internal/resp

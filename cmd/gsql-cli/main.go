@@ -11,12 +11,10 @@
 //	delete [graph]         GRAPH.DELETE (the selected graph by default)
 //	save                   GRAPH.SAVE (snapshot, durable servers)
 //	explain <query>        GRAPH.EXPLAIN on the selected graph
-//	profile <query>        GRAPH.PROFILE on the selected graph
-//	                       (per-operator plan profile; a raw
-//	                       "PROFILE <query>" line lands here too)
-//	trace <query>          GRAPH.QUERY with the PROFILE prefix: the
-//	                       query's span tree (parse/plan/fixpoint
-//	                       rounds with kernel counters)
+//	profile <query>        GRAPH.PROFILE on the selected graph: the
+//	                       query's span tree (parse, plan, execute and
+//	                       its fixpoint rounds with kernel counters); a
+//	                       raw "PROFILE <query>" line lands here too
 //	info [section]         INFO (server metrics; sections: server, gdb,
 //	                       cache, kernels, durability, replication)
 //	slowlog [get [n]|len|reset]  the server's slow-query log
@@ -142,15 +140,6 @@ func repl(c *resp.Client, current string, in io.Reader, out io.Writer) error {
 			}
 			for _, l := range lines {
 				fmt.Fprintln(out, l)
-			}
-		case "trace":
-			reply, err := c.GraphQuery(current, "PROFILE "+rest)
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			for _, s := range reply.Stats {
-				fmt.Fprintln(out, s)
 			}
 		case "info", "slowlog":
 			if cmd == "slowlog" && rest == "" {

@@ -52,7 +52,7 @@ explain MATCH (v)-[:a]->(u) RETURN v
 profile MATCH (v)-[:a]->(u) RETURN v
 quit
 `)
-	for _, want := range []string{"PONG", "g\n", "0 | 1", "1 | 2", "CondTraverse", "Records produced"} {
+	for _, want := range []string{"PONG", "g\n", "0 | 1", "1 | 2", "CondTraverse", "query: ", "    execute: "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("repl output missing %q:\n%s", want, out)
 		}

@@ -4,7 +4,8 @@
 // The program starts the RESP server in-process, connects a client,
 // creates a graph with Cypher CREATE statements, and runs the paper's
 // listing-5 query (the a^n b^n named path pattern) plus a regular path
-// query, showing both the results and the execution plan.
+// query, showing the results, the execution plan and the span tree of
+// a profiled run.
 //
 // Run with: go run ./examples/fullstack
 package main
@@ -117,7 +118,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("profile of the path-pattern query:")
+	fmt.Println("span tree of the path-pattern query (GRAPH.PROFILE):")
 	for _, line := range profile {
 		fmt.Println("  " + line)
 	}

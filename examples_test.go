@@ -70,7 +70,7 @@ func TestExampleProvenance(t *testing.T) {
 }
 
 func TestExampleFullstack(t *testing.T) {
-	runExample(t, "fullstack", "execution plan", "a^n b^n pairs", "Records produced", "Vertices: 4")
+	runExample(t, "fullstack", "execution plan", "a^n b^n pairs", "    execute: ", "Vertices: 4")
 }
 
 func TestExampleRPQEngines(t *testing.T) {

@@ -32,18 +32,3 @@ func WriteFiguresCSV(w io.Writer, series []FigureSeries) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteReportCSV emits any report's rows as CSV.
-func WriteReportCSV(w io.Writer, rep *Report) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(rep.Columns); err != nil {
-		return err
-	}
-	for _, row := range rep.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
@@ -34,7 +35,7 @@ func checkDriverGrid(t *testing.T, g *graph.Graph, w *grammar.WCNF, src *matrix.
 	for _, restriction := range []string{"none", "sources", "sources+processed"} {
 		for _, witness := range []bool{false, true} {
 			cell := fmt.Sprintf("%s/witness=%v", restriction, witness)
-			tr := obs.NewTrace("driver")
+			tr := obs.NewTrace("driver", time.Now())
 			run, _ := exec.Build([]Option{WithTrace(tr)}).Start() // no timeout: nothing to cancel
 
 			// A restricted run seeds on activation; an unrestricted one

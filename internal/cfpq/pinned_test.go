@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/exec"
@@ -22,7 +23,7 @@ type work struct {
 
 func traced(t *testing.T, solve func(tr *obs.Trace) (*Result, error)) work {
 	t.Helper()
-	tr := obs.NewTrace("pinned")
+	tr := obs.NewTrace("pinned", time.Now())
 	r, err := solve(tr)
 	if err != nil {
 		t.Fatal(err)

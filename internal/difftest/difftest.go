@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"time"
 
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/exec"
@@ -69,7 +70,7 @@ func CheckCFPQ(inst gen.Instance) error {
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(true)
 	return checkEvaluators(inst, ref, " traced/metrics-off", func() cfpq.Option {
-		return cfpq.WithTrace(obs.NewTrace(obs.SpanDiffTest))
+		return cfpq.WithTrace(obs.NewTrace(obs.SpanDiffTest, time.Now()))
 	})
 }
 

@@ -416,39 +416,6 @@ func (db *DB) Stats(name string) ([]string, error) {
 	return out, nil
 }
 
-// Profile parses, plans and executes a MATCH statement with
-// per-operation instrumentation, returning the profile lines. It runs
-// what QueryContext runs — one pinned snapshot, the shared path-pattern
-// context, the caller's context and the policy's limits, the same query
-// accounting — but never reads or fills the result cache.
-func (db *DB) Profile(ctx context.Context, name, src string) ([]string, error) {
-	q, err := cypher.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if q.Match == nil {
-		return nil, fmt.Errorf("gdb: PROFILE requires a MATCH query")
-	}
-	s, err := db.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	snap := s.Snapshot()
-	var entries []plan.ProfileEntry
-	err = db.serve(ctx, name, src, q, nil, func(run *exec.Run) error {
-		p, err := s.prepare(snap, q, run)
-		if err != nil {
-			return err
-		}
-		_, entries, err = p.ExecuteProfiled(exec.WithRun(run))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return plan.RenderProfile(entries), nil
-}
-
 // prepare plans a MATCH query against a pinned snapshot, sharing the
 // cached path-pattern context of its declarations.
 func (s *GraphStore) prepare(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*plan.Plan, error) {

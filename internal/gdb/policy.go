@@ -111,8 +111,9 @@ func (db *DB) QueryCells(ctx context.Context, name, src string) (*QueryResult, e
 // anything parses it, so a hit, exact or revalidated
 // (GraphStore.unchanged), costs the lookup alone. Otherwise src is
 // parsed once: a CREATE commits, and a MATCH is evaluated at snap and
-// fills the cache. A PROFILE'd MATCH neither reads nor fills it, as
-// Profile does not: it is evaluated so that its span tree is rendered.
+// fills the cache. A PROFILE'd MATCH, which GRAPH.PROFILE also sends,
+// neither reads nor fills it: it is evaluated so that its span tree,
+// rooted at start, is rendered.
 func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap *store.Snapshot, start time.Time) (*QueryResult, error) {
 	var rkey store.Key
 	var known bool // rkey has an entry, so Lookup counted the miss
@@ -145,7 +146,7 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 	}
 	var trace *obs.Trace
 	if q.Profile {
-		trace = obs.NewTrace(obs.SpanQuery)
+		trace = obs.NewTrace(obs.SpanQuery, start)
 		trace.AddSpan(obs.SpanParse, parseDur)
 		cacheable = false
 	} else if cacheable && !known {

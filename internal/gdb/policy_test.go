@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"log"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mscfpq/internal/exec"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/obs"
 )
 
 // heavyStore returns a DB with a two-cycle graph whose a^n b^n query
@@ -161,10 +163,11 @@ func TestPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfileIsGoverned: GRAPH.PROFILE runs what GRAPH.QUERY runs, so
-// the work budget and the caller's context bound it, and it is counted
-// and slow-logged like a query. On a 400-vertex a-chain the closure
-// below has 79 800 answers; a budget of 10 must stop it.
+// TestProfileIsGoverned: a PROFILE'd statement, what GRAPH.PROFILE
+// sends, runs what GRAPH.QUERY runs, so the work budget and the
+// caller's context bound it, and it is counted and slow-logged like a
+// query. On a 400-vertex a-chain the closure below has 79 800 answers;
+// a budget of 10 must stop it.
 func TestProfileIsGoverned(t *testing.T) {
 	g := graph.New(400)
 	for i := 0; i+1 < 400; i++ {
@@ -177,25 +180,82 @@ func TestProfileIsGoverned(t *testing.T) {
 	if _, err := db.Query("g", q); !errors.Is(err, exec.ErrBudget) {
 		t.Fatalf("query err = %v, want exec.ErrBudget", err)
 	}
-	logged := db.SlowLog().Len()
-	if _, err := db.Profile(context.Background(), "g", q); !errors.Is(err, exec.ErrBudget) {
+	logged, queries := db.SlowLog().Len(), obs.GdbQueries.Value()
+	if _, err := db.QueryCells(context.Background(), "g", "PROFILE "+q); !errors.Is(err, exec.ErrBudget) {
 		t.Fatalf("profile err = %v, want exec.ErrBudget", err)
 	}
 	if got := db.SlowLog().Len(); got != logged+1 {
 		t.Fatalf("slow log holds %d entries after an aborted profile, want %d", got, logged+1)
 	}
+	if got := obs.GdbQueries.Value(); got != queries+1 {
+		t.Fatalf("gdb.queries moved by %d over an aborted profile, want 1", got-queries)
+	}
 
 	db.SetPolicy(Policy{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.Profile(ctx, "g", q); !errors.Is(err, context.Canceled) {
+	if _, err := db.QueryCells(ctx, "g", "PROFILE "+q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("profile under a cancelled context: err = %v, want context.Canceled", err)
 	}
-	lines, err := db.Profile(context.Background(), "g", q)
+	res, err := db.QueryCells(context.Background(), "g", "PROFILE "+q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 || !strings.Contains(strings.Join(lines, "\n"), "CFPQTraverse") {
-		t.Fatalf("profile lines = %q", lines)
+	if len(res.Profile) == 0 || !strings.HasPrefix(res.Profile[0], "query: ") ||
+		!strings.Contains(strings.Join(res.Profile, "\n"), "round 1: ") {
+		t.Fatalf("profile lines = %q", res.Profile)
 	}
+}
+
+// TestProfileRootCoversChildren: a PROFILE'd statement's root span runs
+// from its arrival, so it lasts at least as long as its children
+// together, the parse included. The statement's 4 000 ids make its
+// parse the longest stage by far, so a root started after the parse
+// falls short of the sum.
+func TestProfileRootCoversChildren(t *testing.T) {
+	g := graph.New(10)
+	for i := 0; i+1 < 10; i++ {
+		g.AddEdge(i, "a", i+1)
+	}
+	db := New()
+	db.AddGraph("g", g)
+	ids := make([]string, 4000)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
+	}
+	q := "PROFILE MATCH (v)-/ [:a]+ /->(to) WHERE id(v) IN [" + strings.Join(ids, ", ") + "] RETURN count(to)"
+	for range 3 {
+		res, err := db.QueryCells(context.Background(), "g", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, children := spanMS(t, res.Profile[0]), 0.0
+		var names []string
+		for _, l := range res.Profile[1:] {
+			if strings.HasPrefix(l, "    ") && !strings.HasPrefix(l, "        ") {
+				children += spanMS(t, l)
+				names = append(names, strings.TrimSpace(l[:strings.Index(l, ":")]))
+			}
+		}
+		if strings.Join(names, " ") != "parse plan execute" {
+			t.Fatalf("root's children are %q, want parse, plan, execute:\n%s", names, strings.Join(res.Profile, "\n"))
+		}
+		// Each line rounds to the microsecond.
+		if root+0.002 < children {
+			t.Fatalf("root %.3fms is shorter than its children's %.3fms:\n%s", root, children, strings.Join(res.Profile, "\n"))
+		}
+	}
+}
+
+// spanMS reads the duration off a rendered span line ("name: 1.234ms
+// [counters]").
+func spanMS(t *testing.T, line string) float64 {
+	t.Helper()
+	_, rest, _ := strings.Cut(line, ": ")
+	ms, _, _ := strings.Cut(rest, "ms")
+	d, err := strconv.ParseFloat(ms, 64)
+	if err != nil {
+		t.Fatalf("span line %q: %v", line, err)
+	}
+	return d
 }

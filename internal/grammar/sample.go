@@ -2,7 +2,6 @@ package grammar
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -115,16 +114,5 @@ func Enumerate(g *Grammar, maxLen int) map[string]bool {
 			}
 		}
 	}
-	return out
-}
-
-// Words returns the enumerated words of Enumerate as a sorted slice;
-// convenient in test failure messages.
-func Words(lang map[string]bool) []string {
-	out := make([]string, 0, len(lang))
-	for w := range lang {
-		out = append(out, w)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -133,10 +133,10 @@ const (
 // names drift away from what PROFILE consumers grep for; every span a
 // trace opens must use one of these or an obs helper like SpanRound.
 const (
-	SpanQuery    = "query"    // root span of one GRAPH.QUERY
-	SpanParse    = "parse"    // Cypher parse + plan build
-	SpanPlan     = "plan"     // plan-context resolution (grammar, index warmup)
-	SpanExecute  = "execute"  // fixpoint evaluation
+	SpanQuery    = "query"    // root span of one PROFILE'd statement, from its arrival
+	SpanParse    = "parse"    // the Cypher parse only
+	SpanPlan     = "plan"     // path-pattern context resolution (grammar, index) and plan build
+	SpanExecute  = "execute"  // the whole plan execution, fixpoint rounds included
 	SpanDiffTest = "difftest" // root span of a differential-harness run
 )
 

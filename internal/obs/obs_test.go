@@ -147,7 +147,7 @@ func TestConcurrentUpdates(t *testing.T) {
 }
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTrace("query")
+	tr := NewTrace("query", time.Now())
 	tr.AddSpan("parse", 5*time.Millisecond)
 	s := tr.Start("execute")
 	tr.Add(KeyMulOps, 2)

@@ -37,10 +37,12 @@ type Trace struct {
 	cur  *Span // innermost open span
 }
 
-// NewTrace starts a trace whose root span is open until Close.
-func NewTrace(name string) *Trace {
+// NewTrace starts a trace whose root span began at start and is open
+// until Close. A caller passes time.Now(), or the time its request
+// arrived when stages ran before it knew to trace them (AddSpan).
+func NewTrace(name string, start time.Time) *Trace {
 	t := &Trace{}
-	t.root = &Span{Name: name, start: time.Now(), t: t}
+	t.root = &Span{Name: name, start: start, t: t}
 	t.cur = t.root
 	return t
 }
@@ -92,8 +94,8 @@ func (t *Trace) Add(key string, n int64) {
 }
 
 // AddSpan records an already-measured stage as a completed child of
-// the innermost open span — how the parse stage (measured before the
-// trace exists) enters the tree. Nil-safe.
+// the innermost open span — how the parse stage, measured after the
+// root's start but before the trace exists, enters the tree. Nil-safe.
 func (t *Trace) AddSpan(name string, d time.Duration) {
 	if t == nil {
 		return

@@ -127,8 +127,7 @@ func colNames(cols []OutCol) []string {
 	return names
 }
 
-func (a *Aggregate) Child() Operation     { return a.child }
-func (a *Aggregate) setChild(c Operation) { a.child = c }
+func (a *Aggregate) Child() Operation { return a.child }
 
 // Sort orders the (already projected) records by output columns.
 type Sort struct {
@@ -196,8 +195,7 @@ func (s *Sort) Explain() string {
 	return "Sort(" + strings.Join(parts, ", ") + ")"
 }
 
-func (s *Sort) Child() Operation     { return s.child }
-func (s *Sort) setChild(c Operation) { s.child = c }
+func (s *Sort) Child() Operation { return s.child }
 
 // Paginate applies SKIP and LIMIT after projection (and sorting).
 type Paginate struct {
@@ -240,5 +238,4 @@ func (p *Paginate) Explain() string {
 	return fmt.Sprintf("Paginate(skip=%d, limit=%d)", p.skip, p.limit)
 }
 
-func (p *Paginate) Child() Operation     { return p.child }
-func (p *Paginate) setChild(c Operation) { p.child = c }
+func (p *Paginate) Child() Operation { return p.child }

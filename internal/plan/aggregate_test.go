@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -97,23 +98,19 @@ func TestProfiledAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, entries, err := p.ExecuteProfiled()
+	// Paginate, Sort, Aggregate must all appear in the plan, in that
+	// order from the root.
+	out := p.Explain()
+	if !contains(out, "Paginate") || !contains(out, "Sort") || !contains(out, "Aggregate") ||
+		strings.Index(out, "Paginate") > strings.Index(out, "Sort") || strings.Index(out, "Sort") > strings.Index(out, "Aggregate") {
+		t.Fatalf("explain:\n%s", out)
+	}
+	rs, err := p.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows()) != 2 {
-		t.Fatalf("rows = %v", rs.Rows())
-	}
-	// Paginate, Sort, Aggregate must all appear in the profile.
-	joined := ""
-	for _, e := range entries {
-		joined += e.Op + "\n"
-	}
-	for _, want := range []string{"Paginate", "Sort", "Aggregate"} {
-		if !contains(joined, want) {
-			t.Fatalf("profile missing %q:\n%s", want, joined)
-		}
-	}
+	// The two least sources: 0 reaches 1, and 1 reaches 2 and 5.
+	expectRows(t, rs, [][]int64{{0, 1}, {1, 2}})
 }
 
 // countDecl is a same-generation pattern over paperGraph: S relates 3
@@ -121,8 +118,8 @@ func TestProfiledAggregate(t *testing.T) {
 const countDecl = `PATH PATTERN S = ()-/ [:c ~S :d] | [:c (:y) :d] /->() `
 
 // TestCountRowsPlanned: counts alone over a traverse with a free,
-// unfiltered destination plan CountRows, which EXPLAIN and PROFILE name,
-// and answer what counting the records would.
+// unfiltered destination plan CountRows, which EXPLAIN names at the
+// plan's root, and answer what counting the records would.
 func TestCountRowsPlanned(t *testing.T) {
 	for _, c := range []struct {
 		text string
@@ -138,15 +135,12 @@ func TestCountRowsPlanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := p.Explain(); !contains(out, "CountRows(") || contains(out, "Aggregate") {
+		if out := p.Explain(); !strings.HasPrefix(out, "CountRows(") || contains(out, "Aggregate") {
 			t.Fatalf("%s: explain:\n%s", c.text, out)
 		}
-		rs, entries, err := p.ExecuteProfiled()
+		rs, err := p.Execute()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !contains(entries[0].Op, "CountRows(") || entries[0].Records != len(c.want) {
-			t.Fatalf("%s: profile %+v", c.text, entries)
 		}
 		expectRows(t, rs, c.want)
 	}

@@ -227,8 +227,9 @@ func (c *Client) GraphExplain(graph, query string) ([]string, error) {
 	return out, nil
 }
 
-// GraphProfile runs GRAPH.PROFILE and returns the instrumented plan
-// lines.
+// GraphProfile runs GRAPH.PROFILE and returns the query's rendered span
+// tree, the lines GraphQuery of the PROFILE-prefixed query carries
+// after its statistics.
 func (c *Client) GraphProfile(graph, query string) ([]string, error) {
 	v, err := c.Do("GRAPH.PROFILE", graph, query)
 	if err != nil {

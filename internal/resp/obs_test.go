@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -164,6 +165,78 @@ func TestServerProfileSpanTree(t *testing.T) {
 	if len(plain.Rows) != len(reply.Rows) {
 		t.Fatalf("PROFILE changed answers: %d rows vs %d", len(reply.Rows), len(plain.Rows))
 	}
+}
+
+// TestGraphProfileIsThePrefixedSpanTree: GRAPH.PROFILE replies with the
+// span tree GRAPH.QUERY "PROFILE <q>" carries in its statistics: the
+// same spans in the same nesting (query over parse, plan and execute,
+// execute over the fixpoint rounds), kernel counter totals equal to the
+// registry's delta over the command, and the result cache untouched —
+// its entries, hits and misses stay as they were, even for a cached text.
+func TestGraphProfileIsThePrefixedSpanTree(t *testing.T) {
+	srv, addr := startTestServer(t)
+	srv.DB.SetPolicy(gdb.Policy{CacheMaxBytes: 1 << 20})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for range 2 { // one miss that fills the cache, one hit
+		if _, err := c.GraphQuery("cycles", anbnQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := srv.DB.Cache().Stats()
+	if cached.Entries != 1 || cached.Hits != 1 || cached.Misses != 1 {
+		t.Fatalf("cache after a miss and a hit: %+v", cached)
+	}
+	// Renamed patterns run cold, so each evaluation has its rounds.
+	cold := func(name string) string { return strings.ReplaceAll(anbnQuery, "S", name) }
+
+	before := obs.Default.Snapshot()
+	lines, err := c.GraphProfile("cycles", cold("P"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := obs.Default.Snapshot().Sub(before)
+	prefixed, err := c.GraphQuery("cycles", "PROFILE "+cold("Q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GraphProfile("cycles", anbnQuery); err != nil {
+		t.Fatal(err)
+	}
+	if after := srv.DB.Cache().Stats(); after.Entries != cached.Entries || after.Hits != cached.Hits || after.Misses != cached.Misses {
+		t.Fatalf("GRAPH.PROFILE moved the cache: %+v → %+v", cached, after)
+	}
+
+	tree := strings.Join(lines, "\n")
+	shape := spanShape(lines)
+	if got, want := shape, spanShape(prefixed.Stats[3:]); !slices.Equal(got, want) {
+		t.Fatalf("GRAPH.PROFILE spans %q, the prefixed query's %q", got, want)
+	}
+	if len(shape) < 5 || !slices.Equal(shape[:4], []string{"query", "    parse", "    plan", "    execute"}) {
+		t.Fatalf("span tree shape %q:\n%s", shape, tree)
+	}
+	for k, s := range shape[4:] {
+		if want := "        " + obs.SpanRound(k+1); s != want {
+			t.Fatalf("span %d under execute is %q, want %q:\n%s", k+1, s, want, tree)
+		}
+	}
+	for _, key := range []string{obs.KeyMulOps, obs.KeyMulNNZ, obs.KeyAddOps} {
+		if total := spanTotal(t, tree, key); total != delta[key] || total == 0 {
+			t.Errorf("%s: span total %d, registry delta %d\n%s", key, total, delta[key], tree)
+		}
+	}
+}
+
+// spanShape strips a rendered span tree to each span's indented name.
+func spanShape(lines []string) []string {
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i], _, _ = strings.Cut(l, ":")
+	}
+	return out
 }
 
 // spanTotal sums the key=value counters a rendered span tree carries

@@ -145,14 +145,6 @@ func (s *Server) refuse(conn net.Conn) {
 	_ = w.Flush()
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if _, err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Close stops the server immediately: in-flight queries are cancelled,
 // the listener and every open connection are closed. Use Shutdown for a
 // graceful stop that drains in-flight queries first.
@@ -499,11 +491,13 @@ func (s *Server) execute(args []string) (rep reply, quit bool) {
 		if len(args) != 3 {
 			return Errorf("usage: GRAPH.PROFILE <graph> <query>"), false
 		}
-		lines, err := s.DB.Profile(s.baseCtx, args[1], args[2])
+		// GRAPH.QUERY of the statement with the PROFILE prefix, answered
+		// by the span tree its statistics section would carry.
+		res, err := s.DB.QueryCells(s.baseCtx, args[1], "PROFILE "+args[2])
 		if err != nil {
 			return Errorf("%v", err), false
 		}
-		return bulks(lines), false
+		return bulks(res.Profile), false
 	case "GRAPH.SAVE":
 		if len(args) != 1 {
 			return Errorf("usage: GRAPH.SAVE"), false

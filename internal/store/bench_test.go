@@ -6,6 +6,7 @@ import (
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/grammar"
+	"mscfpq/internal/graph"
 	"mscfpq/internal/matrix"
 )
 
@@ -29,7 +30,11 @@ func createApart(tx *Tx) error {
 // grow with the run, and "carry" one cfpq.NewIndexWarm of a G1 index
 // that has processed sources 0-99 over such a write. Both decide whether the write grew the graph
 // apart (graph.GrewApart); the carry also clones the index's derived
-// relations. Both report their bytes and allocations.
+// relations. "carry" reads one snapshot every op, so what a carry pays
+// once per graph version shows in "lineage": each op cuts a new version
+// (untimed) and carries the previous op's index onto it, back to the
+// first index and a fresh store every 50 writes, as "update" does. All
+// report their bytes and allocations.
 func BenchmarkUpdateApart(b *testing.B) {
 	w := grammar.MustWCNF(grammar.G1())
 	for _, name := range []string{"core", "go-hierarchy"} {
@@ -52,17 +57,7 @@ func BenchmarkUpdateApart(b *testing.B) {
 		})
 		b.Run(name+"@1/carry", func(b *testing.B) {
 			b.ReportAllocs()
-			idx, err := cfpq.NewIndex(g, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := make([]int, 100)
-			for v := range src {
-				src[v] = v
-			}
-			if _, err := idx.MultiSourceSmart(matrix.NewVectorFromIndices(g.NumVertices(), src)); err != nil {
-				b.Fatal(err)
-			}
+			idx := solvedIndex(b, g, w)
 			snap, err := New(g).Update(createApart)
 			if err != nil {
 				b.Fatal(err)
@@ -74,5 +69,43 @@ func BenchmarkUpdateApart(b *testing.B) {
 				}
 			}
 		})
+		b.Run(name+"@1/lineage", func(b *testing.B) {
+			b.ReportAllocs()
+			first := solvedIndex(b, g, w)
+			var st *Store
+			var idx *cfpq.Index
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if i%50 == 0 {
+					st, idx = New(g), first
+				}
+				snap, err := st.Update(createApart)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if idx, err = cfpq.NewIndexWarm(snap.Graph(), w, idx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// solvedIndex returns a G1 index over g that has processed sources 0-99.
+func solvedIndex(b *testing.B, g *graph.Graph, w *grammar.WCNF) *cfpq.Index {
+	b.Helper()
+	idx, err := cfpq.NewIndex(g, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := make([]int, 100)
+	for v := range src {
+		src[v] = v
+	}
+	if _, err := idx.MultiSourceSmart(matrix.NewVectorFromIndices(g.NumVertices(), src)); err != nil {
+		b.Fatal(err)
+	}
+	return idx
 }

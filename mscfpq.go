@@ -24,6 +24,7 @@ package mscfpq
 
 import (
 	"slices"
+	"time"
 
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/dataset"
@@ -69,13 +70,15 @@ var (
 	// WithTrace attaches a per-query trace recording stage spans and
 	// kernel counter deltas.
 	WithTrace = exec.WithTrace
-	// NewTrace starts a trace for WithTrace; call Trace.Close when the
-	// query returns, then Trace.Render or Trace.Root to inspect it.
-	NewTrace = obs.NewTrace
 
 	// ErrBudget is returned when a query exceeds its work budget.
 	ErrBudget = exec.ErrBudget
 )
+
+// NewTrace starts a trace for WithTrace, its root span open from now;
+// call Trace.Close when the query returns, then Trace.Render or
+// Trace.Root to inspect it.
+func NewTrace(name string) *Trace { return obs.NewTrace(name, time.Now()) }
 
 // Core data model.
 type (
