@@ -150,7 +150,10 @@ bench-quick:
 # index that processed a hundred sources across it costs
 # (cfpq.NewIndexWarm), onto one version and, as a lineage, onto a
 # version cut afresh (untimed) every op; all read the graph's lineage
-# stamp (graph.GrewApart, DESIGN.md §11), not its rows.
+# stamp (graph.GrewApart, DESIGN.md §11), not its rows. The restore
+# benchmark prints what GRAPH.RESTORE's parse of a go-hierarchy@0.25
+# dump costs (gdb.ReadStore, one pass over the dump), in bytes and
+# allocations per restore.
 bench-smoke:
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkObsOverhead$$' -benchmem . || exit 1; done
 	$(GO) test -run '^$$' -bench 'BenchmarkReply(Encode|Decode)|BenchmarkClientReadout' -benchmem ./internal/resp
@@ -158,7 +161,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel(DenseCold|SmartSweep|ManyRounds)$$' -cpu 1,2 -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulAddRows$$' -cpu 1,2 -benchmem ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkTraverseHop$$|BenchmarkExecuteReadout$$' -benchmem ./internal/plan
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$' -benchmem ./internal/gdb
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit$$|BenchmarkCachedAnswersGC$$|BenchmarkReadStore$$' -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchmem ./internal/cypher
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseColdStatement$$' -benchtime 40x -cpu 1,2 -benchmem ./internal/gdb
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseSweepStatement$$' -benchtime 620x -cpu 1,2 -benchmem ./internal/gdb

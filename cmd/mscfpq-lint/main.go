@@ -16,11 +16,14 @@
 //	            behind a declared failpoint
 //	obscatalog  metric/span names resolve to the internal/obs catalog,
 //	            and the catalog carries no dead entries
+//	deadexport  every exported name in internal/ and cmd/ has a caller
+//	            outside its own package's tests
 //
 // Findings may be suppressed with `//lint:ignore <analyzer> <reason>`
 // on (or directly above) the flagged line; the reason is mandatory.
 // `-unused-suppressions` reports ignore comments that no longer
-// silence anything.
+// silence anything, and deadexport allowlist entries that no longer
+// keep a name.
 //
 // Usage:
 //
@@ -44,6 +47,7 @@ import (
 
 	"mscfpq/internal/analysis"
 	"mscfpq/internal/analysis/atomicfield"
+	"mscfpq/internal/analysis/deadexport"
 	"mscfpq/internal/analysis/detrange"
 	"mscfpq/internal/analysis/errdrop"
 	"mscfpq/internal/analysis/failcover"
@@ -63,6 +67,7 @@ var analyzers = []*analysis.Analyzer{
 	snapfreeze.Analyzer,
 	failcover.Analyzer,
 	obscatalog.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {
@@ -175,7 +180,14 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stderr, "mscfpq-lint:", err)
 			return 2
 		}
-		diags = append(diags, ds...)
+		for _, d := range ds {
+			// A module analyzer files its stale allowlist entries under
+			// "suppressions"; like stale ignore comments, they are
+			// reported only on request.
+			if d.Analyzer != "suppressions" || *unused {
+				diags = append(diags, d)
+			}
+		}
 		for _, u := range allUnits {
 			markRan(u, a.Name)
 		}

@@ -136,7 +136,7 @@ func TestHelpListsAnalyzers(t *testing.T) {
 			t.Errorf("-help does not mention analyzer %s", a.Name)
 		}
 	}
-	if len(analyzers) != 8 {
-		t.Errorf("suite has %d analyzers, want 8", len(analyzers))
+	if len(analyzers) != 9 {
+		t.Errorf("suite has %d analyzers, want 9", len(analyzers))
 	}
 }

@@ -42,24 +42,14 @@ func IsGovernorType(t types.Type) bool {
 		strings.HasSuffix(obj.Pkg().Path(), "internal/exec") && obj.Name() == "Run"
 }
 
-// IsMutexType reports whether t is sync.Mutex or sync.RWMutex (rw tells
-// which).
-func IsMutexType(t types.Type) (ok, rw bool) {
+// IsMutexType reports whether t is sync.Mutex or sync.RWMutex.
+func IsMutexType(t types.Type) bool {
 	named, isNamed := t.(*types.Named)
 	if !isNamed {
-		return false, false
+		return false
 	}
 	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false, false
-	}
-	switch obj.Name() {
-	case "Mutex":
-		return true, false
-	case "RWMutex":
-		return true, true
-	}
-	return false, false
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // HasWriteMethod reports whether t (or *t) has a Write([]byte) (int,

@@ -56,7 +56,6 @@ var guardedRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 // guardInfo describes one annotated field.
 type guardInfo struct {
 	mutex string // sibling mutex field name
-	rw    bool   // mutex is an RWMutex
 }
 
 func run(pass *analysis.Pass) error {
@@ -91,14 +90,13 @@ func collectGuards(pass *analysis.Pass) map[types.Object]guardInfo {
 				if mu == "" {
 					continue
 				}
-				ok, rw := findMutex(pass, st, mu)
-				if !ok {
+				if !findMutex(pass, st, mu) {
 					pass.Reportf(field.Pos(), "field is annotated `guarded by %s` but the struct has no sync.Mutex/RWMutex field named %q", mu, mu)
 					continue
 				}
 				for _, name := range field.Names {
 					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						guards[obj] = guardInfo{mutex: mu, rw: rw}
+						guards[obj] = guardInfo{mutex: mu}
 					}
 				}
 			}
@@ -120,7 +118,7 @@ func annotation(field *ast.Field) string {
 	return ""
 }
 
-func findMutex(pass *analysis.Pass, st *ast.StructType, name string) (ok, rw bool) {
+func findMutex(pass *analysis.Pass, st *ast.StructType, name string) bool {
 	for _, field := range st.Fields.List {
 		for _, n := range field.Names {
 			if n.Name != name {
@@ -131,13 +129,7 @@ func findMutex(pass *analysis.Pass, st *ast.StructType, name string) (ok, rw boo
 			}
 		}
 	}
-	return false, false
-}
-
-// lockEvent is one mutex operation at a source position.
-type lockEvent struct {
-	pos  token.Pos
-	kind string // "Lock", "Unlock", "RLock", "RUnlock"
+	return false
 }
 
 // checkScope analyzes one function scope (a FuncDecl body or a FuncLit

@@ -134,10 +134,6 @@ func (idx *Index) Queries() int {
 	return idx.queries
 }
 
-// CachedSources returns the set of vertices whose start-nonterminal
-// paths are already fully computed.
-func (idx *Index) CachedSources() *matrix.Vector { return idx.ProcessedSources(idx.W.Start) }
-
 // MultiSourceSmart evaluates a multiple-source query against the cache
 // (Algorithm 3). Vertices of src already present in the index are
 // filtered out up front (line 3); during the fixpoint, propagated

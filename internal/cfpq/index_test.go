@@ -66,7 +66,7 @@ func TestSmartChunkedEqualsFreshProperty(t *testing.T) {
 						t.Fatalf("trial %d chunk %d-%d: smart differs from fresh\nsmart: %v\nfresh: %v",
 							trial, lo, hi, smart.Answer().Pairs(), fresh.Answer().Pairs())
 					}
-					cached := idx.CachedSources().NVals()
+					cached := idx.ProcessedSources(idx.W.Start).NVals()
 					if cached < prevCached {
 						t.Fatalf("cache shrank: %d -> %d", prevCached, cached)
 					}
@@ -94,7 +94,7 @@ func TestSmartRepeatedQueryIsCached(t *testing.T) {
 	}
 	// All requested sources must now be cached (propagation may cache
 	// more: sub-derivations make their mid vertices S-sources too).
-	cached := idx.CachedSources()
+	cached := idx.ProcessedSources(idx.W.Start)
 	for _, v := range src.Ints() {
 		if !cached.Get(v) {
 			t.Fatalf("source %d not cached; cached = %v", v, cached)
@@ -108,7 +108,7 @@ func TestSmartRepeatedQueryIsCached(t *testing.T) {
 	if !second.Answer().Equal(first.Answer()) {
 		t.Fatal("repeated query answer differs")
 	}
-	if idx.CachedSources().NVals() != cached.NVals() {
+	if idx.ProcessedSources(idx.W.Start).NVals() != cached.NVals() {
 		t.Fatal("cache grew on repeated query")
 	}
 }

@@ -44,16 +44,6 @@ type Result struct {
 	Work   int64
 }
 
-// Matrix returns the relation matrix of the named nonterminal; nil if
-// the nonterminal does not exist.
-func (r *Result) Matrix(nonterm string) *matrix.Bool {
-	id := r.W.NontermID(nonterm)
-	if id < 0 {
-		return nil
-	}
-	return r.T[id]
-}
-
 // Start returns the relation matrix of the start nonterminal.
 func (r *Result) Start() *matrix.Bool { return r.T[r.W.Start] }
 
@@ -63,12 +53,6 @@ func (r *Result) Pairs() [][2]int { return r.Start().Pairs() }
 // PairsFrom returns the start-relation pairs whose source is in src.
 func (r *Result) PairsFrom(src *matrix.Vector) [][2]int {
 	return matrix.ExtractRows(r.Start(), src).Pairs()
-}
-
-// ReachableFrom returns the set of vertices to such that (v, to) is in
-// the start relation for some v in src.
-func (r *Result) ReachableFrom(src *matrix.Vector) *matrix.Vector {
-	return matrix.ReduceCols(matrix.ExtractRows(r.Start(), src))
 }
 
 // newResult allocates empty relation matrices for every nonterminal.

@@ -12,7 +12,7 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &qparser{toks: toks, src: src}
+	p := &qparser{toks: toks}
 	q, err := p.query()
 	if err != nil {
 		return nil, err
@@ -31,7 +31,6 @@ const MaxPathDepth = 1000
 type qparser struct {
 	toks []token
 	pos  int
-	src  string
 	open int // brackets of the path expression being parsed, open at pos
 }
 

@@ -11,7 +11,6 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"mscfpq/internal/graph"
 )
@@ -84,17 +83,6 @@ func ByName(name string) (Spec, error) {
 		}
 	}
 	return Spec{}, fmt.Errorf("dataset: unknown graph %q", name)
-}
-
-// Names returns the sorted registry graph names.
-func Names() []string {
-	specs := Registry()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Scaled returns the spec with every size multiplied by f (>0, typically
@@ -221,29 +209,8 @@ func addHierarchy(g *graph.Graph, rng *rand.Rand, label string, n, budget, targe
 	}
 }
 
-// TwoCycles builds the classic CFPQ stress input: a cycle of p a-edges
-// and a cycle of q b-edges sharing vertex 0. Worst case for a^n b^n
-// queries; used by ablation benches and tests.
-func TwoCycles(p, q int) *graph.Graph {
-	if p < 1 || q < 1 {
-		panic("dataset: cycle lengths must be positive")
-	}
-	g := graph.New(p + q - 1)
-	for i := 0; i < p-1; i++ {
-		g.AddEdge(i, "a", i+1)
-	}
-	g.AddEdge(p-1, "a", 0)
-	prev := 0
-	for i := 0; i < q-1; i++ {
-		g.AddEdge(prev, "b", p+i)
-		prev = p + i
-	}
-	g.AddEdge(prev, "b", 0)
-	return g
-}
-
 // LinearChain builds a chain of n a-edges followed by n b-edges, the
-// benign counterpart of TwoCycles.
+// benign counterpart of the two-cycle a^n b^n worst case.
 func LinearChain(n int) *graph.Graph {
 	g := graph.New(2*n + 1)
 	for i := 0; i < n; i++ {

@@ -160,15 +160,6 @@ func (r *Run) Charge(n int) error {
 	return r.Err()
 }
 
-// Trace returns the trace attached to this run (nil for untraced or
-// nil runs).
-func (r *Run) Trace() *obs.Trace {
-	if r == nil {
-		return nil
-	}
-	return r.trace
-}
-
 // StartSpan opens a named stage span on the run's trace. End the
 // returned span when the stage finishes. A no-op (returning nil, which
 // is safe to End) for untraced or nil runs.

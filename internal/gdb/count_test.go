@@ -50,7 +50,7 @@ func TestCountRowsKeepsFootprint(t *testing.T) {
 		t.Fatalf("revalidated count = %v, want [[2]]", again.Rows)
 	}
 	var fp *store.Footprint
-	db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Version()+1, func(_ uint64, f *store.Footprint) bool {
+	db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Snapshot().Version()+1, func(_ uint64, f *store.Footprint) bool {
 		fp = f
 		return false
 	})

@@ -84,7 +84,6 @@ type GraphStore struct {
 
 	ctxMu    sync.Mutex
 	ctxCache map[string]*ctxSlot // guarded by ctxMu
-	ctxHits  atomic.Int64
 }
 
 // ctxSlot holds the path-pattern context of one declaration set. Its
@@ -127,10 +126,6 @@ func NewGraphStore(g *graph.Graph) *GraphStore {
 // Snapshot pins the current version for lock-free evaluation.
 func (s *GraphStore) Snapshot() *store.Snapshot { return s.st.Pin() }
 
-// Version returns the current graph version (0 = initial state, +1 per
-// committed write).
-func (s *GraphStore) Version() uint64 { return s.st.Version() }
-
 // StoreID returns the process-unique identity of the backing store
 // (part of every cache key).
 func (s *GraphStore) StoreID() uint64 { return s.st.ID() }
@@ -164,7 +159,6 @@ func (s *GraphStore) pathCtxFor(snap *store.Snapshot, q *cypher.Query) (*plan.Pa
 	}
 	sl := s.slot(plan.CtxKey(q.PathPatterns), true)
 	if c := sl.cur.Load(); c != nil && c.version == snap.Version() {
-		s.ctxHits.Add(1)
 		return c.ctx, nil
 	}
 	c, err := sl.advance(snap, q.PathPatterns)
@@ -238,11 +232,6 @@ func (s *GraphStore) unchanged(snap *store.Snapshot, at uint64, fp *store.Footpr
 	idx := fp.Sources.Indices()
 	return len(idx) == 0 || int(idx[len(idx)-1]) < snap.Graph().NumVertices()
 }
-
-// CtxCacheHits reports how many queries reused a cached path-pattern
-// context (and its warmed multiple-source index) at the exact same
-// version. Warm starts across versions are not counted.
-func (s *GraphStore) CtxCacheHits() int { return int(s.ctxHits.Load()) }
 
 // Graph exposes the current version's graph. Read-only once the store
 // is serving queries: direct mutation bypasses versioning (copy-on-write

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"mscfpq/internal/cypher"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/plan"
 	"mscfpq/internal/store"
 )
 
@@ -198,13 +200,29 @@ func TestPathCtxCacheReuse(t *testing.T) {
 		PATH PATTERN S = ()-/ [:c ~S :d] | [:c (:y) :d] /->()
 		MATCH (v)-/ ~S /->(to)
 		RETURN v, to`
+	other := `
+		PATH PATTERN P = ()-/ [:a :b] /->()
+		MATCH (v)-/ ~P /->(to)
+		RETURN v, to`
+	// cached is the context the store keeps for a query's declarations.
+	cached := func(text string) *cachedCtx {
+		q, err := cypher.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sl := s.slot(plan.CtxKey(q.PathPatterns), false); sl != nil {
+			return sl.cur.Load()
+		}
+		return nil
+	}
 	first := rows(t, db, "D", query)
-	if s.CtxCacheHits() != 0 {
-		t.Fatal("first query must miss the cache")
+	c1 := cached(query)
+	if c1 == nil || c1.version != s.Snapshot().Version() {
+		t.Fatalf("first query must cache its context at the current version: %+v", c1)
 	}
 	second := rows(t, db, "D", query)
-	if s.CtxCacheHits() != 1 {
-		t.Fatalf("second query must hit the cache (hits=%d)", s.CtxCacheHits())
+	if cached(query) != c1 {
+		t.Fatal("second query must reuse the cached context")
 	}
 	if len(first) != len(second) {
 		t.Fatalf("cached answer differs: %v vs %v", first, second)
@@ -214,19 +232,17 @@ func TestPathCtxCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := rows(t, db, "D", query)
-	if s.CtxCacheHits() != 1 {
-		t.Fatalf("post-write query must rebuild the context (hits=%d)", s.CtxCacheHits())
+	c3 := cached(query)
+	if c3 == c1 || c3.version != s.Snapshot().Version() {
+		t.Fatalf("post-write query must rebuild the context at the new version: %+v", c3)
 	}
 	if len(third) != len(first) {
 		t.Fatalf("answer changed after unrelated write: %v vs %v", third, first)
 	}
 	// A different pattern set gets its own context.
-	rows(t, db, "D", `
-		PATH PATTERN P = ()-/ [:a :b] /->()
-		MATCH (v)-/ ~P /->(to)
-		RETURN v, to`)
-	if s.CtxCacheHits() != 1 {
-		t.Fatal("different declarations must not hit the cache")
+	rows(t, db, "D", other)
+	if c := cached(other); c == nil || c == c3 || cached(query) != c3 {
+		t.Fatal("different declarations must get their own context")
 	}
 }
 

@@ -113,7 +113,7 @@ func wideDB(tb testing.TB) (*DB, *GraphStore, *QueryResult) {
 // answer cuts its row headers within hitAllocs.
 func TestCachedAnswerIsFlat(t *testing.T) {
 	db, s, want := wideDB(t)
-	v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), wideQuery), s.Version(), nil)
+	v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), wideQuery), s.Snapshot().Version(), nil)
 	a, ok := v.(*answer)
 	if !hit || !ok {
 		t.Fatalf("cached value %T (hit %v), want *answer", v, hit)
@@ -216,7 +216,7 @@ func TestCacheChargesCellsOnly(t *testing.T) {
 		if _, err := db.Query("g", text); err != nil {
 			t.Fatal(err)
 		}
-		v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Version(), nil)
+		v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Snapshot().Version(), nil)
 		if !hit {
 			t.Fatalf("%s: not cached", text)
 		}

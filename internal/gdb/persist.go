@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -53,66 +54,108 @@ func WriteStore(w io.Writer, s *GraphStore) error {
 	return bw.Flush()
 }
 
-// ReadStore deserializes a graph store written by WriteStore.
+// ReadStore deserializes a graph store written by WriteStore. It reads
+// the dump once: graph lines stream on to graph.Read, and prop lines
+// are parsed on the way. Every error names the dump's line.
 func ReadStore(r io.Reader) (*GraphStore, error) {
-	// Split property lines from the graph body: the graph reader rejects
-	// them, so filter in one pass.
-	var graphLines, propLines []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(strings.TrimSpace(line), "prop ") {
-			propLines = append(propLines, strings.TrimSpace(line))
-		} else {
-			graphLines = append(graphLines, line)
-		}
+	d := &dumpLines{sc: bufio.NewScanner(r)}
+	d.sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	g, err := graph.Read(d)
+	if d.err != nil {
+		return nil, d.err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("gdb: read store: %w", err)
-	}
-	g, err := graph.Read(strings.NewReader(strings.Join(graphLines, "\n")))
 	if err != nil {
 		return nil, err
 	}
 	s := NewGraphStore(g)
-	if len(propLines) > 0 {
-		// One versioned update for the whole property block: the
-		// restored store lands at version 1, not one version per line.
-		if _, err := s.st.Update(func(tx *store.Tx) error {
-			for _, line := range propLines {
-				fields := strings.SplitN(line, " ", 5)
-				if len(fields) != 5 {
-					return fmt.Errorf("gdb: bad prop line %q", line)
-				}
-				v, err := strconv.Atoi(fields[1])
-				if err != nil || v < 0 || v >= g.NumVertices() {
-					return fmt.Errorf("gdb: bad prop vertex %q", fields[1])
-				}
-				key := fields[2]
-				switch fields[3] {
-				case "i":
-					n, err := strconv.ParseInt(fields[4], 10, 64)
-					if err != nil {
-						return fmt.Errorf("gdb: bad int prop %q", fields[4])
-					}
-					tx.SetProp(v, key, cypher.Value{Int: n, IsInt: true})
-				case "s":
-					str, err := strconv.Unquote(fields[4])
-					if err != nil {
-						return fmt.Errorf("gdb: bad string prop %q", fields[4])
-					}
-					tx.SetProp(v, key, cypher.Value{Str: str})
-				default:
-					return fmt.Errorf("gdb: unknown prop kind %q", fields[3])
-				}
+	if len(d.props) == 0 {
+		return s, nil
+	}
+	// One versioned update for the whole property block: the restored
+	// store lands at version 1, not one version per line.
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		for _, p := range d.props {
+			if p.v >= g.NumVertices() {
+				return fmt.Errorf("gdb: line %d: bad prop vertex %d", p.line, p.v)
 			}
-			return nil
-		}); err != nil {
-			return nil, err
+			tx.SetProp(p.v, p.key, p.val)
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// dumpLines is the reader graph.Read gets from ReadStore: it hands on
+// a dump's graph lines and parses its prop lines, leaving an empty line
+// in their place so graph.Read numbers lines as the dump does.
+type dumpLines struct {
+	sc        *bufio.Scanner
+	line      int
+	buf, rest []byte // the current line and its part not yet handed on
+	props     []prop
+	err       error // the first bad line, which ends the read
+}
+
+// prop is one parsed prop line of a dump.
+type prop struct {
+	line, v int
+	key     string
+	val     cypher.Value
+}
+
+func (d *dumpLines) Read(p []byte) (int, error) {
+	for len(d.rest) == 0 {
+		if d.err != nil {
+			return 0, d.err
+		}
+		if !d.sc.Scan() {
+			if err := d.sc.Err(); err != nil {
+				d.err = fmt.Errorf("gdb: read store: line %d: %w", d.line+1, err)
+				continue
+			}
+			return 0, io.EOF
+		}
+		d.line++
+		line := d.sc.Bytes()
+		if t := bytes.TrimSpace(line); bytes.HasPrefix(t, []byte("prop ")) {
+			line, d.err = nil, d.parseProp(string(t))
+		}
+		d.buf = append(append(d.buf[:0], line...), '\n')
+		d.rest = d.buf
+	}
+	n := copy(p, d.rest)
+	d.rest = d.rest[n:]
+	return n, nil
+}
+
+// parseProp parses one prop line ("prop <vertex> <key> <kind> <value>").
+func (d *dumpLines) parseProp(line string) error {
+	fields := strings.SplitN(line, " ", 5)
+	if len(fields) != 5 {
+		return fmt.Errorf("gdb: line %d: bad prop line %q", d.line, line)
+	}
+	v, err := strconv.Atoi(fields[1])
+	if err != nil || v < 0 {
+		return fmt.Errorf("gdb: line %d: bad prop vertex %q", d.line, fields[1])
+	}
+	var val cypher.Value
+	switch fields[3] {
+	case "i":
+		val.Int, err = strconv.ParseInt(fields[4], 10, 64)
+		val.IsInt = true
+	case "s":
+		val.Str, err = strconv.Unquote(fields[4])
+	default:
+		return fmt.Errorf("gdb: line %d: unknown prop kind %q", d.line, fields[3])
+	}
+	if err != nil {
+		return fmt.Errorf("gdb: line %d: bad %s prop %q", d.line, fields[3], fields[4])
+	}
+	// The key is cloned so the store does not keep the whole line.
+	d.props = append(d.props, prop{line: d.line, v: v, key: strings.Clone(fields[2]), val: val})
+	return nil
 }
 
 // Dump serializes the named graph to a string.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mscfpq/internal/cypher"
+	"mscfpq/internal/dataset"
 	"mscfpq/internal/graph"
 	"mscfpq/internal/store"
 )
@@ -85,6 +86,65 @@ func TestReadStoreErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := ReadStore(strings.NewReader(src)); err == nil {
 			t.Errorf("ReadStore(%q): expected error", src)
+		}
+	}
+}
+
+// TestReadStoreNamesDumpLines: an error names the line of the dump,
+// counting prop lines, and a prop line past graph.Read's own 16 MiB
+// line bound still round-trips.
+func TestReadStoreNamesDumpLines(t *testing.T) {
+	for _, c := range []struct{ dump, want string }{
+		{"order 2\nprop 0 k i 1\nprop 1 k i 2\n0 a 1\n0 a\n", "line 5"},     // bad edge after props
+		{"order 2\n0 a 1\nprop 9 k i 1\n", "line 3: bad prop vertex"},       // vertex past the graph
+		{"order 2\n0 a 1\n\nprop 0 k z 1\n1 b 0\n", "line 4: unknown prop"}, // bad kind
+	} {
+		_, err := ReadStore(strings.NewReader(c.dump))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadStore(%q) = %v, want an error naming %q", c.dump, err, c.want)
+		}
+	}
+
+	long := strings.Repeat("x\"y", 6<<20) // quoted, 24 MiB on its line
+	s := NewGraphStore(graph.New(2))
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		tx.SetProp(1, "blob", cypher.Value{Str: long})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := WriteStore(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadStore(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Snapshot().Props(1)["blob"]; got.Str != long {
+		t.Fatalf("a %d-byte prop came back as %d bytes", len(long), len(got.Str))
+	}
+}
+
+// BenchmarkReadStore prints what GRAPH.RESTORE's parse costs in
+// process: ReadStore of a go-hierarchy@0.25 dump, in bytes and
+// allocations per restore.
+func BenchmarkReadStore(b *testing.B) {
+	spec, err := dataset.ByName("go-hierarchy")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dump strings.Builder
+	if err := WriteStore(&dump, NewGraphStore(dataset.Generate(dataset.Scaled(spec, 0.25)))); err != nil {
+		b.Fatal(err)
+	}
+	text := dump.String()
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadStore(strings.NewReader(text)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

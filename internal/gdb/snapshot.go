@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -253,7 +254,7 @@ func readSnapshotFile(path string) (map[string]*GraphStore, error) {
 		if crc != want {
 			return nil, fmt.Errorf("gdb: snapshot %s: section %q: CRC mismatch", path, name)
 		}
-		s, err := ReadStore(strings.NewReader(string(payload)))
+		s, err := ReadStore(bytes.NewReader(payload))
 		if err != nil {
 			return nil, fmt.Errorf("gdb: snapshot %s: section %q: %w", path, name, err)
 		}

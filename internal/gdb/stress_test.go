@@ -111,7 +111,7 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseEdges := s.Snapshot().Graph().NumEdges()
-	baseVersion := s.Version()
+	baseVersion := s.Snapshot().Version()
 
 	const (
 		createWriters = 2
@@ -216,7 +216,7 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 	// cache-served query agrees with the oracle on the final graph —
 	// stale entries surviving invalidation would surface here.
 	wantVersion := baseVersion + uint64((createWriters+storeWriters)*writesPer)
-	if got := s.Version(); got != wantVersion {
+	if got := s.Snapshot().Version(); got != wantVersion {
 		t.Fatalf("final version = %d, want %d", got, wantVersion)
 	}
 	g := s.Snapshot().Graph()

@@ -17,7 +17,6 @@ package grammar
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -76,42 +75,6 @@ func MustNew(start string, prods []Production) *Grammar {
 		panic(err)
 	}
 	return g
-}
-
-// Nonterminals returns the sorted set of nonterminal names.
-func (g *Grammar) Nonterminals() []string {
-	set := map[string]bool{}
-	for _, p := range g.Prods {
-		set[p.LHS] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Terminals returns the sorted set of terminal names.
-func (g *Grammar) Terminals() []string {
-	nts := map[string]bool{}
-	for _, p := range g.Prods {
-		nts[p.LHS] = true
-	}
-	set := map[string]bool{}
-	for _, p := range g.Prods {
-		for _, s := range p.RHS {
-			if s.Term && !nts[s.Name] {
-				set[s.Name] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate checks structural well-formedness: a start symbol that is a

@@ -24,11 +24,13 @@ func TestParseBasic(t *testing.T) {
 	if len(g.Prods) != 3 {
 		t.Fatalf("prods = %d, want 3", len(g.Prods))
 	}
-	if got := g.Terminals(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+	if got := terminals(g); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("terminals = %v", got)
 	}
-	if got := g.Nonterminals(); !reflect.DeepEqual(got, []string{"S"}) {
-		t.Fatalf("nonterminals = %v", got)
+	for _, p := range g.Prods {
+		if p.LHS != "S" {
+			t.Fatalf("nonterminal %q, want only S", p.LHS)
+		}
 	}
 	if len(g.Prods[2].RHS) != 0 {
 		t.Fatal("eps alternative should have empty RHS")
@@ -130,9 +132,13 @@ func TestWCNFShapes(t *testing.T) {
 	if w.TermID("a") < 0 || w.TermID("b") < 0 || w.TermID("zzz") != -1 {
 		t.Fatal("TermID lookup wrong")
 	}
-	// byTerm must cover both terminals.
+	// Both terminals must have a rule A -> term.
 	for _, term := range []string{"a", "b"} {
-		if len(w.NontermsForTerm(w.TermID(term))) == 0 {
+		produced := false
+		for _, r := range w.TermRules {
+			produced = produced || r.Term == w.TermID(term)
+		}
+		if !produced {
 			t.Fatalf("no nonterminal produces %q", term)
 		}
 	}
@@ -216,7 +222,7 @@ func TestExtendKeepsBasePrefix(t *testing.T) {
 		t.Fatalf("start = %q", ext.Nonterms[ext.Start])
 	}
 	if !reflect.DeepEqual(ext.Nonterms[:base.NumNonterms()], base.Nonterms) ||
-		!reflect.DeepEqual(ext.Terms[:base.NumTerms()], base.Terms) ||
+		!reflect.DeepEqual(ext.Terms[:len(base.Terms)], base.Terms) ||
 		!reflect.DeepEqual(ext.TermRules[:len(base.TermRules)], base.TermRules) ||
 		!reflect.DeepEqual(ext.BinRules[:len(base.BinRules)], base.BinRules) ||
 		!reflect.DeepEqual(ext.Nullable[:base.NumNonterms()], base.Nullable) {
@@ -321,8 +327,8 @@ func TestWCNFPreservesLanguage(t *testing.T) {
 			// Exhaustive agreement on all words up to length 6 over the
 			// grammar's terminals.
 			const maxLen = 6
-			lang := Enumerate(g, maxLen)
-			terms := g.Terminals()
+			lang := enumerate(g, maxLen)
+			terms := terminals(g)
 			var words [][]string
 			var build func(cur []string)
 			build = func(cur []string) {

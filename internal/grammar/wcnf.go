@@ -51,14 +51,8 @@ func (w *WCNF) TermID(name string) int {
 	return -1
 }
 
-// NontermsForTerm returns the nonterminals A with a rule A -> term.
-func (w *WCNF) NontermsForTerm(term int) []int { return w.byTerm[term] }
-
 // NumNonterms returns the number of nonterminals.
 func (w *WCNF) NumNonterms() int { return len(w.Nonterms) }
-
-// NumTerms returns the number of terminals.
-func (w *WCNF) NumTerms() int { return len(w.Terms) }
 
 // String renders the normalized grammar in Parse-compatible text.
 func (w *WCNF) String() string {

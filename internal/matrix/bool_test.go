@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -191,4 +192,49 @@ func TestStringSmallAndLarge(t *testing.T) {
 	if got := large.String(); got != "Bool{100x100, 0 vals}" {
 		t.Fatalf("large String = %q", got)
 	}
+}
+
+// validate checks m's internal invariants.
+func (m *Bool) validate() error {
+	if m.shared != nil && len(m.shared) != m.nrows {
+		return fmt.Errorf("shared marks length %d does not match %d rows", len(m.shared), m.nrows)
+	}
+	if m.bits != nil && len(m.bits) != m.nrows {
+		return fmt.Errorf("bitmap table length %d does not match %d rows", len(m.bits), m.nrows)
+	}
+	n := 0
+	for i, row := range m.rows {
+		if b := m.bitRow(i); b != nil {
+			if row != nil {
+				return fmt.Errorf("row %d is both a list and a bitmap", i)
+			}
+			if len(b) > nwords(m.ncols) {
+				return fmt.Errorf("row %d: bitmap of %d words for %d columns", i, len(b), m.ncols)
+			}
+			if last := b[len(b)-1]; len(b) == nwords(m.ncols) && m.ncols%64 != 0 && last>>(m.ncols%64) != 0 {
+				return fmt.Errorf("row %d: bitmap holds a column past %d", i, m.ncols)
+			}
+			if popcount(b) == 0 {
+				return fmt.Errorf("row %d: empty bitmap", i)
+			}
+			n += popcount(b)
+			continue
+		}
+		if len(row) > listMax(m.ncols) {
+			return fmt.Errorf("row %d: list of %d entries, past the bitmap crossover %d", i, len(row), listMax(m.ncols))
+		}
+		for k, c := range row {
+			if int(c) >= m.ncols {
+				return fmt.Errorf("row %d: column %d out of range %d", i, c, m.ncols)
+			}
+			if k > 0 && row[k-1] >= c {
+				return fmt.Errorf("row %d: columns not strictly sorted at %d", i, k)
+			}
+		}
+		n += len(row)
+	}
+	if n != m.nvals {
+		return fmt.Errorf("nvals %d does not match stored entries %d", m.nvals, n)
+	}
+	return nil
 }

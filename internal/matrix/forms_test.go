@@ -216,8 +216,8 @@ func TestBoolFormsQuick(t *testing.T) {
 		for p := range ra {
 			cols.Set(p[1])
 		}
-		if !ReduceCols(a).Equal(cols) {
-			t.Errorf("seed %d: ReduceCols disagrees with the entries", seed)
+		if !reduceCols(a).Equal(cols) {
+			t.Errorf("seed %d: reduceCols disagrees with the entries", seed)
 			return false
 		}
 

@@ -149,7 +149,7 @@ func TestRowListFormsQuick(t *testing.T) {
 				return false
 			}
 		}
-		if !addColsAs(t, what, rng, a, ReduceCols(aref.bool(nrows, ncols))) {
+		if !addColsAs(t, what, rng, a, reduceCols(aref.bool(nrows, ncols))) {
 			return false
 		}
 		// Stop Iterate at the middle entry of a bitmap row, or anywhere.
@@ -241,7 +241,7 @@ func sameSlot(r *RowList, k int, o *RowList, x int) bool {
 func (r refSet) bool(nrows, ncols int) *Bool { return NewBoolFromPairs(nrows, ncols, r.sorted()) }
 
 // TestRowListKernelsQuick checks every row-list kernel against its n-slot
-// reference (ExtractRows, AddInPlace, ReduceCols, Mul) on random shapes
+// reference (ExtractRows, AddInPlace, reduceCols, Mul) on random shapes
 // from 1x1 up and densities from empty to dense: MulAddRows with either
 // operand a Bool, a row list of list rows or a row list whose long rows
 // are bitmaps (at most 30 columns, so every row of more than 2 entries),
@@ -265,7 +265,7 @@ func TestRowListKernelsQuick(t *testing.T) {
 		ok = ok && sameAs(t, "Restrict", ListRows(b).Restrict(s2), rb) &&
 			sameAs(t, "Restrict of a selection", sel.Restrict(s2), ExtractRows(ra, s2))
 		ok = ok && sameAs(t, "Union", Union(sel, SelectRows(b, s2)), or(ra, rb))
-		if !addColsAs(t, "SelectRows", rng, sel, ReduceCols(ra)) {
+		if !addColsAs(t, "SelectRows", rng, sel, reduceCols(ra)) {
 			return false
 		}
 		type operand struct {

@@ -158,25 +158,6 @@ func (v *Vector) DiffInPlace(o *Vector) bool {
 	return len(v.idx) != before
 }
 
-// ReduceCols collapses m to the vector of columns that contain at least
-// one true entry. This is the linear-algebra form of the paper's getDst:
-// the destination vertices of all pairs represented by m (implemented via
-// reduce_vector in the paper's pygraphblas version).
-func ReduceCols(m *Bool) *Vector {
-	v := NewVector(m.ncols)
-	if m.nvals == 0 {
-		return v
-	}
-	acc := getAccumulator(m.ncols)
-	acc.reset()
-	for x := range m.rows {
-		acc.orSlot(&m.slots, x)
-	}
-	v.idx = acc.extract(make([]uint32, 0, acc.count()))
-	putAccumulator(acc)
-	return v
-}
-
 func (v *Vector) String() string {
 	return fmt.Sprintf("Vector{n=%d, set=%v}", v.n, v.Ints())
 }

@@ -74,25 +74,25 @@ func TestDiagRoundTrip(t *testing.T) {
 	if d.NVals() != 3 || !d.Get(3, 3) || d.Get(3, 0) {
 		t.Fatalf("diag wrong:\n%v", d)
 	}
-	if !ReduceCols(d).Equal(v) || !ReduceCols(Transpose(d)).Equal(v) {
+	if !reduceCols(d).Equal(v) || !reduceCols(Transpose(d)).Equal(v) {
 		t.Fatal("diag(v) must hold exactly v's rows and columns")
 	}
 }
 
-// ReduceCols is the paper's getDst (Algorithm 2, lines 17-21) as a
+// reduceCols is the paper's getDst (Algorithm 2, lines 17-21) as a
 // vector.
 func TestReduceColsMatchesGetDst(t *testing.T) {
 	m := NewBoolFromPairs(5, 5, [][2]int{{0, 2}, {1, 2}, {3, 4}})
 	want := NewVectorFromIndices(5, []int{2, 4})
-	if got := ReduceCols(m); !got.Equal(want) {
-		t.Fatalf("ReduceCols = %v, want %v", got, want)
+	if got := reduceCols(m); !got.Equal(want) {
+		t.Fatalf("reduceCols = %v, want %v", got, want)
 	}
-	if got := ReduceCols(NewBool(5, 5)); !got.Empty() || got.Size() != 5 {
-		t.Fatalf("ReduceCols of an empty matrix = %v", got)
+	if got := reduceCols(NewBool(5, 5)); !got.Empty() || got.Size() != 5 {
+		t.Fatalf("reduceCols of an empty matrix = %v", got)
 	}
 }
 
-// Property (testing/quick): getDst(M), as the vector ReduceCols(M), holds
+// Property (testing/quick): getDst(M), as the vector reduceCols(M), holds
 // exactly the columns of M, for arbitrary generated matrices.
 func TestGetDstPropertyQuick(t *testing.T) {
 	f := func(pairs [][2]uint8) bool {
@@ -101,7 +101,7 @@ func TestGetDstPropertyQuick(t *testing.T) {
 		for _, p := range pairs {
 			m.Set(int(p[0])%n, int(p[1])%n)
 		}
-		d := ReduceCols(m)
+		d := reduceCols(m)
 		// Every column of m is set in d and nothing else.
 		cols := map[int]bool{}
 		m.Iterate(func(i, j int) bool { cols[j] = true; return true })
@@ -138,4 +138,23 @@ func TestDiagMulSelectsRowsQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reduceCols collapses m to the vector of columns that contain at least
+// one true entry. This is the linear-algebra form of the paper's getDst:
+// the destination vertices of all pairs represented by m (implemented via
+// reduce_vector in the paper's pygraphblas version).
+func reduceCols(m *Bool) *Vector {
+	v := NewVector(m.ncols)
+	if m.nvals == 0 {
+		return v
+	}
+	acc := getAccumulator(m.ncols)
+	acc.reset()
+	for x := range m.rows {
+		acc.orSlot(&m.slots, x)
+	}
+	v.idx = acc.extract(make([]uint32, 0, acc.count()))
+	putAccumulator(acc)
+	return v
 }

@@ -34,17 +34,10 @@ func init() { enabled.Store(true) }
 // unaffected — it is opt-in per query). Returns the previous state.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
-// Enabled reports whether instrument updates are currently recorded.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing metric.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
 
 // Inc adds one.
 func (c *Counter) Inc() {
@@ -66,12 +59,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a metric that can go up and down (open connections,
 // resident graphs).
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set stores an absolute value.
 func (g *Gauge) Set(n int64) {
@@ -94,15 +83,11 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // (latencies in microseconds, sizes in entries). The bucket layout is
 // fixed at registration so snapshots from different processes line up.
 type Histogram struct {
-	name    string
 	bounds  []int64 // ascending upper bounds; an implicit +Inf bucket follows
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
@@ -169,7 +154,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
@@ -181,7 +166,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
@@ -194,7 +179,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if h, ok := r.histograms[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name, bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
+	h := &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
 	r.histograms[name] = h
 	return h
 }
@@ -257,34 +242,4 @@ func (s Snapshot) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Render formats the snapshot as sorted "name:value" lines (the INFO
-// body format).
-func (s Snapshot) Render() []string {
-	out := make([]string, 0, len(s))
-	for _, k := range s.Keys() {
-		out = append(out, fmt.Sprintf("%s:%d", k, s[k]))
-	}
-	return out
-}
-
-// Reset zeroes every registered instrument (counts, sums, buckets).
-// Registration survives; pointers held by call sites stay valid.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		h.count.Store(0)
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
 }

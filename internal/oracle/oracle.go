@@ -29,14 +29,8 @@ type Relation struct {
 	facts []map[[2]int]bool // per nonterminal: set of (i, j)
 }
 
-// NumVertices returns the vertex universe size of the relation.
-func (r *Relation) NumVertices() int { return r.n }
-
 // Has reports whether fact (a, i, j) holds.
 func (r *Relation) Has(a, i, j int) bool { return r.facts[a][[2]int{i, j}] }
-
-// Count returns the number of facts of nonterminal a.
-func (r *Relation) Count(a int) int { return len(r.facts[a]) }
 
 // Pairs returns the sorted fact pairs of nonterminal a.
 func (r *Relation) Pairs(a int) [][2]int {

@@ -17,7 +17,6 @@ type Plan struct {
 	Columns []string
 	ctx     *PathCtx
 	env     *Env
-	slots   map[string]int
 }
 
 // ResultSet holds the rows produced by plan execution. Values are
@@ -291,7 +290,7 @@ func BuildWithCtx(q *cypher.Query, env *Env, ctx *PathCtx) (*Plan, error) {
 		root = NewPaginate(root, q.Return.Skip, q.Return.Limit)
 	}
 
-	return &Plan{root: root, Columns: names, ctx: ctx, env: env, slots: slots}, nil
+	return &Plan{root: root, Columns: names, ctx: ctx, env: env}, nil
 }
 
 // reverseChain flips a traversal chain end to end: edges run in

@@ -63,10 +63,6 @@ func (ctx *PathCtx) WarmSuccessor(g *graph.Graph) (*PathCtx, error) {
 	return &PathCtx{pats: ctx.pats, cf: ctx.cf, idx: idx}, nil
 }
 
-// Patterns returns the PATH PATTERN declarations the context was
-// compiled from.
-func (ctx *PathCtx) Patterns() []cypher.NamedPathPattern { return ctx.pats }
-
 // CtxKey returns the canonical identity of a PATH PATTERN declaration
 // set: reuse a PathCtx (and its warmed index) only for queries whose
 // key matches and whose graph is unchanged.

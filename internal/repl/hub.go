@@ -70,9 +70,6 @@ func NewHub(db *gdb.DB) (*Hub, error) {
 	return &Hub{db: db, replid: replid, replicas: map[*replicaConn]struct{}{}}, nil
 }
 
-// ReplID returns the leader's history identity.
-func (h *Hub) ReplID() string { return h.replid }
-
 // HandleSync serves one replica's SYNC for the lifetime of its
 // connection; it matches resp.Server.SyncHandler. Errors are written
 // as RESP errors when the protocol still allows one, then the

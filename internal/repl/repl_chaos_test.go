@@ -76,7 +76,8 @@ func startChaosFollower(t *testing.T, dir, leaderAddr string) *chaosFollower {
 			}
 			db.SetReplicaSource(leaderAddr)
 			cf.cur.Store(db)
-			rep := New(db, leaderAddr, WithBackoff(5*time.Millisecond, 100*time.Millisecond))
+			rep := New(db, leaderAddr)
+			rep.minBackoff, rep.maxBackoff = 5*time.Millisecond, 100*time.Millisecond
 			func() {
 				// The "kill -9": the armed Panic unwinds the stream loop; the
 				// database is abandoned (no Close) like a dead process's.
@@ -237,8 +238,8 @@ func TestChaosLeaderRestartMidStream(t *testing.T) {
 	leader.srv.Close()
 
 	leader2 := startLeaderAt(t, ldir, addr)
-	if leader2.hub.ReplID() != leader.hub.ReplID() {
-		t.Fatalf("restarted leader minted a new replid: %s vs %s", leader2.hub.ReplID(), leader.hub.ReplID())
+	if leader2.hub.replid != leader.hub.replid {
+		t.Fatalf("restarted leader minted a new replid: %s vs %s", leader2.hub.replid, leader.hub.replid)
 	}
 	for i := 0; i < 5; i++ {
 		mustExec(t, leader2.db, "g", fmt.Sprintf(`CREATE (p%d:P)`, i))

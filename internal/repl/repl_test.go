@@ -78,7 +78,8 @@ func startFollowerAt(t *testing.T, dir, leaderAddr string) *followerNode {
 		t.Fatal(err)
 	}
 	db.SetReplicaSource(leaderAddr)
-	rep := New(db, leaderAddr, WithBackoff(5*time.Millisecond, 100*time.Millisecond))
+	rep := New(db, leaderAddr)
+	rep.minBackoff, rep.maxBackoff = 5*time.Millisecond, 100*time.Millisecond
 	srv := resp.NewServer(db)
 	srv.ReplInfo = rep.InfoLines
 	bound, err := srv.Listen("127.0.0.1:0")
@@ -208,7 +209,11 @@ func TestBootstrapUnderConcurrentWrites(t *testing.T) {
 	follower := startFollower(t, leader.addr)
 	wg.Wait()
 	waitConverged(t, leader.db, follower.db, 10*time.Second)
-	waitUntil(t, 5*time.Second, "lag to reach 0", func() bool { return follower.rep.Lag() == 0 })
+	waitUntil(t, 5*time.Second, "lag to reach 0", func() bool {
+		follower.rep.mu.Lock()
+		defer follower.rep.mu.Unlock()
+		return follower.rep.caughtUp
+	})
 
 	// The follower's own INFO: a replica that bootstrapped once.
 	info := infoMap(follower.rep.InfoLines())
@@ -359,7 +364,7 @@ func TestForeignHistoryForcesFullSync(t *testing.T) {
 	}
 	// The adopted identity is the leader's.
 	waitUntil(t, 5*time.Second, "the leader's identity to be adopted", func() bool {
-		return loadSource(fdir) == leader.hub.ReplID()
+		return loadSource(fdir) == leader.hub.replid
 	})
 }
 

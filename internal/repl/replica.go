@@ -40,28 +40,16 @@ type Replica struct {
 	reconnects int64     // guarded by mu
 }
 
-// Option tunes a Replica.
-type Option func(*Replica)
-
-// WithBackoff sets the reconnect backoff window.
-func WithBackoff(min, max time.Duration) Option {
-	return func(r *Replica) { r.minBackoff, r.maxBackoff = min, max }
-}
-
 // New builds a replica of the leader at addr. Call Run to start
 // streaming.
-func New(db *gdb.DB, leaderAddr string, opts ...Option) *Replica {
-	r := &Replica{
+func New(db *gdb.DB, leaderAddr string) *Replica {
+	return &Replica{
 		db:         db,
 		leader:     leaderAddr,
 		minBackoff: 50 * time.Millisecond,
 		maxBackoff: 2 * time.Second,
 		caughtUpAt: time.Now(),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
 }
 
 // Run streams from the leader until ctx is cancelled, reconnecting
@@ -385,18 +373,6 @@ func (r *Replica) Position() (seq uint64, off int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.pos.seq, r.pos.off
-}
-
-// Lag returns the current replication lag: zero when caught up with
-// the last reported leader position, otherwise the time since the
-// replica was last caught up.
-func (r *Replica) Lag() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.caughtUp {
-		return 0
-	}
-	return time.Since(r.caughtUpAt)
 }
 
 // InfoLines renders the follower's INFO replication section. Offset

@@ -56,9 +56,6 @@ func Int(n int64) Value { return Value{Kind: Integer, Int: n} }
 // Arr builds an array.
 func Arr(vs ...Value) Value { return Value{Kind: Array, Array: vs} }
 
-// NullBulk is the null bulk string.
-func NullBulk() Value { return Value{Kind: BulkString, Null: true} }
-
 // Write encodes a value onto w. It and the helpers under it do not
 // check each write: a bufio.Writer keeps its first write error and
 // returns it from every later write — the empty one that ends Write,

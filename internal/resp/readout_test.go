@@ -187,8 +187,8 @@ func TestWriteMatchesReferenceOnEveryKind(t *testing.T) {
 	long := strings.Repeat("long ", 2000) // past the writer's buffer
 	for _, v := range []Value{
 		OK(), Simple(""), Simple(long), Errorf("boom"), Busyf("%d running", 4), Errorf("%s", long),
-		Int(0), Int(math.MinInt64), Bulk(""), Bulk("a\r\nb"), Bulk(long), NullBulk(),
-		Arr(), {Kind: Array, Null: true}, Arr(Int(1), Arr(Bulk("x"), Arr()), NullBulk(), Simple("s")),
+		Int(0), Int(math.MinInt64), Bulk(""), Bulk("a\r\nb"), Bulk(long), {Kind: BulkString, Null: true},
+		Arr(), {Kind: Array, Null: true}, Arr(Int(1), Arr(Bulk("x"), Arr()), Value{Kind: BulkString, Null: true}, Simple("s")),
 	} {
 		want := encodeWith(t, func(w *bufio.Writer) error { return refWrite(w, v) })
 		if got := encodeWith(t, func(w *bufio.Writer) error { return Write(w, v) }); !bytes.Equal(got, want) {

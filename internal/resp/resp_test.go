@@ -34,7 +34,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		Bulk("hello world"),
 		Bulk(""),
 		Bulk("with\r\nnewlines"),
-		NullBulk(),
+		{Kind: BulkString, Null: true},
 		Arr(),
 		Arr(Bulk("a"), Int(1), Arr(Simple("x"))),
 	}

@@ -101,9 +101,6 @@ func (st *Store) ID() uint64 { return st.id }
 // newer version shares.
 func (st *Store) Pin() *Snapshot { return st.cur.Load() }
 
-// Version returns the current version without pinning.
-func (st *Store) Version() uint64 { return st.cur.Load().version }
-
 // Tx is the mutable copy-on-write view of one Update: a private clone
 // of the graph plus property maps that copy inner maps on first write.
 type Tx struct {

@@ -33,8 +33,8 @@ func TestStoreVersionsAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Version() != 1 || st.Version() != 1 {
-		t.Fatalf("version after update = %d / %d", v1.Version(), st.Version())
+	if v1.Version() != 1 || st.Pin().Version() != 1 {
+		t.Fatalf("version after update = %d / %d", v1.Version(), st.Pin().Version())
 	}
 
 	// The pinned old snapshot is untouched: no new edge, no grown
@@ -139,7 +139,7 @@ func TestStoreConcurrentPinUpdate(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if got, want := st.Version(), uint64(writers*writesPer); got != want {
+	if got, want := st.Pin().Version(), uint64(writers*writesPer); got != want {
 		t.Fatalf("final version = %d, want %d", got, want)
 	}
 }

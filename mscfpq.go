@@ -56,8 +56,6 @@ type (
 	// Trace records a per-query span tree with kernel counter deltas;
 	// attach one with WithTrace and render it with Trace.Render.
 	Trace = obs.Trace
-	// TraceSpan is one timed stage of a traced query.
-	TraceSpan = obs.Span
 )
 
 var (

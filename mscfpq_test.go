@@ -1,7 +1,10 @@
 package mscfpq
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mscfpq/internal/cfpq"
 	"mscfpq/internal/rpq"
@@ -68,6 +71,9 @@ func TestFacadeQuickstart(t *testing.T) {
 	steps, err := sp.Path(1, 3)
 	if err != nil || len(steps) != 2 {
 		t.Fatalf("path = %v, %v", steps, err)
+	}
+	if word := Word(steps); len(word) != 2 || word[0] != "a" || word[1] != "b" {
+		t.Fatalf("word of the 1 -> 3 path = %v, want [a b]", word)
 	}
 	if !samePairs(sp.Pairs(), ap.Pairs()) {
 		t.Fatal("single-path differs from all-pairs")
@@ -189,9 +195,15 @@ func TestFacadeDatabase(t *testing.T) {
 	if _, err := db.Query("g", `CREATE (a:N)-[:e]->(b:N)`); err != nil {
 		t.Fatal(err)
 	}
+	// The facade's type names are the types its calls return.
+	var res *QueryResult
 	res, err := db.Query("g", `MATCH (v:N)-[:e]->(u) RETURN v, u`)
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("rows = %v, %v", res, err)
+	}
+	var store *GraphStore
+	if store, err = db.Get("g"); err != nil || store.Graph().NumVertices() != 2 {
+		t.Fatalf("graph store: %v", err)
 	}
 	srv := NewServer(db)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -205,9 +217,31 @@ func TestFacadeDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.GraphQuery("g", `MATCH (v:N)-[:e]->(u) RETURN v, u`)
+	var reply *QueryReply
+	reply, err = c.GraphQuery("g", `MATCH (v:N)-[:e]->(u) RETURN v, u`)
 	if err != nil || len(reply.Rows) != 1 {
 		t.Fatalf("reply = %v, %v", reply, err)
+	}
+}
+
+// TestFacadeGovernance runs the README's governance options: a done
+// context and an expired timeout each abort the query with their error.
+func TestFacadeGovernance(t *testing.T) {
+	g := NewGraph(4)
+	g.AddEdge(0, "a", 1)
+	g.AddEdge(1, "b", 2)
+	w, err := ToWCNF(G2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewVertexSet(g.NumVertices(), 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := EvalCFPQ(g, w, src, WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := EvalCFPQ(g, w, src, WithTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired timeout: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
