@@ -213,8 +213,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	} else {
 		for _, d := range diags {
-			pos := mod.Fset().Position(d.Pos)
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relPath(*root, pos.Filename), pos.Line, pos.Column, d.Analyzer, d.Message)
+			// A finding without a position (a stale allowlist entry
+			// naming no package) prints as its analyzer and message.
+			if pos := mod.Fset().Position(d.Pos); pos.IsValid() {
+				fmt.Fprintf(stdout, "%s:%d:%d: ", relPath(*root, pos.Filename), pos.Line, pos.Column)
+			}
+			fmt.Fprintf(stdout, "[%s] %s\n", d.Analyzer, d.Message)
 		}
 	}
 	if len(diags) > 0 {
@@ -257,11 +261,12 @@ func staleSuppressions(units []*analysis.Unit, ranOn map[*analysis.Unit]map[stri
 	return out
 }
 
-// jsonDiag is the -json output record.
+// jsonDiag is the -json output record; a finding without a position
+// has no file, line or col.
 type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
+	File     string `json:"file,omitempty"`
+	Line     int    `json:"line,omitempty"`
+	Col      int    `json:"col,omitempty"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
 }

@@ -124,6 +124,44 @@ func TestUnusedSuppressions(t *testing.T) {
 	}
 }
 
+// TestFindingWithoutPosition: in a module with tests and none of the
+// packages deadexport's allowlist names, each entry is a stale
+// suppression without a position. The text output prints it as
+// "[analyzer] message", with no empty file or line 0, and -json leaves
+// out its file, line and col.
+func TestFindingWithoutPosition(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "stale"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runLint(t, "-root", root, "-unused-suppressions")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "[suppressions] stale deadexport allowlist entry ") || !strings.HasSuffix(line, "no such package — remove the entry") {
+			t.Fatalf("finding without a position printed as %q", line)
+		}
+	}
+	code, stdout, _ = runLint(t, "-root", root, "-unused-suppressions", "-json")
+	if code != 1 {
+		t.Fatalf("-json exit = %d, want 1", code)
+	}
+	var diags []map[string]any
+	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, stdout)
+	}
+	if len(diags) != len(lines) {
+		t.Fatalf("-json has %d findings, the text output %d", len(diags), len(lines))
+	}
+	for _, d := range diags {
+		if len(d) != 2 || d["analyzer"] != "suppressions" || d["message"] == nil {
+			t.Fatalf("-json finding without a position: %v, want analyzer and message only", d)
+		}
+	}
+}
+
 // TestHelpListsAnalyzers: -help must name every analyzer with its
 // one-line doc (the acceptance bar for discoverability).
 func TestHelpListsAnalyzers(t *testing.T) {

@@ -43,8 +43,8 @@ type Index struct {
 	W *grammar.WCNF
 
 	mu   sync.Mutex
-	T    []*matrix.Bool // guarded by mu: cached relation matrices, grown monotonically
-	TSrc []matrix.Mark  // guarded by mu: sources already fully processed, per nonterminal
+	t    []*matrix.Bool // guarded by mu: cached relation matrices (the paper's T), grown monotonically
+	tSrc []matrix.Mark  // guarded by mu: sources already fully processed, per nonterminal (TSrc)
 
 	seeds   *seeder // guarded by mu
 	queries int     // guarded by mu
@@ -63,8 +63,8 @@ func NewIndex(g *graph.Graph, w *grammar.WCNF) (*Index, error) {
 	}
 	n := g.NumVertices()
 	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
-	idx.T = idx.seeds.relations(n, 0)
-	idx.TSrc = noMarks(w.NumNonterms(), n)
+	idx.t = idx.seeds.relations(n, 0)
+	idx.tSrc = noMarks(w.NumNonterms(), n)
 	return idx, nil
 }
 
@@ -104,21 +104,21 @@ func NewIndexWarm(g *graph.Graph, w *grammar.WCNF, prior *Index) (*Index, error)
 	}
 	apart := graph.GrewApart(prior.G, g)
 	idx := &Index{G: g, W: w, seeds: newSeeder(g, w)}
-	idx.T = idx.seeds.relations(n, w.NumNonterms())
-	idx.TSrc = noMarks(w.NumNonterms(), n)
+	idx.t = idx.seeds.relations(n, w.NumNonterms())
+	idx.tSrc = noMarks(w.NumNonterms(), n)
 	prior.mu.Lock()
 	defer prior.mu.Unlock()
-	for a, t := range prior.T {
-		if idx.T[a] == nil { // not a label relation on g
+	for a, t := range prior.t {
+		if idx.t[a] == nil { // not a label relation on g
 			if prior.seeds.label[a] {
-				idx.T[a] = t.CloneFrozen() // the prior's graph, which never changes
+				idx.t[a] = t.CloneFrozen() // the prior's graph, which never changes
 			} else {
-				idx.T[a] = t.CloneCOW()
+				idx.t[a] = t.CloneCOW()
 			}
-			idx.T[a].Resize(n, n)
+			idx.t[a].Resize(n, n)
 		}
 		if apart {
-			copy(idx.TSrc[a], prior.TSrc[a])
+			copy(idx.tSrc[a], prior.tSrc[a])
 		}
 	}
 	return idx, nil
@@ -150,15 +150,15 @@ func (idx *Index) MultiSourceSmart(src *matrix.Vector, opts ...Option) (*MSResul
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	w := idx.W
-	f, work, err := idx.solveLocked(w, idx.seeds, idx.T, idx.TSrc, w.Start, src, opts)
+	f, work, err := idx.solveLocked(w, idx.seeds, idx.t, idx.tSrc, w.Start, src, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &MSResult{
-		Result:  &Result{W: w, T: idx.T, Rounds: f.rounds, Work: work},
+		Result:  &Result{W: w, T: idx.t, Rounds: f.rounds, Work: work},
 		Src:     f.active,
 		Sources: src.Clone(),
-		answer:  matrix.ExtractRows(idx.T[w.Start], src),
+		answer:  matrix.ExtractRows(idx.t[w.Start], src),
 	}, nil
 }
 
@@ -222,8 +222,8 @@ func (idx *Index) Extend(w *grammar.WCNF) (*Extension, error) {
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	copy(x.t, idx.T)
-	copy(x.tsrc, idx.TSrc)
+	copy(x.t, idx.t)
+	copy(x.tsrc, idx.tSrc)
 	return x, nil
 }
 
@@ -287,7 +287,7 @@ func (x *Extension) solveLocked(a int, src *matrix.Vector, opts []Option) error 
 func (idx *Index) Relation(a int) *matrix.Bool {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	return idx.T[a]
+	return idx.t[a]
 }
 
 // ProcessedSources returns the vertices already fully processed for a
@@ -295,5 +295,5 @@ func (idx *Index) Relation(a int) *matrix.Bool {
 func (idx *Index) ProcessedSources(a int) *matrix.Vector {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	return idx.TSrc[a].Vector(idx.G.NumVertices())
+	return idx.tSrc[a].Vector(idx.G.NumVertices())
 }

@@ -93,12 +93,12 @@ func TestLabelRelationsAreTheGraphs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkLabelRelations(t, "fresh index", g, w, idx.T)
+				checkLabelRelations(t, "fresh index", g, w, idx.t)
 				ans, err := idx.MultiSourceSmart(src)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkLabelRelations(t, "solved index", g, w, idx.T)
+				checkLabelRelations(t, "solved index", g, w, idx.t)
 				if !ans.Answer().Equal(matrix.ExtractRows(ap.Start(), src)) {
 					t.Error("index answer differs from AllPairs")
 				}
@@ -165,7 +165,7 @@ func TestLabelRelationsAreTheGraphs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkLabelRelations(t, "apart carry", apart, w, warm.T)
+				checkLabelRelations(t, "apart carry", apart, w, warm.t)
 				for a := range w.Nonterms {
 					if !slices.Equal(warm.ProcessedSources(a).Ints(), idx.ProcessedSources(a).Ints()) {
 						t.Errorf("apart carry: %s lost its processed sources", w.Nonterms[a])
@@ -177,7 +177,7 @@ func TestLabelRelationsAreTheGraphs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkLabelRelations(t, "touching carry", touching, w, touched.T)
+				checkLabelRelations(t, "touching carry", touching, w, touched.t)
 				src2 := matrix.NewVectorFromIndices(n+1, src.Ints())
 				got, err := touched.MultiSourceSmart(src2)
 				if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/obs"
 )
 
 // The result cache's acceptance gate (DESIGN.md §11): through
@@ -107,7 +108,7 @@ func TestCacheConcurrentReadersHit(t *testing.T) {
 	}
 	const reads = 200
 	for _, readers := range []int{1, 4, 8} {
-		before := db.Cache().Stats()
+		before := obs.Default.Snapshot()
 		errs := make([]error, readers)
 		var wg sync.WaitGroup
 		for r := 0; r < readers; r++ {
@@ -128,10 +129,9 @@ func TestCacheConcurrentReadersHit(t *testing.T) {
 				t.Fatalf("%d readers: %v", readers, err)
 			}
 		}
-		st := db.Cache().Stats()
-		if st.Misses != before.Misses || st.Hits-before.Hits != uint64(readers*reads) {
+		if ev := eventsSince(before); ev.misses != 0 || ev.hits != int64(readers*reads) {
 			t.Fatalf("%d readers: %d hits and %d misses over %d reads, want every read a hit",
-				readers, st.Hits-before.Hits, st.Misses-before.Misses, readers*reads)
+				readers, ev.hits, ev.misses, readers*reads)
 		}
 	}
 }

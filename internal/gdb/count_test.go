@@ -8,13 +8,15 @@ import (
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/dataset"
+	"mscfpq/internal/exec"
 	"mscfpq/internal/obs"
 	"mscfpq/internal/store"
 )
 
 // TestCountRowsKeepsFootprint: a count CountRows answers is cached with
-// its plan's footprint, so after a write that leaves its rows alone it
-// is served as a revalidated hit, equal to the first answer.
+// its plan's footprint, the vertex bound of its sources, so after a
+// write that leaves its rows alone it is served as a revalidated hit,
+// equal to the first answer, and still serves the version before.
 func TestCountRowsKeepsFootprint(t *testing.T) {
 	db, s := cachedDB()
 	text := revalidateDecl + `MATCH (v)-/ ~S /->(to) WHERE id(v) IN [0, 1] RETURN count(to)`
@@ -31,31 +33,36 @@ func TestCountRowsKeepsFootprint(t *testing.T) {
 		t.Fatalf("count = %v, want [[2]]", first.Rows)
 	}
 	// A property write publishes a version and changes no row.
+	v0 := s.Snapshot()
 	if _, err := s.st.Update(func(tx *store.Tx) error {
 		tx.SetProp(0, "k", cypher.Value{Int: 1, IsInt: true})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Cache().Stats()
+	before := obs.Default.Snapshot()
 	again, err := db.Query("g", text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := db.Cache().Stats(); st.Revalidations != before.Revalidations+1 || st.Misses != before.Misses {
-		t.Fatalf("after the write: revalidations %d → %d, misses %d → %d, want one revalidated hit",
-			before.Revalidations, st.Revalidations, before.Misses, st.Misses)
+	if ev := eventsSince(before); ev.revalidations != 1 || ev.misses != 0 {
+		t.Fatalf("after the write: %d revalidations, %d misses, want one revalidated hit", ev.revalidations, ev.misses)
 	}
 	if len(again.Rows) != 1 || again.Rows[0][0] != 2 {
 		t.Fatalf("revalidated count = %v, want [[2]]", again.Rows)
 	}
-	var fp *store.Footprint
-	db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Snapshot().Version()+1, func(_ uint64, f *store.Footprint) bool {
-		fp = f
-		return false
-	})
-	if fp == nil || fp.Sources.NVals() != 2 || !fp.Sources.Get(0) || !fp.Sources.Get(1) {
-		t.Fatalf("cached footprint %+v, want the sources {0, 1}", fp)
+	if _, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), text), v0); !hit {
+		t.Fatal("the entry restamped past the write no longer serves the version before it")
+	}
+	q, err := cypher.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, cancel := exec.Options{}.Start()
+	_, bound, err := s.runMatchSnap(s.Snapshot(), q, run)
+	cancel()
+	if err != nil || bound != 2 {
+		t.Fatalf("footprint bound %d (err %v), want 2: the sources are {0, 1}", bound, err)
 	}
 }
 

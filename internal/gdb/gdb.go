@@ -219,20 +219,6 @@ func carry(c *cachedCtx, snap *store.Snapshot) (*cachedCtx, error) {
 	return &cachedCtx{ctx: ctx, version: snap.Version()}, nil
 }
 
-// unchanged reports whether the rows fp names are the same at version
-// at and at the snapshot's: no write between the two failed to grow the
-// graph apart, so the rows of every vertex that existed at the older
-// one stayed as they were, and every source exists at the snapshot.
-// The store's current Touched stamp bounds every write up to both
-// versions, so it refuses across a touching write past them too.
-func (s *GraphStore) unchanged(snap *store.Snapshot, at uint64, fp *store.Footprint) bool {
-	if s.st.Pin().Touched() > min(at, snap.Version()) {
-		return false
-	}
-	idx := fp.Sources.Indices()
-	return len(idx) == 0 || int(idx[len(idx)-1]) < snap.Graph().NumVertices()
-}
-
 // Graph exposes the current version's graph. Read-only once the store
 // is serving queries: direct mutation bypasses versioning (copy-on-write
 // keeps older snapshots intact, but cached contexts and query results
@@ -420,25 +406,21 @@ func (s *GraphStore) prepare(snap *store.Snapshot, q *cypher.Query, run *exec.Ru
 // runMatchSnap evaluates a MATCH query against a pinned snapshot. No
 // lock is held: concurrent writes publish newer versions without
 // affecting this evaluation, and the result is exactly the answer for
-// the snapshot's version. It also returns the plan's footprint
-// (plan.Plan.Footprint), nil when the plan reads more than the rows of
+// the snapshot's version. It also returns the plan's vertex bound
+// (plan.Plan.Footprint), -1 when the plan reads more than the rows of
 // one declared path pattern.
-func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*plan.ResultSet, *store.Footprint, error) {
+func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*plan.ResultSet, int, error) {
 	p, err := s.prepare(snap, q, run)
 	if err != nil {
-		return nil, nil, err
+		return nil, -1, err
 	}
 	execSpan := run.StartSpan(obs.SpanExecute)
 	rs, err := p.ExecuteWith(exec.WithRun(run))
 	execSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, -1, err
 	}
-	var fp *store.Footprint
-	if src, ok := p.Footprint(); ok {
-		fp = &store.Footprint{Sources: src}
-	}
-	return rs, fp, nil
+	return rs, p.Footprint(), nil
 }
 
 func (db *DB) runCreate(name string, q *cypher.Query) (*QueryResult, error) {

@@ -12,7 +12,7 @@ import (
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/dataset"
 	"mscfpq/internal/graph"
-	"mscfpq/internal/matrix"
+	"mscfpq/internal/obs"
 	"mscfpq/internal/store"
 )
 
@@ -40,7 +40,7 @@ func TestCacheHitSkipsParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	parseAllocs := testing.AllocsPerRun(10, func() { _, _ = cypher.Parse(text) })
-	before := db.Cache().Stats()
+	before := obs.Default.Snapshot()
 	allocs := testing.AllocsPerRun(100, func() {
 		res, err := db.Query("g", text)
 		if err != nil || len(res.Rows) != len(want.Rows) {
@@ -53,8 +53,8 @@ func TestCacheHitSkipsParse(t *testing.T) {
 	if parseAllocs <= 10*hitAllocs {
 		t.Fatalf("a parse allocates only %.0f objects: the pin no longer tells a hit from a parse", parseAllocs)
 	}
-	if st := db.Cache().Stats(); st.Misses != before.Misses || st.Hits != before.Hits+101 {
-		t.Fatalf("101 cached reads moved hits %d → %d and misses %d → %d", before.Hits, st.Hits, before.Misses, st.Misses)
+	if ev := eventsSince(before); ev.misses != 0 || ev.hits != 101 {
+		t.Fatalf("101 cached reads counted %d hits and %d misses", ev.hits, ev.misses)
 	}
 }
 
@@ -113,7 +113,7 @@ func wideDB(tb testing.TB) (*DB, *GraphStore, *QueryResult) {
 // answer cuts its row headers within hitAllocs.
 func TestCachedAnswerIsFlat(t *testing.T) {
 	db, s, want := wideDB(t)
-	v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), wideQuery), s.Snapshot().Version(), nil)
+	v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), wideQuery), s.Snapshot())
 	a, ok := v.(*answer)
 	if !hit || !ok {
 		t.Fatalf("cached value %T (hit %v), want *answer", v, hit)
@@ -216,7 +216,7 @@ func TestCacheChargesCellsOnly(t *testing.T) {
 		if _, err := db.Query("g", text); err != nil {
 			t.Fatal(err)
 		}
-		v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Snapshot().Version(), nil)
+		v, hit, _ := db.Cache().Lookup(store.TextKey(s.StoreID(), text), s.Snapshot())
 		if !hit {
 			t.Fatalf("%s: not cached", text)
 		}
@@ -243,7 +243,7 @@ func TestProfileBypassesResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := db.Cache().Stats()
+	before, start := db.Cache().Stats(), obs.Default.Snapshot()
 	for range 2 {
 		res, err := db.Query("g", "PROFILE "+text)
 		if err != nil {
@@ -259,8 +259,8 @@ func TestProfileBypassesResultCache(t *testing.T) {
 			}
 		}
 	}
-	if after := db.Cache().Stats(); after.Entries != before.Entries || after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("PROFILE moved the cache: %+v → %+v", before, after)
+	if after, ev := db.Cache().Stats(), eventsSince(start); after.Entries != before.Entries || after.Hits != before.Hits || ev.misses != 0 {
+		t.Fatalf("PROFILE moved the cache: %+v → %+v, %d misses", before, after, ev.misses)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestProfileBypassesResultCache(t *testing.T) {
 // one hit or one miss.
 func TestCacheCountsMatchReadsOnly(t *testing.T) {
 	db, _ := cachedDB()
-	before := db.Cache().Stats()
+	before := obs.Default.Snapshot()
 	for _, stmt := range []struct{ graph, text string }{
 		{"g", `CREATE (x:N)-[:a]->(y:N)`},
 		{"g", `CREATE (x:N)-[:a]->(y:N)`},
@@ -280,9 +280,8 @@ func TestCacheCountsMatchReadsOnly(t *testing.T) {
 	} {
 		_, _ = db.Query(stmt.graph, stmt.text)
 	}
-	if after := db.Cache().Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("writes and failed statements moved hits %d → %d and misses %d → %d",
-			before.Hits, after.Hits, before.Misses, after.Misses)
+	if ev := eventsSince(before); ev.hits != 0 || ev.misses != 0 {
+		t.Fatalf("writes and failed statements counted %d hits and %d misses", ev.hits, ev.misses)
 	}
 
 	reads := []string{sourcesQuery(0), sourcesQuery(0), `MATCH (v:N) RETURN count(v)`, sourcesQuery(0), `MATCH (v:N) RETURN count(v)`}
@@ -299,14 +298,14 @@ func TestCacheCountsMatchReadsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := db.Cache().Stats()
-	if got := after.Hits + after.Misses - before.Hits - before.Misses; got != 8 {
-		t.Fatalf("8 MATCH reads counted as %d lookups: %+v", got, after)
+	ev := eventsSince(before)
+	if got := ev.hits + ev.misses; got != 8 {
+		t.Fatalf("8 MATCH reads counted as %d lookups: %+v", got, ev)
 	}
 	// Two texts missed first; after the write the seek revalidated and
 	// the label count missed.
-	if hits := after.Hits - before.Hits; hits != 5 {
-		t.Fatalf("%d hits, want 5: %+v", hits, after)
+	if ev.hits != 5 {
+		t.Fatalf("%d hits, want 5: %+v", ev.hits, ev)
 	}
 }
 
@@ -347,6 +346,7 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 		if _, err := db.QueryContext(ctx, "g", text); err != nil {
 			b.Fatal(err)
 		}
+		start := obs.Default.Snapshot()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -364,8 +364,8 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if st := db.Cache().Stats(); st.Revalidations != uint64(b.N) {
-			b.Fatalf("%d of %d reads revalidated", st.Revalidations, b.N)
+		if ev := eventsSince(start); ev.revalidations != int64(b.N) {
+			b.Fatalf("%d of %d reads revalidated", ev.revalidations, b.N)
 		}
 	})
 }
@@ -395,16 +395,15 @@ func TestScanHoldsOnlyProbation(t *testing.T) {
 	perm := rand.New(rand.NewSource(1)).Perm(g.NumVertices())
 	// answerBytes is what the cache charges for text's answer res, as
 	// queryAt computes it.
-	answerBytes := func(text string, ids []int, res *QueryResult) int64 {
-		fp := &store.Footprint{Sources: matrix.NewVectorFromIndices(g.NumVertices(), ids)}
-		return resultBytes(&answer{columns: res.Columns, cells: res.Cells, rows: res.NumRows}, text, fp)
+	answerBytes := func(text string, res *QueryResult) int64 {
+		return resultBytes(&answer{columns: res.Columns, cells: res.Cells, rows: res.NumRows}, text)
 	}
 	hot := g2Query(perm[:10])
 	res, err := db.Query("g", hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotBytes := answerBytes(hot, perm[:10], res)
+	hotBytes := answerBytes(hot, res)
 	var largest, scanned int64
 	for lo := 10; lo+10 <= len(perm); lo += 10 {
 		if lo%100 == 10 {
@@ -423,7 +422,7 @@ func TestScanHoldsOnlyProbation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := answerBytes(text, perm[lo:lo+10], res)
+		b := answerBytes(text, res)
 		largest, scanned = max(largest, b), scanned+b
 		if st := db.Cache().Stats(); st.Bytes-hotBytes > share+largest {
 			t.Fatalf("after %d scanned texts the cache holds %d bytes beside the repeated text's %d, want at most probation's %d plus one answer (%d)",
@@ -445,7 +444,7 @@ func TestScanHoldsOnlyProbation(t *testing.T) {
 func BenchmarkCachedAnswersGC(b *testing.B) {
 	db, g := denseScanDB(b, 64<<20)
 	rng := rand.New(rand.NewSource(1))
-	for db.Cache().Stats().Evictions == 0 {
+	for start := obs.Default.Snapshot(); eventsSince(start).evictions == 0; {
 		perm := rng.Perm(g.NumVertices())
 		for lo := 0; lo+10 <= len(perm); lo += 10 {
 			if _, err := db.Query("g", g2Query(perm[lo:lo+10])); err != nil {

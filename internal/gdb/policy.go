@@ -108,8 +108,8 @@ func (db *DB) QueryCells(ctx context.Context, name, src string) (*QueryResult, e
 // queryAt answers statement src on graph s, nil when it does not exist,
 // at the snapshot snap pinned for it; start is when the statement
 // arrived. The result cache is looked up by the raw text before
-// anything parses it, so a hit, exact or revalidated
-// (GraphStore.unchanged), costs the lookup alone. Otherwise src is
+// anything parses it, so a hit, exact or across versions
+// (store.Cache.Lookup), costs the lookup alone. Otherwise src is
 // parsed once: a CREATE commits, and a MATCH is evaluated at snap and
 // fills the cache. A PROFILE'd MATCH, which GRAPH.PROFILE also sends,
 // neither reads nor fills it: it is evaluated so that its span tree,
@@ -120,9 +120,7 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 	cacheable := s != nil && db.cache.Enabled()
 	if cacheable {
 		rkey = store.TextKey(snap.StoreID(), src)
-		v, hit, found := db.cache.Lookup(rkey, snap.Version(), func(at uint64, fp *store.Footprint) bool {
-			return s.unchanged(snap, at, fp)
-		})
+		v, hit, found := db.cache.Lookup(rkey, snap)
 		if hit {
 			a := v.(*answer)
 			obs.GdbQueries.Inc()
@@ -154,9 +152,9 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 	}
 
 	var rs *plan.ResultSet
-	var fp *store.Footprint
+	var bound int
 	err = db.serve(ctx, name, src, q, trace, func(run *exec.Run) (err error) {
-		rs, fp, err = s.runMatchSnap(snap, q, run)
+		rs, bound, err = s.runMatchSnap(snap, q, run)
 		return err
 	})
 	if err != nil {
@@ -164,7 +162,7 @@ func (db *DB) queryAt(ctx context.Context, name, src string, s *GraphStore, snap
 	}
 	if cacheable {
 		a := &answer{columns: rs.Columns, cells: rs.Cells, rows: rs.NumRows}
-		db.cache.Put(rkey, a, resultBytes(a, src, fp), snap.StoreID(), snap.Version(), fp)
+		db.cache.Put(rkey, a, resultBytes(a, src), snap, bound)
 	}
 	res := &QueryResult{Columns: rs.Columns, Cells: rs.Cells, NumRows: rs.NumRows}
 	if trace != nil {
@@ -255,11 +253,8 @@ type answer struct {
 
 // resultBytes is what a cached answer to statement text holds, charged
 // against the cache's byte budget: 8 bytes a cell plus fixed parts.
-func resultBytes(a *answer, text string, fp *store.Footprint) int64 {
+func resultBytes(a *answer, text string) int64 {
 	b := int64(len(text)) + 96 + 8*int64(len(a.cells))
-	if fp != nil {
-		b += 4*int64(fp.Sources.NVals()) + 64
-	}
 	for _, c := range a.columns {
 		b += int64(len(c)) + 16
 	}

@@ -11,6 +11,7 @@ import (
 	"mscfpq/internal/exec"
 	"mscfpq/internal/grammar"
 	"mscfpq/internal/graph"
+	"mscfpq/internal/obs"
 	"mscfpq/internal/oracle"
 	"mscfpq/internal/store"
 )
@@ -241,6 +242,7 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 // serve stale data), and repeating it must hit the cache with the
 // identical answer.
 func TestStressCacheCoherenceAcrossVersions(t *testing.T) {
+	start := obs.Default.Snapshot()
 	db := New()
 	db.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
 	w := stressGrammar(t)
@@ -283,9 +285,8 @@ func TestStressCacheCoherenceAcrossVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := db.Cache().Stats()
-	if st.Hits == 0 || st.Invalidations == 0 {
-		t.Fatalf("coherence run exercised no hits or no invalidations: %+v", st)
+	if ev := eventsSince(start); ev.hits == 0 || ev.invalidations == 0 {
+		t.Fatalf("coherence run exercised no hits or no invalidations: %+v", ev)
 	}
 }
 

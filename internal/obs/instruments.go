@@ -62,8 +62,9 @@ var (
 	CacheMisses        = Default.Counter("cache.misses")
 	CacheEvictions     = Default.Counter("cache.evictions")
 	CacheInvalidations = Default.Counter("cache.invalidations")
-	// Hits served by an entry computed at another version, whose rows a
-	// dirty-row check vouched for (also counted in cache.hits).
+	// Hits served by an entry computed at another version, across
+	// writes that all grew the graph apart from the rows it read (also
+	// counted in cache.hits).
 	CacheRevalidations = Default.Counter("cache.revalidations")
 	// Entries a first hit moved from the probation segment to the
 	// protected one, and what probation holds (among cache.bytes): a

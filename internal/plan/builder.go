@@ -8,7 +8,6 @@ import (
 
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
-	"mscfpq/internal/matrix"
 )
 
 // Plan is a compiled, executable query plan.
@@ -322,12 +321,14 @@ func reverseChain(chain []QGEdge) []QGEdge {
 // one traverse of a bare reference to a declared pattern, counted by
 // CountRows or with only operators that reshape records above it
 // (Project, Aggregate, Sort, Paginate). Such a plan answers the same at
-// every version where those rows are the same. It returns the sources;
-// ok is false for any other plan: a scan, a label or property read, a
-// pattern the query compiles itself, or no declarations at all.
-func (p *Plan) Footprint() (src *matrix.Vector, ok bool) {
+// every version where those rows are the same. It returns the sources'
+// vertex bound, the largest id + 1 (0 for an empty list): the vertex
+// count a version needs for every source to exist. It returns -1 for
+// any other plan: a scan, a label or property read, a pattern the query
+// compiles itself, or no declarations at all.
+func (p *Plan) Footprint() int {
 	if p.ctx == nil || p.ctx.cf == nil {
-		return nil, false
+		return -1
 	}
 	op := p.root
 	for reshapes := true; reshapes; {
@@ -343,13 +344,16 @@ func (p *Plan) Footprint() (src *matrix.Vector, ok bool) {
 	}
 	t, isTraverse := op.(*Traverse)
 	if !isTraverse || t.path.start < 0 || len(t.path.rules.Prods) > 0 || t.path.w != p.ctx.idx.W {
-		return nil, false
+		return -1
 	}
 	s, isScan := t.child.(*NodeScan)
 	if !isScan || !s.seek || !s.exact || s.label != "" || s.child != nil || s.slot != t.fromSlot {
-		return nil, false
+		return -1
 	}
-	return matrix.NewVectorFromIndices(p.env.G.NumVertices(), s.verts), true
+	if len(s.verts) == 0 {
+		return 0
+	}
+	return s.verts[len(s.verts)-1] + 1 // a seek's ids are sorted
 }
 
 // Execute runs the plan to completion, ungoverned.

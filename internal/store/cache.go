@@ -4,38 +4,40 @@ import (
 	"container/list"
 	"sync"
 
-	"mscfpq/internal/matrix"
 	"mscfpq/internal/obs"
 )
 
-// entry is one cached value plus the bookkeeping eviction and
-// revalidation need.
+// entry is one cached value plus the bookkeeping eviction and the
+// cross-version rule (serves) need.
 type entry struct {
-	key     Key
+	key     Key // of the store incarnation val was computed in
 	val     any
 	bytes   int64
-	storeID uint64
-	version uint64     // a version val is right at, first the one it was computed at; read and restamped under Cache.mu
-	fp      *Footprint // nil: val is right at its own version only
-	hot     bool       // in the protected segment; read and set under Cache.mu
+	version uint64 // a version val is right at, first its snapshot's; read and restamped under Cache.mu
+	touched uint64 // version's Touched stamp; read and restamped under Cache.mu
+	bound   int    // the vertex bound of the rows val read (plan.Plan.Footprint); < 0: val is right at its own version only
+	hot     bool   // in the protected segment; read and set under Cache.mu
 }
 
-// Footprint is what a cached answer read of its snapshot, when that was
-// all it read: the rows of one declared path pattern for the sources
-// Sources. An entry with a footprint may serve a reader at another
-// version of its store, if those rows are the same there (Cache.Lookup);
-// one without serves its own version only.
-type Footprint struct {
-	Sources *matrix.Vector
+// serves reports whether e, computed at another version of snap's
+// store, is right at snap: e read only the rows of sources below its
+// bound, every one of them exists at snap, and the newer of the two
+// versions grew apart from the older (Snapshot.Touched), so the rows of
+// every vertex of the older are the same at both.
+func (e *entry) serves(snap *Snapshot) bool {
+	return e.bound >= 0 &&
+		max(e.touched, snap.Touched()) <= min(e.version, snap.Version()) &&
+		e.bound <= snap.Graph().NumVertices()
 }
 
 // Cache is the query result cache: a segmented LRU under a
-// configurable byte budget. An entry records the store incarnation and
-// the version its value was computed at, and a lookup at that version
-// hits. A lookup at another version hits only an entry with a footprint
-// that the caller's revalidation vouches for; otherwise an entry older
-// than the lookup is stale and goes (an invalidation), while a newer one
-// stays for readers at its own version.
+// configurable byte budget. An entry records the store incarnation, the
+// version its value was computed at with that version's Touched stamp,
+// and the vertex bound of the rows it read, if that was all it read. A
+// lookup at the entry's version hits; a lookup at another version hits
+// only when the entry serves it (entry.serves). Otherwise an entry
+// older than the lookup is stale and goes (an invalidation), while a
+// newer one stays for readers at its own version.
 //
 // Every Put enters the probation segment, which holds an eighth of the
 // budget beyond its newest entry (probationMax); an entry's first hit
@@ -44,7 +46,8 @@ type Footprint struct {
 // that never repeat) churn probation alone and leave the protected hot
 // set where it is. When protected outgrows its share, its least recent
 // entry is demoted to the front of probation. Stale entries no lookup
-// meets go by LRU. Safe for concurrent use.
+// meets go by LRU. Each event is counted by the obs cache.* counters.
+// Safe for concurrent use.
 type Cache struct {
 	mu        sync.Mutex
 	maxBytes  int64                 // guarded by mu: <= 0 disables the cache
@@ -53,8 +56,7 @@ type Cache struct {
 	items     map[Key]*list.Element // guarded by mu
 	bytes     int64                 // guarded by mu: sum of entry sizes
 	probBytes int64                 // guarded by mu: sum of probation entry sizes
-
-	hits, misses, evictions, invalidations, revalidations, promotions uint64 // guarded by mu
+	hits      uint64                // guarded by mu
 }
 
 // probationShare is the probation segment's share of the budget, as a
@@ -71,14 +73,13 @@ const probationShare = 8
 // budget maxBytes holds, beyond its newest entry.
 func probationMax(maxBytes int64) int64 { return maxBytes / probationShare }
 
-// CacheStats is a point-in-time counter snapshot. Revalidations counts
-// the hits served across versions; they are among Hits too. Promotions
-// counts entries moved from probation to protected by a hit;
-// ProbationBytes is what the probation segment holds, among Bytes.
+// CacheStats is a point-in-time view of a cache: the hits it served,
+// at their own version or across versions, what it holds, and what the
+// probation segment holds among Bytes.
 type CacheStats struct {
-	Hits, Misses, Evictions, Invalidations, Revalidations, Promotions uint64
-	Entries                                                           int
-	Bytes, ProbationBytes                                             int64
+	Hits                  uint64
+	Entries               int
+	Bytes, ProbationBytes int64
 }
 
 // NewCache returns a cache bounded by maxBytes (<= 0 disables it).
@@ -109,19 +110,18 @@ func (c *Cache) Enabled() bool {
 	return c.maxBytes > 0
 }
 
-// Lookup returns the value cached under key for a reader at version,
-// updating LRU order; a hit promotes a probation entry to protected.
-// An entry computed at version hits. An entry computed at another
-// version hits (a revalidation) only when it has a
-// footprint and revalidate(at, fp) reports its rows the same at both
-// versions; revalidate runs without the cache's lock, so it may do
-// work, and a nil revalidate vouches for nothing. Otherwise the lookup
-// misses, and an entry older than version is dropped as stale. found
-// reports whether key had an entry: a key without one counts as neither
-// a hit nor a miss, so a caller that looks a text up before it knows
-// whether the text is cacheable records the miss (Miss) once it does.
-// The returned value is shared — callers must treat it as immutable.
-func (c *Cache) Lookup(key Key, version uint64, revalidate func(at uint64, fp *Footprint) bool) (val any, hit, found bool) {
+// Lookup returns the value cached under key for a reader at snapshot
+// snap, updating LRU order; a hit promotes a probation entry to
+// protected. An entry computed at snap's version hits; one computed at
+// another version hits (a revalidation) when it serves snap
+// (entry.serves), and a revalidation by a newer snap restamps it to
+// snap's version. Otherwise the lookup misses, and an entry older than
+// snap is dropped as stale. found reports whether key had an entry: a
+// key without one counts as neither a hit nor a miss, so a caller that
+// looks a text up before it knows whether the text is cacheable records
+// the miss (Miss) once it does. The returned value is shared — callers
+// must treat it as immutable.
+func (c *Cache) Lookup(key Key, snap *Snapshot) (val any, hit, found bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -129,46 +129,29 @@ func (c *Cache) Lookup(key Key, version uint64, revalidate func(at uint64, fp *F
 		return nil, false, false
 	}
 	e := el.Value.(*entry)
-	if e.version == version {
+	switch v := snap.Version(); {
+	case e.version == v:
 		return c.hitLocked(el), true, true
-	}
-	if e.fp != nil && revalidate != nil {
-		at := e.version
-		c.mu.Unlock()
-		valid := revalidate(at, e.fp)
-		c.mu.Lock()
-		if el, ok = c.items[key]; !ok || el.Value.(*entry) != e {
-			// Replaced or dropped while unlocked: e's verdict is moot.
-			return c.missLocked()
+	case e.serves(snap):
+		obs.CacheRevalidations.Inc()
+		if v > e.version {
+			// Restamp: the answer holds at v, and a reader behind it can
+			// still be served across the gap, so the next lookup here is
+			// an exact hit.
+			e.version, e.touched = v, snap.Touched()
 		}
-		if valid {
-			c.revalidations++
-			obs.CacheRevalidations.Inc()
-			if version > e.version {
-				// Restamp: the answer holds at version, and a reader
-				// behind it can still revalidate across the gap, so the
-				// next lookup here is an exact hit.
-				e.version = version
-			}
-			return c.hitLocked(el), true, true
-		}
-	}
-	if e.version < version {
+		return c.hitLocked(el), true, true
+	case e.version < v:
 		c.removeLocked(el)
-		c.invalidations++
 		obs.CacheInvalidations.Inc()
 		c.publishGaugesLocked()
 	}
-	return c.missLocked()
+	obs.CacheMisses.Inc()
+	return nil, false, true
 }
 
 // Miss counts a miss of a key Lookup found no entry for.
-func (c *Cache) Miss() {
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	obs.CacheMisses.Inc()
-}
+func (c *Cache) Miss() { obs.CacheMisses.Inc() }
 
 // hitLocked counts a hit of el and moves it to the front of protected,
 // promoting it if it was on probation.
@@ -181,28 +164,21 @@ func (c *Cache) hitLocked(el *list.Element) any {
 		return e.val
 	}
 	c.moveLocked(el, true)
-	c.promotions++
 	obs.CachePromotions.Inc()
 	c.fitLocked()
 	c.publishGaugesLocked()
 	return e.val
 }
 
-// missLocked counts a miss of a key that had an entry.
-func (c *Cache) missLocked() (val any, hit, found bool) {
-	c.misses++
-	obs.CacheMisses.Inc()
-	return nil, false, true
-}
-
-// Put stores val, computed at version of store storeID, under key,
-// charging bytes against the budget; fp, when non-nil, is what val read
-// (Footprint). A new key enters probation; a value replacing a protected
-// entry stays protected, so a hot text recomputed after a write stays
-// hot. An entry computed at a newer version stays: a reader pinned
-// behind it does not displace it. Values too large for the whole budget
-// are not stored.
-func (c *Cache) Put(key Key, val any, bytes int64, storeID, version uint64, fp *Footprint) {
+// Put stores val, computed at snapshot snap, under key, a key of snap's
+// store (TextKey), charging bytes against the budget. bound is the
+// vertex bound of the rows val read (plan.Plan.Footprint), negative
+// when val read more: then it serves snap's version only. A new key
+// enters probation; a value replacing a protected entry stays
+// protected, so a hot text recomputed after a write stays hot. An entry
+// computed at a newer version stays: a reader pinned behind it does not
+// displace it. Values too large for the whole budget are not stored.
+func (c *Cache) Put(key Key, val any, bytes int64, snap *Snapshot, bound int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes <= 0 || bytes > c.maxBytes {
@@ -211,13 +187,13 @@ func (c *Cache) Put(key Key, val any, bytes int64, storeID, version uint64, fp *
 	hot := false
 	if el, ok := c.items[key]; ok {
 		old := el.Value.(*entry)
-		if old.version > version {
+		if old.version > snap.Version() {
 			return
 		}
 		hot = old.hot
 		c.removeLocked(el)
 	}
-	c.pushLocked(&entry{key: key, val: val, bytes: bytes, storeID: storeID, version: version, fp: fp, hot: hot})
+	c.pushLocked(&entry{key: key, val: val, bytes: bytes, version: snap.Version(), touched: snap.Touched(), bound: bound, hot: hot})
 	c.bytes += bytes
 	c.fitLocked()
 	c.publishGaugesLocked()
@@ -232,9 +208,8 @@ func (c *Cache) DropStore(storeID uint64) {
 	for _, l := range [...]*list.List{c.probation, c.protected} {
 		for el := l.Front(); el != nil; {
 			next := el.Next()
-			if el.Value.(*entry).storeID == storeID {
+			if el.Value.(*entry).key.storeID == storeID {
 				c.removeLocked(el)
-				c.invalidations++
 				obs.CacheInvalidations.Inc()
 			}
 			el = next
@@ -243,16 +218,11 @@ func (c *Cache) DropStore(storeID uint64) {
 	c.publishGaugesLocked()
 }
 
-// Stats returns the counter snapshot.
+// Stats returns the cache's point-in-time view.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Invalidations: c.invalidations, Revalidations: c.revalidations,
-		Promotions: c.promotions,
-		Entries:    len(c.items), Bytes: c.bytes, ProbationBytes: c.probBytes,
-	}
+	return CacheStats{Hits: c.hits, Entries: len(c.items), Bytes: c.bytes, ProbationBytes: c.probBytes}
 }
 
 // fitLocked restores the segments' bounds: protected's least recent
@@ -281,7 +251,6 @@ func (c *Cache) fitLocked() {
 
 func (c *Cache) evictLocked(el *list.Element) {
 	c.removeLocked(el)
-	c.evictions++
 	obs.CacheEvictions.Inc()
 }
 
